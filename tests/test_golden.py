@@ -1,0 +1,76 @@
+"""Golden values for the frozen public contracts: the design file bytes of
+every seeded constructor and one simulation CSV row.
+
+A change to any constructor, to ``serialize`` or to the harness that alters
+these bytes breaks files and result tables written by earlier versions.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from sparsegt.core import DesignParams, Prior, PRIOR_UNIFORM_EXACT, serialize
+from sparsegt.designs import (
+    block_binary_rho_design,
+    block_hypergrid_design,
+    hypergrid_design,
+    permuted_block_rho_design,
+    random_gamma_design,
+    repeat_design,
+)
+from sparsegt.sim import SimConfig, run_monte_carlo
+
+SEED = 42
+
+
+def _rng():
+    return np.random.default_rng(SEED)
+
+
+DESIGNS = {
+    "random-gamma": (
+        lambda: random_gamma_design(10_000, 5, 3, 0.1, _rng()),
+        "7aebfcfe7039094bac5a12100928d75a4d5702c1a42d719f36edb543b9b17fae",
+    ),
+    "hypergrid": (
+        lambda: hypergrid_design(10_000, 2),
+        "a8b0244aafb292833aefc67eee8ae575f1a169ded9864da8af31cf8c4df2703c",
+    ),
+    "block-hypergrid": (
+        lambda: block_hypergrid_design(10_000, 5, 2, 0.1),
+        "edd2f38f58258f209f6650415cee866ff3ca9b1f326913bceacb533090bc134f",
+    ),
+    "permuted-rho": (
+        lambda: permuted_block_rho_design(10_000, 10, 100, 0.5, _rng()),
+        "24f59e869af2168fa9d21bd57bdb885e7842af5a58524afa2e46ca60e0759f8c",
+    ),
+    "block-binary": (
+        lambda: block_binary_rho_design(10_000, 5, 20, 0.1),
+        "033262c5ee92872f0e2435fe0dd1768a82ef0e74d2e81e34563a8cfc840a0c36",
+    ),
+    "repeated-permuted-rho": (
+        lambda: repeat_design(permuted_block_rho_design(1000, 10, 50, 0.5, _rng()), 3),
+        "bffbd28ff335a185fdb629d0e09a5883a6b43767e638b9de885fae3e94a7431f",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DESIGNS))
+def test_serialized_design_bytes(name):
+    build, digest = DESIGNS[name]
+    assert hashlib.sha256(serialize(build()).encode()).hexdigest() == digest
+
+
+def test_noisy_majority_csv_row():
+    base = permuted_block_rho_design(1000, 10, 50, 0.5, _rng())
+    config = SimConfig(
+        params=DesignParams(n=1000, d=10, rho=50, zeta=0.5, sigma=0.1),
+        prior=Prior(PRIOR_UNIFORM_EXACT, 10),
+        trials=300,
+        master_seed=SEED,
+    )
+    report = run_monte_carlo(repeat_design(base, 5), "majority", config)
+    assert report.csv_row() == (
+        "repeated,1000,10,75,50,0.1,1500,300,187,0.623333,0.567268,0.67628,42"
+    )
