@@ -14,7 +14,9 @@ prints 1-based test labels where it echoes per-test detail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -210,9 +212,22 @@ class Outcomes:
         return f"Outcomes({word!r}, noisy={self.noisy})"
 
 
-@dataclass(frozen=True)
+# item indices are stored as int32; every index of a valid matrix fits
+_MAX_ITEMS = 2**31
+
+
 class TestMatrix:
-    """A pooling design: ``rows[t]`` lists the items pooled by test ``t``.
+    """A pooling design: test ``t`` pools the items
+    ``indices[indptr[t]:indptr[t + 1]]``.
+
+    Incidences are stored as compressed sparse rows (CSR): ``indptr`` is an
+    int64 array of T + 1 offsets and ``indices`` an int32 array of item
+    indices, both write-locked. An index outside int32 (and a ``num_items``
+    above 2**31) raises :class:`InvalidParameterError`; nothing wraps.
+    ``rows`` returns the same incidences as a tuple of tuples; it is derived
+    on every call and not stored. The column index (CSC, see
+    :meth:`column_index`) and the column weights are computed on first use
+    and cached on the instance; they are not pickled.
 
     ``col_limit`` caps how many tests any single item may appear in (item
     divisibility); ``row_limit`` caps how many items any single test may pool
@@ -223,50 +238,188 @@ class TestMatrix:
 
     Construction performs only structural normalization; use :func:`validate`
     to obtain a report of invariant violations, which are representable on
-    purpose so they can be reported rather than half-rejected.
+    purpose so they can be reported rather than half-rejected. Instances are
+    immutable and compare by content.
     """
 
     __test__ = False  # keep pytest from collecting this as a test class
 
-    rows: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
     num_items: int
-    col_limit: int | None = None
-    row_limit: int | None = None
-    design_tag: str = TAG_CUSTOM
-    block_starts: tuple[int, ...] | None = None
-    base_tag: str | None = None
-    repeat_k: int = 1
+    col_limit: int | None
+    row_limit: int | None
+    design_tag: str
+    block_starts: tuple[int, ...] | None
+    base_tag: str | None
+    repeat_k: int
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(int(i) for i in row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
-        if self.num_items < 1:
-            raise InvalidParameterError("num_items must be >= 1")
-        if self.design_tag not in DESIGN_TAGS:
-            raise InvalidParameterError(f"unknown design tag: {self.design_tag!r}")
-        if self.repeat_k < 1:
+    def __init__(
+        self,
+        rows: Iterable[Iterable[int]],
+        num_items: int,
+        col_limit: int | None = None,
+        row_limit: int | None = None,
+        design_tag: str = TAG_CUSTOM,
+        block_starts: Iterable[int] | None = None,
+        base_tag: str | None = None,
+        repeat_k: int = 1,
+    ):
+        rows = [[int(i) for i in row] for row in rows]
+        indptr = _offsets([len(row) for row in rows])
+        try:
+            indices = np.array([i for row in rows for i in row], dtype=np.int64)
+        except OverflowError:
+            raise InvalidParameterError("item indices must fit in int32") from None
+        self._init(indptr, indices, num_items, col_limit, row_limit, design_tag,
+                   block_starts, base_tag, repeat_k)
+
+    @classmethod
+    def from_csr(
+        cls,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        num_items: int,
+        col_limit: int | None = None,
+        row_limit: int | None = None,
+        design_tag: str = TAG_CUSTOM,
+        block_starts: Iterable[int] | None = None,
+        base_tag: str | None = None,
+        repeat_k: int = 1,
+    ) -> TestMatrix:
+        """Build from CSR arrays (copied); the other arguments are as for
+        the constructor."""
+        matrix = cls.__new__(cls)
+        matrix._init(indptr, indices, num_items, col_limit, row_limit, design_tag,
+                     block_starts, base_tag, repeat_k)
+        return matrix
+
+    def _init(self, indptr, indices, num_items, col_limit, row_limit, design_tag,
+              block_starts, base_tag, repeat_k) -> None:
+        if not 1 <= num_items <= _MAX_ITEMS:
+            raise InvalidParameterError(f"num_items must lie in [1, {_MAX_ITEMS}]")
+        if design_tag not in DESIGN_TAGS:
+            raise InvalidParameterError(f"unknown design tag: {design_tag!r}")
+        if repeat_k < 1:
             raise InvalidParameterError("repeat_k must be >= 1")
-        if self.block_starts is not None:
-            object.__setattr__(
-                self, "block_starts", tuple(int(s) for s in self.block_starts)
+        indptr = np.array(indptr, dtype=np.int64)
+        indices = np.asarray(indices)
+        if indices.size and not np.issubdtype(indices.dtype, np.integer):
+            raise InvalidParameterError("item indices must be integers")
+        if indices.ndim != 1 or indptr.ndim != 1 or indptr.size < 1:
+            raise InvalidParameterError("indptr and indices must be 1-D, indptr non-empty")
+        if indptr[0] != 0 or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0):
+            raise InvalidParameterError(
+                "indptr must start at 0, not decrease, and end at len(indices)"
             )
+        if indices.size and (indices.min() < -_MAX_ITEMS or indices.max() >= _MAX_ITEMS):
+            raise InvalidParameterError("item indices must fit in int32")
+        indices = indices.astype(np.int32)
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        if block_starts is not None:
+            block_starts = tuple(int(s) for s in block_starts)
+        self.__dict__.update(
+            indptr=indptr,
+            indices=indices,
+            num_items=num_items,
+            col_limit=col_limit,
+            row_limit=row_limit,
+            design_tag=design_tag,
+            block_starts=block_starts,
+            base_tag=base_tag,
+            repeat_k=repeat_k,
+        )
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _metadata(self) -> tuple:
+        return (self.num_items, self.col_limit, self.row_limit, self.design_tag,
+                self.block_starts, self.base_tag, self.repeat_k)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TestMatrix):
+            return NotImplemented
+        return (
+            self._metadata() == other._metadata()
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self._metadata(), self.indices.size))
+
+    def __reduce__(self):
+        return (type(self).from_csr, (self.indptr, self.indices, *self._metadata()))
+
+    def __repr__(self) -> str:
+        return (
+            f"TestMatrix(num_tests={self.num_tests}, num_items={self.num_items}, "
+            f"ones={self.ones_count()}, design_tag={self.design_tag!r})"
+        )
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The items of each test, derived from the CSR arrays on each call."""
+        flat = self.indices.tolist()
+        bounds = self.indptr.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     @property
     def num_tests(self) -> int:
-        return len(self.rows)
+        return self.indptr.size - 1
 
     def row_weights(self) -> np.ndarray:
-        return np.array([len(r) for r in self.rows], dtype=np.int64)
+        return np.diff(self.indptr)
 
     def column_weights(self) -> np.ndarray:
-        weights = np.zeros(self.num_items, dtype=np.int64)
-        for row in self.rows:
-            for i in row:
-                weights[i] += 1
+        """How many incidences each item has (write-locked, cached).
+        Raises :class:`InvalidParameterError` when an index lies outside
+        [0, num_items)."""
+        return self._column_weights
+
+    def column_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """The CSC column index ``(col_indptr, tests)``: item ``i`` is pooled
+        by the tests ``tests[col_indptr[i]:col_indptr[i + 1]]``, in increasing
+        order. Both int64, write-locked, cached. Raises like
+        :meth:`column_weights`."""
+        return self._column_index[:2]
+
+    @cached_property
+    def _column_weights(self) -> np.ndarray:
+        n = self.num_items
+        if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= n):
+            raise InvalidParameterError(
+                f"matrix has item indices outside [0, {n}); validate() lists them"
+            )
+        weights = np.bincount(self.indices, minlength=n).astype(np.int64, copy=False)
+        weights.setflags(write=False)
         return weights
 
+    @cached_property
+    def _column_index(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        col_indptr = _offsets(self.column_weights())
+        # sorting the key item * T + test orders the incidences by item,
+        # then by test
+        num_tests = max(self.num_tests, 1)
+        keys = self.indices.astype(np.int64) * num_tests
+        keys += np.repeat(np.arange(self.num_tests, dtype=np.int64), self.row_weights())
+        keys.sort()
+        tests = keys % num_tests  # int64: fancy indexing with int32 costs a cast
+        col_indptr.setflags(write=False)
+        tests.setflags(write=False)
+        # one view per item: indexing a list is the fastest per-trial gather
+        # of a few columns at desk sizes
+        bounds = col_indptr.tolist()
+        views = [tests[a:b] for a, b in zip(bounds, bounds[1:])]
+        return col_indptr, tests, views
+
     def ones_count(self) -> int:
-        return sum(len(r) for r in self.rows)
+        return int(self.indices.size)
 
     def block_bounds(self) -> tuple[tuple[int, int], ...]:
         """(start, end) item ranges of the blocks; the whole item range
@@ -275,6 +428,23 @@ class TestMatrix:
             return ((0, self.num_items),)
         starts = list(self.block_starts) + [self.num_items]
         return tuple((starts[i], starts[i + 1]) for i in range(len(self.block_starts)))
+
+
+def _offsets(lengths) -> np.ndarray:
+    """CSR offsets (int64, from 0) of consecutive rows of the given lengths."""
+    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum(lengths)
+    return indptr
+
+
+def _select_rows(matrix: TestMatrix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR arrays of the given rows of ``matrix``, in the given order (a
+    ragged gather)."""
+    starts = matrix.indptr[rows]
+    lengths = matrix.indptr[rows + 1] - starts
+    indptr = _offsets(lengths)
+    positions = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
+    return indptr, matrix.indices[positions]
 
 
 @dataclass(frozen=True)
@@ -372,13 +542,18 @@ def evaluate(matrix: TestMatrix, defectives: DefectiveSet) -> Outcomes:
             f"defective set is over {defectives.universe} items, "
             f"matrix has {matrix.num_items}"
         )
-    mask = defectives.as_mask()
-    bits = np.fromiter(
-        (any(mask[i] for i in row) for row in matrix.rows),
-        dtype=bool,
-        count=matrix.num_tests,
-    )
-    return Outcomes(bits)
+    return Outcomes(_or_bits(matrix, np.asarray(defectives.items, dtype=np.int64)))
+
+
+def _or_bits(matrix: TestMatrix, items: np.ndarray) -> np.ndarray:
+    """OR channel on raw arrays: the outcome bits of ``items``, an integer
+    array of distinct item indices in range. The only OR evaluation; the
+    harness calls it directly."""
+    bits = np.zeros(matrix.num_tests, dtype=bool)
+    if items.size:
+        columns = matrix._column_index[2]
+        bits[np.concatenate([columns[i] for i in items.tolist()])] = True
+    return bits
 
 
 def apply_noise(outcomes: Outcomes, sigma: float, rng: np.random.Generator) -> Outcomes:
@@ -416,40 +591,50 @@ def validate(matrix: TestMatrix) -> list[Violation]:
 
     Checks: row indices in range and strictly increasing, row weights within
     row_limit, column weights within col_limit, block offsets well formed, and
-    repeated designs made of consecutive duplicate row groups.
+    repeated designs made of consecutive duplicate row groups. Violations are
+    listed row by row, then column by column, then blocks, then repetition.
+    Column weights count each item once per row and skip rows holding an
+    out-of-range index.
     """
     report: list[Violation] = []
     n = matrix.num_items
-    col_weight = np.zeros(n, dtype=np.int64)
-    for t, row in enumerate(matrix.rows):
-        in_range = True
-        for i in row:
-            if not 0 <= i < n:
-                report.append(
-                    Violation("index-range", f"row {t}", f"index {i} outside [0, {n})")
-                )
-                in_range = False
-        if any(row[j] >= row[j + 1] for j in range(len(row) - 1)):
-            report.append(
-                Violation("row-order", f"row {t}", "indices not strictly increasing")
-            )
-        if matrix.row_limit is not None and len(row) > matrix.row_limit:
+    indptr, indices = matrix.indptr, matrix.indices
+    lengths = matrix.row_weights()
+    row_of = np.repeat(np.arange(matrix.num_tests), lengths)
+    out_of_range = (indices < 0) | (indices >= n)
+    has_out = np.zeros(matrix.num_tests, dtype=bool)
+    has_out[row_of[out_of_range]] = True
+    unordered = np.zeros(matrix.num_tests, dtype=bool)
+    unordered[_unordered_pairs(indices, row_of)] = True
+    heavy = np.zeros(matrix.num_tests, dtype=bool)
+    if matrix.row_limit is not None:
+        heavy = lengths > matrix.row_limit
+    for t in np.flatnonzero(has_out | unordered | heavy).tolist():
+        a, b = int(indptr[t]), int(indptr[t + 1])
+        for i in indices[a:b][out_of_range[a:b]].tolist():
+            report.append(Violation("index-range", f"row {t}", f"index {i} outside [0, {n})"))
+        if unordered[t]:
+            report.append(Violation("row-order", f"row {t}", "indices not strictly increasing"))
+        if heavy[t]:
             report.append(
                 Violation(
                     "row-weight",
                     f"row {t}",
-                    f"weight {len(row)} exceeds limit {matrix.row_limit}",
+                    f"weight {int(lengths[t])} exceeds limit {matrix.row_limit}",
                 )
             )
-        if in_range:
-            for i in set(row):
-                col_weight[i] += 1
     if matrix.col_limit is not None:
-        for i in np.flatnonzero(col_weight > matrix.col_limit):
+        # strictly increasing rows hold no duplicates; dedupe only the others
+        col_weight = np.bincount(indices[(~has_out & ~unordered)[row_of]], minlength=n)
+        messy = (~has_out & unordered)[row_of]
+        if messy.any():
+            pairs = np.unique(row_of[messy] * n + indices[messy])
+            col_weight += np.bincount(pairs % n, minlength=n)
+        for i in np.flatnonzero(col_weight > matrix.col_limit).tolist():
             report.append(
                 Violation(
                     "col-weight",
-                    f"column {int(i)}",
+                    f"column {i}",
                     f"weight {int(col_weight[i])} exceeds limit {matrix.col_limit}",
                 )
             )
@@ -476,18 +661,38 @@ def validate(matrix: TestMatrix) -> list[Violation]:
                 )
             )
         else:
-            for g in range(matrix.num_tests // k):
-                group = matrix.rows[g * k : (g + 1) * k]
-                if any(r != group[0] for r in group[1:]):
-                    report.append(
-                        Violation(
-                            "repetition",
-                            f"rows {g * k}..{(g + 1) * k - 1}",
-                            "repeated design rows must be consecutive duplicates",
-                        )
+            broken = np.flatnonzero(_broken_repeat_groups(indptr, indices, k))
+            if broken.size:
+                g = int(broken[0])
+                report.append(
+                    Violation(
+                        "repetition",
+                        f"rows {g * k}..{(g + 1) * k - 1}",
+                        "repeated design rows must be consecutive duplicates",
                     )
-                    break
+                )
     return report
+
+
+def _unordered_pairs(indices: np.ndarray, row_of: np.ndarray) -> np.ndarray:
+    """The row of each adjacent pair of entries that does not increase
+    within its row; ``row_of`` maps entries to rows."""
+    return row_of[1:][(indices[1:] <= indices[:-1]) & (row_of[1:] == row_of[:-1])]
+
+
+def _broken_repeat_groups(indptr: np.ndarray, indices: np.ndarray, k: int) -> np.ndarray:
+    """For each group of k consecutive rows, whether its rows differ."""
+    lengths = np.diff(indptr)
+    grouped = lengths.reshape(-1, k)
+    broken = (grouped != grouped[:, :1]).any(axis=1)
+    # in a group of equal-length rows, the entry at offset o of its j-th row
+    # sits j * length positions after the same offset of its first row
+    row_of = np.repeat(np.arange(lengths.size), lengths)
+    shift = (row_of % k) * np.repeat(grouped[:, 0], k)[row_of]
+    shift[np.repeat(broken, k)[row_of]] = 0
+    mismatch = indices[np.arange(indices.size) - shift] != indices
+    broken[row_of[mismatch] // k] = True
+    return broken
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +703,10 @@ def validate(matrix: TestMatrix) -> list[Violation]:
 #   "T n [gamma=G] [rho=R] [tag=NAME] [k=K] [base=TAG] [blocks=s0,s1,...]"
 # followed by exactly T content lines "w i_1 ... i_w" with strictly increasing
 # 0-based indices. Outcome file: one content line of T characters '0'/'1'.
+
+
+# rows formatted per step: few enough that their Python ints stay in cache
+_SERIALIZE_CHUNK_ROWS = 256
 
 
 def serialize(matrix: TestMatrix) -> str:
@@ -514,10 +723,18 @@ def serialize(matrix: TestMatrix) -> str:
         header.append(f"base={matrix.base_tag}")
     if matrix.block_starts is not None:
         header.append("blocks=" + ",".join(str(s) for s in matrix.block_starts))
-    lines = [" ".join(header)]
-    for row in matrix.rows:
-        lines.append(" ".join([str(len(row))] + [str(i) for i in row]))
-    return "\n".join(lines) + "\n"
+    # a %-format per chunk of rows formats the weights and items in C
+    indptr, lengths = matrix.indptr, matrix.row_weights().tolist()
+    formats: dict[int, str] = {}
+    parts = [" ".join(header)]
+    for lo in range(0, len(lengths), _SERIALIZE_CHUNK_ROWS):
+        hi = min(lo + _SERIALIZE_CHUNK_ROWS, len(lengths))
+        items = matrix.indices[indptr[lo] : indptr[hi]].astype(np.int64)
+        tokens = np.insert(items, indptr[lo:hi] - indptr[lo], lengths[lo:hi])
+        row_format = "".join([formats.setdefault(w, "\n%d" + " %d" * w) for w in lengths[lo:hi]])
+        parts.append(row_format % tuple(tokens.tolist()))
+    parts.append("\n")
+    return "".join(parts)
 
 
 def _parse_positive_int(token: str, line_no: int, what: str) -> int:
@@ -553,6 +770,8 @@ def parse(text: str) -> TestMatrix:
     if num_tests < 0:
         raise ParseError(header_no, f"test count T must be >= 0, got {num_tests}")
     num_items = _parse_positive_int(tokens[1], header_no, "item count n")
+    if num_items > _MAX_ITEMS:
+        raise ParseError(header_no, f"item count n must be <= {_MAX_ITEMS}, got {num_items}")
 
     col_limit: int | None = None
     row_limit: int | None = None
@@ -560,10 +779,14 @@ def parse(text: str) -> TestMatrix:
     base_tag: str | None = None
     repeat_k = 1
     block_starts: tuple[int, ...] | None = None
+    seen: set[str] = set()
     for token in tokens[2:]:
         key, sep, value = token.partition("=")
         if not sep:
             raise ParseError(header_no, f"expected key=value, got {token!r}")
+        if key in seen:
+            raise ParseError(header_no, f"repeated header key {key!r}")
+        seen.add(key)
         if key == "gamma":
             col_limit = _parse_positive_int(value, header_no, "gamma")
         elif key == "rho":
@@ -608,30 +831,10 @@ def parse(text: str) -> TestMatrix:
     if len(body) > num_tests:
         raise ParseError(body[num_tests][0], "trailing content after last row")
 
-    rows: list[tuple[int, ...]] = []
-    for line_no, line in body:
-        parts = line.split()
-        try:
-            numbers = [int(p) for p in parts]
-        except ValueError:
-            raise ParseError(line_no, f"row entries must be integers: {line!r}") from None
-        weight = numbers[0]
-        indices = numbers[1:]
-        if weight < 0:
-            raise ParseError(line_no, f"row weight must be >= 0, got {weight}")
-        if len(indices) != weight:
-            raise ParseError(
-                line_no, f"row declares weight {weight} but lists {len(indices)} indices"
-            )
-        for i in indices:
-            if not 0 <= i < num_items:
-                raise ParseError(line_no, f"index {i} outside [0, {num_items})")
-        if any(indices[j] >= indices[j + 1] for j in range(len(indices) - 1)):
-            raise ParseError(line_no, "row indices must be strictly increasing")
-        rows.append(tuple(indices))
-
-    return TestMatrix(
-        rows=tuple(rows),
+    indptr, indices = _parse_rows(body, num_items)
+    return TestMatrix.from_csr(
+        indptr,
+        indices,
         num_items=num_items,
         col_limit=col_limit,
         row_limit=row_limit,
@@ -640,6 +843,66 @@ def parse(text: str) -> TestMatrix:
         base_tag=base_tag,
         repeat_k=repeat_k,
     )
+
+
+# lines converted per step: bounds the parser's transient Python objects
+_PARSE_CHUNK_LINES = 2048
+
+
+def _parse_rows(body: list[tuple[int, str]], num_items: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR arrays of the row lines ``body`` (numbered, stripped). One pass
+    converts the tokens; weights, ranges and order are then checked on the
+    arrays, and the first failing line is re-read by :func:`_row_error`."""
+    counts: list[int] = []
+    chunks = [np.empty(0, dtype=np.int64)]
+    try:
+        for lo in range(0, len(body), _PARSE_CHUNK_LINES):
+            tokens = [line.split() for _, line in body[lo : lo + _PARSE_CHUNK_LINES]]
+            counts.extend(map(len, tokens))
+            chunks.append(np.array(list(map(int, chain.from_iterable(tokens))), dtype=np.int64))
+    except (ValueError, OverflowError):  # a token that is no int64
+        raise _first_row_error(body, num_items) from None
+    values = np.concatenate(chunks)
+    counts_arr = np.array(counts, dtype=np.int64)
+    weight_at = _offsets(counts_arr)[:-1]
+    is_weight = np.zeros(values.size, dtype=bool)
+    is_weight[weight_at] = True
+    indices = values[~is_weight]
+    lengths = counts_arr - 1
+    row_of = np.repeat(np.arange(len(body)), lengths)
+    bad = values[weight_at] != lengths
+    bad[row_of[(indices < 0) | (indices >= num_items)]] = True
+    bad[_unordered_pairs(indices, row_of)] = True
+    if bad.any():
+        raise _first_row_error(body[int(np.argmax(bad)) :], num_items)
+    return _offsets(lengths), indices
+
+
+def _first_row_error(body: list[tuple[int, str]], num_items: int) -> ParseError:
+    """The error of the first malformed line of ``body``, which holds one."""
+    return next(err for line_no, line in body if (err := _row_error(line_no, line, num_items)))
+
+
+def _row_error(line_no: int, line: str, num_items: int) -> ParseError | None:
+    """What is wrong with one row line, checked in order; None when nothing."""
+    try:
+        numbers = [int(p) for p in line.split()]
+    except ValueError:
+        return ParseError(line_no, f"row entries must be integers: {line!r}")
+    weight = numbers[0]
+    indices = numbers[1:]
+    if weight < 0:
+        return ParseError(line_no, f"row weight must be >= 0, got {weight}")
+    if len(indices) != weight:
+        return ParseError(
+            line_no, f"row declares weight {weight} but lists {len(indices)} indices"
+        )
+    for i in indices:
+        if not 0 <= i < num_items:
+            return ParseError(line_no, f"index {i} outside [0, {num_items})")
+    if any(indices[j] >= indices[j + 1] for j in range(len(indices) - 1)):
+        return ParseError(line_no, "row indices must be strictly increasing")
+    return None
 
 
 def serialize_outcomes(outcomes: Outcomes) -> str:

@@ -34,6 +34,7 @@ from .core import (
     TAG_HYPERGRID,
     TAG_REPEATED,
     TestMatrix,
+    _select_rows,
 )
 from .designs import hypergrid_shape
 
@@ -78,7 +79,10 @@ class ComaPlan:
         n = matrix.num_items
         self.num_items = n
         self.num_tests = matrix.num_tests
-        self.row_arrays = [np.asarray(row, dtype=np.int64) for row in matrix.rows]
+        # views into the CSR, one per test: concatenating the positive ones
+        # is a faster per-trial gather at desk sizes than a vectorised one
+        bounds = matrix.indptr.tolist()
+        self.row_views = [matrix.indices[a:b] for a, b in zip(bounds, bounds[1:])]
         self.col_weight = matrix.column_weights()
         self.untested = np.flatnonzero(self.col_weight == 0)
         self.tested_weight = np.where(self.col_weight > 0, self.col_weight, -1)
@@ -86,7 +90,7 @@ class ComaPlan:
     def decode_bits(self, bits: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray]:
         positive = np.flatnonzero(bits)
         if positive.size:
-            hits = np.concatenate([self.row_arrays[t] for t in positive])
+            hits = np.concatenate([self.row_views[t] for t in positive])
             counts = np.bincount(hits, minlength=self.num_items)
         else:
             counts = np.zeros(self.num_items, dtype=np.int64)
@@ -232,8 +236,10 @@ class MajorityPlan:
         self.k = k
         self.num_items = matrix.num_items
         self.num_tests = matrix.num_tests
-        base = TestMatrix(
-            rows=matrix.rows[::k],
+        indptr, indices = _select_rows(matrix, np.arange(0, matrix.num_tests, k))
+        base = TestMatrix.from_csr(
+            indptr,
+            indices,
             num_items=matrix.num_items,
             col_limit=None if matrix.col_limit is None else matrix.col_limit // k,
             row_limit=matrix.row_limit,

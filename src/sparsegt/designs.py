@@ -35,6 +35,8 @@ from .core import (
     TAG_REPEATED,
     TestMatrix,
     int_root_ceil,
+    _offsets,
+    _select_rows,
 )
 
 __all__ = [
@@ -87,20 +89,16 @@ def hypergrid_shape(size: int, gamma: int) -> HypergridShape:
     return HypergridShape(size=size, gamma=gamma, base=base, axis_digits=axis_digits)
 
 
-def _hypergrid_rows(start: int, shape: HypergridShape) -> list[tuple[int, ...]]:
-    rows: list[tuple[int, ...]] = []
-    b = shape.base
-    for axis in range(shape.gamma):
-        scale = b**axis
-        for digit in range(shape.axis_digits[axis]):
-            rows.append(
-                tuple(
-                    start + j
-                    for j in range(shape.size)
-                    if (j // scale) % b == digit
-                )
-            )
-    return rows
+def _hypergrid_rows(start: int, shape: HypergridShape) -> tuple[np.ndarray, np.ndarray]:
+    """Row lengths and concatenated items of one digit grid whose local item
+    0 is item ``start``."""
+    local = np.arange(shape.size, dtype=np.int64)
+    lengths, items = [], []
+    for axis, count in enumerate(shape.axis_digits):
+        digits = (local // shape.base**axis) % shape.base
+        lengths.append(np.bincount(digits, minlength=count))
+        items.append(start + np.argsort(digits, kind="stable"))
+    return np.concatenate(lengths), np.concatenate(items)
 
 
 # ---------------------------------------------------------------------------
@@ -151,16 +149,17 @@ def random_gamma_design(
         raise ResourceCapError(
             f"design needs {num_tests} tests, above the cap of {max_tests}"
         )
-    rows: list[list[int]] = [[] for _ in range(num_tests)]
+    picks = np.empty((n, gamma), dtype=np.int64)
     for item in range(n):
-        picks = rng.integers(0, num_tests, size=gamma)
-        while len(set(int(p) for p in picks)) < gamma:
-            picks = rng.integers(0, num_tests, size=gamma)
-        for t in picks:
-            rows[int(t)].append(item)
-    # items were appended in increasing order, so each row is already sorted
-    return TestMatrix(
-        rows=tuple(tuple(r) for r in rows),
+        draw = rng.integers(0, num_tests, size=gamma)
+        while len(set(int(p) for p in draw)) < gamma:
+            draw = rng.integers(0, num_tests, size=gamma)
+        picks[item] = draw
+    # a stable sort by test keeps each row's items in increasing order
+    tests = picks.ravel()
+    return TestMatrix.from_csr(
+        _offsets(np.bincount(tests, minlength=num_tests)),
+        np.argsort(tests, kind="stable") // gamma,
         num_items=n,
         col_limit=gamma,
         row_limit=None,
@@ -174,9 +173,10 @@ def hypergrid_design(n: int, gamma: int) -> TestMatrix:
     Every item joins exactly gamma tests (one per axis). Decodes exactly when
     at most one item is defective.
     """
-    shape = hypergrid_shape(n, gamma)
-    return TestMatrix(
-        rows=tuple(_hypergrid_rows(0, shape)),
+    lengths, items = _hypergrid_rows(0, hypergrid_shape(n, gamma))
+    return TestMatrix.from_csr(
+        _offsets(lengths),
+        items,
         num_items=n,
         col_limit=gamma,
         row_limit=None,
@@ -197,12 +197,14 @@ def block_hypergrid_design(n: int, d: int, gamma: int, epsilon: float) -> TestMa
     if not 0.0 < epsilon < 1.0:
         raise InvalidParameterError("epsilon must lie in (0, 1)")
     starts = balanced_block_starts(n, hypergrid_block_count(d, epsilon))
-    rows: list[tuple[int, ...]] = []
-    bounds = list(starts[1:]) + [n]
-    for start, end in zip(starts, bounds):
-        rows.extend(_hypergrid_rows(start, hypergrid_shape(end - start, gamma)))
-    return TestMatrix(
-        rows=tuple(rows),
+    lengths, items = [], []
+    for start, end in zip(starts, starts[1:] + (n,)):
+        block_lengths, block_items = _hypergrid_rows(start, hypergrid_shape(end - start, gamma))
+        lengths.append(block_lengths)
+        items.append(block_items)
+    return TestMatrix.from_csr(
+        _offsets(np.concatenate(lengths)),
+        np.concatenate(items),
         num_items=n,
         col_limit=gamma,
         row_limit=None,
@@ -228,15 +230,16 @@ def permuted_block_rho_design(
     if zeta <= 0.0:
         raise InvalidParameterError("zeta must be > 0")
     c = permuted_constant(n, d, rho, zeta)
-    rows: list[tuple[int, ...]] = []
+    full = n - n % rho
+    passes = []
     for _ in range(c):
         perm = rng.permutation(n)
-        for j in range(0, n, rho):
-            chunk = perm[j : j + rho]
-            chunk.sort()
-            rows.append(tuple(int(i) for i in chunk))
-    return TestMatrix(
-        rows=tuple(rows),
+        passes.append(np.sort(perm[:full].reshape(-1, rho), axis=1).ravel())
+        passes.append(np.sort(perm[full:]))
+    lengths = [rho] * (n // rho) + ([n % rho] if n % rho else [])
+    return TestMatrix.from_csr(
+        _offsets(lengths * c),
+        np.concatenate(passes),
         num_items=n,
         col_limit=c,
         row_limit=rho,
@@ -259,16 +262,16 @@ def block_binary_rho_design(n: int, d: int, rho: int, epsilon: float) -> TestMat
     if not 0.0 < epsilon < 1.0:
         raise InvalidParameterError("epsilon must lie in (0, 1)")
     starts = balanced_block_starts(n, binary_block_count(n, d, rho, epsilon))
-    rows: list[tuple[int, ...]] = []
-    bounds = list(starts[1:]) + [n]
-    for start, end in zip(starts, bounds):
-        size = end - start
-        for r in range(size.bit_length()):
-            rows.append(
-                tuple(start + j - 1 for j in range(1, size + 1) if (j >> r) & 1)
-            )
-    return TestMatrix(
-        rows=tuple(rows),
+    lengths, items = [], []
+    for start, end in zip(starts, starts[1:] + (n,)):
+        labels = np.arange(1, end - start + 1)
+        for r in range((end - start).bit_length()):
+            members = labels[(labels >> r) & 1 == 1]
+            lengths.append(members.size)
+            items.append(start - 1 + members)
+    return TestMatrix.from_csr(
+        _offsets(lengths),
+        np.concatenate(items),
         num_items=n,
         col_limit=None,
         row_limit=rho,
@@ -289,9 +292,10 @@ def repeat_design(matrix: TestMatrix, k: int) -> TestMatrix:
         return matrix
     if matrix.repeat_k > 1:
         raise InvalidParameterError("matrix is already a repeated design")
-    rows = tuple(row for row in matrix.rows for _ in range(k))
-    return TestMatrix(
-        rows=rows,
+    indptr, indices = _select_rows(matrix, np.repeat(np.arange(matrix.num_tests), k))
+    return TestMatrix.from_csr(
+        indptr,
+        indices,
         num_items=matrix.num_items,
         col_limit=None if matrix.col_limit is None else matrix.col_limit * k,
         row_limit=matrix.row_limit,

@@ -19,16 +19,15 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
-    DefectiveSet,
     DesignParams,
     IncompatibleDecoderError,
     InvalidParameterError,
-    Outcomes,
     PRIOR_IID_BERNOULLI,
     PRIOR_UNIFORM_EXACT,
     Prior,
     ResourceCapError,
     TestMatrix,
+    _or_bits,
 )
 from .decoders import make_plan
 
@@ -148,30 +147,8 @@ class SimReport:
 # ---------------------------------------------------------------------------
 
 
-class _EvalContext:
-    """Column adjacency of a matrix, for fast OR-channel evaluation."""
-
-    def __init__(self, matrix: TestMatrix):
-        self.num_tests = matrix.num_tests
-        self.num_items = matrix.num_items
-        cols: list[list[int]] = [[] for _ in range(matrix.num_items)]
-        for t, row in enumerate(matrix.rows):
-            for i in row:
-                cols[i].append(t)
-        self.cols = [np.asarray(c, dtype=np.int64) for c in cols]
-
-    def outcome_bits(self, items: np.ndarray) -> np.ndarray:
-        bits = np.zeros(self.num_tests, dtype=bool)
-        if items.size:
-            hit = np.concatenate([self.cols[int(i)] for i in items])
-            bits[hit] = True
-        return bits
-
-
 def _draw_defectives(rng: np.random.Generator, prior: Prior, n: int) -> np.ndarray:
     if prior.kind == PRIOR_UNIFORM_EXACT:
-        if prior.d > n:
-            raise InvalidParameterError(f"prior d={prior.d} exceeds n={n}")
         picks = rng.choice(n, size=prior.d, replace=False)
         picks.sort()
         return picks.astype(np.int64)
@@ -180,21 +157,20 @@ def _draw_defectives(rng: np.random.Generator, prior: Prior, n: int) -> np.ndarr
 
 def _run_trial_range(
     matrix: TestMatrix,
-    decoder: str,
+    plan,
     prior: Prior,
     sigma: float,
     master_seed: int,
     start: int,
     count: int,
 ) -> tuple[int, int, int, int]:
-    plan = make_plan(matrix, decoder)
-    ev = _EvalContext(matrix)
+    matrix.column_index()  # build the OR channel's column index before the first trial
     n = matrix.num_items
     errors = fp_items = amb_blocks = wrong = 0
     for t in range(start, start + count):
         rng = np.random.default_rng(derive_trial_seed(master_seed, t))
         defect = _draw_defectives(rng, prior, n)
-        bits = ev.outcome_bits(defect)
+        bits = _or_bits(matrix, defect)
         if sigma > 0.0:
             bits = np.logical_xor(bits, rng.random(matrix.num_tests) < sigma)
         estimate, ambiguous, _ = plan.decode_bits(bits)
@@ -209,6 +185,21 @@ def _run_trial_range(
                 if missing.size:
                     wrong += 1
     return errors, fp_items, amb_blocks, wrong
+
+
+def _run_worker(
+    matrix: TestMatrix,
+    decoder: str,
+    prior: Prior,
+    sigma: float,
+    master_seed: int,
+    start: int,
+    count: int,
+) -> tuple[int, int, int, int]:
+    """A worker process's trial range, with the worker's own plan."""
+    return _run_trial_range(
+        matrix, make_plan(matrix, decoder), prior, sigma, master_seed, start, count
+    )
 
 
 def run_monte_carlo(matrix: TestMatrix, decoder: str, config: SimConfig) -> SimReport:
@@ -230,22 +221,31 @@ def run_monte_carlo(matrix: TestMatrix, decoder: str, config: SimConfig) -> SimR
         raise InvalidParameterError(
             f"params.n={config.params.n} but matrix has {matrix.num_items} items"
         )
+    if config.prior.d > matrix.num_items:
+        raise InvalidParameterError(
+            f"prior d={config.prior.d} exceeds n={matrix.num_items}"
+        )
     started = time.perf_counter()
     jobs = min(config.parallelism, max(1, config.trials))
     if jobs > 1:
         bounds = [config.trials * j // jobs for j in range(jobs + 1)]
-        chunks = [
-            (matrix, plan.kind, config.prior, sigma, config.master_seed, a, b - a)
-            for a, b in zip(bounds, bounds[1:])
-            if b > a
-        ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_run_trial_range_star, chunks))
+            parts = list(
+                pool.map(
+                    _run_worker,
+                    [matrix] * jobs,
+                    [plan.kind] * jobs,
+                    [config.prior] * jobs,
+                    [sigma] * jobs,
+                    [config.master_seed] * jobs,
+                    bounds[:-1],
+                    [b - a for a, b in zip(bounds, bounds[1:])],
+                )
+            )
     else:
         parts = [
             _run_trial_range(
-                matrix, plan.kind, config.prior, sigma, config.master_seed, 0,
-                config.trials,
+                matrix, plan, config.prior, sigma, config.master_seed, 0, config.trials
             )
         ]
     errors = sum(p[0] for p in parts)
@@ -274,10 +274,6 @@ def run_monte_carlo(matrix: TestMatrix, decoder: str, config: SimConfig) -> SimR
     )
 
 
-def _run_trial_range_star(args) -> tuple[int, int, int, int]:
-    return _run_trial_range(*args)
-
-
 # ---------------------------------------------------------------------------
 # exact oracles
 # ---------------------------------------------------------------------------
@@ -300,11 +296,10 @@ def exhaustive_error_probability(
             f"C({n},{d}) = {total} defective sets exceeds the cap of {cap}"
         )
     plan = make_plan(matrix, decoder)
-    ev = _EvalContext(matrix)
     errors = 0
     for combo in itertools.combinations(range(n), d):
         defect = np.asarray(combo, dtype=np.int64)
-        estimate, ambiguous, _ = plan.decode_bits(ev.outcome_bits(defect))
+        estimate, ambiguous, _ = plan.decode_bits(_or_bits(matrix, defect))
         if ambiguous or not np.array_equal(estimate, defect):
             errors += 1
     return Fraction(errors, total)
@@ -326,10 +321,9 @@ def outcome_collision_groups(
         raise ResourceCapError(
             f"C({n},{d}) = {total} defective sets exceeds the cap of {cap}"
         )
-    ev = _EvalContext(matrix)
     by_outcome: dict[bytes, list[tuple[int, ...]]] = {}
     for combo in itertools.combinations(range(n), d):
-        key = np.packbits(ev.outcome_bits(np.asarray(combo, dtype=np.int64))).tobytes()
+        key = np.packbits(_or_bits(matrix, np.asarray(combo, dtype=np.int64))).tobytes()
         by_outcome.setdefault(key, []).append(combo)
     return [group for group in by_outcome.values() if len(group) > 1]
 
@@ -354,6 +348,8 @@ def bayes_optimal_error(matrix: TestMatrix, sigma: float, prior: Prior) -> float
         )
     if not 0.0 <= sigma < 0.5:
         raise InvalidParameterError("sigma must lie in [0, 1/2)")
+    if prior.d > n:
+        raise InvalidParameterError(f"prior d={prior.d} exceeds n={n}")
 
     col_mask = np.zeros(n, dtype=np.uint32)
     for t, row in enumerate(matrix.rows):
@@ -370,8 +366,6 @@ def bayes_optimal_error(matrix: TestMatrix, sigma: float, prior: Prior) -> float
     popcount_inputs = np.array([bin(x).count("1") for x in range(num_inputs)])
     if prior.kind == PRIOR_IID_BERNOULLI:
         p = prior.d / n
-        if not 0.0 <= p <= 1.0:
-            raise InvalidParameterError(f"bernoulli rate d/n = {p:g} outside [0, 1]")
         weights = p**popcount_inputs * (1.0 - p) ** (n - popcount_inputs)
     else:
         weights = np.where(
@@ -397,10 +391,3 @@ def bayes_optimal_error(matrix: TestMatrix, sigma: float, prior: Prior) -> float
         captured += float(posterior.max(axis=0).sum())
     # captured can exceed 1 by a few ulp when the decoder is perfect
     return max(0.0, 1.0 - captured)
-
-
-def evaluate_outcomes(matrix: TestMatrix, defectives: DefectiveSet) -> Outcomes:
-    """Evaluation through the same fast path the harness uses (exposed for
-    cross-checking against :func:`sparsegt.core.evaluate`)."""
-    ev = _EvalContext(matrix)
-    return Outcomes(ev.outcome_bits(np.asarray(defectives.items, dtype=np.int64)))

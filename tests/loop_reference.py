@@ -1,0 +1,211 @@
+"""Python-loop references for the vectorised core operations.
+
+These are the straightforward row-by-row versions of ``evaluate``,
+``TestMatrix.column_weights``, ``validate`` and ``parse``. The property tests
+require the library's array versions to agree with them exactly: the same
+outcome bits, the same weights, the same ``Violation`` lists in the same
+order, and the same ``ParseError`` line and message.
+"""
+
+import numpy as np
+
+from sparsegt.core import (
+    DESIGN_TAGS,
+    TAG_CUSTOM,
+    DefectiveSet,
+    ParseError,
+    TestMatrix,
+    Violation,
+)
+
+
+def evaluate(matrix: TestMatrix, defectives: DefectiveSet) -> np.ndarray:
+    mask = defectives.as_mask()
+    return np.array([any(mask[i] for i in row) for row in matrix.rows], dtype=bool)
+
+
+def column_weights(matrix: TestMatrix) -> np.ndarray:
+    weights = np.zeros(matrix.num_items, dtype=np.int64)
+    for row in matrix.rows:
+        for i in row:
+            weights[i] += 1
+    return weights
+
+
+def validate(matrix: TestMatrix) -> list[Violation]:
+    report: list[Violation] = []
+    n = matrix.num_items
+    rows = matrix.rows
+    col_weight = np.zeros(n, dtype=np.int64)
+    for t, row in enumerate(rows):
+        in_range = True
+        for i in row:
+            if not 0 <= i < n:
+                report.append(
+                    Violation("index-range", f"row {t}", f"index {i} outside [0, {n})")
+                )
+                in_range = False
+        if any(row[j] >= row[j + 1] for j in range(len(row) - 1)):
+            report.append(
+                Violation("row-order", f"row {t}", "indices not strictly increasing")
+            )
+        if matrix.row_limit is not None and len(row) > matrix.row_limit:
+            report.append(
+                Violation(
+                    "row-weight",
+                    f"row {t}",
+                    f"weight {len(row)} exceeds limit {matrix.row_limit}",
+                )
+            )
+        if in_range:
+            for i in set(row):
+                col_weight[i] += 1
+    if matrix.col_limit is not None:
+        for i in np.flatnonzero(col_weight > matrix.col_limit):
+            report.append(
+                Violation(
+                    "col-weight",
+                    f"column {int(i)}",
+                    f"weight {int(col_weight[i])} exceeds limit {matrix.col_limit}",
+                )
+            )
+    if matrix.block_starts is not None:
+        starts = matrix.block_starts
+        ok = len(starts) > 0 and starts[0] == 0 and starts[-1] < n
+        ok = ok and all(starts[j] < starts[j + 1] for j in range(len(starts) - 1))
+        if not ok:
+            report.append(
+                Violation(
+                    "block-structure",
+                    "block_starts",
+                    "offsets must start at 0, increase strictly, and stay below n",
+                )
+            )
+    if matrix.repeat_k > 1:
+        k = matrix.repeat_k
+        if matrix.num_tests % k != 0:
+            report.append(
+                Violation(
+                    "repetition",
+                    "rows",
+                    f"{matrix.num_tests} rows not divisible by repeat_k={k}",
+                )
+            )
+        else:
+            for g in range(matrix.num_tests // k):
+                group = rows[g * k : (g + 1) * k]
+                if any(r != group[0] for r in group[1:]):
+                    report.append(
+                        Violation(
+                            "repetition",
+                            f"rows {g * k}..{(g + 1) * k - 1}",
+                            "repeated design rows must be consecutive duplicates",
+                        )
+                    )
+                    break
+    return report
+
+
+def _positive_int(token: str, line_no: int, what: str) -> int:
+    try:
+        value = int(token)
+    except ValueError:
+        raise ParseError(line_no, f"{what} must be an integer, got {token!r}") from None
+    if value < 1:
+        raise ParseError(line_no, f"{what} must be >= 1, got {value}")
+    return value
+
+
+def parse(text: str) -> TestMatrix:
+    """Line-by-line design file reader: each line is checked completely
+    before the next one is read."""
+    content = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if stripped and not stripped.startswith("#"):
+            content.append((line_no, stripped))
+    if not content:
+        raise ParseError(1, "empty design file")
+
+    header_no, header = content[0]
+    tokens = header.split()
+    if len(tokens) < 2:
+        raise ParseError(header_no, "header needs at least 'T n'")
+    try:
+        num_tests = int(tokens[0])
+    except ValueError:
+        raise ParseError(header_no, f"test count T must be an integer, got {tokens[0]!r}") from None
+    if num_tests < 0:
+        raise ParseError(header_no, f"test count T must be >= 0, got {num_tests}")
+    num_items = _positive_int(tokens[1], header_no, "item count n")
+    if num_items > 2**31:
+        raise ParseError(header_no, f"item count n must be <= {2**31}, got {num_items}")
+
+    fields = {"col_limit": None, "row_limit": None, "design_tag": TAG_CUSTOM,
+              "base_tag": None, "repeat_k": 1, "block_starts": None}
+    seen = set()
+    for token in tokens[2:]:
+        key, sep, value = token.partition("=")
+        if not sep:
+            raise ParseError(header_no, f"expected key=value, got {token!r}")
+        if key in seen:
+            raise ParseError(header_no, f"repeated header key {key!r}")
+        seen.add(key)
+        if key == "gamma":
+            fields["col_limit"] = _positive_int(value, header_no, "gamma")
+        elif key == "rho":
+            fields["row_limit"] = _positive_int(value, header_no, "rho")
+        elif key in ("tag", "base"):
+            if value not in DESIGN_TAGS:
+                word = "design" if key == "tag" else "base"
+                raise ParseError(header_no, f"unknown {word} tag {value!r}")
+            fields["design_tag" if key == "tag" else "base_tag"] = value
+        elif key == "k":
+            fields["repeat_k"] = _positive_int(value, header_no, "repetition count k")
+        elif key == "blocks":
+            try:
+                starts = tuple(int(s) for s in value.split(","))
+            except ValueError:
+                raise ParseError(
+                    header_no, f"blocks must be comma-separated integers, got {value!r}"
+                ) from None
+            if (
+                starts[0] != 0
+                or any(a >= b for a, b in zip(starts, starts[1:]))
+                or starts[-1] >= num_items
+            ):
+                raise ParseError(
+                    header_no,
+                    "block offsets must start at 0, increase strictly, and stay below n",
+                )
+            fields["block_starts"] = starts
+        else:
+            raise ParseError(header_no, f"unknown header key {key!r}")
+
+    body = content[1:]
+    if len(body) < num_tests:
+        last = body[-1][0] if body else header_no
+        raise ParseError(last, f"expected {num_tests} row lines, found only {len(body)}")
+    if len(body) > num_tests:
+        raise ParseError(body[num_tests][0], "trailing content after last row")
+
+    rows = []
+    for line_no, line in body:
+        try:
+            numbers = [int(p) for p in line.split()]
+        except ValueError:
+            raise ParseError(line_no, f"row entries must be integers: {line!r}") from None
+        weight, indices = numbers[0], numbers[1:]
+        if weight < 0:
+            raise ParseError(line_no, f"row weight must be >= 0, got {weight}")
+        if len(indices) != weight:
+            raise ParseError(
+                line_no, f"row declares weight {weight} but lists {len(indices)} indices"
+            )
+        for i in indices:
+            if not 0 <= i < num_items:
+                raise ParseError(line_no, f"index {i} outside [0, {num_items})")
+        if any(indices[j] >= indices[j + 1] for j in range(len(indices) - 1)):
+            raise ParseError(line_no, "row indices must be strictly increasing")
+        rows.append(tuple(indices))
+    return TestMatrix(rows=rows, num_items=num_items, **fields)

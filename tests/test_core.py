@@ -227,6 +227,12 @@ class TestSerialization:
             parse("1 4 beta=3\n1 0\n")
         assert err.value.line == 1
 
+    def test_repeated_header_key(self):
+        with pytest.raises(ParseError) as err:
+            parse("2 3 gamma=1 gamma=2\n1 0\n1 1\n")
+        assert err.value.line == 1
+        assert "repeated" in str(err.value)
+
     def test_empty_file(self):
         with pytest.raises(ParseError):
             parse("\n# only comments\n")
@@ -242,6 +248,55 @@ class TestSerialization:
     def test_outcome_length_check(self):
         with pytest.raises(ParseError):
             parse_outcomes("0101\n", expected_tests=3)
+
+
+class TestMatrixStorage:
+    def test_csr_arrays(self):
+        assert GRID9.indptr.tolist() == [0, 3, 6, 9, 12, 15, 18]
+        assert GRID9.indices.tolist() == [0, 3, 6, 1, 4, 7, 2, 5, 8, 0, 1, 2, 3, 4, 5, 6, 7, 8]
+        assert (GRID9.indptr.dtype, GRID9.indices.dtype) == (np.int64, np.int32)
+        with pytest.raises(ValueError):
+            GRID9.indices[0] = 1
+
+    def test_from_csr_equals_rows(self):
+        m = TestMatrix.from_csr(GRID9.indptr, GRID9.indices, 9, col_limit=2, design_tag=TAG_HYPERGRID)
+        assert m == GRID9
+        assert hash(m) == hash(GRID9)
+        assert m != TestMatrix(rows=GRID9.rows, num_items=9)
+
+    def test_malformed_csr(self):
+        with pytest.raises(InvalidParameterError):
+            TestMatrix.from_csr([0, 2, 1], [0, 1], 3)
+        with pytest.raises(InvalidParameterError):
+            TestMatrix.from_csr([0, 1], [0, 1], 3)
+
+    def test_index_outside_int32_never_wraps(self):
+        for index in (2**31, -(2**31) - 1, 2**70):
+            with pytest.raises(InvalidParameterError):
+                TestMatrix(rows=((index,),), num_items=3)
+        with pytest.raises(InvalidParameterError):
+            TestMatrix(rows=(), num_items=2**31 + 1)
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            GRID9.num_items = 3
+
+    def test_column_index_is_cached(self):
+        m = TestMatrix(rows=((0, 2), (1, 2), (2,)), num_items=4)
+        col_indptr, tests = m.column_index()
+        assert col_indptr.tolist() == [0, 1, 2, 5, 5]
+        assert tests.tolist() == [0, 1, 0, 1, 2]
+        assert m.column_index()[1] is tests
+        assert m.column_weights().tolist() == [1, 1, 3, 0]
+
+    def test_pickle_round_trip_drops_the_cache(self):
+        import pickle
+
+        GRID9.column_index()
+        again = pickle.loads(pickle.dumps(GRID9))
+        assert again == GRID9
+        assert "_column_index" not in vars(again)
+        assert not again.indices.flags.writeable
 
 
 class TestDesignParams:

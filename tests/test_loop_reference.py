@@ -1,0 +1,187 @@
+"""The vectorised core operations agree with their Python-loop references
+(``loop_reference.py``) on generated matrices and texts, valid or not."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import loop_reference as ref
+from sparsegt.core import (
+    DefectiveSet,
+    InvalidParameterError,
+    ParseError,
+    TAG_CUSTOM,
+    TAG_REPEATED,
+    TestMatrix,
+    evaluate,
+    parse,
+    parse_outcomes,
+    serialize,
+    validate,
+)
+
+
+# ---------------------------------------------------------------------------
+# generated matrices, including invalid ones
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def any_rows(draw, n, in_range):
+    """Rows in any order, with duplicates and empty rows; with
+    ``in_range`` False, indices may be negative or >= n."""
+    low, high = (0, n - 1) if in_range else (-3, n + 3)
+    num_tests = draw(st.integers(0, 8))
+    return [draw(st.lists(st.integers(low, high), max_size=n + 2)) for _ in range(num_tests)]
+
+
+@st.composite
+def raw_matrices(draw, in_range=False):
+    n = draw(st.integers(1, 10))
+    rows = draw(any_rows(n, in_range))
+    if draw(st.booleans()):
+        # sorted distinct rows, as every constructor writes them
+        rows = [sorted(set(row)) for row in rows]
+    limits = st.none() | st.integers(1, 4)
+    col_limit, row_limit = draw(limits), draw(limits)
+    block_starts = draw(st.none() | st.lists(st.integers(-1, n + 1), max_size=4))
+    k = draw(st.integers(1, 3))
+    if k > 1:
+        # a repeated design, possibly with a broken group or a ragged tail
+        rows = [row for row in rows for _ in range(k)]
+        if rows and draw(st.booleans()):
+            t = draw(st.integers(0, len(rows) - 1))
+            rows[t] = draw(st.lists(st.integers(0, n - 1), max_size=n))
+        if draw(st.booleans()):
+            rows = rows[: len(rows) - draw(st.integers(0, min(len(rows), k)))]
+    return TestMatrix(
+        rows=rows,
+        num_items=n,
+        col_limit=col_limit,
+        row_limit=row_limit,
+        design_tag=TAG_REPEATED if k > 1 else TAG_CUSTOM,
+        block_starts=block_starts,
+        base_tag=TAG_CUSTOM if k > 1 else None,
+        repeat_k=k,
+    )
+
+
+def _in_range(matrix):
+    return all(0 <= i < matrix.num_items for row in matrix.rows for i in row)
+
+
+class TestAgreesWithLoops:
+    @given(raw_matrices())
+    @settings(max_examples=400, deadline=None)
+    def test_validate_lists_the_same_violations(self, matrix):
+        assert validate(matrix) == ref.validate(matrix)
+
+    @given(raw_matrices(in_range=True))
+    @settings(max_examples=200, deadline=None)
+    def test_column_weights(self, matrix):
+        got = matrix.column_weights()
+        assert got.dtype == np.int64
+        assert np.array_equal(got, ref.column_weights(matrix))
+
+    @given(raw_matrices(in_range=True), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_outcome_bits(self, matrix, data):
+        items = data.draw(st.sets(st.integers(0, matrix.num_items - 1)))
+        defectives = DefectiveSet(items, matrix.num_items)
+        assert np.array_equal(evaluate(matrix, defectives).bits, ref.evaluate(matrix, defectives))
+
+    @given(raw_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_out_of_range_indices_are_refused(self, matrix):
+        if _in_range(matrix):
+            return
+        with pytest.raises(InvalidParameterError):
+            matrix.column_weights()
+        with pytest.raises(InvalidParameterError):
+            evaluate(matrix, DefectiveSet([0], matrix.num_items))
+
+    @given(raw_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_survive_the_arrays(self, matrix):
+        again = TestMatrix(
+            rows=matrix.rows,
+            num_items=matrix.num_items,
+            col_limit=matrix.col_limit,
+            row_limit=matrix.row_limit,
+            design_tag=matrix.design_tag,
+            block_starts=matrix.block_starts,
+            base_tag=matrix.base_tag,
+            repeat_k=matrix.repeat_k,
+        )
+        assert again == matrix
+        assert again.rows == matrix.rows
+
+
+# ---------------------------------------------------------------------------
+# parse on arbitrary and on damaged text
+# ---------------------------------------------------------------------------
+
+_TOKENS = [
+    "0", "1", "2", "3", "7", "-1", "+2", "1_0", "007", "x", "1.5", "", " ",
+    "٣", "99999999999999999999", "-99999999999999999999", "2147483648",
+    "#", "gamma=2", "rho=1", "k=2", "tag=repeated", "base=custom", "blocks=0,2",
+    "tag=custom", "\t", "\n", "\r", "\x0c", " ", " ",
+]
+
+
+@st.composite
+def damaged_design_texts(draw):
+    """A serialized design with a few tokens or lines replaced, inserted or
+    removed."""
+    n = draw(st.integers(1, 8))
+    rows = [sorted(set(row)) for row in draw(any_rows(n, in_range=True))]
+    header = draw(st.sampled_from(["", " gamma=3", " rho=4 tag=custom", " k=1 blocks=0"]))
+    text = serialize(TestMatrix(rows=rows, num_items=n))
+    lines = text.splitlines()
+    lines[0] += header
+    for _ in range(draw(st.integers(0, 3))):
+        t = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[t].split(" ")
+        kind = draw(st.integers(0, 4))
+        if kind == 0:
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(_TOKENS))
+        elif kind == 1:
+            tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(_TOKENS)))
+        elif kind == 2 and len(tokens) > 1:
+            del tokens[draw(st.integers(0, len(tokens) - 1))]
+        elif kind == 3:
+            lines.insert(t, draw(st.sampled_from(["", "# note", "1 0", "0", "2 1 0"])))
+            continue
+        elif kind == 4 and len(lines) > 1:
+            del lines[t]
+            continue
+        lines[t] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except ParseError as err:
+        return (err.line, str(err))
+
+
+class TestParseRobustness:
+    @given(st.text(max_size=80))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_text_parses_or_raises_parse_error(self, text):
+        for read in (parse, parse_outcomes):
+            try:
+                read(text)
+            except ParseError:
+                pass
+
+    @given(damaged_design_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_same_error_line_as_line_by_line_reading(self, text):
+        assert _outcome(parse, text) == _outcome(ref.parse, text)
+
+    @given(st.text(alphabet="0123 -\n#x=", max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_same_outcome_on_digit_soup(self, text):
+        assert _outcome(parse, text) == _outcome(ref.parse, text)

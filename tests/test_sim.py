@@ -138,6 +138,18 @@ class TestRunMonteCarlo:
         with pytest.raises(InvalidParameterError):
             run_monte_carlo(GRID9, "coma", config(10, 1, 10, seed=0, epsilon=0.4))
 
+    def test_prior_larger_than_n_is_refused(self):
+        m = hypergrid_design(9, 2)
+        for kind in (PRIOR_IID_BERNOULLI, PRIOR_UNIFORM_EXACT):
+            cfg = SimConfig(
+                params=DesignParams(n=9, d=1),
+                prior=Prior(kind, 10),
+                trials=5,
+                master_seed=1,
+            )
+            with pytest.raises(InvalidParameterError):
+                run_monte_carlo(m, "coma", cfg)
+
     def test_csv_row_shape(self):
         report = run_monte_carlo(
             GRID9, "hypergrid", config(9, 1, 100, seed=5, epsilon=0.4, gamma=2)
@@ -230,6 +242,10 @@ class TestBayesOracle:
     def test_sigma_range(self):
         with pytest.raises(InvalidParameterError):
             bayes_optimal_error(GRID9, 0.5, Prior(PRIOR_UNIFORM_EXACT, 1))
+
+    def test_uniform_prior_larger_than_n(self):
+        with pytest.raises(InvalidParameterError):
+            bayes_optimal_error(GRID9, 0.1, Prior(PRIOR_UNIFORM_EXACT, 10))
 
     def test_never_negative(self):
         value = bayes_optimal_error(GRID9, 0.0, Prior(PRIOR_IID_BERNOULLI, 1))
