@@ -23,6 +23,7 @@ from . import bounds as bounds_mod
 from .core import (
     DesignParams,
     GroupTestingError,
+    ParseError,
     PRIOR_IID_BERNOULLI,
     PRIOR_UNIFORM_EXACT,
     Prior,
@@ -185,8 +186,13 @@ def _summary_line(family: str, matrix: TestMatrix) -> str:
 def _load_design(path: str) -> TestMatrix:
     if path == "fig1":
         return hypergrid_design(9, 2)
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
+    return parse(text)
 
 
 def _cmd_design(args: argparse.Namespace, echo: str) -> int:
@@ -320,7 +326,10 @@ def _cmd_oracle(args: argparse.Namespace, echo: str) -> int:
         if gamma >= 1:
             floor_report = bounds_mod.noisy_gamma_error_floor(args.d, gamma, args.sigma)
             floor = floor_report.floor or 0.0
-            verdict = "holds" if error >= floor - 1e-12 else "VIOLATED"
+            if 2 * args.d >= matrix.num_items:
+                verdict = "n/a"  # the floor assumes d < n/2
+            else:
+                verdict = "holds" if error >= floor - 1e-12 else "VIOLATED"
             print(f"floor={floor:.6g} (gamma={gamma}) floor_check={verdict}")
         exact_error = error
     else:

@@ -514,7 +514,10 @@ def iceil(x: float) -> int:
 
     Formula values like d^2/eps are computed in float64 from decimal inputs;
     a hair above an exact integer boundary must not bump the ceiling up.
+    A non-finite value (an overflowed formula) raises InvalidParameterError.
     """
+    if not math.isfinite(x):
+        raise InvalidParameterError(f"cannot round {x} up to an integer; parameters out of range")
     return math.ceil(x - 1e-9 * max(1.0, abs(x)))
 
 
@@ -565,8 +568,16 @@ def apply_noise(outcomes: Outcomes, sigma: float, rng: np.random.Generator) -> O
         raise InvalidParameterError("sigma must lie in [0, 1/2)")
     if sigma == 0.0:
         return outcomes
-    flips = rng.random(outcomes.num_tests) < sigma
-    return Outcomes(np.logical_xor(outcomes.bits, flips), noisy=True)
+    return Outcomes(_flip_bits(outcomes.bits, sigma, rng), noisy=True)
+
+
+def _flip_bits(bits: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """Bit-flip channel on a raw outcome array: one ``rng.random`` draw per
+    bit, flipping where it falls below sigma; sigma = 0 returns ``bits`` and
+    draws nothing. The only noise draw; the harness calls it directly."""
+    if sigma == 0.0:
+        return bits
+    return np.logical_xor(bits, rng.random(bits.size) < sigma)
 
 
 # ---------------------------------------------------------------------------

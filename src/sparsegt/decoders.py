@@ -12,9 +12,18 @@ the status instead of being silently dropped. Three statuses exist:
   learned about them; they are listed and conservatively included in the
   estimate.
 
-Decoding work is split into reusable "plans" (one per decoder family) so the
-simulation harness can prepare a matrix once and decode many outcome vectors
-through exactly the same code path the one-shot functions use.
+Both block designs (hypergrid and binary) are read by one rule, assuming at
+most one defective per block. Each test carries a label weight: digit j on
+grid axis a weighs j * base**a, and the test of binary label bit r weighs
+2**r. A block with a positive test decodes to its first item plus the
+weights of its positive tests; the first item is the block start for a grid
+(labels from 0) and one before it for a binary block (labels from 1). The
+block is ambiguous when that item lies at or past the block's end, or when
+some axis of its grid has other than exactly one positive test.
+
+Decoding work is split into reusable "plans" so the simulation harness can
+prepare a matrix once and decode many outcome vectors through exactly the
+same code path the one-shot functions use.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ from .core import (
     TAG_HYPERGRID,
     TAG_REPEATED,
     TestMatrix,
+    _offsets,
     _select_rows,
 )
 from .designs import hypergrid_shape
@@ -76,9 +86,7 @@ class ComaPlan:
     kind = "coma"
 
     def __init__(self, matrix: TestMatrix):
-        n = matrix.num_items
-        self.num_items = n
-        self.num_tests = matrix.num_tests
+        self.num_items = matrix.num_items
         # views into the CSR, one per test: concatenating the positive ones
         # is a faster per-trial gather at desk sizes than a vectorised one
         bounds = matrix.indptr.tolist()
@@ -102,119 +110,87 @@ class ComaPlan:
         return estimate, [], self.untested
 
 
-class GridPlan:
-    """Per-block digit reading for (block-)hypergrid designs.
+class BlockPlan:
+    """The block rule of the module docstring, in one pass over tables.
 
-    A block decodes to nothing when all its tests are negative, to a single
-    item when every axis has exactly one positive digit and the digits
-    assemble into an index inside the block, and is ambiguous otherwise.
+    Per test: its block, label weight and axis id, ``b * axes + a`` for axis
+    ``a`` of block ``b``; binary tests lie on no axis and share a sink id past
+    the last axis. Per block: its first item and end. Per axis: its block.
     """
 
-    kind = "hypergrid"
-
-    def __init__(self, matrix: TestMatrix):
-        if matrix.design_tag not in (TAG_HYPERGRID, TAG_BLOCK_HYPERGRID):
-            raise IncompatibleDecoderError(
-                f"hypergrid decoding needs a hypergrid design, got {matrix.design_tag!r}"
-            )
-        if matrix.col_limit is None:
-            raise IncompatibleDecoderError(
-                "hypergrid decoding needs col_limit (the grid dimension)"
-            )
-        gamma = matrix.col_limit
-        self.num_items = matrix.num_items
-        self.num_tests = matrix.num_tests
-        self.blocks = []  # (start, size, shape, test_offset)
-        offset = 0
-        for start, end in matrix.block_bounds():
-            shape = hypergrid_shape(end - start, gamma)
-            self.blocks.append((start, end - start, shape, offset))
-            offset += shape.num_tests
-        if offset != matrix.num_tests:
+    def __init__(self, matrix: TestMatrix, kind: str, block_tests, first: int,
+                 axes: int, design: str):
+        self.kind, self.axes = kind, axes
+        bounds = np.array(matrix.block_bounds(), dtype=np.int64).reshape(-1, 2)
+        self.num_blocks = len(bounds)
+        self.first, self.end = bounds[:, 0] + first, bounds[:, 1]
+        # one layout per distinct block size; a balanced partition has two
+        sizes, inverse = np.unique(bounds[:, 1] - bounds[:, 0], return_inverse=True)
+        layouts = [block_tests(int(size)) for size in sizes]
+        counts = np.array([w.size for w, _ in layouts], dtype=np.int64)[inverse]
+        offsets = _offsets(counts)
+        if offsets[-1] != matrix.num_tests:
             raise IncompatibleDecoderError(
                 f"matrix has {matrix.num_tests} tests but its block structure "
-                f"implies {offset}; not a hypergrid design"
+                f"implies {offsets[-1]}; not {design}"
             )
-        self.test_block = np.empty(offset, dtype=np.int64)
-        for b, (_, _, shape, off) in enumerate(self.blocks):
-            self.test_block[off : off + shape.num_tests] = b
+        self.axis_block = np.repeat(np.arange(self.num_blocks), axes)
+        self.test_block = np.repeat(np.arange(self.num_blocks), counts)
+        self.test_weight = np.empty(matrix.num_tests, dtype=np.int64)
+        self.test_axis = np.empty(matrix.num_tests, dtype=np.int64)
+        for k, (weight, axis) in enumerate(layouts):
+            blocks = np.flatnonzero(inverse == k)[:, None]
+            at = offsets[blocks] + np.arange(weight.size)
+            self.test_weight[at] = weight
+            self.test_axis[at] = np.where(axis < 0, self.axis_block.size, blocks * axes + axis)
 
     def decode_bits(self, bits: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray]:
-        positive = np.flatnonzero(bits)
-        estimate: list[int] = []
-        ambiguous: list[int] = []
-        for b in np.unique(self.test_block[positive]) if positive.size else ():
-            start, size, shape, off = self.blocks[int(b)]
-            digits = []
-            pos = off
-            failed = False
-            for m in shape.axis_digits:
-                axis_hits = np.flatnonzero(bits[pos : pos + m])
-                pos += m
-                if axis_hits.size != 1:
-                    failed = True
-                    break
-                digits.append(int(axis_hits[0]))
-            if failed:
-                ambiguous.append(int(b))
-                continue
-            local = sum(dig * shape.base**axis for axis, dig in enumerate(digits))
-            if local >= size:
-                ambiguous.append(int(b))
-            else:
-                estimate.append(start + local)
-        return np.asarray(sorted(estimate), dtype=np.int64), ambiguous, _NO_ITEMS
+        positive = bits.nonzero()[0]  # cheaper per call than np.flatnonzero
+        blocks = self.test_block[positive]
+        hit = np.bincount(blocks, minlength=self.num_blocks).nonzero()[0]
+        # float64 sums: exact below 2**53, and any sum above a block's size
+        # makes it ambiguous however it rounds
+        label = np.bincount(blocks, self.test_weight[positive], self.num_blocks)[hit]
+        per_axis = np.bincount(self.test_axis[positive], minlength=self.axis_block.size + 1)
+        one_hot = np.bincount(self.axis_block[per_axis[:-1] == 1], minlength=self.num_blocks)
+        item = self.first[hit] + label.astype(np.int64)
+        bad = (item >= self.end[hit]) | (one_hot[hit] != self.axes)
+        # blocks out of item order (a malformed block_starts) decode out of order
+        return np.sort(item[~bad]), hit[bad].tolist(), _NO_ITEMS
 
 
-class BinaryPlan:
-    """Per-block label reading for binary block designs.
+def _grid_plan(matrix: TestMatrix) -> BlockPlan:
+    if matrix.design_tag not in (TAG_HYPERGRID, TAG_BLOCK_HYPERGRID):
+        raise IncompatibleDecoderError(
+            f"hypergrid decoding needs a hypergrid design, got {matrix.design_tag!r}"
+        )
+    gamma = matrix.col_limit
+    if gamma is None:
+        raise IncompatibleDecoderError("hypergrid decoding needs col_limit (the grid dimension)")
 
-    Local labels run 1..size inside each block; test r of a block pools the
-    labels with bit r set. The positive pattern of a block read as an integer
-    is the label of its lone defective; 0 means none; anything above the
-    block size is ambiguous.
-    """
+    def grid_tests(size: int) -> tuple[np.ndarray, np.ndarray]:
+        shape = hypergrid_shape(size, gamma)
+        # an axis with two or more digits has base**a < size, so the cap at
+        # size keeps the power in int64 and only ever meets a lone digit 0
+        weight = [np.arange(m) * min(shape.base**a, size) for a, m in enumerate(shape.axis_digits)]
+        return np.concatenate(weight), np.repeat(np.arange(gamma), shape.axis_digits)
 
-    kind = "binary"
+    return BlockPlan(matrix, "hypergrid", grid_tests, first=0, axes=gamma,
+                     design="a hypergrid design")
 
-    def __init__(self, matrix: TestMatrix):
-        if matrix.design_tag != TAG_BLOCK_BINARY_RHO:
-            raise IncompatibleDecoderError(
-                f"binary block decoding needs a binary block design, got {matrix.design_tag!r}"
-            )
-        self.num_items = matrix.num_items
-        self.num_tests = matrix.num_tests
-        self.blocks = []  # (start, size, test_offset, test_count)
-        offset = 0
-        for start, end in matrix.block_bounds():
-            size = end - start
-            count = size.bit_length()
-            self.blocks.append((start, size, offset, count))
-            offset += count
-        if offset != matrix.num_tests:
-            raise IncompatibleDecoderError(
-                f"matrix has {matrix.num_tests} tests but its block structure "
-                f"implies {offset}; not a binary block design"
-            )
-        self.test_block = np.empty(offset, dtype=np.int64)
-        for b, (_, _, off, count) in enumerate(self.blocks):
-            self.test_block[off : off + count] = b
 
-    def decode_bits(self, bits: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray]:
-        positive = np.flatnonzero(bits)
-        estimate: list[int] = []
-        ambiguous: list[int] = []
-        for b in np.unique(self.test_block[positive]) if positive.size else ():
-            start, size, off, count = self.blocks[int(b)]
-            label = 0
-            for r in range(count):
-                if bits[off + r]:
-                    label |= 1 << r
-            if label > size:
-                ambiguous.append(int(b))
-            else:
-                estimate.append(start + label - 1)
-        return np.asarray(sorted(estimate), dtype=np.int64), ambiguous, _NO_ITEMS
+def _binary_plan(matrix: TestMatrix) -> BlockPlan:
+    if matrix.design_tag != TAG_BLOCK_BINARY_RHO:
+        raise IncompatibleDecoderError(
+            f"binary block decoding needs a binary block design, got {matrix.design_tag!r}"
+        )
+
+    def bit_tests(size: int) -> tuple[np.ndarray, np.ndarray]:
+        count = size.bit_length()
+        return 1 << np.arange(count), np.full(count, -1)  # on no axis
+
+    return BlockPlan(matrix, "binary", bit_tests, first=-1, axes=0,
+                     design="a binary block design")
 
 
 class MajorityPlan:
@@ -234,8 +210,6 @@ class MajorityPlan:
                 f"{matrix.num_tests} tests not divisible by repeat_k={k}"
             )
         self.k = k
-        self.num_items = matrix.num_items
-        self.num_tests = matrix.num_tests
         indptr, indices = _select_rows(matrix, np.arange(0, matrix.num_tests, k))
         base = TestMatrix.from_csr(
             indptr,
@@ -259,8 +233,8 @@ _NO_ITEMS = np.empty(0, dtype=np.int64)
 
 _PLAN_TYPES = {
     "coma": ComaPlan,
-    "hypergrid": GridPlan,
-    "binary": BinaryPlan,
+    "hypergrid": _grid_plan,
+    "binary": _binary_plan,
     "majority": MajorityPlan,
 }
 
@@ -335,12 +309,12 @@ def coma_decode(matrix: TestMatrix, outcomes: Outcomes) -> DecodeResult:
 
 def hypergrid_block_decode(matrix: TestMatrix, outcomes: Outcomes) -> DecodeResult:
     """Read one defective per block off its per-axis digits (strict)."""
-    return _run_plan(GridPlan(matrix), matrix, outcomes)
+    return _run_plan(_grid_plan(matrix), matrix, outcomes)
 
 
 def binary_block_decode(matrix: TestMatrix, outcomes: Outcomes) -> DecodeResult:
     """Read one defective per block off its binary label (strict)."""
-    return _run_plan(BinaryPlan(matrix), matrix, outcomes)
+    return _run_plan(_binary_plan(matrix), matrix, outcomes)
 
 
 def majority_coma_decode(matrix: TestMatrix, outcomes: Outcomes) -> DecodeResult:

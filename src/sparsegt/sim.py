@@ -27,6 +27,7 @@ from .core import (
     Prior,
     ResourceCapError,
     TestMatrix,
+    _flip_bits,
     _or_bits,
 )
 from .decoders import make_plan
@@ -170,9 +171,7 @@ def _run_trial_range(
     for t in range(start, start + count):
         rng = np.random.default_rng(derive_trial_seed(master_seed, t))
         defect = _draw_defectives(rng, prior, n)
-        bits = _or_bits(matrix, defect)
-        if sigma > 0.0:
-            bits = np.logical_xor(bits, rng.random(matrix.num_tests) < sigma)
+        bits = _flip_bits(_or_bits(matrix, defect), sigma, rng)
         estimate, ambiguous, _ = plan.decode_bits(bits)
         exact = np.array_equal(estimate, defect)
         if ambiguous or not exact:

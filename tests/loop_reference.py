@@ -1,22 +1,29 @@
-"""Python-loop references for the vectorised core operations.
+"""Python-loop references for the vectorised core operations and decoders.
 
 These are the straightforward row-by-row versions of ``evaluate``,
-``TestMatrix.column_weights``, ``validate`` and ``parse``. The property tests
-require the library's array versions to agree with them exactly: the same
-outcome bits, the same weights, the same ``Violation`` lists in the same
-order, and the same ``ParseError`` line and message.
+``TestMatrix.column_weights``, ``validate`` and ``parse``, and the per-block
+loops of the hypergrid and binary block decoders. The property tests require
+the library's array versions to agree with them exactly: the same outcome
+bits, the same weights, the same ``Violation`` lists in the same order, the
+same ``ParseError`` line and message, and the same decoded estimate and
+ambiguous blocks.
 """
 
 import numpy as np
 
 from sparsegt.core import (
     DESIGN_TAGS,
+    TAG_BLOCK_BINARY_RHO,
+    TAG_BLOCK_HYPERGRID,
     TAG_CUSTOM,
+    TAG_HYPERGRID,
     DefectiveSet,
+    IncompatibleDecoderError,
     ParseError,
     TestMatrix,
     Violation,
 )
+from sparsegt.designs import hypergrid_shape
 
 
 def evaluate(matrix: TestMatrix, defectives: DefectiveSet) -> np.ndarray:
@@ -209,3 +216,114 @@ def parse(text: str) -> TestMatrix:
             raise ParseError(line_no, "row indices must be strictly increasing")
         rows.append(tuple(indices))
     return TestMatrix(rows=rows, num_items=num_items, **fields)
+
+
+class GridPlan:
+    """Per-block digit reading for (block-)hypergrid designs.
+
+    A block decodes to nothing when all its tests are negative, to a single
+    item when every axis has exactly one positive digit and the digits
+    assemble into an index inside the block, and is ambiguous otherwise.
+    """
+
+    kind = "hypergrid"
+
+    def __init__(self, matrix: TestMatrix):
+        if matrix.design_tag not in (TAG_HYPERGRID, TAG_BLOCK_HYPERGRID):
+            raise IncompatibleDecoderError(
+                f"hypergrid decoding needs a hypergrid design, got {matrix.design_tag!r}"
+            )
+        if matrix.col_limit is None:
+            raise IncompatibleDecoderError(
+                "hypergrid decoding needs col_limit (the grid dimension)"
+            )
+        gamma = matrix.col_limit
+        self.blocks = []  # (start, size, shape, test_offset)
+        offset = 0
+        for start, end in matrix.block_bounds():
+            shape = hypergrid_shape(end - start, gamma)
+            self.blocks.append((start, end - start, shape, offset))
+            offset += shape.num_tests
+        if offset != matrix.num_tests:
+            raise IncompatibleDecoderError(
+                f"matrix has {matrix.num_tests} tests but its block structure "
+                f"implies {offset}; not a hypergrid design"
+            )
+        self.test_block = np.empty(offset, dtype=np.int64)
+        for b, (_, _, shape, off) in enumerate(self.blocks):
+            self.test_block[off : off + shape.num_tests] = b
+
+    def decode_bits(self, bits: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        positive = np.flatnonzero(bits)
+        estimate: list[int] = []
+        ambiguous: list[int] = []
+        for b in np.unique(self.test_block[positive]) if positive.size else ():
+            start, size, shape, off = self.blocks[int(b)]
+            digits = []
+            pos = off
+            failed = False
+            for m in shape.axis_digits:
+                axis_hits = np.flatnonzero(bits[pos : pos + m])
+                pos += m
+                if axis_hits.size != 1:
+                    failed = True
+                    break
+                digits.append(int(axis_hits[0]))
+            if failed:
+                ambiguous.append(int(b))
+                continue
+            local = sum(dig * shape.base**axis for axis, dig in enumerate(digits))
+            if local >= size:
+                ambiguous.append(int(b))
+            else:
+                estimate.append(start + local)
+        return np.asarray(sorted(estimate), dtype=np.int64), ambiguous
+
+
+class BinaryPlan:
+    """Per-block label reading for binary block designs.
+
+    Local labels run 1..size inside each block; test r of a block pools the
+    labels with bit r set. The positive pattern of a block read as an integer
+    is the label of its lone defective; 0 means none; anything above the
+    block size is ambiguous.
+    """
+
+    kind = "binary"
+
+    def __init__(self, matrix: TestMatrix):
+        if matrix.design_tag != TAG_BLOCK_BINARY_RHO:
+            raise IncompatibleDecoderError(
+                f"binary block decoding needs a binary block design, got {matrix.design_tag!r}"
+            )
+        self.blocks = []  # (start, size, test_offset, test_count)
+        offset = 0
+        for start, end in matrix.block_bounds():
+            size = end - start
+            count = size.bit_length()
+            self.blocks.append((start, size, offset, count))
+            offset += count
+        if offset != matrix.num_tests:
+            raise IncompatibleDecoderError(
+                f"matrix has {matrix.num_tests} tests but its block structure "
+                f"implies {offset}; not a binary block design"
+            )
+        self.test_block = np.empty(offset, dtype=np.int64)
+        for b, (_, _, off, count) in enumerate(self.blocks):
+            self.test_block[off : off + count] = b
+
+    def decode_bits(self, bits: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        positive = np.flatnonzero(bits)
+        estimate: list[int] = []
+        ambiguous: list[int] = []
+        for b in np.unique(self.test_block[positive]) if positive.size else ():
+            start, size, off, count = self.blocks[int(b)]
+            label = 0
+            for r in range(count):
+                if bits[off + r]:
+                    label |= 1 << r
+            if label > size:
+                ambiguous.append(int(b))
+            else:
+                estimate.append(start + label - 1)
+        return np.asarray(sorted(estimate), dtype=np.int64), ambiguous

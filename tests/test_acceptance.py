@@ -123,33 +123,60 @@ def test_c03_random_gamma_at_desk_scale():
     )
 
 
+def _trial_defectives(seed, trials, n, d):
+    """Each trial's defective set, re-derived from the published seeding
+    contract (uniform size-d prior)."""
+    sets = []
+    for t in range(trials):
+        rng = np.random.default_rng(derive_trial_seed(seed, t))
+        sets.append(np.sort(rng.choice(n, size=d, replace=False)))
+    return sets
+
+
+def _collision_trials(matrix, defect_sets):
+    """Trials in which some block holds two or more defectives: exactly the
+    trials a strict block decoder gets wrong."""
+    starts = np.asarray(matrix.block_starts)
+    return sum(
+        int(np.unique(np.searchsorted(starts, defect, side="right")).size < defect.size)
+        for defect in defect_sets
+    )
+
+
+def _exact_collision_error(matrix, d):
+    """1 - e_d(block sizes) / C(n, d) in exact integers, e_d the elementary
+    symmetric polynomial: the chance that d uniform defectives share a block."""
+    e = [1] + [0] * d
+    for start, end in matrix.block_bounds():
+        for j in range(d, 0, -1):
+            e[j] += e[j - 1] * (end - start)
+    return Fraction(math.comb(matrix.num_items, d) - e[d], math.comb(matrix.num_items, d))
+
+
 def test_c04_block_hypergrid_at_desk_scale():
     started = time.perf_counter()
     matrix = block_hypergrid_design(10_000, 5, 2, 0.1)
     report = _mc(matrix, "hypergrid", d=5, trials=10_000, seed=42, epsilon=0.1, gamma=2)
-
-    # no-collision frequency, re-deriving each trial's defective set from the
-    # published seeding contract
-    starts = np.asarray(matrix.block_starts)
-    no_collision = 0
-    for t in range(report.trials):
-        rng = np.random.default_rng(derive_trial_seed(42, t))
-        defect = rng.choice(10_000, size=5, replace=False)
-        blocks = np.searchsorted(starts, np.sort(defect), side="right") - 1
-        no_collision += int(np.unique(blocks).size == 5)
-    frequency = no_collision / report.trials
+    collisions = _collision_trials(matrix, _trial_defectives(42, report.trials, 10_000, 5))
+    frequency = 1 - collisions / report.trials
+    exact = _exact_collision_error(matrix, 5)
     wall = time.perf_counter() - started
     checks = [
         ("T <= 3500", matrix.num_tests <= 3500),
         ("MC error <= 0.1", report.error_rate <= 0.1),
         ("no-collision >= 0.9", frequency >= 0.9),
+        ("errors == collision trials", report.errors == collisions),
+        ("exact error 0.038482", round(float(exact), 6) == 0.038482),
+        ("Wilson covers exact", report.ci_low <= exact <= report.ci_high),
         ("runtime <= 60 s", wall <= 60.0),
     ]
     _report(
         "C4",
         checks,
         f"T={matrix.num_tests} <= 3500, error {report.error_rate:.4g} <= 0.1, "
-        f"no-collision {frequency:.4g} >= 0.9, {wall:.1f}s",
+        f"no-collision {frequency:.4g} >= 0.9, errors == {collisions} collision "
+        f"trials, Wilson [{report.ci_low:.4g}, {report.ci_high:.4g}] covers exact "
+        f"{float(exact):.6f}, {wall:.1f}s",
     )
 
 
@@ -184,23 +211,33 @@ def test_c05_permuted_blocks_and_universality():
 
 def test_c06_binary_blocks_both_regimes():
     started = time.perf_counter()
+    defect_sets = _trial_defectives(42, 10_000, 10_000, 5)
     results = []
     for rho, expected_tests in ((20, 2500), (50, 1500)):
         matrix = block_binary_rho_design(10_000, 5, rho, 0.1)
         report = _mc(matrix, "binary", d=5, trials=10_000, seed=42,
                      epsilon=0.1, rho=rho)
-        results.append((rho, matrix.num_tests, expected_tests, report.error_rate))
+        results.append((rho, matrix.num_tests, expected_tests, report,
+                        _collision_trials(matrix, defect_sets),
+                        _exact_collision_error(matrix, 5)))
     wall = time.perf_counter() - started
     checks = [
         (f"rho={rho}: T == {want}", got == want)
-        for rho, got, want, _ in results
+        for rho, got, want, *_ in results
     ] + [
-        (f"rho={rho}: error <= 0.1", rate <= 0.1)
-        for rho, _, _, rate in results
+        (f"rho={rho}: error <= 0.1", report.error_rate <= 0.1)
+        for rho, _, _, report, *_ in results
+    ] + [
+        (f"rho={rho}: errors == collision trials", report.errors == collisions)
+        for rho, _, _, report, collisions, _ in results
+    ] + [
+        (f"rho={rho}: Wilson covers exact", report.ci_low <= exact <= report.ci_high)
+        for rho, _, _, report, _, exact in results
     ] + [("runtime <= 60 s", wall <= 60.0)]
     detail = "; ".join(
-        f"rho={rho}: T={got} (want {want}), error {rate:.4g}"
-        for rho, got, want, rate in results
+        f"rho={rho}: T={got} (want {want}), error {report.error_rate:.4g} "
+        f"({collisions} collision trials), exact {float(exact):.6f}"
+        for rho, got, want, report, collisions, exact in results
     )
     _report("C6", checks, f"{detail}, {wall:.1f}s")
 

@@ -3,6 +3,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from sparsegt.cli import main
 from sparsegt.core import parse
 from sparsegt.designs import hypergrid_design
@@ -236,6 +238,12 @@ class TestOracleCommand:
         assert any(line.startswith("map_error=") for line in out)
         assert any("floor_check=holds" in line for line in out)
 
+    def test_noisy_floor_not_applicable_when_d_reaches_half_n(self, capsys):
+        # the floor assumes d < n/2; fig1 has n = 9
+        code, out, _ = run(capsys, "oracle", "--design", "fig1", "--d", "8", "--sigma", "0.1")
+        assert code == 0
+        assert any(line.endswith("floor_check=n/a") for line in out)
+
     def test_resource_cap_exit_code(self, capsys):
         code, _, err = run(
             capsys, "oracle", "--design", "fig1", "--d", "4", "--cap", "10"
@@ -247,6 +255,30 @@ class TestOracleCommand:
         code, _, err = run(capsys, "oracle", "--design", "/no/such/file", "--d", "1")
         assert code == 1
         assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["design", "--family", "permuted-rho", "--n", "100", "--d", "2", "--rho", "10",
+         "--zeta", "inf"],
+        ["bounds", "--theorem", "5", "--n", "100", "--d", "2", "--rho", "10",
+         "--zeta", "1e308"],
+        ["design", "--family", "block-hypergrid", "--n", "100", "--d", "2", "--gamma", "2",
+         "--epsilon", "1e-320"],
+        ["simulate", "--design", "{not_utf8}", "--d", "1"],
+    ],
+    ids=["zeta-inf", "zeta-overflow", "epsilon-underflow", "design-not-utf8"],
+)
+def test_bad_input_is_one_error_line(capsys, tmp_path, argv):
+    not_utf8 = tmp_path / "binary.design"
+    not_utf8.write_bytes(b"2 3\n1 0\n\xff\xfe 1\n")
+    code, _, err = run(capsys, *[a.replace("{not_utf8}", str(not_utf8)) for a in argv])
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    if "{not_utf8}" in argv:
+        assert "line 3" in err
 
 
 class TestEntryPoint:

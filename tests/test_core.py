@@ -1,5 +1,7 @@
 """Core types, OR-channel evaluation, noise, validation, serialization."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -344,6 +346,11 @@ class TestNumericHelpers:
         assert iceil(249.99999999999997) == 250
         assert iceil(6.3) == 7
         assert iceil(6.0) == 6
+
+    def test_iceil_refuses_non_finite(self):
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(InvalidParameterError):
+                iceil(value)
 
     @pytest.mark.parametrize(
         "value,k,expected",

@@ -1,5 +1,6 @@
 """Golden values for the frozen public contracts: the design file bytes of
-every seeded constructor and one simulation CSV row.
+every seeded constructor and simulation CSV rows of the majority and the two
+block decoders.
 
 A change to any constructor, to ``serialize`` or to the harness that alters
 these bytes breaks files and result tables written by earlier versions.
@@ -74,3 +75,27 @@ def test_noisy_majority_csv_row():
     assert report.csv_row() == (
         "repeated,1000,10,75,50,0.1,1500,300,187,0.623333,0.567268,0.67628,42"
     )
+
+
+@pytest.mark.parametrize(
+    "name, decoder, params, row",
+    [
+        (
+            "block-hypergrid", "hypergrid", dict(epsilon=0.1, gamma=2),
+            "block-hypergrid,10000,5,2,,0,3250,2000,77,0.0385,0.0309143,0.0478551,42",
+        ),
+        (
+            "block-binary", "binary", dict(epsilon=0.1, rho=20),
+            "block-binary-rho,10000,5,,20,0,2500,2000,37,0.0185,0.0134513,0.0253948,42",
+        ),
+    ],
+)
+def test_block_decoder_csv_row(name, decoder, params, row):
+    build, _ = DESIGNS[name]
+    config = SimConfig(
+        params=DesignParams(n=10_000, d=5, **params),
+        prior=Prior(PRIOR_UNIFORM_EXACT, 5),
+        trials=2000,
+        master_seed=SEED,
+    )
+    assert run_monte_carlo(build(), decoder, config).csv_row() == row

@@ -1,5 +1,6 @@
-"""The vectorised core operations agree with their Python-loop references
-(``loop_reference.py``) on generated matrices and texts, valid or not."""
+"""The vectorised core operations and block decoders agree with their
+Python-loop references (``loop_reference.py``) on generated matrices, texts
+and outcome vectors, valid or not."""
 
 import numpy as np
 import pytest
@@ -8,9 +9,13 @@ from hypothesis import given, settings, strategies as st
 import loop_reference as ref
 from sparsegt.core import (
     DefectiveSet,
+    IncompatibleDecoderError,
     InvalidParameterError,
     ParseError,
+    TAG_BLOCK_BINARY_RHO,
+    TAG_BLOCK_HYPERGRID,
     TAG_CUSTOM,
+    TAG_HYPERGRID,
     TAG_REPEATED,
     TestMatrix,
     evaluate,
@@ -18,6 +23,13 @@ from sparsegt.core import (
     parse_outcomes,
     serialize,
     validate,
+)
+from sparsegt.decoders import make_plan
+from sparsegt.designs import (
+    block_binary_rho_design,
+    hypergrid_design,
+    hypergrid_shape,
+    random_gamma_design,
 )
 
 
@@ -185,3 +197,139 @@ class TestParseRobustness:
     @settings(max_examples=300, deadline=None)
     def test_same_outcome_on_digit_soup(self, text):
         assert _outcome(parse, text) == _outcome(ref.parse, text)
+
+
+# ---------------------------------------------------------------------------
+# block decoders
+# ---------------------------------------------------------------------------
+
+_REFERENCE_PLANS = {"hypergrid": ref.GridPlan, "binary": ref.BinaryPlan}
+
+
+def _block_design(sizes, gamma):
+    """Consecutive blocks of the given sizes: one digit grid per block when
+    ``gamma`` is set, else one test per bit of the 1-based local label."""
+    starts = np.cumsum([0] + sizes[:-1]).tolist()
+    rows = []
+    for start, size in zip(starts, sizes):
+        if gamma:
+            rows += [[start + i for i in row] for row in hypergrid_design(size, gamma).rows]
+        else:
+            rows += [
+                [start - 1 + label for label in range(1, size + 1) if label >> r & 1]
+                for r in range(size.bit_length())
+            ]
+    return TestMatrix(
+        rows=rows,
+        num_items=sum(sizes),
+        col_limit=gamma,
+        design_tag=TAG_BLOCK_HYPERGRID if gamma else TAG_BLOCK_BINARY_RHO,
+        block_starts=starts,
+    )
+
+
+@st.composite
+def block_designs(draw):
+    """(matrix, decoder): a single-block hypergrid, or a block hypergrid or
+    binary block design over generated block sizes."""
+    kind = draw(st.sampled_from(["hypergrid", "block-hypergrid", "binary"]))
+    if kind == "hypergrid":
+        return hypergrid_design(draw(st.integers(1, 60)), draw(st.integers(1, 4))), kind
+    sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=8))
+    gamma = draw(st.integers(1, 4)) if kind == "block-hypergrid" else None
+    return _block_design(sizes, gamma), "hypergrid" if gamma else "binary"
+
+
+def _assert_same_decoding(plan, reference, bits):
+    estimate, ambiguous, untested = plan.decode_bits(bits)
+    want_estimate, want_ambiguous = reference.decode_bits(bits)
+    assert estimate.dtype == np.int64
+    assert np.array_equal(estimate, want_estimate)
+    assert ambiguous == want_ambiguous
+    assert all(type(b) is int for b in ambiguous)
+    assert untested.size == 0
+
+
+class TestBlockDecoderAgreesWithLoops:
+    @given(block_designs(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_same_estimate_and_ambiguous_blocks(self, design, data):
+        matrix, decoder = design
+        plan = make_plan(matrix, decoder)
+        reference = _REFERENCE_PLANS[decoder](matrix)
+        assert plan.kind == decoder
+        num_tests, n = matrix.num_tests, matrix.num_items
+        defectives = data.draw(st.sets(st.integers(0, n - 1), max_size=4))
+        vectors = [
+            np.zeros(num_tests, dtype=bool),
+            np.ones(num_tests, dtype=bool),
+            np.array(data.draw(st.lists(st.booleans(), min_size=num_tests,
+                                        max_size=num_tests)), dtype=bool),
+            evaluate(matrix, DefectiveSet(defectives, n)).bits,
+        ]
+        for bits in vectors:
+            _assert_same_decoding(plan, reference, bits)
+
+    @given(
+        st.integers(1, 30),
+        st.lists(st.integers(-3, 33), max_size=5),
+        st.sampled_from([None, 1, 2, 3]),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_result_on_malformed_block_starts(self, n, starts, gamma, data):
+        """Unordered, overlapping, empty or out-of-range blocks: both raise
+        the same error or decode alike."""
+        bounds = zip(starts, starts[1:] + [n])
+        try:
+            num_tests = sum(
+                hypergrid_shape(end - start, gamma).num_tests if gamma
+                else (end - start).bit_length()
+                for start, end in bounds
+            )
+        except InvalidParameterError:
+            num_tests = 0
+        matrix = TestMatrix(
+            rows=[()] * num_tests,
+            num_items=n,
+            col_limit=gamma,
+            design_tag=TAG_BLOCK_HYPERGRID if gamma else TAG_BLOCK_BINARY_RHO,
+            block_starts=starts,
+        )
+        decoder = "hypergrid" if gamma else "binary"
+        try:
+            reference = _REFERENCE_PLANS[decoder](matrix)
+        except (InvalidParameterError, IncompatibleDecoderError) as err:
+            with pytest.raises(type(err)) as got:
+                make_plan(matrix, decoder)
+            assert str(got.value) == str(err)
+            return
+        bits = np.array(data.draw(st.lists(st.booleans(), min_size=num_tests,
+                                           max_size=num_tests)), dtype=bool)
+        _assert_same_decoding(make_plan(matrix, decoder), reference, bits)
+
+
+_GRID = hypergrid_design(9, 2)
+
+
+@pytest.mark.parametrize(
+    "matrix, decoder",
+    [
+        (random_gamma_design(20, 2, 2, 0.2, np.random.default_rng(0)), "hypergrid"),
+        (block_binary_rho_design(10, 1, 5, 0.9), "hypergrid"),
+        (TestMatrix(rows=_GRID.rows, num_items=9, design_tag=TAG_HYPERGRID), "hypergrid"),
+        (TestMatrix(rows=_GRID.rows[:-1], num_items=9, col_limit=2,
+                    design_tag=TAG_HYPERGRID), "hypergrid"),
+        (_GRID, "binary"),
+        (TestMatrix(rows=[(0,), (1,)], num_items=9, design_tag=TAG_BLOCK_BINARY_RHO),
+         "binary"),
+    ],
+    ids=["grid-tag", "grid-tag-no-col-limit", "grid-col-limit", "grid-test-count",
+         "binary-tag", "binary-test-count"],
+)
+def test_block_decoder_refusals_match_the_loops(matrix, decoder):
+    with pytest.raises(IncompatibleDecoderError) as want:
+        _REFERENCE_PLANS[decoder](matrix)
+    with pytest.raises(IncompatibleDecoderError) as got:
+        make_plan(matrix, decoder)
+    assert str(got.value) == str(want.value)
