@@ -14,6 +14,7 @@ cap refused the computation.
 from __future__ import annotations
 
 import argparse
+import math
 import shlex
 import sys
 
@@ -65,6 +66,10 @@ _FAMILIES = (
     TAG_PERMUTED_RHO,
     TAG_BLOCK_BINARY_RHO,
 )
+
+
+# the most defective sets `oracle` enumerates again to list confusable groups
+_LIST_CAP = 1_000_000
 
 
 class _UsageError(GroupTestingError):
@@ -228,17 +233,9 @@ def _cmd_simulate(args: argparse.Namespace, echo: str) -> int:
 
     (d,) = _require(args, ["d"], "simulate")
     prior_kind = PRIOR_UNIFORM_EXACT if args.prior == "exact" else PRIOR_IID_BERNOULLI
-    params = DesignParams(
-        n=matrix.num_items,
-        d=d,
-        epsilon=args.epsilon,
-        gamma=args.gamma,
-        rho=args.rho,
-        sigma=sigma,
-        zeta=args.zeta,
-    )
+    # the constructors check their own flags; the harness reads only n and sigma
     config = SimConfig(
-        params=params,
+        params=DesignParams(n=matrix.num_items, d=d, sigma=sigma),
         prior=Prior(prior_kind, d),
         trials=args.trials,
         master_seed=args.seed,
@@ -339,12 +336,17 @@ def _cmd_oracle(args: argparse.Namespace, echo: str) -> int:
             f"exact_error={probability.numerator}/{probability.denominator}"
             f"={float(probability):.6g}"
         )
-        groups = outcome_collision_groups(matrix, args.d, cap=min(args.cap, 1_000_000))
-        for group in groups[:10]:
-            rendered = " == ".join(_format_items(member) for member in group)
-            print(f"# confusable: {rendered}")
-        if len(groups) > 10:
-            print(f"# ... and {len(groups) - 10} more confusable groups")
+        total = math.comb(matrix.num_items, args.d)
+        if total > _LIST_CAP:
+            print(f"# confusable groups not listed: C({matrix.num_items},{args.d}) = "
+                  f"{total} exceeds {_LIST_CAP}")
+        else:
+            groups = outcome_collision_groups(matrix, args.d, cap=_LIST_CAP)
+            for group in groups[:10]:
+                rendered = " == ".join(_format_items(member) for member in group)
+                print(f"# confusable: {rendered}")
+            if len(groups) > 10:
+                print(f"# ... and {len(groups) - 10} more confusable groups")
         exact_error = float(probability)
     if args.target_epsilon is not None and exact_error > args.target_epsilon:
         print(

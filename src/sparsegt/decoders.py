@@ -46,7 +46,7 @@ from .core import (
     _offsets,
     _select_rows,
 )
-from .designs import hypergrid_shape
+from .designs import hypergrid_shape, tile_blocks
 
 __all__ = [
     "STATUS_OK",
@@ -124,25 +124,14 @@ class BlockPlan:
         bounds = np.array(matrix.block_bounds(), dtype=np.int64).reshape(-1, 2)
         self.num_blocks = len(bounds)
         self.first, self.end = bounds[:, 0] + first, bounds[:, 1]
-        # one layout per distinct block size; a balanced partition has two
-        sizes, inverse = np.unique(bounds[:, 1] - bounds[:, 0], return_inverse=True)
-        layouts = [block_tests(int(size)) for size in sizes]
-        counts = np.array([w.size for w, _ in layouts], dtype=np.int64)[inverse]
-        offsets = _offsets(counts)
-        if offsets[-1] != matrix.num_tests:
+        (self.test_weight, self.test_block), (axis, _) = tile_blocks(bounds, block_tests)
+        if self.test_weight.size != matrix.num_tests:
             raise IncompatibleDecoderError(
                 f"matrix has {matrix.num_tests} tests but its block structure "
-                f"implies {offsets[-1]}; not {design}"
+                f"implies {self.test_weight.size}; not {design}"
             )
         self.axis_block = np.repeat(np.arange(self.num_blocks), axes)
-        self.test_block = np.repeat(np.arange(self.num_blocks), counts)
-        self.test_weight = np.empty(matrix.num_tests, dtype=np.int64)
-        self.test_axis = np.empty(matrix.num_tests, dtype=np.int64)
-        for k, (weight, axis) in enumerate(layouts):
-            blocks = np.flatnonzero(inverse == k)[:, None]
-            at = offsets[blocks] + np.arange(weight.size)
-            self.test_weight[at] = weight
-            self.test_axis[at] = np.where(axis < 0, self.axis_block.size, blocks * axes + axis)
+        self.test_axis = np.where(axis < 0, self.axis_block.size, self.test_block * axes + axis)
 
     def decode_bits(self, bits: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray]:
         positive = bits.nonzero()[0]  # cheaper per call than np.flatnonzero
@@ -170,10 +159,9 @@ def _grid_plan(matrix: TestMatrix) -> BlockPlan:
 
     def grid_tests(size: int) -> tuple[np.ndarray, np.ndarray]:
         shape = hypergrid_shape(size, gamma)
-        # an axis with two or more digits has base**a < size, so the cap at
-        # size keeps the power in int64 and only ever meets a lone digit 0
-        weight = [np.arange(m) * min(shape.base**a, size) for a, m in enumerate(shape.axis_digits)]
-        return np.concatenate(weight), np.repeat(np.arange(gamma), shape.axis_digits)
+        axis = np.repeat(np.arange(gamma), shape.axis_digits)
+        digit = np.arange(shape.num_tests) - _offsets(shape.axis_digits)[axis]
+        return digit * np.array(shape.axis_powers)[axis], axis
 
     return BlockPlan(matrix, "hypergrid", grid_tests, first=0, axes=gamma,
                      design="a hypergrid design")

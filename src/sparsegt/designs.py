@@ -52,6 +52,10 @@ __all__ = [
 ]
 
 
+# the most tests any constructor builds
+_MAX_TESTS = 10_000_000
+
+
 # ---------------------------------------------------------------------------
 # hypergrid geometry
 # ---------------------------------------------------------------------------
@@ -66,13 +70,15 @@ class HypergridShape:
     emitted axis-major (axis 0 digits first), and digits no item takes are
     omitted. ``axis_digits[a]`` is the number of tests emitted for axis ``a``;
     only a prefix of digits 0..axis_digits[a]-1 ever has support because local
-    indices are consecutive.
+    indices are consecutive. ``axis_powers[a]`` is base**a capped at ``size``,
+    which changes no digit: from the cap on, every item has digit 0.
     """
 
     size: int
     gamma: int
     base: int
     axis_digits: tuple[int, ...]
+    axis_powers: tuple[int, ...]
 
     @property
     def num_tests(self) -> int:
@@ -82,23 +88,33 @@ class HypergridShape:
 def hypergrid_shape(size: int, gamma: int) -> HypergridShape:
     if size < 1 or gamma < 1:
         raise InvalidParameterError("hypergrid needs size >= 1 and gamma >= 1")
+    _check_test_count(gamma)  # one test per axis at least
     base = int_root_ceil(size, gamma)
-    axis_digits = tuple(
-        min(base, ceil_div(size, base**axis)) for axis in range(gamma)
-    )
-    return HypergridShape(size=size, gamma=gamma, base=base, axis_digits=axis_digits)
+    # base >= 2 when size >= 2, so at most log2(size) + 1 powers lie below size
+    powers, power = [], 1
+    while power < size:
+        powers.append(power)
+        power *= base
+    powers += [size] * (gamma - len(powers))
+    axis_digits = tuple(min(base, ceil_div(size, p)) for p in powers)
+    return HypergridShape(size, gamma, base, axis_digits, tuple(powers))
 
 
-def _hypergrid_rows(start: int, shape: HypergridShape) -> tuple[np.ndarray, np.ndarray]:
-    """Row lengths and concatenated items of one digit grid whose local item
-    0 is item ``start``."""
-    local = np.arange(shape.size, dtype=np.int64)
-    lengths, items = [], []
-    for axis, count in enumerate(shape.axis_digits):
-        digits = (local // shape.base**axis) % shape.base
-        lengths.append(np.bincount(digits, minlength=count))
-        items.append(start + np.argsort(digits, kind="stable"))
-    return np.concatenate(lengths), np.concatenate(items)
+def _grid_rows(size: int, gamma: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row lengths and items (local, from 0) of one digit grid."""
+    shape = hypergrid_shape(size, gamma)
+    powers = np.array(shape.axis_powers)[:, None]
+    first = _offsets(shape.axis_digits)[:-1, None]
+    tests = first + np.arange(size) // powers % shape.base  # one row per axis
+    items = np.argsort(tests, axis=1, kind="stable")
+    return np.bincount(tests.ravel(), minlength=shape.num_tests), items.ravel()
+
+
+def _binary_rows(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row lengths and items (local, from 0) of one binary block: test r
+    pools the items whose label, item + 1, has bit r set."""
+    bits = np.arange(1, size + 1) >> np.arange(size.bit_length())[:, None] & 1
+    return bits.sum(axis=1), bits.nonzero()[1]
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +135,37 @@ def balanced_block_starts(n: int, num_blocks: int) -> tuple[int, ...]:
     return tuple(i * n // nb for i in range(nb))
 
 
+def tile_blocks(bounds, layout) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Place one layout per block, in block order.
+
+    ``bounds`` holds each block's (start, end) item range; ``layout(size)``
+    returns a pair of 1-D arrays and is called once per distinct block size.
+    For each array of the pair, returns the blocks' copies in block order
+    and the block of each element (empty arrays when there are no blocks).
+    """
+    bounds = np.asarray(bounds, dtype=np.int64).reshape(-1, 2)
+    sizes, kind = np.unique(bounds[:, 1] - bounds[:, 0], return_inverse=True)
+    layouts = [layout(int(size)) for size in sizes]
+    tiled = []
+    for pieces in zip(*layouts) if layouts else ((), ()):
+        lengths = np.array([piece.size for piece in pieces], dtype=np.int64)
+        counts = lengths[kind]
+        at = _offsets(counts)
+        # element e of block b is element e - at[b] of its size's layout
+        source = np.repeat(_offsets(lengths)[kind] - at[:-1], counts) + np.arange(at[-1])
+        pool = np.concatenate(pieces or [np.empty(0, dtype=np.int64)])
+        tiled.append((pool[source], np.repeat(np.arange(kind.size), counts)))
+    return tiled
+
+
+def _tiled_design(n: int, starts: tuple[int, ...], layout, **fields) -> TestMatrix:
+    """Blocks from ``starts`` to n, each holding the rows ``layout`` gives
+    for its size, shifted to its start."""
+    (lengths, _), (items, block) = tile_blocks(list(zip(starts, starts[1:] + (n,))), layout)
+    return TestMatrix.from_csr(_offsets(lengths), items + np.array(starts)[block],
+                               num_items=n, **fields)
+
+
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
@@ -130,7 +177,7 @@ def random_gamma_design(
     gamma: int,
     epsilon: float,
     rng: np.random.Generator,
-    max_tests: int = 10_000_000,
+    max_tests: int = _MAX_TESTS,
 ) -> TestMatrix:
     """Random design with every item in exactly gamma uniformly chosen tests.
 
@@ -145,10 +192,7 @@ def random_gamma_design(
     if not 0.0 < epsilon < 0.5:
         raise InvalidParameterError("epsilon must lie in (0, 1/2)")
     num_tests = random_gamma_test_count(n, d, gamma, epsilon)
-    if num_tests > max_tests:
-        raise ResourceCapError(
-            f"design needs {num_tests} tests, above the cap of {max_tests}"
-        )
+    _check_test_count(num_tests, max_tests)
     picks = np.empty((n, gamma), dtype=np.int64)
     for item in range(n):
         draw = rng.integers(0, num_tests, size=gamma)
@@ -173,15 +217,8 @@ def hypergrid_design(n: int, gamma: int) -> TestMatrix:
     Every item joins exactly gamma tests (one per axis). Decodes exactly when
     at most one item is defective.
     """
-    lengths, items = _hypergrid_rows(0, hypergrid_shape(n, gamma))
-    return TestMatrix.from_csr(
-        _offsets(lengths),
-        items,
-        num_items=n,
-        col_limit=gamma,
-        row_limit=None,
-        design_tag=TAG_HYPERGRID,
-    )
+    return _tiled_design(n, (0,), lambda size: _grid_rows(size, gamma),
+                         col_limit=gamma, row_limit=None, design_tag=TAG_HYPERGRID)
 
 
 def block_hypergrid_design(n: int, d: int, gamma: int, epsilon: float) -> TestMatrix:
@@ -196,21 +233,11 @@ def block_hypergrid_design(n: int, d: int, gamma: int, epsilon: float) -> TestMa
         raise InvalidParameterError("gamma must be >= 1")
     if not 0.0 < epsilon < 1.0:
         raise InvalidParameterError("epsilon must lie in (0, 1)")
-    starts = balanced_block_starts(n, hypergrid_block_count(d, epsilon))
-    lengths, items = [], []
-    for start, end in zip(starts, starts[1:] + (n,)):
-        block_lengths, block_items = _hypergrid_rows(start, hypergrid_shape(end - start, gamma))
-        lengths.append(block_lengths)
-        items.append(block_items)
-    return TestMatrix.from_csr(
-        _offsets(np.concatenate(lengths)),
-        np.concatenate(items),
-        num_items=n,
-        col_limit=gamma,
-        row_limit=None,
-        design_tag=TAG_BLOCK_HYPERGRID,
-        block_starts=starts,
-    )
+    num_blocks = min(hypergrid_block_count(d, epsilon), n)
+    _check_test_count(gamma * num_blocks)
+    starts = balanced_block_starts(n, num_blocks)
+    return _tiled_design(n, starts, lambda size: _grid_rows(size, gamma), col_limit=gamma,
+                         row_limit=None, design_tag=TAG_BLOCK_HYPERGRID, block_starts=starts)
 
 
 def permuted_block_rho_design(
@@ -230,6 +257,7 @@ def permuted_block_rho_design(
     if zeta <= 0.0:
         raise InvalidParameterError("zeta must be > 0")
     c = permuted_constant(n, d, rho, zeta)
+    _check_test_count(c * ceil_div(n, rho))
     full = n - n % rho
     passes = []
     for _ in range(c):
@@ -262,22 +290,8 @@ def block_binary_rho_design(n: int, d: int, rho: int, epsilon: float) -> TestMat
     if not 0.0 < epsilon < 1.0:
         raise InvalidParameterError("epsilon must lie in (0, 1)")
     starts = balanced_block_starts(n, binary_block_count(n, d, rho, epsilon))
-    lengths, items = [], []
-    for start, end in zip(starts, starts[1:] + (n,)):
-        labels = np.arange(1, end - start + 1)
-        for r in range((end - start).bit_length()):
-            members = labels[(labels >> r) & 1 == 1]
-            lengths.append(members.size)
-            items.append(start - 1 + members)
-    return TestMatrix.from_csr(
-        _offsets(lengths),
-        np.concatenate(items),
-        num_items=n,
-        col_limit=None,
-        row_limit=rho,
-        design_tag=TAG_BLOCK_BINARY_RHO,
-        block_starts=starts,
-    )
+    return _tiled_design(n, starts, _binary_rows, col_limit=None, row_limit=rho,
+                         design_tag=TAG_BLOCK_BINARY_RHO, block_starts=starts)
 
 
 def repeat_design(matrix: TestMatrix, k: int) -> TestMatrix:
@@ -304,6 +318,13 @@ def repeat_design(matrix: TestMatrix, k: int) -> TestMatrix:
         base_tag=matrix.design_tag,
         repeat_k=k,
     )
+
+
+def _check_test_count(num_tests: int, cap: int = _MAX_TESTS) -> None:
+    """Refuse a design of more than ``cap`` tests before building it; grids
+    pass gamma * blocks, a lower bound on their test count."""
+    if num_tests > cap:
+        raise ResourceCapError(f"design needs {num_tests} tests, above the cap of {cap}")
 
 
 def _check_common(n: int, d: int) -> None:

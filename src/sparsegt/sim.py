@@ -278,6 +278,18 @@ def run_monte_carlo(matrix: TestMatrix, decoder: str, config: SimConfig) -> SimR
 # ---------------------------------------------------------------------------
 
 
+def _count_sets(n: int, d: int, cap: int) -> int:
+    """C(n, d), refusing a d outside [0, n] or a count above ``cap``."""
+    if not 0 <= d <= n:
+        raise InvalidParameterError(f"d must lie in [0, {n}]")
+    total = math.comb(n, d)
+    if total > cap:
+        raise ResourceCapError(
+            f"C({n},{d}) = {total} defective sets exceeds the cap of {cap}"
+        )
+    return total
+
+
 def exhaustive_error_probability(
     matrix: TestMatrix, decoder: str, d: int, cap: int = 10_000_000
 ) -> Fraction:
@@ -287,13 +299,7 @@ def exhaustive_error_probability(
     refuses when the enumeration exceeds ``cap``.
     """
     n = matrix.num_items
-    if not 0 <= d <= n:
-        raise InvalidParameterError(f"d must lie in [0, {n}]")
-    total = math.comb(n, d)
-    if total > cap:
-        raise ResourceCapError(
-            f"C({n},{d}) = {total} defective sets exceeds the cap of {cap}"
-        )
+    total = _count_sets(n, d, cap)
     plan = make_plan(matrix, decoder)
     errors = 0
     for combo in itertools.combinations(range(n), d):
@@ -313,13 +319,7 @@ def outcome_collision_groups(
     groups with at least two members are returned, in first-seen order.
     """
     n = matrix.num_items
-    if not 0 <= d <= n:
-        raise InvalidParameterError(f"d must lie in [0, {n}]")
-    total = math.comb(n, d)
-    if total > cap:
-        raise ResourceCapError(
-            f"C({n},{d}) = {total} defective sets exceeds the cap of {cap}"
-        )
+    _count_sets(n, d, cap)
     by_outcome: dict[bytes, list[tuple[int, ...]]] = {}
     for combo in itertools.combinations(range(n), d):
         key = np.packbits(_or_bits(matrix, np.asarray(combo, dtype=np.int64))).tobytes()

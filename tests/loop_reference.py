@@ -1,16 +1,18 @@
 """Python-loop references for the vectorised core operations and decoders.
 
 These are the straightforward row-by-row versions of ``evaluate``,
-``TestMatrix.column_weights``, ``validate`` and ``parse``, and the per-block
-loops of the hypergrid and binary block decoders. The property tests require
-the library's array versions to agree with them exactly: the same outcome
-bits, the same weights, the same ``Violation`` lists in the same order, the
-same ``ParseError`` line and message, and the same decoded estimate and
-ambiguous blocks.
+``TestMatrix.column_weights``, ``validate`` and ``parse``, the per-block
+loops of the hypergrid, block hypergrid and binary block constructors, and
+the per-block loops of the hypergrid and binary block decoders. The property
+tests require the library's array versions to agree with them exactly: the
+same outcome bits, the same weights, the same ``Violation`` lists in the
+same order, the same ``ParseError`` line and message, the same design bytes,
+and the same decoded estimate and ambiguous blocks.
 """
 
 import numpy as np
 
+from sparsegt.bounds import binary_block_count, ceil_div, hypergrid_block_count
 from sparsegt.core import (
     DESIGN_TAGS,
     TAG_BLOCK_BINARY_RHO,
@@ -22,8 +24,10 @@ from sparsegt.core import (
     ParseError,
     TestMatrix,
     Violation,
+    int_root_ceil,
+    _offsets,
 )
-from sparsegt.designs import hypergrid_shape
+from sparsegt.designs import balanced_block_starts, hypergrid_shape
 
 
 def evaluate(matrix: TestMatrix, defectives: DefectiveSet) -> np.ndarray:
@@ -327,3 +331,48 @@ class BinaryPlan:
             else:
                 estimate.append(start + label - 1)
         return np.asarray(sorted(estimate), dtype=np.int64), ambiguous
+
+
+def _hypergrid_rows(start: int, size: int, gamma: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row lengths and concatenated items of one digit grid whose local item
+    0 is item ``start``: one pass per axis, digits taken from base**axis."""
+    base = int_root_ceil(size, gamma)
+    local = np.arange(size, dtype=np.int64)
+    lengths, items = [], []
+    for axis in range(gamma):
+        digits = (local // base**axis) % base
+        lengths.append(np.bincount(digits, minlength=min(base, ceil_div(size, base**axis))))
+        items.append(start + np.argsort(digits, kind="stable"))
+    return np.concatenate(lengths), np.concatenate(items)
+
+
+def hypergrid_design(n: int, gamma: int) -> TestMatrix:
+    lengths, items = _hypergrid_rows(0, n, gamma)
+    return TestMatrix.from_csr(_offsets(lengths), items, num_items=n, col_limit=gamma,
+                               row_limit=None, design_tag=TAG_HYPERGRID)
+
+
+def block_hypergrid_design(n: int, d: int, gamma: int, epsilon: float) -> TestMatrix:
+    starts = balanced_block_starts(n, hypergrid_block_count(d, epsilon))
+    lengths, items = [], []
+    for start, end in zip(starts, starts[1:] + (n,)):
+        block_lengths, block_items = _hypergrid_rows(start, end - start, gamma)
+        lengths.append(block_lengths)
+        items.append(block_items)
+    return TestMatrix.from_csr(_offsets(np.concatenate(lengths)), np.concatenate(items),
+                               num_items=n, col_limit=gamma, row_limit=None,
+                               design_tag=TAG_BLOCK_HYPERGRID, block_starts=starts)
+
+
+def block_binary_rho_design(n: int, d: int, rho: int, epsilon: float) -> TestMatrix:
+    starts = balanced_block_starts(n, binary_block_count(n, d, rho, epsilon))
+    lengths, items = [], []
+    for start, end in zip(starts, starts[1:] + (n,)):
+        labels = np.arange(1, end - start + 1)
+        for r in range((end - start).bit_length()):
+            members = labels[(labels >> r) & 1 == 1]
+            lengths.append(members.size)
+            items.append(start - 1 + members)
+    return TestMatrix.from_csr(_offsets(lengths), np.concatenate(items), num_items=n,
+                               col_limit=None, row_limit=rho,
+                               design_tag=TAG_BLOCK_BINARY_RHO, block_starts=starts)

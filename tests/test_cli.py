@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from sparsegt import cli
 from sparsegt.cli import main
 from sparsegt.core import parse
 from sparsegt.designs import hypergrid_design
@@ -55,6 +56,21 @@ class TestDesignCommand:
     def test_unknown_family_rejected_by_parser(self, capsys):
         code, _, _ = run(capsys, "design", "--family", "mystery", "--n", "9")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--family", "permuted-rho", "--n", "100", "--d", "2", "--rho", "10",
+             "--zeta", "1e9"],
+            ["--family", "hypergrid", "--n", "10", "--gamma", "100000000"],
+        ],
+        ids=["permuted-passes", "hypergrid-axes"],
+    )
+    def test_design_above_the_test_cap_exits_3(self, capsys, argv):
+        code, out, err = run(capsys, "design", *argv)
+        assert code == 3
+        assert out == []
+        assert err.startswith("resource cap: design needs")
 
 
 class TestSimulateCommand:
@@ -128,6 +144,21 @@ class TestSimulateCommand:
         lines = log.read_text().splitlines()
         assert len(lines) == 6  # echo + header + row, twice
         assert lines[0].startswith("# cmd:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--family", "block-hypergrid", "--n", "36", "--d", "2", "--gamma", "2",
+             "--epsilon", "0.9"],
+            ["--family", "permuted-rho", "--n", "100", "--d", "2", "--rho", "5",
+             "--zeta", "0.5", "--epsilon", "0.7"],
+        ],
+        ids=["block-epsilon-above-half", "permuted-ignores-epsilon"],
+    )
+    def test_accepts_the_flags_design_accepts(self, capsys, argv):
+        code, out, err = run(capsys, "simulate", *argv, "--trials", "50")
+        assert (code, err) == (0, "")
+        assert out[1].startswith("design_tag,")
 
     def test_needs_design_or_family(self, capsys):
         code, _, err = run(capsys, "simulate", "--d", "1")
@@ -243,6 +274,19 @@ class TestOracleCommand:
         code, out, _ = run(capsys, "oracle", "--design", "fig1", "--d", "8", "--sigma", "0.1")
         assert code == 0
         assert any(line.endswith("floor_check=n/a") for line in out)
+
+    def test_confusable_groups_above_the_listing_cap_not_listed(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_LIST_CAP", 10)
+        code, out, _ = run(capsys, "oracle", "--design", "fig1", "--d", "2")
+        assert code == 0
+        assert out[1:] == [
+            "exact_error=1/1=1",
+            "# confusable groups not listed: C(9,2) = 36 exceeds 10",
+        ]
+        code, _, _ = run(
+            capsys, "oracle", "--design", "fig1", "--d", "2", "--target-epsilon", "0.5"
+        )
+        assert code == 2
 
     def test_resource_cap_exit_code(self, capsys):
         code, _, err = run(

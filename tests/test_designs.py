@@ -71,6 +71,20 @@ class TestHypergrid:
         with pytest.raises(InvalidParameterError):
             hypergrid_design(9, 0)
 
+    def test_axes_past_the_items_hold_one_test(self):
+        # base 2 over 10 items: four axes with two digits, then digit 0 only
+        sh = hypergrid_shape(10, 10**5)
+        assert sh.axis_digits[:5] == (2, 2, 2, 2, 1)
+        assert sh.axis_powers[:5] == (1, 2, 4, 8, 10)
+        assert set(sh.axis_digits[4:]) == {1}
+        assert sh.num_tests == 10**5 + 4
+
+    def test_gamma_above_the_test_cap_refused(self):
+        with pytest.raises(ResourceCapError):
+            hypergrid_design(10, 10**8)
+        with pytest.raises(ResourceCapError):
+            hypergrid_shape(10, 10**8)
+
 
 class TestBalancedBlocks:
     def test_even_split(self):
@@ -139,6 +153,11 @@ class TestBlockHypergrid:
         with pytest.raises(InvalidParameterError):
             block_hypergrid_design(36, 2, 2, 1.0)
 
+    def test_gamma_times_blocks_above_the_test_cap_refused(self):
+        # 250 blocks of 40 items; each block has at least gamma tests
+        with pytest.raises(ResourceCapError):
+            block_hypergrid_design(10_000, 5, 40_001, 0.1)
+
 
 class TestPermutedBlocks:
     def test_desk_scale(self):
@@ -168,6 +187,13 @@ class TestPermutedBlocks:
 
         with pytest.raises(RegimeError):
             permuted_block_rho_design(100, 10, 10, 0.5, np.random.default_rng(0))
+
+    def test_pass_count_above_the_test_cap_refused(self):
+        # zeta = 1e9 asks for 2,861,353,117 passes of 10 tests
+        rng = np.random.default_rng(0)
+        with pytest.raises(ResourceCapError, match="28613531170 tests"):
+            permuted_block_rho_design(100, 2, 10, 1e9, rng)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 class TestBlockBinary:

@@ -1,12 +1,13 @@
-"""The vectorised core operations and block decoders agree with their
-Python-loop references (``loop_reference.py``) on generated matrices, texts
-and outcome vectors, valid or not."""
+"""The vectorised core operations, block constructors and block decoders
+agree with their Python-loop references (``loop_reference.py``) on generated
+parameters, matrices, texts and outcome vectors, valid or not."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import loop_reference as ref
+from sparsegt import designs
 from sparsegt.core import (
     DefectiveSet,
     IncompatibleDecoderError,
@@ -333,3 +334,37 @@ def test_block_decoder_refusals_match_the_loops(matrix, decoder):
     with pytest.raises(IncompatibleDecoderError) as got:
         make_plan(matrix, decoder)
     assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------------
+# block constructors
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def block_constructor_calls(draw):
+    """(name, args) of a hypergrid, block hypergrid or binary block design.
+    Most partitions are uneven; a large d or a small epsilon gives blocks of
+    size 1."""
+    name = draw(st.sampled_from(
+        ["hypergrid_design", "block_hypergrid_design", "block_binary_rho_design"]))
+    if name == "hypergrid_design":
+        return name, (draw(st.integers(1, 150)), draw(st.integers(1, 5)))
+    n = draw(st.integers(2, 150))
+    d = draw(st.integers(1, n - 1))
+    epsilon = draw(st.floats(0.01, 0.99))
+    gamma_or_rho = draw(st.integers(1, 5 if name == "block_hypergrid_design" else n))
+    return name, (n, d, gamma_or_rho, epsilon)
+
+
+class TestBlockConstructorsAgreeWithLoops:
+    @given(block_constructor_calls())
+    @example(("block_hypergrid_design", (7, 3, 2, 0.5)))  # seven blocks of size 1
+    @example(("block_binary_rho_design", (10, 1, 3, 0.9)))  # blocks of 2, 3, 2, 3
+    @example(("hypergrid_design", (1, 3)))
+    @settings(max_examples=300, deadline=None)
+    def test_same_matrix_and_bytes(self, call):
+        name, args = call
+        got, want = getattr(designs, name)(*args), getattr(ref, name)(*args)
+        assert got == want
+        assert serialize(got) == serialize(want)
