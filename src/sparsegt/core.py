@@ -387,7 +387,7 @@ class TestMatrix:
         by the tests ``tests[col_indptr[i]:col_indptr[i + 1]]``, in increasing
         order. Both int64, write-locked, cached. Raises like
         :meth:`column_weights`."""
-        return self._column_index[:2]
+        return self._column_index
 
     @cached_property
     def _column_weights(self) -> np.ndarray:
@@ -401,7 +401,7 @@ class TestMatrix:
         return weights
 
     @cached_property
-    def _column_index(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    def _column_index(self) -> tuple[np.ndarray, np.ndarray]:
         col_indptr = _offsets(self.column_weights())
         # sorting the key item * T + test orders the incidences by item,
         # then by test
@@ -412,11 +412,7 @@ class TestMatrix:
         tests = keys % num_tests  # int64: fancy indexing with int32 costs a cast
         col_indptr.setflags(write=False)
         tests.setflags(write=False)
-        # one view per item: indexing a list is the fastest per-trial gather
-        # of a few columns at desk sizes
-        bounds = col_indptr.tolist()
-        views = [tests[a:b] for a, b in zip(bounds, bounds[1:])]
-        return col_indptr, tests, views
+        return col_indptr, tests
 
     def ones_count(self) -> int:
         return int(self.indices.size)
@@ -437,14 +433,20 @@ def _offsets(lengths) -> np.ndarray:
     return indptr
 
 
+def _ragged(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The positions ``starts[k] .. starts[k] + lengths[k] - 1`` for every
+    ``k``, concatenated in order (a ragged arange)."""
+    positions = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    positions += np.arange(positions.size)
+    return positions
+
+
 def _select_rows(matrix: TestMatrix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """CSR arrays of the given rows of ``matrix``, in the given order (a
     ragged gather)."""
     starts = matrix.indptr[rows]
     lengths = matrix.indptr[rows + 1] - starts
-    indptr = _offsets(lengths)
-    positions = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
-    return indptr, matrix.indices[positions]
+    return _offsets(lengths), matrix.indices[_ragged(starts, lengths)]
 
 
 @dataclass(frozen=True)
@@ -545,17 +547,25 @@ def evaluate(matrix: TestMatrix, defectives: DefectiveSet) -> Outcomes:
             f"defective set is over {defectives.universe} items, "
             f"matrix has {matrix.num_items}"
         )
-    return Outcomes(_or_bits(matrix, np.asarray(defectives.items, dtype=np.int64)))
+    items = np.asarray(defectives.items, dtype=np.int64)
+    return Outcomes(_or_batch(matrix, np.zeros_like(items), items, 1)[0])
 
 
-def _or_bits(matrix: TestMatrix, items: np.ndarray) -> np.ndarray:
-    """OR channel on raw arrays: the outcome bits of ``items``, an integer
-    array of distinct item indices in range. The only OR evaluation; the
-    harness calls it directly."""
-    bits = np.zeros(matrix.num_tests, dtype=bool)
-    if items.size:
-        columns = matrix._column_index[2]
-        bits[np.concatenate([columns[i] for i in items.tolist()])] = True
+def _or_batch(matrix: TestMatrix, trial: np.ndarray, items: np.ndarray,
+              num_trials: int) -> np.ndarray:
+    """OR channel over a batch of defective sets, on raw arrays: trial
+    ``trial[k]`` holds item ``items[k]`` (distinct per trial, in range).
+    Returns the (num_trials, T) outcome bits, set by one scatter over
+    ``trial * T + test``. The only OR evaluation; the harness and the exact
+    oracles call it directly."""
+    col_indptr, tests = matrix.column_index()
+    num_tests = matrix.num_tests
+    starts = col_indptr[items]
+    lengths = col_indptr[items + 1] - starts
+    flat = tests[_ragged(starts, lengths)]
+    flat += np.repeat(trial * num_tests, lengths)
+    bits = np.zeros((num_trials, num_tests), dtype=bool)
+    bits.reshape(-1)[flat] = True
     return bits
 
 
@@ -568,16 +578,19 @@ def apply_noise(outcomes: Outcomes, sigma: float, rng: np.random.Generator) -> O
         raise InvalidParameterError("sigma must lie in [0, 1/2)")
     if sigma == 0.0:
         return outcomes
-    return Outcomes(_flip_bits(outcomes.bits, sigma, rng), noisy=True)
+    flips = np.empty(outcomes.num_tests, dtype=bool)
+    _noise_flips(sigma, rng, np.empty(outcomes.num_tests), flips)
+    return Outcomes(np.logical_xor(outcomes.bits, flips), noisy=True)
 
 
-def _flip_bits(bits: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Bit-flip channel on a raw outcome array: one ``rng.random`` draw per
-    bit, flipping where it falls below sigma; sigma = 0 returns ``bits`` and
-    draws nothing. The only noise draw; the harness calls it directly."""
-    if sigma == 0.0:
-        return bits
-    return np.logical_xor(bits, rng.random(bits.size) < sigma)
+def _noise_flips(sigma: float, rng: np.random.Generator, draws: np.ndarray,
+                 out: np.ndarray) -> None:
+    """Which bits the bit-flip channel flips, written to the bool array
+    ``out``: one ``rng.random`` draw per bit into the float64 scratch array
+    ``draws`` (of the same size), flipping where it falls below sigma. The
+    only noise draw; the harness calls it directly with its own arrays, and
+    neither caller draws at sigma = 0."""
+    np.less(rng.random(out=draws), sigma, out=out)
 
 
 # ---------------------------------------------------------------------------

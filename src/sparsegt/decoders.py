@@ -44,9 +44,10 @@ from .core import (
     TAG_REPEATED,
     TestMatrix,
     _offsets,
+    _ragged,
     _select_rows,
 )
-from .designs import hypergrid_shape, tile_blocks
+from .designs import _grid_test_count, hypergrid_shape, tile_blocks
 
 __all__ = [
     "STATUS_OK",
@@ -79,73 +80,151 @@ class DecodeResult:
 # ---------------------------------------------------------------------------
 
 
-class ComaPlan:
+_NO_ITEMS = np.empty(0, dtype=np.int64)
+
+
+def _positives(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (trial, test) pairs of the positive bits of a (trials, T) array,
+    in row-major order. A 2-D ``nonzero`` is several times slower than this
+    1-D one."""
+    flat = bits.reshape(-1).nonzero()[0]
+    trial = flat // max(bits.shape[1], 1)
+    return trial, flat - trial * bits.shape[1]
+
+
+class _Plan:
+    """A decoder prepared for one matrix.
+
+    ``decode_batch`` decodes the rows of a (trials, T) bool array at once.
+    It returns the estimate as (trial, item) pairs, sorted by trial and then
+    item, and the ambiguous blocks as (trial, block) pairs in the same order.
+    ``decode_bits`` is its one-row case, and ``untested`` lists the items in
+    no test. ``trial_bytes`` and ``defective_bytes`` estimate the bytes of
+    arrays a batch takes per trial and per defective of a trial, so that the
+    harness can size its batches.
+    """
+
+    untested = _NO_ITEMS
+    trial_bytes = defective_bytes = 0.0
+
+    def decode_bits(self, bits: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray]:
+        _, estimate, _, ambiguous = self.decode_batch(np.asarray(bits, dtype=bool)[None])
+        return estimate, ambiguous.tolist(), self.untested
+
+
+class ComaPlan(_Plan):
     """Every-test-positive rule: an item is reported defective exactly when
-    all of its tests are positive; untested items are vacuously included."""
+    all of its tests are positive; untested items are vacuously included.
+
+    The work per outcome vector grows with its positive tests, not with n.
+    Each tested item is filed once, under its first test, when the plan is
+    built, so the candidates are the items filed under positive tests. One
+    gather on each candidate's second test drops most of them, one on the
+    third test most of the rest, and one ragged gather checks the remaining
+    tests of the survivors.
+    """
 
     kind = "coma"
 
     def __init__(self, matrix: TestMatrix):
         self.num_items = matrix.num_items
-        # views into the CSR, one per test: concatenating the positive ones
-        # is a faster per-trial gather at desk sizes than a vectorised one
-        bounds = matrix.indptr.tolist()
-        self.row_views = [matrix.indices[a:b] for a, b in zip(bounds, bounds[1:])]
-        self.col_weight = matrix.column_weights()
-        self.untested = np.flatnonzero(self.col_weight == 0)
-        self.tested_weight = np.where(self.col_weight > 0, self.col_weight, -1)
+        self.col_indptr, self.tests = matrix.column_index()
+        weight = matrix.column_weights()
+        self.untested = np.flatnonzero(weight == 0)
+        tested = np.flatnonzero(weight)
+        first = self.tests[self.col_indptr[tested]]
+        # a stable sort on a dtype of at most 16 bits is a radix sort
+        order = np.argsort(first.astype(np.min_scalar_type(matrix.num_tests)), kind="stable")
+        self.candidates = tested[order]
+        groups = np.bincount(first, minlength=matrix.num_tests)
+        self.group_ptr = _offsets(groups)
+        # a defective brings the groups of its tests; four int64 arrays
+        # follow each candidate
+        self.defective_bytes = 32 * float(matrix.row_weights() @ groups) / self.num_items
+        # an item of weight 1 has its first test again as its second
+        self.second = self.tests[self.col_indptr[self.candidates] + (weight[self.candidates] > 1)]
 
-    def decode_bits(self, bits: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray]:
-        positive = np.flatnonzero(bits)
-        if positive.size:
-            hits = np.concatenate([self.row_views[t] for t in positive])
-            counts = np.bincount(hits, minlength=self.num_items)
-        else:
-            counts = np.zeros(self.num_items, dtype=np.int64)
-        fully_positive = np.flatnonzero(counts == self.tested_weight)
+    def decode_batch(self, bits: np.ndarray):
+        num_trials, num_tests = bits.shape
+        flat = bits.reshape(-1)
+        trial, test = _positives(bits)
+        starts = self.group_ptr[test]
+        lengths = self.group_ptr[test + 1] - starts
+        slot = _ragged(starts, lengths)
+        trial = np.repeat(trial, lengths)
+        keep = flat[trial * num_tests + self.second[slot]].nonzero()[0]
+        trial, item = trial[keep], self.candidates[slot[keep]]
+        # the third test (the last one again for an item of weight 2 or
+        # less) drops most of the rest
+        starts, ends = self.col_indptr[item], self.col_indptr[item + 1]
+        keep = flat[trial * num_tests + self.tests[np.minimum(starts + 2, ends - 1)]].nonzero()[0]
+        trial, item, starts, ends = trial[keep], item[keep], starts[keep] + 3, ends[keep]
+        # the tests after the third, one ragged run per survivor; a running
+        # count of negative tests gives each run's misses
+        lengths = np.maximum(ends - starts, 0)
+        at = self.tests[_ragged(starts, lengths)]
+        at += np.repeat(trial * num_tests, lengths)
+        misses = np.zeros(at.size + 1, dtype=np.int64)
+        np.cumsum(~flat[at], out=misses[1:])
+        run_ends = np.cumsum(lengths)
+        passed = misses[run_ends] == misses[run_ends - lengths]
+        trial, item = trial[passed], item[passed]
         if self.untested.size:
-            estimate = np.union1d(fully_positive, self.untested)
-        else:
-            estimate = fully_positive
-        return estimate, [], self.untested
+            trial = np.concatenate([trial, np.repeat(np.arange(num_trials), self.untested.size)])
+            item = np.concatenate([item, np.tile(self.untested, num_trials)])
+        key = np.sort(trial * self.num_items + item)
+        return key // self.num_items, key % self.num_items, _NO_ITEMS, _NO_ITEMS
 
 
-class BlockPlan:
+class BlockPlan(_Plan):
     """The block rule of the module docstring, in one pass over tables.
 
     Per test: its block, label weight and axis id, ``b * axes + a`` for axis
     ``a`` of block ``b``; binary tests lie on no axis and share a sink id past
-    the last axis. Per block: its first item and end. Per axis: its block.
+    the last axis. Per block: its first item and end. A batch is read with
+    bincounts over ``trial * blocks + block`` and ``trial * (axes + 1) + axis``
+    keys.
     """
 
-    def __init__(self, matrix: TestMatrix, kind: str, block_tests, first: int,
-                 axes: int, design: str):
+    def __init__(self, matrix: TestMatrix, kind: str, block_tests, test_count,
+                 first: int, axes: int, design: str):
         self.kind, self.axes = kind, axes
         bounds = np.array(matrix.block_bounds(), dtype=np.int64).reshape(-1, 2)
         self.num_blocks = len(bounds)
-        self.first, self.end = bounds[:, 0] + first, bounds[:, 1]
-        (self.test_weight, self.test_block), (axis, _) = tile_blocks(bounds, block_tests)
-        if self.test_weight.size != matrix.num_tests:
+        # count the tests before tiling, so a wrong header costs no tables
+        sizes, blocks = np.unique(bounds[:, 1] - bounds[:, 0], return_counts=True)
+        implied = sum(test_count(int(s)) * int(b) for s, b in zip(sizes, blocks))
+        if implied != matrix.num_tests:
             raise IncompatibleDecoderError(
                 f"matrix has {matrix.num_tests} tests but its block structure "
-                f"implies {self.test_weight.size}; not {design}"
+                f"implies {implied}; not {design}"
             )
-        self.axis_block = np.repeat(np.arange(self.num_blocks), axes)
-        self.test_axis = np.where(axis < 0, self.axis_block.size, self.test_block * axes + axis)
+        self.first, self.end = bounds[:, 0] + first, bounds[:, 1]
+        (self.test_weight, self.test_block), (axis, _) = tile_blocks(bounds, block_tests)
+        self.num_axes = self.num_blocks * axes
+        self.trial_bytes = 8.0 * (3 * self.num_blocks + self.num_axes + 1)  # the bincounts
+        self.test_axis = np.where(axis < 0, self.num_axes, self.test_block * axes + axis)
 
-    def decode_bits(self, bits: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray]:
-        positive = bits.nonzero()[0]  # cheaper per call than np.flatnonzero
-        blocks = self.test_block[positive]
-        hit = np.bincount(blocks, minlength=self.num_blocks).nonzero()[0]
+    def decode_batch(self, bits: np.ndarray):
+        num_trials, num_blocks = len(bits), self.num_blocks
+        trial, test = _positives(bits)
+        keys = trial * num_blocks + self.test_block[test]
+        size = num_trials * num_blocks
+        hit = np.bincount(keys, minlength=size).nonzero()[0]
         # float64 sums: exact below 2**53, and any sum above a block's size
         # makes it ambiguous however it rounds
-        label = np.bincount(blocks, self.test_weight[positive], self.num_blocks)[hit]
-        per_axis = np.bincount(self.test_axis[positive], minlength=self.axis_block.size + 1)
-        one_hot = np.bincount(self.axis_block[per_axis[:-1] == 1], minlength=self.num_blocks)
-        item = self.first[hit] + label.astype(np.int64)
-        bad = (item >= self.end[hit]) | (one_hot[hit] != self.axes)
+        label = np.bincount(keys, self.test_weight[test], size)[hit]
+        axes = self.num_axes + 1
+        per_axis = np.bincount(trial * axes + self.test_axis[test], minlength=num_trials * axes)
+        one_hot = (per_axis.reshape(num_trials, axes)[:, :-1] == 1).reshape(
+            num_trials, num_blocks, self.axes).sum(axis=2)
+        hit_trial, block = np.divmod(hit, num_blocks)
+        item = self.first[block] + label.astype(np.int64)
+        bad = (item >= self.end[block]) | (one_hot.reshape(-1)[hit] != self.axes)
+        good = ~bad
         # blocks out of item order (a malformed block_starts) decode out of order
-        return np.sort(item[~bad]), hit[bad].tolist(), _NO_ITEMS
+        order = np.lexsort((item[good], hit_trial[good]))
+        return hit_trial[good][order], item[good][order], hit_trial[bad], block[bad]
 
 
 def _grid_plan(matrix: TestMatrix) -> BlockPlan:
@@ -163,8 +242,8 @@ def _grid_plan(matrix: TestMatrix) -> BlockPlan:
         digit = np.arange(shape.num_tests) - _offsets(shape.axis_digits)[axis]
         return digit * np.array(shape.axis_powers)[axis], axis
 
-    return BlockPlan(matrix, "hypergrid", grid_tests, first=0, axes=gamma,
-                     design="a hypergrid design")
+    return BlockPlan(matrix, "hypergrid", grid_tests, lambda size: _grid_test_count(size, gamma),
+                     first=0, axes=gamma, design="a hypergrid design")
 
 
 def _binary_plan(matrix: TestMatrix) -> BlockPlan:
@@ -177,11 +256,11 @@ def _binary_plan(matrix: TestMatrix) -> BlockPlan:
         count = size.bit_length()
         return 1 << np.arange(count), np.full(count, -1)  # on no axis
 
-    return BlockPlan(matrix, "binary", bit_tests, first=-1, axes=0,
+    return BlockPlan(matrix, "binary", bit_tests, int.bit_length, first=-1, axes=0,
                      design="a binary block design")
 
 
-class MajorityPlan:
+class MajorityPlan(_Plan):
     """Majority vote over the k copies of each base test, then the
     every-test-positive rule on the voted outcomes. Ties vote positive."""
 
@@ -209,15 +288,13 @@ class MajorityPlan:
             block_starts=matrix.block_starts,
         )
         self.base_plan = ComaPlan(base)
+        self.untested = self.base_plan.untested
+        self.defective_bytes = self.base_plan.defective_bytes
 
-    def decode_bits(self, bits: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray]:
-        grouped = bits.reshape(-1, self.k)
-        votes = grouped.sum(axis=1)
-        majority = votes * 2 >= self.k
-        return self.base_plan.decode_bits(majority)
+    def decode_batch(self, bits: np.ndarray):
+        votes = bits.reshape(len(bits), -1, self.k).sum(axis=2, dtype=np.min_scalar_type(self.k))
+        return self.base_plan.decode_batch(votes >= (self.k + 1) // 2)
 
-
-_NO_ITEMS = np.empty(0, dtype=np.int64)
 
 _PLAN_TYPES = {
     "coma": ComaPlan,

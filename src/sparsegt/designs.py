@@ -85,7 +85,8 @@ class HypergridShape:
         return sum(self.axis_digits)
 
 
-def hypergrid_shape(size: int, gamma: int) -> HypergridShape:
+def _grid_powers(size: int, gamma: int) -> tuple[int, list[int]]:
+    """The base of a grid and the powers base**a that lie below ``size``."""
     if size < 1 or gamma < 1:
         raise InvalidParameterError("hypergrid needs size >= 1 and gamma >= 1")
     _check_test_count(gamma)  # one test per axis at least
@@ -95,9 +96,21 @@ def hypergrid_shape(size: int, gamma: int) -> HypergridShape:
     while power < size:
         powers.append(power)
         power *= base
+    return base, powers
+
+
+def hypergrid_shape(size: int, gamma: int) -> HypergridShape:
+    base, powers = _grid_powers(size, gamma)
     powers += [size] * (gamma - len(powers))
     axis_digits = tuple(min(base, ceil_div(size, p)) for p in powers)
     return HypergridShape(size, gamma, base, axis_digits, tuple(powers))
+
+
+def _grid_test_count(size: int, gamma: int) -> int:
+    """``hypergrid_shape(size, gamma).num_tests``, raising alike, in
+    O(log size): every axis past the powers below ``size`` holds one test."""
+    base, powers = _grid_powers(size, gamma)
+    return sum(min(base, ceil_div(size, p)) for p in powers) + gamma - len(powers)
 
 
 def _grid_rows(size: int, gamma: int) -> tuple[np.ndarray, np.ndarray]:

@@ -5,6 +5,11 @@ generator ``numpy.random.default_rng(derive_trial_seed(s, t))`` and draws, in
 order, (1) the defective set and (2) the noise flips when sigma > 0. Because
 each trial derives its own seed from the pair ``(s, t)``, any partition of the
 trial range across workers reproduces the sequential result bit for bit.
+
+The harness makes those draws one trial at a time, in trial order, and then
+evaluates, flips, decodes and scores a batch of trials with array
+operations. Batching leaves the contract and the draw order unchanged: the
+counts do not depend on the batch size.
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ from .core import (
     Prior,
     ResourceCapError,
     TestMatrix,
-    _flip_bits,
-    _or_bits,
+    _noise_flips,
+    _or_batch,
 )
 from .decoders import make_plan
 
@@ -148,12 +153,67 @@ class SimReport:
 # ---------------------------------------------------------------------------
 
 
+# a batch of trials holds about this many bytes of outcome bits and index
+# arrays, plus this many per trial for its Python objects
+_BATCH_BYTES = 1 << 20
+_TRIAL_BYTES = 256
+
+
+def _batch_trials(matrix: TestMatrix, d: int, plan=None, noisy: bool = False) -> int:
+    """Trials per batch. A trial takes T bytes of outcome bits (and T more
+    of noise flips), one int64 index per incidence of its d defectives at
+    the mean column weight, and what the plan's decoding takes, if any."""
+    incidences = matrix.ones_count() / matrix.num_items
+    decode_trial, decode_defective = (
+        (plan.trial_bytes, plan.defective_bytes) if plan else (0.0, 0.0))
+    per_trial = (matrix.num_tests * (2 if noisy else 1) + decode_trial
+                 + d * (8 * incidences + decode_defective) + _TRIAL_BYTES)
+    return max(1, int(_BATCH_BYTES // per_trial))
+
+
 def _draw_defectives(rng: np.random.Generator, prior: Prior, n: int) -> np.ndarray:
+    """The defective items of one trial, sorted under the iid prior; the
+    harness sorts a batch of uniform draws at once."""
     if prior.kind == PRIOR_UNIFORM_EXACT:
-        picks = rng.choice(n, size=prior.d, replace=False)
-        picks.sort()
-        return picks.astype(np.int64)
-    return np.flatnonzero(rng.random(n) < prior.d / n).astype(np.int64)
+        return rng.choice(n, size=prior.d, replace=False)
+    return np.flatnonzero(rng.random(n) < prior.d / n)
+
+
+def _found(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    """Which of ``keys`` occur in the sorted array ``sorted_keys``."""
+    at = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
+    return sorted_keys[at] == keys if sorted_keys.size else np.zeros(keys.size, dtype=bool)
+
+
+def _score_batch(matrix: TestMatrix, plan, trial: np.ndarray, items: np.ndarray,
+                 num_trials: int, flips: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate, flip and decode a batch of trials, where trial ``trial[k]``
+    holds defective ``items[k]`` (sorted within each trial), and score it as
+    :class:`Breakdown` documents: (errors, false-positive items, ambiguous
+    blocks, wrong estimates). A trial errs when it has an ambiguous block or
+    its estimate differs from its defective set."""
+    bits = _or_batch(matrix, trial, items, num_trials)
+    if flips is not None:
+        bits ^= flips
+    est_trial, est_item, amb_trial, _ = plan.decode_batch(bits)
+    n = matrix.num_items
+    true_keys = trial * n + items
+    # a malformed block design can decode to items outside [0, n)
+    in_range = (est_item >= 0) & (est_item < n)
+    est_keys = est_trial[in_range] * n + est_item[in_range]
+    true_est = np.zeros(est_item.size, dtype=bool)
+    true_est[in_range] = _found(est_keys, true_keys)
+
+    def per_trial(which: np.ndarray) -> np.ndarray:
+        return np.bincount(which, minlength=num_trials)
+
+    extra = per_trial(est_trial[~true_est])
+    missing = per_trial(trial[~_found(true_keys, est_keys)])
+    ambiguous = per_trial(amb_trial)
+    # overlapping blocks can decode one item twice, which only the sizes show
+    sizes_differ = per_trial(est_trial) != per_trial(trial)
+    failed = (ambiguous > 0) | (extra > 0) | (missing > 0) | sizes_differ
+    return np.array([failed.sum(), extra.sum(), ambiguous.sum(), (missing > 0).sum()])
 
 
 def _run_trial_range(
@@ -165,24 +225,30 @@ def _run_trial_range(
     start: int,
     count: int,
 ) -> tuple[int, int, int, int]:
+    """Trials ``start .. start + count - 1``, drawn one by one as the seeding
+    contract fixes and evaluated, decoded and scored a batch at a time."""
     matrix.column_index()  # build the OR channel's column index before the first trial
-    n = matrix.num_items
-    errors = fp_items = amb_blocks = wrong = 0
-    for t in range(start, start + count):
-        rng = np.random.default_rng(derive_trial_seed(master_seed, t))
-        defect = _draw_defectives(rng, prior, n)
-        bits = _flip_bits(_or_bits(matrix, defect), sigma, rng)
-        estimate, ambiguous, _ = plan.decode_bits(bits)
-        exact = np.array_equal(estimate, defect)
-        if ambiguous or not exact:
-            errors += 1
-            amb_blocks += len(ambiguous)
-            if not exact:
-                extra = np.setdiff1d(estimate, defect, assume_unique=True)
-                missing = np.setdiff1d(defect, estimate, assume_unique=True)
-                fp_items += int(extra.size)
-                if missing.size:
-                    wrong += 1
+    n, num_tests = matrix.num_items, matrix.num_tests
+    batch = _batch_trials(matrix, prior.d, plan, sigma > 0.0)
+    noisy_tests = num_tests if sigma > 0.0 else 0
+    draws = np.empty(noisy_tests)  # one trial's noise draws
+    flips = np.empty((min(batch, count), noisy_tests), dtype=bool)
+    totals = np.zeros(4, dtype=np.int64)
+    for first in range(start, start + count, batch):
+        trials = range(first, min(first + batch, start + count))
+        picks = []
+        for row, t in enumerate(trials):
+            rng = np.random.default_rng(derive_trial_seed(master_seed, t))
+            picks.append(_draw_defectives(rng, prior, n))
+            if sigma > 0.0:
+                _noise_flips(sigma, rng, draws, flips[row])
+        items = np.concatenate(picks)
+        if prior.kind == PRIOR_UNIFORM_EXACT:
+            items.reshape(len(trials), prior.d).sort(axis=1)
+        trial = np.repeat(np.arange(len(trials)), [p.size for p in picks])
+        totals += _score_batch(matrix, plan, trial, items, len(trials),
+                               flips[: len(trials)] if sigma > 0.0 else None)
+    errors, fp_items, amb_blocks, wrong = totals.tolist()
     return errors, fp_items, amb_blocks, wrong
 
 
@@ -298,16 +364,21 @@ def exhaustive_error_probability(
     Enumerates all C(n, d) defective sets and counts decoding failures;
     refuses when the enumeration exceeds ``cap``.
     """
-    n = matrix.num_items
-    total = _count_sets(n, d, cap)
+    total = _count_sets(matrix.num_items, d, cap)
     plan = make_plan(matrix, decoder)
     errors = 0
-    for combo in itertools.combinations(range(n), d):
-        defect = np.asarray(combo, dtype=np.int64)
-        estimate, ambiguous, _ = plan.decode_bits(_or_bits(matrix, defect))
-        if ambiguous or not np.array_equal(estimate, defect):
-            errors += 1
+    for trial, items, num_sets in _set_batches(matrix, d, _batch_trials(matrix, d, plan)):
+        errors += int(_score_batch(matrix, plan, trial, items, num_sets)[0])
     return Fraction(errors, total)
+
+
+def _set_batches(matrix: TestMatrix, d: int, batch: int):
+    """The size-d item sets in lexicographic order, ``batch`` sets at a time:
+    (set of each item, items, number of sets)."""
+    combos = itertools.combinations(range(matrix.num_items), d)
+    while sets := list(itertools.islice(combos, batch)):
+        trial = np.repeat(np.arange(len(sets)), d)
+        yield trial, np.array(sets, dtype=np.int64).reshape(-1), len(sets)
 
 
 def outcome_collision_groups(
@@ -318,12 +389,12 @@ def outcome_collision_groups(
     Such sets are mutually confusable: no decoder can tell them apart. Only
     groups with at least two members are returned, in first-seen order.
     """
-    n = matrix.num_items
-    _count_sets(n, d, cap)
+    _count_sets(matrix.num_items, d, cap)
     by_outcome: dict[bytes, list[tuple[int, ...]]] = {}
-    for combo in itertools.combinations(range(n), d):
-        key = np.packbits(_or_bits(matrix, np.asarray(combo, dtype=np.int64))).tobytes()
-        by_outcome.setdefault(key, []).append(combo)
+    for trial, items, num_sets in _set_batches(matrix, d, _batch_trials(matrix, d)):
+        keys = np.packbits(_or_batch(matrix, trial, items, num_sets), axis=1)
+        for combo, key in zip(items.reshape(num_sets, d).tolist(), keys):
+            by_outcome.setdefault(key.tobytes(), []).append(tuple(combo))
     return [group for group in by_outcome.values() if len(group) > 1]
 
 

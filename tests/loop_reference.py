@@ -3,12 +3,17 @@
 These are the straightforward row-by-row versions of ``evaluate``,
 ``TestMatrix.column_weights``, ``validate`` and ``parse``, the per-block
 loops of the hypergrid, block hypergrid and binary block constructors, and
-the per-block loops of the hypergrid and binary block decoders. The property
-tests require the library's array versions to agree with them exactly: the
-same outcome bits, the same weights, the same ``Violation`` lists in the
-same order, the same ``ParseError`` line and message, the same design bytes,
-and the same decoded estimate and ambiguous blocks.
+the per-block loops of the hypergrid and binary block decoders, the
+every-test-positive decoder that counts the positive tests of all n items,
+and the Monte Carlo harness that evaluates, flips and decodes one trial at a
+time. The property tests require the library's array versions to agree with
+them exactly: the same outcome bits, the same weights, the same
+``Violation`` lists in the same order, the same ``ParseError`` line and
+message, the same design bytes, the same decoded estimate and ambiguous
+blocks, and the same error counts.
 """
+
+import itertools
 
 import numpy as np
 
@@ -19,6 +24,7 @@ from sparsegt.core import (
     TAG_BLOCK_HYPERGRID,
     TAG_CUSTOM,
     TAG_HYPERGRID,
+    PRIOR_UNIFORM_EXACT,
     DefectiveSet,
     IncompatibleDecoderError,
     ParseError,
@@ -28,6 +34,7 @@ from sparsegt.core import (
     _offsets,
 )
 from sparsegt.designs import balanced_block_starts, hypergrid_shape
+from sparsegt.sim import derive_trial_seed
 
 
 def evaluate(matrix: TestMatrix, defectives: DefectiveSet) -> np.ndarray:
@@ -331,6 +338,89 @@ class BinaryPlan:
             else:
                 estimate.append(start + label - 1)
         return np.asarray(sorted(estimate), dtype=np.int64), ambiguous
+
+
+class ComaPlan:
+    """Every-test-positive rule by counting: each positive test adds one to
+    each of its items, and an item is reported when its count reaches its
+    column weight. Untested items are included and listed."""
+
+    kind = "coma"
+
+    def __init__(self, matrix: TestMatrix):
+        self.num_items = matrix.num_items
+        self.rows = [np.asarray(row, dtype=np.int64) for row in matrix.rows]
+        weights = column_weights(matrix)
+        self.untested = np.flatnonzero(weights == 0)
+        self.tested_weight = np.where(weights > 0, weights, -1)
+
+    def decode_bits(self, bits: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray]:
+        hits = [self.rows[t] for t in np.flatnonzero(bits)]
+        counts = np.bincount(np.concatenate(hits + [np.empty(0, dtype=np.int64)]),
+                             minlength=self.num_items)
+        estimate = np.union1d(np.flatnonzero(counts == self.tested_weight), self.untested)
+        return estimate, [], self.untested
+
+
+class MajorityPlan:
+    """Majority vote over the k copies of each base test (ties vote
+    positive), then the counting rule on the base rows."""
+
+    kind = "majority"
+
+    def __init__(self, matrix: TestMatrix):
+        self.k = matrix.repeat_k
+        base = TestMatrix(rows=matrix.rows[:: self.k], num_items=matrix.num_items)
+        self.base_plan = ComaPlan(base)
+
+    def decode_bits(self, bits: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray]:
+        votes = np.asarray(bits).reshape(-1, self.k).sum(axis=1)
+        return self.base_plan.decode_bits(votes * 2 >= self.k)
+
+
+PLANS = {"coma": ComaPlan, "hypergrid": GridPlan, "binary": BinaryPlan,
+         "majority": MajorityPlan}
+
+
+def run_trial_range(matrix: TestMatrix, plan, prior, sigma: float, master_seed: int,
+                    start: int, count: int) -> tuple[int, int, int, int]:
+    """(errors, false-positive items, ambiguous blocks, wrong estimates) of
+    trials ``start .. start + count - 1``, one at a time: seed, draw the
+    defectives, evaluate, flip, decode and score."""
+    n = matrix.num_items
+    errors = fp_items = amb_blocks = wrong = 0
+    for t in range(start, start + count):
+        rng = np.random.default_rng(derive_trial_seed(master_seed, t))
+        if prior.kind == PRIOR_UNIFORM_EXACT:
+            defect = np.sort(rng.choice(n, size=prior.d, replace=False)).astype(np.int64)
+        else:
+            defect = np.flatnonzero(rng.random(n) < prior.d / n).astype(np.int64)
+        bits = evaluate(matrix, DefectiveSet(defect, n))
+        if sigma > 0.0:
+            bits = np.logical_xor(bits, rng.random(bits.size) < sigma)
+        estimate, ambiguous = plan.decode_bits(bits)[:2]
+        exact = np.array_equal(estimate, defect)
+        if ambiguous or not exact:
+            errors += 1
+            amb_blocks += len(ambiguous)
+            if not exact:
+                extra = np.setdiff1d(estimate, defect, assume_unique=True)
+                missing = np.setdiff1d(defect, estimate, assume_unique=True)
+                fp_items += int(extra.size)
+                if missing.size:
+                    wrong += 1
+    return errors, fp_items, amb_blocks, wrong
+
+
+def exhaustive_errors(matrix: TestMatrix, plan, d: int) -> int:
+    """How many size-d defective sets ``plan`` decodes wrongly or ambiguously,
+    one set at a time."""
+    n = matrix.num_items
+    errors = 0
+    for combo in itertools.combinations(range(n), d):
+        estimate, ambiguous = plan.decode_bits(evaluate(matrix, DefectiveSet(combo, n)))[:2]
+        errors += bool(ambiguous) or not np.array_equal(estimate, combo)
+    return errors
 
 
 def _hypergrid_rows(start: int, size: int, gamma: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,9 +1,14 @@
-"""Decoders: worked grid examples, block readers, majority voting, pairings."""
+"""Decoders: worked grid examples, block readers, majority voting, pairings,
+and the cost of decoding and of refusing a design."""
+
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sparsegt.core import (
+    TAG_HYPERGRID,
     DefectiveSet,
     IncompatibleDecoderError,
     InvalidParameterError,
@@ -72,6 +77,27 @@ class TestComa:
         assert res.estimate.items == (0, 2)
 
 
+    def test_one_decode_allocates_independently_of_n(self):
+        """The work of a decode grows with its positive tests, not with n: on
+        10**6 items in a two-axis grid (item i has digits i % 1000 and
+        i // 1000), three defectives light six tests and their 3000
+        candidates, and the call allocates far below one n-sized array (8 MB
+        as int64). The estimate is every item whose two digits are lit."""
+        matrix = hypergrid_design(10**6, 2)
+        plan = make_plan(matrix, "coma")
+        bits = outcome_of(matrix, {7, 123_456, 999_999}).bits
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            estimate, _, _ = plan.decode_bits(bits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert estimate.tolist() == sorted(a + 1000 * b for a in (7, 456, 999)
+                                           for b in (0, 123, 999))
+        assert peak < 256 * 1024
+
+
 class TestHypergridDecode:
     def test_reads_single_defective_off_digits(self):
         res = hypergrid_block_decode(GRID9, outcome_of(GRID9, {5}))
@@ -107,6 +133,17 @@ class TestHypergridDecode:
         # items 2 and 4 read back as digits (2, 1) -> local 5, outside [0, 5)
         res = hypergrid_block_decode(m, outcome_of(m, {2, 4}))
         assert res.status == STATUS_AMBIGUOUS
+
+    def test_large_claimed_gamma_refused_at_once(self):
+        """A header claiming gamma = 5 * 10**6 over two items implies
+        5 * 10**6 + 1 tests; the plan counts them per block size in
+        O(log size) and refuses before building any per-axis table."""
+        matrix = TestMatrix(rows=[(0,)], num_items=2, col_limit=5_000_000,
+                            design_tag=TAG_HYPERGRID)
+        started = time.perf_counter()
+        with pytest.raises(IncompatibleDecoderError, match="implies 5000001; not a hypergrid"):
+            make_plan(matrix, "hypergrid")
+        assert time.perf_counter() - started < 0.5
 
     def test_requires_hypergrid_design(self):
         m = random_gamma_design(20, 2, 2, 0.2, np.random.default_rng(0))

@@ -1,18 +1,27 @@
-"""The vectorised core operations, block constructors and block decoders
-agree with their Python-loop references (``loop_reference.py``) on generated
-parameters, matrices, texts and outcome vectors, valid or not."""
+"""The vectorised core operations, block constructors, decoders, batch
+trial harness and exact oracle agree with their Python-loop references
+(``loop_reference.py``) on generated parameters, matrices, texts and outcome
+vectors, valid or not."""
+
+import contextlib
+import math
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import loop_reference as ref
-from sparsegt import designs
+from sparsegt import designs, sim
 from sparsegt.core import (
+    PRIOR_IID_BERNOULLI,
+    PRIOR_UNIFORM_EXACT,
     DefectiveSet,
     IncompatibleDecoderError,
     InvalidParameterError,
     ParseError,
+    Prior,
     TAG_BLOCK_BINARY_RHO,
     TAG_BLOCK_HYPERGRID,
     TAG_CUSTOM,
@@ -368,3 +377,99 @@ class TestBlockConstructorsAgreeWithLoops:
         got, want = getattr(designs, name)(*args), getattr(ref, name)(*args)
         assert got == want
         assert serialize(got) == serialize(want)
+
+
+# ---------------------------------------------------------------------------
+# batch trial harness, every-test-positive decoders and the exact oracle
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def harness_cases(draw, max_items=40):
+    """(matrix, decoder, prior, sigma): a random-gamma, permuted-rho, block
+    hypergrid, block binary or repeated design, or a custom design whose
+    last items are in no test; noise only on repeated designs."""
+    kind = draw(st.sampled_from(["random-gamma", "permuted-rho", "block-hypergrid",
+                                 "block-binary", "repeated", "custom"]))
+    n = draw(st.integers(2, max_items))
+    d = draw(st.integers(1, max(1, n // 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sigma = 0.0
+    try:
+        if kind == "random-gamma":
+            matrix, decoder = designs.random_gamma_design(
+                n, d, draw(st.integers(1, 3)), 0.3, rng), "coma"
+        elif kind == "permuted-rho":
+            matrix, decoder = designs.permuted_block_rho_design(
+                n, d, draw(st.integers(1, n)), 0.5, rng), "coma"
+        elif kind == "block-hypergrid":
+            matrix, decoder = designs.block_hypergrid_design(
+                n, d, draw(st.integers(1, 3)), draw(st.floats(0.05, 0.95))), "hypergrid"
+        elif kind == "block-binary":
+            matrix, decoder = designs.block_binary_rho_design(
+                n, d, draw(st.integers(1, n)), draw(st.floats(0.05, 0.95))), "binary"
+        elif kind == "repeated":
+            base = designs.permuted_block_rho_design(n, d, draw(st.integers(1, n)), 0.5, rng)
+            matrix, decoder = designs.repeat_design(base, draw(st.integers(2, 6))), "majority"
+            sigma = draw(st.sampled_from([0.0, 0.05, 0.2, 0.45]))
+        else:
+            tested = draw(st.integers(1, n))
+            rows = draw(st.lists(st.sets(st.integers(0, tested - 1)), max_size=12))
+            matrix, decoder = TestMatrix(rows=[sorted(r) for r in rows], num_items=n), "coma"
+    except InvalidParameterError:  # outside a family's regime
+        assume(False)
+    prior_kind = draw(st.sampled_from([PRIOR_UNIFORM_EXACT, PRIOR_IID_BERNOULLI]))
+    return matrix, decoder, Prior(prior_kind, d), sigma
+
+
+def _batch_size(batch):
+    """Fix the harness's batch size, or leave the derived one when None."""
+    if batch is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(sim, "_batch_trials", lambda *args: batch)
+
+
+class TestBatchHarnessAgreesWithTheTrialLoop:
+    @given(harness_cases(), st.integers(0, 10**6), st.integers(0, 60), st.integers(0, 45),
+           st.sampled_from([None, 1, 2, 3, 7]))
+    @settings(max_examples=300, deadline=None)
+    def test_same_counts(self, case, seed, start, count, batch):
+        """Any batch size, including ones that do not divide the trial count,
+        and any first trial."""
+        matrix, decoder, prior, sigma = case
+        want = ref.run_trial_range(matrix, ref.PLANS[decoder](matrix), prior, sigma, seed,
+                                   start, count)
+        with _batch_size(batch):
+            got = sim._run_trial_range(matrix, make_plan(matrix, decoder), prior, sigma,
+                                       seed, start, count)
+        assert got == want
+        assert all(type(v) is int for v in got)
+
+    @given(harness_cases(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_decode_bits_matches_the_loop_decoders(self, case, data):
+        matrix, decoder, _, _ = case
+        plan, reference = make_plan(matrix, decoder), ref.PLANS[decoder](matrix)
+        num_tests = matrix.num_tests
+        for bits in (
+            np.zeros(num_tests, dtype=bool),
+            np.ones(num_tests, dtype=bool),
+            np.array(data.draw(st.lists(st.booleans(), min_size=num_tests,
+                                        max_size=num_tests)), dtype=bool),
+        ):
+            estimate, ambiguous, untested = plan.decode_bits(bits)
+            want = reference.decode_bits(bits)
+            assert estimate.dtype == np.int64
+            assert np.array_equal(estimate, want[0])
+            assert ambiguous == list(want[1])
+            assert np.array_equal(untested, want[2] if len(want) == 3 else [])
+
+    @given(harness_cases(max_items=12), st.integers(0, 3), st.sampled_from([None, 1, 4]))
+    @settings(max_examples=100, deadline=None)
+    def test_exhaustive_oracle_counts_the_same_errors(self, case, d, batch):
+        matrix, decoder, _, _ = case
+        assume(d <= matrix.num_items)
+        errors = ref.exhaustive_errors(matrix, ref.PLANS[decoder](matrix), d)
+        want = Fraction(errors, math.comb(matrix.num_items, d))
+        with _batch_size(batch):
+            assert sim.exhaustive_error_probability(matrix, decoder, d) == want
