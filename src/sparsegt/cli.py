@@ -158,6 +158,8 @@ def _require(args: argparse.Namespace, names: list[str], context: str):
 
 def _construct(args: argparse.Namespace) -> TestMatrix:
     family = args.family
+    if args.seed < 0:
+        raise _UsageError("--seed must be >= 0")
     if family == TAG_RANDOM_GAMMA:
         n, d, gamma, eps = _require(args, ["n", "d", "gamma", "epsilon"], family)
         rng = np.random.default_rng(args.seed)
@@ -219,6 +221,8 @@ def _cmd_simulate(args: argparse.Namespace, echo: str) -> int:
         matrix = _construct(args)
     else:
         raise _UsageError("simulate needs --design or --family")
+    if args.k is not None and args.k < 1:
+        raise _UsageError("--k must be >= 1")
     sigma = args.sigma
     if sigma is not None and sigma > 0.0:
         if matrix.design_tag != TAG_REPEATED:
@@ -313,8 +317,10 @@ def _format_items(items: tuple[int, ...]) -> str:
 
 def _cmd_oracle(args: argparse.Namespace, echo: str) -> int:
     matrix = _load_design(args.design)
+    if args.sigma is not None and not 0.0 <= args.sigma < 0.5:
+        raise _UsageError("--sigma must lie in [0, 1/2)")
     print(echo)
-    if args.sigma is not None and args.sigma > 0.0:
+    if args.sigma:
         prior = Prior(PRIOR_IID_BERNOULLI, args.d)
         error = bayes_optimal_error(matrix, args.sigma, prior)
         print(f"map_error={error:.6g}")

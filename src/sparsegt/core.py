@@ -420,10 +420,19 @@ class TestMatrix:
     def block_bounds(self) -> tuple[tuple[int, int], ...]:
         """(start, end) item ranges of the blocks; the whole item range
         counts as a single block when no block structure is recorded."""
-        if self.block_starts is None:
-            return ((0, self.num_items),)
-        starts = list(self.block_starts) + [self.num_items]
-        return tuple((starts[i], starts[i + 1]) for i in range(len(self.block_starts)))
+        starts = (0,) if self.block_starts is None else self.block_starts
+        return tuple(zip(starts, starts[1:] + (self.num_items,)))
+
+
+def _well_formed_blocks(starts, num_items: int) -> bool:
+    """Whether block offsets start at 0, increase strictly and stay below
+    ``num_items``: the block check of parse, validate and the block plans."""
+    try:
+        starts = np.asarray(starts, dtype=np.int64)
+    except OverflowError:  # no valid offset lies outside int64
+        return False
+    return bool(starts.size and starts[0] == 0 and starts[-1] < num_items
+                and (np.diff(starts) > 0).all())
 
 
 def _offsets(lengths) -> np.ndarray:
@@ -662,18 +671,9 @@ def validate(matrix: TestMatrix) -> list[Violation]:
                     f"weight {int(col_weight[i])} exceeds limit {matrix.col_limit}",
                 )
             )
-    if matrix.block_starts is not None:
-        starts = matrix.block_starts
-        ok = len(starts) > 0 and starts[0] == 0 and starts[-1] < n
-        ok = ok and all(starts[j] < starts[j + 1] for j in range(len(starts) - 1))
-        if not ok:
-            report.append(
-                Violation(
-                    "block-structure",
-                    "block_starts",
-                    "offsets must start at 0, increase strictly, and stay below n",
-                )
-            )
+    if matrix.block_starts is not None and not _well_formed_blocks(matrix.block_starts, n):
+        report.append(Violation("block-structure", "block_starts",
+                                "offsets must start at 0, increase strictly, and stay below n"))
     if matrix.repeat_k > 1:
         k = matrix.repeat_k
         if matrix.num_tests % k != 0:
@@ -832,12 +832,7 @@ def parse(text: str) -> TestMatrix:
                 raise ParseError(
                     header_no, f"blocks must be comma-separated integers, got {value!r}"
                 ) from None
-            if (
-                not starts
-                or starts[0] != 0
-                or any(a >= b for a, b in zip(starts, starts[1:]))
-                or starts[-1] >= num_items
-            ):
+            if not _well_formed_blocks(starts, num_items):
                 raise ParseError(
                     header_no,
                     "block offsets must start at 0, increase strictly, and stay below n",

@@ -19,7 +19,10 @@ grid axis a weighs j * base**a, and the test of binary label bit r weighs
 weights of its positive tests; the first item is the block start for a grid
 (labels from 0) and one before it for a binary block (labels from 1). The
 block is ambiguous when that item lies at or past the block's end, or when
-some axis of its grid has other than exactly one positive test.
+some axis of its grid has other than exactly one positive test. The block
+plans refuse a matrix whose block offsets :func:`~sparsegt.core.validate`
+reports as malformed, so the blocks they read are contiguous, disjoint and
+in item order.
 
 Decoding work is split into reusable "plans" so the simulation harness can
 prepare a matrix once and decode many outcome vectors through exactly the
@@ -39,13 +42,13 @@ from .core import (
     Outcomes,
     TAG_BLOCK_BINARY_RHO,
     TAG_BLOCK_HYPERGRID,
-    TAG_CUSTOM,
     TAG_HYPERGRID,
     TAG_REPEATED,
     TestMatrix,
     _offsets,
     _ragged,
     _select_rows,
+    _well_formed_blocks,
 )
 from .designs import _grid_test_count, hypergrid_shape, tile_blocks
 
@@ -97,7 +100,8 @@ class _Plan:
 
     ``decode_batch`` decodes the rows of a (trials, T) bool array at once.
     It returns the estimate as (trial, item) pairs, sorted by trial and then
-    item, and the ambiguous blocks as (trial, block) pairs in the same order.
+    item, with the items of a trial distinct and in [0, n), and the ambiguous
+    blocks as (trial, block) pairs in the same order.
     ``decode_bits`` is its one-row case, and ``untested`` lists the items in
     no test. ``trial_bytes`` and ``defective_bytes`` estimate the bytes of
     arrays a batch takes per trial and per defective of a trial, so that the
@@ -183,13 +187,19 @@ class BlockPlan(_Plan):
     ``a`` of block ``b``; binary tests lie on no axis and share a sink id past
     the last axis. Per block: its first item and end. A batch is read with
     bincounts over ``trial * blocks + block`` and ``trial * (axes + 1) + axis``
-    keys.
+    keys. Blocks are well formed (the constructor refuses others), so the
+    hit blocks of a trial come out in item order.
     """
 
     def __init__(self, matrix: TestMatrix, kind: str, block_tests, test_count,
                  first: int, axes: int, design: str):
         self.kind, self.axes = kind, axes
-        bounds = np.array(matrix.block_bounds(), dtype=np.int64).reshape(-1, 2)
+        starts = (0,) if matrix.block_starts is None else matrix.block_starts
+        if not _well_formed_blocks(starts, matrix.num_items):
+            raise IncompatibleDecoderError(
+                f"block offsets must start at 0, increase strictly, and stay below n; not {design}"
+            )
+        bounds = np.array(matrix.block_bounds(), dtype=np.int64)
         self.num_blocks = len(bounds)
         # count the tests before tiling, so a wrong header costs no tables
         sizes, blocks = np.unique(bounds[:, 1] - bounds[:, 0], return_counts=True)
@@ -222,9 +232,7 @@ class BlockPlan(_Plan):
         item = self.first[block] + label.astype(np.int64)
         bad = (item >= self.end[block]) | (one_hot.reshape(-1)[hit] != self.axes)
         good = ~bad
-        # blocks out of item order (a malformed block_starts) decode out of order
-        order = np.lexsort((item[good], hit_trial[good]))
-        return hit_trial[good][order], item[good][order], hit_trial[bad], block[bad]
+        return hit_trial[good], item[good], hit_trial[bad], block[bad]
 
 
 def _grid_plan(matrix: TestMatrix) -> BlockPlan:
@@ -278,16 +286,7 @@ class MajorityPlan(_Plan):
             )
         self.k = k
         indptr, indices = _select_rows(matrix, np.arange(0, matrix.num_tests, k))
-        base = TestMatrix.from_csr(
-            indptr,
-            indices,
-            num_items=matrix.num_items,
-            col_limit=None if matrix.col_limit is None else matrix.col_limit // k,
-            row_limit=matrix.row_limit,
-            design_tag=matrix.base_tag or TAG_CUSTOM,
-            block_starts=matrix.block_starts,
-        )
-        self.base_plan = ComaPlan(base)
+        self.base_plan = ComaPlan(TestMatrix.from_csr(indptr, indices, matrix.num_items))
         self.untested = self.base_plan.untested
         self.defective_bytes = self.base_plan.defective_bytes
 

@@ -154,19 +154,19 @@ def tile_blocks(bounds, layout) -> list[tuple[np.ndarray, np.ndarray]]:
     ``bounds`` holds each block's (start, end) item range; ``layout(size)``
     returns a pair of 1-D arrays and is called once per distinct block size.
     For each array of the pair, returns the blocks' copies in block order
-    and the block of each element (empty arrays when there are no blocks).
+    and the block of each element. There is at least one block.
     """
-    bounds = np.asarray(bounds, dtype=np.int64).reshape(-1, 2)
+    bounds = np.asarray(bounds, dtype=np.int64)
     sizes, kind = np.unique(bounds[:, 1] - bounds[:, 0], return_inverse=True)
     layouts = [layout(int(size)) for size in sizes]
     tiled = []
-    for pieces in zip(*layouts) if layouts else ((), ()):
+    for pieces in zip(*layouts):
         lengths = np.array([piece.size for piece in pieces], dtype=np.int64)
         counts = lengths[kind]
         at = _offsets(counts)
         # element e of block b is element e - at[b] of its size's layout
         source = np.repeat(_offsets(lengths)[kind] - at[:-1], counts) + np.arange(at[-1])
-        pool = np.concatenate(pieces or [np.empty(0, dtype=np.int64)])
+        pool = np.concatenate(pieces)
         tiled.append((pool[source], np.repeat(np.arange(kind.size), counts)))
     return tiled
 
@@ -190,7 +190,6 @@ def random_gamma_design(
     gamma: int,
     epsilon: float,
     rng: np.random.Generator,
-    max_tests: int = _MAX_TESTS,
 ) -> TestMatrix:
     """Random design with every item in exactly gamma uniformly chosen tests.
 
@@ -205,7 +204,7 @@ def random_gamma_design(
     if not 0.0 < epsilon < 0.5:
         raise InvalidParameterError("epsilon must lie in (0, 1/2)")
     num_tests = random_gamma_test_count(n, d, gamma, epsilon)
-    _check_test_count(num_tests, max_tests)
+    _check_test_count(num_tests)
     picks = np.empty((n, gamma), dtype=np.int64)
     for item in range(n):
         draw = rng.integers(0, num_tests, size=gamma)
@@ -333,11 +332,11 @@ def repeat_design(matrix: TestMatrix, k: int) -> TestMatrix:
     )
 
 
-def _check_test_count(num_tests: int, cap: int = _MAX_TESTS) -> None:
-    """Refuse a design of more than ``cap`` tests before building it; grids
-    pass gamma * blocks, a lower bound on their test count."""
-    if num_tests > cap:
-        raise ResourceCapError(f"design needs {num_tests} tests, above the cap of {cap}")
+def _check_test_count(num_tests: int) -> None:
+    """Refuse a design of more than ``_MAX_TESTS`` tests before building it;
+    grids pass gamma * blocks, a lower bound on their test count."""
+    if num_tests > _MAX_TESTS:
+        raise ResourceCapError(f"design needs {num_tests} tests, above the cap of {_MAX_TESTS}")
 
 
 def _check_common(n: int, d: int) -> None:

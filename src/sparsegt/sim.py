@@ -197,22 +197,16 @@ def _score_batch(matrix: TestMatrix, plan, trial: np.ndarray, items: np.ndarray,
         bits ^= flips
     est_trial, est_item, amb_trial, _ = plan.decode_batch(bits)
     n = matrix.num_items
-    true_keys = trial * n + items
-    # a malformed block design can decode to items outside [0, n)
-    in_range = (est_item >= 0) & (est_item < n)
-    est_keys = est_trial[in_range] * n + est_item[in_range]
-    true_est = np.zeros(est_item.size, dtype=bool)
-    true_est[in_range] = _found(est_keys, true_keys)
+    true_est = _found(est_trial * n + est_item, trial * n + items)
 
     def per_trial(which: np.ndarray) -> np.ndarray:
         return np.bincount(which, minlength=num_trials)
 
     extra = per_trial(est_trial[~true_est])
-    missing = per_trial(trial[~_found(true_keys, est_keys)])
+    # the estimates of a trial are distinct, so each hit is a distinct defective
+    missing = per_trial(trial) - per_trial(est_trial[true_est])
     ambiguous = per_trial(amb_trial)
-    # overlapping blocks can decode one item twice, which only the sizes show
-    sizes_differ = per_trial(est_trial) != per_trial(trial)
-    failed = (ambiguous > 0) | (extra > 0) | (missing > 0) | sizes_differ
+    failed = (ambiguous > 0) | (extra > 0) | (missing > 0)
     return np.array([failed.sum(), extra.sum(), ambiguous.sum(), (missing > 0).sum()])
 
 
@@ -408,7 +402,8 @@ def bayes_optimal_error(matrix: TestMatrix, sigma: float, prior: Prior) -> float
     Full enumeration over all 2^n inputs and 2^T observed outcome vectors of
     the bit-flip channel: the optimal rule picks, for each observation, the
     input maximizing prior times likelihood, and this function returns one
-    minus the probability mass it captures. Capped at n <= 12 and T <= 16.
+    minus the probability mass it captures, evaluating all inputs in one OR
+    batch. Capped at n <= 12 and T <= 16.
     """
     n, num_tests = matrix.num_items, matrix.num_tests
     if n > _BAYES_MAX_ITEMS or num_tests > _BAYES_MAX_TESTS:
@@ -421,19 +416,14 @@ def bayes_optimal_error(matrix: TestMatrix, sigma: float, prior: Prior) -> float
     if prior.d > n:
         raise InvalidParameterError(f"prior d={prior.d} exceeds n={n}")
 
-    col_mask = np.zeros(n, dtype=np.uint32)
-    for t, row in enumerate(matrix.rows):
-        for i in row:
-            col_mask[i] |= np.uint32(1 << t)
-
-    # outcome signature of every input set, via lowest-set-bit recursion
+    # input x holds item i when bit i of x is set; its signature has bit t
+    # set when test t is positive
     num_inputs = 1 << n
-    signatures = np.zeros(num_inputs, dtype=np.uint32)
-    for x in range(1, num_inputs):
-        low = x & (-x)
-        signatures[x] = signatures[x ^ low] | col_mask[low.bit_length() - 1]
+    members = np.arange(num_inputs)[:, None] >> np.arange(n) & 1
+    bits = _or_batch(matrix, *members.nonzero(), num_inputs)
+    signatures = bits @ (np.uint32(1) << np.arange(num_tests, dtype=np.uint32))
 
-    popcount_inputs = np.array([bin(x).count("1") for x in range(num_inputs)])
+    popcount_inputs = members.sum(axis=1)
     if prior.kind == PRIOR_IID_BERNOULLI:
         p = prior.d / n
         weights = p**popcount_inputs * (1.0 - p) ** (n - popcount_inputs)
@@ -447,8 +437,7 @@ def bayes_optimal_error(matrix: TestMatrix, sigma: float, prior: Prior) -> float
     flip_likelihood = sigma ** np.arange(num_tests + 1) * (1.0 - sigma) ** (
         num_tests - np.arange(num_tests + 1)
     )
-    popcount16 = np.array([bin(v).count("1") for v in range(1 << num_tests)],
-                          dtype=np.int64)
+    popcount_observed = (np.arange(1 << num_tests)[:, None] >> np.arange(num_tests) & 1).sum(1)
 
     captured = 0.0
     num_observations = 1 << num_tests
@@ -456,7 +445,7 @@ def bayes_optimal_error(matrix: TestMatrix, sigma: float, prior: Prior) -> float
     chunk = max(256, (1 << 21) // num_inputs)
     for lo in range(0, num_observations, chunk):
         observed = np.arange(lo, min(lo + chunk, num_observations), dtype=np.uint32)
-        distance = popcount16[np.bitwise_xor.outer(signatures, observed)]
+        distance = popcount_observed[np.bitwise_xor.outer(signatures, observed)]
         posterior = weights[:, None] * flip_likelihood[distance]
         captured += float(posterior.max(axis=0).sum())
     # captured can exceed 1 by a few ulp when the decoder is perfect

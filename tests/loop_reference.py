@@ -5,15 +5,18 @@ These are the straightforward row-by-row versions of ``evaluate``,
 loops of the hypergrid, block hypergrid and binary block constructors, and
 the per-block loops of the hypergrid and binary block decoders, the
 every-test-positive decoder that counts the positive tests of all n items,
-and the Monte Carlo harness that evaluates, flips and decodes one trial at a
-time. The property tests require the library's array versions to agree with
-them exactly: the same outcome bits, the same weights, the same
-``Violation`` lists in the same order, the same ``ParseError`` line and
-message, the same design bytes, the same decoded estimate and ambiguous
-blocks, and the same error counts.
+the Monte Carlo harness that evaluates, flips and decodes one trial at a
+time, and the MAP oracle that builds every input's outcome signature by a
+lowest-set-bit recursion over per-item bitmasks. The property tests require
+the library's array versions to agree with them exactly: the same outcome
+bits, the same weights, the same ``Violation`` lists in the same order, the
+same ``ParseError`` line and message, the same design bytes, the same
+decoded estimate and ambiguous blocks, the same error counts and the same
+MAP error, float for float.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -24,6 +27,7 @@ from sparsegt.core import (
     TAG_BLOCK_HYPERGRID,
     TAG_CUSTOM,
     TAG_HYPERGRID,
+    PRIOR_IID_BERNOULLI,
     PRIOR_UNIFORM_EXACT,
     DefectiveSet,
     IncompatibleDecoderError,
@@ -421,6 +425,53 @@ def exhaustive_errors(matrix: TestMatrix, plan, d: int) -> int:
         estimate, ambiguous = plan.decode_bits(evaluate(matrix, DefectiveSet(combo, n)))[:2]
         errors += bool(ambiguous) or not np.array_equal(estimate, combo)
     return errors
+
+
+def bayes_optimal_error(matrix: TestMatrix, sigma: float, prior) -> float:
+    """Exact MAP error over all 2^n inputs and 2^T observations, with the
+    signatures, popcounts and likelihoods built in Python loops and tables.
+    Takes the arguments that ``sim.bayes_optimal_error`` accepts."""
+    n, num_tests = matrix.num_items, matrix.num_tests
+    col_mask = np.zeros(n, dtype=np.uint32)
+    for t, row in enumerate(matrix.rows):
+        for i in row:
+            col_mask[i] |= np.uint32(1 << t)
+
+    # outcome signature of every input set, via lowest-set-bit recursion
+    num_inputs = 1 << n
+    signatures = np.zeros(num_inputs, dtype=np.uint32)
+    for x in range(1, num_inputs):
+        low = x & (-x)
+        signatures[x] = signatures[x ^ low] | col_mask[low.bit_length() - 1]
+
+    popcount_inputs = np.array([bin(x).count("1") for x in range(num_inputs)])
+    if prior.kind == PRIOR_IID_BERNOULLI:
+        p = prior.d / n
+        weights = p**popcount_inputs * (1.0 - p) ** (n - popcount_inputs)
+    else:
+        weights = np.where(
+            popcount_inputs == prior.d, 1.0 / math.comb(n, prior.d), 0.0
+        )
+
+    # likelihood of an observation depends only on its Hamming distance to
+    # the noiseless signature
+    flip_likelihood = sigma ** np.arange(num_tests + 1) * (1.0 - sigma) ** (
+        num_tests - np.arange(num_tests + 1)
+    )
+    popcount16 = np.array([bin(v).count("1") for v in range(1 << num_tests)],
+                          dtype=np.int64)
+
+    captured = 0.0
+    num_observations = 1 << num_tests
+    # keep the (inputs x observations) work arrays around 16 MB
+    chunk = max(256, (1 << 21) // num_inputs)
+    for lo in range(0, num_observations, chunk):
+        observed = np.arange(lo, min(lo + chunk, num_observations), dtype=np.uint32)
+        distance = popcount16[np.bitwise_xor.outer(signatures, observed)]
+        posterior = weights[:, None] * flip_likelihood[distance]
+        captured += float(posterior.max(axis=0).sum())
+    # captured can exceed 1 by a few ulp when the decoder is perfect
+    return max(0.0, 1.0 - captured)
 
 
 def _hypergrid_rows(start: int, size: int, gamma: int) -> tuple[np.ndarray, np.ndarray]:

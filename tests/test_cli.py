@@ -1,9 +1,12 @@
 """Command-line interface: outputs, file round trips, exit codes."""
 
+import contextlib
+import io
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparsegt import cli
 from sparsegt.cli import main
@@ -288,6 +291,11 @@ class TestOracleCommand:
         )
         assert code == 2
 
+    def test_zero_sigma_is_the_noiseless_oracle(self, capsys):
+        code, out, _ = run(capsys, "oracle", "--design", "fig1", "--d", "1", "--sigma", "0")
+        assert code == 0
+        assert "exact_error=0/1=0" in out
+
     def test_resource_cap_exit_code(self, capsys):
         code, _, err = run(
             capsys, "oracle", "--design", "fig1", "--d", "4", "--cap", "10"
@@ -311,8 +319,25 @@ class TestOracleCommand:
         ["design", "--family", "block-hypergrid", "--n", "100", "--d", "2", "--gamma", "2",
          "--epsilon", "1e-320"],
         ["simulate", "--design", "{not_utf8}", "--d", "1"],
+        ["design", "--family", "permuted-rho", "--n", "100", "--d", "2", "--rho", "10",
+         "--zeta", "0.5", "--seed", "-1"],
+        ["design", "--family", "random-gamma", "--n", "100", "--d", "2", "--gamma", "2",
+         "--epsilon", "0.2", "--seed", "-1"],
+        ["simulate", "--family", "permuted-rho", "--n", "100", "--d", "2", "--rho", "10",
+         "--zeta", "0.5", "--seed", "-1", "--trials", "5"],
+        ["simulate", "--family", "random-gamma", "--n", "100", "--d", "2", "--gamma", "2",
+         "--epsilon", "0.2", "--seed", "-1", "--trials", "5"],
+        ["simulate", "--family", "hypergrid", "--n", "9", "--gamma", "2", "--d", "1",
+         "--trials", "5", "--k", "0"],
+        ["simulate", "--family", "hypergrid", "--n", "9", "--gamma", "2", "--d", "1",
+         "--trials", "5", "--k", "-1"],
+        ["oracle", "--design", "fig1", "--d", "1", "--sigma", "-0.1"],
+        ["oracle", "--design", "fig1", "--d", "1", "--sigma", "nan"],
     ],
-    ids=["zeta-inf", "zeta-overflow", "epsilon-underflow", "design-not-utf8"],
+    ids=["zeta-inf", "zeta-overflow", "epsilon-underflow", "design-not-utf8",
+         "design-permuted-negative-seed", "design-random-gamma-negative-seed",
+         "simulate-permuted-negative-seed", "simulate-random-gamma-negative-seed",
+         "simulate-k-0", "simulate-k-negative", "oracle-sigma-negative", "oracle-sigma-nan"],
 )
 def test_bad_input_is_one_error_line(capsys, tmp_path, argv):
     not_utf8 = tmp_path / "binary.design"
@@ -323,6 +348,68 @@ def test_bad_input_is_one_error_line(capsys, tmp_path, argv):
     assert "Traceback" not in err
     if "{not_utf8}" in argv:
         assert "line 3" in err
+
+
+# flag values for generated command lines: mostly small in-range values that
+# keep every call well under a second, else one of the out-of-range,
+# non-finite or non-numeric tokens
+_BAD = ["-1", "0", "nan", "inf", "1e308", "x"]
+_SMALL = ["1", "2", "3", "5"]
+_REALS = ["0.05", "0.2", "0.45", "0.9", "2"]
+_DECODERS = ["auto", "auto", "coma", "hypergrid", "binary", "majority"]
+_FAMILY_FLAGS = {
+    "--family": ["random-gamma", "hypergrid", "block-hypergrid", "permuted-rho",
+                 "block-binary-rho"],
+    "--n": ["2", "9", "40"], "--d": _SMALL, "--gamma": _SMALL, "--rho": _SMALL,
+    "--epsilon": _REALS, "--sigma": ["0.05", "0.2"], "--zeta": _REALS, "--seed": _SMALL,
+}
+_FUZZ_FLAGS = {
+    "design": _FAMILY_FLAGS,
+    "simulate": {
+        **_FAMILY_FLAGS,
+        "--design": ["fig1", "fig1", "/no/such/file"],
+        "--trials": ["1", "5"],
+        "--jobs": ["1"],  # _BAD holds no worker count above one either
+        "--k": _SMALL, "--decoder": _DECODERS, "--prior": ["exact", "bernoulli"],
+        "--target-epsilon": _REALS,
+    },
+    "bounds": {
+        "--theorem": ["1", "2", "3", "4", "5", "6", "7", "noisy"],
+        "--n": ["2", "9", "40", "10000"], "--d": _SMALL, "--gamma": _SMALL,
+        "--rho": _SMALL, "--epsilon": _REALS, "--sigma": _REALS, "--zeta": _REALS,
+        "--csv": None,
+    },
+    "oracle": {
+        "--design": ["fig1"], "--d": _SMALL, "--sigma": _REALS, "--decoder": _DECODERS,
+        "--target-epsilon": _REALS, "--cap": ["10", "1000"],
+    },
+}
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand and most of its flags, in any order; about one value in
+    eight is a bad token."""
+    command = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    flags = _FUZZ_FLAGS[command]
+    argv = [command]
+    for flag in draw(st.permutations(sorted(flags))):
+        if draw(st.integers(0, 3)):
+            argv.append(flag)
+            if flags[flag] is not None:
+                argv.append(draw(st.sampled_from(flags[flag] if draw(st.integers(0, 7))
+                                                 else _BAD)))
+    return argv
+
+
+@given(command_lines())
+@settings(max_examples=500, deadline=None)
+def test_generated_command_lines_exit_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 class TestEntryPoint:

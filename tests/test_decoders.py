@@ -8,14 +8,20 @@ import numpy as np
 import pytest
 
 from sparsegt.core import (
+    PRIOR_UNIFORM_EXACT,
     TAG_HYPERGRID,
     DefectiveSet,
+    DesignParams,
     IncompatibleDecoderError,
     InvalidParameterError,
     Outcomes,
+    ParseError,
+    Prior,
     TestMatrix,
     apply_noise,
     evaluate,
+    parse,
+    validate,
 )
 from sparsegt.decoders import (
     STATUS_AMBIGUOUS,
@@ -36,6 +42,7 @@ from sparsegt.designs import (
     random_gamma_design,
     repeat_design,
 )
+from sparsegt.sim import SimConfig, run_monte_carlo
 
 GRID9 = hypergrid_design(9, 2)
 
@@ -182,6 +189,41 @@ class TestBinaryDecode:
     def test_requires_binary_design(self):
         with pytest.raises(IncompatibleDecoderError):
             binary_block_decode(GRID9, outcome_of(GRID9, {1}))
+
+
+class TestMalformedBlockOffsets:
+    """Offsets past n that validate reports: every entry point refuses."""
+
+    MATRIX = TestMatrix(rows=[()] * 5, num_items=3, design_tag="block-binary-rho",
+                        block_starts=[0, 5])
+
+    def test_make_plan_refuses(self):
+        with pytest.raises(IncompatibleDecoderError, match="block offsets must start at 0"):
+            make_plan(self.MATRIX, "binary")
+
+    def test_one_shot_decoder_refuses(self):
+        outcomes = Outcomes(np.array([False, False, True, False, False]))
+        with pytest.raises(IncompatibleDecoderError, match="block offsets must start at 0"):
+            binary_block_decode(self.MATRIX, outcomes)
+
+    @pytest.mark.parametrize(
+        "starts", [[], [1], [0, 0], [0, 2, 1], [0, 3], [0, 2**70]],
+        ids=["empty", "not-from-0", "repeated", "decreasing", "at-n", "beyond-int64"],
+    )
+    def test_parse_validate_and_make_plan_share_the_check(self, starts):
+        matrix = TestMatrix(rows=[], num_items=3, design_tag="block-binary-rho",
+                            block_starts=starts)
+        assert [v.kind for v in validate(matrix)] == ["block-structure"]
+        with pytest.raises(IncompatibleDecoderError, match="block offsets must start at 0"):
+            make_plan(matrix, "binary")
+        if starts:
+            with pytest.raises(ParseError, match="block offsets must start at 0"):
+                parse("0 3 blocks=" + ",".join(map(str, starts)) + "\n")
+
+    def test_monte_carlo_refuses(self):
+        config = SimConfig(DesignParams(n=3, d=1), Prior(PRIOR_UNIFORM_EXACT, 1), 10, 0)
+        with pytest.raises(IncompatibleDecoderError, match="block offsets must start at 0"):
+            run_monte_carlo(self.MATRIX, "binary", config)
 
 
 class TestMajorityDecode:

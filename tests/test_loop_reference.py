@@ -1,5 +1,5 @@
 """The vectorised core operations, block constructors, decoders, batch
-trial harness and exact oracle agree with their Python-loop references
+trial harness and exact oracles agree with their Python-loop references
 (``loop_reference.py``) on generated parameters, matrices, texts and outcome
 vectors, valid or not."""
 
@@ -288,7 +288,8 @@ class TestBlockDecoderAgreesWithLoops:
     )
     @settings(max_examples=300, deadline=None)
     def test_same_result_on_malformed_block_starts(self, n, starts, gamma, data):
-        """Unordered, overlapping, empty or out-of-range blocks: both raise
+        """Unordered, overlapping, empty or out-of-range blocks, which
+        ``validate`` reports, are refused; on any other starts both raise
         the same error or decode alike."""
         bounds = zip(starts, starts[1:] + [n])
         try:
@@ -307,6 +308,10 @@ class TestBlockDecoderAgreesWithLoops:
             block_starts=starts,
         )
         decoder = "hypergrid" if gamma else "binary"
+        if any(v.kind == "block-structure" for v in validate(matrix)):
+            with pytest.raises(IncompatibleDecoderError, match="block offsets must start at 0"):
+                make_plan(matrix, decoder)
+            return
         try:
             reference = _REFERENCE_PLANS[decoder](matrix)
         except (InvalidParameterError, IncompatibleDecoderError) as err:
@@ -473,3 +478,26 @@ class TestBatchHarnessAgreesWithTheTrialLoop:
         want = Fraction(errors, math.comb(matrix.num_items, d))
         with _batch_size(batch):
             assert sim.exhaustive_error_probability(matrix, decoder, d) == want
+
+
+@st.composite
+def oracle_cases(draw):
+    """(matrix, prior, sigma) within the MAP oracle's caps: n <= 10 and
+    T <= 12, with empty rows, no rows at all and items in no test."""
+    n = draw(st.integers(1, 10))
+    rows = draw(st.lists(st.sets(st.integers(0, n - 1), max_size=n), max_size=12))
+    kind = draw(st.sampled_from([PRIOR_UNIFORM_EXACT, PRIOR_IID_BERNOULLI]))
+    prior = Prior(kind, draw(st.integers(0, n)))
+    sigma = draw(st.sampled_from([0.0, 0.05, 0.2, 0.45]))
+    return TestMatrix(rows=[sorted(r) for r in rows], num_items=n), prior, sigma
+
+
+class TestBayesOracleAgreesWithTheBitmaskLoop:
+    @given(oracle_cases())
+    @example((TestMatrix(rows=[], num_items=3), Prior(PRIOR_UNIFORM_EXACT, 0), 0.2))
+    @example((TestMatrix(rows=[(), (0, 9)], num_items=10), Prior(PRIOR_IID_BERNOULLI, 10), 0.45))
+    @settings(max_examples=150, deadline=None)
+    def test_same_error_float_for_float(self, case):
+        matrix, prior, sigma = case
+        assert sim.bayes_optimal_error(matrix, sigma, prior) == ref.bayes_optimal_error(
+            matrix, sigma, prior)

@@ -250,3 +250,9 @@ class TestBayesOracle:
     def test_never_negative(self):
         value = bayes_optimal_error(GRID9, 0.0, Prior(PRIOR_IID_BERNOULLI, 1))
         assert value >= 0.0
+
+    @pytest.mark.parametrize("index", [3, 7, -1, -3], ids=["n", "above-n", "minus-1", "minus-n"])
+    def test_item_index_outside_the_items_refused(self, index):
+        matrix = TestMatrix(rows=[(0,), (index,)], num_items=3)
+        with pytest.raises(InvalidParameterError, match="outside"):
+            bayes_optimal_error(matrix, 0.1, Prior(PRIOR_IID_BERNOULLI, 1))
