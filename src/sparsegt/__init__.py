@@ -62,6 +62,7 @@ from .sim import (
     SimConfig,
     SimReport,
     bayes_optimal_error,
+    block_collision_error,
     derive_trial_seed,
     exhaustive_error_probability,
     outcome_collision_groups,

@@ -214,7 +214,13 @@ def _cmd_design(args: argparse.Namespace, echo: str) -> int:
     return 0
 
 
+def _check_target(args: argparse.Namespace) -> None:
+    if args.target_epsilon is not None and not 0.0 <= args.target_epsilon <= 1.0:
+        raise _UsageError("--target-epsilon must lie in [0, 1]")
+
+
 def _cmd_simulate(args: argparse.Namespace, echo: str) -> int:
+    _check_target(args)
     if args.design:
         matrix = _load_design(args.design)
     elif args.family:
@@ -316,6 +322,7 @@ def _format_items(items: tuple[int, ...]) -> str:
 
 
 def _cmd_oracle(args: argparse.Namespace, echo: str) -> int:
+    _check_target(args)
     matrix = _load_design(args.design)
     if args.sigma is not None and not 0.0 <= args.sigma < 0.5:
         raise _UsageError("--sigma must lie in [0, 1/2)")

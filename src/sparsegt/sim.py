@@ -6,14 +6,22 @@ order, (1) the defective set and (2) the noise flips when sigma > 0. Because
 each trial derives its own seed from the pair ``(s, t)``, any partition of the
 trial range across workers reproduces the sequential result bit for bit.
 
-The harness makes those draws one trial at a time, in trial order, and then
-evaluates, flips, decodes and scores a batch of trials with array
-operations. Batching leaves the contract and the draw order unchanged: the
+For noiseless trials under the uniform prior, the harness computes those
+draws for thousands of trials at once in numpy: the seeds, NumPy's
+``SeedSequence`` and ``PCG64`` seeding, and the Floyd sampler behind
+``Generator.choice(n, d, replace=False)``. The replica is checked against
+``default_rng`` once per process. A trial whose draws may have hit a
+rejection, noisy runs, the iid prior and the tail-shuffle branch of
+``choice`` take the scalar path: one ``default_rng`` per trial, in trial
+order. The results are identical either way. The harness then evaluates,
+flips, decodes and scores a batch of trials with array operations; the
 counts do not depend on the batch size.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import math
 import time
@@ -45,6 +53,7 @@ __all__ = [
     "wilson_interval",
     "run_monte_carlo",
     "exhaustive_error_probability",
+    "block_collision_error",
     "outcome_collision_groups",
     "bayes_optimal_error",
 ]
@@ -68,6 +77,11 @@ def derive_trial_seed(master_seed: int, trial: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def _trial_rng(master_seed: int, trial: int) -> np.random.Generator:
+    """The generator the seeding contract gives trial ``trial``."""
+    return np.random.default_rng(derive_trial_seed(master_seed, trial))
 
 
 def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
@@ -149,6 +163,178 @@ class SimReport:
 
 
 # ---------------------------------------------------------------------------
+# the seeding contract's noiseless uniform draws, many trials at once
+# ---------------------------------------------------------------------------
+
+
+_LOW32 = 0xFFFFFFFF
+
+
+def _hash_constants(init: int, mult: int, count: int) -> tuple[tuple[int, int], ...]:
+    """The (xor, multiply) constants of ``count`` successive SeedSequence
+    hashes: each xors a word with the running constant, steps the constant
+    by ``mult`` and multiplies the word by the new constant."""
+    pairs, const = [], init
+    for _ in range(count):
+        pairs.append((const, const * mult & _LOW32))
+        const = pairs[-1][1]
+    return tuple(pairs)
+
+
+# NumPy's SeedSequence, with its pool of four uint32 words: 4 hashes fill the
+# pool and 12 mix it, then 8 more generate four uint64 state words. PCG64's
+# 128-bit multiplier, as its high and low halves.
+_POOL_HASHES = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_STATE_HASHES = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+
+def _trial_seeds(master_seed: int, first: int, count: int) -> np.ndarray:
+    """``derive_trial_seed(master_seed, t)`` for trials ``first .. first +
+    count - 1``, as uint64."""
+    z = np.arange(first + 1, first + count + 1, dtype=np.uint64) * _GOLDEN64
+    z += master_seed & _MASK64
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    return z ^ (z >> 31)
+
+
+def _seed_sequence_words(seeds: np.ndarray) -> list[np.ndarray]:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` of each uint64
+    seed, as four uint64 arrays. A seed enters as its two little-endian
+    uint32 words; a seed below 2**32 has only one, but a pool word with no
+    seed word hashes 0, which is what its zero high word hashes."""
+    hashes = iter(_POOL_HASHES)
+
+    def hashmix(word: np.ndarray) -> np.ndarray:
+        xor, mult = next(hashes)
+        word = (word ^ xor) * mult
+        return word ^ (word >> 16)
+
+    pool = np.zeros((4, seeds.size), dtype=np.uint32)
+    pool[0], pool[1] = seeds & _LOW32, seeds >> 32
+    pool = [hashmix(word) for word in pool]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = pool[dst] * _MIX_L - hashmix(pool[src]) * _MIX_R
+                pool[dst] = mixed ^ (mixed >> 16)
+    halves = []
+    for i, (xor, mult) in enumerate(_STATE_HASHES):
+        word = (pool[i % 4] ^ xor) * mult
+        halves.append((word ^ (word >> 16)).astype(np.uint64))
+    return [halves[2 * k] | (halves[2 * k + 1] << 32) for k in range(4)]
+
+
+def _pcg64_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
+    """One step of PCG64's 128-bit LCG, state * multiplier + increment mod
+    2**128, on uint64 (high, low) halves. The 64 x 64 -> 128-bit product of
+    the low halves is taken in 32-bit limbs."""
+    lo0, lo1 = lo & _LOW32, lo >> 32
+    mult0, mult1 = _PCG_MULT_LO & _LOW32, _PCG_MULT_LO >> 32
+    p00, p01, p10 = lo0 * mult0, lo0 * mult1, lo1 * mult0
+    mid = (p00 >> 32) + (p01 & _LOW32) + (p10 & _LOW32)
+    prod_lo = (mid << 32) | (p00 & _LOW32)
+    prod_hi = (lo1 * mult1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+               + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI)
+    new_lo = prod_lo + inc_lo
+    return prod_hi + inc_hi + (new_lo < prod_lo), new_lo
+
+
+def _pcg64_states(seeds: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``PCG64(seed)``'s (state high, state low, increment high, increment
+    low) for each uint64 seed. Of the four SeedSequence words, the first two
+    are the initial state and the last two the stream; the increment is the
+    stream shifted left with its low bit set, and the state is the initial
+    state added to one LCG step from 0, stepped once more."""
+    init_hi, init_lo, stream_hi, stream_lo = _seed_sequence_words(seeds)
+    inc_hi = (stream_hi << 1) | (stream_lo >> 63)
+    inc_lo = (stream_lo << 1) | 1
+    lo = inc_lo + init_lo
+    hi = inc_hi + init_hi + (lo < init_lo)
+    return (*_pcg64_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo)
+
+
+def _floyd_draws(master_seed: int, first: int, count: int, n: int,
+                 d: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.sort(default_rng(derive_trial_seed(master_seed, t)).choice(n, d,
+    replace=False))`` for trials ``t = first .. first + count - 1`` as a
+    (count, d) int64 array, where ``choice`` takes its Floyd branch and
+    n < 2**32; and a mask of the trials where a draw may have been rejected,
+    whose rows are not the contract's.
+
+    Floyd's sampler draws v_k uniform on [0, j_k], j_k = n - d + k, for
+    k = 0 .. d - 1, and keeps v_k unless it is already taken, else j_k. Each
+    draw is Lemire's: the next 32-bit half u of the PCG64 output stream (low
+    half first) gives v = u * (j + 1) >> 32, drawn again when the product's
+    low 32 bits fall below (2**32 - j - 1) mod (j + 1), which needs them
+    below j + 1. NumPy draws nothing for j = 0, which occurs only at d = n,
+    where every set holds all n items. The shuffle that follows does not
+    change the sorted set, and a noiseless trial draws nothing after it.
+    """
+    hi, lo, inc_hi, inc_lo = _pcg64_states(_trial_seeds(master_seed, first, count))
+    bound = np.arange(n - d, n, dtype=np.uint64) + 1  # j + 1
+    halves = np.empty((count, d + d % 2), dtype=np.uint64)
+    for k in range(0, d, 2):
+        hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
+        # XSL-RR output: the xor of the state's halves, rotated right by its top 6 bits
+        folded, rot = hi ^ lo, hi >> 58
+        out = (folded >> rot) | (folded << ((64 - rot) & 63))
+        halves[:, k], halves[:, k + 1] = out & _LOW32, out >> 32
+    scaled = halves[:, :d] * bound
+    flagged = ((scaled & _LOW32) < bound).any(axis=1)
+    picks = (scaled >> 32).astype(np.int64)
+
+    # Every draw ends up in the set, so a draw is taken when it equals an
+    # earlier draw, or the j of an earlier step that kept its j.
+    order = np.argsort(picks, axis=1, kind="stable")
+    ranked = np.take_along_axis(picks, order, axis=1)
+    kept_j = np.zeros(picks.shape, dtype=bool)
+    np.put_along_axis(kept_j, order[:, 1:], ranked[:, 1:] == ranked[:, :-1], axis=1)
+    step = picks - (n - d)  # the step whose j a draw equals, where >= 0
+    lanes = np.flatnonzero((step >= 0).any(axis=1))
+    kept, step, rows = kept_j[lanes], step[lanes], np.arange(lanes.size)
+    for k in range(d):
+        kept[:, k] |= (step[:, k] >= 0) & kept[rows, np.maximum(step[:, k], 0)]
+    kept_j[lanes] = kept
+    picks = np.where(kept_j, np.arange(n - d, n), picks)
+    picks.sort(axis=1)
+    return picks, flagged
+
+
+def _replica_covers(prior: Prior, n: int, sigma: float) -> bool:
+    """Whether ``_floyd_draws`` covers a run's draws: noiseless, under the
+    uniform prior, where ``choice`` takes Floyd's branch (its tail shuffle
+    serves n > 10**4 with d > n // 50) and every bound j + 1 fits 32 bits."""
+    return (sigma == 0.0 and prior.kind == PRIOR_UNIFORM_EXACT and n <= _LOW32
+            and not (n > 10_000 and prior.d > n // 50))
+
+
+# (master seed, n, d) cases on which the replica must reproduce default_rng:
+# a master seed above 2**64, collisions at d = n, a seed below 2**32, and
+# n near 2**31, where most draws are flagged
+_REPLICA_CASES = ((2**64 + 42, 10_000, 10), (7, 12, 12), (2**32 - 1, 50, 3),
+                  (42, 2**31 - 1, 2))
+_REPLICA_CASE_TRIALS = 16
+
+
+@functools.cache
+def _replica_matches() -> bool:
+    """Whether this NumPy's ``default_rng`` draws what ``_floyd_draws``
+    computes on every unflagged trial of ``_REPLICA_CASES``. NumPy does not
+    promise that ``Generator`` streams stay the same across versions; on a
+    mismatch every run takes the scalar path."""
+    for seed, n, d in _REPLICA_CASES:
+        picks, flagged = _floyd_draws(seed, 0, _REPLICA_CASE_TRIALS, n, d)
+        for t in np.flatnonzero(~flagged).tolist():
+            want = np.sort(_trial_rng(seed, t).choice(n, d, replace=False))
+            if not np.array_equal(picks[t], want):
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # trial execution
 # ---------------------------------------------------------------------------
 
@@ -169,6 +355,13 @@ def _batch_trials(matrix: TestMatrix, d: int, plan=None, noisy: bool = False) ->
     per_trial = (matrix.num_tests * (2 if noisy else 1) + decode_trial
                  + d * (8 * incidences + decode_defective) + _TRIAL_BYTES)
     return max(1, int(_BATCH_BYTES // per_trial))
+
+
+def _draw_chunk(d: int) -> int:
+    """Trials per ``_floyd_draws`` call. Its arrays peak at about 64 (d + 2)
+    bytes a trial; it takes four batches' budget, as numpy's per-call cost
+    needs thousands of trials to amortise."""
+    return max(1, 4 * _BATCH_BYTES // (64 * (d + 2)))
 
 
 def _draw_defectives(rng: np.random.Generator, prior: Prior, n: int) -> np.ndarray:
@@ -210,6 +403,43 @@ def _score_batch(matrix: TestMatrix, plan, trial: np.ndarray, items: np.ndarray,
     return np.array([failed.sum(), extra.sum(), ambiguous.sum(), (missing > 0).sum()])
 
 
+def _scalar_batches(matrix: TestMatrix, prior: Prior, sigma: float, master_seed: int,
+                    start: int, count: int, batch: int):
+    """Trials ``start .. start + count - 1`` drawn one by one, in trial
+    order, as the seeding contract defines them, ``batch`` at a time: (trial
+    of each defective, defectives, number of trials, noise flips or None)."""
+    noisy_tests = matrix.num_tests if sigma > 0.0 else 0
+    draws = np.empty(noisy_tests)  # one trial's noise draws
+    flips = np.empty((min(batch, count), noisy_tests), dtype=bool)
+    for first in range(start, start + count, batch):
+        trials = range(first, min(first + batch, start + count))
+        picks = []
+        for row, t in enumerate(trials):
+            rng = _trial_rng(master_seed, t)
+            picks.append(_draw_defectives(rng, prior, matrix.num_items))
+            if sigma > 0.0:
+                _noise_flips(sigma, rng, draws, flips[row])
+        items = np.concatenate(picks)
+        if prior.kind == PRIOR_UNIFORM_EXACT:
+            items.reshape(len(trials), prior.d).sort(axis=1)
+        trial = np.repeat(np.arange(len(trials)), [p.size for p in picks])
+        yield trial, items, len(trials), flips[: len(trials)] if sigma > 0.0 else None
+
+
+def _replica_batches(n: int, d: int, master_seed: int, start: int, count: int, batch: int):
+    """The same batches for noiseless uniform trials whose ``choice`` is
+    Floyd's: the replica computes a chunk of trials at once, and the trials
+    it flags are drawn again through ``default_rng``."""
+    chunk = _draw_chunk(d)
+    for first in range(start, start + count, chunk):
+        picks, flagged = _floyd_draws(master_seed, first, min(chunk, start + count - first), n, d)
+        for row in np.flatnonzero(flagged).tolist():
+            picks[row] = np.sort(_trial_rng(master_seed, first + row).choice(n, d, replace=False))
+        for lo in range(0, len(picks), batch):
+            part = picks[lo : lo + batch]
+            yield np.repeat(np.arange(len(part)), d), part.reshape(-1), len(part), None
+
+
 def _run_trial_range(
     matrix: TestMatrix,
     plan,
@@ -219,29 +449,19 @@ def _run_trial_range(
     start: int,
     count: int,
 ) -> tuple[int, int, int, int]:
-    """Trials ``start .. start + count - 1``, drawn one by one as the seeding
-    contract fixes and evaluated, decoded and scored a batch at a time."""
+    """Trials ``start .. start + count - 1``, drawn as the seeding contract
+    fixes them and evaluated, decoded and scored a batch at a time."""
     matrix.column_index()  # build the OR channel's column index before the first trial
-    n, num_tests = matrix.num_items, matrix.num_tests
+    n = matrix.num_items
     batch = _batch_trials(matrix, prior.d, plan, sigma > 0.0)
-    noisy_tests = num_tests if sigma > 0.0 else 0
-    draws = np.empty(noisy_tests)  # one trial's noise draws
-    flips = np.empty((min(batch, count), noisy_tests), dtype=bool)
+    # testing count first keeps a zero-trial run from paying for the check
+    if count and _replica_covers(prior, n, sigma) and _replica_matches():
+        batches = _replica_batches(n, prior.d, master_seed, start, count, batch)
+    else:
+        batches = _scalar_batches(matrix, prior, sigma, master_seed, start, count, batch)
     totals = np.zeros(4, dtype=np.int64)
-    for first in range(start, start + count, batch):
-        trials = range(first, min(first + batch, start + count))
-        picks = []
-        for row, t in enumerate(trials):
-            rng = np.random.default_rng(derive_trial_seed(master_seed, t))
-            picks.append(_draw_defectives(rng, prior, n))
-            if sigma > 0.0:
-                _noise_flips(sigma, rng, draws, flips[row])
-        items = np.concatenate(picks)
-        if prior.kind == PRIOR_UNIFORM_EXACT:
-            items.reshape(len(trials), prior.d).sort(axis=1)
-        trial = np.repeat(np.arange(len(trials)), [p.size for p in picks])
-        totals += _score_batch(matrix, plan, trial, items, len(trials),
-                               flips[: len(trials)] if sigma > 0.0 else None)
+    for trial, items, num_trials, flips in batches:
+        totals += _score_batch(matrix, plan, trial, items, num_trials, flips)
     errors, fp_items, amb_blocks, wrong = totals.tolist()
     return errors, fp_items, amb_blocks, wrong
 
@@ -364,6 +584,24 @@ def exhaustive_error_probability(
     for trial, items, num_sets in _set_batches(matrix, d, _batch_trials(matrix, d, plan)):
         errors += int(_score_batch(matrix, plan, trial, items, num_sets)[0])
     return Fraction(errors, total)
+
+
+def block_collision_error(matrix: TestMatrix, d: int) -> Fraction:
+    """Exact chance that a uniform size-d defective set puts two defectives
+    in one block: 1 - e_d(block sizes) / C(n, d), with e_d the elementary
+    symmetric polynomial, in Python integers. A strict block decoder errs on
+    exactly these sets. A matrix without blocks is one block."""
+    n = matrix.num_items
+    if not 0 <= d <= n:
+        raise InvalidParameterError(f"d must lie in [0, {n}]")
+    sizes = collections.Counter(end - start for start, end in matrix.block_bounds())
+    spread = [1] + [0] * d  # e_0 .. e_d of the sizes so far
+    for size, count in sizes.items():
+        # multiply by (1 + size x)^count, truncated at degree d
+        factor = [math.comb(count, i) * size**i for i in range(d + 1)]
+        spread = [sum(spread[k - i] * factor[i] for i in range(k + 1)) for k in range(d + 1)]
+    total = math.comb(n, d)
+    return Fraction(total - spread[d], total)
 
 
 def _set_batches(matrix: TestMatrix, d: int, batch: int):

@@ -43,6 +43,7 @@ from sparsegt.designs import (
 from sparsegt.sim import (
     SimConfig,
     bayes_optimal_error,
+    block_collision_error,
     derive_trial_seed,
     exhaustive_error_probability,
     run_monte_carlo,
@@ -143,23 +144,13 @@ def _collision_trials(matrix, defect_sets):
     )
 
 
-def _exact_collision_error(matrix, d):
-    """1 - e_d(block sizes) / C(n, d) in exact integers, e_d the elementary
-    symmetric polynomial: the chance that d uniform defectives share a block."""
-    e = [1] + [0] * d
-    for start, end in matrix.block_bounds():
-        for j in range(d, 0, -1):
-            e[j] += e[j - 1] * (end - start)
-    return Fraction(math.comb(matrix.num_items, d) - e[d], math.comb(matrix.num_items, d))
-
-
 def test_c04_block_hypergrid_at_desk_scale():
     started = time.perf_counter()
     matrix = block_hypergrid_design(10_000, 5, 2, 0.1)
     report = _mc(matrix, "hypergrid", d=5, trials=10_000, seed=42, epsilon=0.1, gamma=2)
     collisions = _collision_trials(matrix, _trial_defectives(42, report.trials, 10_000, 5))
     frequency = 1 - collisions / report.trials
-    exact = _exact_collision_error(matrix, 5)
+    exact = block_collision_error(matrix, 5)
     wall = time.perf_counter() - started
     checks = [
         ("T <= 3500", matrix.num_tests <= 3500),
@@ -219,7 +210,7 @@ def test_c06_binary_blocks_both_regimes():
                      epsilon=0.1, rho=rho)
         results.append((rho, matrix.num_tests, expected_tests, report,
                         _collision_trials(matrix, defect_sets),
-                        _exact_collision_error(matrix, 5)))
+                        block_collision_error(matrix, 5)))
     wall = time.perf_counter() - started
     checks = [
         (f"rho={rho}: T == {want}", got == want)

@@ -333,11 +333,22 @@ class TestOracleCommand:
          "--trials", "5", "--k", "-1"],
         ["oracle", "--design", "fig1", "--d", "1", "--sigma", "-0.1"],
         ["oracle", "--design", "fig1", "--d", "1", "--sigma", "nan"],
+        ["simulate", "--family", "hypergrid", "--n", "9", "--gamma", "2", "--d", "1",
+         "--trials", "5", "--target-epsilon", "nan"],
+        ["simulate", "--family", "hypergrid", "--n", "9", "--gamma", "2", "--d", "1",
+         "--trials", "5", "--target-epsilon", "-0.5"],
+        ["simulate", "--family", "hypergrid", "--n", "9", "--gamma", "2", "--d", "1",
+         "--trials", "5", "--target-epsilon", "1.5"],
+        ["oracle", "--design", "fig1", "--d", "1", "--target-epsilon", "nan"],
+        ["oracle", "--design", "fig1", "--d", "1", "--target-epsilon", "-0.5"],
+        ["oracle", "--design", "/no/such/file", "--d", "1", "--target-epsilon", "2"],
     ],
     ids=["zeta-inf", "zeta-overflow", "epsilon-underflow", "design-not-utf8",
          "design-permuted-negative-seed", "design-random-gamma-negative-seed",
          "simulate-permuted-negative-seed", "simulate-random-gamma-negative-seed",
-         "simulate-k-0", "simulate-k-negative", "oracle-sigma-negative", "oracle-sigma-nan"],
+         "simulate-k-0", "simulate-k-negative", "oracle-sigma-negative", "oracle-sigma-nan",
+         "simulate-target-nan", "simulate-target-negative", "simulate-target-above-one",
+         "oracle-target-nan", "oracle-target-negative", "oracle-target-before-the-design"],
 )
 def test_bad_input_is_one_error_line(capsys, tmp_path, argv):
     not_utf8 = tmp_path / "binary.design"
@@ -348,6 +359,8 @@ def test_bad_input_is_one_error_line(capsys, tmp_path, argv):
     assert "Traceback" not in err
     if "{not_utf8}" in argv:
         assert "line 3" in err
+    if "--target-epsilon" in argv:
+        assert err == "error: --target-epsilon must lie in [0, 1]\n"
 
 
 # flag values for generated command lines: mostly small in-range values that

@@ -434,21 +434,60 @@ def _batch_size(batch):
     return mock.patch.object(sim, "_batch_trials", lambda *args: batch)
 
 
+def _draw_chunk(chunk):
+    """Fix the replica's trials per call, or leave the derived one when None."""
+    if chunk is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(sim, "_draw_chunk", lambda d: chunk)
+
+
+# master seeds: small ones, and ones near and above 2**64, which the trial
+# seeds reduce mod 2**64
+master_seeds = st.integers(0, 10**6) | st.integers(2**64 - 10**3, 2**64 + 10**6)
+
+
 class TestBatchHarnessAgreesWithTheTrialLoop:
-    @given(harness_cases(), st.integers(0, 10**6), st.integers(0, 60), st.integers(0, 45),
-           st.sampled_from([None, 1, 2, 3, 7]))
+    @given(harness_cases(), master_seeds, st.integers(0, 60), st.integers(0, 45),
+           st.sampled_from([None, 1, 2, 3, 7]), st.sampled_from([None, 1, 4, 16]))
     @settings(max_examples=300, deadline=None)
-    def test_same_counts(self, case, seed, start, count, batch):
-        """Any batch size, including ones that do not divide the trial count,
-        and any first trial."""
+    def test_same_counts(self, case, seed, start, count, batch, chunk):
+        """Any batch size and number of trials per replica call, including
+        ones that do not divide the trial count, and any first trial."""
         matrix, decoder, prior, sigma = case
         want = ref.run_trial_range(matrix, ref.PLANS[decoder](matrix), prior, sigma, seed,
                                    start, count)
-        with _batch_size(batch):
+        with _batch_size(batch), _draw_chunk(chunk):
             got = sim._run_trial_range(matrix, make_plan(matrix, decoder), prior, sigma,
                                        seed, start, count)
         assert got == want
         assert all(type(v) is int for v in got)
+
+    @given(harness_cases(), master_seeds, st.integers(0, 60), st.integers(0, 45))
+    @settings(max_examples=100, deadline=None)
+    def test_same_counts_when_the_replica_check_fails(self, case, seed, start, count):
+        """A NumPy whose streams differ from the replica gets every trial from
+        the scalar path."""
+        matrix, decoder, prior, sigma = case
+        want = ref.run_trial_range(matrix, ref.PLANS[decoder](matrix), prior, sigma, seed,
+                                   start, count)
+        with mock.patch.object(sim, "_replica_matches", lambda: False), \
+                mock.patch.object(sim, "_floyd_draws", side_effect=AssertionError):
+            got = sim._run_trial_range(matrix, make_plan(matrix, decoder), prior, sigma,
+                                       seed, start, count)
+        assert got == want
+
+    def test_same_counts_across_a_draw_chunk_boundary(self):
+        """Enough trials at the derived chunk size that the second replica
+        call starts inside the range."""
+        matrix, d = hypergrid_design(100, 2), 12
+        prior, start = Prior(PRIOR_UNIFORM_EXACT, d), 12_345
+        count = sim._draw_chunk(d) + 200
+        want = ref.run_trial_range(matrix, ref.PLANS["coma"](matrix), prior, 0.0, 2**64 + 9,
+                                   start, count)
+        got = sim._run_trial_range(matrix, make_plan(matrix, "coma"), prior, 0.0, 2**64 + 9,
+                                   start, count)
+        assert got == want
+        assert want[0] > 0
 
     @given(harness_cases(), st.data())
     @settings(max_examples=300, deadline=None)
@@ -501,3 +540,79 @@ class TestBayesOracleAgreesWithTheBitmaskLoop:
         matrix, prior, sigma = case
         assert sim.bayes_optimal_error(matrix, sigma, prior) == ref.bayes_optimal_error(
             matrix, sigma, prior)
+
+
+# ---------------------------------------------------------------------------
+# the harness's replica of the contract's noiseless uniform draws
+# ---------------------------------------------------------------------------
+
+
+def _contract_draw(seed, trial, n, d):
+    rng = np.random.default_rng(sim.derive_trial_seed(seed, trial))
+    return np.sort(rng.choice(n, size=d, replace=False))
+
+
+@st.composite
+def floyd_cases(draw):
+    """(n, d) where ``choice`` takes Floyd's branch, n < 2**32: often within
+    a few of 2**31, where most bounded draws may be rejected, or a few above
+    2**32 // k, where about (k - 1) / k of the last draws are."""
+    n = draw(st.integers(1, 60) | st.integers(1, 2**32 - 1) | st.integers(2**31 - 4, 2**31)
+             | st.builds(lambda k, e: 2**32 // k + e, st.integers(2, 5), st.integers(1, 8)))
+    d = draw(st.integers(0, min(n, 12)))
+    assume(sim._replica_covers(Prior(PRIOR_UNIFORM_EXACT, d), n, 0.0))
+    return n, d
+
+
+class TestReplicaAgreesWithDefaultRng:
+    @given(st.integers(0, 2**70), st.integers(0, 2**40), st.integers(1, 40), floyd_cases(),
+           st.sampled_from([1, 3, 40]))
+    @example(2**64 + 1, 0, 30, (2**31, 12), 3)
+    @example(2**64 + 1, 0, 30, (2**31 + 2, 12), 3)
+    @example(0, 0, 30, (12, 12), 40)
+    @example(2**70, 7, 30, (1, 1), 1)
+    @example(5, 0, 10, (7, 0), 3)
+    @settings(max_examples=200, deadline=None)
+    def test_same_sorted_sets(self, seed, first, count, case, batch):
+        """Every unflagged trial is the contract's draw; after the scalar
+        redraw of the flagged ones, every trial is."""
+        n, d = case
+        want = np.array([_contract_draw(seed, t, n, d) for t in range(first, first + count)],
+                        dtype=np.int64).reshape(count, d)
+        picks, flagged = sim._floyd_draws(seed, first, count, n, d)
+        assert picks.dtype == np.int64 and flagged.shape == (count,)
+        assert np.array_equal(picks[~flagged], want[~flagged])
+        batches = list(sim._replica_batches(n, d, seed, first, count, batch))
+        assert [b[2] for b in batches] == [min(batch, count - lo) for lo in range(0, count, batch)]
+        assert all(b[3] is None for b in batches)
+        got = np.concatenate([items.reshape(num, d) for _, items, num, _ in batches])
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_seed_layer(self, seed):
+        """SeedSequence words and the PCG64 state and increment."""
+        seeds = np.array([seed], dtype=np.uint64)
+        words = [int(w[0]) for w in sim._seed_sequence_words(seeds)]
+        assert words == np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
+        hi, lo, inc_hi, inc_lo = (int(v[0]) for v in sim._pcg64_states(seeds))
+        state = np.random.PCG64(seed).state["state"]
+        assert (hi << 64 | lo, inc_hi << 64 | inc_lo) == (state["state"], state["inc"])
+
+    def test_trial_seeds(self):
+        for seed in (0, 42, 2**64 - 1, 2**64 + 5, 2**70 + 3):
+            got = sim._trial_seeds(seed, 1000, 50).tolist()
+            assert got == [sim.derive_trial_seed(seed, t) for t in range(1000, 1050)]
+
+    @pytest.mark.parametrize("n, d", [(10_000, 10_000), (10_001, 200), (10_001, 201),
+                                      (10**5, 2000), (10**5, 2001)])
+    def test_covers_exactly_the_floyd_branch(self, n, d):
+        """Beyond n = 10**4, ``choice`` samples d > n // 50 items by a tail
+        shuffle, which the replica does not reproduce."""
+        covered = sim._replica_covers(Prior(PRIOR_UNIFORM_EXACT, d), n, 0.0)
+        picks, flagged = sim._floyd_draws(3, 0, 4, n, d)
+        same = [np.array_equal(picks[t], _contract_draw(3, t, n, d))
+                for t in range(4) if not flagged[t]]
+        assert same and covered == all(same)
+
+    def test_check_passes_on_this_numpy(self):
+        assert sim._replica_matches()

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from sparsegt import sim
 from sparsegt.core import (
     DesignParams,
     IncompatibleDecoderError,
@@ -16,6 +18,7 @@ from sparsegt.core import (
     TestMatrix,
 )
 from sparsegt.designs import (
+    block_binary_rho_design,
     block_hypergrid_design,
     hypergrid_design,
     permuted_block_rho_design,
@@ -25,6 +28,7 @@ from sparsegt.sim import (
     SIM_CSV_HEADER,
     SimConfig,
     bayes_optimal_error,
+    block_collision_error,
     derive_trial_seed,
     exhaustive_error_probability,
     outcome_collision_groups,
@@ -173,6 +177,18 @@ class TestRunMonteCarlo:
         assert np.array_equal(defect, again)
 
 
+class TestReplicaCheck:
+    def test_runs_once_per_process_and_never_for_zero_trials(self):
+        sim._replica_matches.cache_clear()
+        run_monte_carlo(GRID9, "coma", config(9, 2, 0, 42))
+        assert sim._replica_matches.cache_info().misses == 0
+        first = run_monte_carlo(GRID9, "coma", config(9, 2, 50, 42))
+        again = run_monte_carlo(GRID9, "coma", config(9, 2, 50, 42))
+        info = sim._replica_matches.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert first.csv_row() == again.csv_row()
+
+
 class TestExhaustiveOracle:
     def test_grid_decodes_every_singleton(self):
         assert exhaustive_error_probability(GRID9, "hypergrid", 1) == Fraction(0)
@@ -192,6 +208,35 @@ class TestExhaustiveOracle:
 
     def test_d_zero(self):
         assert exhaustive_error_probability(GRID9, "coma", 0) == Fraction(0)
+
+
+class TestBlockCollisionError:
+    def test_no_blocks_is_one_block(self):
+        assert block_collision_error(GRID9, 1) == Fraction(0)
+        assert block_collision_error(GRID9, 2) == Fraction(1)
+        assert block_collision_error(GRID9, 0) == Fraction(0)
+
+    @pytest.mark.parametrize("d", [-1, 10])
+    def test_d_outside_the_items_refused(self, d):
+        with pytest.raises(InvalidParameterError):
+            block_collision_error(GRID9, d)
+
+    @given(st.sampled_from(["hypergrid", "binary"]), st.integers(2, 30), st.integers(1, 3),
+           st.integers(1, 10), st.floats(0.05, 0.95), st.integers(0, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_exhaustive_oracle(self, decoder, n, design_d, budget, epsilon, d):
+        """A strict block decoder errs on exactly the sets with two
+        defectives in one block."""
+        assume(d <= n)
+        try:
+            if decoder == "hypergrid":
+                matrix = block_hypergrid_design(n, design_d, min(budget, 3), epsilon)
+            else:
+                matrix = block_binary_rho_design(n, design_d, budget, epsilon)
+        except InvalidParameterError:  # outside the family's regime
+            assume(False)
+        assert block_collision_error(matrix, d) == exhaustive_error_probability(
+            matrix, decoder, d)
 
 
 class TestCollisionGroups:
