@@ -684,17 +684,14 @@ def validate(matrix: TestMatrix) -> list[Violation]:
                     f"{matrix.num_tests} rows not divisible by repeat_k={k}",
                 )
             )
-        else:
-            broken = np.flatnonzero(_broken_repeat_groups(indptr, indices, k))
-            if broken.size:
-                g = int(broken[0])
-                report.append(
-                    Violation(
-                        "repetition",
-                        f"rows {g * k}..{(g + 1) * k - 1}",
-                        "repeated design rows must be consecutive duplicates",
-                    )
+        elif (g := _broken_repeat_group(matrix)) is not None:
+            report.append(
+                Violation(
+                    "repetition",
+                    f"rows {g * k}..{(g + 1) * k - 1}",
+                    "repeated design rows must be consecutive duplicates",
                 )
+            )
     return report
 
 
@@ -704,19 +701,22 @@ def _unordered_pairs(indices: np.ndarray, row_of: np.ndarray) -> np.ndarray:
     return row_of[1:][(indices[1:] <= indices[:-1]) & (row_of[1:] == row_of[:-1])]
 
 
-def _broken_repeat_groups(indptr: np.ndarray, indices: np.ndarray, k: int) -> np.ndarray:
-    """For each group of k consecutive rows, whether its rows differ."""
-    lengths = np.diff(indptr)
-    grouped = lengths.reshape(-1, k)
-    broken = (grouped != grouped[:, :1]).any(axis=1)
-    # in a group of equal-length rows, the entry at offset o of its j-th row
-    # sits j * length positions after the same offset of its first row
-    row_of = np.repeat(np.arange(lengths.size), lengths)
-    shift = (row_of % k) * np.repeat(grouped[:, 0], k)[row_of]
-    shift[np.repeat(broken, k)[row_of]] = 0
-    mismatch = indices[np.arange(indices.size) - shift] != indices
-    broken[row_of[mismatch] // k] = True
-    return broken
+def _broken_repeat_group(matrix: TestMatrix) -> int | None:
+    """The first group of ``repeat_k`` consecutive rows that are not all
+    copies of the group's first row, or None when every group is: the
+    repetition check of validate and the majority plan. The row count must
+    be a multiple of ``repeat_k``."""
+    firsts = np.repeat(np.arange(0, matrix.num_tests, matrix.repeat_k), matrix.repeat_k)
+    lengths = matrix.row_weights()
+    uneven = np.flatnonzero(lengths != lengths[firsts])
+    # the rows before the first one whose length differs from its group's
+    # first row line up entry for entry with the copies of the first rows
+    rows = int(uneven[0]) if uneven.size else matrix.num_tests
+    _, copies = _select_rows(matrix, firsts[:rows])
+    differ = np.flatnonzero(copies != matrix.indices[: copies.size])
+    if differ.size:
+        rows = int(np.searchsorted(matrix.indptr, differ[0], side="right")) - 1
+    return rows // matrix.repeat_k if rows < matrix.num_tests else None
 
 
 # ---------------------------------------------------------------------------

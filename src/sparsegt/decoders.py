@@ -45,6 +45,7 @@ from .core import (
     TAG_HYPERGRID,
     TAG_REPEATED,
     TestMatrix,
+    _broken_repeat_group,
     _offsets,
     _ragged,
     _select_rows,
@@ -106,14 +107,29 @@ class _Plan:
     no test. ``trial_bytes`` and ``defective_bytes`` estimate the bytes of
     arrays a batch takes per trial and per defective of a trial, so that the
     harness can size its batches.
+
+    The harness evaluates the matrix ``evaluated`` (the design itself, or
+    less where the plan needs less) and hands its outcome bits and the
+    channel's flips to ``decode_channel``.
     """
 
     untested = _NO_ITEMS
     trial_bytes = defective_bytes = 0.0
 
+    def __init__(self, matrix: TestMatrix):
+        self.evaluated = matrix
+
     def decode_bits(self, bits: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray]:
         _, estimate, _, ambiguous = self.decode_batch(np.asarray(bits, dtype=bool)[None])
         return estimate, ambiguous.tolist(), self.untested
+
+    def decode_channel(self, bits: np.ndarray, flips: np.ndarray | None):
+        """Decode a batch from the noiseless outcome bits of ``evaluated``
+        and the channel's (trials, T) flips of the design's tests, or None
+        when there is no noise."""
+        if flips is not None:
+            bits ^= flips
+        return self.decode_batch(bits)
 
 
 class ComaPlan(_Plan):
@@ -131,6 +147,7 @@ class ComaPlan(_Plan):
     kind = "coma"
 
     def __init__(self, matrix: TestMatrix):
+        super().__init__(matrix)
         self.num_items = matrix.num_items
         self.col_indptr, self.tests = matrix.column_index()
         weight = matrix.column_weights()
@@ -193,6 +210,7 @@ class BlockPlan(_Plan):
 
     def __init__(self, matrix: TestMatrix, kind: str, block_tests, test_count,
                  first: int, axes: int, design: str):
+        super().__init__(matrix)
         self.kind, self.axes = kind, axes
         starts = (0,) if matrix.block_starts is None else matrix.block_starts
         if not _well_formed_blocks(starts, matrix.num_items):
@@ -270,7 +288,15 @@ def _binary_plan(matrix: TestMatrix) -> BlockPlan:
 
 class MajorityPlan(_Plan):
     """Majority vote over the k copies of each base test, then the
-    every-test-positive rule on the voted outcomes. Ties vote positive."""
+    every-test-positive rule on the voted outcomes. Ties vote positive.
+
+    The copies of a base test share one noiseless outcome b, so the harness
+    evaluates only the base rows (``evaluated``) and counts each group's
+    flips F: the group has ``k - F`` positive votes if b is set, else F.
+    ``decode_batch`` sums the copies of observed outcomes into the same
+    votes. The plan refuses a repeated design whose groups are not copies,
+    which :func:`~sparsegt.core.validate` reports as ``repetition``.
+    """
 
     kind = "majority"
 
@@ -284,15 +310,38 @@ class MajorityPlan(_Plan):
             raise IncompatibleDecoderError(
                 f"{matrix.num_tests} tests not divisible by repeat_k={k}"
             )
+        group = _broken_repeat_group(matrix)
+        if group is not None:
+            raise IncompatibleDecoderError(
+                f"rows {group * k}..{(group + 1) * k - 1} of the repeated design "
+                "are not copies of one row"
+            )
         self.k = k
         indptr, indices = _select_rows(matrix, np.arange(0, matrix.num_tests, k))
-        self.base_plan = ComaPlan(TestMatrix.from_csr(indptr, indices, matrix.num_items))
+        super().__init__(TestMatrix.from_csr(indptr, indices, matrix.num_items))
+        self.base_plan = ComaPlan(self.evaluated)
         self.untested = self.base_plan.untested
         self.defective_bytes = self.base_plan.defective_bytes
 
-    def decode_batch(self, bits: np.ndarray):
-        votes = bits.reshape(len(bits), -1, self.k).sum(axis=2, dtype=np.min_scalar_type(self.k))
+    def decode_votes(self, votes: np.ndarray):
+        """Decode a batch from the positive votes of each base test, a
+        (trials, T / k) array."""
         return self.base_plan.decode_batch(votes >= (self.k + 1) // 2)
+
+    def decode_batch(self, bits: np.ndarray):
+        return self.decode_votes(self._group_sums(bits))
+
+    def decode_channel(self, bits: np.ndarray, flips: np.ndarray | None):
+        counts = 0 if flips is None else self._group_sums(flips)
+        return self.decode_votes(np.where(bits, self.k - counts, counts))
+
+    def _group_sums(self, bits: np.ndarray) -> np.ndarray:
+        """How many bits of each group of k copies are set, per trial of a
+        (trials, T) bool array: one reduceat over the adjacent copies."""
+        flat = bits.reshape(-1).view(np.uint8)
+        sums = np.add.reduceat(flat, np.arange(0, flat.size, self.k),
+                               dtype=np.min_scalar_type(self.k))
+        return sums.reshape(len(bits), -1)
 
 
 _PLAN_TYPES = {

@@ -9,13 +9,17 @@ trial range across workers reproduces the sequential result bit for bit.
 For noiseless trials under the uniform prior, the harness computes those
 draws for thousands of trials at once in numpy: the seeds, NumPy's
 ``SeedSequence`` and ``PCG64`` seeding, and the Floyd sampler behind
-``Generator.choice(n, d, replace=False)``. The replica is checked against
-``default_rng`` once per process. A trial whose draws may have hit a
-rejection, noisy runs, the iid prior and the tail-shuffle branch of
-``choice`` take the scalar path: one ``default_rng`` per trial, in trial
-order. The results are identical either way. The harness then evaluates,
-flips, decodes and scores a batch of trials with array operations; the
-counts do not depend on the batch size.
+``Generator.choice(n, d, replace=False)``; a trial whose draws may have hit
+a rejection is drawn again through ``default_rng``. Noisy runs, the iid
+prior and the tail-shuffle branch of ``choice`` draw one trial at a time,
+in trial order, from one reused ``PCG64`` set to each trial's state as the
+same numpy seeding computes it. The replica is checked against
+``default_rng`` once per process; on a mismatch every trial gets its own
+``default_rng``. The results are identical either way. The harness then
+evaluates, flips, decodes and scores a batch of trials with array
+operations; the counts do not depend on the batch size. A majority plan's
+copies of a test share one noiseless outcome, so the harness evaluates only
+its base rows and votes from each group's flip count.
 """
 
 from __future__ import annotations
@@ -321,17 +325,57 @@ _REPLICA_CASE_TRIALS = 16
 
 @functools.cache
 def _replica_matches() -> bool:
-    """Whether this NumPy's ``default_rng`` draws what ``_floyd_draws``
-    computes on every unflagged trial of ``_REPLICA_CASES``. NumPy does not
-    promise that ``Generator`` streams stay the same across versions; on a
-    mismatch every run takes the scalar path."""
+    """Whether this NumPy's ``default_rng`` draws what the replica computes
+    on the trials of ``_REPLICA_CASES``: the sorted sets of ``_floyd_draws``
+    on every unflagged trial, and on every trial, the ``choice`` and then a
+    few doubles of a ``PCG64`` set to the state ``_pcg64_states`` computes.
+    NumPy does not promise that ``Generator`` streams stay the same across
+    versions; on a mismatch every run seeds and draws each trial through
+    ``default_rng``."""
     for seed, n, d in _REPLICA_CASES:
         picks, flagged = _floyd_draws(seed, 0, _REPLICA_CASE_TRIALS, n, d)
         for t in np.flatnonzero(~flagged).tolist():
             want = np.sort(_trial_rng(seed, t).choice(n, d, replace=False))
             if not np.array_equal(picks[t], want):
                 return False
+        for t, rng in enumerate(_state_rngs(seed, 0, _REPLICA_CASE_TRIALS)):
+            want = _trial_rng(seed, t)
+            for draw in (lambda g: g.choice(n, d, replace=False), lambda g: g.random(4)):
+                if not np.array_equal(draw(rng), draw(want)):
+                    return False
     return True
+
+
+# trials whose PCG64 states are computed at once: enough to amortise numpy's
+# per-call cost, few enough to keep the arrays small
+_STATE_CHUNK = 1024
+
+
+def _state_rngs(master_seed: int, first: int, count: int):
+    """The generators of trials ``first .. first + count - 1``, in order, as
+    one reused ``PCG64`` set to each trial's state from ``_pcg64_states``,
+    which skips NumPy's seeding; each is valid until the next is taken."""
+    bit_generator = np.random.PCG64()
+    rng = np.random.Generator(bit_generator)
+    for lo in range(first, first + count, _STATE_CHUNK):
+        seeds = _trial_seeds(master_seed, lo, min(_STATE_CHUNK, first + count - lo))
+        for hi, low, inc_hi, inc_lo in zip(*(v.tolist() for v in _pcg64_states(seeds))):
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": hi << 64 | low, "inc": inc_hi << 64 | inc_lo},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield rng
+
+
+def _trial_rngs(master_seed: int, first: int, count: int):
+    """The seeding contract's generators of trials ``first .. first + count
+    - 1``, in order: set from the replica's states where the replica check
+    passes, else one ``default_rng`` per trial."""
+    if _replica_matches():
+        return _state_rngs(master_seed, first, count)
+    return (_trial_rng(master_seed, t) for t in range(first, first + count))
 
 
 # ---------------------------------------------------------------------------
@@ -345,14 +389,15 @@ _BATCH_BYTES = 1 << 20
 _TRIAL_BYTES = 256
 
 
-def _batch_trials(matrix: TestMatrix, d: int, plan=None, noisy: bool = False) -> int:
-    """Trials per batch. A trial takes T bytes of outcome bits (and T more
-    of noise flips), one int64 index per incidence of its d defectives at
-    the mean column weight, and what the plan's decoding takes, if any."""
+def _batch_trials(matrix: TestMatrix, d: int, plan=None, flipped_tests: int = 0) -> int:
+    """Trials per batch. A trial takes a byte per test of the evaluated
+    ``matrix`` for its outcome bits and one per flipped test, one int64 index
+    per incidence of its d defectives at the mean column weight, and what
+    the plan's decoding takes, if any."""
     incidences = matrix.ones_count() / matrix.num_items
     decode_trial, decode_defective = (
         (plan.trial_bytes, plan.defective_bytes) if plan else (0.0, 0.0))
-    per_trial = (matrix.num_tests * (2 if noisy else 1) + decode_trial
+    per_trial = (matrix.num_tests + flipped_tests + decode_trial
                  + d * (8 * incidences + decode_defective) + _TRIAL_BYTES)
     return max(1, int(_BATCH_BYTES // per_trial))
 
@@ -378,17 +423,17 @@ def _found(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
     return sorted_keys[at] == keys if sorted_keys.size else np.zeros(keys.size, dtype=bool)
 
 
-def _score_batch(matrix: TestMatrix, plan, trial: np.ndarray, items: np.ndarray,
-                 num_trials: int, flips: np.ndarray | None = None) -> np.ndarray:
-    """Evaluate, flip and decode a batch of trials, where trial ``trial[k]``
-    holds defective ``items[k]`` (sorted within each trial), and score it as
+def _score_batch(plan, trial: np.ndarray, items: np.ndarray, num_trials: int,
+                 flips: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate the plan's ``evaluated`` matrix on a batch of trials, where
+    trial ``trial[k]`` holds defective ``items[k]`` (sorted within each
+    trial), decode it with the channel's flips, and score it as
     :class:`Breakdown` documents: (errors, false-positive items, ambiguous
     blocks, wrong estimates). A trial errs when it has an ambiguous block or
     its estimate differs from its defective set."""
+    matrix = plan.evaluated
     bits = _or_batch(matrix, trial, items, num_trials)
-    if flips is not None:
-        bits ^= flips
-    est_trial, est_item, amb_trial, _ = plan.decode_batch(bits)
+    est_trial, est_item, amb_trial, _ = plan.decode_channel(bits, flips)
     n = matrix.num_items
     true_est = _found(est_trial * n + est_item, trial * n + items)
 
@@ -407,23 +452,24 @@ def _scalar_batches(matrix: TestMatrix, prior: Prior, sigma: float, master_seed:
                     start: int, count: int, batch: int):
     """Trials ``start .. start + count - 1`` drawn one by one, in trial
     order, as the seeding contract defines them, ``batch`` at a time: (trial
-    of each defective, defectives, number of trials, noise flips or None)."""
+    of each defective, defectives, number of trials, noise flips of the
+    design's tests or None)."""
     noisy_tests = matrix.num_tests if sigma > 0.0 else 0
     draws = np.empty(noisy_tests)  # one trial's noise draws
     flips = np.empty((min(batch, count), noisy_tests), dtype=bool)
+    rngs = _trial_rngs(master_seed, start, count) if count else ()
     for first in range(start, start + count, batch):
-        trials = range(first, min(first + batch, start + count))
+        num_trials = min(batch, start + count - first)
         picks = []
-        for row, t in enumerate(trials):
-            rng = _trial_rng(master_seed, t)
+        for row, rng in zip(range(num_trials), rngs):
             picks.append(_draw_defectives(rng, prior, matrix.num_items))
             if sigma > 0.0:
                 _noise_flips(sigma, rng, draws, flips[row])
         items = np.concatenate(picks)
         if prior.kind == PRIOR_UNIFORM_EXACT:
-            items.reshape(len(trials), prior.d).sort(axis=1)
-        trial = np.repeat(np.arange(len(trials)), [p.size for p in picks])
-        yield trial, items, len(trials), flips[: len(trials)] if sigma > 0.0 else None
+            items.reshape(num_trials, prior.d).sort(axis=1)
+        trial = np.repeat(np.arange(num_trials), [p.size for p in picks])
+        yield trial, items, num_trials, flips[:num_trials] if sigma > 0.0 else None
 
 
 def _replica_batches(n: int, d: int, master_seed: int, start: int, count: int, batch: int):
@@ -451,9 +497,11 @@ def _run_trial_range(
 ) -> tuple[int, int, int, int]:
     """Trials ``start .. start + count - 1``, drawn as the seeding contract
     fixes them and evaluated, decoded and scored a batch at a time."""
-    matrix.column_index()  # build the OR channel's column index before the first trial
+    # build the OR channel's column index before the first trial
+    plan.evaluated.column_index()
     n = matrix.num_items
-    batch = _batch_trials(matrix, prior.d, plan, sigma > 0.0)
+    flipped = matrix.num_tests if sigma > 0.0 else 0
+    batch = _batch_trials(plan.evaluated, prior.d, plan, flipped)
     # testing count first keeps a zero-trial run from paying for the check
     if count and _replica_covers(prior, n, sigma) and _replica_matches():
         batches = _replica_batches(n, prior.d, master_seed, start, count, batch)
@@ -461,7 +509,7 @@ def _run_trial_range(
         batches = _scalar_batches(matrix, prior, sigma, master_seed, start, count, batch)
     totals = np.zeros(4, dtype=np.int64)
     for trial, items, num_trials, flips in batches:
-        totals += _score_batch(matrix, plan, trial, items, num_trials, flips)
+        totals += _score_batch(plan, trial, items, num_trials, flips)
     errors, fp_items, amb_blocks, wrong = totals.tolist()
     return errors, fp_items, amb_blocks, wrong
 
@@ -581,8 +629,8 @@ def exhaustive_error_probability(
     total = _count_sets(matrix.num_items, d, cap)
     plan = make_plan(matrix, decoder)
     errors = 0
-    for trial, items, num_sets in _set_batches(matrix, d, _batch_trials(matrix, d, plan)):
-        errors += int(_score_batch(matrix, plan, trial, items, num_sets)[0])
+    for trial, items, num_sets in _set_batches(matrix, d, _batch_trials(plan.evaluated, d, plan)):
+        errors += int(_score_batch(plan, trial, items, num_sets)[0])
     return Fraction(errors, total)
 
 

@@ -110,6 +110,15 @@ class TestSimulateCommand:
         assert code == 1
         assert "repeated design" in err
 
+    def test_broken_repeated_design_refused(self, capsys, tmp_path):
+        path = tmp_path / "broken.design"
+        path.write_text("4 3 tag=repeated k=2 base=custom\n1 0\n1 1\n1 2\n1 2\n")
+        code, out, err = run(capsys, "simulate", "--design", str(path), "--d", "1",
+                             "--sigma", "0.1", "--trials", "5")
+        assert code == 1
+        assert out == []
+        assert err == ("error: rows 0..1 of the repeated design are not copies of one row\n")
+
     def test_noisy_run_with_k(self, capsys):
         code, out, _ = run(
             capsys,

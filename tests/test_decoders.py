@@ -42,7 +42,7 @@ from sparsegt.designs import (
     random_gamma_design,
     repeat_design,
 )
-from sparsegt.sim import SimConfig, run_monte_carlo
+from sparsegt.sim import SimConfig, exhaustive_error_probability, run_monte_carlo
 
 GRID9 = hypergrid_design(9, 2)
 
@@ -224,6 +224,55 @@ class TestMalformedBlockOffsets:
         config = SimConfig(DesignParams(n=3, d=1), Prior(PRIOR_UNIFORM_EXACT, 1), 10, 0)
         with pytest.raises(IncompatibleDecoderError, match="block offsets must start at 0"):
             run_monte_carlo(self.MATRIX, "binary", config)
+
+
+class TestBrokenRepeatedDesign:
+    """Groups of k rows that are not copies, which validate reports as
+    ``repetition``: every entry point refuses."""
+
+    MATRIX = TestMatrix(rows=[(0,), (1,), (2,), (2,)], num_items=3, design_tag="repeated",
+                        base_tag="custom", repeat_k=2)
+    REFUSAL = "rows 0..1 of the repeated design are not copies of one row"
+
+    def test_validate_reports_the_first_broken_group(self):
+        assert [str(v) for v in validate(self.MATRIX)] == [
+            "repetition at rows 0..1: repeated design rows must be consecutive duplicates"]
+
+    def test_make_plan_refuses(self):
+        with pytest.raises(IncompatibleDecoderError, match=self.REFUSAL):
+            make_plan(self.MATRIX, "majority")
+
+    def test_one_shot_decoder_refuses(self):
+        outcomes = Outcomes(np.array([True, True, False, False]), noisy=True)
+        with pytest.raises(IncompatibleDecoderError, match=self.REFUSAL):
+            majority_coma_decode(self.MATRIX, outcomes)
+
+    @pytest.mark.parametrize("sigma", [None, 0.1])
+    def test_monte_carlo_refuses(self, sigma):
+        config = SimConfig(DesignParams(n=3, d=1, sigma=sigma), Prior(PRIOR_UNIFORM_EXACT, 1),
+                           10, 0)
+        with pytest.raises(IncompatibleDecoderError, match=self.REFUSAL):
+            run_monte_carlo(self.MATRIX, "majority", config)
+
+    def test_exact_oracle_refuses(self):
+        with pytest.raises(IncompatibleDecoderError, match=self.REFUSAL):
+            exhaustive_error_probability(self.MATRIX, "auto", 1)
+
+    @pytest.mark.parametrize(
+        "rows, subject",
+        [([(0,), (0,), (1,), (0, 1)], "rows 2..3"), ([(0, 1), (0, 2), (1,), (1,)], "rows 0..1"),
+         ([(), (0,), (), ()], "rows 0..1"), ([(0, 1), (0, 1), (1, 2), (1, 2)], None)],
+        ids=["longer-copy", "same-length", "empty-first-row", "well-formed"],
+    )
+    def test_validate_and_make_plan_share_the_check(self, rows, subject):
+        matrix = TestMatrix(rows=rows, num_items=3, design_tag="repeated", base_tag="custom",
+                            repeat_k=2)
+        assert [v.subject for v in validate(matrix)] == ([subject] if subject else [])
+        if subject:
+            with pytest.raises(IncompatibleDecoderError, match=subject):
+                make_plan(matrix, "majority")
+        else:
+            assert make_plan(matrix, "majority").kind == "majority"
 
 
 class TestMajorityDecode:

@@ -98,6 +98,26 @@ class TestAgreesWithLoops:
     def test_validate_lists_the_same_violations(self, matrix):
         assert validate(matrix) == ref.validate(matrix)
 
+    @given(raw_matrices())
+    @example(TestMatrix(rows=[(0,), (1,), (2,), (2,)], num_items=3, design_tag=TAG_REPEATED,
+                        base_tag=TAG_CUSTOM, repeat_k=2))
+    @settings(max_examples=300, deadline=None)
+    def test_majority_plan_refuses_what_validate_flags(self, matrix):
+        """A repeated design is refused by the majority plan exactly when
+        validate reports ``repetition``, naming the same rows."""
+        assume(matrix.repeat_k > 1)
+        flagged = [v for v in validate(matrix) if v.kind == "repetition"]
+        if flagged:
+            with pytest.raises(IncompatibleDecoderError) as err:
+                make_plan(matrix, "majority")
+            if flagged[0].subject != "rows":  # not the indivisible row count
+                assert str(err.value).startswith(flagged[0].subject + " ")
+        elif _in_range(matrix):
+            assert make_plan(matrix, "majority").kind == "majority"
+        else:
+            with pytest.raises(InvalidParameterError):
+                make_plan(matrix, "majority")
+
     @given(raw_matrices(in_range=True))
     @settings(max_examples=200, deadline=None)
     def test_column_weights(self, matrix):
@@ -415,8 +435,10 @@ def harness_cases(draw, max_items=40):
                 n, d, draw(st.integers(1, n)), draw(st.floats(0.05, 0.95))), "binary"
         elif kind == "repeated":
             base = designs.permuted_block_rho_design(n, d, draw(st.integers(1, n)), 0.5, rng)
-            matrix, decoder = designs.repeat_design(base, draw(st.integers(2, 6))), "majority"
-            sigma = draw(st.sampled_from([0.0, 0.05, 0.2, 0.45]))
+            # even k ties; k = 64, 65 as in the paper's desk-scale noisy design
+            k = draw(st.sampled_from([2, 3, 4, 5, 6, 64, 65]))
+            matrix, decoder = designs.repeat_design(base, k), "majority"
+            sigma = draw(st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.45]))
         else:
             tested = draw(st.integers(1, n))
             rows = draw(st.lists(st.sets(st.integers(0, tested - 1)), max_size=12))
@@ -452,13 +474,16 @@ class TestBatchHarnessAgreesWithTheTrialLoop:
     @settings(max_examples=300, deadline=None)
     def test_same_counts(self, case, seed, start, count, batch, chunk):
         """Any batch size and number of trials per replica call, including
-        ones that do not divide the trial count, and any first trial."""
+        ones that do not divide the trial count, and any first trial. A
+        majority run evaluates the base rows and never indexes the columns
+        of the full design."""
         matrix, decoder, prior, sigma = case
-        want = ref.run_trial_range(matrix, ref.PLANS[decoder](matrix), prior, sigma, seed,
-                                   start, count)
         with _batch_size(batch), _draw_chunk(chunk):
             got = sim._run_trial_range(matrix, make_plan(matrix, decoder), prior, sigma,
                                        seed, start, count)
+        assert decoder != "majority" or "_column_index" not in vars(matrix)
+        want = ref.run_trial_range(matrix, ref.PLANS[decoder](matrix), prior, sigma, seed,
+                                   start, count)
         assert got == want
         assert all(type(v) is int for v in got)
 
@@ -471,7 +496,8 @@ class TestBatchHarnessAgreesWithTheTrialLoop:
         want = ref.run_trial_range(matrix, ref.PLANS[decoder](matrix), prior, sigma, seed,
                                    start, count)
         with mock.patch.object(sim, "_replica_matches", lambda: False), \
-                mock.patch.object(sim, "_floyd_draws", side_effect=AssertionError):
+                mock.patch.object(sim, "_floyd_draws", side_effect=AssertionError), \
+                mock.patch.object(sim, "_pcg64_states", side_effect=AssertionError):
             got = sim._run_trial_range(matrix, make_plan(matrix, decoder), prior, sigma,
                                        seed, start, count)
         assert got == want
@@ -508,15 +534,16 @@ class TestBatchHarnessAgreesWithTheTrialLoop:
             assert ambiguous == list(want[1])
             assert np.array_equal(untested, want[2] if len(want) == 3 else [])
 
-    @given(harness_cases(max_items=12), st.integers(0, 3), st.sampled_from([None, 1, 4]))
+    @given(harness_cases(max_items=12), st.integers(0, 3), st.sampled_from([None, 1, 3, 4]))
     @settings(max_examples=100, deadline=None)
     def test_exhaustive_oracle_counts_the_same_errors(self, case, d, batch):
         matrix, decoder, _, _ = case
         assume(d <= matrix.num_items)
-        errors = ref.exhaustive_errors(matrix, ref.PLANS[decoder](matrix), d)
-        want = Fraction(errors, math.comb(matrix.num_items, d))
         with _batch_size(batch):
-            assert sim.exhaustive_error_probability(matrix, decoder, d) == want
+            got = sim.exhaustive_error_probability(matrix, decoder, d)
+        assert decoder != "majority" or "_column_index" not in vars(matrix)
+        errors = ref.exhaustive_errors(matrix, ref.PLANS[decoder](matrix), d)
+        assert got == Fraction(errors, math.comb(matrix.num_items, d))
 
 
 @st.composite
@@ -564,6 +591,13 @@ def floyd_cases(draw):
     return n, d
 
 
+@st.composite
+def tail_shuffle_cases(draw):
+    """(n, d) where ``choice`` shuffles a tail: n > 10**4 and d > n // 50."""
+    n = draw(st.integers(10_001, 40_000))
+    return n, draw(st.integers(n // 50 + 1, n // 50 + 30))
+
+
 class TestReplicaAgreesWithDefaultRng:
     @given(st.integers(0, 2**70), st.integers(0, 2**40), st.integers(1, 40), floyd_cases(),
            st.sampled_from([1, 3, 40]))
@@ -587,6 +621,26 @@ class TestReplicaAgreesWithDefaultRng:
         assert all(b[3] is None for b in batches)
         got = np.concatenate([items.reshape(num, d) for _, items, num, _ in batches])
         assert np.array_equal(got, want)
+
+    @given(st.integers(0, 2**70), st.integers(0, 2**40), st.integers(1, 6),
+           floyd_cases() | tail_shuffle_cases(), st.integers(0, 40), st.sampled_from([1, 2, None]))
+    @example(2**64 + 1, 0, 3, (2**31, 12), 5, None)
+    @example(2**70, 2**40, 2, (20_000, 401), 3, 1)
+    @settings(max_examples=150, deadline=None)
+    def test_generators_set_from_states(self, seed, first, count, case, doubles, chunk):
+        """A reused generator set to each trial's replica state draws the
+        contract's ``choice`` and then its doubles, on both branches of
+        ``choice``, across chunks of states."""
+        n, d = case
+        patch = (contextlib.nullcontext() if chunk is None
+                 else mock.patch.object(sim, "_STATE_CHUNK", chunk))
+        with patch:
+            for t, rng in enumerate(sim._state_rngs(seed, first, count), start=first):
+                want = sim._trial_rng(seed, t)
+                assert np.array_equal(rng.choice(n, d, replace=False),
+                                      want.choice(n, d, replace=False))
+                assert np.array_equal(rng.random(doubles), want.random(doubles))
+        assert t == first + count - 1
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
     def test_seed_layer(self, seed):
