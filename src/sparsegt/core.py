@@ -14,9 +14,9 @@ prints 1-based test labels where it echoes per-test detail.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -771,15 +771,29 @@ def _parse_positive_int(token: str, line_no: int, what: str) -> int:
     return value
 
 
-def parse(text: str) -> TestMatrix:
-    """Inverse of :func:`serialize`; raises :class:`ParseError` with the
-    offending 1-based line number on any malformation."""
-    content: list[tuple[int, str]] = []
+def _content_lines(text: str) -> list[tuple[int, str]]:
+    """The stripped lines of ``text`` that are neither blank nor comments,
+    with their 1-based line numbers."""
+    content = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        content.append((line_no, stripped))
+        if stripped and not stripped.startswith("#"):
+            content.append((line_no, stripped))
+    return content
+
+
+def parse(text: str) -> TestMatrix:
+    """Inverse of :func:`serialize`; raises :class:`ParseError` with the
+    offending 1-based line number on any malformation.
+
+    The header is read token by token. The row body is converted to
+    integers by one C pass (``np.fromstring``) when it holds only ASCII
+    digits and single spaces, and its weights, ranges and order are then
+    checked on the arrays. Any other body (signs, underscores, non-ASCII
+    digits, tabs or runs of spaces), and any body that fails a check, is
+    read by the per-line reader :func:`_read_rows`, which accepts the same
+    rows and raises the first failing line's error."""
+    content = _content_lines(text)
     if not content:
         raise ParseError(1, "empty design file")
 
@@ -864,85 +878,103 @@ def parse(text: str) -> TestMatrix:
     )
 
 
-# lines converted per step: bounds the parser's transient Python objects
-_PARSE_CHUNK_LINES = 2048
+# the bytes of a row body the C conversion reads
+_ROW_BODY_BYTES = b"0123456789 "
 
 
 def _parse_rows(body: list[tuple[int, str]], num_items: int) -> tuple[np.ndarray, np.ndarray]:
-    """CSR arrays of the row lines ``body`` (numbered, stripped). One pass
-    converts the tokens; weights, ranges and order are then checked on the
-    arrays, and the first failing line is re-read by :func:`_row_error`."""
-    counts: list[int] = []
-    chunks = [np.empty(0, dtype=np.int64)]
-    try:
-        for lo in range(0, len(body), _PARSE_CHUNK_LINES):
-            tokens = [line.split() for _, line in body[lo : lo + _PARSE_CHUNK_LINES]]
-            counts.extend(map(len, tokens))
-            chunks.append(np.array(list(map(int, chain.from_iterable(tokens))), dtype=np.int64))
-    except (ValueError, OverflowError):  # a token that is no int64
-        raise _first_row_error(body, num_items) from None
-    values = np.concatenate(chunks)
-    counts_arr = np.array(counts, dtype=np.int64)
-    weight_at = _offsets(counts_arr)[:-1]
-    is_weight = np.zeros(values.size, dtype=bool)
-    is_weight[weight_at] = True
-    indices = values[~is_weight]
-    lengths = counts_arr - 1
-    row_of = np.repeat(np.arange(len(body)), lengths)
-    bad = values[weight_at] != lengths
-    bad[row_of[(indices < 0) | (indices >= num_items)]] = True
-    bad[_unordered_pairs(indices, row_of)] = True
-    if bad.any():
-        raise _first_row_error(body[int(np.argmax(bad)) :], num_items)
-    return _offsets(lengths), indices
+    """CSR arrays of the row lines ``body`` (numbered, stripped). A body of
+    ASCII digits and single spaces is converted in one C pass and checked
+    on the arrays; everything else, and every error, goes through
+    :func:`_read_rows`."""
+    lines = [line for _, line in body]
+    joined = " ".join(lines).encode("ascii", "replace")
+    if not joined.translate(None, _ROW_BODY_BYTES):
+        counts = np.array([line.count(" ") + 1 for line in lines], dtype=np.int64)
+        with warnings.catch_warnings():
+            # NumPy warns, and will raise, on text it cannot read to its end
+            warnings.simplefilter("error", DeprecationWarning)
+            try:
+                values = np.fromstring(joined, dtype=np.int64, sep=" ")
+            except (DeprecationWarning, ValueError):
+                values = None
+        if values is not None and (rows := _checked_rows(values, counts, num_items)):
+            return rows
+    return _read_rows(body, num_items)
 
 
-def _first_row_error(body: list[tuple[int, str]], num_items: int) -> ParseError:
-    """The error of the first malformed line of ``body``, which holds one."""
-    return next(err for line_no, line in body if (err := _row_error(line_no, line, num_items)))
+def _checked_rows(
+    values: np.ndarray, counts: np.ndarray, num_items: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """CSR arrays of rows given as runs ``w i_1 ... i_w`` of ``counts``
+    values each, or None unless every weight matches its run, every index
+    lies in ``[0, num_items)`` and every row increases strictly."""
+    # fromstring reads a run of spaces as one separator, so a double space
+    # leaves fewer values than the lines' spaces count
+    if values.size != counts.sum():
+        return None
+    weight_at = _offsets(counts)[:-1]
+    lengths = counts - 1
+    # a token too long for int64 reads as 2**63 - 1, which no weight or
+    # index check lets through, since n <= 2**31
+    if not np.array_equal(values[weight_at], lengths):
+        return None
+    indices = np.delete(values, weight_at)
+    indptr = _offsets(lengths)
+    if indices.size:
+        rising = indices[1:] > indices[:-1]
+        starts = indptr[1:-1]
+        rising[starts[(starts > 0) & (starts < indices.size)] - 1] = True  # across rows
+        if not (rising.all() and indices.min() >= 0 and indices.max() < num_items):
+            return None
+    return indptr, indices
 
 
-def _row_error(line_no: int, line: str, num_items: int) -> ParseError | None:
-    """What is wrong with one row line, checked in order; None when nothing."""
-    try:
-        numbers = [int(p) for p in line.split()]
-    except ValueError:
-        return ParseError(line_no, f"row entries must be integers: {line!r}")
-    weight = numbers[0]
-    indices = numbers[1:]
-    if weight < 0:
-        return ParseError(line_no, f"row weight must be >= 0, got {weight}")
-    if len(indices) != weight:
-        return ParseError(
-            line_no, f"row declares weight {weight} but lists {len(indices)} indices"
-        )
-    for i in indices:
-        if not 0 <= i < num_items:
-            return ParseError(line_no, f"index {i} outside [0, {num_items})")
-    if any(indices[j] >= indices[j + 1] for j in range(len(indices) - 1)):
-        return ParseError(line_no, "row indices must be strictly increasing")
-    return None
+def _read_rows(body: list[tuple[int, str]], num_items: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR arrays of the row lines ``body``, read one line at a time with
+    Python's ``int`` and each checked in order; raises the
+    :class:`ParseError` of the first malformed line."""
+    lengths: list[int] = []
+    entries: list[int] = []
+    for line_no, line in body:
+        try:
+            numbers = [int(p) for p in line.split()]
+        except ValueError:
+            raise ParseError(line_no, f"row entries must be integers: {line!r}") from None
+        weight = numbers[0]
+        indices = numbers[1:]
+        if weight < 0:
+            raise ParseError(line_no, f"row weight must be >= 0, got {weight}")
+        if len(indices) != weight:
+            raise ParseError(
+                line_no, f"row declares weight {weight} but lists {len(indices)} indices"
+            )
+        for i in indices:
+            if not 0 <= i < num_items:
+                raise ParseError(line_no, f"index {i} outside [0, {num_items})")
+        if any(indices[j] >= indices[j + 1] for j in range(len(indices) - 1)):
+            raise ParseError(line_no, "row indices must be strictly increasing")
+        lengths.append(weight)
+        entries.extend(indices)
+    return _offsets(lengths), np.array(entries, dtype=np.int64)
 
 
 def serialize_outcomes(outcomes: Outcomes) -> str:
-    return "".join("1" if b else "0" for b in outcomes.bits) + "\n"
+    return np.where(outcomes.bits, 49, 48).astype(np.uint8).tobytes().decode() + "\n"
 
 
 def parse_outcomes(text: str, expected_tests: int | None = None) -> Outcomes:
-    content = [
-        (line_no, raw.strip())
-        for line_no, raw in enumerate(text.splitlines(), start=1)
-        if raw.strip() and not raw.strip().startswith("#")
-    ]
+    content = _content_lines(text)
     if not content:
         raise ParseError(1, "empty outcome file")
     if len(content) > 1:
         raise ParseError(content[1][0], "outcome file must contain a single line")
     line_no, word = content[0]
-    if any(ch not in "01" for ch in word):
+    digits = word.encode("ascii", "replace")
+    if digits.translate(None, b"01"):
         raise ParseError(line_no, "outcome line may contain only '0' and '1'")
-    if expected_tests is not None and len(word) != expected_tests:
+    if expected_tests is not None and len(digits) != expected_tests:
         raise ParseError(
-            line_no, f"expected {expected_tests} outcome bits, got {len(word)}"
+            line_no, f"expected {expected_tests} outcome bits, got {len(digits)}"
         )
-    return Outcomes(np.array([ch == "1" for ch in word], dtype=bool))
+    return Outcomes(np.frombuffer(digits, dtype=np.uint8) == ord("1"))

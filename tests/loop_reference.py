@@ -1,7 +1,8 @@
 """Python-loop references for the vectorised core operations and decoders.
 
 These are the straightforward row-by-row versions of ``evaluate``,
-``TestMatrix.column_weights``, ``validate`` and ``parse``, the per-block
+``TestMatrix.column_weights``, ``validate``, ``parse`` and the outcome
+file reader and writer, the per-block
 loops of the hypergrid, block hypergrid and binary block constructors, and
 the per-block loops of the hypergrid and binary block decoders, the
 every-test-positive decoder that counts the positive tests of all n items,
@@ -31,6 +32,7 @@ from sparsegt.core import (
     PRIOR_UNIFORM_EXACT,
     DefectiveSet,
     IncompatibleDecoderError,
+    Outcomes,
     ParseError,
     TestMatrix,
     Violation,
@@ -231,6 +233,29 @@ def parse(text: str) -> TestMatrix:
             raise ParseError(line_no, "row indices must be strictly increasing")
         rows.append(tuple(indices))
     return TestMatrix(rows=rows, num_items=num_items, **fields)
+
+
+def serialize_outcomes(outcomes: Outcomes) -> str:
+    return "".join("1" if b else "0" for b in outcomes.bits) + "\n"
+
+
+def parse_outcomes(text: str, expected_tests: int | None = None) -> Outcomes:
+    """Character-by-character outcome file reader."""
+    content = [
+        (line_no, raw.strip())
+        for line_no, raw in enumerate(text.splitlines(), start=1)
+        if raw.strip() and not raw.strip().startswith("#")
+    ]
+    if not content:
+        raise ParseError(1, "empty outcome file")
+    if len(content) > 1:
+        raise ParseError(content[1][0], "outcome file must contain a single line")
+    line_no, word = content[0]
+    if any(ch not in "01" for ch in word):
+        raise ParseError(line_no, "outcome line may contain only '0' and '1'")
+    if expected_tests is not None and len(word) != expected_tests:
+        raise ParseError(line_no, f"expected {expected_tests} outcome bits, got {len(word)}")
+    return Outcomes(np.array([ch == "1" for ch in word], dtype=bool))
 
 
 class GridPlan:

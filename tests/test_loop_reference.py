@@ -13,13 +13,14 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import loop_reference as ref
-from sparsegt import designs, sim
+from sparsegt import core, designs, sim
 from sparsegt.core import (
     PRIOR_IID_BERNOULLI,
     PRIOR_UNIFORM_EXACT,
     DefectiveSet,
     IncompatibleDecoderError,
     InvalidParameterError,
+    Outcomes,
     ParseError,
     Prior,
     TAG_BLOCK_BINARY_RHO,
@@ -32,6 +33,7 @@ from sparsegt.core import (
     parse,
     parse_outcomes,
     serialize,
+    serialize_outcomes,
     validate,
 )
 from sparsegt.decoders import make_plan
@@ -227,6 +229,123 @@ class TestParseRobustness:
     @settings(max_examples=300, deadline=None)
     def test_same_outcome_on_digit_soup(self, text):
         assert _outcome(parse, text) == _outcome(ref.parse, text)
+
+
+class TestOutcomeFilesAgreeWithLoops:
+    @given(st.text(alphabet="01 \t#x\n\r\x0c٣", max_size=40), st.none() | st.integers(0, 12))
+    @settings(max_examples=300, deadline=None)
+    def test_same_bits_or_error(self, text, expected_tests):
+        assert _outcome(lambda t: parse_outcomes(t, expected_tests), text) == _outcome(
+            lambda t: ref.parse_outcomes(t, expected_tests), text
+        )
+
+    @given(st.lists(st.booleans(), max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_same_bytes(self, bits):
+        outcomes = Outcomes(np.array(bits, dtype=bool))
+        text = serialize_outcomes(outcomes)
+        assert text == ref.serialize_outcomes(outcomes)
+        if bits:  # the file of zero tests is one blank line, which reads as empty
+            assert parse_outcomes(text) == outcomes
+
+
+def _parse_reading_lines(text):
+    """``parse(text)`` (or its error) and whether the per-line reader ran."""
+    with mock.patch.object(core, "_read_rows", wraps=core._read_rows) as reader:
+        result = _outcome(parse, text)
+    return result, reader.called
+
+
+# valid text the C conversion refuses: the per-line reader must accept it
+_UNUSUAL_VALID_TEXTS = {
+    "plus sign": "2 3\n1 +2\n0\n",
+    "underscore": "1 30\n1 1_0\n",
+    "arabic-indic digit": "1 5\n1 ٣\n",
+    "full-width digit": "1 5\n1 \uff14\n",
+    "tab": "1 5\n2\t1 3\n",
+    "tabs and spaces": "2 5\n2 \t 1\t\t3\n1\t4\n",
+    "double space": "1 5\n2  1 3\n",
+}
+
+# valid text the C conversion reads: the per-line reader must not run.
+# str.splitlines ends a line at \r and \x0c too, and each line is stripped
+_PLAIN_VALID_TEXTS = {
+    "form feed between rows": "2 5\n1 1\x0c1 3\n",
+    "form feed at a line end": "2 5\n1 1\x0c\n1 3\n",
+    "leading and trailing spaces": "2 5\n  2 1 3  \n 1 4\n",
+    "lone carriage returns": "2 5\r2 1 3\r1 4\r",
+    "leading zeros": "2 10\n2 007 8\n1 0000000000000000000000009\n",
+    "CRLF line endings": "2 5\r\n2 1 3\r\n0\r\n",
+    "comments and blank lines between rows": "# design\n2 5\n\n1 1\n# note\n\n   \n2 0 4\n# end\n",
+    "lone 0 rows": "3 5\n0\n1 2\n0\n",
+    "largest index": f"1 {2**31}\n2 0 2147483647\n",
+    "no rows": "0 5\n# nothing\n",
+}
+
+# errors where the C conversion reads a token otherwise than int() does, or
+# reads no token at all
+_ERROR_TEXTS = {
+    "20-digit index": "1 5\n1 99999999999999999999\n",
+    "20-digit index after valid rows": "2 5\n1 1\n2 2 99999999999999999999\n",
+    "20-digit weight": "1 5\n99999999999999999999 1\n",
+    "20-digit weight of an empty row": "1 5\n99999999999999999999\n",
+    "negative index at n = 2**31": f"1 {2**31}\n1 -1\n",
+    "lone minus": "1 5\n1 -\n",
+    "decimal at n = 2**31": f"1 {2**31}\n1 1.5\n",
+    "index 2**31 at n = 2**31": f"1 {2**31}\n1 2147483648\n",
+    "trailing x on the last row": "2 5\n1 1\n2 2 3x\n",
+    "lone x on the last row": "2 5\n1 1\n2 2 3 x\n",
+    "lone 0 row, then a row out of range": "2 5\n0\n1 7\n",
+    "lone 0 row declaring too few": "2 5\n1 2\n0 4\n",
+    "lone 0 as an extra row": "1 5\n1 2\n0\n",
+    "lone 0 row missing": "2 5\n0\n",
+    "double space, weight too small": "1 5\n1  2 3\n",
+    "equal indices": "1 5\n2 3 3\n",
+    "falling indices after a valid row": "2 5\n2 0 4\n2 3 2\n",
+}
+
+
+class TestParseAgreesOnUnusualText:
+    """The C conversion and the per-line reader accept the same rows and
+    raise the same error as the line-by-line reference."""
+
+    @pytest.mark.parametrize("text", _UNUSUAL_VALID_TEXTS.values(), ids=list(_UNUSUAL_VALID_TEXTS))
+    def test_valid_text_the_c_pass_refuses(self, text):
+        result, per_line = _parse_reading_lines(text)
+        assert isinstance(result, TestMatrix)
+        assert result == ref.parse(text)
+        assert per_line
+
+    @pytest.mark.parametrize("text", _PLAIN_VALID_TEXTS.values(), ids=list(_PLAIN_VALID_TEXTS))
+    def test_valid_text_the_c_pass_reads(self, text):
+        result, per_line = _parse_reading_lines(text)
+        assert isinstance(result, TestMatrix)
+        assert result == ref.parse(text)
+        assert not per_line
+
+    @pytest.mark.parametrize("text", _ERROR_TEXTS.values(), ids=list(_ERROR_TEXTS))
+    def test_same_error(self, text):
+        result, _ = _parse_reading_lines(text)
+        assert isinstance(result, tuple)
+        assert result == _outcome(ref.parse, text)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            designs.permuted_block_rho_design(20_000, 10, 100, 0.5, np.random.default_rng(3)),
+            designs.repeat_design(
+                designs.permuted_block_rho_design(500, 5, 20, 0.5, np.random.default_rng(4)), 7
+            ),
+        ],
+        ids=["permuted-rho n=2e4", "repeated permuted-rho"],
+    )
+    def test_designs_round_trip_through_the_c_pass(self, matrix):
+        text = serialize(matrix)
+        result, per_line = _parse_reading_lines(text)
+        assert result == matrix
+        assert not per_line
+        assert serialize(result) == text
+        assert result == ref.parse(text)
 
 
 # ---------------------------------------------------------------------------
