@@ -964,9 +964,13 @@ def serialize_outcomes(outcomes: Outcomes) -> str:
 
 
 def parse_outcomes(text: str, expected_tests: int | None = None) -> Outcomes:
+    """Inverse of :func:`serialize_outcomes`. A file with no content line
+    is the outcome vector of zero tests."""
     content = _content_lines(text)
     if not content:
-        raise ParseError(1, "empty outcome file")
+        if expected_tests:
+            raise ParseError(1, "empty outcome file")
+        return Outcomes(np.zeros(0, dtype=bool))
     if len(content) > 1:
         raise ParseError(content[1][0], "outcome file must contain a single line")
     line_no, word = content[0]

@@ -8,7 +8,8 @@ formula is emitted exactly, agrees with the matching
 :func:`~sparsegt.bounds.upper_bound_tests` report.
 
 Randomized constructors take an explicit ``numpy.random.Generator``; equal
-generators yield identical matrices.
+generators yield identical matrices and leave the generator in the same
+state.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ __all__ = [
 
 # the most tests any constructor builds
 _MAX_TESTS = 10_000_000
+# the most (item, test) incidences random_gamma_design draws: n * gamma
+_MAX_INCIDENCES = 100_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +200,15 @@ def random_gamma_design(
     joins a uniformly random size-gamma subset of the tests. Decoded by the
     every-test-positive rule with error probability at most epsilon when at
     most d items are defective.
+
+    The generator's stream is read as consecutive groups of gamma draws
+    from ``rng.integers(0, T)``. A group that repeats a test is rejected,
+    and item i takes the i-th accepted group, in stream order: the matrix
+    and the generator's end state are those of drawing each item's group
+    with its own call and redrawing until it has gamma distinct tests. The
+    groups are drawn in rounds, each of the groups still needed. Refuses
+    with ``ResourceCapError`` more than 10**7 tests or more than 10**8
+    incidences (n * gamma) before drawing.
     """
     _check_common(n, d)
     if gamma < 1:
@@ -205,14 +217,23 @@ def random_gamma_design(
         raise InvalidParameterError("epsilon must lie in (0, 1/2)")
     num_tests = random_gamma_test_count(n, d, gamma, epsilon)
     _check_test_count(num_tests)
-    picks = np.empty((n, gamma), dtype=np.int64)
-    for item in range(n):
-        draw = rng.integers(0, num_tests, size=gamma)
-        while len(set(int(p) for p in draw)) < gamma:
-            draw = rng.integers(0, num_tests, size=gamma)
-        picks[item] = draw
+    if n * gamma > _MAX_INCIDENCES:
+        raise ResourceCapError(
+            f"design needs {n * gamma} incidences, above the cap of {_MAX_INCIDENCES}"
+        )
+    # For T <= _MAX_TESTS < 2**32, one call of size (m, gamma) makes the
+    # same 32-bit draws (Lemire's bounded method) as m calls of size gamma.
+    # A round draws only the groups still needed, so no draw follows the
+    # last accepted group.
+    accepted, need = [], n
+    while need:
+        groups = rng.integers(0, num_tests, size=(need, gamma))
+        ordered = np.sort(groups, axis=1)
+        groups = groups[~(ordered[:, 1:] == ordered[:, :-1]).any(axis=1)]
+        accepted.append(groups)
+        need -= len(groups)
     # a stable sort by test keeps each row's items in increasing order
-    tests = picks.ravel()
+    tests = np.concatenate(accepted).ravel()
     return TestMatrix.from_csr(
         _offsets(np.bincount(tests, minlength=num_tests)),
         np.argsort(tests, kind="stable") // gamma,
@@ -310,7 +331,8 @@ def repeat_design(matrix: TestMatrix, k: int) -> TestMatrix:
     """Duplicate every test k times consecutively (for majority voting).
 
     k = 1 returns the matrix unchanged. The per-item budget scales to
-    k * col_limit; the per-test budget is unchanged.
+    k * col_limit; the per-test budget is unchanged. Refuses with
+    ``ResourceCapError`` more than 10**7 tests before building them.
     """
     if k < 1:
         raise InvalidParameterError("repetition count k must be >= 1")
@@ -318,6 +340,7 @@ def repeat_design(matrix: TestMatrix, k: int) -> TestMatrix:
         return matrix
     if matrix.repeat_k > 1:
         raise InvalidParameterError("matrix is already a repeated design")
+    _check_test_count(matrix.num_tests * k)
     indptr, indices = _select_rows(matrix, np.repeat(np.arange(matrix.num_tests), k))
     return TestMatrix.from_csr(
         indptr,

@@ -2,7 +2,8 @@
 
 These are the straightforward row-by-row versions of ``evaluate``,
 ``TestMatrix.column_weights``, ``validate``, ``parse`` and the outcome
-file reader and writer, the per-block
+file reader and writer, the per-item draw loop of the random-gamma
+constructor, the per-block
 loops of the hypergrid, block hypergrid and binary block constructors, and
 the per-block loops of the hypergrid and binary block decoders, the
 every-test-positive decoder that counts the positive tests of all n items,
@@ -21,13 +22,19 @@ import math
 
 import numpy as np
 
-from sparsegt.bounds import binary_block_count, ceil_div, hypergrid_block_count
+from sparsegt.bounds import (
+    binary_block_count,
+    ceil_div,
+    hypergrid_block_count,
+    random_gamma_test_count,
+)
 from sparsegt.core import (
     DESIGN_TAGS,
     TAG_BLOCK_BINARY_RHO,
     TAG_BLOCK_HYPERGRID,
     TAG_CUSTOM,
     TAG_HYPERGRID,
+    TAG_RANDOM_GAMMA,
     PRIOR_IID_BERNOULLI,
     PRIOR_UNIFORM_EXACT,
     DefectiveSet,
@@ -247,7 +254,9 @@ def parse_outcomes(text: str, expected_tests: int | None = None) -> Outcomes:
         if raw.strip() and not raw.strip().startswith("#")
     ]
     if not content:
-        raise ParseError(1, "empty outcome file")
+        if expected_tests:
+            raise ParseError(1, "empty outcome file")
+        return Outcomes(np.zeros(0, dtype=bool))
     if len(content) > 1:
         raise ParseError(content[1][0], "outcome file must contain a single line")
     line_no, word = content[0]
@@ -542,3 +551,26 @@ def block_binary_rho_design(n: int, d: int, rho: int, epsilon: float) -> TestMat
     return TestMatrix.from_csr(_offsets(lengths), np.concatenate(items), num_items=n,
                                col_limit=None, row_limit=rho,
                                design_tag=TAG_BLOCK_BINARY_RHO, block_starts=starts)
+
+
+def random_gamma_design(n: int, d: int, gamma: int, epsilon: float,
+                        rng: np.random.Generator) -> TestMatrix:
+    """One ``rng.integers`` call per item, redrawn until its gamma tests
+    are distinct."""
+    num_tests = random_gamma_test_count(n, d, gamma, epsilon)
+    picks = np.empty((n, gamma), dtype=np.int64)
+    for item in range(n):
+        draw = rng.integers(0, num_tests, size=gamma)
+        while len(set(int(p) for p in draw)) < gamma:
+            draw = rng.integers(0, num_tests, size=gamma)
+        picks[item] = draw
+    # a stable sort by test keeps each row's items in increasing order
+    tests = picks.ravel()
+    return TestMatrix.from_csr(
+        _offsets(np.bincount(tests, minlength=num_tests)),
+        np.argsort(tests, kind="stable") // gamma,
+        num_items=n,
+        col_limit=gamma,
+        row_limit=None,
+        design_tag=TAG_RANDOM_GAMMA,
+    )

@@ -75,6 +75,20 @@ class TestDesignCommand:
         assert out == []
         assert err.startswith("resource cap: design needs")
 
+    def test_random_gamma_above_the_incidence_cap_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "x"
+        code, out, err = run(
+            capsys,
+            "design", "--family", "random-gamma", "--n", "1000000000000", "--d", "5",
+            "--gamma", "3", "--epsilon", "0.1", "--seed", "1", "--out", str(path),
+        )
+        assert (code, out) == (3, [])
+        assert err == (
+            "resource cap: design needs 3000000000000 incidences, "
+            "above the cap of 100000000\n"
+        )
+        assert not path.exists()
+
 
 class TestSimulateCommand:
     def test_clean_run_emits_csv(self, capsys):
@@ -118,6 +132,18 @@ class TestSimulateCommand:
         assert code == 1
         assert out == []
         assert err == ("error: rows 0..1 of the repeated design are not copies of one row\n")
+
+    def test_repetition_above_the_test_cap_exits_3(self, capsys):
+        code, out, err = run(
+            capsys,
+            "simulate", "--family", "permuted-rho", "--n", "100", "--d", "2",
+            "--rho", "10", "--zeta", "0.5", "--sigma", "0.1", "--k", "10000000000000",
+            "--trials", "5",
+        )
+        assert (code, out) == (3, [])
+        assert err.startswith("resource cap: design needs")
+        assert err.endswith("tests, above the cap of 10000000\n")
+        assert err.count("\n") == 1
 
     def test_noisy_run_with_k(self, capsys):
         code, out, _ = run(

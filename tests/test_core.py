@@ -251,6 +251,15 @@ class TestSerialization:
         with pytest.raises(ParseError):
             parse_outcomes("0101\n", expected_tests=3)
 
+    def test_zero_test_outcome_file_round_trips(self):
+        empty = Outcomes(np.zeros(0, dtype=bool))
+        assert serialize_outcomes(empty) == "\n"
+        for expected_tests in (None, 0):
+            assert parse_outcomes("\n", expected_tests) == empty
+            assert parse_outcomes("# a comment\n", expected_tests) == empty
+        with pytest.raises(ParseError, match="line 1: empty outcome file"):
+            parse_outcomes("\n", expected_tests=2)
+
 
 class TestMatrixStorage:
     def test_csr_arrays(self):

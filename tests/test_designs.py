@@ -14,6 +14,7 @@ from sparsegt.core import (
     TAG_REPEATED,
     validate,
 )
+from sparsegt import designs
 from sparsegt.designs import (
     balanced_block_starts,
     block_binary_rho_design,
@@ -127,6 +128,20 @@ class TestRandomGamma:
     def test_resource_cap(self):
         with pytest.raises(ResourceCapError):
             random_gamma_design(10**6, 100, 1, 0.01, np.random.default_rng(0))
+
+    def test_incidence_cap_refuses_before_drawing(self):
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        # T is about 8.8e5, under the test cap; n * gamma = 3e12 is not
+        with pytest.raises(ResourceCapError, match="3000000000000 incidences"):
+            random_gamma_design(10**12, 5, 3, 0.1, rng)
+        assert rng.bit_generator.state == state
+
+    def test_incidence_cap_boundary(self, monkeypatch):
+        monkeypatch.setattr(designs, "_MAX_INCIDENCES", 100)
+        assert random_gamma_design(50, 2, 2, 0.2, np.random.default_rng(0)).num_items == 50
+        with pytest.raises(ResourceCapError):
+            random_gamma_design(51, 2, 2, 0.2, np.random.default_rng(0))
 
 
 class TestBlockHypergrid:
@@ -255,6 +270,15 @@ class TestRepeat:
         m = repeat_design(base, 65)
         assert m.num_tests == 19_500
         assert m.col_limit == 975
+
+    def test_refuses_more_tests_than_the_cap_before_building(self, monkeypatch):
+        base = hypergrid_design(9, 2)  # 6 tests
+        with pytest.raises(ResourceCapError, match="design needs 60000000000000 tests"):
+            repeat_design(base, 10**13)
+        monkeypatch.setattr(designs, "_MAX_TESTS", 60)
+        assert repeat_design(base, 10).num_tests == 60
+        with pytest.raises(ResourceCapError):
+            repeat_design(base, 11)
 
     def test_rejects_repeating_a_repeated_design(self):
         m = repeat_design(hypergrid_design(4, 2), 2)

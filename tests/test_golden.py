@@ -34,6 +34,11 @@ DESIGNS = {
         lambda: random_gamma_design(10_000, 5, 3, 0.1, _rng()),
         "7aebfcfe7039094bac5a12100928d75a4d5702c1a42d719f36edb543b9b17fae",
     ),
+    # T = 64 tests for gamma = 8: about 37 % of the drawn groups repeat a test
+    "random-gamma-heavy-redraw": (
+        lambda: random_gamma_design(2000, 1, 8, 0.4, _rng()),
+        "55b712cc2a07c0e4a03ddaa867ad1753b827e9421a26631d34f5170845e39da5",
+    ),
     "hypergrid": (
         lambda: hypergrid_design(10_000, 2),
         "a8b0244aafb292833aefc67eee8ae575f1a169ded9864da8af31cf8c4df2703c",

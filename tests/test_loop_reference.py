@@ -1,4 +1,4 @@
-"""The vectorised core operations, block constructors, decoders, batch
+"""The vectorised core operations, constructors, decoders, batch
 trial harness and exact oracles agree with their Python-loop references
 (``loop_reference.py``) on generated parameters, matrices, texts and outcome
 vectors, valid or not."""
@@ -245,8 +245,7 @@ class TestOutcomeFilesAgreeWithLoops:
         outcomes = Outcomes(np.array(bits, dtype=bool))
         text = serialize_outcomes(outcomes)
         assert text == ref.serialize_outcomes(outcomes)
-        if bits:  # the file of zero tests is one blank line, which reads as empty
-            assert parse_outcomes(text) == outcomes
+        assert parse_outcomes(text) == outcomes
 
 
 def _parse_reading_lines(text):
@@ -523,6 +522,36 @@ class TestBlockConstructorsAgreeWithLoops:
         assert serialize(got) == serialize(want)
 
 
+@st.composite
+def random_gamma_calls(draw):
+    """(n, d, gamma, epsilon) of a random-gamma design; a large gamma with a
+    small n / epsilon leaves few tests per gamma, so most groups repeat one."""
+    n = draw(st.integers(2, 300))
+    d = draw(st.integers(1, min(n - 1, 10)))
+    return n, d, draw(st.integers(1, 12)), draw(st.floats(0.01, 0.49))
+
+
+class TestRandomGammaAgreesWithTheItemLoop:
+    @given(random_gamma_calls(), st.integers(0, 2**70), st.integers(0, 3))
+    @example((50, 2, 8, 0.4), 42, 0)  # T = 80: 30 % of the groups are redrawn
+    @example((50, 2, 8, 0.4), 2**64 + 7, 1)
+    @example((2, 1, 12, 0.49), 7, 0)  # T = 37: 87 % are redrawn
+    @example((2000, 1, 8, 0.4), 2**33 + 1, 2)  # T = 64: 37 %
+    @example((2000, 1, 1, 0.3), 2**40, 1)  # gamma = 1 never redraws
+    @example((300, 10, 12, 0.05), 99, 3)
+    @settings(max_examples=150, deadline=None)
+    def test_same_bytes_and_generator_state(self, call, seed, skip):
+        """``skip`` odd 32-bit draws first, so the call may start on the
+        upper half of a buffered 64-bit output."""
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (got_rng, want_rng):
+            rng.integers(0, 5, size=skip)
+        got = random_gamma_design(*call, got_rng)
+        want = ref.random_gamma_design(*call, want_rng)
+        assert serialize(got) == serialize(want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # batch trial harness, every-test-positive decoders and the exact oracle
 # ---------------------------------------------------------------------------
@@ -640,11 +669,13 @@ class TestBatchHarnessAgreesWithTheTrialLoop:
         matrix, decoder, _, _ = case
         plan, reference = make_plan(matrix, decoder), ref.PLANS[decoder](matrix)
         num_tests = matrix.num_tests
+        # seeded, not a hypothesis list: a repeated design can have more
+        # tests than the longest list hypothesis generates
+        coin = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         for bits in (
             np.zeros(num_tests, dtype=bool),
             np.ones(num_tests, dtype=bool),
-            np.array(data.draw(st.lists(st.booleans(), min_size=num_tests,
-                                        max_size=num_tests)), dtype=bool),
+            coin.random(num_tests) < 0.5,
         ):
             estimate, ambiguous, untested = plan.decode_bits(bits)
             want = reference.decode_bits(bits)
