@@ -170,7 +170,8 @@ def gamma_lower_bound(params: DesignParams) -> BoundReport:
         "error criterion: exact recovery with probability at least 1-epsilon",
     ]
     if exponent <= 0.0:
-        notes.append("epsilon >= 1/5 drives the exponent to zero; bound degenerates to gamma*d")
+        notes.append("epsilon >= 1/5 makes the exponent <= 0; the bound degenerates to "
+                     "at most gamma*d (equal only at epsilon = 1/5)")
     return BoundReport(
         name="gamma-lower-bound",
         value=value,
@@ -182,7 +183,8 @@ def gamma_lower_bound(params: DesignParams) -> BoundReport:
 def rho_lower_bound(params: DesignParams) -> BoundReport:
     """Minimum tests any epsilon-error design with row weights <= rho needs.
 
-    value = ((1 - 6*epsilon) / (1 - beta)) * (n / rho), beta = ln(rho)/ln(n/d).
+    value = ((1 - 6*epsilon) / (1 - beta)) * (n / rho), beta = ln(rho)/ln(n/d),
+    and 0 for epsilon >= 1/6, where no test count is forced.
     """
     if params.rho is None:
         raise InvalidParameterError("rho_lower_bound requires rho")
@@ -194,11 +196,14 @@ def rho_lower_bound(params: DesignParams) -> BoundReport:
         raise RegimeError(
             f"rho_lower_bound needs rho < n/d (beta < 1), got beta={beta:.6g}"
         )
-    value = (1.0 - 6.0 * eps) / (1.0 - beta) * (n / rho)
+    factor = 1.0 - 6.0 * eps
+    value = max(factor, 0.0) / (1.0 - beta) * (n / rho)
     notes = [
         "applies to every noiseless design with row weights at most rho",
         "regime: rho < n/d so that beta = ln(rho)/ln(n/d) stays below 1",
     ]
+    if factor <= 0.0:
+        notes.append("epsilon >= 1/6 makes 1 - 6*epsilon <= 0; the bound is vacuous (0)")
     return BoundReport(
         name="rho-lower-bound",
         value=value,

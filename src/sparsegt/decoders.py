@@ -126,9 +126,7 @@ class _Plan:
     def decode_channel(self, bits: np.ndarray, flips: np.ndarray | None):
         """Decode a batch from the noiseless outcome bits of ``evaluated``
         and the channel's (trials, T) flips of the design's tests, or None
-        when there is no noise."""
-        if flips is not None:
-            bits ^= flips
+        when there is no noise. Only majority plans take flips."""
         return self.decode_batch(bits)
 
 
@@ -286,16 +284,18 @@ def _binary_plan(matrix: TestMatrix) -> BlockPlan:
                      design="a binary block design")
 
 
-class MajorityPlan(_Plan):
+class MajorityPlan(ComaPlan):
     """Majority vote over the k copies of each base test, then the
-    every-test-positive rule on the voted outcomes. Ties vote positive.
+    every-test-positive rule of a :class:`ComaPlan` over the base rows on
+    the voted outcomes. Ties vote positive.
 
     The copies of a base test share one noiseless outcome b, so the harness
     evaluates only the base rows (``evaluated``) and counts each group's
     flips F: the group has ``k - F`` positive votes if b is set, else F.
-    ``decode_batch`` sums the copies of observed outcomes into the same
-    votes. The plan refuses a repeated design whose groups are not copies,
-    which :func:`~sparsegt.core.validate` reports as ``repetition``.
+    ``decode_batch`` reads observed outcomes as the flips of all-negative
+    base outcomes, which gives the same votes. The plan refuses a repeated
+    design whose groups are not copies, which
+    :func:`~sparsegt.core.validate` reports as ``repetition``.
     """
 
     kind = "majority"
@@ -319,21 +319,15 @@ class MajorityPlan(_Plan):
         self.k = k
         indptr, indices = _select_rows(matrix, np.arange(0, matrix.num_tests, k))
         super().__init__(TestMatrix.from_csr(indptr, indices, matrix.num_items))
-        self.base_plan = ComaPlan(self.evaluated)
-        self.untested = self.base_plan.untested
-        self.defective_bytes = self.base_plan.defective_bytes
-
-    def decode_votes(self, votes: np.ndarray):
-        """Decode a batch from the positive votes of each base test, a
-        (trials, T / k) array."""
-        return self.base_plan.decode_batch(votes >= (self.k + 1) // 2)
 
     def decode_batch(self, bits: np.ndarray):
-        return self.decode_votes(self._group_sums(bits))
+        base = np.zeros((len(bits), self.evaluated.num_tests), dtype=bool)
+        return self.decode_channel(base, bits)
 
     def decode_channel(self, bits: np.ndarray, flips: np.ndarray | None):
         counts = 0 if flips is None else self._group_sums(flips)
-        return self.decode_votes(np.where(bits, self.k - counts, counts))
+        votes = np.where(bits, self.k - counts, counts)
+        return super().decode_batch(votes >= (self.k + 1) // 2)
 
     def _group_sums(self, bits: np.ndarray) -> np.ndarray:
         """How many bits of each group of k copies are set, per trial of a

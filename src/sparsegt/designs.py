@@ -7,9 +7,16 @@ that passes :func:`~sparsegt.core.validate` and, where the underlying count
 formula is emitted exactly, agrees with the matching
 :func:`~sparsegt.bounds.upper_bound_tests` report.
 
+The constructors that take ``d`` check their arguments by the rules of
+:class:`~sparsegt.core.DesignParams`; the two block families take
+``epsilon`` in (0, 1) instead. Every constructor refuses with
+``ResourceCapError``, before it allocates, a design of more than 10**7
+tests or 10**8 incidences. The grids count gamma tests per block against
+the test cap, a lower bound of their test count.
+
 Randomized constructors take an explicit ``numpy.random.Generator``; equal
 generators yield identical matrices and leave the generator in the same
-state.
+state, also when they refuse.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from .bounds import (
     random_gamma_test_count,
 )
 from .core import (
+    DesignParams,
     InvalidParameterError,
     ResourceCapError,
     TAG_BLOCK_BINARY_RHO,
@@ -53,9 +61,8 @@ __all__ = [
 ]
 
 
-# the most tests any constructor builds
+# the most tests and (item, test) incidences any constructor builds
 _MAX_TESTS = 10_000_000
-# the most (item, test) incidences random_gamma_design draws: n * gamma
 _MAX_INCIDENCES = 100_000_000
 
 
@@ -92,7 +99,7 @@ def _grid_powers(size: int, gamma: int) -> tuple[int, list[int]]:
     """The base of a grid and the powers base**a that lie below ``size``."""
     if size < 1 or gamma < 1:
         raise InvalidParameterError("hypergrid needs size >= 1 and gamma >= 1")
-    _check_test_count(gamma)  # one test per axis at least
+    _check_size(gamma, 0)  # one test per axis at least
     base = int_root_ceil(size, gamma)
     # base >= 2 when size >= 2, so at most log2(size) + 1 powers lie below size
     powers, power = [], 1
@@ -206,21 +213,11 @@ def random_gamma_design(
     and item i takes the i-th accepted group, in stream order: the matrix
     and the generator's end state are those of drawing each item's group
     with its own call and redrawing until it has gamma distinct tests. The
-    groups are drawn in rounds, each of the groups still needed. Refuses
-    with ``ResourceCapError`` more than 10**7 tests or more than 10**8
-    incidences (n * gamma) before drawing.
+    groups are drawn in rounds, each of the groups still needed.
     """
-    _check_common(n, d)
-    if gamma < 1:
-        raise InvalidParameterError("gamma must be >= 1")
-    if not 0.0 < epsilon < 0.5:
-        raise InvalidParameterError("epsilon must lie in (0, 1/2)")
+    DesignParams(n, d, epsilon=epsilon, gamma=gamma)
     num_tests = random_gamma_test_count(n, d, gamma, epsilon)
-    _check_test_count(num_tests)
-    if n * gamma > _MAX_INCIDENCES:
-        raise ResourceCapError(
-            f"design needs {n * gamma} incidences, above the cap of {_MAX_INCIDENCES}"
-        )
+    _check_size(num_tests, n * gamma)
     # For T <= _MAX_TESTS < 2**32, one call of size (m, gamma) makes the
     # same 32-bit draws (Lemire's bounded method) as m calls of size gamma.
     # A round draws only the groups still needed, so no draw follows the
@@ -250,6 +247,7 @@ def hypergrid_design(n: int, gamma: int) -> TestMatrix:
     Every item joins exactly gamma tests (one per axis). Decodes exactly when
     at most one item is defective.
     """
+    _check_size(gamma, n * gamma)
     return _tiled_design(n, (0,), lambda size: _grid_rows(size, gamma),
                          col_limit=gamma, row_limit=None, design_tag=TAG_HYPERGRID)
 
@@ -261,13 +259,11 @@ def block_hypergrid_design(n: int, d: int, gamma: int, epsilon: float) -> TestMa
     sharing a block an epsilon-rare event; each block then only has to handle
     a single defective, which its grid does exactly.
     """
-    _check_common(n, d)
-    if gamma < 1:
-        raise InvalidParameterError("gamma must be >= 1")
+    DesignParams(n, d, gamma=gamma)
     if not 0.0 < epsilon < 1.0:
         raise InvalidParameterError("epsilon must lie in (0, 1)")
     num_blocks = min(hypergrid_block_count(d, epsilon), n)
-    _check_test_count(gamma * num_blocks)
+    _check_size(gamma * num_blocks, n * gamma)
     starts = balanced_block_starts(n, num_blocks)
     return _tiled_design(n, starts, lambda size: _grid_rows(size, gamma), col_limit=gamma,
                          row_limit=None, design_tag=TAG_BLOCK_HYPERGRID, block_starts=starts)
@@ -284,13 +280,9 @@ def permuted_block_rho_design(
     c = ceil((1+zeta)/((1-alpha)(1-beta))) makes the every-test-positive
     decoder err with probability at most n^(-zeta) for d defectives.
     """
-    _check_common(n, d)
-    if rho < 1:
-        raise InvalidParameterError("rho must be >= 1")
-    if zeta <= 0.0:
-        raise InvalidParameterError("zeta must be > 0")
+    DesignParams(n, d, rho=rho, zeta=zeta)
     c = permuted_constant(n, d, rho, zeta)
-    _check_test_count(c * ceil_div(n, rho))
+    _check_size(c * ceil_div(n, rho), c * n)
     full = n - n % rho
     passes = []
     for _ in range(c):
@@ -317,12 +309,13 @@ def block_binary_rho_design(n: int, d: int, rho: int, epsilon: float) -> TestMat
     labels whose bit r is set, so a lone defective reads off its own label.
     The all-zero pattern is reserved for "no defective in this block".
     """
-    _check_common(n, d)
-    if rho < 1:
-        raise InvalidParameterError("rho must be >= 1")
+    DesignParams(n, d, rho=rho)
     if not 0.0 < epsilon < 1.0:
         raise InvalidParameterError("epsilon must lie in (0, 1)")
-    starts = balanced_block_starts(n, binary_block_count(n, d, rho, epsilon))
+    num_blocks = min(binary_block_count(n, d, rho, epsilon), n)
+    bits = ceil_div(n, num_blocks).bit_length()  # tests of the largest block
+    _check_size(num_blocks * bits, n * bits)
+    starts = balanced_block_starts(n, num_blocks)
     return _tiled_design(n, starts, _binary_rows, col_limit=None, row_limit=rho,
                          design_tag=TAG_BLOCK_BINARY_RHO, block_starts=starts)
 
@@ -331,8 +324,7 @@ def repeat_design(matrix: TestMatrix, k: int) -> TestMatrix:
     """Duplicate every test k times consecutively (for majority voting).
 
     k = 1 returns the matrix unchanged. The per-item budget scales to
-    k * col_limit; the per-test budget is unchanged. Refuses with
-    ``ResourceCapError`` more than 10**7 tests before building them.
+    k * col_limit; the per-test budget is unchanged.
     """
     if k < 1:
         raise InvalidParameterError("repetition count k must be >= 1")
@@ -340,7 +332,7 @@ def repeat_design(matrix: TestMatrix, k: int) -> TestMatrix:
         return matrix
     if matrix.repeat_k > 1:
         raise InvalidParameterError("matrix is already a repeated design")
-    _check_test_count(matrix.num_tests * k)
+    _check_size(matrix.num_tests * k, matrix.ones_count() * k)
     indptr, indices = _select_rows(matrix, np.repeat(np.arange(matrix.num_tests), k))
     return TestMatrix.from_csr(
         indptr,
@@ -355,15 +347,13 @@ def repeat_design(matrix: TestMatrix, k: int) -> TestMatrix:
     )
 
 
-def _check_test_count(num_tests: int) -> None:
-    """Refuse a design of more than ``_MAX_TESTS`` tests before building it;
-    grids pass gamma * blocks, a lower bound on their test count."""
-    if num_tests > _MAX_TESTS:
-        raise ResourceCapError(f"design needs {num_tests} tests, above the cap of {_MAX_TESTS}")
-
-
-def _check_common(n: int, d: int) -> None:
-    if n < 2:
-        raise InvalidParameterError("n must be >= 2")
-    if not 1 <= d < n:
-        raise InvalidParameterError("d must satisfy 1 <= d < n")
+def _check_size(tests: int, incidences: int) -> None:
+    """Refuse a design of more than ``_MAX_TESTS`` tests or
+    ``_MAX_INCIDENCES`` incidences before building it. Every item joins a
+    test, so this also refuses n above the incidence cap."""
+    if tests > _MAX_TESTS:
+        raise ResourceCapError(f"design needs {tests} tests, above the cap of {_MAX_TESTS}")
+    if incidences > _MAX_INCIDENCES:
+        raise ResourceCapError(
+            f"design needs {incidences} incidences, above the cap of {_MAX_INCIDENCES}"
+        )

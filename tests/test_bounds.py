@@ -42,6 +42,11 @@ class TestGammaLowerBound:
         assert rep.value == 15.0
         assert any("degenerates" in note for note in rep.assumptions)
 
+    def test_falls_below_gamma_d_past_eps_one_fifth(self):
+        rep = gamma_lower_bound(DesignParams(n=10_000, d=5, epsilon=0.3, gamma=3))
+        assert rep.value < 15.0
+        assert any("at most gamma*d" in note for note in rep.assumptions)
+
     def test_wide_gamma_approaches_unconstrained_scale(self):
         # gamma = log2(n/d) and tiny epsilon: value close to 2*gamma*d
         n, d = 2**20, 1
@@ -77,6 +82,11 @@ class TestRhoLowerBound:
     def test_epsilon_one_sixth_vanishes(self):
         rep = rho_lower_bound(DesignParams(n=10_000, d=10, epsilon=1 / 6, rho=100))
         assert rep.value == pytest.approx(0.0, abs=1e-12)
+
+    def test_epsilon_above_one_sixth_is_zero_not_negative(self):
+        rep = rho_lower_bound(DesignParams(n=1000, d=10, epsilon=0.3, rho=10))
+        assert (rep.value, rep.integer_value) == (0.0, 0)
+        assert any("vacuous" in note for note in rep.assumptions)
 
     def test_beta_at_or_above_one_rejected(self):
         with pytest.raises(RegimeError):

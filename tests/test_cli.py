@@ -2,12 +2,16 @@
 
 import contextlib
 import io
+import os
+import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sparsegt
 from sparsegt import cli
 from sparsegt.cli import main
 from sparsegt.core import parse
@@ -18,6 +22,25 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out.splitlines(), captured.err
+
+
+def run_child(*argv, address_space=None):
+    """Run the CLI in a child process, with its address space capped in
+    bytes when given; the cap applies to the child only."""
+    env = dict(os.environ)
+    src = str(Path(sparsegt.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    return subprocess.run(
+        [sys.executable, "-m", "sparsegt.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=None if address_space is None else limit,
+    )
 
 
 class TestDesignCommand:
@@ -74,6 +97,28 @@ class TestDesignCommand:
         assert code == 3
         assert out == []
         assert err.startswith("resource cap: design needs")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--family", "hypergrid", "--n", "1000000000000", "--gamma", "2"],
+            ["--family", "block-hypergrid", "--n", "1000000000000", "--d", "5",
+             "--gamma", "2", "--epsilon", "0.1"],
+            ["--family", "block-binary-rho", "--n", "1000000000000", "--d", "5",
+             "--rho", "1000000", "--epsilon", "0.1"],
+            ["--family", "permuted-rho", "--n", "1000000000000", "--d", "5",
+             "--rho", "100000000", "--zeta", "0.5"],
+            ["--family", "hypergrid", "--n", "1000", "--gamma", "1000000"],
+        ],
+        ids=["hypergrid-items", "block-hypergrid-items", "block-binary-items",
+             "permuted-items", "hypergrid-incidences"],
+    )
+    def test_oversize_design_exits_3_under_an_address_space_limit(self, argv):
+        proc = run_child("design", *argv, address_space=1_500_000 * 1024)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("resource cap: design needs")
 
     def test_random_gamma_above_the_incidence_cap_exits_3(self, capsys, tmp_path):
         path = tmp_path / "x"
@@ -245,6 +290,17 @@ class TestBoundsCommand:
             "--rho", "50", "--zeta", "0.5", "--sigma", "0.1",
         )
         assert "integer_value=19500" in out
+
+    def test_rho_lower_bound_past_one_sixth_is_zero(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "bounds", "--theorem", "4", "--n", "1000", "--d", "10",
+            "--rho", "10", "--epsilon", "0.3",
+        )
+        assert code == 0
+        assert "value=0" in out
+        assert "integer_value=0" in out
+        assert "assumes=epsilon >= 1/6 makes 1 - 6*epsilon <= 0; the bound is vacuous (0)" in out
 
     def test_noisy_floor(self, capsys):
         code, out, _ = run(
@@ -462,11 +518,6 @@ def test_generated_command_lines_exit_with_a_documented_code(argv):
 
 class TestEntryPoint:
     def test_console_script(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "sparsegt.cli", "design", "--family",
-             "hypergrid", "--n", "9", "--gamma", "2"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_child("design", "--family", "hypergrid", "--n", "9", "--gamma", "2")
         assert proc.returncode == 0
         assert "hypergrid 6 9 18 3 2" in proc.stdout

@@ -1,9 +1,14 @@
 """Constructors: exact test counts, structural invariants, determinism."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparsegt.core import (
+    GroupTestingError,
     InvalidParameterError,
     ResourceCapError,
     TAG_BLOCK_BINARY_RHO,
@@ -288,3 +293,99 @@ class TestRepeat:
     def test_rejects_nonpositive_k(self):
         with pytest.raises(InvalidParameterError):
             repeat_design(hypergrid_design(4, 2), 0)
+
+
+def _rng_state(rng):
+    return None if rng is None else rng.bit_generator.state
+
+
+# each constructor as a call on (n, d, budget, epsilon, zeta, rng), where the
+# budget is gamma, rho or k; the generator is None for deterministic ones
+_CONSTRUCTORS = {
+    "random-gamma": lambda n, d, b, eps, zeta, rng: random_gamma_design(n, d, b, eps, rng),
+    "hypergrid": lambda n, d, b, eps, zeta, rng: hypergrid_design(n, b),
+    "block-hypergrid": lambda n, d, b, eps, zeta, rng: block_hypergrid_design(n, d, b, eps),
+    "permuted-rho": lambda n, d, b, eps, zeta, rng: permuted_block_rho_design(n, d, b, zeta, rng),
+    "block-binary-rho": lambda n, d, b, eps, zeta, rng: block_binary_rho_design(n, d, b, eps),
+    "repeated": lambda n, d, b, eps, zeta, rng: repeat_design(hypergrid_design(50, 2), b),
+}
+_RANDOMIZED = {"random-gamma", "permuted-rho"}
+_GATE_CAP = 10_000
+
+
+class TestPreAllocationGate:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        family=st.sampled_from(sorted(_CONSTRUCTORS)),
+        n=st.sampled_from([1, 2, 50, 2**31, 2**31 + 1, 10**12]),
+        d_of=st.sampled_from([lambda n: 0, lambda n: 1, lambda n: n - 1, lambda n: n]),
+        budget=st.sampled_from([0, 1, 3, 2**62]),
+        epsilon=st.sampled_from([0.0, 0.25, 0.5, 1.0, math.nan]),
+        zeta=st.sampled_from([0.0, 0.5, math.nan, 1e300]),
+    )
+    def test_builds_within_the_caps_or_refuses(self, family, n, d_of, budget, epsilon, zeta):
+        rng = np.random.default_rng(0) if family in _RANDOMIZED else None
+        before = _rng_state(rng)
+        with mock.patch.multiple(designs, _MAX_TESTS=_GATE_CAP, _MAX_INCIDENCES=_GATE_CAP):
+            try:
+                m = _CONSTRUCTORS[family](n, d_of(n), budget, epsilon, zeta, rng)
+            except GroupTestingError:
+                assert _rng_state(rng) == before
+                return
+        assert validate(m) == []
+        assert m.num_tests <= _GATE_CAP
+        assert m.ones_count() <= _GATE_CAP
+
+    @pytest.mark.parametrize(
+        "family, args",
+        [
+            ("random-gamma", (50, 2, 3, 0.25, None)),
+            ("hypergrid", (50, None, 3, None, None)),
+            ("block-hypergrid", (50, 2, 3, 0.5, None)),
+            ("permuted-rho", (50, 1, 5, None, 0.5)),
+            ("repeated", (None, None, 3, None, None)),
+        ],
+    )
+    def test_incidence_cap_admits_its_edge(self, monkeypatch, family, args):
+        rng = np.random.default_rng(3)
+        built = _CONSTRUCTORS[family](*args, rng)
+        monkeypatch.setattr(designs, "_MAX_INCIDENCES", built.ones_count())
+        assert _CONSTRUCTORS[family](*args, np.random.default_rng(3)) == built
+        monkeypatch.setattr(designs, "_MAX_INCIDENCES", built.ones_count() - 1)
+        rng = np.random.default_rng(3)
+        with pytest.raises(ResourceCapError, match=f"needs {built.ones_count()} incidences"):
+            _CONSTRUCTORS[family](*args, rng)
+        assert _rng_state(rng) == np.random.default_rng(3).bit_generator.state
+
+    def test_binary_blocks_count_the_bits_of_the_largest_block(self, monkeypatch):
+        # blocks of 15 and 16 items hold 4 + 5 tests; the gate counts 2 * 5
+        monkeypatch.setattr(designs, "_MAX_TESTS", 10)
+        assert block_binary_rho_design(31, 1, 16, 0.9).num_tests == 9
+        monkeypatch.setattr(designs, "_MAX_TESTS", 9)
+        with pytest.raises(ResourceCapError, match="needs 10 tests"):
+            block_binary_rho_design(31, 1, 16, 0.9)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: random_gamma_design(1, 1, 2, 0.1, None), "n must be >= 2"),
+            (lambda: random_gamma_design(10, 0, 2, 0.1, None), "d must satisfy 1 <= d < n"),
+            (lambda: random_gamma_design(10, 2, 0, 0.1, None), "gamma must be >= 1"),
+            (lambda: random_gamma_design(10, 2, 2, 0.5, None), "epsilon must lie in (0, 1/2)"),
+            (lambda: hypergrid_design(0, 2), "hypergrid needs size >= 1 and gamma >= 1"),
+            (lambda: hypergrid_design(9, 0), "hypergrid needs size >= 1 and gamma >= 1"),
+            (lambda: block_hypergrid_design(10, 10, 2, 0.5), "d must satisfy 1 <= d < n"),
+            (lambda: block_hypergrid_design(10, 2, 0, 0.5), "gamma must be >= 1"),
+            (lambda: block_hypergrid_design(10, 2, 2, 1.0), "epsilon must lie in (0, 1)"),
+            (lambda: permuted_block_rho_design(1, 1, 2, 0.5, None), "n must be >= 2"),
+            (lambda: permuted_block_rho_design(10, 2, 0, 0.5, None), "rho must be >= 1"),
+            (lambda: permuted_block_rho_design(10, 2, 2, 0.0, None), "zeta must be > 0"),
+            (lambda: block_binary_rho_design(10, -1, 2, 0.5), "d must satisfy 1 <= d < n"),
+            (lambda: block_binary_rho_design(10, 2, 0, 0.5), "rho must be >= 1"),
+            (lambda: block_binary_rho_design(10, 2, 2, math.nan), "epsilon must lie in (0, 1)"),
+        ],
+    )
+    def test_one_bad_argument_is_named(self, call, message):
+        with pytest.raises(InvalidParameterError) as info:
+            call()
+        assert str(info.value) == message
