@@ -3,9 +3,13 @@
 Each calculator returns a :class:`BoundReport` with the real-valued bound, its
 ceiled integer form where meaningful, and the regime assumptions under which
 the bound applies. All real arithmetic is float64 with logarithms taken before
-exponentiation so large ``n`` does not overflow; ceilings snap within 1e-9
-relative tolerance (see :func:`sparsegt.core.iceil`) so decimal-intended
-integer boundaries land exactly.
+exponentiation so large ``n`` does not overflow; a quotient of integers that
+only feeds a logarithm is taken as a difference of logs where it exceeds
+float range (:func:`sparsegt.core.log_ratio`). Where a bound, or a quantity
+it is computed from, still exceeds float range, the calculators raise
+``InvalidParameterError``. Ceilings snap within 1e-9 relative tolerance (see
+:func:`sparsegt.core.iceil`) so decimal-intended integer boundaries land
+exactly.
 
 The ``*_count`` helpers are the single source of the integer test counts; the
 constructors in :mod:`sparsegt.designs` call them, which is what makes the
@@ -15,6 +19,7 @@ formula count directly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +33,7 @@ from .core import (
     TAG_RANDOM_GAMMA,
     TAG_REPEATED,
     iceil,
+    log_ratio,
 )
 
 __all__ = [
@@ -79,6 +85,22 @@ class BoundReport:
         return f"{self.name},{self.value:.6g},{integer},{floor},{notes}"
 
 
+def _in_float_range(calculator):
+    """Refuse with ``InvalidParameterError`` the parameters at which
+    ``calculator`` meets a value beyond float range."""
+
+    @functools.wraps(calculator)
+    def checked(*args, **kwargs):
+        try:
+            return calculator(*args, **kwargs)
+        except OverflowError:
+            raise InvalidParameterError(
+                f"{calculator.__name__}: a value exceeds float range; parameters out of range"
+            ) from None
+
+    return checked
+
+
 def ceil_div(a: int, b: int) -> int:
     """Exact integer ceiling of a/b for positive ints."""
     return -(-a // b)
@@ -89,6 +111,7 @@ def ceil_div(a: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+@_in_float_range
 def random_gamma_test_count(n: int, d: int, gamma: int, epsilon: float) -> int:
     """ceil(e * gamma * d * (n/epsilon)^(1/gamma))."""
     value = _random_gamma_value(n, d, gamma, epsilon)
@@ -101,6 +124,7 @@ def _random_gamma_value(n: int, d: int, gamma: int, epsilon: float) -> float:
     )
 
 
+@_in_float_range
 def permuted_constant(n: int, d: int, rho: int, zeta: float) -> int:
     """Number of pooling passes c = ceil((1+zeta) / ((1-alpha)(1-beta))).
 
@@ -112,10 +136,11 @@ def permuted_constant(n: int, d: int, rho: int, zeta: float) -> int:
         raise RegimeError(
             f"permuted design needs d*rho < n, got d*rho={d * rho} >= n={n}"
         )
-    value = (1.0 + zeta) * math.log(n) / math.log(n / (d * rho))
+    value = (1.0 + zeta) * math.log(n) / log_ratio(n, d * rho)
     return iceil(value)
 
 
+@_in_float_range
 def repetition_count(n: int, sigma: float, zeta: float) -> int:
     """Repetitions per test k = ceil((1+zeta) * ln(n) / (1/2 - sigma)^2)."""
     if not 0.0 <= sigma < 0.5:
@@ -124,6 +149,7 @@ def repetition_count(n: int, sigma: float, zeta: float) -> int:
     return iceil(value)
 
 
+@_in_float_range
 def binary_regime(n: int, d: int, rho: int, epsilon: float) -> int:
     """Which block budget binds for the binary block design.
 
@@ -137,11 +163,13 @@ def binary_regime(n: int, d: int, rho: int, epsilon: float) -> int:
     return 2
 
 
+@_in_float_range
 def hypergrid_block_count(d: int, epsilon: float) -> int:
     """ceil(d^2/epsilon) blocks keep the collision probability below epsilon."""
     return iceil(d * d / epsilon)
 
 
+@_in_float_range
 def binary_block_count(n: int, d: int, rho: int, epsilon: float) -> int:
     if binary_regime(n, d, rho, epsilon) == 1:
         return ceil_div(n, rho)
@@ -153,6 +181,7 @@ def binary_block_count(n: int, d: int, rho: int, epsilon: float) -> int:
 # ---------------------------------------------------------------------------
 
 
+@_in_float_range
 def gamma_lower_bound(params: DesignParams) -> BoundReport:
     """Minimum tests any epsilon-error design with column weights <= gamma needs.
 
@@ -164,7 +193,7 @@ def gamma_lower_bound(params: DesignParams) -> BoundReport:
         raise InvalidParameterError("gamma_lower_bound requires epsilon")
     n, d, gamma, eps = params.n, params.d, params.gamma, params.epsilon
     exponent = (1.0 - 5.0 * eps) / gamma
-    value = gamma * d * math.exp(exponent * math.log(n / d))
+    value = gamma * d * math.exp(exponent * log_ratio(n, d))
     notes = [
         "applies to every noiseless design with column weights at most gamma",
         "error criterion: exact recovery with probability at least 1-epsilon",
@@ -180,6 +209,7 @@ def gamma_lower_bound(params: DesignParams) -> BoundReport:
     )
 
 
+@_in_float_range
 def rho_lower_bound(params: DesignParams) -> BoundReport:
     """Minimum tests any epsilon-error design with row weights <= rho needs.
 
@@ -225,6 +255,7 @@ UPPER_BOUND_FAMILIES = (
 )
 
 
+@_in_float_range
 def upper_bound_tests(params: DesignParams, family: str) -> BoundReport:
     """Achievable test count of the named constructor family.
 
@@ -363,6 +394,7 @@ def _upper_repeated_rho(params: DesignParams) -> BoundReport:
 # ---------------------------------------------------------------------------
 
 
+@_in_float_range
 def noisy_gamma_error_floor(d: int, gamma: int, sigma: float) -> BoundReport:
     """No decoder beats this error under bit-flip noise with column weights <= gamma.
 

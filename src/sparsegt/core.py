@@ -503,7 +503,7 @@ class DesignParams:
         """Test-size exponent: rho = (n/d)^beta. Requires rho."""
         if self.rho is None:
             raise InvalidParameterError("beta requires rho to be set")
-        return math.log(self.rho) / math.log(self.n / self.d)
+        return math.log(self.rho) / log_ratio(self.n, self.d)
 
     @property
     def effective_epsilon(self) -> float | None:
@@ -530,6 +530,16 @@ def iceil(x: float) -> int:
     if not math.isfinite(x):
         raise InvalidParameterError(f"cannot round {x} up to an integer; parameters out of range")
     return math.ceil(x - 1e-9 * max(1.0, abs(x)))
+
+
+def log_ratio(num: int, den: int | float) -> float:
+    """ln(num / den) for positive numbers: the log of the float quotient where
+    there is one, else the difference of the logs, which loses nothing once
+    the quotient is beyond float range."""
+    try:
+        return math.log(num / den)
+    except OverflowError:
+        return math.log(num) - math.log(den)
 
 
 def int_root_ceil(value: int, k: int) -> int:

@@ -11,8 +11,10 @@ The constructors that take ``d`` check their arguments by the rules of
 :class:`~sparsegt.core.DesignParams`; the two block families take
 ``epsilon`` in (0, 1) instead. Every constructor refuses with
 ``ResourceCapError``, before it allocates, a design of more than 10**7
-tests or 10**8 incidences. The grids count gamma tests per block against
-the test cap, a lower bound of their test count.
+tests or 10**8 incidences. It checks the fewest incidences its items can
+take, n times its fewest tests per item, before any float formula, so n or
+gamma beyond float range is refused there too. The grids count their tests
+exactly, from the (at most two) block sizes.
 
 Randomized constructors take an explicit ``numpy.random.Generator``; equal
 generators yield identical matrices and leave the generator in the same
@@ -123,6 +125,14 @@ def _grid_test_count(size: int, gamma: int) -> int:
     return sum(min(base, ceil_div(size, p)) for p in powers) + gamma - len(powers)
 
 
+def _grid_tests(n: int, num_blocks: int, gamma: int) -> int:
+    """Tests of one digit grid per balanced block: ``n % num_blocks`` of the
+    blocks hold one item more than the others."""
+    size, larger = divmod(n, num_blocks)
+    return (_grid_test_count(size, gamma) * (num_blocks - larger)
+            + _grid_test_count(size + 1, gamma) * larger)
+
+
 def _grid_rows(size: int, gamma: int) -> tuple[np.ndarray, np.ndarray]:
     """Row lengths and items (local, from 0) of one digit grid."""
     shape = hypergrid_shape(size, gamma)
@@ -216,6 +226,7 @@ def random_gamma_design(
     groups are drawn in rounds, each of the groups still needed.
     """
     DesignParams(n, d, epsilon=epsilon, gamma=gamma)
+    _check_size(0, n * gamma)
     num_tests = random_gamma_test_count(n, d, gamma, epsilon)
     _check_size(num_tests, n * gamma)
     # For T <= _MAX_TESTS < 2**32, one call of size (m, gamma) makes the
@@ -247,7 +258,8 @@ def hypergrid_design(n: int, gamma: int) -> TestMatrix:
     Every item joins exactly gamma tests (one per axis). Decodes exactly when
     at most one item is defective.
     """
-    _check_size(gamma, n * gamma)
+    _check_size(0, n * gamma)
+    _check_size(_grid_tests(n, 1, gamma), n * gamma)
     return _tiled_design(n, (0,), lambda size: _grid_rows(size, gamma),
                          col_limit=gamma, row_limit=None, design_tag=TAG_HYPERGRID)
 
@@ -262,8 +274,9 @@ def block_hypergrid_design(n: int, d: int, gamma: int, epsilon: float) -> TestMa
     DesignParams(n, d, gamma=gamma)
     if not 0.0 < epsilon < 1.0:
         raise InvalidParameterError("epsilon must lie in (0, 1)")
+    _check_size(0, n * gamma)
     num_blocks = min(hypergrid_block_count(d, epsilon), n)
-    _check_size(gamma * num_blocks, n * gamma)
+    _check_size(_grid_tests(n, num_blocks, gamma), n * gamma)
     starts = balanced_block_starts(n, num_blocks)
     return _tiled_design(n, starts, lambda size: _grid_rows(size, gamma), col_limit=gamma,
                          row_limit=None, design_tag=TAG_BLOCK_HYPERGRID, block_starts=starts)
@@ -281,6 +294,7 @@ def permuted_block_rho_design(
     decoder err with probability at most n^(-zeta) for d defectives.
     """
     DesignParams(n, d, rho=rho, zeta=zeta)
+    _check_size(ceil_div(n, rho), n)  # one pass at least
     c = permuted_constant(n, d, rho, zeta)
     _check_size(c * ceil_div(n, rho), c * n)
     full = n - n % rho
@@ -312,6 +326,7 @@ def block_binary_rho_design(n: int, d: int, rho: int, epsilon: float) -> TestMat
     DesignParams(n, d, rho=rho)
     if not 0.0 < epsilon < 1.0:
         raise InvalidParameterError("epsilon must lie in (0, 1)")
+    _check_size(0, n)  # every label has a bit set
     num_blocks = min(binary_block_count(n, d, rho, epsilon), n)
     bits = ceil_div(n, num_blocks).bit_length()  # tests of the largest block
     _check_size(num_blocks * bits, n * bits)

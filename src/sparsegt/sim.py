@@ -6,14 +6,15 @@ order, (1) the defective set and (2) the noise flips when sigma > 0. Because
 each trial derives its own seed from the pair ``(s, t)``, any partition of the
 trial range across workers reproduces the sequential result bit for bit.
 
-For noiseless trials under the uniform prior, the harness computes those
-draws for thousands of trials at once in numpy: the seeds, NumPy's
-``SeedSequence`` and ``PCG64`` seeding, and the Floyd sampler behind
-``Generator.choice(n, d, replace=False)``; a trial whose draws may have hit
-a rejection is drawn again through ``default_rng``. Noisy runs, the iid
-prior and the tail-shuffle branch of ``choice`` draw one trial at a time,
-in trial order, from one reused ``PCG64`` set to each trial's state as the
-same numpy seeding computes it. The replica is checked against
+The harness draws those trials in one pipeline. For each chunk of
+thousands of trials it computes in numpy the trial seeds and the ``PCG64``
+states that NumPy's ``SeedSequence`` seeding gives them. For noiseless
+trials under the uniform prior, where ``Generator.choice(n, d,
+replace=False)`` takes Floyd's branch, it replays that sampler on the whole
+chunk from those states, and only a trial whose draws may have hit a
+rejection is drawn by a generator. Every other trial (noisy runs, the iid
+prior, the tail-shuffle branch of ``choice``) is drawn in trial order by one
+reused ``PCG64`` set to its state. The replica is checked against
 ``default_rng`` once per process; on a mismatch every trial gets its own
 ``default_rng``. The results are identical either way. The harness then
 evaluates, flips, decodes and scores a batch of trials with array
@@ -260,13 +261,13 @@ def _pcg64_states(seeds: np.ndarray) -> tuple[np.ndarray, ...]:
     return (*_pcg64_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo)
 
 
-def _floyd_draws(master_seed: int, first: int, count: int, n: int,
+def _floyd_draws(states: tuple[np.ndarray, ...], n: int,
                  d: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.sort(default_rng(derive_trial_seed(master_seed, t)).choice(n, d,
-    replace=False))`` for trials ``t = first .. first + count - 1`` as a
-    (count, d) int64 array, where ``choice`` takes its Floyd branch and
-    n < 2**32; and a mask of the trials where a draw may have been rejected,
-    whose rows are not the contract's.
+    """The sorted ``choice(n, d, replace=False)`` of a generator set to each
+    of ``states`` (``_pcg64_states`` of a chunk of trials) as a (trials, d)
+    int64 array, where ``choice`` takes its Floyd branch and n < 2**32; and
+    a mask of the trials where a draw may have been rejected, whose rows
+    are not the contract's.
 
     Floyd's sampler draws v_k uniform on [0, j_k], j_k = n - d + k, for
     k = 0 .. d - 1, and keeps v_k unless it is already taken, else j_k. Each
@@ -277,7 +278,8 @@ def _floyd_draws(master_seed: int, first: int, count: int, n: int,
     where every set holds all n items. The shuffle that follows does not
     change the sorted set, and a noiseless trial draws nothing after it.
     """
-    hi, lo, inc_hi, inc_lo = _pcg64_states(_trial_seeds(master_seed, first, count))
+    hi, lo, inc_hi, inc_lo = states
+    count = hi.size
     bound = np.arange(n - d, n, dtype=np.uint64) + 1  # j + 1
     halves = np.empty((count, d + d % 2), dtype=np.uint64)
     for k in range(0, d, 2):
@@ -326,56 +328,44 @@ _REPLICA_CASE_TRIALS = 16
 @functools.cache
 def _replica_matches() -> bool:
     """Whether this NumPy's ``default_rng`` draws what the replica computes
-    on the trials of ``_REPLICA_CASES``: the sorted sets of ``_floyd_draws``
-    on every unflagged trial, and on every trial, the ``choice`` and then a
-    few doubles of a ``PCG64`` set to the state ``_pcg64_states`` computes.
-    NumPy does not promise that ``Generator`` streams stay the same across
-    versions; on a mismatch every run seeds and draws each trial through
-    ``default_rng``."""
+    on the trials of ``_REPLICA_CASES``: on every trial, the ``choice`` and
+    then a few doubles of ``_trial_generators``, and on every unflagged
+    trial, the sorted set of ``_floyd_draws``. NumPy does not promise that
+    ``Generator`` streams stay the same across versions; on a mismatch
+    every run seeds and draws each trial through ``default_rng``."""
+    rows = range(_REPLICA_CASE_TRIALS)
     for seed, n, d in _REPLICA_CASES:
-        picks, flagged = _floyd_draws(seed, 0, _REPLICA_CASE_TRIALS, n, d)
-        for t in np.flatnonzero(~flagged).tolist():
-            want = np.sort(_trial_rng(seed, t).choice(n, d, replace=False))
-            if not np.array_equal(picks[t], want):
-                return False
-        for t, rng in enumerate(_state_rngs(seed, 0, _REPLICA_CASE_TRIALS)):
+        states = _pcg64_states(_trial_seeds(seed, 0, _REPLICA_CASE_TRIALS))
+        picks, flagged = _floyd_draws(states, n, d)
+        for t, rng in zip(rows, _trial_generators(seed, 0, states, rows)):
             want = _trial_rng(seed, t)
-            for draw in (lambda g: g.choice(n, d, replace=False), lambda g: g.random(4)):
-                if not np.array_equal(draw(rng), draw(want)):
-                    return False
+            chosen = want.choice(n, d, replace=False)
+            if not (np.array_equal(rng.choice(n, d, replace=False), chosen)
+                    and (flagged[t] or np.array_equal(picks[t], np.sort(chosen)))
+                    and np.array_equal(rng.random(4), want.random(4))):
+                return False
     return True
 
 
-# trials whose PCG64 states are computed at once: enough to amortise numpy's
-# per-call cost, few enough to keep the arrays small
-_STATE_CHUNK = 1024
-
-
-def _state_rngs(master_seed: int, first: int, count: int):
-    """The generators of trials ``first .. first + count - 1``, in order, as
-    one reused ``PCG64`` set to each trial's state from ``_pcg64_states``,
-    which skips NumPy's seeding; each is valid until the next is taken."""
+def _trial_generators(master_seed: int, first: int, states, rows):
+    """The seeding contract's generators of trials ``first + row`` for each
+    of ``rows``, in order. With ``states``, the ``_pcg64_states`` of the
+    chunk of trials from ``first``, one reused ``PCG64`` is set to each
+    row's state, which skips NumPy's seeding, and each generator is valid
+    until the next is taken; with None, each trial seeds a ``default_rng``."""
+    if states is None:
+        yield from (_trial_rng(master_seed, first + row) for row in rows)
+        return
     bit_generator = np.random.PCG64()
     rng = np.random.Generator(bit_generator)
-    for lo in range(first, first + count, _STATE_CHUNK):
-        seeds = _trial_seeds(master_seed, lo, min(_STATE_CHUNK, first + count - lo))
-        for hi, low, inc_hi, inc_lo in zip(*(v.tolist() for v in _pcg64_states(seeds))):
-            bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": hi << 64 | low, "inc": inc_hi << 64 | inc_lo},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            yield rng
-
-
-def _trial_rngs(master_seed: int, first: int, count: int):
-    """The seeding contract's generators of trials ``first .. first + count
-    - 1``, in order: set from the replica's states where the replica check
-    passes, else one ``default_rng`` per trial."""
-    if _replica_matches():
-        return _state_rngs(master_seed, first, count)
-    return (_trial_rng(master_seed, t) for t in range(first, first + count))
+    for hi, lo, inc_hi, inc_lo in zip(*(v[rows].tolist() for v in states)):
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +393,10 @@ def _batch_trials(matrix: TestMatrix, d: int, plan=None, flipped_tests: int = 0)
 
 
 def _draw_chunk(d: int) -> int:
-    """Trials per ``_floyd_draws`` call. Its arrays peak at about 64 (d + 2)
-    bytes a trial; it takes four batches' budget, as numpy's per-call cost
-    needs thousands of trials to amortise."""
+    """Trials per chunk of PCG64 states, with d the draws per trial that
+    ``_floyd_draws`` makes from them, or 0 where it does not run. Its arrays
+    peak at about 64 (d + 2) bytes a trial; a chunk takes four batches'
+    budget, as numpy's per-call cost needs thousands of trials to amortise."""
     return max(1, 4 * _BATCH_BYTES // (64 * (d + 2)))
 
 
@@ -448,42 +439,48 @@ def _score_batch(plan, trial: np.ndarray, items: np.ndarray, num_trials: int,
     return np.array([failed.sum(), extra.sum(), ambiguous.sum(), (missing > 0).sum()])
 
 
-def _scalar_batches(matrix: TestMatrix, prior: Prior, sigma: float, master_seed: int,
-                    start: int, count: int, batch: int):
-    """Trials ``start .. start + count - 1`` drawn one by one, in trial
-    order, as the seeding contract defines them, ``batch`` at a time: (trial
-    of each defective, defectives, number of trials, noise flips of the
-    design's tests or None)."""
-    noisy_tests = matrix.num_tests if sigma > 0.0 else 0
+def _trial_batches(n: int, num_tests: int, prior: Prior, sigma: float, master_seed: int,
+                   start: int, count: int, batch: int):
+    """Trials ``start .. start + count - 1`` as the seeding contract draws
+    them, ``batch`` at a time: (trial of each defective, defectives sorted
+    within each trial, number of trials, flips of the ``num_tests`` tests or
+    None when noiseless). Each chunk of trials gets its PCG64 states at
+    once. Where the replica covers the run, ``_floyd_draws`` computes the
+    chunk's sets from them and only its flagged trials are drawn by a
+    generator; elsewhere every trial is, in trial order, with its noise."""
+    floyd = _replica_covers(prior, n, sigma)
+    chunk = _draw_chunk(prior.d if floyd else 0)
+    noisy_tests = num_tests if sigma > 0.0 else 0
     draws = np.empty(noisy_tests)  # one trial's noise draws
     flips = np.empty((min(batch, count), noisy_tests), dtype=bool)
-    rngs = _trial_rngs(master_seed, start, count) if count else ()
-    for first in range(start, start + count, batch):
-        num_trials = min(batch, start + count - first)
-        picks = []
-        for row, rng in zip(range(num_trials), rngs):
-            picks.append(_draw_defectives(rng, prior, matrix.num_items))
-            if sigma > 0.0:
-                _noise_flips(sigma, rng, draws, flips[row])
-        items = np.concatenate(picks)
-        if prior.kind == PRIOR_UNIFORM_EXACT:
-            items.reshape(num_trials, prior.d).sort(axis=1)
-        trial = np.repeat(np.arange(num_trials), [p.size for p in picks])
-        yield trial, items, num_trials, flips[:num_trials] if sigma > 0.0 else None
-
-
-def _replica_batches(n: int, d: int, master_seed: int, start: int, count: int, batch: int):
-    """The same batches for noiseless uniform trials whose ``choice`` is
-    Floyd's: the replica computes a chunk of trials at once, and the trials
-    it flags are drawn again through ``default_rng``."""
-    chunk = _draw_chunk(d)
     for first in range(start, start + count, chunk):
-        picks, flagged = _floyd_draws(master_seed, first, min(chunk, start + count - first), n, d)
-        for row in np.flatnonzero(flagged).tolist():
-            picks[row] = np.sort(_trial_rng(master_seed, first + row).choice(n, d, replace=False))
-        for lo in range(0, len(picks), batch):
-            part = picks[lo : lo + batch]
-            yield np.repeat(np.arange(len(part)), d), part.reshape(-1), len(part), None
+        size = min(chunk, start + count - first)
+        # the first chunk runs the check, so a zero-trial run never does
+        states = (_pcg64_states(_trial_seeds(master_seed, first, size))
+                  if _replica_matches() else None)
+        if floyd and states is not None:
+            picks, flagged = _floyd_draws(states, n, prior.d)
+            rows = np.flatnonzero(flagged).tolist()
+            redraws = _trial_generators(master_seed, first, states, rows)
+            for row, rng in zip(rows, redraws):
+                picks[row] = np.sort(rng.choice(n, prior.d, replace=False))
+            for lo in range(0, size, batch):
+                part = picks[lo : lo + batch]
+                yield np.repeat(np.arange(len(part)), prior.d), part.reshape(-1), len(part), None
+            continue
+        for lo in range(0, size, batch):
+            num_trials = min(batch, size - lo)
+            rows = range(lo, lo + num_trials)
+            picks = []
+            for row, rng in enumerate(_trial_generators(master_seed, first, states, rows)):
+                picks.append(_draw_defectives(rng, prior, n))
+                if noisy_tests:
+                    _noise_flips(sigma, rng, draws, flips[row])
+            items = np.concatenate(picks)
+            if prior.kind == PRIOR_UNIFORM_EXACT:
+                items.reshape(num_trials, prior.d).sort(axis=1)
+            trial = np.repeat(np.arange(num_trials), [p.size for p in picks])
+            yield trial, items, num_trials, flips[:num_trials] if noisy_tests else None
 
 
 def _run_trial_range(
@@ -499,16 +496,11 @@ def _run_trial_range(
     fixes them and evaluated, decoded and scored a batch at a time."""
     # build the OR channel's column index before the first trial
     plan.evaluated.column_index()
-    n = matrix.num_items
     flipped = matrix.num_tests if sigma > 0.0 else 0
     batch = _batch_trials(plan.evaluated, prior.d, plan, flipped)
-    # testing count first keeps a zero-trial run from paying for the check
-    if count and _replica_covers(prior, n, sigma) and _replica_matches():
-        batches = _replica_batches(n, prior.d, master_seed, start, count, batch)
-    else:
-        batches = _scalar_batches(matrix, prior, sigma, master_seed, start, count, batch)
     totals = np.zeros(4, dtype=np.int64)
-    for trial, items, num_trials, flips in batches:
+    for trial, items, num_trials, flips in _trial_batches(
+            matrix.num_items, matrix.num_tests, prior, sigma, master_seed, start, count, batch):
         totals += _score_batch(plan, trial, items, num_trials, flips)
     errors, fp_items, amb_blocks, wrong = totals.tolist()
     return errors, fp_items, amb_blocks, wrong

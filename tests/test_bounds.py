@@ -135,6 +135,35 @@ class TestScalarHelpers:
         assert binary_block_count(10_000, 5, 20, 0.1) == 500
         assert binary_block_count(10_000, 5, 50, 0.1) == 250
 
+    def test_quotients_beyond_float_range_go_through_logs(self):
+        # n / d and n / (d * rho) exceed float range; their logs do not
+        n, log_n = 10**400, 400 * math.log(10)
+        assert permuted_constant(n, 5, 2, 1.0) == math.ceil(2 * log_n / (log_n - math.log(10)))
+        beta = DesignParams(n=n, d=5, rho=2).beta
+        assert beta == pytest.approx(math.log(2) / (log_n - math.log(5)), rel=1e-12)
+        rep = gamma_lower_bound(DesignParams(n=n, d=5, epsilon=0.1, gamma=2))
+        assert rep.value == pytest.approx(10 * math.exp(0.25 * (log_n - math.log(5))),
+                                          rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: random_gamma_test_count(10**400, 5, 1, 0.1),
+            lambda: random_gamma_test_count(10, 5, 10**400, 0.1),
+            lambda: binary_regime(10**400, 5, 2, 0.1),
+            lambda: hypergrid_block_count(10**200, 0.1),
+            lambda: rho_lower_bound(DesignParams(n=10**400, d=5, rho=2, epsilon=0.1)),
+            lambda: upper_bound_tests(DesignParams(n=10**400, d=5, rho=2, zeta=1.0),
+                                      "permuted-rho"),
+            lambda: noisy_gamma_error_floor(10**400, 10**400, 0.1),
+        ],
+        ids=["random-gamma-n", "random-gamma-gamma", "binary-regime", "block-count",
+             "rho-lower", "permuted-upper", "noisy-floor"],
+    )
+    def test_values_beyond_float_range_are_refused(self, call):
+        with pytest.raises(InvalidParameterError, match="exceeds float range"):
+            call()
+
     def test_ceil_div(self):
         assert ceil_div(10, 5) == 2
         assert ceil_div(11, 5) == 3

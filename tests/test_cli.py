@@ -454,6 +454,46 @@ def test_bad_input_is_one_error_line(capsys, tmp_path, argv):
         assert err == "error: --target-epsilon must lie in [0, 1]\n"
 
 
+_HUGE = "1" + "0" * 400  # beyond float range
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--theorem", "1", "--n", _HUGE, "--d", "5", "--gamma", "1",
+         "--epsilon", "0.01"],
+        ["bounds", "--theorem", "2", "--n", _HUGE, "--d", "5", "--gamma", "1",
+         "--epsilon", "0.1"],
+        ["bounds", "--theorem", "3", "--n", _HUGE, "--d", "5", "--gamma", "2",
+         "--epsilon", "0.1"],
+        ["bounds", "--theorem", "4", "--n", _HUGE, "--d", "5", "--rho", "2",
+         "--epsilon", "0.1"],
+        ["bounds", "--theorem", "5", "--n", _HUGE, "--d", "5", "--rho", "2", "--zeta", "1"],
+        ["bounds", "--theorem", "6", "--n", _HUGE, "--d", "5", "--rho", "2",
+         "--epsilon", "0.1"],
+        ["bounds", "--theorem", "7", "--n", _HUGE, "--d", "5", "--rho", "2", "--zeta", "1",
+         "--sigma", "0.1"],
+        ["design", "--family", "permuted-rho", "--n", _HUGE, "--d", "5", "--rho", "2",
+         "--zeta", "1"],
+        ["design", "--family", "block-binary-rho", "--n", _HUGE, "--d", "5", "--rho", "2",
+         "--epsilon", "0.1"],
+        ["design", "--family", "random-gamma", "--n", _HUGE, "--d", "5", "--gamma", "1",
+         "--epsilon", "0.1"],
+        ["design", "--family", "random-gamma", "--n", "10", "--d", "5", "--gamma", _HUGE,
+         "--epsilon", "0.1"],
+    ],
+    ids=["theorem-1", "theorem-2", "theorem-3", "theorem-4", "theorem-5", "theorem-6",
+         "theorem-7", "permuted-rho", "block-binary-rho", "random-gamma-n",
+         "random-gamma-gamma"],
+)
+def test_values_beyond_float_range_are_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code in (1, 3)
+    assert out == []
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:" if code == 1 else "resource cap:")
+
+
 # flag values for generated command lines: mostly small in-range values that
 # keep every call well under a second, else one of the out-of-range,
 # non-finite or non-numeric tokens

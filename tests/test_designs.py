@@ -317,9 +317,9 @@ class TestPreAllocationGate:
     @settings(max_examples=400, deadline=None)
     @given(
         family=st.sampled_from(sorted(_CONSTRUCTORS)),
-        n=st.sampled_from([1, 2, 50, 2**31, 2**31 + 1, 10**12]),
+        n=st.sampled_from([1, 2, 50, 2**31, 2**31 + 1, 10**12, 10**400]),
         d_of=st.sampled_from([lambda n: 0, lambda n: 1, lambda n: n - 1, lambda n: n]),
-        budget=st.sampled_from([0, 1, 3, 2**62]),
+        budget=st.sampled_from([0, 1, 3, 2**62, 10**400]),
         epsilon=st.sampled_from([0.0, 0.25, 0.5, 1.0, math.nan]),
         zeta=st.sampled_from([0.0, 0.5, math.nan, 1e300]),
     )
@@ -364,6 +364,22 @@ class TestPreAllocationGate:
         monkeypatch.setattr(designs, "_MAX_TESTS", 9)
         with pytest.raises(ResourceCapError, match="needs 10 tests"):
             block_binary_rho_design(31, 1, 16, 0.9)
+
+    def test_grids_count_every_test_against_the_cap(self, monkeypatch):
+        # a one-axis grid holds one test per item, not gamma = 1 tests
+        monkeypatch.setattr(designs, "_MAX_TESTS", 100)
+        with pytest.raises(ResourceCapError, match="needs 1000 tests"):
+            hypergrid_design(1000, 1)
+        assert hypergrid_design(100, 1).num_tests == 100
+        # blocks of 7, 8, 8 and 8 items: 7 + 3 * 8 tests
+        monkeypatch.setattr(designs, "_MAX_TESTS", 31)
+        assert block_hypergrid_design(31, 1, 1, 0.25).num_tests == 31
+        monkeypatch.setattr(designs, "_MAX_TESTS", 30)
+        with pytest.raises(ResourceCapError, match="needs 31 tests"):
+            block_hypergrid_design(31, 1, 1, 0.25)
+        monkeypatch.setattr(designs, "_MAX_TESTS", 99)
+        with pytest.raises(ResourceCapError, match="needs 100 tests"):
+            hypergrid_design(100, 1)
 
     @pytest.mark.parametrize(
         "call, message",

@@ -639,7 +639,7 @@ class TestBatchHarnessAgreesWithTheTrialLoop:
     @settings(max_examples=100, deadline=None)
     def test_same_counts_when_the_replica_check_fails(self, case, seed, start, count):
         """A NumPy whose streams differ from the replica gets every trial from
-        the scalar path."""
+        its own ``default_rng``."""
         matrix, decoder, prior, sigma = case
         want = ref.run_trial_range(matrix, ref.PLANS[decoder](matrix), prior, sigma, seed,
                                    start, count)
@@ -651,17 +651,25 @@ class TestBatchHarnessAgreesWithTheTrialLoop:
         assert got == want
 
     def test_same_counts_across_a_draw_chunk_boundary(self):
-        """Enough trials at the derived chunk size that the second replica
-        call starts inside the range."""
-        matrix, d = hypergrid_design(100, 2), 12
-        prior, start = Prior(PRIOR_UNIFORM_EXACT, d), 12_345
-        count = sim._draw_chunk(d) + 200
-        want = ref.run_trial_range(matrix, ref.PLANS["coma"](matrix), prior, 0.0, 2**64 + 9,
-                                   start, count)
-        got = sim._run_trial_range(matrix, make_plan(matrix, "coma"), prior, 0.0, 2**64 + 9,
-                                   start, count)
-        assert got == want
-        assert want[0] > 0
+        """Enough trials at the derived chunk size that the second chunk of
+        states starts inside the range: replica draws of d = 12, and
+        generator draws of noisy majority trials and of the iid prior."""
+        small = hypergrid_design(12, 2)
+        runs = [
+            (hypergrid_design(100, 2), "coma", Prior(PRIOR_UNIFORM_EXACT, 12), 0.0,
+             sim._draw_chunk(12) + 200),
+            (designs.repeat_design(small, 3), "majority", Prior(PRIOR_UNIFORM_EXACT, 1), 0.2,
+             sim._draw_chunk(0) + 30),
+            (small, "coma", Prior(PRIOR_IID_BERNOULLI, 1), 0.0, sim._draw_chunk(0) + 30),
+        ]
+        start = 12_345
+        for matrix, decoder, prior, sigma, count in runs:
+            want = ref.run_trial_range(matrix, ref.PLANS[decoder](matrix), prior, sigma,
+                                       2**64 + 9, start, count)
+            got = sim._run_trial_range(matrix, make_plan(matrix, decoder), prior, sigma,
+                                       2**64 + 9, start, count)
+            assert got == want
+            assert want[0] > 0
 
     @given(harness_cases(), st.data())
     @settings(max_examples=300, deadline=None)
@@ -724,6 +732,11 @@ class TestBayesOracleAgreesWithTheBitmaskLoop:
 # ---------------------------------------------------------------------------
 
 
+def _states(seed, first, count):
+    """The PCG64 states of trials ``first .. first + count - 1``."""
+    return sim._pcg64_states(sim._trial_seeds(seed, first, count))
+
+
 def _contract_draw(seed, trial, n, d):
     rng = np.random.default_rng(sim.derive_trial_seed(seed, trial))
     return np.sort(rng.choice(n, size=d, replace=False))
@@ -758,39 +771,52 @@ class TestReplicaAgreesWithDefaultRng:
     @example(5, 0, 10, (7, 0), 3)
     @settings(max_examples=200, deadline=None)
     def test_same_sorted_sets(self, seed, first, count, case, batch):
-        """Every unflagged trial is the contract's draw; after the scalar
-        redraw of the flagged ones, every trial is."""
+        """Every unflagged trial is the contract's draw; after the redraw of
+        the flagged ones from their states, every trial is."""
         n, d = case
         want = np.array([_contract_draw(seed, t, n, d) for t in range(first, first + count)],
                         dtype=np.int64).reshape(count, d)
-        picks, flagged = sim._floyd_draws(seed, first, count, n, d)
+        picks, flagged = sim._floyd_draws(_states(seed, first, count), n, d)
         assert picks.dtype == np.int64 and flagged.shape == (count,)
         assert np.array_equal(picks[~flagged], want[~flagged])
-        batches = list(sim._replica_batches(n, d, seed, first, count, batch))
+        batches = list(sim._trial_batches(n, 0, Prior(PRIOR_UNIFORM_EXACT, d), 0.0, seed,
+                                          first, count, batch))
         assert [b[2] for b in batches] == [min(batch, count - lo) for lo in range(0, count, batch)]
         assert all(b[3] is None for b in batches)
         got = np.concatenate([items.reshape(num, d) for _, items, num, _ in batches])
         assert np.array_equal(got, want)
 
     @given(st.integers(0, 2**70), st.integers(0, 2**40), st.integers(1, 6),
-           floyd_cases() | tail_shuffle_cases(), st.integers(0, 40), st.sampled_from([1, 2, None]))
-    @example(2**64 + 1, 0, 3, (2**31, 12), 5, None)
-    @example(2**70, 2**40, 2, (20_000, 401), 3, 1)
+           floyd_cases() | tail_shuffle_cases(), st.integers(0, 40))
+    @example(2**64 + 1, 0, 3, (2**31, 12), 5)
+    @example(2**70, 2**40, 2, (20_000, 401), 3)
     @settings(max_examples=150, deadline=None)
-    def test_generators_set_from_states(self, seed, first, count, case, doubles, chunk):
+    def test_generators_set_from_states(self, seed, first, count, case, doubles):
         """A reused generator set to each trial's replica state draws the
         contract's ``choice`` and then its doubles, on both branches of
-        ``choice``, across chunks of states."""
+        ``choice``."""
         n, d = case
-        patch = (contextlib.nullcontext() if chunk is None
-                 else mock.patch.object(sim, "_STATE_CHUNK", chunk))
-        with patch:
-            for t, rng in enumerate(sim._state_rngs(seed, first, count), start=first):
-                want = sim._trial_rng(seed, t)
-                assert np.array_equal(rng.choice(n, d, replace=False),
-                                      want.choice(n, d, replace=False))
-                assert np.array_equal(rng.random(doubles), want.random(doubles))
+        rngs = sim._trial_generators(seed, first, _states(seed, first, count), range(count))
+        for t, rng in enumerate(rngs, start=first):
+            want = sim._trial_rng(seed, t)
+            assert np.array_equal(rng.choice(n, d, replace=False),
+                                  want.choice(n, d, replace=False))
+            assert np.array_equal(rng.random(doubles), want.random(doubles))
         assert t == first + count - 1
+
+    def test_flagged_trials_are_drawn_from_their_chunk_states(self):
+        """Near n = 2**31 most trials are flagged; their redraws come from the
+        chunk's states, not from seeding a ``default_rng``."""
+        n, d, count = 2**31 - 1, 2, 30
+        assert sim._replica_matches()
+        flagged = sim._floyd_draws(_states(42, 0, count), n, d)[1]
+        assert flagged.sum() >= count // 2
+        want = np.array([_contract_draw(42, t, n, d) for t in range(count)])
+        with mock.patch.object(sim, "_trial_rng", side_effect=AssertionError):
+            batches = list(sim._trial_batches(n, 0, Prior(PRIOR_UNIFORM_EXACT, d), 0.0, 42,
+                                              0, count, 7))
+        got = np.concatenate([items.reshape(num, d) for _, items, num, _ in batches])
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
     def test_seed_layer(self, seed):
@@ -813,7 +839,7 @@ class TestReplicaAgreesWithDefaultRng:
         """Beyond n = 10**4, ``choice`` samples d > n // 50 items by a tail
         shuffle, which the replica does not reproduce."""
         covered = sim._replica_covers(Prior(PRIOR_UNIFORM_EXACT, d), n, 0.0)
-        picks, flagged = sim._floyd_draws(3, 0, 4, n, d)
+        picks, flagged = sim._floyd_draws(_states(3, 0, 4), n, d)
         same = [np.array_equal(picks[t], _contract_draw(3, t, n, d))
                 for t in range(4) if not flagged[t]]
         assert same and covered == all(same)
