@@ -149,16 +149,26 @@ def repetition_count(n: int, sigma: float, zeta: float) -> int:
     return iceil(value)
 
 
+def _log_block_size(n: int, d: int, epsilon: float) -> float:
+    """log(n*epsilon/d^2), the log of the items per block at which d
+    defectives collide with probability about epsilon; a sum of logs where
+    n*epsilon exceeds float range."""
+    try:
+        return math.log(n * epsilon / (d * d))
+    except OverflowError:
+        return math.log(n) + math.log(epsilon) - 2.0 * math.log(d)
+
+
 @_in_float_range
 def binary_regime(n: int, d: int, rho: int, epsilon: float) -> int:
     """Which block budget binds for the binary block design.
 
-    Regime 1 (rho strictly below n*epsilon/d^2): the test-size budget binds
-    and blocks have size <= rho. Regime 2 (ties included): the error budget
-    binds and there are ceil(d^2/epsilon) blocks.
+    Regime 1 (rho strictly below n*epsilon/d^2, by more than a relative
+    1e-9): the test-size budget binds and blocks have size <= rho. Regime 2
+    (ties included): the error budget binds and there are ceil(d^2/epsilon)
+    blocks. Compared in logs, so n may exceed float range.
     """
-    threshold = n * epsilon / (d * d)
-    if rho < threshold - 1e-9 * max(1.0, threshold):
+    if math.log(rho) < _log_block_size(n, d, epsilon) + math.log1p(-1e-9):
         return 1
     return 2
 
@@ -299,16 +309,16 @@ def _upper_block_hypergrid(params: DesignParams) -> BoundReport:
     if params.gamma is None or params.epsilon is None:
         raise InvalidParameterError("block-hypergrid bound requires gamma and epsilon")
     n, d, gamma, eps = params.n, params.d, params.gamma, params.epsilon
-    block_size = n * eps / (d * d)
-    value = (d * d * gamma / eps) * math.exp(math.log(block_size) / gamma)
+    log_block = _log_block_size(n, d, eps)
+    value = math.exp(math.log(d * d * gamma / eps) + log_block / gamma)
     # gamma multiplies the ceiled block count: with the ceiling taken after
     # the product, a fractional d^2/eps can undercount the construction
-    integer = gamma * iceil(d * d / eps) * max(1, iceil(block_size ** (1.0 / gamma)))
+    integer = gamma * iceil(d * d / eps) * max(1, iceil(math.exp(log_block / gamma)))
     notes = [
         "upper bound: construction drops empty tests so actual T can be lower",
         "at most one defective per block except with probability <= epsilon",
     ]
-    if eps * n < d * d:
+    if log_block < math.log1p(-1e-9):  # eps*n < d^2, ties excluded
         notes.append("eps*n < d^2: blocks degenerate to single items; count is vacuous")
     return BoundReport(
         name="block-hypergrid-tests",
@@ -348,9 +358,11 @@ def _upper_block_binary(params: DesignParams) -> BoundReport:
         regime_note = "test-size budget binds: rho below n*epsilon/d^2"
     else:
         blocks = iceil(d * d / eps)
-        block_size = n * eps / (d * d)
-        per_block = iceil(math.log2(block_size + 1.0))
-        value = (d * d / eps) * math.log2(block_size + 1.0)
+        # log2(block size + 1), with the block size kept in logs
+        log_block = _log_block_size(n, d, eps)
+        bits = (max(log_block, 0.0) + math.log1p(math.exp(-abs(log_block)))) / math.log(2)
+        per_block = iceil(bits)
+        value = (d * d / eps) * bits
         regime_note = "error budget binds: rho at or above n*epsilon/d^2"
     return BoundReport(
         name="block-binary-tests",

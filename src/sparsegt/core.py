@@ -567,24 +567,40 @@ def evaluate(matrix: TestMatrix, defectives: DefectiveSet) -> Outcomes:
             f"matrix has {matrix.num_items}"
         )
     items = np.asarray(defectives.items, dtype=np.int64)
-    return Outcomes(_or_batch(matrix, np.zeros_like(items), items, 1)[0])
+    keys = _or_batch(matrix, np.zeros_like(items), items)
+    return Outcomes(_dense_bits(keys, 1, matrix.num_tests)[0])
 
 
-def _or_batch(matrix: TestMatrix, trial: np.ndarray, items: np.ndarray,
-              num_trials: int) -> np.ndarray:
+def _or_batch(matrix: TestMatrix, trial: np.ndarray, items: np.ndarray) -> np.ndarray:
     """OR channel over a batch of defective sets, on raw arrays: trial
     ``trial[k]`` holds item ``items[k]`` (distinct per trial, in range).
-    Returns the (num_trials, T) outcome bits, set by one scatter over
-    ``trial * T + test``. The only OR evaluation; the harness and the exact
-    oracles call it directly."""
+    Returns the positive outcomes as the sorted, distinct int64 keys
+    ``trial * T + test``: the CSC-gathered keys of the defectives' tests,
+    sorted, keeping each first of a run of equal keys. The only OR
+    evaluation; the harness and the exact oracles call it directly."""
     col_indptr, tests = matrix.column_index()
-    num_tests = matrix.num_tests
     starts = col_indptr[items]
     lengths = col_indptr[items + 1] - starts
-    flat = tests[_ragged(starts, lengths)]
-    flat += np.repeat(trial * num_tests, lengths)
+    keys = tests[_ragged(starts, lengths)]
+    keys += np.repeat(trial * matrix.num_tests, lengths)
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
+def _key_pairs(keys: np.ndarray, num_tests: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (trial, test) pairs of the keys ``trial * num_tests + test``; one
+    integer division, which is about twice as fast as ``np.divmod``."""
+    trial = keys // max(num_tests, 1)
+    return trial, keys - trial * num_tests
+
+
+def _dense_bits(keys: np.ndarray, num_trials: int, num_tests: int) -> np.ndarray:
+    """The (num_trials, num_tests) bool rows whose set bits are the keys
+    ``trial * num_tests + test``."""
     bits = np.zeros((num_trials, num_tests), dtype=bool)
-    bits.reshape(-1)[flat] = True
+    bits.reshape(-1)[keys] = True
     return bits
 
 

@@ -12,21 +12,28 @@ the status instead of being silently dropped. Three statuses exist:
   learned about them; they are listed and conservatively included in the
   estimate.
 
+Decoding work is split into reusable "plans" so the simulation harness can
+prepare a matrix once and decode many outcome vectors through exactly the
+same code path the one-shot functions use. A plan decodes a batch of trials
+from their positive outcomes alone: the (trial, test) pairs of the positive
+tests, sorted by trial and then test, as the OR channel
+(:func:`~sparsegt.core._or_batch`) gives them. Its work grows with the
+positives, not with trials times tests.
+
 Both block designs (hypergrid and binary) are read by one rule, assuming at
 most one defective per block. Each test carries a label weight: digit j on
 grid axis a weighs j * base**a, and the test of binary label bit r weighs
-2**r. A block with a positive test decodes to its first item plus the
-weights of its positive tests; the first item is the block start for a grid
-(labels from 0) and one before it for a binary block (labels from 1). The
-block is ambiguous when that item lies at or past the block's end, or when
-some axis of its grid has other than exactly one positive test. The block
-plans refuse a matrix whose block offsets :func:`~sparsegt.core.validate`
-reports as malformed, so the blocks they read are contiguous, disjoint and
-in item order.
-
-Decoding work is split into reusable "plans" so the simulation harness can
-prepare a matrix once and decode many outcome vectors through exactly the
-same code path the one-shot functions use.
+2**r. Tests are laid out block by block, and a grid block's tests axis by
+axis, so the sorted positives of a trial fall into one run per hit block,
+and a grid block's run into one run per hit axis. A hit block decodes to
+its first item plus the sum of its run's weights; the first item is the
+block start for a grid (labels from 0) and one before it for a binary block
+(labels from 1). The block is ambiguous when that item lies at or past the
+block's end, or when its grid has other than exactly one positive test on
+each axis: gamma positives over gamma distinct axes. The block plans refuse
+a matrix whose block offsets :func:`~sparsegt.core.validate` reports as
+malformed, so the blocks they read are contiguous, disjoint and in item
+order.
 """
 
 from __future__ import annotations
@@ -46,6 +53,8 @@ from .core import (
     TAG_REPEATED,
     TestMatrix,
     _broken_repeat_group,
+    _dense_bits,
+    _key_pairs,
     _offsets,
     _ragged,
     _select_rows,
@@ -91,25 +100,24 @@ def _positives(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (trial, test) pairs of the positive bits of a (trials, T) array,
     in row-major order. A 2-D ``nonzero`` is several times slower than this
     1-D one."""
-    flat = bits.reshape(-1).nonzero()[0]
-    trial = flat // max(bits.shape[1], 1)
-    return trial, flat - trial * bits.shape[1]
+    return _key_pairs(bits.reshape(-1).nonzero()[0], bits.shape[1])
 
 
 class _Plan:
     """A decoder prepared for one matrix.
 
-    ``decode_batch`` decodes the rows of a (trials, T) bool array at once.
-    It returns the estimate as (trial, item) pairs, sorted by trial and then
-    item, with the items of a trial distinct and in [0, n), and the ambiguous
-    blocks as (trial, block) pairs in the same order.
-    ``decode_bits`` is its one-row case, and ``untested`` lists the items in
-    no test. ``trial_bytes`` and ``defective_bytes`` estimate the bytes of
-    arrays a batch takes per trial and per defective of a trial, so that the
-    harness can size its batches.
+    ``decode_batch(trial, test, num_trials)`` decodes a batch of trials from
+    the (trial, test) pairs of their positive tests, sorted by trial and then
+    test. It returns the estimate as (trial, item) pairs, sorted by trial and
+    then item, with the items of a trial distinct and in [0, n), and the
+    ambiguous blocks as (trial, block) pairs in the same order.
+    ``decode_bits`` is its one-row case on a dense outcome vector, and
+    ``untested`` lists the items in no test. ``trial_bytes`` and
+    ``defective_bytes`` estimate the bytes of arrays a batch takes per trial
+    and per defective of a trial, so that the harness can size its batches.
 
     The harness evaluates the matrix ``evaluated`` (the design itself, or
-    less where the plan needs less) and hands its outcome bits and the
+    less where the plan needs less) and hands its positive pairs and the
     channel's flips to ``decode_channel``.
     """
 
@@ -120,14 +128,16 @@ class _Plan:
         self.evaluated = matrix
 
     def decode_bits(self, bits: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray]:
-        _, estimate, _, ambiguous = self.decode_batch(np.asarray(bits, dtype=bool)[None])
+        positives = _positives(np.asarray(bits, dtype=bool)[None])
+        _, estimate, _, ambiguous = self.decode_batch(*positives, 1)
         return estimate, ambiguous.tolist(), self.untested
 
-    def decode_channel(self, bits: np.ndarray, flips: np.ndarray | None):
-        """Decode a batch from the noiseless outcome bits of ``evaluated``
+    def decode_channel(self, trial: np.ndarray, test: np.ndarray, num_trials: int,
+                       flips: np.ndarray | None):
+        """Decode a batch from the noiseless positive pairs of ``evaluated``
         and the channel's (trials, T) flips of the design's tests, or None
         when there is no noise. Only majority plans take flips."""
-        return self.decode_batch(bits)
+        return self.decode_batch(trial, test, num_trials)
 
 
 class ComaPlan(_Plan):
@@ -162,11 +172,11 @@ class ComaPlan(_Plan):
         self.defective_bytes = 32 * float(matrix.row_weights() @ groups) / self.num_items
         # an item of weight 1 has its first test again as its second
         self.second = self.tests[self.col_indptr[self.candidates] + (weight[self.candidates] > 1)]
+        self.trial_bytes = float(matrix.num_tests)  # the outcome lookup
 
-    def decode_batch(self, bits: np.ndarray):
-        num_trials, num_tests = bits.shape
-        flat = bits.reshape(-1)
-        trial, test = _positives(bits)
+    def decode_batch(self, trial: np.ndarray, test: np.ndarray, num_trials: int):
+        num_tests = self.evaluated.num_tests
+        flat = _dense_bits(trial * num_tests + test, num_trials, num_tests).reshape(-1)
         starts = self.group_ptr[test]
         lengths = self.group_ptr[test + 1] - starts
         slot = _ragged(starts, lengths)
@@ -196,14 +206,14 @@ class ComaPlan(_Plan):
 
 
 class BlockPlan(_Plan):
-    """The block rule of the module docstring, in one pass over tables.
+    """The block rule of the module docstring, read run by run.
 
-    Per test: its block, label weight and axis id, ``b * axes + a`` for axis
-    ``a`` of block ``b``; binary tests lie on no axis and share a sink id past
-    the last axis. Per block: its first item and end. A batch is read with
-    bincounts over ``trial * blocks + block`` and ``trial * (axes + 1) + axis``
-    keys. Blocks are well formed (the constructor refuses others), so the
-    hit blocks of a trial come out in item order.
+    Per test: its block, label weight and grid axis. Per block: its first
+    item and end. The keys ``trial * blocks + block`` of a batch's sorted
+    positives are nondecreasing, and each run of equal keys is one hit block
+    of one trial. Blocks are well formed (the constructor refuses others),
+    so the hit blocks of a trial come out in item order. A batch allocates
+    only arrays of its positives.
     """
 
     def __init__(self, matrix: TestMatrix, kind: str, block_tests, test_count,
@@ -226,29 +236,26 @@ class BlockPlan(_Plan):
                 f"implies {implied}; not {design}"
             )
         self.first, self.end = bounds[:, 0] + first, bounds[:, 1]
-        (self.test_weight, self.test_block), (axis, _) = tile_blocks(bounds, block_tests)
-        self.num_axes = self.num_blocks * axes
-        self.trial_bytes = 8.0 * (3 * self.num_blocks + self.num_axes + 1)  # the bincounts
-        self.test_axis = np.where(axis < 0, self.num_axes, self.test_block * axes + axis)
+        (self.test_weight, self.test_block), (self.test_axis, _) = tile_blocks(bounds, block_tests)
 
-    def decode_batch(self, bits: np.ndarray):
-        num_trials, num_blocks = len(bits), self.num_blocks
-        trial, test = _positives(bits)
-        keys = trial * num_blocks + self.test_block[test]
-        size = num_trials * num_blocks
-        hit = np.bincount(keys, minlength=size).nonzero()[0]
-        # float64 sums: exact below 2**53, and any sum above a block's size
-        # makes it ambiguous however it rounds
-        label = np.bincount(keys, self.test_weight[test], size)[hit]
-        axes = self.num_axes + 1
-        per_axis = np.bincount(trial * axes + self.test_axis[test], minlength=num_trials * axes)
-        one_hot = (per_axis.reshape(num_trials, axes)[:, :-1] == 1).reshape(
-            num_trials, num_blocks, self.axes).sum(axis=2)
-        hit_trial, block = np.divmod(hit, num_blocks)
-        item = self.first[block] + label.astype(np.int64)
-        bad = (item >= self.end[block]) | (one_hot.reshape(-1)[hit] != self.axes)
+    def decode_batch(self, trial: np.ndarray, test: np.ndarray, num_trials: int):
+        block = self.test_block[test]
+        keys = trial * self.num_blocks + block
+        new = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        runs = new.nonzero()[0]
+        trial, block = trial[runs], block[runs]
+        item = self.first[block] + np.add.reduceat(self.test_weight[test], runs)
+        bad = item >= self.end[block]
+        if self.axes:
+            # a run's tests are in axis order, so its axes are the axis
+            # changes within it
+            axis = self.test_axis[test]
+            new[1:] |= axis[1:] != axis[:-1]
+            count = np.diff(runs, append=keys.size)
+            bad |= (count != self.axes) | (np.add.reduceat(new, runs) != self.axes)
         good = ~bad
-        return hit_trial[good], item[good], hit_trial[bad], block[bad]
+        return trial[good], item[good], trial[bad], block[bad]
 
 
 def _grid_plan(matrix: TestMatrix) -> BlockPlan:
@@ -292,10 +299,13 @@ class MajorityPlan(ComaPlan):
     The copies of a base test share one noiseless outcome b, so the harness
     evaluates only the base rows (``evaluated``) and counts each group's
     flips F: the group has ``k - F`` positive votes if b is set, else F.
-    ``decode_batch`` reads observed outcomes as the flips of all-negative
-    base outcomes, which gives the same votes. The plan refuses a repeated
-    design whose groups are not copies, which
-    :func:`~sparsegt.core.validate` reports as ``repetition``.
+    Without flips the votes are the base outcomes, whose positive pairs go
+    to the every-test-positive rule as they are; with flips they are dense
+    (trials, T/k) rows, read for their positives. ``decode_batch`` reads
+    observed outcomes as the flips of all-negative base outcomes, which
+    gives the same votes. The plan refuses a repeated design whose groups
+    are not copies, which :func:`~sparsegt.core.validate` reports as
+    ``repetition``.
     """
 
     kind = "majority"
@@ -320,14 +330,22 @@ class MajorityPlan(ComaPlan):
         indptr, indices = _select_rows(matrix, np.arange(0, matrix.num_tests, k))
         super().__init__(TestMatrix.from_csr(indptr, indices, matrix.num_items))
 
-    def decode_batch(self, bits: np.ndarray):
-        base = np.zeros((len(bits), self.evaluated.num_tests), dtype=bool)
-        return self.decode_channel(base, bits)
+    def decode_batch(self, trial: np.ndarray, test: np.ndarray, num_trials: int):
+        num_tests = self.k * self.evaluated.num_tests
+        observed = _dense_bits(trial * num_tests + test, num_trials, num_tests)
+        return self.decode_channel(_NO_ITEMS, _NO_ITEMS, num_trials, observed)
 
-    def decode_channel(self, bits: np.ndarray, flips: np.ndarray | None):
-        counts = 0 if flips is None else self._group_sums(flips)
-        votes = np.where(bits, self.k - counts, counts)
-        return super().decode_batch(votes >= (self.k + 1) // 2)
+    def decode_channel(self, trial: np.ndarray, test: np.ndarray, num_trials: int,
+                       flips: np.ndarray | None):
+        if flips is None:
+            return super().decode_batch(trial, test, num_trials)
+        counts = self._group_sums(flips)
+        votes = counts >= (self.k + 1) // 2
+        # a positive base test gets k - F >= (k + 1) // 2 positive votes
+        # when F <= k // 2
+        at = trial * self.evaluated.num_tests + test
+        votes.reshape(-1)[at] = counts.reshape(-1)[at] <= self.k // 2
+        return super().decode_batch(*_positives(votes), num_trials)
 
     def _group_sums(self, bits: np.ndarray) -> np.ndarray:
         """How many bits of each group of k copies are set, per trial of a

@@ -17,10 +17,11 @@ prior, the tail-shuffle branch of ``choice``) is drawn in trial order by one
 reused ``PCG64`` set to its state. The replica is checked against
 ``default_rng`` once per process; on a mismatch every trial gets its own
 ``default_rng``. The results are identical either way. The harness then
-evaluates, flips, decodes and scores a batch of trials with array
-operations; the counts do not depend on the batch size. A majority plan's
-copies of a test share one noiseless outcome, so the harness evaluates only
-its base rows and votes from each group's flip count.
+evaluates a batch of trials to the (trial, test) pairs of its positive
+tests, decodes those with the channel's flips and scores the batch with
+array operations; the counts do not depend on the batch size. A majority
+plan's copies of a test share one noiseless outcome, so the harness
+evaluates only its base rows and votes from each group's flip count.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ from .core import (
     Prior,
     ResourceCapError,
     TestMatrix,
+    _dense_bits,
+    _key_pairs,
     _noise_flips,
     _or_batch,
 )
@@ -373,22 +376,22 @@ def _trial_generators(master_seed: int, first: int, states, rows):
 # ---------------------------------------------------------------------------
 
 
-# a batch of trials holds about this many bytes of outcome bits and index
+# a batch of trials holds about this many bytes of outcome keys and index
 # arrays, plus this many per trial for its Python objects
 _BATCH_BYTES = 1 << 20
 _TRIAL_BYTES = 256
 
 
-def _batch_trials(matrix: TestMatrix, d: int, plan=None, flipped_tests: int = 0) -> int:
-    """Trials per batch. A trial takes a byte per test of the evaluated
-    ``matrix`` for its outcome bits and one per flipped test, one int64 index
-    per incidence of its d defectives at the mean column weight, and what
-    the plan's decoding takes, if any."""
+def _batch_trials(matrix: TestMatrix, d: int, trial_bytes: float,
+                  defective_bytes: float = 0.0) -> int:
+    """Trials per batch. A trial takes one int64 outcome key per incidence
+    of its d defectives in ``matrix`` at the mean column weight, plus
+    ``trial_bytes`` and, per defective, ``defective_bytes`` of what its
+    caller allocates from those keys: a plan's decoding (its ``trial_bytes``
+    and ``defective_bytes``) and the channel's flips, or dense outcome
+    rows."""
     incidences = matrix.ones_count() / matrix.num_items
-    decode_trial, decode_defective = (
-        (plan.trial_bytes, plan.defective_bytes) if plan else (0.0, 0.0))
-    per_trial = (matrix.num_tests + flipped_tests + decode_trial
-                 + d * (8 * incidences + decode_defective) + _TRIAL_BYTES)
+    per_trial = trial_bytes + d * (8 * incidences + defective_bytes) + _TRIAL_BYTES
     return max(1, int(_BATCH_BYTES // per_trial))
 
 
@@ -418,13 +421,14 @@ def _score_batch(plan, trial: np.ndarray, items: np.ndarray, num_trials: int,
                  flips: np.ndarray | None = None) -> np.ndarray:
     """Evaluate the plan's ``evaluated`` matrix on a batch of trials, where
     trial ``trial[k]`` holds defective ``items[k]`` (sorted within each
-    trial), decode it with the channel's flips, and score it as
-    :class:`Breakdown` documents: (errors, false-positive items, ambiguous
-    blocks, wrong estimates). A trial errs when it has an ambiguous block or
-    its estimate differs from its defective set."""
+    trial), decode its positive (trial, test) pairs with the channel's
+    flips, and score it as :class:`Breakdown` documents: (errors,
+    false-positive items, ambiguous blocks, wrong estimates). A trial errs
+    when it has an ambiguous block or its estimate differs from its
+    defective set."""
     matrix = plan.evaluated
-    bits = _or_batch(matrix, trial, items, num_trials)
-    est_trial, est_item, amb_trial, _ = plan.decode_channel(bits, flips)
+    positives = _key_pairs(_or_batch(matrix, trial, items), matrix.num_tests)
+    est_trial, est_item, amb_trial, _ = plan.decode_channel(*positives, num_trials, flips)
     n = matrix.num_items
     true_est = _found(est_trial * n + est_item, trial * n + items)
 
@@ -497,7 +501,8 @@ def _run_trial_range(
     # build the OR channel's column index before the first trial
     plan.evaluated.column_index()
     flipped = matrix.num_tests if sigma > 0.0 else 0
-    batch = _batch_trials(plan.evaluated, prior.d, plan, flipped)
+    batch = _batch_trials(plan.evaluated, prior.d, plan.trial_bytes + flipped,
+                          plan.defective_bytes)
     totals = np.zeros(4, dtype=np.int64)
     for trial, items, num_trials, flips in _trial_batches(
             matrix.num_items, matrix.num_tests, prior, sigma, master_seed, start, count, batch):
@@ -621,7 +626,8 @@ def exhaustive_error_probability(
     total = _count_sets(matrix.num_items, d, cap)
     plan = make_plan(matrix, decoder)
     errors = 0
-    for trial, items, num_sets in _set_batches(matrix, d, _batch_trials(plan.evaluated, d, plan)):
+    batch = _batch_trials(plan.evaluated, d, plan.trial_bytes, plan.defective_bytes)
+    for trial, items, num_sets in _set_batches(matrix, d, batch):
         errors += int(_score_batch(plan, trial, items, num_sets)[0])
     return Fraction(errors, total)
 
@@ -663,8 +669,10 @@ def outcome_collision_groups(
     """
     _count_sets(matrix.num_items, d, cap)
     by_outcome: dict[bytes, list[tuple[int, ...]]] = {}
-    for trial, items, num_sets in _set_batches(matrix, d, _batch_trials(matrix, d)):
-        keys = np.packbits(_or_batch(matrix, trial, items, num_sets), axis=1)
+    num_tests = matrix.num_tests
+    for trial, items, num_sets in _set_batches(matrix, d, _batch_trials(matrix, d, num_tests)):
+        bits = _dense_bits(_or_batch(matrix, trial, items), num_sets, num_tests)
+        keys = np.packbits(bits, axis=1)
         for combo, key in zip(items.reshape(num_sets, d).tolist(), keys):
             by_outcome.setdefault(key.tobytes(), []).append(tuple(combo))
     return [group for group in by_outcome.values() if len(group) > 1]
@@ -698,7 +706,7 @@ def bayes_optimal_error(matrix: TestMatrix, sigma: float, prior: Prior) -> float
     # set when test t is positive
     num_inputs = 1 << n
     members = np.arange(num_inputs)[:, None] >> np.arange(n) & 1
-    bits = _or_batch(matrix, *members.nonzero(), num_inputs)
+    bits = _dense_bits(_or_batch(matrix, *members.nonzero()), num_inputs, num_tests)
     signatures = bits @ (np.uint32(1) << np.arange(num_tests, dtype=np.uint32))
 
     popcount_inputs = members.sum(axis=1)

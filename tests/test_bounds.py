@@ -145,12 +145,30 @@ class TestScalarHelpers:
         assert rep.value == pytest.approx(10 * math.exp(0.25 * (log_n - math.log(5))),
                                           rel=1e-12)
 
+    def test_block_sizes_beyond_float_range_go_through_logs(self):
+        # n * epsilon / d^2 exceeds float range; the block bounds do not
+        n, log_n = 10**400, 400 * math.log(10)
+        log_block = log_n + math.log(0.1) - 2 * math.log(5)
+        assert binary_regime(n, 5, 2, 0.1) == 1
+        assert binary_regime(n, 5, 10**398, 0.1) == 2
+        grid = upper_bound_tests(DesignParams(n=n, d=5, epsilon=0.1, gamma=2), "block-hypergrid")
+        assert grid.value == pytest.approx(500 * math.exp(log_block / 2), rel=1e-12)
+        assert grid.value == pytest.approx(3.16e201, rel=1e-3)
+        assert grid.integer_value == pytest.approx(grid.value, rel=2e-9)
+        binary = upper_bound_tests(DesignParams(n=n, d=5, epsilon=0.1, rho=10**398),
+                                   "block-binary-rho")
+        assert binary.value == pytest.approx(250 * log_block / math.log(2), rel=1e-12)
+        assert binary.integer_value == 250 * math.ceil(log_block / math.log(2))
+        assert binary.assumptions[0].startswith("error budget binds")
+
     @pytest.mark.parametrize(
         "call",
         [
             lambda: random_gamma_test_count(10**400, 5, 1, 0.1),
             lambda: random_gamma_test_count(10, 5, 10**400, 0.1),
-            lambda: binary_regime(10**400, 5, 2, 0.1),
+            # the regime is decided in logs; its bound (n/rho) log2(rho+1) is not
+            lambda: upper_bound_tests(DesignParams(n=10**400, d=5, rho=2, epsilon=0.1),
+                                      "block-binary-rho"),
             lambda: hypergrid_block_count(10**200, 0.1),
             lambda: rho_lower_bound(DesignParams(n=10**400, d=5, rho=2, epsilon=0.1)),
             lambda: upper_bound_tests(DesignParams(n=10**400, d=5, rho=2, zeta=1.0),

@@ -464,7 +464,7 @@ _HUGE = "1" + "0" * 400  # beyond float range
          "--epsilon", "0.01"],
         ["bounds", "--theorem", "2", "--n", _HUGE, "--d", "5", "--gamma", "1",
          "--epsilon", "0.1"],
-        ["bounds", "--theorem", "3", "--n", _HUGE, "--d", "5", "--gamma", "2",
+        ["bounds", "--theorem", "3", "--n", _HUGE, "--d", "5", "--gamma", "1",
          "--epsilon", "0.1"],
         ["bounds", "--theorem", "4", "--n", _HUGE, "--d", "5", "--rho", "2",
          "--epsilon", "0.1"],
@@ -492,6 +492,22 @@ def test_values_beyond_float_range_are_one_error_line(capsys, argv):
     assert out == []
     assert len(err.splitlines()) == 1
     assert err.startswith("error:" if code == 1 else "resource cap:")
+
+
+@pytest.mark.parametrize(
+    "argv, value, integer",
+    [
+        (["--theorem", "3", "--gamma", "2", "--n", _HUGE], "3.16228e+201", "31622776570"),
+        (["--theorem", "6", "--rho", "1" + "0" * 398, "--n", _HUGE], "330201", "330250"),
+    ],
+    ids=["theorem-3", "theorem-6-error-budget"],
+)
+def test_block_bounds_with_blocks_beyond_float_range(capsys, argv, value, integer):
+    """n * epsilon / d^2 exceeds float range, but the bound does not."""
+    code, out, err = run(capsys, "bounds", *argv, "--d", "5", "--epsilon", "0.1")
+    assert (code, err) == (0, "")
+    assert f"value={value}" in out
+    assert any(line.startswith(f"integer_value={integer}") for line in out)
 
 
 # flag values for generated command lines: mostly small in-range values that

@@ -349,3 +349,35 @@ class TestPairingRules:
 
 def self_binary():
     return block_binary_rho_design(10, 1, 5, 0.9)
+
+
+class TestDecodeBitsContract:
+    """``perfbench/run.py`` replays trials through ``plan.decode_bits`` on the
+    write-locked bits of an ``Outcomes``: it compares the estimate with the
+    sorted int64 defective set (``array_equal``, ``setdiff1d``), takes the
+    ambiguous blocks' ``len`` and ignores the untested items."""
+
+    @pytest.mark.parametrize(
+        "matrix, decoder, sigma",
+        [
+            (random_gamma_design(200, 3, 2, 0.2, np.random.default_rng(1)), "coma", 0.0),
+            (block_hypergrid_design(200, 3, 2, 0.2), "hypergrid", 0.0),
+            (block_binary_rho_design(200, 3, 8, 0.2), "binary", 0.0),
+            (repeat_design(permuted_block_rho_design(200, 3, 10, 0.5,
+                                                     np.random.default_rng(2)), 5),
+             "majority", 0.1),
+        ],
+        ids=["coma", "hypergrid", "binary", "majority"],
+    )
+    def test_one_row_returns_estimate_ambiguous_list_and_untested(self, matrix, decoder, sigma):
+        plan = make_plan(matrix, decoder)
+        rng = np.random.default_rng(3)
+        for items in ([], [7], [0, 51, 52, 199]):
+            observed = apply_noise(outcome_of(matrix, items), sigma, rng)
+            estimate, ambiguous, untested = plan.decode_bits(observed.bits)
+            assert isinstance(estimate, np.ndarray) and estimate.dtype == np.int64
+            assert estimate.ndim == 1 and np.all(np.diff(estimate) > 0)
+            assert type(ambiguous) is list and all(type(b) is int for b in ambiguous)
+            assert isinstance(untested, np.ndarray) and untested.ndim == 1
+            assert untested.dtype == np.int64
+

@@ -398,6 +398,20 @@ def _assert_same_decoding(plan, reference, bits):
     assert untested.size == 0
 
 
+def _assert_same_batch_decoding(plan, reference, bits):
+    """``decode_batch`` on the positive pairs of a (trials, T) array agrees
+    with the loop decoder on each row, and returns its pairs sorted."""
+    trial, test = np.divmod(bits.reshape(-1).nonzero()[0], bits.shape[1])
+    est_trial, est_item, amb_trial, amb_block = plan.decode_batch(trial, test, len(bits))
+    for row, row_bits in enumerate(bits):
+        want_estimate, want_ambiguous = reference.decode_bits(row_bits)
+        assert np.array_equal(est_item[est_trial == row], want_estimate)
+        assert amb_block[amb_trial == row].tolist() == want_ambiguous
+    step, item_step = np.diff(est_trial), np.diff(est_item)
+    assert np.all((step > 0) | ((step == 0) & (item_step > 0)))
+    assert np.all(np.diff(amb_trial) >= 0)
+
+
 class TestBlockDecoderAgreesWithLoops:
     @given(block_designs(), st.data())
     @settings(max_examples=300, deadline=None)
@@ -417,6 +431,59 @@ class TestBlockDecoderAgreesWithLoops:
         ]
         for bits in vectors:
             _assert_same_decoding(plan, reference, bits)
+
+    @given(block_designs(), st.integers(1, 12), st.sampled_from([0.001, 0.01, 0.05]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_sparse_batches_agree_row_by_row(self, design, rows, rate, seed):
+        """Batches at the positive rates of sparse trials: each row is the
+        outcome of up to two defectives, or none, plus junk bits at ``rate``."""
+        matrix, decoder = design
+        rng = np.random.default_rng(seed)
+        n = matrix.num_items
+        bits = rng.random((rows, matrix.num_tests)) < rate
+        for row in bits:
+            chosen = rng.choice(n, min(n, int(rng.integers(0, 3))), replace=False)
+            row |= evaluate(matrix, DefectiveSet(chosen, n)).bits
+        _assert_same_batch_decoding(make_plan(matrix, decoder),
+                                    _REFERENCE_PLANS[decoder](matrix), bits)
+
+    @pytest.mark.parametrize("gamma", [2, None], ids=["hypergrid", "binary"])
+    def test_sparse_batch_edge_cases(self, gamma):
+        """Blocks of 5, 9 and 4 items. Block 0 of the grid has base 3: tests
+        0-2 are its first axis and 3-4 its second. Block 0 of the binary
+        design has label bits 0-2."""
+        matrix = _block_design([5, 9, 4], gamma)
+        decoder = "hypergrid" if gamma else "binary"
+        plan, reference = make_plan(matrix, decoder), _REFERENCE_PLANS[decoder](matrix)
+        num_tests, n = matrix.num_tests, matrix.num_items
+
+        def row(tests=(), items=()):
+            bits = evaluate(matrix, DefectiveSet(items, n)).bits.copy()
+            bits[list(tests)] = True
+            return bits
+
+        # grid: two positives on the first axis and none or one on the
+        # second, and the label 2 + 1 * 3 = 5 past the block end; binary:
+        # the labels 7 and 6 past it
+        refused = ([row((0, 1)), row((0, 1, 3)), row((2, 4))] if gamma
+                   else [row((0, 1, 2)), row((1, 2))])
+        batches = [
+            np.stack([row(items=[6]), row(items=[6]), row(items=[7, 15])]),  # same block
+            np.stack(refused + [row(items=[3])]),
+            np.zeros((3, num_tests), dtype=bool),  # no positives at all
+            row(items=[0, 17])[None],  # one trial
+        ]
+        for bits in batches:
+            _assert_same_batch_decoding(plan, reference, bits)
+        _, _, amb_trial, amb_block = plan.decode_batch(
+            *np.divmod(np.stack(refused).reshape(-1).nonzero()[0], num_tests), len(refused))
+        assert amb_trial.tolist() == list(range(len(refused)))
+        assert amb_block.tolist() == [0] * len(refused)
+        est_trial, est_item, amb_trial, _ = plan.decode_batch(
+            *np.divmod(batches[0].reshape(-1).nonzero()[0], num_tests), 3)
+        assert (est_trial.tolist(), est_item.tolist()) == ([0, 1, 2, 2], [6, 6, 7, 15])
+        assert amb_trial.size == 0
 
     @given(
         st.integers(1, 30),
@@ -557,13 +624,17 @@ class TestRandomGammaAgreesWithTheItemLoop:
 # ---------------------------------------------------------------------------
 
 
+_HARNESS_KINDS = ("random-gamma", "permuted-rho", "block-hypergrid", "block-binary",
+                  "repeated", "custom")
+
+
 @st.composite
-def harness_cases(draw, max_items=40):
+def harness_cases(draw, max_items=40, kinds=_HARNESS_KINDS):
     """(matrix, decoder, prior, sigma): a random-gamma, permuted-rho, block
     hypergrid, block binary or repeated design, or a custom design whose
-    last items are in no test; noise only on repeated designs."""
-    kind = draw(st.sampled_from(["random-gamma", "permuted-rho", "block-hypergrid",
-                                 "block-binary", "repeated", "custom"]))
+    last items are in no test, of the given ``kinds``; noise only on
+    repeated designs."""
+    kind = draw(st.sampled_from(kinds))
     n = draw(st.integers(2, max_items))
     d = draw(st.integers(1, max(1, n // 4)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -634,6 +705,38 @@ class TestBatchHarnessAgreesWithTheTrialLoop:
                                    start, count)
         assert got == want
         assert all(type(v) is int for v in got)
+
+    @pytest.mark.parametrize("batch", [1, 7, None])
+    @given(harness_cases(kinds=("block-hypergrid", "block-binary")), master_seeds,
+           st.integers(0, 60), st.integers(0, 45))
+    @settings(max_examples=60, deadline=None)
+    def test_same_counts_for_block_designs(self, batch, case, seed, start, count):
+        """Block plans decode a batch from runs of its positives; one trial,
+        seven, or the derived batch, which holds every trial here."""
+        matrix, decoder, prior, sigma = case
+        with _batch_size(batch):
+            got = sim._run_trial_range(matrix, make_plan(matrix, decoder), prior, sigma,
+                                       seed, start, count)
+        want = ref.run_trial_range(matrix, ref.PLANS[decoder](matrix), prior, sigma, seed,
+                                   start, count)
+        assert got == want
+
+    @given(harness_cases(), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_or_batch_keys_are_the_positives_of_a_dense_scatter(self, case, num_trials, seed):
+        """Distinct defectives per trial, in any order within it."""
+        matrix = case[0]
+        n, num_tests = matrix.num_items, matrix.num_tests
+        rng = np.random.default_rng(seed)
+        picks = [rng.choice(n, int(rng.integers(0, min(n, 5) + 1)), replace=False)
+                 for _ in range(num_trials)]
+        trial = np.repeat(np.arange(num_trials), [p.size for p in picks])
+        keys = core._or_batch(matrix, trial, np.concatenate(picks).astype(np.int64))
+        dense = np.stack([ref.evaluate(matrix, DefectiveSet(p, n)) for p in picks])
+        assert keys.dtype == np.int64
+        assert np.all(np.diff(keys) > 0)
+        assert np.array_equal(keys, dense.reshape(-1).nonzero()[0])
+        assert dense.shape == (num_trials, num_tests)
 
     @given(harness_cases(), master_seeds, st.integers(0, 60), st.integers(0, 45))
     @settings(max_examples=100, deadline=None)
