@@ -3,7 +3,8 @@
 Four subcommands: ``design`` constructs a pooling design and writes it to a
 file, ``simulate`` runs the Monte Carlo harness against a design, ``bounds``
 evaluates a test-count bound or error floor, and ``oracle`` computes exact
-error probabilities by enumeration. Every run echoes its full invocation as a
+error probabilities by enumeration, or from the block sizes for a block
+design past the enumeration cap. Every run echoes its full invocation as a
 comment line so any output is reproducible from the printed flags and seed.
 
 Exit codes: 0 success (including a met --target-epsilon), 1 usage or input
@@ -17,6 +18,7 @@ import argparse
 import math
 import shlex
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from . import bounds as bounds_mod
 from .core import (
     DesignParams,
     GroupTestingError,
+    IncompatibleDecoderError,
     ParseError,
     PRIOR_IID_BERNOULLI,
     PRIOR_UNIFORM_EXACT,
@@ -39,8 +42,11 @@ from .core import (
     parse,
     serialize,
 )
-from .decoders import decoder_for
+from .decoders import decoder_for, make_plan
 from .designs import (
+    _binary_rows,
+    _grid_rows,
+    _tiled_design,
     block_binary_rho_design,
     block_hypergrid_design,
     hypergrid_design,
@@ -52,6 +58,7 @@ from .sim import (
     SIM_CSV_HEADER,
     SimConfig,
     bayes_optimal_error,
+    block_collision_error,
     exhaustive_error_probability,
     outcome_collision_groups,
     run_monte_carlo,
@@ -321,6 +328,31 @@ def _format_items(items: tuple[int, ...]) -> str:
     return f"{zero} (1-based {one})"
 
 
+def _block_error(matrix: TestMatrix, decoder: str, d: int) -> Fraction | None:
+    """The exact error of a block design's own decoder under a uniform
+    size-d defective set, :func:`~sparsegt.sim.block_collision_error`, or
+    None unless the design has blocks, the decoder is its own and it reads
+    the design, and its rows are those its constructor lays out for those
+    blocks. The decoder then errs exactly when two defectives share a
+    block."""
+    if matrix.block_starts is None or decoder != decoder_for(matrix):
+        return None
+    try:
+        make_plan(matrix, decoder)
+    except IncompatibleDecoderError:
+        return None
+    if decoder == "hypergrid":
+        gamma = matrix.col_limit
+        built = _tiled_design(matrix.num_items, matrix.block_starts,
+                              lambda size: _grid_rows(size, gamma))
+    else:
+        built = _tiled_design(matrix.num_items, matrix.block_starts, _binary_rows)
+    if not (np.array_equal(built.indptr, matrix.indptr)
+            and np.array_equal(built.indices, matrix.indices)):
+        return None
+    return block_collision_error(matrix, d)
+
+
 def _cmd_oracle(args: argparse.Namespace, echo: str) -> int:
     _check_target(args)
     matrix = _load_design(args.design)
@@ -344,17 +376,23 @@ def _cmd_oracle(args: argparse.Namespace, echo: str) -> int:
         exact_error = error
     else:
         decoder = decoder_for(matrix) if args.decoder == "auto" else args.decoder
-        probability = exhaustive_error_probability(matrix, decoder, args.d, cap=args.cap)
+        n, d = matrix.num_items, args.d
+        total = math.comb(n, d) if 0 <= d <= n else 0
+        probability = _block_error(matrix, decoder, d) if total > args.cap else None
+        enumerated = probability is None
+        if enumerated:
+            probability = exhaustive_error_probability(matrix, decoder, d, cap=args.cap)
         print(
             f"exact_error={probability.numerator}/{probability.denominator}"
             f"={float(probability):.6g}"
         )
-        total = math.comb(matrix.num_items, args.d)
-        if total > _LIST_CAP:
-            print(f"# confusable groups not listed: C({matrix.num_items},{args.d}) = "
-                  f"{total} exceeds {_LIST_CAP}")
+        if not enumerated:
+            print(f"# confusable groups not listed: C({n},{d}) = {total} exceeds the cap of "
+                  f"{args.cap}; exact_error is the chance that two defectives share a block")
+        elif total > _LIST_CAP:
+            print(f"# confusable groups not listed: C({n},{d}) = {total} exceeds {_LIST_CAP}")
         else:
-            groups = outcome_collision_groups(matrix, args.d, cap=_LIST_CAP)
+            groups = outcome_collision_groups(matrix, d, cap=_LIST_CAP)
             for group in groups[:10]:
                 rendered = " == ".join(_format_items(member) for member in group)
                 print(f"# confusable: {rendered}")

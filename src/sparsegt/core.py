@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import FrozenInstanceError, dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -524,12 +524,15 @@ def iceil(x: float) -> int:
     """Ceiling with a 1e-9 relative snap.
 
     Formula values like d^2/eps are computed in float64 from decimal inputs;
-    a hair above an exact integer boundary must not bump the ceiling up.
+    a hair above an exact integer boundary must not bump the ceiling up. So
+    x within 1e-9 * max(1, |x|) above an integer gives that integer, and
+    any other x its ceiling: never less than ceil(x) - 1.
     A non-finite value (an overflowed formula) raises InvalidParameterError.
     """
     if not math.isfinite(x):
         raise InvalidParameterError(f"cannot round {x} up to an integer; parameters out of range")
-    return math.ceil(x - 1e-9 * max(1.0, abs(x)))
+    below = math.floor(x)
+    return below if x - below <= 1e-9 * max(1.0, abs(x)) else below + 1
 
 
 def log_ratio(num: int, den: int | float) -> float:
@@ -755,11 +758,62 @@ def _broken_repeat_group(matrix: TestMatrix) -> int | None:
 # 0-based indices. Outcome file: one content line of T characters '0'/'1'.
 
 
-# rows formatted per step: few enough that their Python ints stay in cache
-_SERIALIZE_CHUNK_ROWS = 256
+# tokens written per step: the step's arrays stay in cache, and serialize
+# holds little beyond its text and the parts it joins
+_SERIALIZE_CHUNK_TOKENS = 2**14
+# a token is written in groups of 4 decimal digits
+_GROUP = 10_000
+
+
+@cache
+def _group_words() -> np.ndarray:
+    """One little-endian uint64 word per way of writing a 4-digit group, its
+    bytes NUL-padded, at ``kind * 10**4 + value``. Kinds 0-2 write the value
+    zero-padded to 4 digits, kinds 3-5 without leading zeros; kinds 0 and 3
+    end there, 1 and 4 add a space and 2 and 5 a newline. The entry of kind
+    3 and value 0, a leading group with no digits, is the zero word."""
+    values = np.arange(_GROUP, dtype=np.uint16)[:, None]
+    powers = np.array([1000, 100, 10, 1], dtype=np.uint16)
+    padded = (values // powers % 10 + ord("0")).astype(np.uint8)
+    leading = padded * ((values >= powers) | (powers == 1))
+    table = np.zeros((6, _GROUP, 8), dtype=np.uint8)
+    table[:3, :, :4], table[3:, :, :4] = padded, leading
+    table[1::3, :, 4], table[2::3, :, 4] = ord(" "), ord("\n")
+    table[3, 0] = 0
+    return table.view("<u8").reshape(-1)
+
+
+def _write_tokens(tokens: np.ndarray, row_ends: np.ndarray, groups: int) -> str:
+    """The int64 ``tokens`` in decimal, each followed by a space, or by a
+    newline at the positions ``row_ends``. A token's magnitude is gathered
+    as ``groups`` words of :func:`_group_words`, most significant first,
+    and the NUL bytes are dropped. When some token is negative, every token
+    gets a first word: a minus sign, or the zero word."""
+    negative = tokens < 0
+    signed = negative.any()
+    if signed:
+        tokens = np.abs(tokens)
+    index = np.empty((tokens.size, groups), dtype=np.int64)
+    above = 0  # the token's digits above the current group
+    for j in range(groups):
+        digits = tokens // _GROUP ** (groups - 1 - j) if j < groups - 1 else tokens
+        # the first group with a digit is leading (kind 3), the later ones
+        # padded (kind 0); a group before it is the zero word
+        index[:, j] = digits + (3 * (above == 0) - above) * _GROUP
+        above = digits
+    index[:, -1] += _GROUP
+    index[row_ends, -1] += _GROUP
+    words = _group_words().take(index)
+    if signed:
+        words = np.column_stack([negative * np.uint64(ord("-")), words])
+    return words.tobytes().translate(None, b"\0").decode()
 
 
 def serialize(matrix: TestMatrix) -> str:
+    """The design file of ``matrix``. Its rows are written a chunk of about
+    ``_SERIALIZE_CHUNK_TOKENS`` tokens (row weights and items) at a time,
+    from fixed tables of 4-digit groups: no Python object per token and no
+    table sized by n."""
     header = [str(matrix.num_tests), str(matrix.num_items)]
     if matrix.col_limit is not None:
         header.append(f"gamma={matrix.col_limit}")
@@ -773,17 +827,26 @@ def serialize(matrix: TestMatrix) -> str:
         header.append(f"base={matrix.base_tag}")
     if matrix.block_starts is not None:
         header.append("blocks=" + ",".join(str(s) for s in matrix.block_starts))
-    # a %-format per chunk of rows formats the weights and items in C
-    indptr, lengths = matrix.indptr, matrix.row_weights().tolist()
-    formats: dict[int, str] = {}
-    parts = [" ".join(header)]
-    for lo in range(0, len(lengths), _SERIALIZE_CHUNK_ROWS):
-        hi = min(lo + _SERIALIZE_CHUNK_ROWS, len(lengths))
-        items = matrix.indices[indptr[lo] : indptr[hi]].astype(np.int64)
-        tokens = np.insert(items, indptr[lo:hi] - indptr[lo], lengths[lo:hi])
-        row_format = "".join([formats.setdefault(w, "\n%d" + " %d" * w) for w in lengths[lo:hi]])
-        parts.append(row_format % tuple(tokens.tolist()))
-    parts.append("\n")
+    indptr, indices, lengths = matrix.indptr, matrix.indices, matrix.row_weights()
+    top = max(-int(indices.min(initial=0)), int(indices.max(initial=0)),
+              int(lengths.max(initial=0)))
+    groups = 1 + (top >= _GROUP) + (top >= _GROUP**2)  # |token| <= 2**31 < 10**12
+    # token offset of each row, and the first row at or after each multiple
+    # of the chunk budget: a row longer than the budget is one chunk. The
+    # first call of np.unique or np.insert in a process holds 0.3-1.3 MB of
+    # RSS for good, so neither is used.
+    starts = indptr + np.arange(indptr.size)
+    cuts = np.searchsorted(starts, np.arange(0, starts[-1], _SERIALIZE_CHUNK_TOKENS))
+    cuts = sorted({*cuts.tolist(), lengths.size})
+    parts = [" ".join(header) + "\n"]
+    for lo, hi in zip(cuts, cuts[1:]):
+        weight = starts[lo:hi] - starts[lo]  # the position of each row's weight
+        is_item = np.ones(starts[hi] - starts[lo], dtype=bool)
+        is_item[weight] = False
+        tokens = np.empty(is_item.size, dtype=np.int64)
+        tokens[is_item] = indices[indptr[lo] : indptr[hi]]
+        tokens[weight] = lengths[lo:hi]
+        parts.append(_write_tokens(tokens, starts[lo + 1 : hi + 1] - starts[lo] - 1, groups))
     return "".join(parts)
 
 

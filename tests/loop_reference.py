@@ -1,8 +1,8 @@
 """Python-loop references for the vectorised core operations and decoders.
 
 These are the straightforward row-by-row versions of ``evaluate``,
-``TestMatrix.column_weights``, ``validate``, ``parse`` and the outcome
-file reader and writer, the per-item draw loop of the random-gamma
+``TestMatrix.column_weights``, ``validate``, ``parse``, the %-format
+design file writer, the outcome file reader and writer, the per-item draw loop of the random-gamma
 constructor, the per-block
 loops of the hypergrid, block hypergrid and binary block constructors, and
 the per-block loops of the hypergrid and binary block decoders, the
@@ -240,6 +240,35 @@ def parse(text: str) -> TestMatrix:
             raise ParseError(line_no, "row indices must be strictly increasing")
         rows.append(tuple(indices))
     return TestMatrix(rows=rows, num_items=num_items, **fields)
+
+
+def serialize(matrix: TestMatrix) -> str:
+    """Design file writer: one %-format string per chunk of rows, so that
+    C formats the weights and items."""
+    header = [str(matrix.num_tests), str(matrix.num_items)]
+    if matrix.col_limit is not None:
+        header.append(f"gamma={matrix.col_limit}")
+    if matrix.row_limit is not None:
+        header.append(f"rho={matrix.row_limit}")
+    if matrix.design_tag != TAG_CUSTOM:
+        header.append(f"tag={matrix.design_tag}")
+    if matrix.repeat_k > 1:
+        header.append(f"k={matrix.repeat_k}")
+    if matrix.base_tag is not None:
+        header.append(f"base={matrix.base_tag}")
+    if matrix.block_starts is not None:
+        header.append("blocks=" + ",".join(str(s) for s in matrix.block_starts))
+    indptr, lengths = matrix.indptr, matrix.row_weights().tolist()
+    formats: dict[int, str] = {}
+    parts = [" ".join(header)]
+    for lo in range(0, len(lengths), 256):
+        hi = min(lo + 256, len(lengths))
+        items = matrix.indices[indptr[lo] : indptr[hi]].astype(np.int64)
+        tokens = np.insert(items, indptr[lo:hi] - indptr[lo], lengths[lo:hi])
+        row_format = "".join([formats.setdefault(w, "\n%d" + " %d" * w) for w in lengths[lo:hi]])
+        parts.append(row_format % tuple(tokens.tolist()))
+    parts.append("\n")
+    return "".join(parts)
 
 
 def serialize_outcomes(outcomes: Outcomes) -> str:

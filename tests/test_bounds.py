@@ -216,6 +216,13 @@ class TestUpperBounds:
         assert m.num_tests == 3250
         assert rep.integer_value >= m.num_tests
 
+    def test_large_n_integer_value_not_below_the_value(self):
+        # iceil once subtracted 1e-9 * |x| before every ceiling, which gave
+        # 999999999000100 here
+        p = DesignParams(n=10**15, d=1, epsilon=0.01, gamma=1)
+        rep = upper_bound_tests(p, "block-hypergrid")
+        assert rep.integer_value == 10**15 >= rep.value
+
     def test_block_binary_matches_uniform_blocks(self):
         p = DesignParams(n=10_000, d=5, epsilon=0.1, rho=20)
         rep = upper_bound_tests(p, "block-binary-rho")

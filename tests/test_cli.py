@@ -382,6 +382,45 @@ class TestOracleCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--family", "block-hypergrid", "--n", "36", "--d", "2", "--gamma", "2"],
+         ["--family", "block-binary-rho", "--n", "40", "--d", "2", "--rho", "3"]],
+        ids=["block-hypergrid", "block-binary-rho"],
+    )
+    def test_block_design_past_the_cap_reads_its_error_off_the_blocks(
+            self, capsys, tmp_path, flags):
+        path = str(tmp_path / "block.design")
+        run(capsys, "design", *flags, "--epsilon", "0.5", "--out", path)
+        code, enumerated, _ = run(capsys, "oracle", "--design", path, "--d", "3")
+        assert code == 0
+        code, out, _ = run(capsys, "oracle", "--design", path, "--d", "3", "--cap", "10")
+        assert code == 0
+        assert out[1] == enumerated[1] != "exact_error=0/1=0"
+        assert out[2].startswith("# confusable groups not listed: C(")
+        assert out[2].endswith("exceeds the cap of 10; "
+                               "exact_error is the chance that two defectives share a block")
+        code, _, _ = run(capsys, "oracle", "--design", path, "--d", "3", "--cap", "10",
+                         "--target-epsilon", "0")
+        assert code == 2
+
+    def test_past_the_cap_other_decoders_and_altered_blocks_are_refused(self, capsys, tmp_path):
+        path = tmp_path / "block.design"
+        run(capsys, "design", "--family", "block-binary-rho", "--n", "40", "--d", "2",
+            "--rho", "3", "--epsilon", "0.5", "--out", str(path))
+        code, _, err = run(capsys, "oracle", "--design", str(path), "--d", "3", "--cap", "10",
+                           "--decoder", "coma")
+        assert code == 3
+        assert "resource cap" in err
+        # the same blocks and test sizes, but the first test pools item 1
+        text = path.read_text()
+        assert "\n1 0\n1 1\n" in text
+        altered = tmp_path / "altered.design"
+        altered.write_text(text.replace("\n1 0\n", "\n1 1\n", 1))
+        code, _, err = run(capsys, "oracle", "--design", str(altered), "--d", "3", "--cap", "10")
+        assert code == 3
+        assert "resource cap" in err
+
     def test_zero_sigma_is_the_noiseless_oracle(self, capsys):
         code, out, _ = run(capsys, "oracle", "--design", "fig1", "--d", "1", "--sigma", "0")
         assert code == 0
@@ -497,7 +536,7 @@ def test_values_beyond_float_range_are_one_error_line(capsys, argv):
 @pytest.mark.parametrize(
     "argv, value, integer",
     [
-        (["--theorem", "3", "--gamma", "2", "--n", _HUGE], "3.16228e+201", "31622776570"),
+        (["--theorem", "3", "--gamma", "2", "--n", _HUGE], "3.16228e+201", "31622776601683"),
         (["--theorem", "6", "--rho", "1" + "0" * 398, "--n", _HUGE], "330201", "330250"),
     ],
     ids=["theorem-3", "theorem-6-error-budget"],

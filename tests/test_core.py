@@ -1,6 +1,7 @@
 """Core types, OR-channel evaluation, noise, validation, serialization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from sparsegt.core import (
     serialize_outcomes,
     validate,
 )
+from sparsegt.designs import permuted_block_rho_design
 
 # the 3x3 grid over 9 items: axis-0 tests are columns, axis-1 tests are rows
 GRID9 = TestMatrix(
@@ -195,6 +197,19 @@ class TestSerialization:
         )
         assert parse(serialize(m)) == m
 
+    def test_peak_memory_stays_near_the_text(self):
+        """The writer holds its text, the parts it joins and one chunk's
+        arrays: an unchunked writer peaks near 9 times the text."""
+        matrix = permuted_block_rho_design(250_000, 10, 100, 0.5, np.random.default_rng(1))
+        assert matrix.ones_count() >= 10**6
+        tracemalloc.start()
+        try:
+            text = serialize(matrix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(text)
+
     def test_comments_and_blank_lines_ignored(self):
         text = "# a design\n\n" + serialize(GRID9) + "# trailing comment\n"
         assert parse(text) == GRID9
@@ -355,6 +370,13 @@ class TestNumericHelpers:
         assert iceil(249.99999999999997) == 250
         assert iceil(6.3) == 7
         assert iceil(6.0) == 6
+        assert iceil(1e13 + 0.5) == 10**13
+
+    @pytest.mark.parametrize("value", [1e13 + 0.5, 1e15 + 0.125, 1e9 + 0.75, 2.5, 1e18])
+    def test_iceil_is_the_ceiling_or_one_below(self, value):
+        # the relative snap spans more than 1 above 1e9, but only rounds
+        # down to the integer just below
+        assert math.ceil(value) - 1 <= iceil(value) <= math.ceil(value)
 
     def test_iceil_refuses_non_finite(self):
         for value in (math.inf, -math.inf, math.nan):

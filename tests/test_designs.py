@@ -209,9 +209,9 @@ class TestPermutedBlocks:
             permuted_block_rho_design(100, 10, 10, 0.5, np.random.default_rng(0))
 
     def test_pass_count_above_the_test_cap_refused(self):
-        # zeta = 1e9 asks for 2,861,353,117 passes of 10 tests
+        # zeta = 1e9 asks for 2,861,353,119 passes of 10 tests
         rng = np.random.default_rng(0)
-        with pytest.raises(ResourceCapError, match="28613531170 tests"):
+        with pytest.raises(ResourceCapError, match="28613531190 tests"):
             permuted_block_rho_design(100, 2, 10, 1e9, rng)
         assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 

@@ -51,6 +51,11 @@ DESIGNS = {
         lambda: permuted_block_rho_design(10_000, 10, 100, 0.5, _rng()),
         "24f59e869af2168fa9d21bd57bdb885e7842af5a58524afa2e46ca60e0759f8c",
     ),
+    # n = 4 * 10**5: every item above 9999 is written in two 4-digit groups
+    "permuted-rho-large-n": (
+        lambda: permuted_block_rho_design(400_000, 10, 100, 0.5, _rng()),
+        "71a41a34ba1857c60a27380eb68d51545a91a974752f230f298311fdda7acac5",
+    ),
     "block-binary": (
         lambda: block_binary_rho_design(10_000, 5, 20, 0.1),
         "033262c5ee92872f0e2435fe0dd1768a82ef0e74d2e81e34563a8cfc840a0c36",

@@ -248,6 +248,51 @@ class TestOutcomeFilesAgreeWithLoops:
         assert parse_outcomes(text) == outcomes
 
 
+# ---------------------------------------------------------------------------
+# design file writer
+# ---------------------------------------------------------------------------
+
+# one, two and three 4-digit groups, on both sides of each group boundary
+_EDGE_TOKENS = [0, 1, 9, 10, 999, 9_999, 10**4, 10**4 + 1, 10**8 - 1, 10**8, 2**31 - 2,
+                2**31 - 1, -1, -9_999, -(10**4), -(2**31)]
+
+
+@st.composite
+def csr_matrices(draw):
+    """Matrices from CSR arrays with indices anywhere in int32, empty rows
+    and no rows, and header fields."""
+    n = draw(st.sampled_from([1, 9_999, 10**4, 10**8, 2**31 - 1, 2**31]) | st.integers(1, 2**31))
+    item = st.sampled_from(_EDGE_TOKENS) | st.integers(0, 20) | st.integers(-(2**31), 2**31 - 1)
+    rows = draw(st.lists(st.lists(item, max_size=10), max_size=8))
+    limit = st.none() | st.integers(1, 10**9)
+    return TestMatrix.from_csr(
+        core._offsets([len(row) for row in rows]),
+        np.array([i for row in rows for i in row], dtype=np.int64),
+        num_items=n,
+        col_limit=draw(limit),
+        row_limit=draw(limit),
+        design_tag=draw(st.sampled_from(sorted(core.DESIGN_TAGS))),
+        block_starts=draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=3)),
+        base_tag=draw(st.none() | st.just(TAG_CUSTOM)),
+        repeat_k=draw(st.integers(1, 3)),
+    )
+
+
+class TestDesignFileWriterAgreesWithTheFormatLoop:
+    @given(csr_matrices(), st.sampled_from([1, 2, 3, 7, 2**14]))
+    @example(TestMatrix.from_csr(np.array([0]), np.array([], dtype=np.int64), 5), 1)
+    @example(TestMatrix.from_csr(np.array([0, 0, 0]), np.array([], dtype=np.int64), 5), 1)
+    # a row longer than the chunk budget: its weight 10**4 takes two groups
+    @example(TestMatrix.from_csr(np.array([0, 1, 10**4 + 1, 10**4 + 2]),
+                                 np.arange(10**4 + 2), 10**4 + 2), 2**14 // 4)
+    @settings(max_examples=300, deadline=None)
+    def test_same_bytes(self, matrix, chunk):
+        """``chunk`` tokens per step; the rows of a small budget straddle
+        every chunk boundary."""
+        with mock.patch.object(core, "_SERIALIZE_CHUNK_TOKENS", chunk):
+            assert serialize(matrix) == ref.serialize(matrix)
+
+
 def _parse_reading_lines(text):
     """``parse(text)`` (or its error) and whether the per-line reader ran."""
     with mock.patch.object(core, "_read_rows", wraps=core._read_rows) as reader:
