@@ -391,12 +391,8 @@ class TestMatrix:
 
     @cached_property
     def _column_weights(self) -> np.ndarray:
-        n = self.num_items
-        if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= n):
-            raise InvalidParameterError(
-                f"matrix has item indices outside [0, {n}); validate() lists them"
-            )
-        weights = np.bincount(self.indices, minlength=n).astype(np.int64, copy=False)
+        _checked_max_index(self.indices, self.num_items)
+        weights = np.bincount(self.indices, minlength=self.num_items).astype(np.int64, copy=False)
         weights.setflags(write=False)
         return weights
 
@@ -422,6 +418,17 @@ class TestMatrix:
         counts as a single block when no block structure is recorded."""
         starts = (0,) if self.block_starts is None else self.block_starts
         return tuple(zip(starts, starts[1:] + (self.num_items,)))
+
+
+def _checked_max_index(indices: np.ndarray, num_items: int) -> int:
+    """The largest item index (0 with none), after one min/max pass that
+    refuses an index outside [0, num_items), which ``parse`` would refuse."""
+    low, high = (int(indices.min()), int(indices.max())) if indices.size else (0, 0)
+    if low < 0 or high >= num_items:
+        raise InvalidParameterError(
+            f"matrix has item indices outside [0, {num_items}); validate() lists them"
+        )
+    return high
 
 
 def _well_formed_blocks(starts, num_items: int) -> bool:
@@ -784,15 +791,10 @@ def _group_words() -> np.ndarray:
 
 
 def _write_tokens(tokens: np.ndarray, row_ends: np.ndarray, groups: int) -> str:
-    """The int64 ``tokens`` in decimal, each followed by a space, or by a
-    newline at the positions ``row_ends``. A token's magnitude is gathered
-    as ``groups`` words of :func:`_group_words`, most significant first,
-    and the NUL bytes are dropped. When some token is negative, every token
-    gets a first word: a minus sign, or the zero word."""
-    negative = tokens < 0
-    signed = negative.any()
-    if signed:
-        tokens = np.abs(tokens)
+    """The nonnegative int64 ``tokens`` in decimal, each followed by a
+    space, or by a newline at the positions ``row_ends``. A token is
+    gathered as ``groups`` words of :func:`_group_words`, most significant
+    first, and the NUL bytes are dropped."""
     index = np.empty((tokens.size, groups), dtype=np.int64)
     above = 0  # the token's digits above the current group
     for j in range(groups):
@@ -803,17 +805,16 @@ def _write_tokens(tokens: np.ndarray, row_ends: np.ndarray, groups: int) -> str:
         above = digits
     index[:, -1] += _GROUP
     index[row_ends, -1] += _GROUP
-    words = _group_words().take(index)
-    if signed:
-        words = np.column_stack([negative * np.uint64(ord("-")), words])
-    return words.tobytes().translate(None, b"\0").decode()
+    return _group_words().take(index).tobytes().translate(None, b"\0").decode()
 
 
 def serialize(matrix: TestMatrix) -> str:
     """The design file of ``matrix``. Its rows are written a chunk of about
     ``_SERIALIZE_CHUNK_TOKENS`` tokens (row weights and items) at a time,
     from fixed tables of 4-digit groups: no Python object per token and no
-    table sized by n."""
+    table sized by n. Raises :class:`InvalidParameterError`, before writing,
+    when an item index lies outside [0, n), as :func:`parse` would refuse
+    the file."""
     header = [str(matrix.num_tests), str(matrix.num_items)]
     if matrix.col_limit is not None:
         header.append(f"gamma={matrix.col_limit}")
@@ -828,9 +829,8 @@ def serialize(matrix: TestMatrix) -> str:
     if matrix.block_starts is not None:
         header.append("blocks=" + ",".join(str(s) for s in matrix.block_starts))
     indptr, indices, lengths = matrix.indptr, matrix.indices, matrix.row_weights()
-    top = max(-int(indices.min(initial=0)), int(indices.max(initial=0)),
-              int(lengths.max(initial=0)))
-    groups = 1 + (top >= _GROUP) + (top >= _GROUP**2)  # |token| <= 2**31 < 10**12
+    top = max(_checked_max_index(indices, matrix.num_items), int(lengths.max(initial=0)))
+    groups = 1 + (top >= _GROUP) + (top >= _GROUP**2)  # tokens <= 2**31 < 10**12
     # token offset of each row, and the first row at or after each multiple
     # of the chunk budget: a row longer than the budget is one chunk. The
     # first call of np.unique or np.insert in a process holds 0.3-1.3 MB of

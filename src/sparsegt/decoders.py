@@ -18,7 +18,7 @@ same code path the one-shot functions use. A plan decodes a batch of trials
 from their positive outcomes alone: the (trial, test) pairs of the positive
 tests, sorted by trial and then test, as the OR channel
 (:func:`~sparsegt.core._or_batch`) gives them. Its work grows with the
-positives, not with trials times tests.
+positives, and for COMA with the tests positive in a word of 64 trials.
 
 Both block designs (hypergrid and binary) are read by one rule, assuming at
 most one defective per block. Each test carries a label weight: digit j on
@@ -54,7 +54,6 @@ from .core import (
     TestMatrix,
     _broken_repeat_group,
     _dense_bits,
-    _key_pairs,
     _offsets,
     _ragged,
     _select_rows,
@@ -94,13 +93,9 @@ class DecodeResult:
 
 
 _NO_ITEMS = np.empty(0, dtype=np.int64)
-
-
-def _positives(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (trial, test) pairs of the positive bits of a (trials, T) array,
-    in row-major order. A 2-D ``nonzero`` is several times slower than this
-    1-D one."""
-    return _key_pairs(bits.reshape(-1).nonzero()[0], bits.shape[1])
+# trials per uint64 test mask, and the mask bit of each
+_WORD = 64
+_BITS = np.uint64(1) << np.arange(_WORD, dtype=np.uint64)
 
 
 class _Plan:
@@ -112,9 +107,10 @@ class _Plan:
     then item, with the items of a trial distinct and in [0, n), and the
     ambiguous blocks as (trial, block) pairs in the same order.
     ``decode_bits`` is its one-row case on a dense outcome vector, and
-    ``untested`` lists the items in no test. ``trial_bytes`` and
-    ``defective_bytes`` estimate the bytes of arrays a batch takes per trial
-    and per defective of a trial, so that the harness can size its batches.
+    ``untested`` lists the items in no test. The harness sizes its batches
+    by ``trial_bytes``, the bytes of arrays a batch takes per trial besides
+    its outcome keys (a COMA plan's test masks; block plans take none), and
+    in multiples of ``batch_step`` trials (64, a word of masks, for COMA).
 
     The harness evaluates the matrix ``evaluated`` (the design itself, or
     less where the plan needs less) and hands its positive pairs and the
@@ -122,14 +118,15 @@ class _Plan:
     """
 
     untested = _NO_ITEMS
-    trial_bytes = defective_bytes = 0.0
+    trial_bytes = 0.0
+    batch_step = 1
 
     def __init__(self, matrix: TestMatrix):
         self.evaluated = matrix
 
     def decode_bits(self, bits: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray]:
-        positives = _positives(np.asarray(bits, dtype=bool)[None])
-        _, estimate, _, ambiguous = self.decode_batch(*positives, 1)
+        test = np.flatnonzero(bits)
+        _, estimate, _, ambiguous = self.decode_batch(np.zeros_like(test), test, 1)
         return estimate, ambiguous.tolist(), self.untested
 
     def decode_channel(self, trial: np.ndarray, test: np.ndarray, num_trials: int,
@@ -144,15 +141,18 @@ class ComaPlan(_Plan):
     """Every-test-positive rule: an item is reported defective exactly when
     all of its tests are positive; untested items are vacuously included.
 
-    The work per outcome vector grows with its positive tests, not with n.
-    Each tested item is filed once, under its first test, when the plan is
-    built, so the candidates are the items filed under positive tests. One
-    gather on each candidate's second test drops most of them, one on the
-    third test most of the rest, and one ragged gather checks the remaining
-    tests of the survivors.
+    It checks a word of 64 trials at once. A test's ``uint64`` mask in a
+    word has bit b set when the test is positive in trial 64 * word + b, so
+    the AND of an item's test masks holds the trials in which it passes.
+    Each tested item is filed under its first test when the plan is built,
+    so a word's candidates are the items filed under its positive tests. An
+    AND with each candidate's second test clears most of them, the third
+    most of the rest, and one ``bitwise_and.reduceat`` the remaining tests
+    of the survivors. A word's work grows with its positive tests, not n.
     """
 
     kind = "coma"
+    batch_step = _WORD
 
     def __init__(self, matrix: TestMatrix):
         super().__init__(matrix)
@@ -165,43 +165,56 @@ class ComaPlan(_Plan):
         # a stable sort on a dtype of at most 16 bits is a radix sort
         order = np.argsort(first.astype(np.min_scalar_type(matrix.num_tests)), kind="stable")
         self.candidates = tested[order]
-        groups = np.bincount(first, minlength=matrix.num_tests)
-        self.group_ptr = _offsets(groups)
-        # a defective brings the groups of its tests; four int64 arrays
-        # follow each candidate
-        self.defective_bytes = 32 * float(matrix.row_weights() @ groups) / self.num_items
+        self.group_ptr = _offsets(np.bincount(first, minlength=matrix.num_tests))
         # an item of weight 1 has its first test again as its second
         self.second = self.tests[self.col_indptr[self.candidates] + (weight[self.candidates] > 1)]
-        self.trial_bytes = float(matrix.num_tests)  # the outcome lookup
+        self.trial_bytes = matrix.num_tests / 8  # the test masks
 
     def decode_batch(self, trial: np.ndarray, test: np.ndarray, num_trials: int):
         num_tests = self.evaluated.num_tests
-        flat = _dense_bits(trial * num_tests + test, num_trials, num_tests).reshape(-1)
-        starts = self.group_ptr[test]
-        lengths = self.group_ptr[test + 1] - starts
-        slot = _ragged(starts, lengths)
-        trial = np.repeat(trial, lengths)
-        keep = flat[trial * num_tests + self.second[slot]].nonzero()[0]
-        trial, item = trial[keep], self.candidates[slot[keep]]
-        # the third test (the last one again for an item of weight 2 or
-        # less) drops most of the rest
-        starts, ends = self.col_indptr[item], self.col_indptr[item + 1]
-        keep = flat[trial * num_tests + self.tests[np.minimum(starts + 2, ends - 1)]].nonzero()[0]
-        trial, item, starts, ends = trial[keep], item[keep], starts[keep] + 3, ends[keep]
-        # the tests after the third, one ragged run per survivor; a running
-        # count of negative tests gives each run's misses
-        lengths = np.maximum(ends - starts, 0)
-        at = self.tests[_ragged(starts, lengths)]
-        at += np.repeat(trial * num_tests, lengths)
-        misses = np.zeros(at.size + 1, dtype=np.int64)
-        np.cumsum(~flat[at], out=misses[1:])
-        run_ends = np.cumsum(lengths)
-        passed = misses[run_ends] == misses[run_ends - lengths]
-        trial, item = trial[passed], item[passed]
+        masks = np.zeros((-(-num_trials // _WORD), num_tests), dtype=np.uint64)
+        # the pairs are distinct, so adding their bits ORs them
+        np.add.at(masks.reshape(-1), trial // _WORD * num_tests + test, _BITS[trial % _WORD])
+        return self._decode_masks(masks, num_trials)
+
+    def _decode_masks(self, masks: np.ndarray, num_trials: int):
+        """Decode the (words, T) test masks of a batch of trials."""
+        found = [(_NO_ITEMS, _NO_ITEMS, _BITS[:0])]  # (first trial of the word, item, mask)
+        for word, mask in enumerate(masks):
+            positive = np.flatnonzero(mask != 0)
+            starts = self.group_ptr[positive]
+            lengths = self.group_ptr[positive + 1] - starts
+            slot = _ragged(starts, lengths)
+            hit = np.repeat(mask[positive], lengths) & mask[self.second[slot]]
+            keep = np.flatnonzero(hit != 0)
+            item, hit = self.candidates[slot[keep]], hit[keep]
+            # the third test (the last one again for an item of weight 2 or
+            # less) clears most of the rest
+            starts, ends = self.col_indptr[item], self.col_indptr[item + 1]
+            hit &= mask[self.tests[np.minimum(starts + 2, ends - 1)]]
+            keep = np.flatnonzero(hit != 0)
+            item, hit, starts, ends = item[keep], hit[keep], starts[keep] + 3, ends[keep]
+            # the tests after the third, one run per survivor that has them
+            more = np.flatnonzero(ends > starts)
+            lengths = ends[more] - starts[more]
+            if more.size:
+                tests = mask[self.tests[_ragged(starts[more], lengths)]]
+                hit[more] &= np.bitwise_and.reduceat(tests, _offsets(lengths)[:-1])
+            found.append((np.full(hit.size, word * _WORD), item, hit))
+        first, item, hit = map(np.concatenate, zip(*found))
+        # take the lowest set bit of each mask off until none is left; a
+        # power of two converts to float exactly, and frexp reads its exponent
+        trials, items = [_NO_ITEMS], [_NO_ITEMS]
+        while (keep := np.flatnonzero(hit != 0)).size:
+            first, item, hit = first[keep], item[keep], hit[keep]
+            low = hit & (~hit + 1)
+            trials.append(first + np.frexp(low.astype(np.float64))[1] - 1)
+            items.append(item)
+            hit ^= low
         if self.untested.size:
-            trial = np.concatenate([trial, np.repeat(np.arange(num_trials), self.untested.size)])
-            item = np.concatenate([item, np.tile(self.untested, num_trials)])
-        key = np.sort(trial * self.num_items + item)
+            trials.append(np.repeat(np.arange(num_trials), self.untested.size))
+            items.append(np.tile(self.untested, num_trials))
+        key = np.sort(np.concatenate(trials) * self.num_items + np.concatenate(items))
         return key // self.num_items, key % self.num_items, _NO_ITEMS, _NO_ITEMS
 
 
@@ -301,7 +314,8 @@ class MajorityPlan(ComaPlan):
     flips F: the group has ``k - F`` positive votes if b is set, else F.
     Without flips the votes are the base outcomes, whose positive pairs go
     to the every-test-positive rule as they are; with flips they are dense
-    (trials, T/k) rows, read for their positives. ``decode_batch`` reads
+    (trials, T/k) rows, packed along the trial axis into the rule's test
+    masks. ``decode_batch`` reads
     observed outcomes as the flips of all-negative base outcomes, which
     gives the same votes. The plan refuses a repeated design whose groups
     are not copies, which :func:`~sparsegt.core.validate` reports as
@@ -340,12 +354,19 @@ class MajorityPlan(ComaPlan):
         if flips is None:
             return super().decode_batch(trial, test, num_trials)
         counts = self._group_sums(flips)
-        votes = counts >= (self.k + 1) // 2
+        # votes for whole words of trials; the trials past the batch vote
+        # negative on every test
+        votes = np.zeros((-(-num_trials // _WORD) * _WORD, counts.shape[1]), dtype=bool)
+        np.greater_equal(counts, (self.k + 1) // 2, out=votes[:num_trials])
         # a positive base test gets k - F >= (k + 1) // 2 positive votes
         # when F <= k // 2
         at = trial * self.evaluated.num_tests + test
         votes.reshape(-1)[at] = counts.reshape(-1)[at] <= self.k // 2
-        return super().decode_batch(*_positives(votes), num_trials)
+        # pack the votes along the trial axis: bit b of a test's mask in word
+        # w is its vote in trial 64 w + b
+        packed = np.packbits(votes.reshape(-1, _WORD, votes.shape[1]), axis=1, bitorder="little")
+        masks = np.ascontiguousarray(packed.transpose(0, 2, 1)).view("<u8")[..., 0]
+        return self._decode_masks(masks, num_trials)
 
     def _group_sums(self, bits: np.ndarray) -> np.ndarray:
         """How many bits of each group of k copies are set, per trial of a

@@ -382,17 +382,15 @@ _BATCH_BYTES = 1 << 20
 _TRIAL_BYTES = 256
 
 
-def _batch_trials(matrix: TestMatrix, d: int, trial_bytes: float,
-                  defective_bytes: float = 0.0) -> int:
-    """Trials per batch. A trial takes one int64 outcome key per incidence
-    of its d defectives in ``matrix`` at the mean column weight, plus
-    ``trial_bytes`` and, per defective, ``defective_bytes`` of what its
-    caller allocates from those keys: a plan's decoding (its ``trial_bytes``
-    and ``defective_bytes``) and the channel's flips, or dense outcome
-    rows."""
+def _batch_trials(matrix: TestMatrix, d: int, trial_bytes: float, step: int = 1) -> int:
+    """Trials per batch, a positive multiple of ``step``: a plan's
+    ``batch_step``, so that a COMA batch fills whole 64-trial words. A trial
+    takes one int64 outcome key per incidence of its d defectives in
+    ``matrix`` at the mean column weight, plus ``trial_bytes``: a plan's
+    test masks and the channel's flips, or dense outcome rows."""
     incidences = matrix.ones_count() / matrix.num_items
-    per_trial = trial_bytes + d * (8 * incidences + defective_bytes) + _TRIAL_BYTES
-    return max(1, int(_BATCH_BYTES // per_trial))
+    per_trial = trial_bytes + d * 8 * incidences + _TRIAL_BYTES
+    return max(1, int(_BATCH_BYTES // per_trial) // step) * step
 
 
 def _draw_chunk(d: int) -> int:
@@ -487,43 +485,26 @@ def _trial_batches(n: int, num_tests: int, prior: Prior, sigma: float, master_se
             yield trial, items, num_trials, flips[:num_trials] if noisy_tests else None
 
 
-def _run_trial_range(
-    matrix: TestMatrix,
-    plan,
-    prior: Prior,
-    sigma: float,
-    master_seed: int,
-    start: int,
-    count: int,
-) -> tuple[int, int, int, int]:
+def _run_trial_range(matrix: TestMatrix, plan, prior: Prior, sigma: float, master_seed: int,
+                     start: int, count: int) -> tuple[int, int, int, int]:
     """Trials ``start .. start + count - 1``, drawn as the seeding contract
     fixes them and evaluated, decoded and scored a batch at a time."""
     # build the OR channel's column index before the first trial
     plan.evaluated.column_index()
     flipped = matrix.num_tests if sigma > 0.0 else 0
-    batch = _batch_trials(plan.evaluated, prior.d, plan.trial_bytes + flipped,
-                          plan.defective_bytes)
+    batch = _batch_trials(plan.evaluated, prior.d, plan.trial_bytes + flipped, plan.batch_step)
     totals = np.zeros(4, dtype=np.int64)
     for trial, items, num_trials, flips in _trial_batches(
             matrix.num_items, matrix.num_tests, prior, sigma, master_seed, start, count, batch):
         totals += _score_batch(plan, trial, items, num_trials, flips)
-    errors, fp_items, amb_blocks, wrong = totals.tolist()
-    return errors, fp_items, amb_blocks, wrong
+    return tuple(totals.tolist())
 
 
-def _run_worker(
-    matrix: TestMatrix,
-    decoder: str,
-    prior: Prior,
-    sigma: float,
-    master_seed: int,
-    start: int,
-    count: int,
-) -> tuple[int, int, int, int]:
+def _run_worker(matrix: TestMatrix, decoder: str, prior: Prior, sigma: float, master_seed: int,
+                start: int, count: int) -> tuple[int, int, int, int]:
     """A worker process's trial range, with the worker's own plan."""
-    return _run_trial_range(
-        matrix, make_plan(matrix, decoder), prior, sigma, master_seed, start, count
-    )
+    return _run_trial_range(matrix, make_plan(matrix, decoder), prior, sigma, master_seed,
+                            start, count)
 
 
 def run_monte_carlo(matrix: TestMatrix, decoder: str, config: SimConfig) -> SimReport:
@@ -553,25 +534,13 @@ def run_monte_carlo(matrix: TestMatrix, decoder: str, config: SimConfig) -> SimR
     jobs = min(config.parallelism, max(1, config.trials))
     if jobs > 1:
         bounds = [config.trials * j // jobs for j in range(jobs + 1)]
+        worker = functools.partial(_run_worker, matrix, plan.kind, config.prior, sigma,
+                                   config.master_seed)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(
-                pool.map(
-                    _run_worker,
-                    [matrix] * jobs,
-                    [plan.kind] * jobs,
-                    [config.prior] * jobs,
-                    [sigma] * jobs,
-                    [config.master_seed] * jobs,
-                    bounds[:-1],
-                    [b - a for a, b in zip(bounds, bounds[1:])],
-                )
-            )
+            parts = list(pool.map(worker, bounds[:-1], np.diff(bounds).tolist()))
     else:
-        parts = [
-            _run_trial_range(
-                matrix, plan, config.prior, sigma, config.master_seed, 0, config.trials
-            )
-        ]
+        parts = [_run_trial_range(matrix, plan, config.prior, sigma, config.master_seed, 0,
+                                  config.trials)]
     errors = sum(p[0] for p in parts)
     breakdown = Breakdown(
         false_positive_items=sum(p[1] for p in parts),
@@ -626,7 +595,7 @@ def exhaustive_error_probability(
     total = _count_sets(matrix.num_items, d, cap)
     plan = make_plan(matrix, decoder)
     errors = 0
-    batch = _batch_trials(plan.evaluated, d, plan.trial_bytes, plan.defective_bytes)
+    batch = _batch_trials(plan.evaluated, d, plan.trial_bytes, plan.batch_step)
     for trial, items, num_sets in _set_batches(matrix, d, batch):
         errors += int(_score_batch(plan, trial, items, num_sets)[0])
     return Fraction(errors, total)

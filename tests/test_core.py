@@ -197,6 +197,16 @@ class TestSerialization:
         )
         assert parse(serialize(m)) == m
 
+    @pytest.mark.parametrize("rows", [[(-1,), (5,)], [(0, 3)], [(), (1, 2, 3)]],
+                             ids=["negative", "n-and-above", "equal-to-n"])
+    def test_refuses_an_index_that_parse_would_refuse(self, rows):
+        """An index below 0 or at or past n is refused before anything is
+        written, with the message of ``column_weights``."""
+        matrix = TestMatrix(rows=rows, num_items=3)
+        with pytest.raises(InvalidParameterError,
+                           match=r"^matrix has item indices outside \[0, 3\); validate\(\) lists them$"):
+            serialize(matrix)
+
     def test_peak_memory_stays_near_the_text(self):
         """The writer holds its text, the parts it joins and one chunk's
         arrays: an unchunked writer peaks near 9 times the text."""

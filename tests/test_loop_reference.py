@@ -254,15 +254,16 @@ class TestOutcomeFilesAgreeWithLoops:
 
 # one, two and three 4-digit groups, on both sides of each group boundary
 _EDGE_TOKENS = [0, 1, 9, 10, 999, 9_999, 10**4, 10**4 + 1, 10**8 - 1, 10**8, 2**31 - 2,
-                2**31 - 1, -1, -9_999, -(10**4), -(2**31)]
+                2**31 - 1]
 
 
 @st.composite
 def csr_matrices(draw):
-    """Matrices from CSR arrays with indices anywhere in int32, empty rows
+    """Matrices from CSR arrays with indices anywhere in [0, n), empty rows
     and no rows, and header fields."""
     n = draw(st.sampled_from([1, 9_999, 10**4, 10**8, 2**31 - 1, 2**31]) | st.integers(1, 2**31))
-    item = st.sampled_from(_EDGE_TOKENS) | st.integers(0, 20) | st.integers(-(2**31), 2**31 - 1)
+    item = (st.sampled_from([t for t in _EDGE_TOKENS if t < n]) | st.integers(0, min(20, n - 1))
+            | st.integers(0, n - 1))
     rows = draw(st.lists(st.lists(item, max_size=10), max_size=8))
     limit = st.none() | st.integers(1, 10**9)
     return TestMatrix.from_csr(
@@ -291,6 +292,29 @@ class TestDesignFileWriterAgreesWithTheFormatLoop:
         every chunk boundary."""
         with mock.patch.object(core, "_SERIALIZE_CHUNK_TOKENS", chunk):
             assert serialize(matrix) == ref.serialize(matrix)
+
+    @given(csr_matrices(), st.integers(0, 7), st.sampled_from([-(2**31), -1, 0, 1, 2**31 - 1]))
+    @settings(max_examples=100, deadline=None)
+    def test_refuses_an_index_outside_the_items(self, matrix, at, offset):
+        """An index below 0 or at or past n, anywhere in the rows, is
+        refused before anything is written, as ``column_weights`` refuses
+        it; the format loop would write a file that ``parse`` refuses."""
+        indices = matrix.indices.astype(np.int64)
+        bad = offset if offset < 0 else matrix.num_items + offset
+        assume(bad < 2**31)
+        indices = np.insert(indices, min(at, indices.size), bad)
+        indptr = matrix.indptr.copy()
+        if indptr.size == 1:
+            indptr = np.array([0, 0])
+        indptr[-1] += 1
+        bad_matrix = TestMatrix.from_csr(indptr, indices, matrix.num_items)
+        with pytest.raises(InvalidParameterError) as refused:
+            serialize(bad_matrix)
+        with pytest.raises(InvalidParameterError) as counted:
+            bad_matrix.column_weights()
+        assert str(refused.value) == str(counted.value)
+        with pytest.raises(ParseError):
+            parse(ref.serialize(bad_matrix))
 
 
 def _parse_reading_lines(text):
@@ -449,7 +473,7 @@ def _assert_same_batch_decoding(plan, reference, bits):
     trial, test = np.divmod(bits.reshape(-1).nonzero()[0], bits.shape[1])
     est_trial, est_item, amb_trial, amb_block = plan.decode_batch(trial, test, len(bits))
     for row, row_bits in enumerate(bits):
-        want_estimate, want_ambiguous = reference.decode_bits(row_bits)
+        want_estimate, want_ambiguous = reference.decode_bits(row_bits)[:2]
         assert np.array_equal(est_item[est_trial == row], want_estimate)
         assert amb_block[amb_trial == row].tolist() == want_ambiguous
     step, item_step = np.diff(est_trial), np.diff(est_item)
@@ -621,6 +645,31 @@ def block_constructor_calls(draw):
     return name, (n, d, gamma_or_rho, epsilon)
 
 
+class TestComaBatchAgreesWithTheCountingLoop:
+    @given(st.integers(1, 30), st.lists(st.sets(st.integers(0, 29)), max_size=12),
+           st.sampled_from([1, 2, 63, 64, 65, 128, 129, 130]),
+           st.sampled_from([0.05, 0.3, 0.7]), st.integers(0, 2**32 - 1))
+    # items 2 and 3 are in no test
+    @example(4, [{0, 1}, {1}], 129, 0.3, 0)
+    @settings(max_examples=200, deadline=None)
+    def test_same_estimate_row_by_row(self, n, rows, num_trials, rate, seed):
+        """A batch of one word, and of up to three with the last one
+        partial: random rows at ``rate`` and, in every other trial, the
+        outcome of two defectives; trial 0 has every test positive, and
+        the trials at both ends of each word boundary and the last trial
+        none. Items past the largest index in a row are in no test."""
+        matrix = TestMatrix(rows=[sorted(i for i in row if i < n) for row in rows], num_items=n)
+        rng = np.random.default_rng(seed)
+        bits = rng.random((num_trials, matrix.num_tests)) < rate
+        for row in bits[1::2]:
+            row |= evaluate(matrix, DefectiveSet(rng.choice(n, min(n, 2), replace=False), n)).bits
+        bits[63::64] = bits[64::64] = False
+        if num_trials > 1:
+            bits[-1] = False
+        bits[0] = True
+        _assert_same_batch_decoding(make_plan(matrix, "coma"), ref.ComaPlan(matrix), bits)
+
+
 class TestBlockConstructorsAgreeWithLoops:
     @given(block_constructor_calls())
     @example(("block_hypergrid_design", (7, 3, 2, 0.5)))  # seven blocks of size 1
@@ -751,6 +800,29 @@ class TestBatchHarnessAgreesWithTheTrialLoop:
         assert got == want
         assert all(type(v) is int for v in got)
 
+    @pytest.mark.parametrize("batch", [1, 64, 65, 130])
+    @pytest.mark.parametrize("count", [63, 64, 65, 129])
+    @pytest.mark.parametrize("run", ["coma", "coma-untested", "majority", "majority-noisy"])
+    def test_same_counts_across_64_trial_words(self, run, count, batch):
+        """COMA and majority plans check a word of 64 trials at once: trial
+        counts and batches on both sides of one and two words, with partial
+        words at a batch's end, and with items in no test."""
+        base = designs.permuted_block_rho_design(60, 3, 6, 0.5, np.random.default_rng(5))
+        matrix, decoder, d, sigma = {
+            "coma": (base, "coma", 5, 0.0),
+            "coma-untested": (TestMatrix.from_csr(base.indptr, base.indices, 62), "coma", 5, 0.0),
+            "majority": (designs.repeat_design(base, 3), "majority", 6, 0.0),
+            "majority-noisy": (designs.repeat_design(base, 3), "majority", 3, 0.2),
+        }[run]
+        prior = Prior(PRIOR_UNIFORM_EXACT, d)
+        with _batch_size(batch):
+            got = sim._run_trial_range(matrix, make_plan(matrix, decoder), prior, sigma,
+                                       11, 5, count)
+        want = ref.run_trial_range(matrix, ref.PLANS[decoder](matrix), prior, sigma, 11, 5,
+                                   count)
+        assert got == want
+        assert want[0] > 0
+
     @pytest.mark.parametrize("batch", [1, 7, None])
     @given(harness_cases(kinds=("block-hypergrid", "block-binary")), master_seeds,
            st.integers(0, 60), st.integers(0, 45))
@@ -840,7 +912,11 @@ class TestBatchHarnessAgreesWithTheTrialLoop:
             assert ambiguous == list(want[1])
             assert np.array_equal(untested, want[2] if len(want) == 3 else [])
 
-    @given(harness_cases(max_items=12), st.integers(0, 3), st.sampled_from([None, 1, 3, 4]))
+    @given(harness_cases(max_items=12), st.integers(0, 3),
+           st.sampled_from([None, 1, 3, 4, 65, 130]))
+    # 220 sets in batches of more than one word of 64, the last one partial
+    @example((hypergrid_design(12, 2), "coma", None, 0.0), 3, 65)
+    @example((designs.repeat_design(hypergrid_design(12, 2), 3), "majority", None, 0.0), 3, 130)
     @settings(max_examples=100, deadline=None)
     def test_exhaustive_oracle_counts_the_same_errors(self, case, d, batch):
         matrix, decoder, _, _ = case
