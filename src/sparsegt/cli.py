@@ -98,7 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_family_flags(p_sim, optional=True)
     p_sim.add_argument("--design", help="design file (alternative to --family)")
     p_sim.add_argument("--trials", type=int, default=10_000)
-    p_sim.add_argument("--jobs", type=int, default=1)
+    p_sim.add_argument("--jobs", type=int, default=1,
+                       help="worker processes, at most one per processor (default 1)")
     p_sim.add_argument("--k", type=int, help="repetition count for noisy runs")
     p_sim.add_argument(
         "--decoder",

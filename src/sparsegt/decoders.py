@@ -39,6 +39,7 @@ order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -94,8 +95,12 @@ class DecodeResult:
 
 _NO_ITEMS = np.empty(0, dtype=np.int64)
 # trials per uint64 test mask, and the mask bit of each
-_WORD = 64
+_WORD_SHIFT = 6
+_WORD = 1 << _WORD_SHIFT
 _BITS = np.uint64(1) << np.arange(_WORD, dtype=np.uint64)
+# the bytes of each (items, words) array of COMA's dense candidate stage:
+# a slice that stays in a core's cache runs faster than a larger one
+_DENSE_BYTES = 1 << 18
 
 
 class _Plan:
@@ -144,11 +149,25 @@ class ComaPlan(_Plan):
     It checks a word of 64 trials at once. A test's ``uint64`` mask in a
     word has bit b set when the test is positive in trial 64 * word + b, so
     the AND of an item's test masks holds the trials in which it passes.
-    Each tested item is filed under its first test when the plan is built,
-    so a word's candidates are the items filed under its positive tests. An
-    AND with each candidate's second test clears most of them, the third
-    most of the rest, and one ``bitwise_and.reduceat`` the remaining tests
-    of the survivors. A word's work grows with its positive tests, not n.
+    A batch takes one of two candidate stages, by its share of nonzero
+    (word, test) masks; both give the same survivors.
+
+    Sparse, when fewer than half of the masks are nonzero: each tested item
+    is filed under its first test when the plan is built, so a word's
+    candidates are the items filed under its positive tests. An AND with
+    each candidate's second test clears most of them, the third most of the
+    rest, and one ``bitwise_and.reduceat`` the remaining tests of the
+    survivors. A word's work grows with its positive tests, not n.
+
+    Dense, when at least half are: as with tests of rho items, where a
+    trial makes up to a d * rho / n share of the tests positive, nearly
+    every item has a positive first test in every word. The masks are
+    transposed to (T, words), and for a slice of the tested items at a
+    time, each item's first K tests (K the mean column weight rounded up;
+    a lighter item repeats its last test) are ANDed as whole rows.
+    Survivors heavier than K AND their remaining tests as in the sparse
+    stage. The item table is built on the first dense batch, and each
+    slice's arrays stay within about ``_DENSE_BYTES`` whatever n is.
     """
 
     kind = "coma"
@@ -170,38 +189,29 @@ class ComaPlan(_Plan):
         self.second = self.tests[self.col_indptr[self.candidates] + (weight[self.candidates] > 1)]
         self.trial_bytes = matrix.num_tests / 8  # the test masks
 
+    @cached_property
+    def _item_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The dense stage's tested items, and a (K, items) array whose row
+        k holds each item's test k, or its last test where it has no more."""
+        starts, ends = self.col_indptr[:-1], self.col_indptr[1:]
+        tested = np.flatnonzero(ends > starts)
+        starts, ends = starts[tested], ends[tested]
+        rows = -(-self.tests.size // max(1, tested.size))  # K
+        table = self.tests[np.minimum(starts + np.arange(rows)[:, None], ends - 1)]
+        return tested, table.astype(np.min_scalar_type(self.evaluated.num_tests))
+
     def decode_batch(self, trial: np.ndarray, test: np.ndarray, num_trials: int):
         num_tests = self.evaluated.num_tests
         masks = np.zeros((-(-num_trials // _WORD), num_tests), dtype=np.uint64)
         # the pairs are distinct, so adding their bits ORs them
-        np.add.at(masks.reshape(-1), trial // _WORD * num_tests + test, _BITS[trial % _WORD])
+        np.add.at(masks.reshape(-1), (trial >> _WORD_SHIFT) * num_tests + test,
+                  _BITS[trial & (_WORD - 1)])
         return self._decode_masks(masks, num_trials)
 
     def _decode_masks(self, masks: np.ndarray, num_trials: int):
         """Decode the (words, T) test masks of a batch of trials."""
-        found = [(_NO_ITEMS, _NO_ITEMS, _BITS[:0])]  # (first trial of the word, item, mask)
-        for word, mask in enumerate(masks):
-            positive = np.flatnonzero(mask != 0)
-            starts = self.group_ptr[positive]
-            lengths = self.group_ptr[positive + 1] - starts
-            slot = _ragged(starts, lengths)
-            hit = np.repeat(mask[positive], lengths) & mask[self.second[slot]]
-            keep = np.flatnonzero(hit != 0)
-            item, hit = self.candidates[slot[keep]], hit[keep]
-            # the third test (the last one again for an item of weight 2 or
-            # less) clears most of the rest
-            starts, ends = self.col_indptr[item], self.col_indptr[item + 1]
-            hit &= mask[self.tests[np.minimum(starts + 2, ends - 1)]]
-            keep = np.flatnonzero(hit != 0)
-            item, hit, starts, ends = item[keep], hit[keep], starts[keep] + 3, ends[keep]
-            # the tests after the third, one run per survivor that has them
-            more = np.flatnonzero(ends > starts)
-            lengths = ends[more] - starts[more]
-            if more.size:
-                tests = mask[self.tests[_ragged(starts[more], lengths)]]
-                hit[more] &= np.bitwise_and.reduceat(tests, _offsets(lengths)[:-1])
-            found.append((np.full(hit.size, word * _WORD), item, hit))
-        first, item, hit = map(np.concatenate, zip(*found))
+        stage = self._dense_candidates if _mostly_nonzero(masks) else self._sparse_candidates
+        first, item, hit = stage(masks)
         # take the lowest set bit of each mask off until none is left; a
         # power of two converts to float exactly, and frexp reads its exponent
         trials, items = [_NO_ITEMS], [_NO_ITEMS]
@@ -216,6 +226,75 @@ class ComaPlan(_Plan):
             items.append(np.tile(self.untested, num_trials))
         key = np.sort(np.concatenate(trials) * self.num_items + np.concatenate(items))
         return key // self.num_items, key % self.num_items, _NO_ITEMS, _NO_ITEMS
+
+    def _sparse_candidates(self, masks: np.ndarray):
+        """(first trial of the word, item, mask of the trials it passes) of
+        the tested items, word by word from the items filed under each
+        positive test; items that pass no trial of a word may be left out."""
+        found = [(_NO_ITEMS, _NO_ITEMS, _BITS[:0])]
+        for word, mask in enumerate(masks):
+            positive = np.flatnonzero(mask != 0)
+            starts = self.group_ptr[positive]
+            lengths = self.group_ptr[positive + 1] - starts
+            slot = _ragged(starts, lengths)
+            hit = np.repeat(mask[positive], lengths) & mask[self.second[slot]]
+            keep = np.flatnonzero(hit != 0)
+            item, hit = self.candidates[slot[keep]], hit[keep]
+            # the third test (the last one again for an item of weight 2 or
+            # less) clears most of the rest
+            starts, ends = self.col_indptr[item], self.col_indptr[item + 1]
+            hit &= mask[self.tests[np.minimum(starts + 2, ends - 1)]]
+            keep = np.flatnonzero(hit != 0)
+            item, hit = item[keep], hit[keep]
+            # the tests after the third
+            self._and_rest(mask, 0, item, hit, starts[keep] + 3)
+            found.append((np.full(hit.size, word * _WORD), item, hit))
+        return tuple(map(np.concatenate, zip(*found)))
+
+    def _dense_candidates(self, masks: np.ndarray):
+        """What ``_sparse_candidates`` gives, from whole (T, words) rows of
+        the first K tests of a slice of the tested items at a time."""
+        tested, table = self._item_table
+        words, num_tests = masks.shape
+        by_test = np.ascontiguousarray(masks.T)
+        step = max(1, _DENSE_BYTES // (8 * max(1, words)))
+        found = [(_NO_ITEMS, _NO_ITEMS, _BITS[:0])]
+        hits, gathered = np.empty((2, min(step, tested.size), words), dtype=np.uint64)
+        for lo in range(0, tested.size, step):
+            rows = table[:, lo : lo + step]
+            # the tests are in range, and "clip" takes straight into out
+            hit = np.take(by_test, rows[0], axis=0, out=hits[: rows.shape[1]], mode="clip")
+            for test in rows[1:]:
+                hit &= np.take(by_test, test, axis=0, out=gathered[: test.size], mode="clip")
+            flat = hit.reshape(-1)
+            at = np.flatnonzero(flat)
+            hit = flat[at]
+            at, word = lo + at // words, at % words
+            item = tested[at]
+            self._and_rest(masks.reshape(-1), word * num_tests, item, hit,
+                           self.col_indptr[item] + len(table))
+            found.append((word * _WORD, item, hit))
+        return tuple(map(np.concatenate, zip(*found)))
+
+    def _and_rest(self, masks: np.ndarray, offset, item: np.ndarray, hit: np.ndarray,
+                  starts: np.ndarray) -> None:
+        """AND into ``hit`` the masks of each item's tests from position
+        ``starts`` of its column on, one run per item that has them, where
+        an item's mask of test t is ``masks[offset + t]`` (``offset`` one
+        value, or one per item)."""
+        ends = self.col_indptr[item + 1]
+        more = np.flatnonzero(ends > starts)
+        if more.size:
+            lengths = ends[more] - starts[more]
+            at = self.tests[_ragged(starts[more], lengths)]
+            at += np.repeat(np.broadcast_to(offset, item.shape)[more], lengths)
+            hit[more] &= np.bitwise_and.reduceat(masks[at], _offsets(lengths)[:-1])
+
+
+def _mostly_nonzero(masks: np.ndarray) -> bool:
+    """Whether at least half of a batch's (word, test) masks are nonzero,
+    where COMA takes its dense candidate stage."""
+    return 2 * np.count_nonzero(masks) >= masks.size
 
 
 class BlockPlan(_Plan):

@@ -105,6 +105,34 @@ class TestComa:
         assert peak < 256 * 1024
 
 
+    @pytest.mark.parametrize("n", [50_000, 200_000])
+    def test_dense_stage_allocates_in_slices(self, n):
+        """Every test fires in every word, so the batch takes the dense
+        candidate stage, yet no item passes: test t fires in trial t % 64
+        of each word, and item i is in tests i % 128 and (i + 1) % 128.
+        One (items, words) array over all n items would take 64 n bytes
+        here (12.8 MB at n = 2 * 10**5); the stage takes a slice of the
+        items at a time, and its item table is built beforehand."""
+        num_tests, words = 128, 8
+        item = np.arange(n)
+        tests = np.stack([item % num_tests, (item + 1) % num_tests], axis=1).reshape(-1)
+        order = np.argsort(tests, kind="stable")
+        indptr = np.searchsorted(tests[order], np.arange(num_tests + 1))
+        matrix = TestMatrix.from_csr(indptr, np.repeat(item, 2)[order], n)
+        plan = make_plan(matrix, "coma")
+        masks = np.tile(np.uint64(1) << (np.arange(num_tests, dtype=np.uint64) % 64), (words, 1))
+        plan._item_table
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            trial, estimate, _, _ = plan._decode_masks(masks, 64 * words)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trial.size == estimate.size == 0
+        assert peak < 1 << 20
+
+
 class TestHypergridDecode:
     def test_reads_single_defective_off_digits(self):
         res = hypergrid_block_decode(GRID9, outcome_of(GRID9, {5}))

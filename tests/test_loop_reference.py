@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import loop_reference as ref
-from sparsegt import core, designs, sim
+from sparsegt import core, decoders, designs, sim
 from sparsegt.core import (
     PRIOR_IID_BERNOULLI,
     PRIOR_UNIFORM_EXACT,
@@ -645,12 +645,30 @@ def block_constructor_calls(draw):
     return name, (n, d, gamma_or_rho, epsilon)
 
 
+@st.composite
+def coma_columns(draw):
+    """(T, the tests of each item): an empty set leaves the item untested,
+    and the weights vary, so some items are lighter than the mean column
+    weight rounded up and some heavier."""
+    num_tests = draw(st.integers(1, 12))
+    return num_tests, draw(st.lists(st.sets(st.integers(0, num_tests - 1)),
+                                    min_size=1, max_size=20))
+
+
+# the rate at which each kind of word sets a (trial, test) bit
+_WORD_RATES = {"none": 0.0, "sparse": 0.02, "dense": 0.5, "all": 1.0}
+
+
 class TestComaBatchAgreesWithTheCountingLoop:
     @given(st.integers(1, 30), st.lists(st.sets(st.integers(0, 29)), max_size=12),
            st.sampled_from([1, 2, 63, 64, 65, 128, 129, 130]),
            st.sampled_from([0.05, 0.3, 0.7]), st.integers(0, 2**32 - 1))
     # items 2 and 3 are in no test
     @example(4, [{0, 1}, {1}], 129, 0.3, 0)
+    # every mask is nonzero, so the dense candidate stage decodes; items 0
+    # and 1 (weight 5) are heavier than K = 3
+    @example(12, [set(range(12)), set(range(0, 12, 2)), {0, 1, 5}, {0, 1, 9}, {0, 1},
+                  {1, 2, 3, 4, 5}], 130, 0.7, 3)
     @settings(max_examples=200, deadline=None)
     def test_same_estimate_row_by_row(self, n, rows, num_trials, rate, seed):
         """A batch of one word, and of up to three with the last one
@@ -668,6 +686,41 @@ class TestComaBatchAgreesWithTheCountingLoop:
             bits[-1] = False
         bits[0] = True
         _assert_same_batch_decoding(make_plan(matrix, "coma"), ref.ComaPlan(matrix), bits)
+
+    @given(coma_columns(), st.lists(st.sampled_from(sorted(_WORD_RATES)), min_size=1, max_size=3),
+           st.integers(0, 63), st.integers(0, 2**32 - 1))
+    # untested, weight 1 and 2, and weight 6 > K = 3; a word where every
+    # test fires, one where none does, and a random one
+    @example((7, [set(), {0}, {1, 2}, {0, 1, 2, 3, 4, 5}, {2, 6}]), ["all", "none", "dense"], 5, 0)
+    @example((3, [{0, 1, 2}, {2}]), ["all"], 0, 1)
+    @settings(max_examples=200, deadline=None)
+    def test_both_candidate_stages_agree(self, columns, kinds, short, seed):
+        """The (words, T) masks of one to three words, each of a kind in
+        ``_WORD_RATES``, decode to the same pairs through the dense and the
+        sparse candidate stage, whichever the batch would select, and to
+        the counting loop's estimate row by row. The last word holds
+        64 - ``short`` trials."""
+        num_tests, tests = columns
+        rows = [[i for i, col in enumerate(tests) if t in col] for t in range(num_tests)]
+        matrix = TestMatrix(rows=rows, num_items=len(tests))
+        rng = np.random.default_rng(seed)
+        rates = np.repeat([_WORD_RATES[kind] for kind in kinds], 64)
+        bits = rng.random((rates.size, num_tests)) < rates[:, None]
+        num_trials = rates.size - short
+        bits[num_trials:] = False
+        packed = np.packbits(bits.reshape(-1, 64, num_tests), axis=1, bitorder="little")
+        masks = np.ascontiguousarray(packed.transpose(0, 2, 1)).view("<u8")[..., 0]
+        plan = make_plan(matrix, "coma")
+        decoded = {}
+        for dense in (True, False):
+            with mock.patch.object(decoders, "_mostly_nonzero", return_value=dense):
+                decoded[dense] = plan._decode_masks(masks, num_trials)
+        for got, want in zip(decoded[True], decoded[False]):
+            assert np.array_equal(got, want)
+        est_trial, est_item = decoded[True][:2]
+        reference = ref.ComaPlan(matrix)
+        for row in range(num_trials):
+            assert np.array_equal(est_item[est_trial == row], reference.decode_bits(bits[row])[0])
 
 
 class TestBlockConstructorsAgreeWithLoops:
@@ -993,6 +1046,10 @@ class TestReplicaAgreesWithDefaultRng:
     @example(0, 0, 30, (12, 12), 40)
     @example(2**70, 7, 30, (1, 1), 1)
     @example(5, 0, 10, (7, 0), 3)
+    # 38 draws repeat an earlier one below n - d, 8 an earlier step's kept j
+    @example(0, 0, 30, (20, 10), 7)
+    # 3 draws repeat a kept j; 8 of the 30 rows draw no j and no repeat
+    @example(3, 0, 30, (30, 6), 40)
     @settings(max_examples=200, deadline=None)
     def test_same_sorted_sets(self, seed, first, count, case, batch):
         """Every unflagged trial is the contract's draw; after the redraw of
@@ -1009,6 +1066,35 @@ class TestReplicaAgreesWithDefaultRng:
         assert all(b[3] is None for b in batches)
         got = np.concatenate([items.reshape(num, d) for _, items, num, _ in batches])
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed, n, d, odd_share", [(42, 10_000, 10, (0.005, 0.015)),
+                                                       (7, 10_000, 10, (0.005, 0.015)),
+                                                       (0, 20, 10, (1.0, 1.0)),
+                                                       (3, 30, 6, (0.5, 0.9))])
+    def test_only_odd_rows_are_replayed(self, seed, n, d, odd_share):
+        """A row of distinct draws below n - d is its own sorted set, so only
+        the others, which repeat a draw or draw n - d or more, reach the
+        collision replay: those whose set reaches n - d, since every draw
+        and every kept j is in the set. On the desk case (10**4, 10) that
+        is about 1 % of a chunk."""
+        count = sim._draw_chunk(d)
+        replayed = []
+
+        def replay(draws, n, d):
+            picks = real(draws, n, d)
+            replayed.append((draws, picks))
+            return picks
+
+        real = sim._floyd_replay
+        with mock.patch.object(sim, "_floyd_replay", replay):
+            picks, _ = sim._floyd_draws(_states(seed, 0, count), n, d)
+        [(draws, replay_picks)] = replayed
+        odd = picks[:, -1] >= n - d
+        assert np.array_equal(replay_picks, picks[odd])
+        ranked = np.sort(draws, axis=1)
+        assert np.all((ranked[:, -1] >= n - d) | (ranked[:, 1:] == ranked[:, :-1]).any(axis=1))
+        low, high = odd_share
+        assert low <= odd.mean() <= high
 
     @given(st.integers(0, 2**70), st.integers(0, 2**40), st.integers(1, 6),
            floyd_cases() | tail_shuffle_cases(), st.integers(0, 40))

@@ -1,6 +1,7 @@
 """Monte Carlo harness, trial seeding, Wilson intervals, exact oracles."""
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -110,6 +111,37 @@ class TestRunMonteCarlo:
         assert r1.errors == r3.errors
         assert r1.breakdown == r3.breakdown
         assert r1.error_rate == r3.error_rate
+
+    @pytest.mark.parametrize("processors, workers", [(3, 3), (None, 0)])
+    def test_pool_gets_at_most_one_worker_per_processor(self, processors, workers):
+        """``--jobs 100000`` asks for far more workers than processors; a
+        fork-started pool would fork them all at its first submit. The pool
+        gets one per processor (none on a machine whose count is unknown,
+        which runs in-process), and the counts are those of one worker. The
+        pool is a stand-in that runs its calls in-process, so no process
+        starts."""
+        pools = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *args):
+                return map(fn, *args)
+
+        with mock.patch.object(sim, "ProcessPoolExecutor", InProcessPool), \
+                mock.patch("os.cpu_count", return_value=processors):
+            many = run_monte_carlo(GRID9, "coma",
+                                   config(9, 2, 1000, seed=5, jobs=100_000, epsilon=0.4, gamma=2))
+        one = run_monte_carlo(GRID9, "coma", config(9, 2, 1000, seed=5, epsilon=0.4, gamma=2))
+        assert pools == ([workers] if workers else [])
+        assert (many.errors, many.breakdown) == (one.errors, one.breakdown)
 
     def test_rate_matches_exhaustive_on_small_instance(self):
         exact = float(exhaustive_error_probability(GRID9, "coma", 2))
