@@ -366,7 +366,9 @@ def _cmd_oracle(args: argparse.Namespace, echo: str) -> int:
         print(f"map_error={error:.6g}")
         col_weights = matrix.column_weights()
         gamma = int(col_weights.max()) if matrix.num_items else 0
-        if gamma >= 1:
+        # the floor needs a defective and a tested item; without either, the
+        # MAP error alone is the answer
+        if gamma >= 1 and args.d >= 1:
             floor_report = bounds_mod.noisy_gamma_error_floor(args.d, gamma, args.sigma)
             floor = floor_report.floor or 0.0
             if 2 * args.d >= matrix.num_items:

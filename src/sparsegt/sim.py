@@ -9,12 +9,12 @@ trial range across workers reproduces the sequential result bit for bit.
 The harness draws those trials in one pipeline. For each chunk of
 thousands of trials it computes in numpy the trial seeds and the ``PCG64``
 states that NumPy's ``SeedSequence`` seeding gives them. For noiseless
-trials under the uniform prior, where ``Generator.choice(n, d,
-replace=False)`` takes Floyd's branch, it replays that sampler on the whole
-chunk from those states, and only a trial whose draws may have hit a
-rejection is drawn by a generator. Every other trial (noisy runs, the iid
-prior, the tail-shuffle branch of ``choice``) is drawn in trial order by one
-reused ``PCG64`` set to its state. The replica is checked against
+trials of at most 100 defectives under the uniform prior, it replays on the
+whole chunk from those states the Floyd sampler behind
+``Generator.choice(n, d, replace=False)``, and only a trial whose draws may
+have hit a rejection is drawn by a generator. Every other trial (noisy runs,
+the iid prior, d > 100) is drawn in trial order by one reused ``PCG64`` set
+to its state. The replica is checked against
 ``default_rng`` once per process; on a mismatch every trial gets its own
 ``default_rng``. The results are identical either way. The harness then
 evaluates a batch of trials to the (trial, test) pairs of its positive
@@ -284,10 +284,10 @@ def _floyd_draws(states: tuple[np.ndarray, ...], n: int,
     where every set holds all n items. The shuffle that follows does not
     change the sorted set, and a noiseless trial draws nothing after it.
 
-    A row of distinct draws all below n - d keeps every draw, so its sorted
-    draws are its set. Each row is sorted first, and only the others, with a
-    repeated draw or one at or above n - d (about 1 % of rows at n = 10**4,
-    d = 10), go through ``_floyd_replay``.
+    A step keeps its j only when its draw is already taken. In a row of
+    distinct draws no step does, as every earlier pick is an earlier draw,
+    so each row is sorted first, and only the rows with a repeated draw
+    (about 0.5 % at n = 10**4, d = 10) go through ``_floyd_replay``.
     """
     hi, lo, inc_hi, inc_lo = states
     count = hi.size
@@ -303,12 +303,7 @@ def _floyd_draws(states: tuple[np.ndarray, ...], n: int,
     flagged = _rows_with((scaled & _LOW32) < bound)
     draws = (scaled >> 32).astype(np.int64)
     picks = np.sort(draws, axis=1)
-    # cell k - 1 of a row marks sorted draw k repeating draw k - 1, and
-    # cell d - 1 the largest draw reaching n - d
-    odd = np.empty(picks.shape, dtype=bool)
-    np.equal(picks[:, 1:], picks[:, :-1], out=odd[:, :-1])
-    np.greater_equal(picks[:, -1:], n - d, out=odd[:, -1:])
-    rows = np.flatnonzero(_rows_with(odd))
+    rows = np.flatnonzero(_rows_with(picks[:, 1:] == picks[:, :-1]))
     picks[rows] = _floyd_replay(draws[rows], n, d)
     return picks, flagged
 
@@ -323,37 +318,32 @@ def _rows_with(cells: np.ndarray) -> np.ndarray:
 
 def _floyd_replay(draws: np.ndarray, n: int, d: int) -> np.ndarray:
     """Floyd's sets, sorted, of the (rows, d) int64 draws v_k of
-    ``_floyd_draws``: every draw ends up in the set, so a draw is taken when
-    it equals an earlier draw, or the j of an earlier step that kept its j,
-    and then the step keeps its own j."""
-    order = np.argsort(draws, axis=1, kind="stable")
-    ranked = np.take_along_axis(draws, order, axis=1)
-    kept_j = np.zeros(draws.shape, dtype=bool)
-    np.put_along_axis(kept_j, order[:, 1:], ranked[:, 1:] == ranked[:, :-1], axis=1)
-    step = draws - (n - d)  # the step whose j a draw equals, where >= 0
-    lanes = np.flatnonzero((step >= 0).any(axis=1))
-    kept, step, rows = kept_j[lanes], step[lanes], np.arange(lanes.size)
-    for k in range(d):
-        kept[:, k] |= (step[:, k] >= 0) & kept[rows, np.maximum(step[:, k], 0)]
-    kept_j[lanes] = kept
-    picks = np.where(kept_j, np.arange(n - d, n), draws)
+    ``_floyd_draws``, step by step as the sampler runs: step k keeps its
+    draw, or its j = n - d + k when the draw is already taken."""
+    picks = draws.copy()
+    for k in range(1, d):
+        taken = (picks[:, :k] == picks[:, k : k + 1]).any(axis=1)
+        picks[taken, k] = n - d + k
     picks.sort(axis=1)
     return picks
 
 
 def _replica_covers(prior: Prior, n: int, sigma: float) -> bool:
     """Whether ``_floyd_draws`` covers a run's draws: noiseless, under the
-    uniform prior, where ``choice`` takes Floyd's branch (its tail shuffle
-    serves n > 10**4 with d > n // 50) and every bound j + 1 fits 32 bits."""
+    uniform prior, with every bound j + 1 within 32 bits and at most 100
+    draws per trial. The replica's cost grows faster with d than a
+    generator's: at d = 2000 it draws 20 times slower. Under the cap
+    ``choice`` always takes Floyd's branch."""
     return (sigma == 0.0 and prior.kind == PRIOR_UNIFORM_EXACT and n <= _LOW32
-            and not (n > 10_000 and prior.d > n // 50))
+            and prior.d <= 100)
 
 
 # (master seed, n, d) cases on which the replica must reproduce default_rng:
-# a master seed above 2**64, collisions at d = n, a seed below 2**32, and
-# n near 2**31, where most draws are flagged
+# a master seed above 2**64, collisions at d = n, a seed below 2**32, n near
+# 2**31, where most draws are flagged, and d = n / 2, where 15 of 16 rows
+# repeat a draw and replay to a set other than their sorted draws
 _REPLICA_CASES = ((2**64 + 42, 10_000, 10), (7, 12, 12), (2**32 - 1, 50, 3),
-                  (42, 2**31 - 1, 2))
+                  (42, 2**31 - 1, 2), (0, 20, 10))
 _REPLICA_CASE_TRIALS = 16
 
 

@@ -369,6 +369,17 @@ class TestOracleCommand:
         assert code == 0
         assert any(line.endswith("floor_check=n/a") for line in out)
 
+    def test_noisy_oracle_without_defectives_skips_the_floor(self, capsys):
+        # the floor needs d >= 1, as it needs a tested item; the bounds
+        # command still refuses d = 0
+        code, out, err = run(capsys, "oracle", "--design", "fig1", "--d", "0", "--sigma", "0.1")
+        assert (code, err) == (0, "")
+        assert out[1:] == ["map_error=0"]
+        code, _, err = run(capsys, "bounds", "--theorem", "noisy", "--d", "0", "--gamma", "2",
+                           "--sigma", "0.1")
+        assert code == 1
+        assert "requires d >= 1" in err
+
     def test_confusable_groups_above_the_listing_cap_not_listed(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_LIST_CAP", 10)
         code, out, _ = run(capsys, "oracle", "--design", "fig1", "--d", "2")

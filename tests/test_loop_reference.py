@@ -1014,6 +1014,19 @@ def _states(seed, first, count):
     return sim._pcg64_states(sim._trial_seeds(seed, first, count))
 
 
+def _first_draws(seed, first, count, n, d):
+    """Floyd's draws v_k = u_k * (j_k + 1) >> 32, with j_k = n - d + k and
+    u_k the trial's first d 32-bit halves (low half first) of
+    ``PCG64.random_raw``, before any rejection."""
+    bound = np.arange(n - d, n, dtype=np.uint64) + 1
+    draws = np.empty((count, d), dtype=np.int64)
+    for row, t in enumerate(range(first, first + count)):
+        raw = np.random.PCG64(sim.derive_trial_seed(seed, t)).random_raw((d + 1) // 2)
+        halves = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).reshape(-1)[:d]
+        draws[row] = halves * bound >> 32
+    return draws
+
+
 def _contract_draw(seed, trial, n, d):
     rng = np.random.default_rng(sim.derive_trial_seed(seed, trial))
     return np.sort(rng.choice(n, size=d, replace=False))
@@ -1046,9 +1059,10 @@ class TestReplicaAgreesWithDefaultRng:
     @example(0, 0, 30, (12, 12), 40)
     @example(2**70, 7, 30, (1, 1), 1)
     @example(5, 0, 10, (7, 0), 3)
-    # 38 draws repeat an earlier one below n - d, 8 an earlier step's kept j
+    # 28 of the 30 rows repeat a draw; 8 draws are taken by an earlier step's j
     @example(0, 0, 30, (20, 10), 7)
-    # 3 draws repeat a kept j; 8 of the 30 rows draw no j and no repeat
+    # 10 rows repeat a draw and 3 draws are taken by an earlier step's j;
+    # 12 rows of distinct draws reach n - d
     @example(3, 0, 30, (30, 6), 40)
     @settings(max_examples=200, deadline=None)
     def test_same_sorted_sets(self, seed, first, count, case, batch):
@@ -1067,34 +1081,45 @@ class TestReplicaAgreesWithDefaultRng:
         got = np.concatenate([items.reshape(num, d) for _, items, num, _ in batches])
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("seed, n, d, odd_share", [(42, 10_000, 10, (0.005, 0.015)),
-                                                       (7, 10_000, 10, (0.005, 0.015)),
-                                                       (0, 20, 10, (1.0, 1.0)),
-                                                       (3, 30, 6, (0.5, 0.9))])
-    def test_only_odd_rows_are_replayed(self, seed, n, d, odd_share):
-        """A row of distinct draws below n - d is its own sorted set, so only
-        the others, which repeat a draw or draw n - d or more, reach the
-        collision replay: those whose set reaches n - d, since every draw
-        and every kept j is in the set. On the desk case (10**4, 10) that
-        is about 1 % of a chunk."""
+    @given(st.integers(0, 2**70), st.integers(0, 2**40), st.integers(1, 40), floyd_cases())
+    @example(0, 0, 30, (20, 10))
+    @example(3, 0, 30, (30, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_distinct_draws_are_the_set(self, seed, first, count, case):
+        """An unflagged row of distinct draws is the contract's set, also
+        where its draws reach n - d: no step keeps its j."""
+        n, d = case
+        draws = _first_draws(seed, first, count, n, d)
+        flagged = sim._floyd_draws(_states(seed, first, count), n, d)[1]
+        ranked = np.sort(draws, axis=1)
+        for t, row in enumerate(ranked):
+            if not flagged[t] and np.all(row[1:] != row[:-1]):
+                assert np.array_equal(row, _contract_draw(seed, first + t, n, d))
+
+    @pytest.mark.parametrize("seed, n, d, share", [(42, 10_000, 10, (0.003, 0.006)),
+                                                   (7, 10_000, 10, (0.003, 0.006)),
+                                                   (0, 20, 10, (0.9, 1.0)),
+                                                   (3, 30, 6, (0.3, 0.6))])
+    def test_only_rows_with_a_repeated_draw_are_replayed(self, seed, n, d, share):
+        """Every other row is its own sorted set. On the desk case
+        (10**4, 10) that leaves about 0.5 % of a chunk to replay."""
         count = sim._draw_chunk(d)
         replayed = []
 
         def replay(draws, n, d):
-            picks = real(draws, n, d)
-            replayed.append((draws, picks))
-            return picks
+            replayed.append(draws)
+            return real(draws, n, d)
 
         real = sim._floyd_replay
         with mock.patch.object(sim, "_floyd_replay", replay):
             picks, _ = sim._floyd_draws(_states(seed, 0, count), n, d)
-        [(draws, replay_picks)] = replayed
-        odd = picks[:, -1] >= n - d
-        assert np.array_equal(replay_picks, picks[odd])
+        draws = _first_draws(seed, 0, count, n, d)
         ranked = np.sort(draws, axis=1)
-        assert np.all((ranked[:, -1] >= n - d) | (ranked[:, 1:] == ranked[:, :-1]).any(axis=1))
-        low, high = odd_share
-        assert low <= odd.mean() <= high
+        repeats = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
+        assert len(replayed) == 1 and np.array_equal(replayed[0], draws[repeats])
+        assert np.array_equal(picks[~repeats], ranked[~repeats])
+        low, high = share
+        assert low <= repeats.mean() <= high
 
     @given(st.integers(0, 2**70), st.integers(0, 2**40), st.integers(1, 6),
            floyd_cases() | tail_shuffle_cases(), st.integers(0, 40))
@@ -1143,16 +1168,42 @@ class TestReplicaAgreesWithDefaultRng:
             got = sim._trial_seeds(seed, 1000, 50).tolist()
             assert got == [sim.derive_trial_seed(seed, t) for t in range(1000, 1050)]
 
-    @pytest.mark.parametrize("n, d", [(10_000, 10_000), (10_001, 200), (10_001, 201),
-                                      (10**5, 2000), (10**5, 2001)])
-    def test_covers_exactly_the_floyd_branch(self, n, d):
-        """Beyond n = 10**4, ``choice`` samples d > n // 50 items by a tail
-        shuffle, which the replica does not reproduce."""
-        covered = sim._replica_covers(Prior(PRIOR_UNIFORM_EXACT, d), n, 0.0)
-        picks, flagged = sim._floyd_draws(_states(3, 0, 4), n, d)
-        same = [np.array_equal(picks[t], _contract_draw(3, t, n, d))
-                for t in range(4) if not flagged[t]]
-        assert same and covered == all(same)
+    @pytest.mark.parametrize("n", [10_000, 10**5])
+    def test_covers_at_most_100_draws(self, n):
+        """The replica reproduces 100 draws; a run of 101 is drawn by
+        generators and never reaches it."""
+        covered = [sim._replica_covers(Prior(PRIOR_UNIFORM_EXACT, d), n, 0.0) for d in (100, 101)]
+        assert covered == [True, False]
+        picks, flagged = sim._floyd_draws(_states(3, 0, 4), n, 100)
+        assert not flagged.all()
+        for t in np.flatnonzero(~flagged).tolist():
+            assert np.array_equal(picks[t], _contract_draw(3, t, n, 100))
+        prior = Prior(PRIOR_UNIFORM_EXACT, 101)
+        with mock.patch.object(sim, "_floyd_draws", side_effect=AssertionError):
+            batches = list(sim._trial_batches(n, 0, prior, 0.0, 3, 0, 6, 4))
+        got = np.concatenate([items.reshape(num, 101) for _, items, num, _ in batches])
+        assert np.array_equal(got, [_contract_draw(3, t, n, 101) for t in range(6)])
+
+    def test_check_refuses_a_wrong_replay_free_of_duplicates(self):
+        """At d = n any replay free of duplicates gives the right set, so
+        the check needs a case with d < n where most rows repeat a draw. A
+        replay that takes the lowest free item in place of j fails it."""
+        def lowest_free(draws, n, d):
+            picks = draws.copy()
+            for row in picks:
+                for k in range(1, d):
+                    if row[k] in row[:k]:
+                        row[k] = min(set(range(n)) - set(row[:k].tolist()))
+            picks.sort(axis=1)
+            return picks
+
+        sim._replica_matches.cache_clear()
+        try:
+            with mock.patch.object(sim, "_floyd_replay", lowest_free):
+                assert not sim._replica_matches()
+        finally:
+            sim._replica_matches.cache_clear()
+        assert sim._replica_matches()
 
     def test_check_passes_on_this_numpy(self):
         assert sim._replica_matches()
