@@ -100,7 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--trials", type=int, default=10_000)
     p_sim.add_argument("--jobs", type=int, default=1,
                        help="worker processes, at most one per processor (default 1)")
-    p_sim.add_argument("--k", type=int, help="repetition count for noisy runs")
+    p_sim.add_argument("--k", type=int,
+                       help="repeat count of the design that runs (repeats a design that is not)")
     p_sim.add_argument(
         "--decoder",
         default="auto",
@@ -235,19 +236,22 @@ def _cmd_simulate(args: argparse.Namespace, echo: str) -> int:
         matrix = _construct(args)
     else:
         raise _UsageError("simulate needs --design or --family")
-    if args.k is not None and args.k < 1:
-        raise _UsageError("--k must be >= 1")
     sigma = args.sigma
-    if sigma is not None and sigma > 0.0:
-        if matrix.design_tag != TAG_REPEATED:
-            if args.k is None:
-                raise _UsageError(
-                    "noisy simulation needs a repeated design: pass --k "
-                    "or load a design with a repetition header"
-                )
+    # --k is the repeat count of the design that runs
+    if args.k is not None:
+        if args.k < 1:
+            raise _UsageError("--k must be >= 1")
+        if matrix.repeat_k == 1:
             matrix = repeat_design(matrix, args.k)
-    elif args.k is not None and args.k > 1:
-        matrix = repeat_design(matrix, args.k)
+        elif args.k != matrix.repeat_k:
+            raise _UsageError(
+                f"--k {args.k} differs from the design's repeat count k={matrix.repeat_k}"
+            )
+    elif sigma is not None and sigma > 0.0 and matrix.design_tag != TAG_REPEATED:
+        raise _UsageError(
+            "noisy simulation needs a repeated design: pass --k "
+            "or load a design with a repetition header"
+        )
 
     (d,) = _require(args, ["d"], "simulate")
     prior_kind = PRIOR_UNIFORM_EXACT if args.prior == "exact" else PRIOR_IID_BERNOULLI

@@ -497,8 +497,10 @@ class DesignParams:
             raise InvalidParameterError("rho must be >= 1")
         if self.sigma is not None and not 0.0 <= self.sigma < 0.5:
             raise InvalidParameterError("sigma must lie in [0, 1/2)")
-        if self.zeta is not None and self.zeta <= 0.0:
+        if self.zeta is not None and not self.zeta > 0.0:
             raise InvalidParameterError("zeta must be > 0")
+        if self.zeta is not None and math.isinf(self.zeta):
+            raise InvalidParameterError("zeta must be finite")
 
     @property
     def alpha(self) -> float:

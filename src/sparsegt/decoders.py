@@ -39,7 +39,6 @@ order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -149,25 +148,28 @@ class ComaPlan(_Plan):
     It checks a word of 64 trials at once. A test's ``uint64`` mask in a
     word has bit b set when the test is positive in trial 64 * word + b, so
     the AND of an item's test masks holds the trials in which it passes.
-    A batch takes one of two candidate stages, by its share of nonzero
-    (word, test) masks; both give the same survivors.
 
-    Sparse, when fewer than half of the masks are nonzero: each tested item
-    is filed under its first test when the plan is built, so a word's
-    candidates are the items filed under its positive tests. An AND with
-    each candidate's second test clears most of them, the third most of the
-    rest, and one ``bitwise_and.reduceat`` the remaining tests of the
-    survivors. A word's work grows with its positive tests, not n.
+    The plan files each tested item under its first test (``candidates``,
+    in filing order, with ``group_ptr`` the offsets of each test's run) and
+    keeps one (K, items) ``table`` of the candidates' first K tests, K the
+    mean column weight rounded up (at least 1): row k holds each
+    candidate's test k, or its last test where it has no more. A batch
+    takes one of two candidate stages, by its share of nonzero (word, test)
+    masks; both read the table, AND the remaining tests of their survivors
+    with one ``bitwise_and.reduceat``, and give the same survivors.
+
+    Sparse, when fewer than half of the masks are nonzero: a word's
+    candidates are the items filed under its positive tests. Each table row
+    after the first clears most of those left, and the cleared ones are
+    dropped before the next. A word's work grows with its positive tests,
+    not n.
 
     Dense, when at least half are: as with tests of rho items, where a
     trial makes up to a d * rho / n share of the tests positive, nearly
     every item has a positive first test in every word. The masks are
-    transposed to (T, words), and for a slice of the tested items at a
-    time, each item's first K tests (K the mean column weight rounded up;
-    a lighter item repeats its last test) are ANDed as whole rows.
-    Survivors heavier than K AND their remaining tests as in the sparse
-    stage. The item table is built on the first dense batch, and each
-    slice's arrays stay within about ``_DENSE_BYTES`` whatever n is.
+    transposed to (T, words), and for a slice of the candidates at a time
+    the table's rows are ANDed as whole (items, words) rows. Each slice's
+    arrays stay within about ``_DENSE_BYTES`` whatever n is.
     """
 
     kind = "coma"
@@ -180,25 +182,20 @@ class ComaPlan(_Plan):
         weight = matrix.column_weights()
         self.untested = np.flatnonzero(weight == 0)
         tested = np.flatnonzero(weight)
-        first = self.tests[self.col_indptr[tested]]
-        # a stable sort on a dtype of at most 16 bits is a radix sort
-        order = np.argsort(first.astype(np.min_scalar_type(matrix.num_tests)), kind="stable")
+        starts, last = self.col_indptr[tested], self.col_indptr[tested + 1] - 1
+        # a stable sort on a dtype of at most 16 bits is a radix sort; the
+        # table is taken from the same narrow copy a row at a time (one
+        # (K, items) int64 index would peak higher), each row gathered in
+        # item order and then put in filing order
+        narrow = self.tests.astype(np.min_scalar_type(matrix.num_tests))
+        order = np.argsort(narrow[starts], kind="stable")
         self.candidates = tested[order]
-        self.group_ptr = _offsets(np.bincount(first, minlength=matrix.num_tests))
-        # an item of weight 1 has its first test again as its second
-        self.second = self.tests[self.col_indptr[self.candidates] + (weight[self.candidates] > 1)]
+        rows = max(1, -(-self.tests.size // max(1, tested.size)))  # K
+        self.table = np.empty((rows, tested.size), dtype=narrow.dtype)
+        for k, row in enumerate(self.table):
+            np.take(narrow[np.minimum(starts + k, last)], order, out=row)
+        self.group_ptr = _offsets(np.bincount(self.table[0], minlength=matrix.num_tests))
         self.trial_bytes = matrix.num_tests / 8  # the test masks
-
-    @cached_property
-    def _item_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """The dense stage's tested items, and a (K, items) array whose row
-        k holds each item's test k, or its last test where it has no more."""
-        starts, ends = self.col_indptr[:-1], self.col_indptr[1:]
-        tested = np.flatnonzero(ends > starts)
-        starts, ends = starts[tested], ends[tested]
-        rows = -(-self.tests.size // max(1, tested.size))  # K
-        table = self.tests[np.minimum(starts + np.arange(rows)[:, None], ends - 1)]
-        return tested, table.astype(np.min_scalar_type(self.evaluated.num_tests))
 
     def decode_batch(self, trial: np.ndarray, test: np.ndarray, num_trials: int):
         num_tests = self.evaluated.num_tests
@@ -237,31 +234,27 @@ class ComaPlan(_Plan):
             starts = self.group_ptr[positive]
             lengths = self.group_ptr[positive + 1] - starts
             slot = _ragged(starts, lengths)
-            hit = np.repeat(mask[positive], lengths) & mask[self.second[slot]]
-            keep = np.flatnonzero(hit != 0)
-            item, hit = self.candidates[slot[keep]], hit[keep]
-            # the third test (the last one again for an item of weight 2 or
-            # less) clears most of the rest
-            starts, ends = self.col_indptr[item], self.col_indptr[item + 1]
-            hit &= mask[self.tests[np.minimum(starts + 2, ends - 1)]]
-            keep = np.flatnonzero(hit != 0)
-            item, hit = item[keep], hit[keep]
-            # the tests after the third
-            self._and_rest(mask, 0, item, hit, starts[keep] + 3)
+            hit = np.repeat(mask[positive], lengths)
+            for row in self.table[1:]:
+                hit &= mask[row[slot]]
+                keep = np.flatnonzero(hit != 0)
+                slot, hit = slot[keep], hit[keep]
+            item = self.candidates[slot]
+            self._and_rest(mask, 0, item, hit)
             found.append((np.full(hit.size, word * _WORD), item, hit))
         return tuple(map(np.concatenate, zip(*found)))
 
     def _dense_candidates(self, masks: np.ndarray):
-        """What ``_sparse_candidates`` gives, from whole (T, words) rows of
-        the first K tests of a slice of the tested items at a time."""
-        tested, table = self._item_table
+        """What ``_sparse_candidates`` gives, from whole rows of the
+        (T, words) masks at the table's tests, for a slice of the candidates
+        at a time."""
         words, num_tests = masks.shape
         by_test = np.ascontiguousarray(masks.T)
         step = max(1, _DENSE_BYTES // (8 * max(1, words)))
         found = [(_NO_ITEMS, _NO_ITEMS, _BITS[:0])]
-        hits, gathered = np.empty((2, min(step, tested.size), words), dtype=np.uint64)
-        for lo in range(0, tested.size, step):
-            rows = table[:, lo : lo + step]
+        hits, gathered = np.empty((2, min(step, self.candidates.size), words), dtype=np.uint64)
+        for lo in range(0, self.candidates.size, step):
+            rows = self.table[:, lo : lo + step]
             # the tests are in range, and "clip" takes straight into out
             hit = np.take(by_test, rows[0], axis=0, out=hits[: rows.shape[1]], mode="clip")
             for test in rows[1:]:
@@ -270,19 +263,17 @@ class ComaPlan(_Plan):
             at = np.flatnonzero(flat)
             hit = flat[at]
             at, word = lo + at // words, at % words
-            item = tested[at]
-            self._and_rest(masks.reshape(-1), word * num_tests, item, hit,
-                           self.col_indptr[item] + len(table))
+            item = self.candidates[at]
+            self._and_rest(masks.reshape(-1), word * num_tests, item, hit)
             found.append((word * _WORD, item, hit))
         return tuple(map(np.concatenate, zip(*found)))
 
-    def _and_rest(self, masks: np.ndarray, offset, item: np.ndarray, hit: np.ndarray,
-                  starts: np.ndarray) -> None:
-        """AND into ``hit`` the masks of each item's tests from position
-        ``starts`` of its column on, one run per item that has them, where
-        an item's mask of test t is ``masks[offset + t]`` (``offset`` one
-        value, or one per item)."""
-        ends = self.col_indptr[item + 1]
+    def _and_rest(self, masks: np.ndarray, offset, item: np.ndarray, hit: np.ndarray) -> None:
+        """AND into ``hit`` the masks of each item's tests past its first K
+        (the table's rows), one run per item that has them, where an item's
+        mask of test t is ``masks[offset + t]`` (``offset`` one value, or
+        one per item)."""
+        starts, ends = self.col_indptr[item] + len(self.table), self.col_indptr[item + 1]
         more = np.flatnonzero(ends > starts)
         if more.size:
             lengths = ends[more] - starts[more]

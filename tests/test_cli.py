@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 import sparsegt
 from sparsegt import cli
 from sparsegt.cli import main
-from sparsegt.core import parse
-from sparsegt.designs import hypergrid_design
+from sparsegt.core import parse, serialize
+from sparsegt.designs import hypergrid_design, repeat_design
 
 
 def run(capsys, *argv):
@@ -168,6 +168,24 @@ class TestSimulateCommand:
         )
         assert code == 1
         assert "repeated design" in err
+
+    @pytest.mark.parametrize("noise", [[], ["--sigma", "0.1"]])
+    def test_k_must_match_a_repeated_design(self, capsys, tmp_path, noise):
+        """--k is the repeat count of the design that runs: a file saved
+        with k=3 runs as it is under --k 3, and --k 5 is refused on one
+        line that names both counts, with or without noise."""
+        path = tmp_path / "rep.design"
+        code, _, _ = run(capsys, "design", "--family", "permuted-rho", "--n", "60", "--d", "2",
+                         "--rho", "6", "--zeta", "0.5", "--out", str(path))
+        assert code == 0
+        path.write_text(serialize(repeat_design(parse(path.read_text()), 3)))
+        base = ["simulate", "--design", str(path), "--d", "1", "--trials", "20", *noise]
+        code, out, err = run(capsys, *base, "--k", "3")
+        assert (code, err) == (0, "")
+        assert out[2].split(",")[0] == "repeated"
+        code, out, err = run(capsys, *base, "--k", "5")
+        assert (code, out) == (1, [])
+        assert err == "error: --k 5 differs from the design's repeat count k=3\n"
 
     def test_broken_repeated_design_refused(self, capsys, tmp_path):
         path = tmp_path / "broken.design"

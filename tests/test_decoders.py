@@ -112,7 +112,7 @@ class TestComa:
         of each word, and item i is in tests i % 128 and (i + 1) % 128.
         One (items, words) array over all n items would take 64 n bytes
         here (12.8 MB at n = 2 * 10**5); the stage takes a slice of the
-        items at a time, and its item table is built beforehand."""
+        items at a time from the table the plan built."""
         num_tests, words = 128, 8
         item = np.arange(n)
         tests = np.stack([item % num_tests, (item + 1) % num_tests], axis=1).reshape(-1)
@@ -121,7 +121,6 @@ class TestComa:
         matrix = TestMatrix.from_csr(indptr, np.repeat(item, 2)[order], n)
         plan = make_plan(matrix, "coma")
         masks = np.tile(np.uint64(1) << (np.arange(num_tests, dtype=np.uint64) % 64), (words, 1))
-        plan._item_table
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -131,6 +130,24 @@ class TestComa:
             tracemalloc.stop()
         assert trial.size == estimate.size == 0
         assert peak < 1 << 20
+
+    def test_plan_allocates_little_per_incidence(self):
+        """A COMA plan on a permuted-rho design of 1.6 M incidences (n = 4 *
+        10**5 items of weight 4, T = 16000) takes its (K, items) test table
+        a row at a time from a narrow copy of the column index, so the
+        build peaks under 20 bytes per incidence; building it through one
+        (K, items) int64 index peaks higher."""
+        matrix = permuted_block_rho_design(400_000, 10, 100, 0.5, np.random.default_rng(42))
+        matrix.column_index()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            plan = make_plan(matrix, "coma")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert plan.table.shape == (4, 400_000)
+        assert peak < 20 * matrix.ones_count()
 
 
 class TestHypergridDecode:

@@ -396,6 +396,8 @@ class TestPreAllocationGate:
             (lambda: permuted_block_rho_design(1, 1, 2, 0.5, None), "n must be >= 2"),
             (lambda: permuted_block_rho_design(10, 2, 0, 0.5, None), "rho must be >= 1"),
             (lambda: permuted_block_rho_design(10, 2, 2, 0.0, None), "zeta must be > 0"),
+            (lambda: permuted_block_rho_design(10, 2, 2, math.nan, None), "zeta must be > 0"),
+            (lambda: permuted_block_rho_design(10, 2, 2, math.inf, None), "zeta must be finite"),
             (lambda: block_binary_rho_design(10, -1, 2, 0.5), "d must satisfy 1 <= d < n"),
             (lambda: block_binary_rho_design(10, 2, 0, 0.5), "rho must be >= 1"),
             (lambda: block_binary_rho_design(10, 2, 2, math.nan), "epsilon must lie in (0, 1)"),

@@ -693,6 +693,10 @@ class TestComaBatchAgreesWithTheCountingLoop:
     # test fires, one where none does, and a random one
     @example((7, [set(), {0}, {1, 2}, {0, 1, 2, 3, 4, 5}, {2, 6}]), ["all", "none", "dense"], 5, 0)
     @example((3, [{0, 1, 2}, {2}]), ["all"], 0, 1)
+    # every item of weight 1, so K = 1 and the sparse stage ANDs no table row
+    @example((3, [{0}, {2}, {1}, {2}]), ["all", "dense"], 0, 2)
+    # no item in any test
+    @example((2, [set(), set(), set()]), ["dense", "none"], 7, 3)
     @settings(max_examples=200, deadline=None)
     def test_both_candidate_stages_agree(self, columns, kinds, short, seed):
         """The (words, T) masks of one to three words, each of a kind in
