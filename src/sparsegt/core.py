@@ -583,18 +583,34 @@ def evaluate(matrix: TestMatrix, defectives: DefectiveSet) -> Outcomes:
     return Outcomes(_dense_bits(keys, 1, matrix.num_tests)[0])
 
 
-def _or_batch(matrix: TestMatrix, trial: np.ndarray, items: np.ndarray) -> np.ndarray:
-    """OR channel over a batch of defective sets, on raw arrays: trial
-    ``trial[k]`` holds item ``items[k]`` (distinct per trial, in range).
-    Returns the positive outcomes as the sorted, distinct int64 keys
-    ``trial * T + test``: the CSC-gathered keys of the defectives' tests,
-    sorted, keeping each first of a run of equal keys. The only OR
-    evaluation; the harness and the exact oracles call it directly."""
+def _or_gather(matrix: TestMatrix, trial: np.ndarray,
+               items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The OR channel's incidences over a batch of defective sets, on raw
+    arrays: trial ``trial[k]`` holds item ``items[k]`` (distinct per trial,
+    in range). Returns the (trial, test) pair of every incidence of the
+    defectives, gathered from the CSC index item by item, so unsorted and
+    with a pair repeated where two defectives of a trial share a test. The
+    only OR evaluation: :func:`_or_batch` reduces it to sorted keys, and a
+    COMA plan may scatter it into test masks instead."""
     col_indptr, tests = matrix.column_index()
     starts = col_indptr[items]
     lengths = col_indptr[items + 1] - starts
-    keys = tests[_ragged(starts, lengths)]
-    keys += np.repeat(trial * matrix.num_tests, lengths)
+    return np.repeat(trial, lengths), tests[_ragged(starts, lengths)]
+
+
+def _or_batch(matrix: TestMatrix, trial: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """The positive outcomes of :func:`_or_gather`'s batch as the sorted,
+    distinct int64 keys ``trial * T + test``, as the block and sparse COMA
+    decoders, the exact oracles and :func:`evaluate` read them."""
+    return _or_keys(*_or_gather(matrix, trial, items), matrix.num_tests)
+
+
+def _or_keys(trial: np.ndarray, test: np.ndarray, num_tests: int) -> np.ndarray:
+    """The gathered (trial, test) pairs as sorted, distinct keys
+    ``trial * num_tests + test``: sorted, keeping each first of a run of
+    equal keys."""
+    keys = trial * num_tests
+    keys += test
     keys.sort()
     first = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])

@@ -15,9 +15,13 @@ the status instead of being silently dropped. Three statuses exist:
 Decoding work is split into reusable "plans" so the simulation harness can
 prepare a matrix once and decode many outcome vectors through exactly the
 same code path the one-shot functions use. A plan decodes a batch of trials
-from their positive outcomes alone: the (trial, test) pairs of the positive
-tests, sorted by trial and then test, as the OR channel
-(:func:`~sparsegt.core._or_batch`) gives them. Its work grows with the
+from their positive outcomes alone. The harness hands it each batch's
+defectives, and the plan evaluates them through the one OR gather
+(:func:`~sparsegt.core._or_gather`). Block plans read the (trial, test)
+pairs of the positive tests, sorted by trial and then test
+(:func:`~sparsegt.core._or_batch`). A COMA plan reads test masks of 64
+trials a word, filled from those sorted pairs or by scattering the gathered
+incidences, whichever its candidate stage reads. Its work grows with the
 positives, and for COMA with the tests positive in a word of 64 trials.
 
 Both block designs (hypergrid and binary) are read by one rule, assuming at
@@ -38,6 +42,7 @@ order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +59,11 @@ from .core import (
     TestMatrix,
     _broken_repeat_group,
     _dense_bits,
+    _key_pairs,
     _offsets,
+    _or_batch,
+    _or_gather,
+    _or_keys,
     _ragged,
     _select_rows,
     _well_formed_blocks,
@@ -116,9 +125,9 @@ class _Plan:
     its outcome keys (a COMA plan's test masks; block plans take none), and
     in multiples of ``batch_step`` trials (64, a word of masks, for COMA).
 
-    The harness evaluates the matrix ``evaluated`` (the design itself, or
-    less where the plan needs less) and hands its positive pairs and the
-    channel's flips to ``decode_channel``.
+    The harness hands a batch's defectives and the channel's flips to
+    ``decode_trials``, which evaluates the matrix ``evaluated`` (the design
+    itself, or less where the plan needs less) and decodes the outcome.
     """
 
     untested = _NO_ITEMS
@@ -133,12 +142,16 @@ class _Plan:
         _, estimate, _, ambiguous = self.decode_batch(np.zeros_like(test), test, 1)
         return estimate, ambiguous.tolist(), self.untested
 
-    def decode_channel(self, trial: np.ndarray, test: np.ndarray, num_trials: int,
-                       flips: np.ndarray | None):
-        """Decode a batch from the noiseless positive pairs of ``evaluated``
-        and the channel's (trials, T) flips of the design's tests, or None
-        when there is no noise. Only majority plans take flips."""
-        return self.decode_batch(trial, test, num_trials)
+    def decode_trials(self, trial: np.ndarray, items: np.ndarray, num_trials: int,
+                      flips: np.ndarray | None):
+        """Decode a batch in which trial ``trial[k]`` holds defective
+        ``items[k]``, with the channel's (trials, T) flips of the design's
+        tests, or None when there is no noise; only majority plans take
+        flips. By default: the sorted positive pairs of ``evaluated``, then
+        ``decode_batch``."""
+        matrix = self.evaluated
+        positives = _key_pairs(_or_batch(matrix, trial, items), matrix.num_tests)
+        return self.decode_batch(*positives, num_trials)
 
 
 class ComaPlan(_Plan):
@@ -154,22 +167,31 @@ class ComaPlan(_Plan):
     keeps one (K, items) ``table`` of the candidates' first K tests, K the
     mean column weight rounded up (at least 1): row k holds each
     candidate's test k, or its last test where it has no more. A batch
-    takes one of two candidate stages, by its share of nonzero (word, test)
-    masks; both read the table, AND the remaining tests of their survivors
-    with one ``bitwise_and.reduceat``, and give the same survivors.
+    takes one of two candidate stages; both read the table, AND the
+    remaining tests of their survivors with one ``bitwise_and.reduceat``,
+    and give the same survivors.
 
-    Sparse, when fewer than half of the masks are nonzero: a word's
-    candidates are the items filed under its positive tests. Each table row
-    after the first clears most of those left, and the cleared ones are
-    dropped before the next. A word's work grows with its positive tests,
-    not n.
+    Sparse: a word's candidates are the items filed under its positive
+    tests. Each table row after the first clears most of those left, and
+    the cleared ones are dropped before the next. A word's work grows with
+    its positive tests, not n. It reads (words, T) masks.
 
-    Dense, when at least half are: as with tests of rho items, where a
-    trial makes up to a d * rho / n share of the tests positive, nearly
-    every item has a positive first test in every word. The masks are
-    transposed to (T, words), and for a slice of the candidates at a time
-    the table's rows are ANDed as whole (items, words) rows. Each slice's
-    arrays stay within about ``_DENSE_BYTES`` whatever n is.
+    Dense: as with tests of rho items, where a trial makes up to a
+    d * rho / n share of the tests positive, nearly every item has a
+    positive first test in every word. For a slice of the candidates at a
+    time the table's rows are ANDed as whole (items, words) rows of the
+    (T, words) masks. Each slice's arrays stay within about
+    ``_DENSE_BYTES`` whatever n is.
+
+    ``decode_trials`` gathers a batch's incidences with
+    :func:`~sparsegt.core._or_gather` and picks the stage by
+    :func:`_dense_pays` before it fills any mask, with the nonzero share
+    the gathered incidences would leave if they fell at random. For the
+    dense stage it scatters them into a (T, 64 * words) bool array and packs
+    that into the (T, words) masks, so repeated pairs need no sort; for the
+    sparse stage it sorts them into distinct keys and adds their bits into
+    (words, T) masks. ``decode_batch`` and majority votes, which come as
+    masks, pick by the same rule with the share counted from the masks.
     """
 
     kind = "coma"
@@ -197,18 +219,53 @@ class ComaPlan(_Plan):
         self.group_ptr = _offsets(np.bincount(self.table[0], minlength=matrix.num_tests))
         self.trial_bytes = matrix.num_tests / 8  # the test masks
 
+    def decode_trials(self, trial: np.ndarray, items: np.ndarray, num_trials: int,
+                      flips: np.ndarray | None):
+        num_tests = self.evaluated.num_tests
+        trial, test = _or_gather(self.evaluated, trial, items)
+        width = -(-num_trials // _WORD) * _WORD  # whole words of trials
+        # the share of the (word, test) masks that the incidences would
+        # leave nonzero if each fell on one of them at random
+        share = -math.expm1(-_WORD * test.size / max(1, width * num_tests))
+        if not _dense_pays(self.table, share):
+            positives = _key_pairs(_or_keys(trial, test, num_tests), num_tests)
+            return self._estimate(self._sparse_candidates(self._masks(*positives, num_trials)),
+                                  num_trials)
+        bits = np.zeros((num_tests, width), dtype=bool)
+        bits.reshape(-1)[test * width + trial] = True  # a repeated pair sets its bit again
+        # the pairs, and then the bool array, are freed once read, so the
+        # batch peaks at little more than the bool array
+        del trial, test
+        by_test = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+        del bits
+        return self._estimate(self._dense_candidates(by_test), num_trials)
+
     def decode_batch(self, trial: np.ndarray, test: np.ndarray, num_trials: int):
+        return self._decode_masks(self._masks(trial, test, num_trials), num_trials)
+
+    def _masks(self, trial: np.ndarray, test: np.ndarray, num_trials: int) -> np.ndarray:
+        """The (words, T) test masks of distinct (trial, test) pairs."""
         num_tests = self.evaluated.num_tests
         masks = np.zeros((-(-num_trials // _WORD), num_tests), dtype=np.uint64)
         # the pairs are distinct, so adding their bits ORs them
         np.add.at(masks.reshape(-1), (trial >> _WORD_SHIFT) * num_tests + test,
                   _BITS[trial & (_WORD - 1)])
-        return self._decode_masks(masks, num_trials)
+        return masks
 
     def _decode_masks(self, masks: np.ndarray, num_trials: int):
-        """Decode the (words, T) test masks of a batch of trials."""
-        stage = self._dense_candidates if _mostly_nonzero(masks) else self._sparse_candidates
-        first, item, hit = stage(masks)
+        """Decode the (words, T) test masks of a batch of trials, in either
+        memory order: each stage copies them only if it reads the other."""
+        share = np.count_nonzero(masks) / max(1, masks.size)
+        if _dense_pays(self.table, share):
+            found = self._dense_candidates(np.ascontiguousarray(masks.T))
+        else:
+            found = self._sparse_candidates(np.ascontiguousarray(masks))
+        return self._estimate(found, num_trials)
+
+    def _estimate(self, found, num_trials: int):
+        """The (trial, item) estimate pairs of a stage's candidates, with
+        the untested items in every trial."""
+        first, item, hit = found
         # take the lowest set bit of each mask off until none is left; a
         # power of two converts to float exactly, and frexp reads its exponent
         trials, items = [_NO_ITEMS], [_NO_ITEMS]
@@ -226,8 +283,9 @@ class ComaPlan(_Plan):
 
     def _sparse_candidates(self, masks: np.ndarray):
         """(first trial of the word, item, mask of the trials it passes) of
-        the tested items, word by word from the items filed under each
-        positive test; items that pass no trial of a word may be left out."""
+        the tested items, word by word of the (words, T) masks from the
+        items filed under each positive test; items that pass no trial of a
+        word may be left out."""
         found = [(_NO_ITEMS, _NO_ITEMS, _BITS[:0])]
         for word, mask in enumerate(masks):
             positive = np.flatnonzero(mask != 0)
@@ -240,16 +298,15 @@ class ComaPlan(_Plan):
                 keep = np.flatnonzero(hit != 0)
                 slot, hit = slot[keep], hit[keep]
             item = self.candidates[slot]
-            self._and_rest(mask, 0, item, hit)
+            self._and_rest(mask, 0, 1, item, hit)
             found.append((np.full(hit.size, word * _WORD), item, hit))
         return tuple(map(np.concatenate, zip(*found)))
 
-    def _dense_candidates(self, masks: np.ndarray):
+    def _dense_candidates(self, by_test: np.ndarray):
         """What ``_sparse_candidates`` gives, from whole rows of the
         (T, words) masks at the table's tests, for a slice of the candidates
         at a time."""
-        words, num_tests = masks.shape
-        by_test = np.ascontiguousarray(masks.T)
+        words = by_test.shape[1]
         step = max(1, _DENSE_BYTES // (8 * max(1, words)))
         found = [(_NO_ITEMS, _NO_ITEMS, _BITS[:0])]
         hits, gathered = np.empty((2, min(step, self.candidates.size), words), dtype=np.uint64)
@@ -260,32 +317,39 @@ class ComaPlan(_Plan):
             for test in rows[1:]:
                 hit &= np.take(by_test, test, axis=0, out=gathered[: test.size], mode="clip")
             flat = hit.reshape(-1)
-            at = np.flatnonzero(flat)
+            at = np.flatnonzero(flat != 0)  # far faster than on the uint64s
             hit = flat[at]
             at, word = lo + at // words, at % words
             item = self.candidates[at]
-            self._and_rest(masks.reshape(-1), word * num_tests, item, hit)
+            self._and_rest(by_test.reshape(-1), word, words, item, hit)
             found.append((word * _WORD, item, hit))
         return tuple(map(np.concatenate, zip(*found)))
 
-    def _and_rest(self, masks: np.ndarray, offset, item: np.ndarray, hit: np.ndarray) -> None:
+    def _and_rest(self, masks: np.ndarray, offset, stride: int, item: np.ndarray,
+                  hit: np.ndarray) -> None:
         """AND into ``hit`` the masks of each item's tests past its first K
         (the table's rows), one run per item that has them, where an item's
-        mask of test t is ``masks[offset + t]`` (``offset`` one value, or
-        one per item)."""
+        mask of test t is ``masks[offset + stride * t]`` (``offset`` one
+        value, or one per item)."""
         starts, ends = self.col_indptr[item] + len(self.table), self.col_indptr[item + 1]
         more = np.flatnonzero(ends > starts)
         if more.size:
             lengths = ends[more] - starts[more]
             at = self.tests[_ragged(starts[more], lengths)]
+            at *= stride
             at += np.repeat(np.broadcast_to(offset, item.shape)[more], lengths)
             hit[more] &= np.bitwise_and.reduceat(masks[at], _offsets(lengths)[:-1])
 
 
-def _mostly_nonzero(masks: np.ndarray) -> bool:
-    """Whether at least half of a batch's (word, test) masks are nonzero,
-    where COMA takes its dense candidate stage."""
-    return 2 * np.count_nonzero(masks) >= masks.size
+def _dense_pays(table: np.ndarray, share: float) -> bool:
+    """Whether a COMA batch takes the dense candidate stage, given a plan's
+    (K, items) ``table`` and the share of the batch's (word, test) masks
+    that are nonzero. Per word, the dense stage ANDs K masks for every
+    item; the sparse stage takes the share of the items filed under a
+    positive first test, at about 8 times that cost each, plus about 20 000
+    times it in numpy calls."""
+    rows, items = table.shape
+    return rows * items <= 8 * share * items + 20_000
 
 
 class BlockPlan(_Plan):
@@ -382,10 +446,10 @@ class MajorityPlan(ComaPlan):
     The copies of a base test share one noiseless outcome b, so the harness
     evaluates only the base rows (``evaluated``) and counts each group's
     flips F: the group has ``k - F`` positive votes if b is set, else F.
-    Without flips the votes are the base outcomes, whose positive pairs go
-    to the every-test-positive rule as they are; with flips they are dense
-    (trials, T/k) rows, packed along the trial axis into the rule's test
-    masks. ``decode_batch`` reads
+    Without flips the votes are the base outcomes, which go to the
+    every-test-positive rule as they are; with flips they are filled by test
+    into (T/k, 64 * words) bool rows and packed along the trial axis into
+    (T/k, words) masks, the layout the dense stage reads. ``decode_batch`` reads
     observed outcomes as the flips of all-negative base outcomes, which
     gives the same votes. The plan refuses a repeated design whose groups
     are not copies, which :func:`~sparsegt.core.validate` reports as
@@ -414,29 +478,31 @@ class MajorityPlan(ComaPlan):
         indptr, indices = _select_rows(matrix, np.arange(0, matrix.num_tests, k))
         super().__init__(TestMatrix.from_csr(indptr, indices, matrix.num_items))
 
+    def decode_trials(self, trial: np.ndarray, items: np.ndarray, num_trials: int,
+                      flips: np.ndarray | None):
+        if flips is None:
+            return super().decode_trials(trial, items, num_trials, flips)
+        return self._vote(*_or_gather(self.evaluated, trial, items), num_trials, flips)
+
     def decode_batch(self, trial: np.ndarray, test: np.ndarray, num_trials: int):
         num_tests = self.k * self.evaluated.num_tests
         observed = _dense_bits(trial * num_tests + test, num_trials, num_tests)
-        return self.decode_channel(_NO_ITEMS, _NO_ITEMS, num_trials, observed)
+        return self._vote(_NO_ITEMS, _NO_ITEMS, num_trials, observed)
 
-    def decode_channel(self, trial: np.ndarray, test: np.ndarray, num_trials: int,
-                       flips: np.ndarray | None):
-        if flips is None:
-            return super().decode_batch(trial, test, num_trials)
+    def _vote(self, trial: np.ndarray, test: np.ndarray, num_trials: int, flips: np.ndarray):
+        """Decode the votes of the (trial, test) pairs of the positive base
+        outcomes (repeats allowed) under the (trials, T) flips."""
         counts = self._group_sums(flips)
-        # votes for whole words of trials; the trials past the batch vote
-        # negative on every test
-        votes = np.zeros((-(-num_trials // _WORD) * _WORD, counts.shape[1]), dtype=bool)
-        np.greater_equal(counts, (self.k + 1) // 2, out=votes[:num_trials])
+        # votes by test for whole words of trials; the trials past the batch
+        # vote negative on every test
+        votes = np.zeros((counts.shape[1], -(-num_trials // _WORD) * _WORD), dtype=bool)
+        np.greater_equal(counts.T, (self.k + 1) // 2, out=votes[:, :num_trials])
         # a positive base test gets k - F >= (k + 1) // 2 positive votes
         # when F <= k // 2
-        at = trial * self.evaluated.num_tests + test
-        votes.reshape(-1)[at] = counts.reshape(-1)[at] <= self.k // 2
-        # pack the votes along the trial axis: bit b of a test's mask in word
-        # w is its vote in trial 64 w + b
-        packed = np.packbits(votes.reshape(-1, _WORD, votes.shape[1]), axis=1, bitorder="little")
-        masks = np.ascontiguousarray(packed.transpose(0, 2, 1)).view("<u8")[..., 0]
-        return self._decode_masks(masks, num_trials)
+        votes[test, trial] = counts[trial, test] <= self.k // 2
+        # bit b of a test's mask in word w is its vote in trial 64 w + b
+        by_test = np.packbits(votes, axis=1, bitorder="little").view("<u8")
+        return self._decode_masks(by_test.T, num_trials)
 
     def _group_sums(self, bits: np.ndarray) -> np.ndarray:
         """How many bits of each group of k copies are set, per trial of a

@@ -48,7 +48,6 @@ from .core import (
     ResourceCapError,
     TestMatrix,
     _dense_bits,
-    _key_pairs,
     _noise_flips,
     _or_batch,
 )
@@ -436,17 +435,14 @@ def _found(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
 
 def _score_batch(plan, trial: np.ndarray, items: np.ndarray, num_trials: int,
                  flips: np.ndarray | None = None) -> np.ndarray:
-    """Evaluate the plan's ``evaluated`` matrix on a batch of trials, where
-    trial ``trial[k]`` holds defective ``items[k]`` (sorted within each
-    trial), decode its positive (trial, test) pairs with the channel's
-    flips, and score it as :class:`Breakdown` documents: (errors,
-    false-positive items, ambiguous blocks, wrong estimates). A trial errs
-    when it has an ambiguous block or its estimate differs from its
-    defective set."""
-    matrix = plan.evaluated
-    positives = _key_pairs(_or_batch(matrix, trial, items), matrix.num_tests)
-    est_trial, est_item, amb_trial, _ = plan.decode_channel(*positives, num_trials, flips)
-    n = matrix.num_items
+    """Have the plan evaluate and decode a batch of trials, where trial
+    ``trial[k]`` holds defective ``items[k]`` (sorted within each trial),
+    under the channel's flips, and score it as :class:`Breakdown`
+    documents: (errors, false-positive items, ambiguous blocks, wrong
+    estimates). A trial errs when it has an ambiguous block or its estimate
+    differs from its defective set."""
+    est_trial, est_item, amb_trial, _ = plan.decode_trials(trial, items, num_trials, flips)
+    n = plan.evaluated.num_items
     true_est = _found(est_trial * n + est_item, trial * n + items)
 
     def per_trial(which: np.ndarray) -> np.ndarray:

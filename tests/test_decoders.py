@@ -3,10 +3,12 @@ and the cost of decoding and of refusing a design."""
 
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from sparsegt import decoders, sim
 from sparsegt.core import (
     PRIOR_UNIFORM_EXACT,
     TAG_HYPERGRID,
@@ -131,6 +133,29 @@ class TestComa:
         assert trial.size == estimate.size == 0
         assert peak < 1 << 20
 
+    def test_dense_fill_peaks_within_its_bool_array(self):
+        """A batch of 384 trials (6 words) of 10 defectives on a design of
+        T = 16 000 tests, forced onto the dense stage: the fill sets bits of
+        one (T, 384) bool array and packs it into the stage's masks, and the
+        whole decode peaks within that array's bytes plus 1 MiB. Every
+        defective is reported, as COMA never misses one."""
+        n, trials = 400_000, 384
+        matrix = permuted_block_rho_design(n, 10, 100, 0.5, np.random.default_rng(42))
+        plan = make_plan(matrix, "coma")
+        rng = np.random.default_rng(7)
+        items = np.concatenate([rng.choice(n, 10, replace=False) for _ in range(trials)])
+        trial = np.repeat(np.arange(trials), 10)
+        with mock.patch.object(decoders, "_dense_pays", return_value=True):
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                est_trial, est_item, _, _ = plan.decode_trials(trial, items, trials, None)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert np.isin(trial * n + items, est_trial * n + est_item).all()
+        assert peak < matrix.num_tests * trials + (1 << 20)
+
     def test_plan_allocates_little_per_incidence(self):
         """A COMA plan on a permuted-rho design of 1.6 M incidences (n = 4 *
         10**5 items of weight 4, T = 16000) takes its (K, items) test table
@@ -148,6 +173,43 @@ class TestComa:
             tracemalloc.stop()
         assert plan.table.shape == (4, 400_000)
         assert peak < 20 * matrix.ones_count()
+
+
+class TestDenseStageRule:
+    """Which candidate stage ``_dense_pays`` picks, with no timing."""
+
+    @pytest.mark.parametrize("design, d, dense", [
+        ((random_gamma_design, 10_000, 5, 3, 0.1), 5, True),
+        ((permuted_block_rho_design, 10_000, 10, 100, 0.5), 10, True),
+        ((permuted_block_rho_design, 400_000, 10, 100, 0.5), 10, False),
+    ], ids=["desk-random-gamma-d5", "desk-permuted-rho-d10", "large-n-d10"])
+    def test_benchmark_batches(self, design, d, dense):
+        """The first batch the harness draws at seed 42 on each of the
+        benchmark's COMA designs, decoded through ``decode_trials``, which
+        asks the rule once with the share its gathered incidences give."""
+        build, *args = design
+        matrix = build(*args, np.random.default_rng(42))
+        plan = make_plan(matrix, "coma")
+        batch = sim._batch_trials(matrix, d, plan.trial_bytes, plan.batch_step)
+        trial, items, num_trials, _ = next(sim._trial_batches(
+            matrix.num_items, matrix.num_tests, Prior(PRIOR_UNIFORM_EXACT, d), 0.0, 42, 0,
+            batch, batch))
+        choices = []
+        rule = decoders._dense_pays
+
+        def recorded(table, share):
+            choices.append(rule(table, share))
+            return choices[-1]
+
+        with mock.patch.object(decoders, "_dense_pays", recorded):
+            plan.decode_trials(trial, items, num_trials, None)
+        assert choices == [dense]
+
+    def test_majority_votes_at_share_one(self):
+        """noisy-repeated's votes leave every mask nonzero."""
+        base = permuted_block_rho_design(1000, 10, 50, 0.5, np.random.default_rng(42))
+        plan = make_plan(repeat_design(base, 65), "majority")
+        assert decoders._dense_pays(plan.table, 1.0)
 
 
 class TestHypergridDecode:

@@ -701,8 +701,8 @@ class TestComaBatchAgreesWithTheCountingLoop:
     def test_both_candidate_stages_agree(self, columns, kinds, short, seed):
         """The (words, T) masks of one to three words, each of a kind in
         ``_WORD_RATES``, decode to the same pairs through the dense and the
-        sparse candidate stage, whichever the batch would select, and to
-        the counting loop's estimate row by row. The last word holds
+        sparse candidate stage, whichever ``_dense_pays`` would select, and
+        to the counting loop's estimate row by row. The last word holds
         64 - ``short`` trials."""
         num_tests, tests = columns
         rows = [[i for i, col in enumerate(tests) if t in col] for t in range(num_tests)]
@@ -717,7 +717,7 @@ class TestComaBatchAgreesWithTheCountingLoop:
         plan = make_plan(matrix, "coma")
         decoded = {}
         for dense in (True, False):
-            with mock.patch.object(decoders, "_mostly_nonzero", return_value=dense):
+            with mock.patch.object(decoders, "_dense_pays", return_value=dense):
                 decoded[dense] = plan._decode_masks(masks, num_trials)
         for got, want in zip(decoded[True], decoded[False]):
             assert np.array_equal(got, want)
@@ -725,6 +725,45 @@ class TestComaBatchAgreesWithTheCountingLoop:
         reference = ref.ComaPlan(matrix)
         for row in range(num_trials):
             assert np.array_equal(est_item[est_trial == row], reference.decode_bits(bits[row])[0])
+
+    @given(coma_columns(), st.sampled_from([1, 63, 64, 65, 130]), st.integers(0, 6),
+           st.integers(0, 2**32 - 1))
+    # items 0 and 1 share tests 0 and 1, so a trial holding both gathers
+    # each of them twice; item 2 is untested, and item 3 (weight 4) is
+    # heavier than K = 3
+    @example((4, [{0, 1}, {0, 1}, set(), {0, 1, 2, 3}, {3}]), 130, 4, 0)
+    @example((4, [{0, 1}, {0, 1}, set(), {0, 1, 2, 3}, {3}]), 0, 4, 0)  # no trials
+    @example((2, [set(), set(), set()]), 65, 2, 1)  # no tested item
+    @settings(max_examples=200, deadline=None)
+    def test_both_fills_agree(self, columns, num_trials, d, seed):
+        """A batch drawn under the iid prior (``d`` defectives expected, so
+        some trials hold none and, at d = 0, all) decodes through
+        ``decode_trials`` to the same pairs by the scatter fill and the
+        dense stage as by the sorted keys and the sparse stage, and to the
+        counting loop's estimate row by row."""
+        num_tests, tests = columns
+        rows = [[i for i, col in enumerate(tests) if t in col] for t in range(num_tests)]
+        matrix = TestMatrix(rows=rows, num_items=len(tests))
+        n = matrix.num_items
+        rng = np.random.default_rng(seed)
+        prior = Prior(PRIOR_IID_BERNOULLI, min(d, n))
+        picks = [sim._draw_defectives(rng, prior, n) for _ in range(num_trials)]
+        trial = np.repeat(np.arange(num_trials), [p.size for p in picks]).astype(np.int64)
+        items = np.concatenate([np.empty(0, dtype=np.int64), *picks])
+        plan = make_plan(matrix, "coma")
+        decoded = {}
+        for dense in (True, False):
+            with mock.patch.object(decoders, "_dense_pays", return_value=dense):
+                decoded[dense] = plan.decode_trials(trial, items, num_trials, None)
+        for got, want in zip(decoded[True], decoded[False]):
+            assert np.array_equal(got, want)
+        est_trial, est_item = decoded[True][:2]
+        assert np.all((0 <= est_trial) & (est_trial < num_trials))
+        assert np.all(np.diff(est_trial * n + est_item) > 0)
+        reference = ref.ComaPlan(matrix)
+        for row, pick in enumerate(picks):
+            bits = ref.evaluate(matrix, DefectiveSet(pick, n))
+            assert np.array_equal(est_item[est_trial == row], reference.decode_bits(bits)[0])
 
 
 class TestBlockConstructorsAgreeWithLoops:
