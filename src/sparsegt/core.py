@@ -294,15 +294,16 @@ class TestMatrix:
                      block_starts, base_tag, repeat_k)
         return matrix
 
-    def _init(self, indptr, indices, num_items, col_limit, row_limit, design_tag,
-              block_starts, base_tag, repeat_k) -> None:
+    def _init(self, indptr, indices, num_items, col_limit=None, row_limit=None,
+              design_tag=TAG_CUSTOM, block_starts=None, base_tag=None, repeat_k=1,
+              copy: bool = True) -> None:
         if not 1 <= num_items <= _MAX_ITEMS:
             raise InvalidParameterError(f"num_items must lie in [1, {_MAX_ITEMS}]")
         if design_tag not in DESIGN_TAGS:
             raise InvalidParameterError(f"unknown design tag: {design_tag!r}")
         if repeat_k < 1:
             raise InvalidParameterError("repeat_k must be >= 1")
-        indptr = np.array(indptr, dtype=np.int64)
+        indptr = (np.array if copy else np.asarray)(indptr, dtype=np.int64)
         indices = np.asarray(indices)
         if indices.size and not np.issubdtype(indices.dtype, np.integer):
             raise InvalidParameterError("item indices must be integers")
@@ -314,7 +315,7 @@ class TestMatrix:
             )
         if indices.size and (indices.min() < -_MAX_ITEMS or indices.max() >= _MAX_ITEMS):
             raise InvalidParameterError("item indices must fit in int32")
-        indices = indices.astype(np.int32)
+        indices = indices.astype(np.int32, copy=copy)
         indptr.setflags(write=False)
         indices.setflags(write=False)
         if block_starts is not None:
@@ -386,7 +387,12 @@ class TestMatrix:
         """The CSC column index ``(col_indptr, tests)``: item ``i`` is pooled
         by the tests ``tests[col_indptr[i]:col_indptr[i + 1]]``, in increasing
         order. Both int64, write-locked, cached. Raises like
-        :meth:`column_weights`."""
+        :meth:`column_weights`.
+
+        It is built from one int64 array of keys ``item << b | test``, b the
+        bits of T - 1, sorted and then masked down to the tests in place:
+        besides the index it holds only the row number of each incidence,
+        in the narrowest unsigned dtype that takes T - 1."""
         return self._column_index
 
     @cached_property
@@ -399,16 +405,19 @@ class TestMatrix:
     @cached_property
     def _column_index(self) -> tuple[np.ndarray, np.ndarray]:
         col_indptr = _offsets(self.column_weights())
-        # sorting the key item * T + test orders the incidences by item,
-        # then by test
-        num_tests = max(self.num_tests, 1)
-        keys = self.indices.astype(np.int64) * num_tests
-        keys += np.repeat(np.arange(self.num_tests, dtype=np.int64), self.row_weights())
+        # sorting the keys item << bits | test orders the incidences by
+        # item, then by test; the low bits are then the tests
+        last_test = max(self.num_tests - 1, 0)
+        bits = last_test.bit_length()
+        keys = self.indices.astype(np.int64)
+        keys <<= bits
+        keys |= np.repeat(np.arange(self.num_tests, dtype=np.min_scalar_type(last_test)),
+                          self.row_weights())
         keys.sort()
-        tests = keys % num_tests  # int64: fancy indexing with int32 costs a cast
+        keys &= (1 << bits) - 1  # int64: fancy indexing with int32 costs a cast
         col_indptr.setflags(write=False)
-        tests.setflags(write=False)
-        return col_indptr, tests
+        keys.setflags(write=False)
+        return col_indptr, keys
 
     def ones_count(self) -> int:
         return int(self.indices.size)
@@ -418,6 +427,15 @@ class TestMatrix:
         counts as a single block when no block structure is recorded."""
         starts = (0,) if self.block_starts is None else self.block_starts
         return tuple(zip(starts, starts[1:] + (self.num_items,)))
+
+
+def _adopt_csr(indptr: np.ndarray, indices: np.ndarray, num_items: int, **fields) -> TestMatrix:
+    """:meth:`TestMatrix.from_csr` without its copy, for int64 offsets and
+    int32 indices that the caller built and holds no other reference to:
+    they are write-locked and kept as they are."""
+    matrix = TestMatrix.__new__(TestMatrix)
+    matrix._init(indptr, indices, num_items, **fields, copy=False)
+    return matrix
 
 
 def _checked_max_index(indices: np.ndarray, num_items: int) -> int:
@@ -682,23 +700,33 @@ def validate(matrix: TestMatrix) -> list[Violation]:
     listed row by row, then column by column, then blocks, then repetition.
     Column weights count each item once per row and skip rows holding an
     out-of-range index.
+
+    Only the entries that fail the range or order check are mapped to their
+    rows (by a search of ``indptr``). When every row passes both, the
+    column weights are the matrix's cached
+    :meth:`~TestMatrix.column_weights`, which the decode plans reuse; the
+    row of every entry is built only to count the columns when some row
+    fails.
     """
     report: list[Violation] = []
     n = matrix.num_items
     indptr, indices = matrix.indptr, matrix.indices
     lengths = matrix.row_weights()
-    row_of = np.repeat(np.arange(matrix.num_tests), lengths)
-    out_of_range = (indices < 0) | (indices >= n)
+    # as uint32, an int32 index below 0 reads as 2**31 or more, and n <= 2**31
+    out_at = np.flatnonzero(indices.view(np.uint32) >= n)
     has_out = np.zeros(matrix.num_tests, dtype=bool)
-    has_out[row_of[out_of_range]] = True
+    has_out[_row_of(indptr, out_at)] = True
+    # an entry no greater than the one before it, unless it starts its row
+    fall_at = np.flatnonzero(indices[1:] <= indices[:-1]) + 1
+    fall_row = _row_of(indptr, fall_at)
     unordered = np.zeros(matrix.num_tests, dtype=bool)
-    unordered[_unordered_pairs(indices, row_of)] = True
+    unordered[fall_row[indptr[fall_row] < fall_at]] = True
     heavy = np.zeros(matrix.num_tests, dtype=bool)
     if matrix.row_limit is not None:
         heavy = lengths > matrix.row_limit
     for t in np.flatnonzero(has_out | unordered | heavy).tolist():
-        a, b = int(indptr[t]), int(indptr[t + 1])
-        for i in indices[a:b][out_of_range[a:b]].tolist():
+        row = indices[indptr[t] : indptr[t + 1]]
+        for i in row[row.view(np.uint32) >= n].tolist():
             report.append(Violation("index-range", f"row {t}", f"index {i} outside [0, {n})"))
         if unordered[t]:
             report.append(Violation("row-order", f"row {t}", "indices not strictly increasing"))
@@ -711,12 +739,16 @@ def validate(matrix: TestMatrix) -> list[Violation]:
                 )
             )
     if matrix.col_limit is not None:
-        # strictly increasing rows hold no duplicates; dedupe only the others
-        col_weight = np.bincount(indices[(~has_out & ~unordered)[row_of]], minlength=n)
-        messy = (~has_out & unordered)[row_of]
-        if messy.any():
-            pairs = np.unique(row_of[messy] * n + indices[messy])
-            col_weight += np.bincount(pairs % n, minlength=n)
+        if not (has_out.any() or unordered.any()):
+            col_weight = matrix.column_weights()
+        else:
+            row_of = np.repeat(np.arange(matrix.num_tests), lengths)
+            # strictly increasing rows hold no duplicates; dedupe only the others
+            col_weight = np.bincount(indices[(~has_out & ~unordered)[row_of]], minlength=n)
+            messy = (~has_out & unordered)[row_of]
+            if messy.any():
+                pairs = np.unique(row_of[messy] * n + indices[messy])
+                col_weight += np.bincount(pairs % n, minlength=n)
         for i in np.flatnonzero(col_weight > matrix.col_limit).tolist():
             report.append(
                 Violation(
@@ -749,10 +781,9 @@ def validate(matrix: TestMatrix) -> list[Violation]:
     return report
 
 
-def _unordered_pairs(indices: np.ndarray, row_of: np.ndarray) -> np.ndarray:
-    """The row of each adjacent pair of entries that does not increase
-    within its row; ``row_of`` maps entries to rows."""
-    return row_of[1:][(indices[1:] <= indices[:-1]) & (row_of[1:] == row_of[:-1])]
+def _row_of(indptr: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The row of each entry position ``at`` under the CSR offsets ``indptr``."""
+    return np.searchsorted(indptr, at, side="right") - 1
 
 
 def _broken_repeat_group(matrix: TestMatrix) -> int | None:
@@ -769,7 +800,7 @@ def _broken_repeat_group(matrix: TestMatrix) -> int | None:
     _, copies = _select_rows(matrix, firsts[:rows])
     differ = np.flatnonzero(copies != matrix.indices[: copies.size])
     if differ.size:
-        rows = int(np.searchsorted(matrix.indptr, differ[0], side="right")) - 1
+        rows = int(_row_of(matrix.indptr, differ[0]))
     return rows // matrix.repeat_k if rows < matrix.num_tests else None
 
 
@@ -893,18 +924,19 @@ def parse(text: str) -> TestMatrix:
     """Inverse of :func:`serialize`; raises :class:`ParseError` with the
     offending 1-based line number on any malformation.
 
-    The header is read token by token. The row body is converted to
-    integers by one C pass (``np.fromstring``) when it holds only ASCII
-    digits and single spaces, and its weights, ranges and order are then
-    checked on the arrays. Any other body (signs, underscores, non-ASCII
-    digits, tabs or runs of spaces), and any body that fails a check, is
-    read by the per-line reader :func:`_read_rows`, which accepts the same
-    rows and raises the first failing line's error."""
-    content = _content_lines(text)
-    if not content:
-        raise ParseError(1, "empty design file")
-
-    header_no, header = content[0]
+    The header is found by scanning only the lines up to it, and read
+    token by token. The row body is read by :func:`_chunked_rows`, about
+    ``_PARSE_CHUNK_CHARS`` characters at a time, each chunk converted by
+    one C pass (``np.fromstring``) and checked on its arrays, so the reader
+    holds little beyond the text and the int32 indices it returns. It reads
+    rows of ASCII digits and single spaces, one to each "\n"-ended line.
+    Any other body (comments or blank lines among the rows, tabs, runs of
+    spaces, "\r" line ends, signs or non-ASCII digits), a file whose lines
+    up to the header hold a line end other than "\n", and every malformed
+    body go to :func:`_content_lines` and the per-line reader
+    :func:`_read_rows`. These accept the same rows, several times more
+    slowly on a large body, and raise the first failing line's error."""
+    header_no, header, body_at = _header_line(text)
     tokens = header.split()
     if len(tokens) < 2:
         raise ParseError(header_no, "header needs at least 'T n'")
@@ -962,19 +994,19 @@ def parse(text: str) -> TestMatrix:
         else:
             raise ParseError(header_no, f"unknown header key {key!r}")
 
-    body = content[1:]
-    if len(body) < num_tests:
-        last = body[-1][0] if body else header_no
-        raise ParseError(
-            last, f"expected {num_tests} row lines, found only {len(body)}"
-        )
-    if len(body) > num_tests:
-        raise ParseError(body[num_tests][0], "trailing content after last row")
-
-    indptr, indices = _parse_rows(body, num_items)
-    return TestMatrix.from_csr(
-        indptr,
-        indices,
+    rows = None if body_at is None else _chunked_rows(text, body_at, num_tests, num_items)
+    if rows is None:
+        body = _content_lines(text)[1:]
+        if len(body) < num_tests:
+            last = body[-1][0] if body else header_no
+            raise ParseError(
+                last, f"expected {num_tests} row lines, found only {len(body)}"
+            )
+        if len(body) > num_tests:
+            raise ParseError(body[num_tests][0], "trailing content after last row")
+        rows = _read_rows(body, num_items)
+    return _adopt_csr(
+        *rows,
         num_items=num_items,
         col_limit=col_limit,
         row_limit=row_limit,
@@ -985,56 +1017,103 @@ def parse(text: str) -> TestMatrix:
     )
 
 
-# the bytes of a row body the C conversion reads
-_ROW_BODY_BYTES = b"0123456789 "
+def _header_line(text: str) -> tuple[int, str, int | None]:
+    """The first content line of a design file, by the rules of
+    :func:`_content_lines`: its 1-based number, its stripped text, and the
+    offset in ``text`` of the line after it. Only the lines up to it are
+    scanned, at each "\n". Where one of them holds another line end that
+    ``str.splitlines`` splits at, the header is taken from
+    :func:`_content_lines` and the offset is None."""
+    start, line_no = 0, 1
+    while start < len(text):
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end
+        line = text[start:end]
+        if line and line.splitlines() != [line]:
+            break
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            return line_no, stripped, end + 1
+        start, line_no = end + 1, line_no + 1
+    content = _content_lines(text)
+    if not content:
+        raise ParseError(1, "empty design file")
+    return *content[0], None
 
 
-def _parse_rows(body: list[tuple[int, str]], num_items: int) -> tuple[np.ndarray, np.ndarray]:
-    """CSR arrays of the row lines ``body`` (numbered, stripped). A body of
-    ASCII digits and single spaces is converted in one C pass and checked
-    on the arrays; everything else, and every error, goes through
-    :func:`_read_rows`."""
-    lines = [line for _, line in body]
-    joined = " ".join(lines).encode("ascii", "replace")
-    if not joined.translate(None, _ROW_BODY_BYTES):
-        counts = np.array([line.count(" ") + 1 for line in lines], dtype=np.int64)
-        with warnings.catch_warnings():
-            # NumPy warns, and will raise, on text it cannot read to its end
-            warnings.simplefilter("error", DeprecationWarning)
-            try:
-                values = np.fromstring(joined, dtype=np.int64, sep=" ")
-            except (DeprecationWarning, ValueError):
-                values = None
-        if values is not None and (rows := _checked_rows(values, counts, num_items)):
-            return rows
-    return _read_rows(body, num_items)
+# characters of row body converted at a time; a chunk ends at a newline
+_PARSE_CHUNK_CHARS = 1 << 20
+# the bytes a row body may hold for the chunked reader
+_ROW_BODY_BYTES = b"0123456789 \n"
 
 
-def _checked_rows(
-    values: np.ndarray, counts: np.ndarray, num_items: int
+def _chunked_rows(
+    text: str, start: int, num_tests: int, num_items: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """CSR arrays of rows given as runs ``w i_1 ... i_w`` of ``counts``
-    values each, or None unless every weight matches its run, every index
-    lies in ``[0, num_items)`` and every row increases strictly."""
-    # fromstring reads a run of spaces as one separator, so a double space
-    # leaves fewer values than the lines' spaces count
-    if values.size != counts.sum():
+    """CSR arrays (int64 offsets, int32 indices) of the row body
+    ``text[start:]``, or None unless it is exactly ``num_tests`` lines,
+    each ended by "\n" (the last may end the text instead) and each valid
+    by :func:`_checked_rows`. The body is read a chunk of about
+    ``_PARSE_CHUNK_CHARS`` characters at a time, each ending at a
+    newline."""
+    lengths, parts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int32)]
+    rows = 0
+    while start < len(text):
+        end = text.find("\n", start + _PARSE_CHUNK_CHARS - 1)
+        end = len(text) if end < 0 else end + 1
+        chunk = text[start:end].encode("ascii", "replace")
+        start = end
+        checked = _checked_rows(chunk if chunk.endswith(b"\n") else chunk + b"\n", num_items)
+        if checked is None:
+            return None
+        lengths.append(checked[0])
+        parts.append(checked[1])
+        rows += checked[0].size
+        if rows > num_tests:
+            return None
+    if rows != num_tests:
         return None
-    weight_at = _offsets(counts)[:-1]
-    lengths = counts - 1
+    return _offsets(np.concatenate(lengths)), np.concatenate(parts)
+
+
+def _checked_rows(chunk: bytes, num_items: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(row lengths, int32 indices) of the lines of ``chunk``, each ended by
+    "\n", or None unless each line is ``w i_1 ... i_w`` in ASCII digits
+    and single spaces, with no space at either end, every weight matching
+    its line, and every index in ``[0, num_items)`` and above the one
+    before it. One C conversion reads the chunk with -1 after each line."""
+    if chunk.translate(None, _ROW_BODY_BYTES):
+        return None
+    with warnings.catch_warnings():
+        # NumPy warns, and will raise, on text it cannot read to its end
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            values = np.fromstring(chunk.replace(b"\n", b" -1 "), dtype=np.int64, sep=" ")
+        except (DeprecationWarning, ValueError):
+            return None
+    ends = np.flatnonzero(values < 0)
+    # a line of t >= 1 tokens holds at least t - 1 spaces, and exactly that
+    # many only when they are single and inside it, and a line of no tokens
+    # holds at least 0: so the chunk holds as many spaces as tokens past
+    # the first of each line only when every line is well spaced
+    if chunk.count(b" ") != values.size - 2 * ends.size:
+        return None
+    firsts = np.empty_like(ends)
+    firsts[:1], firsts[1:] = 0, ends[:-1] + 1
+    lengths = ends - firsts - 1
     # a token too long for int64 reads as 2**63 - 1, which no weight or
     # index check lets through, since n <= 2**31
-    if not np.array_equal(values[weight_at], lengths):
+    if not np.array_equal(values[firsts], lengths):
         return None
-    indices = np.delete(values, weight_at)
-    indptr = _offsets(lengths)
-    if indices.size:
-        rising = indices[1:] > indices[:-1]
-        starts = indptr[1:-1]
-        rising[starts[(starts > 0) & (starts < indices.size)] - 1] = True  # across rows
-        if not (rising.all() and indices.min() >= 0 and indices.max() < num_items):
-            return None
-    return indptr, indices
+    is_item = np.ones(values.size, dtype=bool)
+    is_item[firsts] = is_item[ends] = False
+    # adjacent items lie in one row
+    if (is_item[1:] & is_item[:-1] & (values[1:] <= values[:-1])).any():
+        return None
+    indices = values[is_item]
+    if indices.size and indices.max() >= num_items:
+        return None
+    return lengths, indices.astype(np.int32)
 
 
 def _read_rows(body: list[tuple[int, str]], num_items: int) -> tuple[np.ndarray, np.ndarray]:

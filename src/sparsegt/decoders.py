@@ -121,9 +121,11 @@ class _Plan:
     ambiguous blocks as (trial, block) pairs in the same order.
     ``decode_bits`` is its one-row case on a dense outcome vector, and
     ``untested`` lists the items in no test. The harness sizes its batches
-    by ``trial_bytes``, the bytes of arrays a batch takes per trial besides
-    its outcome keys (a COMA plan's test masks; block plans take none), and
-    in multiples of ``batch_step`` trials (64, a word of masks, for COMA).
+    by ``trial_bytes``, the bytes of arrays a batch keeps per trial besides
+    its outcome keys (a COMA plan's packed test masks, T / 8; block plans
+    keep none), and in multiples of ``batch_step`` trials (64, a word of
+    masks, for COMA). A COMA batch on the dense stage briefly holds T bytes
+    a trial, 8 times its ``trial_bytes``, as bool rows it packs into masks.
 
     The harness hands a batch's defectives and the channel's flips to
     ``decode_trials``, which evaluates the matrix ``evaluated`` (the design
@@ -192,6 +194,14 @@ class ComaPlan(_Plan):
     sparse stage it sorts them into distinct keys and adds their bits into
     (words, T) masks. ``decode_batch`` and majority votes, which come as
     masks, pick by the same rule with the share counted from the masks.
+    ``trial_bytes`` counts the masks, T / 8 bytes a trial; the dense fill's
+    bool array takes T bytes a trial while the batch packs it.
+
+    The plan keeps the column index and its ``candidates``, ``table`` and
+    ``group_ptr``. Building them takes int32 positions of each tested
+    item's first and last test and one int64 position buffer, reused for
+    every table row, and frees both: on a design of items in 4 tests each
+    the build peaks at about 11 bytes per incidence above the column index.
     """
 
     kind = "coma"
@@ -203,19 +213,8 @@ class ComaPlan(_Plan):
         self.col_indptr, self.tests = matrix.column_index()
         weight = matrix.column_weights()
         self.untested = np.flatnonzero(weight == 0)
-        tested = np.flatnonzero(weight)
-        starts, last = self.col_indptr[tested], self.col_indptr[tested + 1] - 1
-        # a stable sort on a dtype of at most 16 bits is a radix sort; the
-        # table is taken from the same narrow copy a row at a time (one
-        # (K, items) int64 index would peak higher), each row gathered in
-        # item order and then put in filing order
-        narrow = self.tests.astype(np.min_scalar_type(matrix.num_tests))
-        order = np.argsort(narrow[starts], kind="stable")
-        self.candidates = tested[order]
-        rows = max(1, -(-self.tests.size // max(1, tested.size)))  # K
-        self.table = np.empty((rows, tested.size), dtype=narrow.dtype)
-        for k, row in enumerate(self.table):
-            np.take(narrow[np.minimum(starts + k, last)], order, out=row)
+        self.candidates, self.table = _filed_table(self.col_indptr, self.tests, weight != 0,
+                                                   matrix.num_tests)
         self.group_ptr = _offsets(np.bincount(self.table[0], minlength=matrix.num_tests))
         self.trial_bytes = matrix.num_tests / 8  # the test masks
 
@@ -339,6 +338,35 @@ class ComaPlan(_Plan):
             at *= stride
             at += np.repeat(np.broadcast_to(offset, item.shape)[more], lengths)
             hit[more] &= np.bitwise_and.reduceat(masks[at], _offsets(lengths)[:-1])
+
+
+def _filed_table(col_indptr: np.ndarray, tests: np.ndarray, tested: np.ndarray,
+                 num_tests: int) -> tuple[np.ndarray, np.ndarray]:
+    """A COMA plan's ``candidates`` and ``table`` from the CSC index of its
+    matrix and the mask of its tested items. Its scratch, freed on return,
+    is the positions of each candidate's first and last test, in int32
+    where they fit, and one int64 position buffer reused for every row."""
+    scratch = np.int32 if tests.size < 2**31 else np.int64
+    starts = col_indptr[:-1][tested].astype(scratch)
+    last = col_indptr[1:][tested].astype(scratch)
+    last -= 1
+    # a stable sort on a dtype of at most 16 bits is a radix sort
+    narrow = tests.astype(np.min_scalar_type(num_tests))
+    order = np.argsort(narrow[starts], kind="stable")
+    candidates = np.flatnonzero(tested)[order]
+    starts, last = starts[order], last[order]
+    del order
+    # the table is taken from the narrow copy a row at a time (one (K,
+    # items) index would peak higher, and take casts indices of another
+    # dtype than int64)
+    rows = max(1, -(-tests.size // max(1, starts.size)))  # K
+    table = np.empty((rows, starts.size), dtype=narrow.dtype)
+    at = np.empty(starts.size, dtype=np.int64)
+    for k, row in enumerate(table):
+        np.add(starts, k, out=at, dtype=np.int64)
+        np.minimum(at, last, out=at)
+        np.take(narrow, at, out=row)
+    return candidates, table
 
 
 def _dense_pays(table: np.ndarray, share: float) -> bool:

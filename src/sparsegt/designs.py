@@ -46,6 +46,7 @@ from .core import (
     TAG_REPEATED,
     TestMatrix,
     int_root_ceil,
+    _adopt_csr,
     _offsets,
     _select_rows,
 )
@@ -242,9 +243,14 @@ def random_gamma_design(
         need -= len(groups)
     # a stable sort by test keeps each row's items in increasing order
     tests = np.concatenate(accepted).ravel()
-    return TestMatrix.from_csr(
-        _offsets(np.bincount(tests, minlength=num_tests)),
-        np.argsort(tests, kind="stable") // gamma,
+    indptr = _offsets(np.bincount(tests, minlength=num_tests))
+    order = np.argsort(tests, kind="stable")
+    del tests
+    items = np.empty(order.size, dtype=np.int32)  # n <= 2**31
+    np.floor_divide(order, gamma, out=items, casting="unsafe")
+    return _adopt_csr(
+        indptr,
+        items,
         num_items=n,
         col_limit=gamma,
         row_limit=None,
@@ -298,15 +304,19 @@ def permuted_block_rho_design(
     c = permuted_constant(n, d, rho, zeta)
     _check_size(c * ceil_div(n, rho), c * n)
     full = n - n % rho
-    passes = []
-    for _ in range(c):
-        perm = rng.permutation(n)
-        passes.append(np.sort(perm[:full].reshape(-1, rho), axis=1).ravel())
-        passes.append(np.sort(perm[full:]))
+    items = np.arange(n, dtype=np.int32)
+    indices = np.empty(c * n, dtype=np.int32)
+    for perm in indices.reshape(c, n):
+        # a shuffle draws the same numbers whatever the dtype, so this is
+        # rng.permutation(n), built in place
+        perm[:] = items
+        rng.shuffle(perm)
+        perm[:full].reshape(-1, rho).sort(axis=1)
+        perm[full:].sort()
     lengths = [rho] * (n // rho) + ([n % rho] if n % rho else [])
-    return TestMatrix.from_csr(
+    return _adopt_csr(
         _offsets(lengths * c),
-        np.concatenate(passes),
+        indices,
         num_items=n,
         col_limit=c,
         row_limit=rho,

@@ -394,8 +394,12 @@ def _trial_generators(master_seed: int, first: int, states, rows):
 # ---------------------------------------------------------------------------
 
 
-# a batch of trials holds about this many bytes of outcome keys and index
-# arrays, plus this many per trial for its Python objects
+# a batch of trials is sized to hold about this many bytes of outcome keys,
+# index arrays and its plan's ``trial_bytes``, plus this many per trial for
+# its Python objects. A COMA batch that takes the dense stage holds more: it
+# fills a (T, 64 * words) bool array, T bytes a trial, before packing it
+# into the T / 8 bytes a trial of masks it is counted at (6.9 MB at
+# T = 16 000 and 384 trials). Batches sized by the bool array read no faster.
 _BATCH_BYTES = 1 << 20
 _TRIAL_BYTES = 256
 
@@ -405,7 +409,9 @@ def _batch_trials(matrix: TestMatrix, d: int, trial_bytes: float, step: int = 1)
     ``batch_step``, so that a COMA batch fills whole 64-trial words. A trial
     takes one int64 outcome key per incidence of its d defectives in
     ``matrix`` at the mean column weight, plus ``trial_bytes``: a plan's
-    test masks and the channel's flips, or dense outcome rows."""
+    test masks and the channel's flips, or dense outcome rows. A COMA
+    plan's masks count T / 8 bytes a trial, while a batch on its dense
+    stage fills T bytes a trial of bool rows first (see ``_BATCH_BYTES``)."""
     incidences = matrix.ones_count() / matrix.num_items
     per_trial = trial_bytes + d * 8 * incidences + _TRIAL_BYTES
     return max(1, int(_BATCH_BYTES // per_trial) // step) * step

@@ -38,6 +38,32 @@ GRID9 = TestMatrix(
 )
 
 
+@pytest.fixture(scope="module")
+def large_design():
+    """A permuted-rho design of 10**6 incidences: n = 250 000 items in 4
+    tests each, T = 10 000 tests of 100 items."""
+    matrix = permuted_block_rho_design(250_000, 10, 100, 0.5, np.random.default_rng(1))
+    assert matrix.ones_count() >= 10**6
+    return matrix
+
+
+def _uncached(matrix):
+    """An equal matrix with nothing computed on it yet."""
+    return TestMatrix.from_csr(matrix.indptr, matrix.indices, matrix.num_items,
+                               matrix.col_limit, matrix.row_limit, matrix.design_tag)
+
+
+def _peak_bytes(call) -> int:
+    """The most bytes ``call()`` held at once, as tracemalloc counts them,
+    its result included."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestDefectiveSet:
     def test_normalizes_sorted_unique(self):
         ds = DefectiveSet([4, 1, 4, 2], universe=9)
@@ -207,18 +233,25 @@ class TestSerialization:
                            match=r"^matrix has item indices outside \[0, 3\); validate\(\) lists them$"):
             serialize(matrix)
 
-    def test_peak_memory_stays_near_the_text(self):
+    def test_peak_memory_stays_near_the_text(self, large_design):
         """The writer holds its text, the parts it joins and one chunk's
         arrays: an unchunked writer peaks near 9 times the text."""
-        matrix = permuted_block_rho_design(250_000, 10, 100, 0.5, np.random.default_rng(1))
-        assert matrix.ones_count() >= 10**6
         tracemalloc.start()
         try:
-            text = serialize(matrix)
+            text = serialize(large_design)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * len(text)
+
+    def test_parse_peaks_near_the_indices(self, large_design):
+        """Above its text, the reader holds one chunk's arrays, the int32
+        parts and their concatenation: about 8.5 bytes per incidence.
+        Splitting the text into lines, joining and converting it at once
+        and deleting the weights from int64 values peaks near 32."""
+        text = serialize(large_design)
+        peak = _peak_bytes(lambda: parse(text))
+        assert peak <= 12 * large_design.ones_count()
 
     def test_comments_and_blank_lines_ignored(self):
         text = "# a design\n\n" + serialize(GRID9) + "# trailing comment\n"
@@ -284,6 +317,40 @@ class TestSerialization:
             assert parse_outcomes("# a comment\n", expected_tests) == empty
         with pytest.raises(ParseError, match="line 1: empty outcome file"):
             parse_outcomes("\n", expected_tests=2)
+
+
+class TestSetUpMemory:
+    """tracemalloc peaks of the layers that set a large design up, in
+    bytes per incidence of the design (its indices take 4)."""
+
+    def test_construction(self, large_design):
+        """The int32 indices, shuffled and sorted pass by pass in place,
+        and one pass's item range: about 5.3. Per-pass int64 permutations,
+        their concatenation and the int32 cast of it peak near 22."""
+        peak = _peak_bytes(
+            lambda: permuted_block_rho_design(250_000, 10, 100, 0.5, np.random.default_rng(1)))
+        assert peak <= 8 * large_design.ones_count()
+
+    def test_validate(self, large_design):
+        """On a valid matrix: a bool per entry for each check, then the
+        cached column weights, whose count casts the indices to int64:
+        about 10.3. A row number per entry in int64, and compares built on
+        it, peak near 23."""
+        matrix = _uncached(large_design)
+        peak = _peak_bytes(lambda: validate(matrix))
+        assert peak <= 14 * large_design.ones_count()
+        assert "_column_weights" in vars(matrix)
+
+    def test_column_index(self, large_design):
+        """The index (int64 tests and offsets) and the column weights it
+        is built from take 12 on items of weight 4; building it from one
+        int64 key array, with the row numbers in 16 bits, peaks at about
+        14.1. Keys built from int64 copies and divided into a second array
+        peak near 20."""
+        matrix = _uncached(large_design)
+        peak = _peak_bytes(matrix.column_index)
+        assert peak <= 17 * large_design.ones_count()
+        assert np.array_equal(matrix.column_index()[1], large_design.column_index()[1])
 
 
 class TestMatrixStorage:

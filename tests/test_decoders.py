@@ -53,6 +53,13 @@ def outcome_of(matrix, items):
     return evaluate(matrix, DefectiveSet(items, matrix.num_items))
 
 
+@pytest.fixture(scope="module")
+def large_design():
+    """The large-n benchmark design: n = 400 000 items in 4 tests each,
+    T = 16 000 tests of 100 items, 1.6 M incidences."""
+    return permuted_block_rho_design(400_000, 10, 100, 0.5, np.random.default_rng(42))
+
+
 class TestComa:
     def test_single_defective_on_grid(self):
         res = coma_decode(GRID9, outcome_of(GRID9, {5}))
@@ -133,14 +140,14 @@ class TestComa:
         assert trial.size == estimate.size == 0
         assert peak < 1 << 20
 
-    def test_dense_fill_peaks_within_its_bool_array(self):
+    def test_dense_fill_peaks_within_its_bool_array(self, large_design):
         """A batch of 384 trials (6 words) of 10 defectives on a design of
         T = 16 000 tests, forced onto the dense stage: the fill sets bits of
         one (T, 384) bool array and packs it into the stage's masks, and the
         whole decode peaks within that array's bytes plus 1 MiB. Every
         defective is reported, as COMA never misses one."""
         n, trials = 400_000, 384
-        matrix = permuted_block_rho_design(n, 10, 100, 0.5, np.random.default_rng(42))
+        matrix = large_design
         plan = make_plan(matrix, "coma")
         rng = np.random.default_rng(7)
         items = np.concatenate([rng.choice(n, 10, replace=False) for _ in range(trials)])
@@ -156,13 +163,13 @@ class TestComa:
         assert np.isin(trial * n + items, est_trial * n + est_item).all()
         assert peak < matrix.num_tests * trials + (1 << 20)
 
-    def test_plan_allocates_little_per_incidence(self):
+    def test_plan_allocates_little_per_incidence(self, large_design):
         """A COMA plan on a permuted-rho design of 1.6 M incidences (n = 4 *
         10**5 items of weight 4, T = 16000) takes its (K, items) test table
         a row at a time from a narrow copy of the column index, so the
         build peaks under 20 bytes per incidence; building it through one
         (K, items) int64 index peaks higher."""
-        matrix = permuted_block_rho_design(400_000, 10, 100, 0.5, np.random.default_rng(42))
+        matrix = large_design
         matrix.column_index()
         tracemalloc.start()
         try:
@@ -173,6 +180,23 @@ class TestComa:
             tracemalloc.stop()
         assert plan.table.shape == (4, 400_000)
         assert peak < 20 * matrix.ones_count()
+
+    def test_plan_and_column_index_allocate_little_per_incidence(self, large_design):
+        """Above the matrix, the column index and the plan hold 18.1 bytes
+        per incidence, and building both peaks at about 22.8: the plan's
+        scratch is int32 positions and one reused int64 position buffer.
+        int64 scratch with a fresh position array per table row peaks near
+        30."""
+        matrix = TestMatrix.from_csr(large_design.indptr, large_design.indices,
+                                     large_design.num_items)
+        tracemalloc.start()
+        try:
+            plan = make_plan(matrix, "coma")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(plan.table, make_plan(large_design, "coma").table)
+        assert peak < 26 * matrix.ones_count()
 
 
 class TestDenseStageRule:

@@ -324,7 +324,9 @@ def _parse_reading_lines(text):
     return result, reader.called
 
 
-# valid text the C conversion refuses: the per-line reader must accept it
+# valid text the chunked C conversion refuses: the per-line reader must
+# accept it. str.splitlines ends a line at \r and \x0c too, and each line
+# is stripped
 _UNUSUAL_VALID_TEXTS = {
     "plus sign": "2 3\n1 +2\n0\n",
     "underscore": "1 30\n1 1_0\n",
@@ -333,21 +335,24 @@ _UNUSUAL_VALID_TEXTS = {
     "tab": "1 5\n2\t1 3\n",
     "tabs and spaces": "2 5\n2 \t 1\t\t3\n1\t4\n",
     "double space": "1 5\n2  1 3\n",
-}
-
-# valid text the C conversion reads: the per-line reader must not run.
-# str.splitlines ends a line at \r and \x0c too, and each line is stripped
-_PLAIN_VALID_TEXTS = {
     "form feed between rows": "2 5\n1 1\x0c1 3\n",
     "form feed at a line end": "2 5\n1 1\x0c\n1 3\n",
     "leading and trailing spaces": "2 5\n  2 1 3  \n 1 4\n",
     "lone carriage returns": "2 5\r2 1 3\r1 4\r",
-    "leading zeros": "2 10\n2 007 8\n1 0000000000000000000000009\n",
     "CRLF line endings": "2 5\r\n2 1 3\r\n0\r\n",
     "comments and blank lines between rows": "# design\n2 5\n\n1 1\n# note\n\n   \n2 0 4\n# end\n",
+    "no rows": "0 5\n# nothing\n",
+}
+
+# valid text the chunked C conversion reads: the per-line reader must not run
+_PLAIN_VALID_TEXTS = {
+    "leading zeros": "2 10\n2 007 8\n1 0000000000000000000000009\n",
     "lone 0 rows": "3 5\n0\n1 2\n0\n",
     "largest index": f"1 {2**31}\n2 0 2147483647\n",
-    "no rows": "0 5\n# nothing\n",
+    "no final newline": "2 5\n2 1 3\n1 4",
+    "comments and blank lines before the header": "# design\n\n  \t\n# T n\n2 5\n2 1 3\n0\n",
+    "header only": "0 5\n",
+    "header without a newline": "0 5",
 }
 
 # errors where the C conversion reads a token otherwise than int() does, or
@@ -374,8 +379,8 @@ _ERROR_TEXTS = {
 
 
 class TestParseAgreesOnUnusualText:
-    """The C conversion and the per-line reader accept the same rows and
-    raise the same error as the line-by-line reference."""
+    """The chunked C conversion and the per-line reader accept the same
+    rows and raise the same error as the line-by-line reference."""
 
     @pytest.mark.parametrize("text", _UNUSUAL_VALID_TEXTS.values(), ids=list(_UNUSUAL_VALID_TEXTS))
     def test_valid_text_the_c_pass_refuses(self, text):
@@ -414,6 +419,79 @@ class TestParseAgreesOnUnusualText:
         assert not per_line
         assert serialize(result) == text
         assert result == ref.parse(text)
+
+
+def _parse_by_lines(text):
+    """``parse(text)`` (or its error) with the chunked reader refusing every
+    body: the rows come from ``_content_lines`` and ``_read_rows``."""
+    with mock.patch.object(core, "_chunked_rows", return_value=None):
+        return _outcome(parse, text)
+
+
+# design files of 3 rows over 9 items, each valid except where it says
+_ROWS = "2 1 5\n0\n3 0 2 7\n"
+_TEXTS = {
+    "plain": "3 9\n" + _ROWS,
+    "tab": "3 9\n2\t1 5\n0\n3 0 2 7\n",
+    "CRLF": "3 9\r\n" + _ROWS.replace("\n", "\r\n"),
+    "CRLF in the body": "3 9\n" + _ROWS.replace("\n", "\r\n"),
+    "double space": "3 9\n2 1  5\n0\n3 0 2 7\n",
+    "leading space": "3 9\n2 1 5\n0\n 3 0 2 7\n",
+    "trailing space": "3 9\n2 1 5 \n0\n3 0 2 7\n",
+    "blank line between rows": "3 9\n2 1 5\n\n0\n3 0 2 7\n",
+    "comment between rows": "3 9\n2 1 5\n# note\n0\n3 0 2 7\n",
+    "plus sign": "3 9\n2 1 +5\n0\n3 0 2 7\n",
+    "underscore": "3 9\n2 0_1 5\n0\n3 0 2 7\n",
+    "arabic-indic digit": "3 9\n2 1 ٣\n0\n3 0 2 7\n",
+    "no final newline": "3 9\n" + _ROWS[:-1],
+    "trailing blank lines": "3 9\n" + _ROWS + "\n\n",
+    "comments before the header": "# a design\n\n# T n\n3 9\n" + _ROWS,
+    "token past int64 (error)": "3 9\n2 1 5\n0\n3 0 2 99999999999999999999\n",
+    "weight past int64 (error)": "3 9\n2 1 5\n99999999999999999999\n3 0 2 7\n",
+    "index n (error)": "3 9\n2 1 9\n0\n3 0 2 7\n",
+    "falling indices (error)": "3 9\n2 1 5\n0\n3 0 7 2\n",
+    "weight too large (error)": "3 9\n2 1 5\n1\n3 0 2 7\n",
+    "missing row (error)": "3 9\n2 1 5\n0\n",
+    "blank line for a row (error)": "3 9\n2 1 5\n\n3 0 2 7\n",
+    "spaces for a row (error)": "3 9\n2 1 5\n  \n3 0 2 7\n",
+    "extra row (error)": "3 9\n" + _ROWS + "0\n",
+    "extra row after a comment (error)": "3 9\n" + _ROWS + "# more\n1 4\n",
+}
+
+
+class TestChunkedReaderAgreesWithThePerLineReader:
+    """The chunked reader returns the rows that ``_content_lines`` and
+    ``_read_rows`` return, and hands every body it cannot read to them, so
+    each error keeps its line and message."""
+
+    @given(csr_matrices(), st.sampled_from([1, 2, 5, 16, 64, 2**20]))
+    @example(TestMatrix.from_csr(np.array([0]), np.array([], dtype=np.int64), 5), 1)
+    @example(TestMatrix.from_csr(np.array([0, 0, 1, 1]), np.array([3]), 5), 2)
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_with_rows_across_chunks(self, matrix, chunk):
+        """``chunk`` characters at least per chunk: at a few characters
+        each chunk is one row, and rows of any length end chunks
+        anywhere. The generated rows are sorted and deduplicated, and the
+        block offsets made well formed, so that the file is valid."""
+        rows = [sorted(set(row)) for row in matrix.rows]
+        blocks = matrix.block_starts and sorted({0, *matrix.block_starts})
+        matrix = TestMatrix(rows, matrix.num_items, matrix.col_limit, matrix.row_limit,
+                            matrix.design_tag, blocks, matrix.base_tag, matrix.repeat_k)
+        text = serialize(matrix)
+        with mock.patch.object(core, "_PARSE_CHUNK_CHARS", chunk):
+            result, per_line = _parse_reading_lines(text)
+        assert result == matrix
+        assert result.indices.dtype == np.int32
+        assert not per_line
+
+    @pytest.mark.parametrize("chunk", [1, 2**20])
+    @pytest.mark.parametrize("name", _TEXTS)
+    def test_same_rows_or_error(self, name, chunk):
+        text = _TEXTS[name]
+        with mock.patch.object(core, "_PARSE_CHUNK_CHARS", chunk):
+            got = _outcome(parse, text)
+        assert got == _parse_by_lines(text)
+        assert isinstance(got, tuple) == name.endswith("(error)")
 
 
 # ---------------------------------------------------------------------------
