@@ -39,8 +39,8 @@ from .core import (
     TAG_RANDOM_GAMMA,
     TAG_REPEATED,
     TestMatrix,
+    _serialized_parts,
     parse,
-    serialize,
 )
 from .decoders import decoder_for, make_plan
 from .designs import (
@@ -208,6 +208,7 @@ def _load_design(path: str) -> TestMatrix:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
+    del data  # parse holds the text alone
     return parse(text)
 
 
@@ -219,7 +220,8 @@ def _cmd_design(args: argparse.Namespace, echo: str) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(echo + "\n")
             fh.write(f"# family={args.family} seed={args.seed}\n")
-            fh.write(serialize(matrix))
+            # each part is written as it is formed, so the text is never whole
+            fh.writelines(_serialized_parts(matrix))
     return 0
 
 

@@ -14,6 +14,7 @@ prints 1-based test labels where it echoes per-test detail.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cache, cached_property
@@ -214,6 +215,22 @@ class Outcomes:
 
 # item indices are stored as int32; every index of a valid matrix fits
 _MAX_ITEMS = 2**31
+# incidences per item range and per block of rows of the column index build
+_INDEX_RANGE = 1 << 18
+_INDEX_BLOCK = 1 << 16
+
+
+def _key_dtype(num_items: int, shift: int) -> type:
+    """The unsigned dtype of keys ``item << shift | low``, for items below
+    ``num_items`` and ``low`` below ``1 << shift``: 32 bits where they fit."""
+    return np.uint32 if num_items << shift <= 1 << 32 else np.uint64
+
+
+def _test_dtype(num_tests: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds every test number of a
+    matrix of ``num_tests`` tests: the dtype of its column index's tests,
+    and of the COMA test table taken from them."""
+    return np.min_scalar_type(max(num_tests - 1, 0))
 
 
 class TestMatrix:
@@ -386,38 +403,85 @@ class TestMatrix:
     def column_index(self) -> tuple[np.ndarray, np.ndarray]:
         """The CSC column index ``(col_indptr, tests)``: item ``i`` is pooled
         by the tests ``tests[col_indptr[i]:col_indptr[i + 1]]``, in increasing
-        order. Both int64, write-locked, cached. Raises like
+        order. ``col_indptr`` is int64 and ``tests`` the narrowest unsigned
+        dtype that holds T - 1 (:func:`_test_dtype`: 2 bytes an incidence
+        below 65 536 tests); both write-locked, cached. Raises like
         :meth:`column_weights`.
 
-        It is built from one int64 array of keys ``item << b | test``, b the
-        bits of T - 1, sorted and then masked down to the tests in place:
-        besides the index it holds only the row number of each incidence,
-        in the narrowest unsigned dtype that takes T - 1."""
+        It is built with no 64-bit key per incidence. The items are cut
+        into ranges of about ``_INDEX_RANGE`` incidences, and the rows into
+        blocks of about ``_INDEX_BLOCK``. A block's keys ``item << s |
+        (test - first test)``, sorted in 32 bits where they fit, hold each
+        range's incidences as one run, which is staged as the range's keys
+        ``(item - first item) << b | test``, b the bits of T - 1. Sorted,
+        a range's keys order its incidences by item and then by test, and
+        their low bits are its tests. Besides the index it holds the staged
+        keys (4 bytes an incidence where they fit in 32 bits) and one
+        block's keys. A design whose incidences fit one range sorts its
+        keys at once."""
         return self._column_index
 
     @cached_property
     def _column_weights(self) -> np.ndarray:
         _checked_max_index(self.indices, self.num_items)
-        weights = np.bincount(self.indices, minlength=self.num_items).astype(np.int64, copy=False)
+        # bincount would cast the int32 indices to an intp copy; add.at
+        # reads them as they are, nearly as fast
+        weights = np.zeros(self.num_items, dtype=np.int64)
+        np.add.at(weights, self.indices, 1)
         weights.setflags(write=False)
         return weights
 
     @cached_property
     def _column_index(self) -> tuple[np.ndarray, np.ndarray]:
         col_indptr = _offsets(self.column_weights())
-        # sorting the keys item << bits | test orders the incidences by
-        # item, then by test; the low bits are then the tests
-        last_test = max(self.num_tests - 1, 0)
-        bits = last_test.bit_length()
-        keys = self.indices.astype(np.int64)
-        keys <<= bits
-        keys |= np.repeat(np.arange(self.num_tests, dtype=np.min_scalar_type(last_test)),
-                          self.row_weights())
-        keys.sort()
-        keys &= (1 << bits) - 1  # int64: fancy indexing with int32 costs a cast
+        bits = max(self.num_tests - 1, 0).bit_length()
+        tests = np.empty(self.indices.size, dtype=_test_dtype(self.num_tests))
+        items = _cuts(col_indptr, _INDEX_RANGE)
+        ranges = list(zip(items, items[1:]))
+        # each range's keys (item - first item) << bits | test: sorted, they
+        # order its incidences by item, then by test, and their low bits
+        # are then its tests
+        if len(ranges) == 1:
+            staged = [self._row_keys(0, self.num_tests, bits)]
+        else:
+            staged = [np.empty(col_indptr[hi] - col_indptr[lo], dtype=_key_dtype(hi - lo, bits))
+                      for lo, hi in ranges]
+            filled = [0] * len(ranges)
+            rows = _cuts(self.indptr, _INDEX_BLOCK)
+            for t0, t1 in zip(rows, rows[1:]):
+                # a block's keys item << shift | (test - t0), sorted, hold
+                # each range's incidences as one run
+                shift = max(t1 - t0 - 1, 0).bit_length()
+                keys = self._row_keys(t0, t1, shift)
+                keys.sort()
+                firsts = np.array(items[1:-1], dtype=keys.dtype) << shift
+                at = [0, *np.searchsorted(keys, firsts).tolist(), keys.size]
+                for r, (a, b) in enumerate(zip(at, at[1:])):
+                    run, out = keys[a:b], staged[r][filled[r] : filled[r] + b - a]
+                    np.right_shift(run, shift, out=out)
+                    out -= items[r]
+                    out <<= bits
+                    run &= (1 << shift) - 1
+                    run += t0
+                    out |= run
+                    filled[r] += b - a
+        for (lo, hi), keys in zip(ranges, staged):
+            keys.sort()
+            keys &= (1 << bits) - 1
+            tests[col_indptr[lo] : col_indptr[hi]] = keys
         col_indptr.setflags(write=False)
-        keys.setflags(write=False)
-        return col_indptr, keys
+        tests.setflags(write=False)
+        return col_indptr, tests
+
+    def _row_keys(self, t0: int, t1: int, shift: int) -> np.ndarray:
+        """The keys ``item << shift | (test - t0)`` of the incidences of
+        rows ``t0`` to ``t1 - 1``, in CSR order, in 32 bits where they fit."""
+        keys = self.indices[self.indptr[t0] : self.indptr[t1]].astype(
+            _key_dtype(self.num_items, shift))
+        keys <<= shift
+        keys |= np.repeat(np.arange(t1 - t0, dtype=_test_dtype(t1 - t0)),
+                          np.diff(self.indptr[t0 : t1 + 1]))
+        return keys
 
     def ones_count(self) -> int:
         return int(self.indices.size)
@@ -465,6 +529,16 @@ def _offsets(lengths) -> np.ndarray:
     indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
     indptr[1:] = np.cumsum(lengths)
     return indptr
+
+
+def _cuts(offsets: np.ndarray, size: int) -> list[int]:
+    """Where chunks of about ``size`` entries start under the CSR
+    ``offsets``: 0, the first row at or past each multiple of ``size``
+    entries, and the end (the row count). A row longer than ``size`` is one
+    chunk. (The first call of np.unique in a process holds 0.3-1.3 MB of
+    RSS for good, so the cuts are deduplicated as a set.)"""
+    at = np.searchsorted(offsets, np.arange(0, offsets[-1], size))
+    return sorted({0, *at.tolist(), offsets.size - 1})
 
 
 def _ragged(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -607,9 +681,11 @@ def _or_gather(matrix: TestMatrix, trial: np.ndarray,
     arrays: trial ``trial[k]`` holds item ``items[k]`` (distinct per trial,
     in range). Returns the (trial, test) pair of every incidence of the
     defectives, gathered from the CSC index item by item, so unsorted and
-    with a pair repeated where two defectives of a trial share a test. The
-    only OR evaluation: :func:`_or_batch` reduces it to sorted keys, and a
-    COMA plan may scatter it into test masks instead."""
+    with a pair repeated where two defectives of a trial share a test; the
+    tests keep the index's narrow dtype, so a caller multiplies them only
+    after a cast to int64. The only OR evaluation: :func:`_or_batch`
+    reduces it to sorted keys, and a COMA plan may scatter it into test
+    masks instead."""
     col_indptr, tests = matrix.column_index()
     starts = col_indptr[items]
     lengths = col_indptr[items + 1] - starts
@@ -858,12 +934,19 @@ def _write_tokens(tokens: np.ndarray, row_ends: np.ndarray, groups: int) -> str:
 
 
 def serialize(matrix: TestMatrix) -> str:
-    """The design file of ``matrix``. Its rows are written a chunk of about
+    """The design file of ``matrix``: the parts of :func:`_serialized_parts`
+    joined. Raises :class:`InvalidParameterError`, before writing, when an
+    item index lies outside [0, n), as :func:`parse` would refuse the file."""
+    return "".join(_serialized_parts(matrix))
+
+
+def _serialized_parts(matrix: TestMatrix) -> Iterator[str]:
+    """The design file of ``matrix`` in parts, each formed as it is asked
+    for: the header line, then the rows a chunk of about
     ``_SERIALIZE_CHUNK_TOKENS`` tokens (row weights and items) at a time,
-    from fixed tables of 4-digit groups: no Python object per token and no
-    table sized by n. Raises :class:`InvalidParameterError`, before writing,
-    when an item index lies outside [0, n), as :func:`parse` would refuse
-    the file."""
+    written from fixed tables of 4-digit groups: no Python object per token
+    and no table sized by n. The indices are checked as :func:`serialize`
+    documents before the header is given."""
     header = [str(matrix.num_tests), str(matrix.num_items)]
     if matrix.col_limit is not None:
         header.append(f"gamma={matrix.col_limit}")
@@ -880,14 +963,10 @@ def serialize(matrix: TestMatrix) -> str:
     indptr, indices, lengths = matrix.indptr, matrix.indices, matrix.row_weights()
     top = max(_checked_max_index(indices, matrix.num_items), int(lengths.max(initial=0)))
     groups = 1 + (top >= _GROUP) + (top >= _GROUP**2)  # tokens <= 2**31 < 10**12
-    # token offset of each row, and the first row at or after each multiple
-    # of the chunk budget: a row longer than the budget is one chunk. The
-    # first call of np.unique or np.insert in a process holds 0.3-1.3 MB of
-    # RSS for good, so neither is used.
+    yield " ".join(header) + "\n"
+    # token offset of each row, and the rows where the chunks start
     starts = indptr + np.arange(indptr.size)
-    cuts = np.searchsorted(starts, np.arange(0, starts[-1], _SERIALIZE_CHUNK_TOKENS))
-    cuts = sorted({*cuts.tolist(), lengths.size})
-    parts = [" ".join(header) + "\n"]
+    cuts = _cuts(starts, _SERIALIZE_CHUNK_TOKENS)
     for lo, hi in zip(cuts, cuts[1:]):
         weight = starts[lo:hi] - starts[lo]  # the position of each row's weight
         is_item = np.ones(starts[hi] - starts[lo], dtype=bool)
@@ -895,8 +974,7 @@ def serialize(matrix: TestMatrix) -> str:
         tokens = np.empty(is_item.size, dtype=np.int64)
         tokens[is_item] = indices[indptr[lo] : indptr[hi]]
         tokens[weight] = lengths[lo:hi]
-        parts.append(_write_tokens(tokens, starts[lo + 1 : hi + 1] - starts[lo] - 1, groups))
-    return "".join(parts)
+        yield _write_tokens(tokens, starts[lo + 1 : hi + 1] - starts[lo] - 1, groups)
 
 
 def _parse_positive_int(token: str, line_no: int, what: str) -> int:
@@ -928,14 +1006,15 @@ def parse(text: str) -> TestMatrix:
     token by token. The row body is read by :func:`_chunked_rows`, about
     ``_PARSE_CHUNK_CHARS`` characters at a time, each chunk converted by
     one C pass (``np.fromstring``) and checked on its arrays, so the reader
-    holds little beyond the text and the int32 indices it returns. It reads
-    rows of ASCII digits and single spaces, one to each "\n"-ended line.
-    Any other body (comments or blank lines among the rows, tabs, runs of
-    spaces, "\r" line ends, signs or non-ASCII digits), a file whose lines
-    up to the header hold a line end other than "\n", and every malformed
-    body go to :func:`_content_lines` and the per-line reader
-    :func:`_read_rows`. These accept the same rows, several times more
-    slowly on a large body, and raise the first failing line's error."""
+    holds little beyond the text and the one int32 array of indices it
+    returns. It reads rows of ASCII digits and single spaces, one to each
+    line ended by "\n" or "\r\n", with "#" comment lines among them. Any
+    other body (blank or indented lines among the rows, tabs, runs of
+    spaces, other line ends, signs or non-ASCII digits), a file whose lines
+    up to the header hold another line end, and every malformed body go to
+    :func:`_content_lines` and the per-line reader :func:`_read_rows`.
+    These accept the same rows, several times more slowly on a large body,
+    and raise the first failing line's error with its line number."""
     header_no, header, body_at = _header_line(text)
     tokens = header.split()
     if len(tokens) < 2:
@@ -1021,14 +1100,16 @@ def _header_line(text: str) -> tuple[int, str, int | None]:
     """The first content line of a design file, by the rules of
     :func:`_content_lines`: its 1-based number, its stripped text, and the
     offset in ``text`` of the line after it. Only the lines up to it are
-    scanned, at each "\n". Where one of them holds another line end that
-    ``str.splitlines`` splits at, the header is taken from
-    :func:`_content_lines` and the offset is None."""
+    scanned, at each "\n" (a "\r" before it ends the line with it). Where
+    one of them holds another line end that ``str.splitlines`` splits at,
+    the header is taken from :func:`_content_lines` and the offset is None."""
     start, line_no = 0, 1
     while start < len(text):
         end = text.find("\n", start)
         end = len(text) if end < 0 else end
         line = text[start:end]
+        if line.endswith("\r"):  # a "\r\n" line end
+            line = line[:-1]
         if line and line.splitlines() != [line]:
             break
         stripped = line.strip()
@@ -1042,46 +1123,75 @@ def _header_line(text: str) -> tuple[int, str, int | None]:
 
 
 # characters of row body converted at a time; a chunk ends at a newline
-_PARSE_CHUNK_CHARS = 1 << 20
+_PARSE_CHUNK_CHARS = 1 << 18
 # the bytes a row body may hold for the chunked reader
 _ROW_BODY_BYTES = b"0123456789 \n"
+# a comment line that str.splitlines reads as one line: "#", then no line
+# end of its own, then "\n"
+_COMMENT_LINE = re.compile("^#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*\n", re.MULTILINE)
 
 
 def _chunked_rows(
     text: str, start: int, num_tests: int, num_items: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """CSR arrays (int64 offsets, int32 indices) of the row body
-    ``text[start:]``, or None unless it is exactly ``num_tests`` lines,
-    each ended by "\n" (the last may end the text instead) and each valid
-    by :func:`_checked_rows`. The body is read a chunk of about
-    ``_PARSE_CHUNK_CHARS`` characters at a time, each ending at a
-    newline."""
-    lengths, parts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int32)]
-    rows = 0
-    while start < len(text):
-        end = text.find("\n", start + _PARSE_CHUNK_CHARS - 1)
-        end = len(text) if end < 0 else end + 1
-        chunk = text[start:end].encode("ascii", "replace")
-        start = end
-        checked = _checked_rows(chunk if chunk.endswith(b"\n") else chunk + b"\n", num_items)
+    ``text[start:]``, or None unless, past its comment lines, it is
+    exactly ``num_tests`` lines, each ended by "\n" or "\r\n" (the last
+    may end the text instead) and each valid by :func:`_checked_rows`. The
+    body is read a chunk of about ``_PARSE_CHUNK_CHARS`` characters at a
+    time, each ending at a newline, into one int32 array sized by the
+    body's spaces: a row line holds one space per index."""
+    bounds = [start]
+    while bounds[-1] < len(text):
+        end = text.find("\n", bounds[-1] + _PARSE_CHUNK_CHARS - 1)
+        bounds.append(len(text) if end < 0 else end + 1)
+    chunks = list(zip(bounds, bounds[1:]))
+    indices = np.empty(sum(_spaces(text[a:b].encode("ascii", "replace")) for a, b in chunks),
+                       dtype=np.int32)
+    lengths = [np.empty(0, dtype=np.int64)]
+    rows = filled = 0
+    for a, b in chunks:
+        checked = _checked_rows(_row_lines(text[a:b]), num_items, indices[filled:])
         if checked is None:
             return None
-        lengths.append(checked[0])
-        parts.append(checked[1])
-        rows += checked[0].size
+        lengths.append(checked)
+        rows += checked.size
+        filled += int(checked.sum())
         if rows > num_tests:
             return None
     if rows != num_tests:
         return None
-    return _offsets(np.concatenate(lengths)), np.concatenate(parts)
+    # a comment line's spaces leave the end of the array unused
+    return _offsets(np.concatenate(lengths)), indices[:filled]
 
 
-def _checked_rows(chunk: bytes, num_items: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """(row lengths, int32 indices) of the lines of ``chunk``, each ended by
-    "\n", or None unless each line is ``w i_1 ... i_w`` in ASCII digits
-    and single spaces, with no space at either end, every weight matching
-    its line, and every index in ``[0, num_items)`` and above the one
-    before it. One C conversion reads the chunk with -1 after each line."""
+def _spaces(data: bytes) -> int:
+    """The spaces in ``data``, counted by NumPy: several times faster than
+    ``bytes.count`` or ``str.count``."""
+    return int(np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == ord(" ")))
+
+
+def _row_lines(piece: str) -> bytes:
+    """A chunk of row body as ASCII bytes of "\n"-ended lines: each
+    "\r\n" made "\n", and the "#" lines of :data:`_COMMENT_LINE` dropped.
+    Anything else is kept, a non-ASCII character as "?", for
+    :func:`_checked_rows` to refuse."""
+    if not piece.endswith("\n"):
+        piece += "\n"
+    if "\r" in piece:
+        piece = piece.replace("\r\n", "\n")
+    if "#" in piece:
+        piece = _COMMENT_LINE.sub("", piece)
+    return piece.encode("ascii", "replace")
+
+
+def _checked_rows(chunk: bytes, num_items: int, out: np.ndarray) -> np.ndarray | None:
+    """The row lengths of the lines of ``chunk``, each ended by "\n", with
+    their indices written to the front of ``out``; or None unless each
+    line is ``w i_1 ... i_w`` in ASCII digits and single spaces, with no
+    space at either end, every weight matching its line, and every index
+    in ``[0, num_items)`` and above the one before it. One C conversion
+    reads the chunk with -1 after each line."""
     if chunk.translate(None, _ROW_BODY_BYTES):
         return None
     with warnings.catch_warnings():
@@ -1096,7 +1206,7 @@ def _checked_rows(chunk: bytes, num_items: int) -> tuple[np.ndarray, np.ndarray]
     # many only when they are single and inside it, and a line of no tokens
     # holds at least 0: so the chunk holds as many spaces as tokens past
     # the first of each line only when every line is well spaced
-    if chunk.count(b" ") != values.size - 2 * ends.size:
+    if _spaces(chunk) != values.size - 2 * ends.size:
         return None
     firsts = np.empty_like(ends)
     firsts[:1], firsts[1:] = 0, ends[:-1] + 1
@@ -1113,7 +1223,8 @@ def _checked_rows(chunk: bytes, num_items: int) -> tuple[np.ndarray, np.ndarray]
     indices = values[is_item]
     if indices.size and indices.max() >= num_items:
         return None
-    return lengths, indices.astype(np.int32)
+    out[: indices.size] = indices
+    return lengths
 
 
 def _read_rows(body: list[tuple[int, str]], num_items: int) -> tuple[np.ndarray, np.ndarray]:

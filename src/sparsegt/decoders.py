@@ -198,10 +198,14 @@ class ComaPlan(_Plan):
     bool array takes T bytes a trial while the batch packs it.
 
     The plan keeps the column index and its ``candidates``, ``table`` and
-    ``group_ptr``. Building them takes int32 positions of each tested
+    ``group_ptr``; the table takes the dtype of the index's tests (uint16
+    below 65 536 tests). Building them takes int32 positions of each tested
     item's first and last test and one int64 position buffer, reused for
     every table row, and frees both: on a design of items in 4 tests each
-    the build peaks at about 11 bytes per incidence above the column index.
+    the build peaks at about 9 bytes per incidence above the column index,
+    which itself keeps 4 (int64 offsets and uint16 tests). The narrow tests
+    are cast to int64 only where a product could overflow them: the dense
+    fill's scatter index and the mask index of :meth:`_and_rest`.
     """
 
     kind = "coma"
@@ -213,8 +217,7 @@ class ComaPlan(_Plan):
         self.col_indptr, self.tests = matrix.column_index()
         weight = matrix.column_weights()
         self.untested = np.flatnonzero(weight == 0)
-        self.candidates, self.table = _filed_table(self.col_indptr, self.tests, weight != 0,
-                                                   matrix.num_tests)
+        self.candidates, self.table = _filed_table(self.col_indptr, self.tests, weight != 0)
         self.group_ptr = _offsets(np.bincount(self.table[0], minlength=matrix.num_tests))
         self.trial_bytes = matrix.num_tests / 8  # the test masks
 
@@ -231,10 +234,12 @@ class ComaPlan(_Plan):
             return self._estimate(self._sparse_candidates(self._masks(*positives, num_trials)),
                                   num_trials)
         bits = np.zeros((num_tests, width), dtype=bool)
-        bits.reshape(-1)[test * width + trial] = True  # a repeated pair sets its bit again
+        at = np.multiply(test, width, dtype=np.int64)  # the tests are narrow
+        at += trial
+        bits.reshape(-1)[at] = True  # a repeated pair sets its bit again
         # the pairs, and then the bool array, are freed once read, so the
         # batch peaks at little more than the bool array
-        del trial, test
+        del trial, test, at
         by_test = np.packbits(bits, axis=1, bitorder="little").view("<u8")
         del bits
         return self._estimate(self._dense_candidates(by_test), num_trials)
@@ -334,38 +339,36 @@ class ComaPlan(_Plan):
         more = np.flatnonzero(ends > starts)
         if more.size:
             lengths = ends[more] - starts[more]
-            at = self.tests[_ragged(starts[more], lengths)]
-            at *= stride
+            at = np.multiply(self.tests[_ragged(starts[more], lengths)], stride, dtype=np.int64)
             at += np.repeat(np.broadcast_to(offset, item.shape)[more], lengths)
             hit[more] &= np.bitwise_and.reduceat(masks[at], _offsets(lengths)[:-1])
 
 
-def _filed_table(col_indptr: np.ndarray, tests: np.ndarray, tested: np.ndarray,
-                 num_tests: int) -> tuple[np.ndarray, np.ndarray]:
-    """A COMA plan's ``candidates`` and ``table`` from the CSC index of its
-    matrix and the mask of its tested items. Its scratch, freed on return,
-    is the positions of each candidate's first and last test, in int32
-    where they fit, and one int64 position buffer reused for every row."""
+def _filed_table(col_indptr: np.ndarray, tests: np.ndarray,
+                 tested: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A COMA plan's ``candidates`` and ``table``, in the dtype of the
+    column index's tests, from the CSC index of its matrix and the mask of
+    its tested items. Its scratch, freed on return, is the positions of
+    each candidate's first and last test, in int32 where they fit, and one
+    int64 position buffer reused for every row."""
     scratch = np.int32 if tests.size < 2**31 else np.int64
     starts = col_indptr[:-1][tested].astype(scratch)
     last = col_indptr[1:][tested].astype(scratch)
     last -= 1
     # a stable sort on a dtype of at most 16 bits is a radix sort
-    narrow = tests.astype(np.min_scalar_type(num_tests))
-    order = np.argsort(narrow[starts], kind="stable")
+    order = np.argsort(tests[starts], kind="stable")
     candidates = np.flatnonzero(tested)[order]
     starts, last = starts[order], last[order]
     del order
-    # the table is taken from the narrow copy a row at a time (one (K,
-    # items) index would peak higher, and take casts indices of another
-    # dtype than int64)
+    # the table is taken a row at a time (one (K, items) index would peak
+    # higher, and take casts indices of another dtype than int64)
     rows = max(1, -(-tests.size // max(1, starts.size)))  # K
-    table = np.empty((rows, starts.size), dtype=narrow.dtype)
+    table = np.empty((rows, starts.size), dtype=tests.dtype)
     at = np.empty(starts.size, dtype=np.int64)
     for k, row in enumerate(table):
         np.add(starts, k, out=at, dtype=np.int64)
         np.minimum(at, last, out=at)
-        np.take(narrow, at, out=row)
+        np.take(tests, at, out=row)
     return candidates, table
 
 

@@ -9,14 +9,15 @@ trial range across workers reproduces the sequential result bit for bit.
 The harness draws those trials in one pipeline. For each chunk of
 thousands of trials it computes in numpy the trial seeds and the ``PCG64``
 states that NumPy's ``SeedSequence`` seeding gives them. For noiseless
-trials of at most 100 defectives under the uniform prior, it replays on the
-whole chunk from those states the Floyd sampler behind
-``Generator.choice(n, d, replace=False)``, and only a trial whose draws may
-have hit a rejection is drawn by a generator. Every other trial (noisy runs,
-the iid prior, d > 100) is drawn in trial order by one reused ``PCG64`` set
-to its state. The replica is checked against
-``default_rng`` once per process; on a mismatch every trial gets its own
-``default_rng``. The results are identical either way. The harness then
+trials under the uniform prior with at most ``_replica_cap(n)`` defectives
+(85 to 165, growing with n), it replays on the whole chunk from those
+states the Floyd sampler behind ``Generator.choice(n, d, replace=False)``,
+and only a trial whose draws may have hit a rejection is drawn by a
+generator. Every other trial (noisy runs, the iid prior, d past the cap)
+is drawn in trial order by one reused ``PCG64`` set to its state. The
+replica is checked against ``default_rng`` once per process; on a
+mismatch every trial gets its own ``default_rng``. The results are
+identical either way. The harness then
 evaluates a batch of trials to the (trial, test) pairs of its positive
 tests, decodes those with the channel's flips and scores the batch with
 array operations; the counts do not depend on the batch size. A majority
@@ -327,14 +328,27 @@ def _floyd_replay(draws: np.ndarray, n: int, d: int) -> np.ndarray:
     return picks
 
 
+# the most draws per trial at which the replica draws faster than a
+# generator per trial, measured at n = 10**3, 10**4 and 10**5 (2 vCPU); the
+# cap is interpolated in log n between them and held at the nearest outside
+_REPLICA_CAP_LOG_N = (3.0, 4.0, 5.0)
+_REPLICA_CAP_D = (85, 115, 165)
+
+
 def _replica_covers(prior: Prior, n: int, sigma: float) -> bool:
     """Whether ``_floyd_draws`` covers a run's draws: noiseless, under the
-    uniform prior, with every bound j + 1 within 32 bits and at most 100
-    draws per trial. The replica's cost grows faster with d than a
-    generator's: at d = 2000 it draws 20 times slower. Under the cap
-    ``choice`` always takes Floyd's branch."""
+    uniform prior, with every bound j + 1 within 32 bits and at most
+    :func:`_replica_cap` draws per trial. The replica's cost grows faster
+    with d than a generator's: at d = 2000 it draws 20 times slower. Under
+    the cap ``choice`` always takes Floyd's branch."""
     return (sigma == 0.0 and prior.kind == PRIOR_UNIFORM_EXACT and n <= _LOW32
-            and prior.d <= 100)
+            and prior.d <= _replica_cap(n))
+
+
+def _replica_cap(n: int) -> int:
+    """The most draws per trial the replica takes over n items: 85 up to
+    n = 10**3, 115 at 10**4 and 165 from 10**5 on."""
+    return int(np.interp(math.log10(n), _REPLICA_CAP_LOG_N, _REPLICA_CAP_D))
 
 
 # (master seed, n, d) cases on which the replica must reproduce default_rng:

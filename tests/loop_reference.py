@@ -1,7 +1,7 @@
 """Python-loop references for the vectorised core operations and decoders.
 
 These are the straightforward row-by-row versions of ``evaluate``,
-``TestMatrix.column_weights``, ``validate``, ``parse``, the %-format
+``TestMatrix.column_weights``, ``TestMatrix.column_index``, ``validate``, ``parse``, the %-format
 design file writer, the outcome file reader and writer, the per-item draw loop of the random-gamma
 constructor, the per-block
 loops of the hypergrid, block hypergrid and binary block constructors, and
@@ -61,6 +61,14 @@ def column_weights(matrix: TestMatrix) -> np.ndarray:
         for i in row:
             weights[i] += 1
     return weights
+
+
+def column_index(matrix: TestMatrix) -> tuple[np.ndarray, np.ndarray]:
+    tests = [[] for _ in range(matrix.num_items)]
+    for t, row in enumerate(matrix.rows):
+        for i in row:
+            tests[i].append(t)
+    return _offsets([len(c) for c in tests]), np.array([t for c in tests for t in c], dtype=np.int64)
 
 
 def validate(matrix: TestMatrix) -> list[Violation]:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +16,7 @@ import sparsegt
 from sparsegt import cli
 from sparsegt.cli import main
 from sparsegt.core import parse, serialize
-from sparsegt.designs import hypergrid_design, repeat_design
+from sparsegt.designs import hypergrid_design, permuted_block_rho_design, repeat_design
 
 
 def run(capsys, *argv):
@@ -24,12 +25,17 @@ def run(capsys, *argv):
     return code, captured.out.splitlines(), captured.err
 
 
-def run_child(*argv, address_space=None):
-    """Run the CLI in a child process, with its address space capped in
-    bytes when given; the cap applies to the child only."""
+def _child_env():
+    """This environment, with the package under test first on the path."""
     env = dict(os.environ)
     src = str(Path(sparsegt.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_child(*argv, address_space=None):
+    """Run the CLI in a child process, with its address space capped in
+    bytes when given; the cap applies to the child only."""
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
@@ -38,9 +44,31 @@ def run_child(*argv, address_space=None):
         [sys.executable, "-m", "sparsegt.cli", *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
         preexec_fn=None if address_space is None else limit,
     )
+
+
+# runs the CLI on its arguments, then prints the peak RSS of the process's
+# own address space in MB: its ru_maxrss would start at the peak of the
+# process that started it, here the test run's
+_PEAK_RSS_SCRIPT = """
+import sys
+from sparsegt.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024)
+sys.exit(code)
+"""
+
+
+def peak_rss_mb(*argv) -> float:
+    """The peak RSS (VmHWM) of a child process that runs the CLI on
+    ``argv``, which must exit 0."""
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_SCRIPT, *argv],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    return float(proc.stdout.splitlines()[-1])
 
 
 class TestDesignCommand:
@@ -62,6 +90,20 @@ class TestDesignCommand:
         assert text.startswith("# cmd: sparsegt design")
         assert "# family=hypergrid seed=0" in text
         assert parse(text) == hypergrid_design(9, 2)
+
+    def test_file_holds_the_serialized_design(self, capsys, tmp_path):
+        """The file is written a part at a time, and holds the two comment
+        lines and then exactly the bytes of ``serialize``: here 25 000
+        incidences, several of its chunks."""
+        path = tmp_path / "rho.design"
+        flags = ["--family", "permuted-rho", "--n", "5000", "--d", "5", "--rho", "50",
+                 "--zeta", "0.5", "--seed", "3"]
+        code, out, _ = run(capsys, "design", *flags, "--out", str(path))
+        assert code == 0
+        matrix = permuted_block_rho_design(5000, 5, 50, 0.5, np.random.default_rng(3))
+        assert matrix.ones_count() == 25_000
+        want = out[0] + "\n# family=permuted-rho seed=3\n" + serialize(matrix)
+        assert path.read_bytes() == want.encode()
 
     def test_random_family_is_seeded(self, capsys, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -645,3 +687,23 @@ class TestEntryPoint:
         proc = run_child("design", "--family", "hypergrid", "--n", "9", "--gamma", "2")
         assert proc.returncode == 0
         assert "hypergrid 6 9 18 3 2" in proc.stdout
+
+
+class TestLargeDesignMemory:
+    """The peak RSS of each command at the large-n benchmark's parameters
+    (permuted-rho, n = 4 * 10**5, d = 10, rho = 100, zeta = 0.5: T = 16 000,
+    1.6 M incidences, a 10.8 MB file), each run in a child process that
+    reports its own peak. Holding the whole file text before
+    writing it took the design command to about 79 MB, and int64 column
+    indices took a 64-trial run of the file to about 81 MB; with this NumPy
+    they read about 49 and 68."""
+
+    @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads /proc/self/status")
+    def test_design_then_simulate(self, tmp_path):
+        path = tmp_path / "large.design"
+        design = peak_rss_mb("design", "--family", "permuted-rho", "--n", "400000", "--d", "10",
+                             "--rho", "100", "--zeta", "0.5", "--seed", "42", "--out", str(path))
+        simulate = peak_rss_mb("simulate", "--design", str(path), "--d", "10", "--trials", "64",
+                               "--seed", "42")
+        assert design <= 64
+        assert simulate <= 76

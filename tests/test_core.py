@@ -2,10 +2,12 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from sparsegt import core
 from sparsegt.core import (
     DefectiveSet,
     DesignParams,
@@ -245,13 +247,34 @@ class TestSerialization:
         assert peak <= 2.5 * len(text)
 
     def test_parse_peaks_near_the_indices(self, large_design):
-        """Above its text, the reader holds one chunk's arrays, the int32
-        parts and their concatenation: about 8.5 bytes per incidence.
-        Splitting the text into lines, joining and converting it at once
-        and deleting the weights from int64 values peaks near 32."""
+        """Above its text, the reader holds the one int32 array it fills
+        (4 bytes per incidence) and one chunk's arrays: about 5. Holding the
+        chunks' int32 parts and then their concatenation peaks near 8.5;
+        splitting the text into lines, joining and converting it at once
+        and deleting the weights from int64 values, near 32."""
         text = serialize(large_design)
         peak = _peak_bytes(lambda: parse(text))
-        assert peak <= 12 * large_design.ones_count()
+        assert peak <= 6 * large_design.ones_count()
+
+    def test_crlf_and_commented_copies_read_without_the_per_line_reader(
+            self, large_design, monkeypatch):
+        """CRLF line ends and comment lines among the rows (the second with
+        spaces, non-ASCII text and a "#" of its own) are read by the
+        chunked reader: the per-line reader is never asked for."""
+        text = serialize(large_design)
+        lines = text.splitlines(keepends=True)
+        commented = "".join(line + ("# row \u00e9 # 1 2\n" if k % 97 == 0 else "")
+                            for k, line in enumerate(lines))
+        monkeypatch.setattr(core, "_content_lines", mock.Mock(side_effect=AssertionError))
+        for copy in (text.replace("\n", "\r\n"), commented, commented.replace("\n", "\r\n")):
+            assert parse(copy) == large_design
+
+    def test_malformed_row_in_a_crlf_body_keeps_its_line_number(self, large_design):
+        text = serialize(large_design).replace("\n", "\r\n")
+        lines = text.split("\r\n")
+        lines[7000] = lines[7000].split(" ", 1)[0] + " 0 0"  # weight 100, then two items
+        with pytest.raises(ParseError, match=r"^line 7001: row declares weight 100 but lists 2"):
+            parse("\r\n".join(lines))
 
     def test_comments_and_blank_lines_ignored(self):
         text = "# a design\n\n" + serialize(GRID9) + "# trailing comment\n"
@@ -333,24 +356,38 @@ class TestSetUpMemory:
 
     def test_validate(self, large_design):
         """On a valid matrix: a bool per entry for each check, then the
-        cached column weights, whose count casts the indices to int64:
-        about 10.3. A row number per entry in int64, and compares built on
-        it, peak near 23."""
+        cached column weights, counted by ``np.add.at`` straight from the
+        int32 indices: about 2.5. ``bincount``, which counts an intp copy
+        of the indices, peaks near 10.3."""
         matrix = _uncached(large_design)
         peak = _peak_bytes(lambda: validate(matrix))
-        assert peak <= 14 * large_design.ones_count()
+        assert peak <= 4 * large_design.ones_count()
         assert "_column_weights" in vars(matrix)
 
     def test_column_index(self, large_design):
-        """The index (int64 tests and offsets) and the column weights it
-        is built from take 12 on items of weight 4; building it from one
-        int64 key array, with the row numbers in 16 bits, peaks at about
-        14.1. Keys built from int64 copies and divided into a second array
-        peak near 20."""
+        """The index (int64 offsets, uint16 tests) and the column weights
+        it is built from take 6 on items of weight 4; with the staged 32-bit
+        keys of the item ranges and one sorted block of rows the build
+        peaks at about 10.7. One int64 key array for all the incidences
+        peaks near 14.1."""
         matrix = _uncached(large_design)
         peak = _peak_bytes(matrix.column_index)
-        assert peak <= 17 * large_design.ones_count()
+        assert peak <= 12 * large_design.ones_count()
         assert np.array_equal(matrix.column_index()[1], large_design.column_index()[1])
+
+    def test_kept_column_index_is_narrow(self, large_design):
+        """Below 65 536 tests the index keeps its tests in 2 bytes: with its
+        int64 offsets and the column weights, 6 bytes per incidence on items
+        of weight 4, where int64 tests kept 12."""
+        matrix = _uncached(large_design)
+        tracemalloc.start()
+        try:
+            _, tests = matrix.column_index()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert tests.dtype == np.uint16
+        assert held <= 7 * large_design.ones_count()
 
 
 class TestMatrixStorage:

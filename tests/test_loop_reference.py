@@ -279,6 +279,34 @@ def csr_matrices(draw):
     )
 
 
+class TestColumnIndexAgreesWithTheLoop:
+    @given(raw_matrices(in_range=True), st.sampled_from([1, 2, 3, 16, 2**18]),
+           st.sampled_from([1, 2, 5, 2**16]), st.sampled_from([2**32, 40, 0]))
+    @example(TestMatrix(rows=[], num_items=5), 1, 1, 2**32)
+    # 300 tests of one item each: 16-bit test numbers, a row block past 8 bits
+    @example(TestMatrix.from_csr(np.arange(301), np.arange(300) % 7, 7), 16, 2**16, 2**32)
+    @settings(max_examples=300, deadline=None)
+    def test_same_index(self, matrix, per_range, per_block, narrow_keys):
+        """Item ranges of ``per_range`` incidences and row blocks of
+        ``per_block``: many of each, items heavier than a range, rows
+        longer than a block, rows in any order and repeating an item, empty
+        rows and untested items. Keys past ``narrow_keys`` take 64 bits, as
+        past 2**32 where n nears 2**31: all of them at 0, and at 40 some
+        blocks' or ranges' keys but not others'."""
+
+        def key_dtype(num_items, shift):
+            return np.uint32 if num_items << shift <= narrow_keys else np.uint64
+
+        with mock.patch.object(core, "_INDEX_RANGE", per_range), \
+                mock.patch.object(core, "_INDEX_BLOCK", per_block), \
+                mock.patch.object(core, "_key_dtype", key_dtype):
+            col_indptr, tests = matrix.column_index()
+        want_indptr, want_tests = ref.column_index(matrix)
+        assert np.array_equal(col_indptr, want_indptr)
+        assert np.array_equal(tests, want_tests)
+        assert tests.dtype == np.min_scalar_type(max(matrix.num_tests - 1, 0))
+
+
 class TestDesignFileWriterAgreesWithTheFormatLoop:
     @given(csr_matrices(), st.sampled_from([1, 2, 3, 7, 2**14]))
     @example(TestMatrix.from_csr(np.array([0]), np.array([], dtype=np.int64), 5), 1)
@@ -339,9 +367,11 @@ _UNUSUAL_VALID_TEXTS = {
     "form feed at a line end": "2 5\n1 1\x0c\n1 3\n",
     "leading and trailing spaces": "2 5\n  2 1 3  \n 1 4\n",
     "lone carriage returns": "2 5\r2 1 3\r1 4\r",
-    "CRLF line endings": "2 5\r\n2 1 3\r\n0\r\n",
     "comments and blank lines between rows": "# design\n2 5\n\n1 1\n# note\n\n   \n2 0 4\n# end\n",
-    "no rows": "0 5\n# nothing\n",
+    "indented comment": "2 5\n1 1\n  # note\n2 0 4\n",
+    "comment holding a form feed": "2 5\n1 1\n# note\x0c2 0 4\n",
+    "comment holding a line separator": "2 5\n1 1\n# note\u20282 0 4\n",
+    "comment holding a lone carriage return": "2 5\r\n1 1\r\n# note\r2 0 4\r\n",
 }
 
 # valid text the chunked C conversion reads: the per-line reader must not run
@@ -353,6 +383,11 @@ _PLAIN_VALID_TEXTS = {
     "comments and blank lines before the header": "# design\n\n  \t\n# T n\n2 5\n2 1 3\n0\n",
     "header only": "0 5\n",
     "header without a newline": "0 5",
+    "CRLF line endings": "2 5\r\n2 1 3\r\n0\r\n",
+    "CRLF without a final line end": "2 5\r\n2 1 3\r\n0\r",
+    "comments between rows": "# design\n2 5\n1 1\n# note 1 2\n# \xe9\n2 0 4\n# end",
+    "CRLF and comments": "2 5\r\n# a\r\n1 1\r\n#\r\n2 0 4\r\n# end\r\n",
+    "no rows": "0 5\n# nothing\n",
 }
 
 # errors where the C conversion reads a token otherwise than int() does, or
@@ -375,6 +410,11 @@ _ERROR_TEXTS = {
     "double space, weight too small": "1 5\n1  2 3\n",
     "equal indices": "1 5\n2 3 3\n",
     "falling indices after a valid row": "2 5\n2 0 4\n2 3 2\n",
+    # a comment ends at any line end str.splitlines reads, so a row follows
+    # it, and one row too many
+    "row after a form feed in a comment": "2 5\n1 1\n# note\x0c2 0 4\n1 3\n",
+    "row after a line separator in a comment": "2 5\n1 1\n# note\u20282 0 4\n1 3\n",
+    "row after a lone CR in a comment": "2 5\r\n1 1\r\n# note\r2 0 4\r\n1 3\r\n",
 }
 
 
@@ -844,6 +884,74 @@ class TestComaBatchAgreesWithTheCountingLoop:
             assert np.array_equal(est_item[est_trial == row], reference.decode_bits(bits)[0])
 
 
+def _wide_design(num_tests: int, n: int = 1000) -> TestMatrix:
+    """``num_tests`` tests of one or two random items each, over n items:
+    about 1.5 T / n tests an item, many items heavier than the mean rounded
+    up, so the COMA table leaves tests for ``_and_rest``."""
+    rng = np.random.default_rng(num_tests)
+    first = rng.integers(0, n, num_tests)
+    other = (first + rng.integers(1, n, num_tests)) % n
+    pair = rng.random(num_tests) < 0.5
+    cells = np.stack([np.where(pair, np.minimum(first, other), first),
+                      np.where(pair, np.maximum(first, other), -1)], axis=1).reshape(-1)
+    return TestMatrix.from_csr(core._offsets(1 + pair), cells[cells >= 0], n)
+
+
+def _row_outcome(matrix: TestMatrix, items) -> np.ndarray:
+    """The OR channel's outcome of the defectives ``items``, read row by row
+    off the CSR arrays, without the column index."""
+    rows = np.repeat(np.arange(matrix.num_tests), matrix.row_weights())
+    hit = rows[np.isin(matrix.indices, items)]
+    return np.bincount(hit, minlength=matrix.num_tests) > 0
+
+
+class TestWideTestNumbersDecodeAsTheLoop:
+    """Designs of T = 40 000 tests (uint16 test numbers in the column
+    index) and T = 70 000 (uint32). The dense stage's scatter index
+    test * width and ``_and_rest``'s mask index test * words pass 16 bits
+    here; each plan decodes as the counting loop does, on both candidate
+    stages."""
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("num_tests", [40_000, 70_000])
+    def test_coma(self, num_tests, dense):
+        matrix = _wide_design(num_tests)
+        n, num_trials = matrix.num_items, 130
+        rng = np.random.default_rng(1)
+        picks = [np.sort(rng.choice(n, 3, replace=False)) for _ in range(num_trials)]
+        plan = make_plan(matrix, "coma")
+        assert plan.tests.dtype == (np.uint16 if num_tests <= 2**16 else np.uint32)
+        with mock.patch.object(decoders, "_dense_pays", return_value=dense):
+            est_trial, est_item, _, _ = plan.decode_trials(
+                np.repeat(np.arange(num_trials), 3), np.concatenate(picks), num_trials, None)
+        reference = ref.ComaPlan(matrix)
+        for row, pick in enumerate(picks):
+            want = reference.decode_bits(_row_outcome(matrix, pick))[0]
+            assert np.array_equal(est_item[est_trial == row], want)
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("num_tests", [40_000, 70_000])
+    def test_majority(self, num_tests, dense):
+        """Three copies of each test, each copy flipped with probability
+        0.3, over 65 trials (two words)."""
+        base = _wide_design(num_tests)
+        matrix = designs.repeat_design(base, 3)
+        n, num_trials = matrix.num_items, 65
+        rng = np.random.default_rng(2)
+        picks = [np.sort(rng.choice(n, 3, replace=False)) for _ in range(num_trials)]
+        flips = np.empty((num_trials, matrix.num_tests), dtype=bool)
+        for row in flips:
+            np.less(rng.random(matrix.num_tests), 0.3, out=row)
+        plan = make_plan(matrix, "majority")
+        with mock.patch.object(decoders, "_dense_pays", return_value=dense):
+            est_trial, est_item, _, _ = plan.decode_trials(
+                np.repeat(np.arange(num_trials), 3), np.concatenate(picks), num_trials, flips)
+        reference = ref.MajorityPlan(matrix)
+        for row, pick in enumerate(picks):
+            observed = np.repeat(_row_outcome(base, pick), 3) ^ flips[row]
+            assert np.array_equal(est_item[est_trial == row], reference.decode_bits(observed)[0])
+
+
 class TestBlockConstructorsAgreeWithLoops:
     @given(block_constructor_calls())
     @example(("block_hypergrid_design", (7, 3, 2, 0.5)))  # seven blocks of size 1
@@ -1289,21 +1397,29 @@ class TestReplicaAgreesWithDefaultRng:
             got = sim._trial_seeds(seed, 1000, 50).tolist()
             assert got == [sim.derive_trial_seed(seed, t) for t in range(1000, 1050)]
 
-    @pytest.mark.parametrize("n", [10_000, 10**5])
-    def test_covers_at_most_100_draws(self, n):
-        """The replica reproduces 100 draws; a run of 101 is drawn by
-        generators and never reaches it."""
-        covered = [sim._replica_covers(Prior(PRIOR_UNIFORM_EXACT, d), n, 0.0) for d in (100, 101)]
+    @pytest.mark.parametrize("n, cap", [(1000, 85), (10_000, 115), (10**5, 165), (10**7, 165)])
+    def test_covers_draws_up_to_its_cap(self, n, cap):
+        """The replica reproduces ``cap`` draws; a run of one more is drawn
+        by generators and never reaches it."""
+        covered = [sim._replica_covers(Prior(PRIOR_UNIFORM_EXACT, d), n, 0.0)
+                   for d in (cap, cap + 1)]
         assert covered == [True, False]
-        picks, flagged = sim._floyd_draws(_states(3, 0, 4), n, 100)
+        picks, flagged = sim._floyd_draws(_states(3, 0, 4), n, cap)
         assert not flagged.all()
         for t in np.flatnonzero(~flagged).tolist():
-            assert np.array_equal(picks[t], _contract_draw(3, t, n, 100))
-        prior = Prior(PRIOR_UNIFORM_EXACT, 101)
+            assert np.array_equal(picks[t], _contract_draw(3, t, n, cap))
+        prior = Prior(PRIOR_UNIFORM_EXACT, cap + 1)
+        assert sim._replica_matches()  # its cached check runs the replica once
         with mock.patch.object(sim, "_floyd_draws", side_effect=AssertionError):
             batches = list(sim._trial_batches(n, 0, prior, 0.0, 3, 0, 6, 4))
-        got = np.concatenate([items.reshape(num, 101) for _, items, num, _ in batches])
-        assert np.array_equal(got, [_contract_draw(3, t, n, 101) for t in range(6)])
+        got = np.concatenate([items.reshape(num, cap + 1) for _, items, num, _ in batches])
+        assert np.array_equal(got, [_contract_draw(3, t, n, cap + 1) for t in range(6)])
+
+    def test_cap_stays_on_floyds_branch(self):
+        """Past 10**4 items ``choice`` shuffles a tail once d > n // 50; the
+        cap stays below that, so the replica only ever replays Floyd."""
+        for n in (10_001, 12_345, 20_000, 10**5, 10**6):
+            assert sim._replica_cap(n) <= n // 50
 
     def test_check_refuses_a_wrong_replay_free_of_duplicates(self):
         """At d = n any replay free of duplicates gives the right set, so
