@@ -207,7 +207,9 @@ def _load_design(path: str) -> TestMatrix:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
+        # the line of the first bad byte, where str.splitlines ends lines as parse does
+        line_no = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        raise ParseError(line_no, "not UTF-8 text") from None
     del data  # parse holds the text alone
     return parse(text)
 

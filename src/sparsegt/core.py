@@ -13,8 +13,8 @@ prints 1-based test labels where it echoes per-test detail.
 
 from __future__ import annotations
 
+import itertools
 import math
-import re
 import warnings
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cache, cached_property
@@ -987,11 +987,12 @@ def _parse_positive_int(token: str, line_no: int, what: str) -> int:
     return value
 
 
-def _content_lines(text: str) -> list[tuple[int, str]]:
+def _content_lines(text: str, first_line: int = 1) -> list[tuple[int, str]]:
     """The stripped lines of ``text`` that are neither blank nor comments,
-    with their 1-based line numbers."""
+    with their 1-based line numbers, counted from ``first_line``. A line
+    ends where ``str.splitlines`` ends one."""
     content = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.splitlines(), start=first_line):
         stripped = raw.strip()
         if stripped and not stripped.startswith("#"):
             content.append((line_no, stripped))
@@ -1002,20 +1003,37 @@ def parse(text: str) -> TestMatrix:
     """Inverse of :func:`serialize`; raises :class:`ParseError` with the
     offending 1-based line number on any malformation.
 
-    The header is found by scanning only the lines up to it, and read
-    token by token. The row body is read by :func:`_chunked_rows`, about
-    ``_PARSE_CHUNK_CHARS`` characters at a time, each chunk converted by
-    one C pass (``np.fromstring``) and checked on its arrays, so the reader
-    holds little beyond the text and the one int32 array of indices it
-    returns. It reads rows of ASCII digits and single spaces, one to each
-    line ended by "\n" or "\r\n", with "#" comment lines among them. Any
-    other body (blank or indented lines among the rows, tabs, runs of
-    spaces, other line ends, signs or non-ASCII digits), a file whose lines
-    up to the header hold another line end, and every malformed body go to
-    :func:`_content_lines` and the per-line reader :func:`_read_rows`.
-    These accept the same rows, several times more slowly on a large body,
-    and raise the first failing line's error with its line number."""
-    header_no, header, body_at = _header_line(text)
+    The lines are those of :func:`_content_lines`. The text is read in
+    chunks of about ``_PARSE_CHUNK_CHARS`` characters, each ending at a
+    "\n", and the header is the first content line of the leading chunks.
+    Each chunk of rows goes to one C pass (:func:`_checked_rows`), which
+    fills the one int32 array the reader returns, sized by the text's
+    spaces. A chunk the pass refuses (one with blank, indented or comment
+    lines, or other line ends) is split into its content lines, which go
+    to the pass once more. A chunk refused twice (tabs, runs of spaces,
+    signs, non-ASCII digits, or any malformation) or a row count other
+    than T sends the whole text to :func:`_content_lines` and the per-line
+    reader :func:`_read_rows`. These accept the same rows, several times
+    more slowly on a large body, and raise the first failing line's error
+    with its line number."""
+    bounds = [0]
+    while bounds[-1] < len(text):
+        end = text.find("\n", bounds[-1] + _PARSE_CHUNK_CHARS - 1)
+        bounds.append(len(text) if end < 0 else end + 1)
+    spans = list(zip(bounds, bounds[1:]))
+    chunks = (text[a:b] for a, b in spans)
+    line_no = 1
+    for chunk in chunks:
+        content = _content_lines(chunk, line_no)
+        if content:
+            break
+        line_no += len(chunk.splitlines())
+    else:
+        raise ParseError(1, "empty design file")
+    header_no, header = content[0]
+    # the rows of the header's chunk, as the C pass reads them
+    rest = "".join(line + "\n" for _, line in content[1:])
+    del content
     tokens = header.split()
     if len(tokens) < 2:
         raise ParseError(header_no, "header needs at least 'T n'")
@@ -1073,7 +1091,26 @@ def parse(text: str) -> TestMatrix:
         else:
             raise ParseError(header_no, f"unknown header key {key!r}")
 
-    rows = None if body_at is None else _chunked_rows(text, body_at, num_tests, num_items)
+    # a row line holds one space per index
+    indices = np.empty(sum(_spaces(text[a:b].encode("ascii", "replace")) for a, b in spans),
+                       dtype=np.int32)
+    lengths = [np.empty(0, dtype=np.int64)]
+    rows = None
+    count = filled = 0
+    for chunk in itertools.chain([rest], chunks):
+        checked = _checked_rows(_row_bytes(chunk), num_items, indices[filled:])
+        if checked is None:
+            lines = "".join(line + "\n" for _, line in _content_lines(chunk))
+            checked = _checked_rows(_row_bytes(lines), num_items, indices[filled:])
+        if checked is None or count + checked.size > num_tests:
+            break
+        lengths.append(checked)
+        count += checked.size
+        filled += int(checked.sum())
+    else:
+        if count == num_tests:
+            # a header's or comment line's spaces leave the end of the array unused
+            rows = _offsets(np.concatenate(lengths)), indices[:filled]
     if rows is None:
         body = _content_lines(text)[1:]
         if len(body) < num_tests:
@@ -1096,73 +1133,10 @@ def parse(text: str) -> TestMatrix:
     )
 
 
-def _header_line(text: str) -> tuple[int, str, int | None]:
-    """The first content line of a design file, by the rules of
-    :func:`_content_lines`: its 1-based number, its stripped text, and the
-    offset in ``text`` of the line after it. Only the lines up to it are
-    scanned, at each "\n" (a "\r" before it ends the line with it). Where
-    one of them holds another line end that ``str.splitlines`` splits at,
-    the header is taken from :func:`_content_lines` and the offset is None."""
-    start, line_no = 0, 1
-    while start < len(text):
-        end = text.find("\n", start)
-        end = len(text) if end < 0 else end
-        line = text[start:end]
-        if line.endswith("\r"):  # a "\r\n" line end
-            line = line[:-1]
-        if line and line.splitlines() != [line]:
-            break
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            return line_no, stripped, end + 1
-        start, line_no = end + 1, line_no + 1
-    content = _content_lines(text)
-    if not content:
-        raise ParseError(1, "empty design file")
-    return *content[0], None
-
-
-# characters of row body converted at a time; a chunk ends at a newline
+# characters of text read at a time; a chunk ends at a newline
 _PARSE_CHUNK_CHARS = 1 << 18
-# the bytes a row body may hold for the chunked reader
+# the bytes a row body may hold for the C pass
 _ROW_BODY_BYTES = b"0123456789 \n"
-# a comment line that str.splitlines reads as one line: "#", then no line
-# end of its own, then "\n"
-_COMMENT_LINE = re.compile("^#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*\n", re.MULTILINE)
-
-
-def _chunked_rows(
-    text: str, start: int, num_tests: int, num_items: int
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """CSR arrays (int64 offsets, int32 indices) of the row body
-    ``text[start:]``, or None unless, past its comment lines, it is
-    exactly ``num_tests`` lines, each ended by "\n" or "\r\n" (the last
-    may end the text instead) and each valid by :func:`_checked_rows`. The
-    body is read a chunk of about ``_PARSE_CHUNK_CHARS`` characters at a
-    time, each ending at a newline, into one int32 array sized by the
-    body's spaces: a row line holds one space per index."""
-    bounds = [start]
-    while bounds[-1] < len(text):
-        end = text.find("\n", bounds[-1] + _PARSE_CHUNK_CHARS - 1)
-        bounds.append(len(text) if end < 0 else end + 1)
-    chunks = list(zip(bounds, bounds[1:]))
-    indices = np.empty(sum(_spaces(text[a:b].encode("ascii", "replace")) for a, b in chunks),
-                       dtype=np.int32)
-    lengths = [np.empty(0, dtype=np.int64)]
-    rows = filled = 0
-    for a, b in chunks:
-        checked = _checked_rows(_row_lines(text[a:b]), num_items, indices[filled:])
-        if checked is None:
-            return None
-        lengths.append(checked)
-        rows += checked.size
-        filled += int(checked.sum())
-        if rows > num_tests:
-            return None
-    if rows != num_tests:
-        return None
-    # a comment line's spaces leave the end of the array unused
-    return _offsets(np.concatenate(lengths)), indices[:filled]
 
 
 def _spaces(data: bytes) -> int:
@@ -1171,17 +1145,12 @@ def _spaces(data: bytes) -> int:
     return int(np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == ord(" ")))
 
 
-def _row_lines(piece: str) -> bytes:
-    """A chunk of row body as ASCII bytes of "\n"-ended lines: each
-    "\r\n" made "\n", and the "#" lines of :data:`_COMMENT_LINE` dropped.
-    Anything else is kept, a non-ASCII character as "?", for
-    :func:`_checked_rows` to refuse."""
-    if not piece.endswith("\n"):
+def _row_bytes(piece: str) -> bytes:
+    """``piece`` as ASCII bytes for :func:`_checked_rows`: a non-ASCII
+    character as "?", which it refuses, and a "\n" after a last line that
+    lacks one."""
+    if piece and not piece.endswith("\n"):
         piece += "\n"
-    if "\r" in piece:
-        piece = piece.replace("\r\n", "\n")
-    if "#" in piece:
-        piece = _COMMENT_LINE.sub("", piece)
     return piece.encode("ascii", "replace")
 
 

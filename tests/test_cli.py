@@ -520,6 +520,8 @@ class TestOracleCommand:
         ["design", "--family", "block-hypergrid", "--n", "100", "--d", "2", "--gamma", "2",
          "--epsilon", "1e-320"],
         ["simulate", "--design", "{not_utf8}", "--d", "1"],
+        ["simulate", "--design", "{not_utf8_cr}", "--d", "1"],
+        ["simulate", "--design", "{not_utf8_ff}", "--d", "1"],
         ["design", "--family", "permuted-rho", "--n", "100", "--d", "2", "--rho", "10",
          "--zeta", "0.5", "--seed", "-1"],
         ["design", "--family", "random-gamma", "--n", "100", "--d", "2", "--gamma", "2",
@@ -545,6 +547,7 @@ class TestOracleCommand:
         ["oracle", "--design", "/no/such/file", "--d", "1", "--target-epsilon", "2"],
     ],
     ids=["zeta-inf", "zeta-overflow", "epsilon-underflow", "design-not-utf8",
+         "design-not-utf8-cr", "design-not-utf8-form-feed",
          "design-permuted-negative-seed", "design-random-gamma-negative-seed",
          "simulate-permuted-negative-seed", "simulate-random-gamma-negative-seed",
          "simulate-k-0", "simulate-k-negative", "oracle-sigma-negative", "oracle-sigma-nan",
@@ -552,13 +555,18 @@ class TestOracleCommand:
          "oracle-target-nan", "oracle-target-negative", "oracle-target-before-the-design"],
 )
 def test_bad_input_is_one_error_line(capsys, tmp_path, argv):
-    not_utf8 = tmp_path / "binary.design"
-    not_utf8.write_bytes(b"2 3\n1 0\n\xff\xfe 1\n")
-    code, _, err = run(capsys, *[a.replace("{not_utf8}", str(not_utf8)) for a in argv])
+    """Each bad input is one error line. A design file that is not UTF-8
+    names the line of its first bad byte, with lines ended by "\n", a lone
+    CR or a form feed, as ``parse`` numbers them."""
+    paths = {}
+    for name, end in (("{not_utf8}", b"\n"), ("{not_utf8_cr}", b"\r"), ("{not_utf8_ff}", b"\x0c")):
+        paths[name] = tmp_path / f"binary{len(paths)}.design"
+        paths[name].write_bytes(end.join([b"2 3", b"1 0", b"\xff\xfe 1", b""]))
+    code, _, err = run(capsys, *[str(paths[a]) if a in paths else a for a in argv])
     assert code == 1
     assert err.startswith("error:")
     assert "Traceback" not in err
-    if "{not_utf8}" in argv:
+    if paths.keys() & set(argv):
         assert "line 3" in err
     if "--target-epsilon" in argv:
         assert err == "error: --target-epsilon must lie in [0, 1]\n"

@@ -258,15 +258,19 @@ class TestSerialization:
 
     def test_crlf_and_commented_copies_read_without_the_per_line_reader(
             self, large_design, monkeypatch):
-        """CRLF line ends and comment lines among the rows (the second with
-        spaces, non-ASCII text and a "#" of its own) are read by the
-        chunked reader: the per-line reader is never asked for."""
+        """Copies with CRLF or lone CR line ends, form feeds for line ends,
+        blank lines or indented rows, or comment lines among the rows (with
+        spaces, non-ASCII text and a "#" of their own) are read by the C
+        pass: the per-line reader is never asked for."""
         text = serialize(large_design)
         lines = text.splitlines(keepends=True)
         commented = "".join(line + ("# row \u00e9 # 1 2\n" if k % 97 == 0 else "")
                             for k, line in enumerate(lines))
-        monkeypatch.setattr(core, "_content_lines", mock.Mock(side_effect=AssertionError))
-        for copy in (text.replace("\n", "\r\n"), commented, commented.replace("\n", "\r\n")):
+        blank = "".join(line + ("\n" if k % 89 == 0 else "") for k, line in enumerate(lines))
+        indented = "".join((" \t" if k % 83 == 0 else "") + line for k, line in enumerate(lines))
+        monkeypatch.setattr(core, "_read_rows", mock.Mock(side_effect=AssertionError))
+        for copy in (text.replace("\n", "\r\n"), commented, commented.replace("\n", "\r\n"),
+                     text.replace("\n", "\r"), text.replace("\n", "\x0c"), blank, indented):
             assert parse(copy) == large_design
 
     def test_malformed_row_in_a_crlf_body_keeps_its_line_number(self, large_design):

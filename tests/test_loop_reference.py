@@ -225,10 +225,16 @@ class TestParseRobustness:
     def test_same_error_line_as_line_by_line_reading(self, text):
         assert _outcome(parse, text) == _outcome(ref.parse, text)
 
-    @given(st.text(alphabet="0123 -\n#x=", max_size=60))
+    @given(st.text(alphabet="0123 -\n#x=\t\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029\ufeff+",
+                   max_size=60),
+           st.sampled_from([1, 2, 3, 7, 2**18]))
     @settings(max_examples=300, deadline=None)
-    def test_same_outcome_on_digit_soup(self, text):
-        assert _outcome(parse, text) == _outcome(ref.parse, text)
+    def test_same_outcome_on_digit_soup(self, text, chunk):
+        """Line ends of every kind ``str.splitlines`` reads, and other
+        whitespace, with chunks of ``chunk`` characters at least: at a few
+        characters every line ends a chunk."""
+        with mock.patch.object(core, "_PARSE_CHUNK_CHARS", chunk):
+            assert _outcome(parse, text) == _outcome(ref.parse, text)
 
 
 class TestOutcomeFilesAgreeWithLoops:
@@ -352,9 +358,8 @@ def _parse_reading_lines(text):
     return result, reader.called
 
 
-# valid text the chunked C conversion refuses: the per-line reader must
-# accept it. str.splitlines ends a line at \r and \x0c too, and each line
-# is stripped
+# valid text the C pass refuses both as it stands and as content lines: the
+# per-line reader must accept it
 _UNUSUAL_VALID_TEXTS = {
     "plus sign": "2 3\n1 +2\n0\n",
     "underscore": "1 30\n1 1_0\n",
@@ -363,18 +368,11 @@ _UNUSUAL_VALID_TEXTS = {
     "tab": "1 5\n2\t1 3\n",
     "tabs and spaces": "2 5\n2 \t 1\t\t3\n1\t4\n",
     "double space": "1 5\n2  1 3\n",
-    "form feed between rows": "2 5\n1 1\x0c1 3\n",
-    "form feed at a line end": "2 5\n1 1\x0c\n1 3\n",
-    "leading and trailing spaces": "2 5\n  2 1 3  \n 1 4\n",
-    "lone carriage returns": "2 5\r2 1 3\r1 4\r",
-    "comments and blank lines between rows": "# design\n2 5\n\n1 1\n# note\n\n   \n2 0 4\n# end\n",
-    "indented comment": "2 5\n1 1\n  # note\n2 0 4\n",
-    "comment holding a form feed": "2 5\n1 1\n# note\x0c2 0 4\n",
-    "comment holding a line separator": "2 5\n1 1\n# note\u20282 0 4\n",
-    "comment holding a lone carriage return": "2 5\r\n1 1\r\n# note\r2 0 4\r\n",
 }
 
-# valid text the chunked C conversion reads: the per-line reader must not run
+# valid text the C pass reads, as it stands or as content lines: the
+# per-line reader must not run. str.splitlines ends a line at \r and \x0c
+# too, and each line is stripped
 _PLAIN_VALID_TEXTS = {
     "leading zeros": "2 10\n2 007 8\n1 0000000000000000000000009\n",
     "lone 0 rows": "3 5\n0\n1 2\n0\n",
@@ -388,6 +386,15 @@ _PLAIN_VALID_TEXTS = {
     "comments between rows": "# design\n2 5\n1 1\n# note 1 2\n# \xe9\n2 0 4\n# end",
     "CRLF and comments": "2 5\r\n# a\r\n1 1\r\n#\r\n2 0 4\r\n# end\r\n",
     "no rows": "0 5\n# nothing\n",
+    "form feed between rows": "2 5\n1 1\x0c1 3\n",
+    "form feed at a line end": "2 5\n1 1\x0c\n1 3\n",
+    "leading and trailing spaces": "2 5\n  2 1 3  \n 1 4\n",
+    "lone carriage returns": "2 5\r2 1 3\r1 4\r",
+    "comments and blank lines between rows": "# design\n2 5\n\n1 1\n# note\n\n   \n2 0 4\n# end\n",
+    "indented comment": "2 5\n1 1\n  # note\n2 0 4\n",
+    "comment holding a form feed": "2 5\n1 1\n# note\x0c2 0 4\n",
+    "comment holding a line separator": "2 5\n1 1\n# note\u20282 0 4\n",
+    "comment holding a lone carriage return": "2 5\r\n1 1\r\n# note\r2 0 4\r\n",
 }
 
 # errors where the C conversion reads a token otherwise than int() does, or
@@ -431,10 +438,13 @@ class TestParseAgreesOnUnusualText:
 
     @pytest.mark.parametrize("text", _PLAIN_VALID_TEXTS.values(), ids=list(_PLAIN_VALID_TEXTS))
     def test_valid_text_the_c_pass_reads(self, text):
-        result, per_line = _parse_reading_lines(text)
-        assert isinstance(result, TestMatrix)
-        assert result == ref.parse(text)
-        assert not per_line
+        # at 1 character a chunk, each chunk ends at the next "\n"
+        for chunk in (1, 2**18):
+            with mock.patch.object(core, "_PARSE_CHUNK_CHARS", chunk):
+                result, per_line = _parse_reading_lines(text)
+            assert isinstance(result, TestMatrix)
+            assert result == ref.parse(text)
+            assert not per_line
 
     @pytest.mark.parametrize("text", _ERROR_TEXTS.values(), ids=list(_ERROR_TEXTS))
     def test_same_error(self, text):
@@ -462,9 +472,9 @@ class TestParseAgreesOnUnusualText:
 
 
 def _parse_by_lines(text):
-    """``parse(text)`` (or its error) with the chunked reader refusing every
-    body: the rows come from ``_content_lines`` and ``_read_rows``."""
-    with mock.patch.object(core, "_chunked_rows", return_value=None):
+    """``parse(text)`` (or its error) with the C pass refusing every chunk:
+    the rows come from ``_content_lines`` and ``_read_rows``."""
+    with mock.patch.object(core, "_checked_rows", return_value=None):
         return _outcome(parse, text)
 
 
