@@ -367,6 +367,8 @@ def _cmd_oracle(args: argparse.Namespace, echo: str) -> int:
     matrix = _load_design(args.design)
     if args.sigma is not None and not 0.0 <= args.sigma < 0.5:
         raise _UsageError("--sigma must lie in [0, 1/2)")
+    if args.cap < 0:
+        raise _UsageError("--cap must be >= 0")
     print(echo)
     if args.sigma:
         prior = Prior(PRIOR_IID_BERNOULLI, args.d)

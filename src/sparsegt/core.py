@@ -684,8 +684,7 @@ def _or_gather(matrix: TestMatrix, trial: np.ndarray,
     with a pair repeated where two defectives of a trial share a test; the
     tests keep the index's narrow dtype, so a caller multiplies them only
     after a cast to int64. The only OR evaluation: :func:`_or_batch`
-    reduces it to sorted keys, and a COMA plan may scatter it into test
-    masks instead."""
+    reduces it to sorted keys, and the decode plans take it as it comes."""
     col_indptr, tests = matrix.column_index()
     starts = col_indptr[items]
     lengths = col_indptr[items + 1] - starts
@@ -694,8 +693,8 @@ def _or_gather(matrix: TestMatrix, trial: np.ndarray,
 
 def _or_batch(matrix: TestMatrix, trial: np.ndarray, items: np.ndarray) -> np.ndarray:
     """The positive outcomes of :func:`_or_gather`'s batch as the sorted,
-    distinct int64 keys ``trial * T + test``, as the block and sparse COMA
-    decoders, the exact oracles and :func:`evaluate` read them."""
+    distinct int64 keys ``trial * T + test``, as the exact oracles and
+    :func:`evaluate` read them."""
     return _or_keys(*_or_gather(matrix, trial, items), matrix.num_tests)
 
 

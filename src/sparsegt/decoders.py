@@ -14,15 +14,18 @@ the status instead of being silently dropped. Three statuses exist:
 
 Decoding work is split into reusable "plans" so the simulation harness can
 prepare a matrix once and decode many outcome vectors through exactly the
-same code path the one-shot functions use. A plan decodes a batch of trials
-from their positive outcomes alone. The harness hands it each batch's
-defectives, and the plan evaluates them through the one OR gather
-(:func:`~sparsegt.core._or_gather`). Block plans read the (trial, test)
-pairs of the positive tests, sorted by trial and then test
-(:func:`~sparsegt.core._or_batch`). A COMA plan reads test masks of 64
-trials a word, filled from those sorted pairs or by scattering the gathered
-incidences, whichever its candidate stage reads. Its work grows with the
-positives, and for COMA with the tests positive in a word of 64 trials.
+same code path the one-shot functions use. A plan has one decode method,
+``decode_pairs``, which decodes a batch of trials from the (trial, test)
+pairs of their positive tests as the one OR gather
+(:func:`~sparsegt.core._or_gather`) gives them: unsorted, and repeated where
+two defectives of a trial share a test. The harness hands a plan each
+batch's defectives, which ``decode_trials`` gathers; a one-shot decoder
+hands it the positive tests of one outcome vector through ``decode_bits``.
+Block plans sort the pairs into distinct keys
+(:func:`~sparsegt.core._or_keys`). A COMA plan reads test masks of 64
+trials a word, filled by scattering the pairs or from their sorted keys,
+whichever its candidate stage reads. Its work grows with the positives, and
+for COMA with the tests positive in a word of 64 trials.
 
 Both block designs (hypergrid and binary) are read by one rule, assuming at
 most one defective per block. Each test carries a label weight: digit j on
@@ -58,10 +61,8 @@ from .core import (
     TAG_REPEATED,
     TestMatrix,
     _broken_repeat_group,
-    _dense_bits,
     _key_pairs,
     _offsets,
-    _or_batch,
     _or_gather,
     _or_keys,
     _ragged,
@@ -114,22 +115,25 @@ _DENSE_BYTES = 1 << 18
 class _Plan:
     """A decoder prepared for one matrix.
 
-    ``decode_batch(trial, test, num_trials)`` decodes a batch of trials from
-    the (trial, test) pairs of their positive tests, sorted by trial and then
-    test. It returns the estimate as (trial, item) pairs, sorted by trial and
-    then item, with the items of a trial distinct and in [0, n), and the
-    ambiguous blocks as (trial, block) pairs in the same order.
-    ``decode_bits`` is its one-row case on a dense outcome vector, and
-    ``untested`` lists the items in no test. The harness sizes its batches
-    by ``trial_bytes``, the bytes of arrays a batch keeps per trial besides
-    its outcome keys (a COMA plan's packed test masks, T / 8; block plans
-    keep none), and in multiples of ``batch_step`` trials (64, a word of
-    masks, for COMA). A COMA batch on the dense stage briefly holds T bytes
-    a trial, 8 times its ``trial_bytes``, as bool rows it packs into masks.
+    ``decode_pairs(trial, test, num_trials, flips)`` decodes a batch of
+    trials from the (trial, test) pairs of their positive tests, in any
+    order and with repeats, under the channel's (trials, T) flips of the
+    design's tests, or None when there is no noise; only majority plans
+    read flips. It returns the estimate as (trial, item) pairs, sorted by
+    trial and then item, with the items of a trial distinct and in [0, n),
+    and the ambiguous blocks as (trial, block) pairs in the same order.
 
-    The harness hands a batch's defectives and the channel's flips to
-    ``decode_trials``, which evaluates the matrix ``evaluated`` (the design
-    itself, or less where the plan needs less) and decodes the outcome.
+    It has two callers. The harness hands a batch's defectives and flips to
+    ``decode_trials``, which gathers the positives of the matrix
+    ``evaluated`` (the design itself, or less where the plan needs less).
+    ``decode_bits`` decodes one dense outcome vector from its positive
+    tests, and ``untested`` lists the items in no test. The harness sizes
+    its batches by ``trial_bytes``, the bytes of arrays a batch keeps per
+    trial besides its gathered pairs (a COMA plan's packed test masks,
+    T / 8; block plans keep none), and in multiples of ``batch_step``
+    trials (64, a word of masks, for COMA). A COMA batch on the dense stage
+    briefly holds T bytes a trial, 8 times its ``trial_bytes``, as bool rows
+    it packs into masks.
     """
 
     untested = _NO_ITEMS
@@ -141,19 +145,15 @@ class _Plan:
 
     def decode_bits(self, bits: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray]:
         test = np.flatnonzero(bits)
-        _, estimate, _, ambiguous = self.decode_batch(np.zeros_like(test), test, 1)
+        _, estimate, _, ambiguous = self.decode_pairs(np.zeros_like(test), test, 1, None)
         return estimate, ambiguous.tolist(), self.untested
 
     def decode_trials(self, trial: np.ndarray, items: np.ndarray, num_trials: int,
                       flips: np.ndarray | None):
         """Decode a batch in which trial ``trial[k]`` holds defective
-        ``items[k]``, with the channel's (trials, T) flips of the design's
-        tests, or None when there is no noise; only majority plans take
-        flips. By default: the sorted positive pairs of ``evaluated``, then
-        ``decode_batch``."""
-        matrix = self.evaluated
-        positives = _key_pairs(_or_batch(matrix, trial, items), matrix.num_tests)
-        return self.decode_batch(*positives, num_trials)
+        ``items[k]``: the gathered positives of ``evaluated``, then
+        ``decode_pairs``."""
+        return self.decode_pairs(*_or_gather(self.evaluated, trial, items), num_trials, flips)
 
 
 class ComaPlan(_Plan):
@@ -185,17 +185,14 @@ class ComaPlan(_Plan):
     (T, words) masks. Each slice's arrays stay within about
     ``_DENSE_BYTES`` whatever n is.
 
-    ``decode_trials`` gathers a batch's incidences with
-    :func:`~sparsegt.core._or_gather` and picks the stage by
-    :func:`_dense_pays` before it fills any mask, with the nonzero share
-    the gathered incidences would leave if they fell at random. For the
-    dense stage it scatters them into a (T, 64 * words) bool array and packs
-    that into the (T, words) masks, so repeated pairs need no sort; for the
-    sparse stage it sorts them into distinct keys and adds their bits into
-    (words, T) masks. ``decode_batch`` and majority votes, which come as
-    masks, pick by the same rule with the share counted from the masks.
-    ``trial_bytes`` counts the masks, T / 8 bytes a trial; the dense fill's
-    bool array takes T bytes a trial while the batch packs it.
+    ``decode_pairs`` picks the stage by :func:`_dense_pays` before it fills
+    any mask, with the nonzero share the pairs would leave if they fell on
+    the masks at random. For the dense stage it scatters them into a
+    (T, 64 * words) bool array and packs that into the (T, words) masks, so
+    repeated pairs need no sort; for the sparse stage it sorts them into
+    distinct keys and adds their bits into (words, T) masks. ``trial_bytes``
+    counts the masks, T / 8 bytes a trial; the dense fill's bool array takes
+    T bytes a trial while the batch packs it.
 
     The plan keeps the column index and its ``candidates``, ``table`` and
     ``group_ptr``; the table takes the dtype of the index's tests (uint16
@@ -221,50 +218,31 @@ class ComaPlan(_Plan):
         self.group_ptr = _offsets(np.bincount(self.table[0], minlength=matrix.num_tests))
         self.trial_bytes = matrix.num_tests / 8  # the test masks
 
-    def decode_trials(self, trial: np.ndarray, items: np.ndarray, num_trials: int,
-                      flips: np.ndarray | None):
+    def decode_pairs(self, trial: np.ndarray, test: np.ndarray, num_trials: int,
+                     flips: np.ndarray | None):
         num_tests = self.evaluated.num_tests
-        trial, test = _or_gather(self.evaluated, trial, items)
-        width = -(-num_trials // _WORD) * _WORD  # whole words of trials
-        # the share of the (word, test) masks that the incidences would
-        # leave nonzero if each fell on one of them at random
+        words = -(-num_trials // _WORD)
+        width = words * _WORD  # whole words of trials
+        # the share of the (word, test) masks that the pairs would leave
+        # nonzero if each fell on one of them at random
         share = -math.expm1(-_WORD * test.size / max(1, width * num_tests))
         if not _dense_pays(self.table, share):
-            positives = _key_pairs(_or_keys(trial, test, num_tests), num_tests)
-            return self._estimate(self._sparse_candidates(self._masks(*positives, num_trials)),
-                                  num_trials)
+            trial, test = _key_pairs(_or_keys(trial, test, num_tests), num_tests)
+            masks = np.zeros((words, num_tests), dtype=np.uint64)
+            # the pairs are now distinct, so adding their bits ORs them
+            np.add.at(masks.reshape(-1), (trial >> _WORD_SHIFT) * num_tests + test,
+                      _BITS[trial & (_WORD - 1)])
+            return self._estimate(self._sparse_candidates(masks), num_trials)
         bits = np.zeros((num_tests, width), dtype=bool)
-        at = np.multiply(test, width, dtype=np.int64)  # the tests are narrow
+        at = np.multiply(test, width, dtype=np.int64)  # the tests may be narrow
         at += trial
         bits.reshape(-1)[at] = True  # a repeated pair sets its bit again
-        # the pairs, and then the bool array, are freed once read, so the
-        # batch peaks at little more than the bool array
-        del trial, test, at
+        # the index, and then the bool array, are freed once read, so the
+        # batch peaks at little more than the pairs and the bool array
+        del at
         by_test = np.packbits(bits, axis=1, bitorder="little").view("<u8")
         del bits
         return self._estimate(self._dense_candidates(by_test), num_trials)
-
-    def decode_batch(self, trial: np.ndarray, test: np.ndarray, num_trials: int):
-        return self._decode_masks(self._masks(trial, test, num_trials), num_trials)
-
-    def _masks(self, trial: np.ndarray, test: np.ndarray, num_trials: int) -> np.ndarray:
-        """The (words, T) test masks of distinct (trial, test) pairs."""
-        num_tests = self.evaluated.num_tests
-        masks = np.zeros((-(-num_trials // _WORD), num_tests), dtype=np.uint64)
-        # the pairs are distinct, so adding their bits ORs them
-        np.add.at(masks.reshape(-1), (trial >> _WORD_SHIFT) * num_tests + test,
-                  _BITS[trial & (_WORD - 1)])
-        return masks
-
-    def _decode_masks(self, masks: np.ndarray, num_trials: int):
-        """Decode the (words, T) test masks of a batch of trials, in either
-        memory order: each stage copies them only if it reads the other."""
-        share = np.count_nonzero(masks) / max(1, masks.size)
-        if _dense_pays(self.table, share):
-            found = self._dense_candidates(np.ascontiguousarray(masks.T))
-        else:
-            found = self._sparse_candidates(np.ascontiguousarray(masks))
-        return self._estimate(found, num_trials)
 
     def _estimate(self, found, num_trials: int):
         """The (trial, item) estimate pairs of a stage's candidates, with
@@ -283,7 +261,7 @@ class ComaPlan(_Plan):
             trials.append(np.repeat(np.arange(num_trials), self.untested.size))
             items.append(np.tile(self.untested, num_trials))
         key = np.sort(np.concatenate(trials) * self.num_items + np.concatenate(items))
-        return key // self.num_items, key % self.num_items, _NO_ITEMS, _NO_ITEMS
+        return *_key_pairs(key, self.num_items), _NO_ITEMS, _NO_ITEMS
 
     def _sparse_candidates(self, masks: np.ndarray):
         """(first trial of the word, item, mask of the trials it passes) of
@@ -387,11 +365,11 @@ class BlockPlan(_Plan):
     """The block rule of the module docstring, read run by run.
 
     Per test: its block, label weight and grid axis. Per block: its first
-    item and end. The keys ``trial * blocks + block`` of a batch's sorted
-    positives are nondecreasing, and each run of equal keys is one hit block
-    of one trial. Blocks are well formed (the constructor refuses others),
-    so the hit blocks of a trial come out in item order. A batch allocates
-    only arrays of its positives.
+    item and end. ``decode_pairs`` sorts a batch's positives into distinct
+    keys, so their keys ``trial * blocks + block`` are nondecreasing, and
+    each run of equal keys is one hit block of one trial. Blocks are well
+    formed (the constructor refuses others), so the hit blocks of a trial
+    come out in item order. A batch allocates only arrays of its positives.
     """
 
     def __init__(self, matrix: TestMatrix, kind: str, block_tests, test_count,
@@ -416,7 +394,10 @@ class BlockPlan(_Plan):
         self.first, self.end = bounds[:, 0] + first, bounds[:, 1]
         (self.test_weight, self.test_block), (self.test_axis, _) = tile_blocks(bounds, block_tests)
 
-    def decode_batch(self, trial: np.ndarray, test: np.ndarray, num_trials: int):
+    def decode_pairs(self, trial: np.ndarray, test: np.ndarray, num_trials: int,
+                     flips: np.ndarray | None):
+        num_tests = self.evaluated.num_tests
+        trial, test = _key_pairs(_or_keys(trial, test, num_tests), num_tests)
         block = self.test_block[test]
         keys = trial * self.num_blocks + block
         new = np.ones(keys.size, dtype=bool)
@@ -478,13 +459,12 @@ class MajorityPlan(ComaPlan):
     evaluates only the base rows (``evaluated``) and counts each group's
     flips F: the group has ``k - F`` positive votes if b is set, else F.
     Without flips the votes are the base outcomes, which go to the
-    every-test-positive rule as they are; with flips they are filled by test
-    into (T/k, 64 * words) bool rows and packed along the trial axis into
-    (T/k, words) masks, the layout the dense stage reads. ``decode_batch`` reads
-    observed outcomes as the flips of all-negative base outcomes, which
-    gives the same votes. The plan refuses a repeated design whose groups
-    are not copies, which :func:`~sparsegt.core.validate` reports as
-    ``repetition``.
+    every-test-positive rule as they are; with flips the votes are formed
+    as (trials, T/k) rows, and the pairs of the positive ones go to it.
+    ``decode_bits`` reads observed outcomes as the flips of all-negative
+    base outcomes, which gives the same votes. The plan refuses a repeated
+    design whose groups are not copies, which
+    :func:`~sparsegt.core.validate` reports as ``repetition``.
     """
 
     kind = "majority"
@@ -509,31 +489,29 @@ class MajorityPlan(ComaPlan):
         indptr, indices = _select_rows(matrix, np.arange(0, matrix.num_tests, k))
         super().__init__(TestMatrix.from_csr(indptr, indices, matrix.num_items))
 
-    def decode_trials(self, trial: np.ndarray, items: np.ndarray, num_trials: int,
-                      flips: np.ndarray | None):
-        if flips is None:
-            return super().decode_trials(trial, items, num_trials, flips)
-        return self._vote(*_or_gather(self.evaluated, trial, items), num_trials, flips)
+    def decode_bits(self, bits: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray]:
+        _, estimate, _, _ = self.decode_pairs(_NO_ITEMS, _NO_ITEMS, 1, bits[None])
+        return estimate, [], self.untested
 
-    def decode_batch(self, trial: np.ndarray, test: np.ndarray, num_trials: int):
-        num_tests = self.k * self.evaluated.num_tests
-        observed = _dense_bits(trial * num_tests + test, num_trials, num_tests)
-        return self._vote(_NO_ITEMS, _NO_ITEMS, num_trials, observed)
+    def decode_pairs(self, trial: np.ndarray, test: np.ndarray, num_trials: int,
+                     flips: np.ndarray | None):
+        if flips is not None:
+            trial, test = self._vote(trial, test, flips)
+        return super().decode_pairs(trial, test, num_trials, None)
 
-    def _vote(self, trial: np.ndarray, test: np.ndarray, num_trials: int, flips: np.ndarray):
-        """Decode the votes of the (trial, test) pairs of the positive base
-        outcomes (repeats allowed) under the (trials, T) flips."""
+    def _vote(self, trial: np.ndarray, test: np.ndarray,
+              flips: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (trial, test) pairs of the positive votes, sorted, from the
+        pairs of the positive base outcomes (repeats allowed) under the
+        (trials, T) flips."""
         counts = self._group_sums(flips)
-        # votes by test for whole words of trials; the trials past the batch
-        # vote negative on every test
-        votes = np.zeros((counts.shape[1], -(-num_trials // _WORD) * _WORD), dtype=bool)
-        np.greater_equal(counts.T, (self.k + 1) // 2, out=votes[:, :num_trials])
+        votes = counts >= (self.k + 1) // 2
         # a positive base test gets k - F >= (k + 1) // 2 positive votes
-        # when F <= k // 2
-        votes[test, trial] = counts[trial, test] <= self.k // 2
-        # bit b of a test's mask in word w is its vote in trial 64 w + b
-        by_test = np.packbits(votes, axis=1, bitorder="little").view("<u8")
-        return self._decode_masks(by_test.T, num_trials)
+        # when F <= k // 2; one flat index is far faster than two
+        at = trial * votes.shape[1]
+        at += test
+        votes.reshape(-1)[at] = counts.reshape(-1)[at] <= self.k // 2
+        return _key_pairs(np.flatnonzero(votes), votes.shape[1])
 
     def _group_sums(self, bits: np.ndarray) -> np.ndarray:
         """How many bits of each group of k copies are set, per trial of a

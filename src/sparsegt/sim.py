@@ -611,9 +611,12 @@ def run_monte_carlo(matrix: TestMatrix, decoder: str, config: SimConfig) -> SimR
 
 
 def _count_sets(n: int, d: int, cap: int) -> int:
-    """C(n, d), refusing a d outside [0, n] or a count above ``cap``."""
+    """C(n, d), refusing a d outside [0, n], a negative ``cap`` or a count
+    above ``cap``."""
     if not 0 <= d <= n:
         raise InvalidParameterError(f"d must lie in [0, {n}]")
+    if cap < 0:
+        raise InvalidParameterError(f"cap must be >= 0, not {cap}")
     total = math.comb(n, d)
     if total > cap:
         raise ResourceCapError(

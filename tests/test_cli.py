@@ -474,6 +474,8 @@ class TestOracleCommand:
         code, _, _ = run(capsys, "oracle", "--design", path, "--d", "3", "--cap", "10",
                          "--target-epsilon", "0")
         assert code == 2
+        code, _, err = run(capsys, "oracle", "--design", path, "--d", "3", "--cap", "-1")
+        assert (code, err) == (1, "error: --cap must be >= 0\n")
 
     def test_past_the_cap_other_decoders_and_altered_blocks_are_refused(self, capsys, tmp_path):
         path = tmp_path / "block.design"
@@ -536,6 +538,7 @@ class TestOracleCommand:
          "--trials", "5", "--k", "-1"],
         ["oracle", "--design", "fig1", "--d", "1", "--sigma", "-0.1"],
         ["oracle", "--design", "fig1", "--d", "1", "--sigma", "nan"],
+        ["oracle", "--design", "fig1", "--d", "1", "--cap", "-5"],
         ["simulate", "--family", "hypergrid", "--n", "9", "--gamma", "2", "--d", "1",
          "--trials", "5", "--target-epsilon", "nan"],
         ["simulate", "--family", "hypergrid", "--n", "9", "--gamma", "2", "--d", "1",
@@ -551,6 +554,7 @@ class TestOracleCommand:
          "design-permuted-negative-seed", "design-random-gamma-negative-seed",
          "simulate-permuted-negative-seed", "simulate-random-gamma-negative-seed",
          "simulate-k-0", "simulate-k-negative", "oracle-sigma-negative", "oracle-sigma-nan",
+         "oracle-negative-cap",
          "simulate-target-nan", "simulate-target-negative", "simulate-target-above-one",
          "oracle-target-nan", "oracle-target-negative", "oracle-target-before-the-design"],
 )

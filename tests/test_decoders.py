@@ -129,11 +129,12 @@ class TestComa:
         indptr = np.searchsorted(tests[order], np.arange(num_tests + 1))
         matrix = TestMatrix.from_csr(indptr, np.repeat(item, 2)[order], n)
         plan = make_plan(matrix, "coma")
-        masks = np.tile(np.uint64(1) << (np.arange(num_tests, dtype=np.uint64) % 64), (words, 1))
+        test = np.tile(np.arange(num_tests), words)
+        fired = np.repeat(64 * np.arange(words), num_tests) + test % 64
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            trial, estimate, _, _ = plan._decode_masks(masks, 64 * words)
+            trial, estimate, _, _ = plan.decode_pairs(fired, test, 64 * words, None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

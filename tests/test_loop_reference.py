@@ -596,10 +596,10 @@ def _assert_same_decoding(plan, reference, bits):
 
 
 def _assert_same_batch_decoding(plan, reference, bits):
-    """``decode_batch`` on the positive pairs of a (trials, T) array agrees
+    """``decode_pairs`` on the positive pairs of a (trials, T) array agrees
     with the loop decoder on each row, and returns its pairs sorted."""
     trial, test = np.divmod(bits.reshape(-1).nonzero()[0], bits.shape[1])
-    est_trial, est_item, amb_trial, amb_block = plan.decode_batch(trial, test, len(bits))
+    est_trial, est_item, amb_trial, amb_block = plan.decode_pairs(trial, test, len(bits), None)
     for row, row_bits in enumerate(bits):
         want_estimate, want_ambiguous = reference.decode_bits(row_bits)[:2]
         assert np.array_equal(est_item[est_trial == row], want_estimate)
@@ -673,12 +673,12 @@ class TestBlockDecoderAgreesWithLoops:
         ]
         for bits in batches:
             _assert_same_batch_decoding(plan, reference, bits)
-        _, _, amb_trial, amb_block = plan.decode_batch(
-            *np.divmod(np.stack(refused).reshape(-1).nonzero()[0], num_tests), len(refused))
+        _, _, amb_trial, amb_block = plan.decode_pairs(
+            *np.divmod(np.stack(refused).reshape(-1).nonzero()[0], num_tests), len(refused), None)
         assert amb_trial.tolist() == list(range(len(refused)))
         assert amb_block.tolist() == [0] * len(refused)
-        est_trial, est_item, amb_trial, _ = plan.decode_batch(
-            *np.divmod(batches[0].reshape(-1).nonzero()[0], num_tests), 3)
+        est_trial, est_item, amb_trial, _ = plan.decode_pairs(
+            *np.divmod(batches[0].reshape(-1).nonzero()[0], num_tests), 3, None)
         assert (est_trial.tolist(), est_item.tolist()) == ([0, 1, 2, 2], [6, 6, 7, 15])
         assert amb_trial.size == 0
 
@@ -827,11 +827,11 @@ class TestComaBatchAgreesWithTheCountingLoop:
     @example((2, [set(), set(), set()]), ["dense", "none"], 7, 3)
     @settings(max_examples=200, deadline=None)
     def test_both_candidate_stages_agree(self, columns, kinds, short, seed):
-        """The (words, T) masks of one to three words, each of a kind in
-        ``_WORD_RATES``, decode to the same pairs through the dense and the
-        sparse candidate stage, whichever ``_dense_pays`` would select, and
-        to the counting loop's estimate row by row. The last word holds
-        64 - ``short`` trials."""
+        """The positive pairs of one to three words of trials, each of a
+        kind in ``_WORD_RATES``, decode to the same pairs through the dense
+        and the sparse candidate stage, whichever ``_dense_pays`` would
+        select, and to the counting loop's estimate row by row. The last
+        word holds 64 - ``short`` trials."""
         num_tests, tests = columns
         rows = [[i for i, col in enumerate(tests) if t in col] for t in range(num_tests)]
         matrix = TestMatrix(rows=rows, num_items=len(tests))
@@ -840,13 +840,12 @@ class TestComaBatchAgreesWithTheCountingLoop:
         bits = rng.random((rates.size, num_tests)) < rates[:, None]
         num_trials = rates.size - short
         bits[num_trials:] = False
-        packed = np.packbits(bits.reshape(-1, 64, num_tests), axis=1, bitorder="little")
-        masks = np.ascontiguousarray(packed.transpose(0, 2, 1)).view("<u8")[..., 0]
+        trial, test = bits.nonzero()
         plan = make_plan(matrix, "coma")
         decoded = {}
         for dense in (True, False):
             with mock.patch.object(decoders, "_dense_pays", return_value=dense):
-                decoded[dense] = plan._decode_masks(masks, num_trials)
+                decoded[dense] = plan.decode_pairs(trial, test, num_trials, None)
         for got, want in zip(decoded[True], decoded[False]):
             assert np.array_equal(got, want)
         est_trial, est_item = decoded[True][:2]
@@ -960,6 +959,59 @@ class TestWideTestNumbersDecodeAsTheLoop:
         for row, pick in enumerate(picks):
             observed = np.repeat(_row_outcome(base, pick), 3) ^ flips[row]
             assert np.array_equal(est_item[est_trial == row], reference.decode_bits(observed)[0])
+
+
+@st.composite
+def pair_plans(draw):
+    """(design, plan, loop reference) of every plan kind that
+    ``decode_pairs`` serves: a hypergrid or binary block design, a COMA
+    design, or a repeated COMA design (2 to 4 copies) read by majority vote
+    without noise."""
+    kind = draw(st.sampled_from(["block", "coma", "majority"]))
+    if kind == "block":
+        matrix, decoder = draw(block_designs())
+        return matrix, make_plan(matrix, decoder), _REFERENCE_PLANS[decoder](matrix)
+    num_tests, tests = draw(coma_columns())
+    rows = [[i for i, col in enumerate(tests) if t in col] for t in range(num_tests)]
+    matrix = TestMatrix(rows=rows, num_items=len(tests))
+    if kind == "coma":
+        return matrix, make_plan(matrix, "coma"), ref.ComaPlan(matrix)
+    matrix = designs.repeat_design(matrix, draw(st.integers(2, 4)))
+    return matrix, make_plan(matrix, "majority"), ref.MajorityPlan(matrix)
+
+
+class TestDecodePairsTakesRawGatheredPairs:
+    @given(pair_plans(), st.sampled_from([1, 2, 63, 64, 65, 130]), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_shuffled_doubled_pairs_decode_as_sorted_distinct(self, case, num_trials, dense,
+                                                              seed):
+        """A batch of up to three defectives a trial, gathered from the
+        matrix the plan evaluates, decodes the same from its pairs shuffled
+        with every pair doubled as from its sorted distinct pairs, on the
+        candidate stage ``dense`` for COMA and majority plans, and as the
+        loop decoder reads each row."""
+        matrix, plan, reference = case
+        n, num_tests = plan.evaluated.num_items, plan.evaluated.num_tests
+        rng = np.random.default_rng(seed)
+        picks = [np.sort(rng.choice(n, min(n, int(rng.integers(0, 4))), replace=False))
+                 for _ in range(num_trials)]
+        trial = np.repeat(np.arange(num_trials), [p.size for p in picks])
+        trial, test = core._or_gather(plan.evaluated, trial, np.concatenate(picks))
+        distinct = core._key_pairs(core._or_keys(trial, test, num_tests), num_tests)
+        order = rng.permutation(2 * trial.size)
+        doubled = (np.tile(trial, 2)[order], np.tile(test, 2)[order])
+        with mock.patch.object(decoders, "_dense_pays", return_value=dense):
+            want = plan.decode_pairs(*distinct, num_trials, None)
+            got = plan.decode_pairs(*doubled, num_trials, None)
+        for got_pairs, want_pairs in zip(got, want):
+            assert np.array_equal(got_pairs, want_pairs)
+        est_trial, est_item, amb_trial, amb_block = got
+        for row, pick in enumerate(picks):
+            bits = ref.evaluate(matrix, DefectiveSet(pick, n))
+            want_estimate, want_ambiguous = reference.decode_bits(bits)[:2]
+            assert np.array_equal(est_item[est_trial == row], want_estimate)
+            assert amb_block[amb_trial == row].tolist() == want_ambiguous
 
 
 class TestBlockConstructorsAgreeWithLoops:

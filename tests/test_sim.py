@@ -288,6 +288,16 @@ class TestCollisionGroups:
             outcome_collision_groups(m, 4, cap=100)
 
 
+@pytest.mark.parametrize("oracle", [
+    lambda cap: exhaustive_error_probability(GRID9, "coma", 1, cap=cap),
+    lambda cap: outcome_collision_groups(GRID9, 1, cap=cap),
+], ids=["exhaustive", "collision-groups"])
+def test_negative_cap_refused(oracle):
+    with pytest.raises(InvalidParameterError, match="cap must be >= 0"):
+        oracle(-5)
+    oracle(9)  # the C(9, 1) = 9 sets fit a cap of 9
+
+
 class TestBayesOracle:
     def test_noiseless_injective_design_is_perfect(self):
         assert bayes_optimal_error(GRID9, 0.0, Prior(PRIOR_UNIFORM_EXACT, 1)) == 0.0
