@@ -233,6 +233,17 @@ def _test_dtype(num_tests: int) -> np.dtype:
     return np.min_scalar_type(max(num_tests - 1, 0))
 
 
+def _index_dtype(limit: int) -> type:
+    """The signed dtype of a batch's index arrays whose values lie below
+    ``limit``: int32 where ``limit`` is below 2**31, else int64. Trial
+    numbers, gathered positions, keys and block tables are formed in it
+    with an explicit ``dtype=``, never by promotion, which NumPy 1.23 and 2
+    resolve differently for an int32 array times a Python int. They index
+    through ``np.take``, as a fancy index of another dtype than intp takes
+    NumPy's slower general path."""
+    return np.int32 if limit < 2**31 else np.int64
+
+
 class TestMatrix:
     """A pooling design: test ``t`` pools the items
     ``indices[indptr[t]:indptr[t + 1]]``.
@@ -541,11 +552,13 @@ def _cuts(offsets: np.ndarray, size: int) -> list[int]:
     return sorted({0, *at.tolist(), offsets.size - 1})
 
 
-def _ragged(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def _ragged(starts: np.ndarray, lengths: np.ndarray, size: int) -> np.ndarray:
     """The positions ``starts[k] .. starts[k] + lengths[k] - 1`` for every
-    ``k``, concatenated in order (a ragged arange)."""
-    positions = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-    positions += np.arange(positions.size)
+    ``k``, concatenated in order (a ragged arange), into an array of
+    ``size`` entries: in ``_index_dtype(size)``, int32 below 2**31."""
+    dtype = _index_dtype(size)
+    positions = np.repeat((starts - np.cumsum(lengths) + lengths).astype(dtype), lengths)
+    positions += np.arange(positions.size, dtype=dtype)
     return positions
 
 
@@ -554,7 +567,7 @@ def _select_rows(matrix: TestMatrix, rows: np.ndarray) -> tuple[np.ndarray, np.n
     ragged gather)."""
     starts = matrix.indptr[rows]
     lengths = matrix.indptr[rows + 1] - starts
-    return _offsets(lengths), matrix.indices[_ragged(starts, lengths)]
+    return _offsets(lengths), np.take(matrix.indices, _ragged(starts, lengths, matrix.indices.size))
 
 
 @dataclass(frozen=True)
@@ -671,7 +684,7 @@ def evaluate(matrix: TestMatrix, defectives: DefectiveSet) -> Outcomes:
             f"matrix has {matrix.num_items}"
         )
     items = np.asarray(defectives.items, dtype=np.int64)
-    keys = _or_batch(matrix, np.zeros_like(items), items)
+    keys = _or_batch(matrix, np.zeros_like(items), items, 1)
     return Outcomes(_dense_bits(keys, 1, matrix.num_tests)[0])
 
 
@@ -681,29 +694,44 @@ def _or_gather(matrix: TestMatrix, trial: np.ndarray,
     arrays: trial ``trial[k]`` holds item ``items[k]`` (distinct per trial,
     in range). Returns the (trial, test) pair of every incidence of the
     defectives, gathered from the CSC index item by item, so unsorted and
-    with a pair repeated where two defectives of a trial share a test; the
-    tests keep the index's narrow dtype, so a caller multiplies them only
-    after a cast to int64. The only OR evaluation: :func:`_or_batch`
-    reduces it to sorted keys, and the decode plans take it as it comes."""
+    with a pair repeated where two defectives of a trial share a test. The
+    trials keep the dtype they come in (int32 from the harness), the tests
+    the index's narrow unsigned dtype, and the positions read between are
+    int32 below 2**31 index entries (:func:`_ragged`); a caller forms keys
+    from them with :func:`_pair_keys`. The only OR evaluation:
+    :func:`_or_batch` reduces it to sorted keys, and the decode plans take
+    it as it comes."""
     col_indptr, tests = matrix.column_index()
     starts = col_indptr[items]
     lengths = col_indptr[items + 1] - starts
-    return np.repeat(trial, lengths), tests[_ragged(starts, lengths)]
+    return np.repeat(trial, lengths), np.take(tests, _ragged(starts, lengths, tests.size))
 
 
-def _or_batch(matrix: TestMatrix, trial: np.ndarray, items: np.ndarray) -> np.ndarray:
-    """The positive outcomes of :func:`_or_gather`'s batch as the sorted,
-    distinct int64 keys ``trial * T + test``, as the exact oracles and
-    :func:`evaluate` read them."""
-    return _or_keys(*_or_gather(matrix, trial, items), matrix.num_tests)
+def _or_batch(matrix: TestMatrix, trial: np.ndarray, items: np.ndarray,
+              num_trials: int) -> np.ndarray:
+    """The positive outcomes of :func:`_or_gather`'s batch, trials below
+    ``num_trials``, as the sorted distinct keys of :func:`_or_keys`, as the
+    exact oracles and :func:`evaluate` read them."""
+    return _or_keys(*_or_gather(matrix, trial, items), num_trials, matrix.num_tests)
 
 
-def _or_keys(trial: np.ndarray, test: np.ndarray, num_tests: int) -> np.ndarray:
-    """The gathered (trial, test) pairs as sorted, distinct keys
-    ``trial * num_tests + test``: sorted, keeping each first of a run of
-    equal keys."""
-    keys = trial * num_tests
-    keys += test
+def _pair_keys(trial: np.ndarray, low: np.ndarray, num_trials: int, width: int) -> np.ndarray:
+    """The keys ``trial * width + low`` of pairs with ``trial`` below
+    ``num_trials`` and ``low`` below ``width``, in
+    ``_index_dtype(num_trials * width)``: int32 when every key is below
+    2**31, else int64. :func:`_key_pairs` splits them again."""
+    keys = np.multiply(trial, width, dtype=_index_dtype(num_trials * width))
+    keys += low
+    return keys
+
+
+def _or_keys(trial: np.ndarray, test: np.ndarray, num_trials: int,
+             num_tests: int) -> np.ndarray:
+    """The gathered (trial, test) pairs, trials below ``num_trials``, as
+    sorted, distinct keys ``trial * num_tests + test`` (int32 below 2**31,
+    see :func:`_pair_keys`): sorted, keeping each first of a run of equal
+    keys."""
+    keys = _pair_keys(trial, test, num_trials, num_tests)
     keys.sort()
     first = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
@@ -711,10 +739,13 @@ def _or_keys(trial: np.ndarray, test: np.ndarray, num_tests: int) -> np.ndarray:
 
 
 def _key_pairs(keys: np.ndarray, num_tests: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (trial, test) pairs of the keys ``trial * num_tests + test``; one
-    integer division, which is about twice as fast as ``np.divmod``."""
-    trial = keys // max(num_tests, 1)
-    return trial, keys - trial * num_tests
+    """The (trial, test) pairs of the keys ``trial * num_tests + test``, both
+    in the keys' dtype; one integer division, which is about twice as fast
+    as ``np.divmod``."""
+    trial = np.floor_divide(keys, max(num_tests, 1), dtype=keys.dtype)
+    test = np.multiply(trial, num_tests, dtype=keys.dtype)
+    np.subtract(keys, test, out=test)
+    return trial, test
 
 
 def _dense_bits(keys: np.ndarray, num_trials: int, num_tests: int) -> np.ndarray:

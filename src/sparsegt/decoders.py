@@ -61,12 +61,15 @@ from .core import (
     TAG_REPEATED,
     TestMatrix,
     _broken_repeat_group,
+    _index_dtype,
     _key_pairs,
     _offsets,
     _or_gather,
     _or_keys,
+    _pair_keys,
     _ragged,
     _select_rows,
+    _test_dtype,
     _well_formed_blocks,
 )
 from .designs import _grid_test_count, hypergrid_shape, tile_blocks
@@ -119,9 +122,13 @@ class _Plan:
     trials from the (trial, test) pairs of their positive tests, in any
     order and with repeats, under the channel's (trials, T) flips of the
     design's tests, or None when there is no noise; only majority plans
-    read flips. It returns the estimate as (trial, item) pairs, sorted by
-    trial and then item, with the items of a trial distinct and in [0, n),
-    and the ambiguous blocks as (trial, block) pairs in the same order.
+    read flips. The trials below ``num_trials`` come as the harness draws
+    them (int32) and the tests in the column index's narrow unsigned dtype;
+    the plan forms its keys and positions in ``core._index_dtype`` of
+    their bound, int32 below 2**31. It returns the estimate as (trial,
+    item) pairs, sorted by trial and then item, with the items of a trial
+    distinct and in [0, n), and the ambiguous blocks as (trial, block)
+    pairs in the same order; a one-row decode's items are int64.
 
     It has two callers. The harness hands a batch's defectives and flips to
     ``decode_trials``, which gathers the positives of the matrix
@@ -201,8 +208,9 @@ class ComaPlan(_Plan):
     every table row, and frees both: on a design of items in 4 tests each
     the build peaks at about 9 bytes per incidence above the column index,
     which itself keeps 4 (int64 offsets and uint16 tests). The narrow tests
-    are cast to int64 only where a product could overflow them: the dense
-    fill's scatter index and the mask index of :meth:`_and_rest`.
+    enter products only through ``core._pair_keys``, in int32 below 2**31:
+    the dense fill's scatter index (then cast to intp, which fancy
+    assignment runs fastest on) and the mask index of :meth:`_and_rest`.
     """
 
     kind = "coma"
@@ -227,15 +235,16 @@ class ComaPlan(_Plan):
         # nonzero if each fell on one of them at random
         share = -math.expm1(-_WORD * test.size / max(1, width * num_tests))
         if not _dense_pays(self.table, share):
-            trial, test = _key_pairs(_or_keys(trial, test, num_tests), num_tests)
+            trial, test = _key_pairs(_or_keys(trial, test, num_trials, num_tests), num_tests)
             masks = np.zeros((words, num_tests), dtype=np.uint64)
             # the pairs are now distinct, so adding their bits ORs them
-            np.add.at(masks.reshape(-1), (trial >> _WORD_SHIFT) * num_tests + test,
-                      _BITS[trial & (_WORD - 1)])
+            np.add.at(masks.reshape(-1), _pair_keys(trial >> _WORD_SHIFT, test, words, num_tests),
+                      np.take(_BITS, trial & (_WORD - 1)))
             return self._estimate(self._sparse_candidates(masks), num_trials)
         bits = np.zeros((num_tests, width), dtype=bool)
-        at = np.multiply(test, width, dtype=np.int64)  # the tests may be narrow
-        at += trial
+        # an intp scatter index, as fancy assignment through any other
+        # index dtype is slower; formed as narrow keys, which is faster
+        at = _pair_keys(test, trial, num_tests, width).astype(np.intp, copy=False)
         bits.reshape(-1)[at] = True  # a repeated pair sets its bit again
         # the index, and then the bool array, are freed once read, so the
         # batch peaks at little more than the pairs and the bool array
@@ -273,13 +282,13 @@ class ComaPlan(_Plan):
             positive = np.flatnonzero(mask != 0)
             starts = self.group_ptr[positive]
             lengths = self.group_ptr[positive + 1] - starts
-            slot = _ragged(starts, lengths)
+            slot = _ragged(starts, lengths, self.candidates.size)
             hit = np.repeat(mask[positive], lengths)
             for row in self.table[1:]:
-                hit &= mask[row[slot]]
+                hit &= np.take(mask, np.take(row, slot))
                 keep = np.flatnonzero(hit != 0)
                 slot, hit = slot[keep], hit[keep]
-            item = self.candidates[slot]
+            item = np.take(self.candidates, slot)
             self._and_rest(mask, 0, 1, item, hit)
             found.append((np.full(hit.size, word * _WORD), item, hit))
         return tuple(map(np.concatenate, zip(*found)))
@@ -317,9 +326,10 @@ class ComaPlan(_Plan):
         more = np.flatnonzero(ends > starts)
         if more.size:
             lengths = ends[more] - starts[more]
-            at = np.multiply(self.tests[_ragged(starts[more], lengths)], stride, dtype=np.int64)
-            at += np.repeat(np.broadcast_to(offset, item.shape)[more], lengths)
-            hit[more] &= np.bitwise_and.reduceat(masks[at], _offsets(lengths)[:-1])
+            test = np.take(self.tests, _ragged(starts[more], lengths, self.tests.size))
+            at = _pair_keys(test, np.repeat(np.broadcast_to(offset, item.shape)[more], lengths),
+                            self.evaluated.num_tests, stride)
+            hit[more] &= np.bitwise_and.reduceat(np.take(masks, at), _offsets(lengths)[:-1])
 
 
 def _filed_table(col_indptr: np.ndarray, tests: np.ndarray,
@@ -329,7 +339,7 @@ def _filed_table(col_indptr: np.ndarray, tests: np.ndarray,
     its tested items. Its scratch, freed on return, is the positions of
     each candidate's first and last test, in int32 where they fit, and one
     int64 position buffer reused for every row."""
-    scratch = np.int32 if tests.size < 2**31 else np.int64
+    scratch = _index_dtype(tests.size)
     starts = col_indptr[:-1][tested].astype(scratch)
     last = col_indptr[1:][tested].astype(scratch)
     last -= 1
@@ -364,12 +374,18 @@ def _dense_pays(table: np.ndarray, share: float) -> bool:
 class BlockPlan(_Plan):
     """The block rule of the module docstring, read run by run.
 
-    Per test: its block, label weight and grid axis. Per block: its first
-    item and end. ``decode_pairs`` sorts a batch's positives into distinct
-    keys, so their keys ``trial * blocks + block`` are nondecreasing, and
-    each run of equal keys is one hit block of one trial. Blocks are well
-    formed (the constructor refuses others), so the hit blocks of a trial
-    come out in item order. A batch allocates only arrays of its positives.
+    Per test: its block and label weight (int32 below 2**31 blocks and
+    items) and its grid axis (the narrowest unsigned dtype that holds
+    gamma - 1), tiled in these dtypes by :func:`~sparsegt.designs.tile_blocks`.
+    Per block: its first item and end, int32 below 2**31 items.
+    ``decode_pairs`` sorts a batch's positives into distinct keys
+    ``trial * T + test``, so their keys ``trial * blocks + block`` are
+    nondecreasing, and each run of equal keys is one hit block of one
+    trial; both keys are int32 while trials times T stays below 2**31, and
+    a run's label weights are summed in int64. Blocks are well formed (the
+    constructor refuses others), so the hit blocks of a trial come out in
+    item order. A batch allocates only arrays of its positives: on the
+    desk-block designs, at most 50 bytes a gathered pair.
     """
 
     def __init__(self, matrix: TestMatrix, kind: str, block_tests, test_count,
@@ -381,7 +397,7 @@ class BlockPlan(_Plan):
             raise IncompatibleDecoderError(
                 f"block offsets must start at 0, increase strictly, and stay below n; not {design}"
             )
-        bounds = np.array(matrix.block_bounds(), dtype=np.int64)
+        bounds = np.array(matrix.block_bounds(), dtype=_index_dtype(matrix.num_items + 1))
         self.num_blocks = len(bounds)
         # count the tests before tiling, so a wrong header costs no tables
         sizes, blocks = np.unique(bounds[:, 1] - bounds[:, 0], return_counts=True)
@@ -391,25 +407,28 @@ class BlockPlan(_Plan):
                 f"matrix has {matrix.num_tests} tests but its block structure "
                 f"implies {implied}; not {design}"
             )
-        self.first, self.end = bounds[:, 0] + first, bounds[:, 1]
+        self.first = np.add(bounds[:, 0], first, dtype=bounds.dtype)
+        self.end = bounds[:, 1].copy()  # np.take copies a strided array whole
         (self.test_weight, self.test_block), (self.test_axis, _) = tile_blocks(bounds, block_tests)
 
     def decode_pairs(self, trial: np.ndarray, test: np.ndarray, num_trials: int,
                      flips: np.ndarray | None):
         num_tests = self.evaluated.num_tests
-        trial, test = _key_pairs(_or_keys(trial, test, num_tests), num_tests)
-        block = self.test_block[test]
-        keys = trial * self.num_blocks + block
+        trial, test = _key_pairs(_or_keys(trial, test, num_trials, num_tests), num_tests)
+        block = np.take(self.test_block, test)
+        keys = _pair_keys(trial, block, num_trials, self.num_blocks)
         new = np.ones(keys.size, dtype=bool)
         np.not_equal(keys[1:], keys[:-1], out=new[1:])
         runs = new.nonzero()[0]
         trial, block = trial[runs], block[runs]
-        item = self.first[block] + np.add.reduceat(self.test_weight[test], runs)
-        bad = item >= self.end[block]
+        # a run's weights may sum past 2**31 where its block is ambiguous
+        item = np.take(self.first, block) + np.add.reduceat(
+            np.take(self.test_weight, test), runs, dtype=np.int64)
+        bad = item >= np.take(self.end, block)
         if self.axes:
             # a run's tests are in axis order, so its axes are the axis
             # changes within it
-            axis = self.test_axis[test]
+            axis = np.take(self.test_axis, test)
             new[1:] |= axis[1:] != axis[:-1]
             count = np.diff(runs, append=keys.size)
             bad |= (count != self.axes) | (np.add.reduceat(new, runs) != self.axes)
@@ -428,9 +447,11 @@ def _grid_plan(matrix: TestMatrix) -> BlockPlan:
 
     def grid_tests(size: int) -> tuple[np.ndarray, np.ndarray]:
         shape = hypergrid_shape(size, gamma)
-        axis = np.repeat(np.arange(gamma), shape.axis_digits)
+        axis = np.repeat(np.arange(gamma, dtype=_test_dtype(gamma)), shape.axis_digits)
         digit = np.arange(shape.num_tests) - _offsets(shape.axis_digits)[axis]
-        return digit * np.array(shape.axis_powers)[axis], axis
+        # each weight, a digit times its axis power, lies below the size
+        return np.multiply(digit, np.array(shape.axis_powers)[axis],
+                           dtype=_index_dtype(size)), axis
 
     return BlockPlan(matrix, "hypergrid", grid_tests, lambda size: _grid_test_count(size, gamma),
                      first=0, axes=gamma, design="a hypergrid design")
@@ -444,7 +465,9 @@ def _binary_plan(matrix: TestMatrix) -> BlockPlan:
 
     def bit_tests(size: int) -> tuple[np.ndarray, np.ndarray]:
         count = size.bit_length()
-        return 1 << np.arange(count), np.full(count, -1)  # on no axis
+        # the weights are at most the size; the axes (all 0) are never read
+        return (np.left_shift(1, np.arange(count), dtype=_index_dtype(size + 1)),
+                np.zeros(count, dtype=np.uint8))
 
     return BlockPlan(matrix, "binary", bit_tests, int.bit_length, first=-1, axes=0,
                      design="a binary block design")
@@ -507,9 +530,9 @@ class MajorityPlan(ComaPlan):
         counts = self._group_sums(flips)
         votes = counts >= (self.k + 1) // 2
         # a positive base test gets k - F >= (k + 1) // 2 positive votes
-        # when F <= k // 2; one flat index is far faster than two
-        at = trial * votes.shape[1]
-        at += test
+        # when F <= k // 2; one flat intp index is far faster than two, or
+        # than one of another dtype
+        at = _pair_keys(trial, test, len(votes), votes.shape[1]).astype(np.intp, copy=False)
         votes.reshape(-1)[at] = counts.reshape(-1)[at] <= self.k // 2
         return _key_pairs(np.flatnonzero(votes), votes.shape[1])
 

@@ -47,6 +47,7 @@ from .core import (
     TestMatrix,
     int_root_ceil,
     _adopt_csr,
+    _index_dtype,
     _offsets,
     _select_rows,
 )
@@ -174,8 +175,9 @@ def tile_blocks(bounds, layout) -> list[tuple[np.ndarray, np.ndarray]]:
 
     ``bounds`` holds each block's (start, end) item range; ``layout(size)``
     returns a pair of 1-D arrays and is called once per distinct block size.
-    For each array of the pair, returns the blocks' copies in block order
-    and the block of each element. There is at least one block.
+    For each array of the pair, returns the blocks' copies in block order,
+    in the layout's dtype, and the block of each element, int32 below 2**31
+    blocks. There is at least one block.
     """
     bounds = np.asarray(bounds, dtype=np.int64)
     sizes, kind = np.unique(bounds[:, 1] - bounds[:, 0], return_inverse=True)
@@ -188,7 +190,8 @@ def tile_blocks(bounds, layout) -> list[tuple[np.ndarray, np.ndarray]]:
         # element e of block b is element e - at[b] of its size's layout
         source = np.repeat(_offsets(lengths)[kind] - at[:-1], counts) + np.arange(at[-1])
         pool = np.concatenate(pieces)
-        tiled.append((pool[source], np.repeat(np.arange(kind.size), counts)))
+        block = np.arange(kind.size, dtype=_index_dtype(kind.size))
+        tiled.append((pool[source], np.repeat(block, counts)))
     return tiled
 
 

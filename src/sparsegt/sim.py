@@ -49,8 +49,10 @@ from .core import (
     ResourceCapError,
     TestMatrix,
     _dense_bits,
+    _index_dtype,
     _noise_flips,
     _or_batch,
+    _pair_keys,
 )
 from .decoders import make_plan
 
@@ -408,12 +410,16 @@ def _trial_generators(master_seed: int, first: int, states, rows):
 # ---------------------------------------------------------------------------
 
 
-# a batch of trials is sized to hold about this many bytes of outcome keys,
-# index arrays and its plan's ``trial_bytes``, plus this many per trial for
-# its Python objects. A COMA batch that takes the dense stage holds more: it
-# fills a (T, 64 * words) bool array, T bytes a trial, before packing it
-# into the T / 8 bytes a trial of masks it is counted at (6.9 MB at
-# T = 16 000 and 384 trials). Batches sized by the bool array read no faster.
+# a batch of trials is sized by this many bytes: 8 an incidence of its
+# defectives, its plan's ``trial_bytes``, and this many per trial for its
+# Python objects. As 256 divides 1 MiB, a batch holds at most 4096 trials.
+# Its index arrays (trial numbers, gathered positions, keys) are int32
+# below 2**31 (``core._index_dtype``), so a desk-block batch peaks at about
+# 45 bytes a gathered pair. A COMA batch that
+# takes the dense stage holds more: it fills a (T, 64 * words) bool array,
+# T bytes a trial, before packing it into the T / 8 bytes a trial of masks
+# it is counted at (6.9 MB at T = 16 000 and 384 trials). Batches sized by
+# the bool array read no faster.
 _BATCH_BYTES = 1 << 20
 _TRIAL_BYTES = 256
 
@@ -421,11 +427,12 @@ _TRIAL_BYTES = 256
 def _batch_trials(matrix: TestMatrix, d: int, trial_bytes: float, step: int = 1) -> int:
     """Trials per batch, a positive multiple of ``step``: a plan's
     ``batch_step``, so that a COMA batch fills whole 64-trial words. A trial
-    takes one int64 outcome key per incidence of its d defectives in
-    ``matrix`` at the mean column weight, plus ``trial_bytes``: a plan's
-    test masks and the channel's flips, or dense outcome rows. A COMA
-    plan's masks count T / 8 bytes a trial, while a batch on its dense
-    stage fills T bytes a trial of bool rows first (see ``_BATCH_BYTES``)."""
+    counts 8 bytes per incidence of its d defectives in ``matrix`` at the
+    mean column weight, for the pair gathered from it (an int32 trial and
+    a narrow test) and its int32 key, plus ``trial_bytes``: a plan's test
+    masks and the channel's flips, or dense outcome rows. A COMA plan's
+    masks count T / 8 bytes a trial, while a batch on its dense stage fills
+    T bytes a trial of bool rows first (see ``_BATCH_BYTES``)."""
     incidences = matrix.ones_count() / matrix.num_items
     per_trial = trial_bytes + d * 8 * incidences + _TRIAL_BYTES
     return max(1, int(_BATCH_BYTES // per_trial) // step) * step
@@ -463,7 +470,8 @@ def _score_batch(plan, trial: np.ndarray, items: np.ndarray, num_trials: int,
     differs from its defective set."""
     est_trial, est_item, amb_trial, _ = plan.decode_trials(trial, items, num_trials, flips)
     n = plan.evaluated.num_items
-    true_est = _found(est_trial * n + est_item, trial * n + items)
+    true_est = _found(_pair_keys(est_trial, est_item, num_trials, n),
+                      _pair_keys(trial, items, num_trials, n))
 
     def per_trial(which: np.ndarray) -> np.ndarray:
         return np.bincount(which, minlength=num_trials)
@@ -479,8 +487,9 @@ def _score_batch(plan, trial: np.ndarray, items: np.ndarray, num_trials: int,
 def _trial_batches(n: int, num_tests: int, prior: Prior, sigma: float, master_seed: int,
                    start: int, count: int, batch: int):
     """Trials ``start .. start + count - 1`` as the seeding contract draws
-    them, ``batch`` at a time: (trial of each defective, defectives sorted
-    within each trial, number of trials, flips of the ``num_tests`` tests or
+    them, ``batch`` at a time: (trial of each defective, numbered from 0 in
+    the batch in ``_index_dtype(batch)``, int32; defectives sorted within
+    each trial, int64; number of trials; flips of the ``num_tests`` tests or
     None when noiseless). Each chunk of trials gets its PCG64 states at
     once. Where the replica covers the run, ``_floyd_draws`` computes the
     chunk's sets from them and only its flagged trials are drawn by a
@@ -503,7 +512,8 @@ def _trial_batches(n: int, num_tests: int, prior: Prior, sigma: float, master_se
                 picks[row] = np.sort(rng.choice(n, prior.d, replace=False))
             for lo in range(0, size, batch):
                 part = picks[lo : lo + batch]
-                yield np.repeat(np.arange(len(part)), prior.d), part.reshape(-1), len(part), None
+                trial = np.repeat(np.arange(len(part), dtype=_index_dtype(batch)), prior.d)
+                yield trial, part.reshape(-1), len(part), None
             continue
         for lo in range(0, size, batch):
             num_trials = min(batch, size - lo)
@@ -516,7 +526,8 @@ def _trial_batches(n: int, num_tests: int, prior: Prior, sigma: float, master_se
             items = np.concatenate(picks)
             if prior.kind == PRIOR_UNIFORM_EXACT:
                 items.reshape(num_trials, prior.d).sort(axis=1)
-            trial = np.repeat(np.arange(num_trials), [p.size for p in picks])
+            trial = np.repeat(np.arange(num_trials, dtype=_index_dtype(batch)),
+                              [p.size for p in picks])
             yield trial, items, num_trials, flips[:num_trials] if noisy_tests else None
 
 
@@ -662,10 +673,10 @@ def block_collision_error(matrix: TestMatrix, d: int) -> Fraction:
 
 def _set_batches(matrix: TestMatrix, d: int, batch: int):
     """The size-d item sets in lexicographic order, ``batch`` sets at a time:
-    (set of each item, items, number of sets)."""
+    (set of each item, int32 below 2**31 sets, items, number of sets)."""
     combos = itertools.combinations(range(matrix.num_items), d)
     while sets := list(itertools.islice(combos, batch)):
-        trial = np.repeat(np.arange(len(sets)), d)
+        trial = np.repeat(np.arange(len(sets), dtype=_index_dtype(batch)), d)
         yield trial, np.array(sets, dtype=np.int64).reshape(-1), len(sets)
 
 
@@ -681,7 +692,7 @@ def outcome_collision_groups(
     by_outcome: dict[bytes, list[tuple[int, ...]]] = {}
     num_tests = matrix.num_tests
     for trial, items, num_sets in _set_batches(matrix, d, _batch_trials(matrix, d, num_tests)):
-        bits = _dense_bits(_or_batch(matrix, trial, items), num_sets, num_tests)
+        bits = _dense_bits(_or_batch(matrix, trial, items, num_sets), num_sets, num_tests)
         keys = np.packbits(bits, axis=1)
         for combo, key in zip(items.reshape(num_sets, d).tolist(), keys):
             by_outcome.setdefault(key.tobytes(), []).append(tuple(combo))
@@ -716,7 +727,7 @@ def bayes_optimal_error(matrix: TestMatrix, sigma: float, prior: Prior) -> float
     # set when test t is positive
     num_inputs = 1 << n
     members = np.arange(num_inputs)[:, None] >> np.arange(n) & 1
-    bits = _dense_bits(_or_batch(matrix, *members.nonzero()), num_inputs, num_tests)
+    bits = _dense_bits(_or_batch(matrix, *members.nonzero(), num_inputs), num_inputs, num_tests)
     signatures = bits @ (np.uint32(1) << np.arange(num_tests, dtype=np.uint32))
 
     popcount_inputs = members.sum(axis=1)

@@ -2,8 +2,10 @@
 pinned seed, each part of each workload in ``perfbench/workloads.py``
 serializes to its pinned design digest, and ``run_monte_carlo`` over its
 trials returns its pinned counts. A change that moves a count then fails
-here rather than only in a benchmark run. The workload file is imported
-as it stands and never changed."""
+here rather than only in a benchmark run. The harness's batch sizes on
+each part are pinned too, so that a change to a batch's bytes cannot come
+from a quietly resized batch. The workload file is imported as it stands
+and never changed."""
 
 import hashlib
 import sys
@@ -12,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from sparsegt import PRIOR_UNIFORM_EXACT, Prior, SimConfig, run_monte_carlo, serialize
+from sparsegt import PRIOR_UNIFORM_EXACT, Prior, SimConfig, run_monte_carlo, serialize, sim
+from sparsegt.decoders import make_plan
 
 WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -43,3 +46,26 @@ def test_pinned_design_and_counts(workload, part):
     b = report.breakdown
     counts = (report.errors, b.false_positive_items, b.ambiguous_blocks, b.wrong_estimate)
     assert counts == part.pinned
+
+
+# trials per batch (``sim._batch_trials``, flips counted where the channel
+# is noisy) and per chunk of PCG64 states (``sim._draw_chunk``) on each part
+BATCHES = {
+    "random-gamma": (1664, 9362),
+    "permuted-rho": (1280, 5461),
+    "block-hypergrid": (3120, 9362),
+    "block-binary": (3084, 9362),
+    "repeated-permuted-rho": (64, 32768),
+    "permuted-rho-large": (384, 5461),
+}
+
+
+@pytest.mark.parametrize("workload, part", PARTS, ids=[f"{w}-{p.name}" for w, p in PARTS])
+def test_pinned_batch_sizes(workload, part):
+    matrix = part.build(workloads.PINNED_SEED)
+    plan = make_plan(matrix, part.decoder)
+    prior, sigma = Prior(PRIOR_UNIFORM_EXACT, part.d), part.params.sigma or 0.0
+    flipped = matrix.num_tests if sigma > 0.0 else 0
+    batch = sim._batch_trials(plan.evaluated, part.d, plan.trial_bytes + flipped, plan.batch_step)
+    floyd = sim._replica_covers(prior, matrix.num_items, sigma)
+    assert (batch, sim._draw_chunk(part.d if floyd else 0)) == BATCHES[part.name]

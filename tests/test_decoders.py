@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from sparsegt import decoders, sim
+from sparsegt import core, decoders, sim
 from sparsegt.core import (
     PRIOR_UNIFORM_EXACT,
     TAG_HYPERGRID,
@@ -199,6 +199,37 @@ class TestComa:
             tracemalloc.stop()
         assert np.array_equal(plan.table, make_plan(large_design, "coma").table)
         assert peak < 16 * matrix.ones_count()
+
+
+class TestBlockBatchPeak:
+    """A desk-block batch holds its index arrays in int32: trial numbers,
+    gathered positions, keys and the plan's tables."""
+
+    @pytest.mark.parametrize("design, decoder", [
+        ((block_hypergrid_design, 10_000, 5, 2, 0.1), "hypergrid"),
+        ((block_binary_rho_design, 10_000, 5, 20, 0.1), "binary"),
+    ], ids=["desk-block-hypergrid", "desk-block-binary"])
+    def test_first_benchmark_batch_peaks_below_50_bytes_a_pair(self, design, decoder):
+        """The first batch the harness draws at seed 42, as
+        ``TestDenseStageRule`` draws it, scored in one ``_score_batch``;
+        with int64 trials, positions and keys it peaked at 67.9 and 54.4
+        bytes per gathered (trial, test) pair."""
+        build, *args = design
+        matrix = build(*args)
+        plan = make_plan(matrix, decoder)
+        batch = sim._batch_trials(matrix, 5, plan.trial_bytes, plan.batch_step)
+        trial, items, num_trials, _ = next(sim._trial_batches(
+            matrix.num_items, matrix.num_tests, Prior(PRIOR_UNIFORM_EXACT, 5), 0.0, 42, 0,
+            batch, batch))
+        pairs = core._or_gather(matrix, trial, items)[0].size  # builds the column index
+        tracemalloc.start()
+        try:
+            sim._score_batch(plan, trial, items, num_trials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert num_trials == batch
+        assert peak <= 50 * pairs
 
 
 class TestDenseStageRule:

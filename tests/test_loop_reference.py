@@ -998,7 +998,7 @@ class TestDecodePairsTakesRawGatheredPairs:
                  for _ in range(num_trials)]
         trial = np.repeat(np.arange(num_trials), [p.size for p in picks])
         trial, test = core._or_gather(plan.evaluated, trial, np.concatenate(picks))
-        distinct = core._key_pairs(core._or_keys(trial, test, num_tests), num_tests)
+        distinct = core._key_pairs(core._or_keys(trial, test, num_trials, num_tests), num_tests)
         order = rng.permutation(2 * trial.size)
         doubled = (np.tile(trial, 2)[order], np.tile(test, 2)[order])
         with mock.patch.object(decoders, "_dense_pays", return_value=dense):
@@ -1120,6 +1120,12 @@ def _draw_chunk(chunk):
     return mock.patch.object(sim, "_draw_chunk", lambda d: chunk)
 
 
+def _key_dtype(limit):
+    """The documented dtype of a batch's keys below ``limit`` (trials times
+    tests, blocks or items): int32 below 2**31, int64 at or above it."""
+    return np.int32 if limit < 2**31 else np.int64
+
+
 # master seeds: small ones, and ones near and above 2**64, which the trial
 # seeds reduce mod 2**64
 master_seeds = st.integers(0, 10**6) | st.integers(2**64 - 10**3, 2**64 + 10**6)
@@ -1192,9 +1198,9 @@ class TestBatchHarnessAgreesWithTheTrialLoop:
         picks = [rng.choice(n, int(rng.integers(0, min(n, 5) + 1)), replace=False)
                  for _ in range(num_trials)]
         trial = np.repeat(np.arange(num_trials), [p.size for p in picks])
-        keys = core._or_batch(matrix, trial, np.concatenate(picks).astype(np.int64))
+        keys = core._or_batch(matrix, trial, np.concatenate(picks).astype(np.int64), num_trials)
         dense = np.stack([ref.evaluate(matrix, DefectiveSet(p, n)) for p in picks])
-        assert keys.dtype == np.int64
+        assert keys.dtype == _key_dtype(num_trials * num_tests)
         assert np.all(np.diff(keys) > 0)
         assert np.array_equal(keys, dense.reshape(-1).nonzero()[0])
         assert dense.shape == (num_trials, num_tests)
@@ -1270,6 +1276,87 @@ class TestBatchHarnessAgreesWithTheTrialLoop:
         assert decoder != "majority" or "_column_index" not in vars(matrix)
         errors = ref.exhaustive_errors(matrix, ref.PLANS[decoder](matrix), d)
         assert got == Fraction(errors, math.comb(matrix.num_items, d))
+
+
+# the most trials a harness batch holds (4096), and the count of tests,
+# blocks or items at which its keys reach 2**31
+_MAX_BATCH = sim._BATCH_BYTES // sim._TRIAL_BYTES
+_EDGE = 2**31 // _MAX_BATCH
+
+
+def _column_evaluate(matrix):
+    """``ref.evaluate`` on ``matrix``, read off the loop column index: the
+    same bits, without a Python pass over all 2**19 or more rows a trial."""
+    offsets, tests = ref.column_index(matrix)
+
+    def evaluate(evaluated, defectives):
+        assert evaluated is matrix
+        bits = np.zeros(matrix.num_tests, dtype=bool)
+        for i in defectives.items:
+            bits[tests[offsets[i] : offsets[i + 1]]] = True
+        return bits
+
+    return evaluate
+
+
+class TestBatchesAtThe31BitEdge:
+    """Batches of 4096 trials on designs that put each key product below,
+    at or past 2**31: trials x T (the OR keys), trials x blocks (the block
+    decoder's run keys) and trials x n (the score's keys). The keys take
+    the documented dtype and agree with the loop reference."""
+
+    @pytest.mark.parametrize("num_tests", [_EDGE - 1, _EDGE, 2 * _EDGE + 1],
+                             ids=["below", "at", "across"])
+    def test_or_keys(self, num_tests):
+        """64 items, item i in tests i and T - 1 - i, so that the last
+        trials' keys reach num_trials x T; every other test is empty."""
+        n = 64
+        test = np.stack([np.arange(n), num_tests - 1 - np.arange(n)], axis=1).reshape(-1)
+        item = np.repeat(np.arange(n), 2)
+        order = np.argsort(test, kind="stable")
+        matrix = TestMatrix.from_csr(core._offsets(np.bincount(test, minlength=num_tests)),
+                                     item[order], n)
+        rng = np.random.default_rng(7)
+        picks = [rng.choice(n, int(rng.integers(0, 4)), replace=False)
+                 for _ in range(_MAX_BATCH)]
+        trial = np.repeat(np.arange(_MAX_BATCH, dtype=np.int32), [p.size for p in picks])
+        keys = core._or_batch(matrix, trial, np.concatenate(picks), _MAX_BATCH)
+        offsets, tests = ref.column_index(matrix)
+        want = sorted({t * num_tests + int(x) for t, p in enumerate(picks) for i in p
+                       for x in tests[offsets[i] : offsets[i + 1]]})
+        assert keys.dtype == _key_dtype(_MAX_BATCH * num_tests)
+        assert keys.tolist() == want
+        assert (want[-1] >= 2**31) == (num_tests > _EDGE)
+
+    @pytest.mark.parametrize("width", [_EDGE - 1, _EDGE, _EDGE + 1])
+    def test_last_key_of_a_full_batch(self, width):
+        """Every key product is formed by ``_pair_keys``: the last pair of
+        a full batch keeps its exact key on each side of the edge."""
+        keys = core._pair_keys(np.array([0, _MAX_BATCH - 1], dtype=np.int32),
+                               np.array([0, width - 1], dtype=np.uint32), _MAX_BATCH, width)
+        assert keys.dtype == _key_dtype(_MAX_BATCH * width)
+        assert keys.tolist() == [0, _MAX_BATCH * width - 1]
+
+    @pytest.mark.parametrize("build, decoder, d", [
+        # blocks of 3 items in 2 tests: every product below 2**31
+        (lambda: block_binary_rho_design(_EDGE - 1, 60, 3, 0.5), "binary", 60),
+        # every product past 2**31, by amounts that no power of two divides
+        (lambda: block_binary_rho_design(3 * (_EDGE + 4099), 60, 3, 0.5), "binary", 60),
+        # one grid of 10**6 items in 2000 tests: only trials x n past 2**31
+        (lambda: hypergrid_design(10**6, 2), "hypergrid", 1),
+    ], ids=["binary-below", "binary-across", "hypergrid-items-across"])
+    def test_harness_counts(self, build, decoder, d):
+        matrix = build()
+        prior = Prior(PRIOR_UNIFORM_EXACT, d)
+        with mock.patch.object(ref, "evaluate", _column_evaluate(matrix)):
+            want = ref.run_trial_range(matrix, ref.PLANS[decoder](matrix), prior, 0.0, 5,
+                                       0, _MAX_BATCH)
+        with _batch_size(_MAX_BATCH), _draw_chunk(_MAX_BATCH), \
+                mock.patch.object(sim, "_score_batch", wraps=sim._score_batch) as scored:
+            got = sim._run_trial_range(matrix, make_plan(matrix, decoder), prior, 0.0, 5,
+                                       0, _MAX_BATCH)
+        assert [call.args[3] for call in scored.call_args_list] == [_MAX_BATCH]
+        assert got == want
 
 
 @st.composite
