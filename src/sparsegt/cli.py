@@ -367,6 +367,10 @@ def _cmd_oracle(args: argparse.Namespace, echo: str) -> int:
     matrix = _load_design(args.design)
     if args.sigma is not None and not 0.0 <= args.sigma < 0.5:
         raise _UsageError("--sigma must lie in [0, 1/2)")
+    if args.sigma and args.decoder != "auto":
+        raise _UsageError(
+            "--decoder needs a noiseless oracle: the MAP oracle of --sigma > 0 uses no decoder"
+        )
     if args.cap < 0:
         raise _UsageError("--cap must be >= 0")
     print(echo)

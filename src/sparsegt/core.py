@@ -684,8 +684,8 @@ def evaluate(matrix: TestMatrix, defectives: DefectiveSet) -> Outcomes:
             f"matrix has {matrix.num_items}"
         )
     items = np.asarray(defectives.items, dtype=np.int64)
-    keys = _or_batch(matrix, np.zeros_like(items), items, 1)
-    return Outcomes(_dense_bits(keys, 1, matrix.num_tests)[0])
+    return Outcomes(_or_bits(*_or_gather(matrix, np.zeros_like(items), items), 1,
+                             matrix.num_tests)[0])
 
 
 def _or_gather(matrix: TestMatrix, trial: np.ndarray,
@@ -698,21 +698,14 @@ def _or_gather(matrix: TestMatrix, trial: np.ndarray,
     trials keep the dtype they come in (int32 from the harness), the tests
     the index's narrow unsigned dtype, and the positions read between are
     int32 below 2**31 index entries (:func:`_ragged`); a caller forms keys
-    from them with :func:`_pair_keys`. The only OR evaluation:
-    :func:`_or_batch` reduces it to sorted keys, and the decode plans take
-    it as it comes."""
+    from them with :func:`_pair_keys`. The only OR evaluation, and every
+    reader calls it itself: :func:`_or_bits` reduces its pairs to bool
+    rows, :func:`_or_pairs` to sorted distinct pairs, and the decode plans
+    take them as they come."""
     col_indptr, tests = matrix.column_index()
     starts = col_indptr[items]
     lengths = col_indptr[items + 1] - starts
     return np.repeat(trial, lengths), np.take(tests, _ragged(starts, lengths, tests.size))
-
-
-def _or_batch(matrix: TestMatrix, trial: np.ndarray, items: np.ndarray,
-              num_trials: int) -> np.ndarray:
-    """The positive outcomes of :func:`_or_gather`'s batch, trials below
-    ``num_trials``, as the sorted distinct keys of :func:`_or_keys`, as the
-    exact oracles and :func:`evaluate` read them."""
-    return _or_keys(*_or_gather(matrix, trial, items), num_trials, matrix.num_tests)
 
 
 def _pair_keys(trial: np.ndarray, low: np.ndarray, num_trials: int, width: int) -> np.ndarray:
@@ -725,17 +718,22 @@ def _pair_keys(trial: np.ndarray, low: np.ndarray, num_trials: int, width: int) 
     return keys
 
 
-def _or_keys(trial: np.ndarray, test: np.ndarray, num_trials: int,
-             num_tests: int) -> np.ndarray:
-    """The gathered (trial, test) pairs, trials below ``num_trials``, as
-    sorted, distinct keys ``trial * num_tests + test`` (int32 below 2**31,
-    see :func:`_pair_keys`): sorted, keeping each first of a run of equal
-    keys."""
+def _or_pairs(trial: np.ndarray, test: np.ndarray, num_trials: int,
+              num_tests: int) -> tuple[np.ndarray, np.ndarray]:
+    """The gathered (trial, test) pairs, trials below ``num_trials``, sorted
+    by trial and then test and distinct, both in the dtype of their keys
+    ``trial * num_tests + test`` (int32 below 2**31, see
+    :func:`_pair_keys`): the keys sorted, keeping each first of a run of
+    equal keys, and split again."""
     keys = _pair_keys(trial, test, num_trials, num_tests)
     keys.sort()
     first = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return keys[first]
+    # free the sorted keys and the mask before the split, so that it peaks
+    # at the distinct pairs
+    keys = keys[first]
+    del first
+    return _key_pairs(keys, num_tests)
 
 
 def _key_pairs(keys: np.ndarray, num_tests: int) -> tuple[np.ndarray, np.ndarray]:
@@ -748,11 +746,14 @@ def _key_pairs(keys: np.ndarray, num_tests: int) -> tuple[np.ndarray, np.ndarray
     return trial, test
 
 
-def _dense_bits(keys: np.ndarray, num_trials: int, num_tests: int) -> np.ndarray:
-    """The (num_trials, num_tests) bool rows whose set bits are the keys
-    ``trial * num_tests + test``."""
-    bits = np.zeros((num_trials, num_tests), dtype=bool)
-    bits.reshape(-1)[keys] = True
+def _or_bits(row: np.ndarray, col: np.ndarray, num_rows: int, num_cols: int) -> np.ndarray:
+    """The (num_rows, num_cols) bool array with the bit of every pair
+    (row, col) set, the pairs in any order and repeats allowed, as a
+    repeated pair sets its bit again: so no sort."""
+    bits = np.zeros((num_rows, num_cols), dtype=bool)
+    # an intp scatter index, as fancy assignment through any other index
+    # dtype is slower; formed as narrow keys, which is faster
+    bits.reshape(-1)[_pair_keys(row, col, num_rows, num_cols).astype(np.intp, copy=False)] = True
     return bits
 
 

@@ -18,12 +18,13 @@ same code path the one-shot functions use. A plan has one decode method,
 ``decode_pairs``, which decodes a batch of trials from the (trial, test)
 pairs of their positive tests as the one OR gather
 (:func:`~sparsegt.core._or_gather`) gives them: unsorted, and repeated where
-two defectives of a trial share a test. The harness hands a plan each
-batch's defectives, which ``decode_trials`` gathers; a one-shot decoder
-hands it the positive tests of one outcome vector through ``decode_bits``.
-Block plans sort the pairs into distinct keys
-(:func:`~sparsegt.core._or_keys`). A COMA plan reads test masks of 64
-trials a word, filled by scattering the pairs or from their sorted keys,
+two defectives of a trial share a test. The harness gathers each batch's
+pairs itself and hands them to the plan; a one-shot decoder hands it the
+positive tests of one outcome vector through ``decode_bits``. The pairs
+are reduced one of two ways: block plans sort them into distinct pairs
+(:func:`~sparsegt.core._or_pairs`), and a COMA plan reads test masks of 64
+trials a word, packed from their bool rows
+(:func:`~sparsegt.core._or_bits`) or filled from their distinct pairs,
 whichever its candidate stage reads. Its work grows with the positives, and
 for COMA with the tests positive in a word of 64 trials.
 
@@ -64,8 +65,8 @@ from .core import (
     _index_dtype,
     _key_pairs,
     _offsets,
-    _or_gather,
-    _or_keys,
+    _or_bits,
+    _or_pairs,
     _pair_keys,
     _ragged,
     _select_rows,
@@ -130,9 +131,9 @@ class _Plan:
     distinct and in [0, n), and the ambiguous blocks as (trial, block)
     pairs in the same order; a one-row decode's items are int64.
 
-    It has two callers. The harness hands a batch's defectives and flips to
-    ``decode_trials``, which gathers the positives of the matrix
-    ``evaluated`` (the design itself, or less where the plan needs less).
+    It has two callers. The harness gathers a batch's positives from the
+    matrix ``evaluated`` (the design itself, or less where the plan needs
+    less) with ``core._or_gather`` and hands them over with the flips.
     ``decode_bits`` decodes one dense outcome vector from its positive
     tests, and ``untested`` lists the items in no test. The harness sizes
     its batches by ``trial_bytes``, the bytes of arrays a batch keeps per
@@ -154,13 +155,6 @@ class _Plan:
         test = np.flatnonzero(bits)
         _, estimate, _, ambiguous = self.decode_pairs(np.zeros_like(test), test, 1, None)
         return estimate, ambiguous.tolist(), self.untested
-
-    def decode_trials(self, trial: np.ndarray, items: np.ndarray, num_trials: int,
-                      flips: np.ndarray | None):
-        """Decode a batch in which trial ``trial[k]`` holds defective
-        ``items[k]``: the gathered positives of ``evaluated``, then
-        ``decode_pairs``."""
-        return self.decode_pairs(*_or_gather(self.evaluated, trial, items), num_trials, flips)
 
 
 class ComaPlan(_Plan):
@@ -195,11 +189,12 @@ class ComaPlan(_Plan):
     ``decode_pairs`` picks the stage by :func:`_dense_pays` before it fills
     any mask, with the nonzero share the pairs would leave if they fell on
     the masks at random. For the dense stage it scatters them into a
-    (T, 64 * words) bool array and packs that into the (T, words) masks, so
-    repeated pairs need no sort; for the sparse stage it sorts them into
-    distinct keys and adds their bits into (words, T) masks. ``trial_bytes``
-    counts the masks, T / 8 bytes a trial; the dense fill's bool array takes
-    T bytes a trial while the batch packs it.
+    (T, 64 * words) bool array (``core._or_bits``) and packs that into the
+    (T, words) masks, so repeated pairs need no sort; for the sparse stage
+    it sorts them into distinct pairs (``core._or_pairs``) and adds their
+    bits into (words, T) masks. ``trial_bytes`` counts the masks, T / 8
+    bytes a trial; the dense fill's bool array takes T bytes a trial while
+    the batch packs it.
 
     The plan keeps the column index and its ``candidates``, ``table`` and
     ``group_ptr``; the table takes the dtype of the index's tests (uint16
@@ -209,8 +204,9 @@ class ComaPlan(_Plan):
     the build peaks at about 9 bytes per incidence above the column index,
     which itself keeps 4 (int64 offsets and uint16 tests). The narrow tests
     enter products only through ``core._pair_keys``, in int32 below 2**31:
-    the dense fill's scatter index (then cast to intp, which fancy
-    assignment runs fastest on) and the mask index of :meth:`_and_rest`.
+    the dense fill's scatter index in ``core._or_bits`` (then cast to intp,
+    which fancy assignment runs fastest on) and the mask index of
+    :meth:`_and_rest`.
     """
 
     kind = "coma"
@@ -235,22 +231,16 @@ class ComaPlan(_Plan):
         # nonzero if each fell on one of them at random
         share = -math.expm1(-_WORD * test.size / max(1, width * num_tests))
         if not _dense_pays(self.table, share):
-            trial, test = _key_pairs(_or_keys(trial, test, num_trials, num_tests), num_tests)
+            trial, test = _or_pairs(trial, test, num_trials, num_tests)
             masks = np.zeros((words, num_tests), dtype=np.uint64)
             # the pairs are now distinct, so adding their bits ORs them
             np.add.at(masks.reshape(-1), _pair_keys(trial >> _WORD_SHIFT, test, words, num_tests),
                       np.take(_BITS, trial & (_WORD - 1)))
             return self._estimate(self._sparse_candidates(masks), num_trials)
-        bits = np.zeros((num_tests, width), dtype=bool)
-        # an intp scatter index, as fancy assignment through any other
-        # index dtype is slower; formed as narrow keys, which is faster
-        at = _pair_keys(test, trial, num_tests, width).astype(np.intp, copy=False)
-        bits.reshape(-1)[at] = True  # a repeated pair sets its bit again
-        # the index, and then the bool array, are freed once read, so the
-        # batch peaks at little more than the pairs and the bool array
-        del at
-        by_test = np.packbits(bits, axis=1, bitorder="little").view("<u8")
-        del bits
+        # the bool array is freed once packed, so the batch peaks at little
+        # more than the pairs and the bool array
+        by_test = np.packbits(_or_bits(test, trial, num_tests, width), axis=1,
+                              bitorder="little").view("<u8")
         return self._estimate(self._dense_candidates(by_test), num_trials)
 
     def _estimate(self, found, num_trials: int):
@@ -378,9 +368,9 @@ class BlockPlan(_Plan):
     items) and its grid axis (the narrowest unsigned dtype that holds
     gamma - 1), tiled in these dtypes by :func:`~sparsegt.designs.tile_blocks`.
     Per block: its first item and end, int32 below 2**31 items.
-    ``decode_pairs`` sorts a batch's positives into distinct keys
-    ``trial * T + test``, so their keys ``trial * blocks + block`` are
-    nondecreasing, and each run of equal keys is one hit block of one
+    ``decode_pairs`` sorts a batch's positives into distinct pairs
+    (``core._or_pairs``, by key ``trial * T + test``), so their keys
+    ``trial * blocks + block`` are nondecreasing, and each run of equal keys is one hit block of one
     trial; both keys are int32 while trials times T stays below 2**31, and
     a run's label weights are summed in int64. Blocks are well formed (the
     constructor refuses others), so the hit blocks of a trial come out in
@@ -413,8 +403,7 @@ class BlockPlan(_Plan):
 
     def decode_pairs(self, trial: np.ndarray, test: np.ndarray, num_trials: int,
                      flips: np.ndarray | None):
-        num_tests = self.evaluated.num_tests
-        trial, test = _key_pairs(_or_keys(trial, test, num_trials, num_tests), num_tests)
+        trial, test = _or_pairs(trial, test, num_trials, self.evaluated.num_tests)
         block = np.take(self.test_block, test)
         keys = _pair_keys(trial, block, num_trials, self.num_blocks)
         new = np.ones(keys.size, dtype=bool)

@@ -48,10 +48,10 @@ from .core import (
     Prior,
     ResourceCapError,
     TestMatrix,
-    _dense_bits,
     _index_dtype,
     _noise_flips,
-    _or_batch,
+    _or_bits,
+    _or_gather,
     _pair_keys,
 )
 from .decoders import make_plan
@@ -113,10 +113,11 @@ def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """What to simulate: problem parameters, defective-set prior, trial count,
-    master seed, and worker count (1 = in-process). A run uses at most one
-    worker per trial and per processor (``os.cpu_count()``); the counts do
-    not depend on the number of workers."""
+    """What to simulate: problem parameters, defective-set prior (of the
+    parameters' d), trial count, master seed, and worker count (1 =
+    in-process). A run uses at most one worker per trial and per processor
+    (``os.cpu_count()``); the counts do not depend on the number of
+    workers."""
 
     params: DesignParams
     prior: Prior
@@ -131,6 +132,10 @@ class SimConfig:
             raise InvalidParameterError("parallelism must be >= 1")
         if self.master_seed < 0:
             raise InvalidParameterError("master_seed must be >= 0")
+        if self.params.d != self.prior.d:
+            raise InvalidParameterError(
+                f"params.d={self.params.d} but the prior's d is {self.prior.d}"
+            )
 
 
 @dataclass(frozen=True)
@@ -462,13 +467,15 @@ def _found(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
 
 def _score_batch(plan, trial: np.ndarray, items: np.ndarray, num_trials: int,
                  flips: np.ndarray | None = None) -> np.ndarray:
-    """Have the plan evaluate and decode a batch of trials, where trial
+    """Gather the OR channel's positives of a batch of trials, where trial
     ``trial[k]`` holds defective ``items[k]`` (sorted within each trial),
-    under the channel's flips, and score it as :class:`Breakdown`
-    documents: (errors, false-positive items, ambiguous blocks, wrong
-    estimates). A trial errs when it has an ambiguous block or its estimate
-    differs from its defective set."""
-    est_trial, est_item, amb_trial, _ = plan.decode_trials(trial, items, num_trials, flips)
+    from the matrix the plan evaluates, have the plan decode them under the
+    channel's flips, and score the batch as :class:`Breakdown` documents:
+    (errors, false-positive items, ambiguous blocks, wrong estimates). A
+    trial errs when it has an ambiguous block or its estimate differs from
+    its defective set."""
+    est_trial, est_item, amb_trial, _ = plan.decode_pairs(
+        *_or_gather(plan.evaluated, trial, items), num_trials, flips)
     n = plan.evaluated.num_items
     true_est = _found(_pair_keys(est_trial, est_item, num_trials, n),
                       _pair_keys(trial, items, num_trials, n))
@@ -571,10 +578,6 @@ def run_monte_carlo(matrix: TestMatrix, decoder: str, config: SimConfig) -> SimR
     if config.params.n != matrix.num_items:
         raise InvalidParameterError(
             f"params.n={config.params.n} but matrix has {matrix.num_items} items"
-        )
-    if config.prior.d > matrix.num_items:
-        raise InvalidParameterError(
-            f"prior d={config.prior.d} exceeds n={matrix.num_items}"
         )
     started = time.perf_counter()
     # a pool started by fork forks all its workers at the first submit, so
@@ -692,8 +695,8 @@ def outcome_collision_groups(
     by_outcome: dict[bytes, list[tuple[int, ...]]] = {}
     num_tests = matrix.num_tests
     for trial, items, num_sets in _set_batches(matrix, d, _batch_trials(matrix, d, num_tests)):
-        bits = _dense_bits(_or_batch(matrix, trial, items, num_sets), num_sets, num_tests)
-        keys = np.packbits(bits, axis=1)
+        keys = np.packbits(_or_bits(*_or_gather(matrix, trial, items), num_sets, num_tests),
+                           axis=1)
         for combo, key in zip(items.reshape(num_sets, d).tolist(), keys):
             by_outcome.setdefault(key.tobytes(), []).append(tuple(combo))
     return [group for group in by_outcome.values() if len(group) > 1]
@@ -727,7 +730,7 @@ def bayes_optimal_error(matrix: TestMatrix, sigma: float, prior: Prior) -> float
     # set when test t is positive
     num_inputs = 1 << n
     members = np.arange(num_inputs)[:, None] >> np.arange(n) & 1
-    bits = _dense_bits(_or_batch(matrix, *members.nonzero(), num_inputs), num_inputs, num_tests)
+    bits = _or_bits(*_or_gather(matrix, *members.nonzero()), num_inputs, num_tests)
     signatures = bits @ (np.uint32(1) << np.arange(num_tests, dtype=np.uint32))
 
     popcount_inputs = members.sum(axis=1)

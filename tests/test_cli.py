@@ -539,6 +539,7 @@ class TestOracleCommand:
         ["oracle", "--design", "fig1", "--d", "1", "--sigma", "-0.1"],
         ["oracle", "--design", "fig1", "--d", "1", "--sigma", "nan"],
         ["oracle", "--design", "fig1", "--d", "1", "--cap", "-5"],
+        ["oracle", "--design", "fig1", "--d", "2", "--sigma", "0.1", "--decoder", "binary"],
         ["simulate", "--family", "hypergrid", "--n", "9", "--gamma", "2", "--d", "1",
          "--trials", "5", "--target-epsilon", "nan"],
         ["simulate", "--family", "hypergrid", "--n", "9", "--gamma", "2", "--d", "1",
@@ -554,7 +555,7 @@ class TestOracleCommand:
          "design-permuted-negative-seed", "design-random-gamma-negative-seed",
          "simulate-permuted-negative-seed", "simulate-random-gamma-negative-seed",
          "simulate-k-0", "simulate-k-negative", "oracle-sigma-negative", "oracle-sigma-nan",
-         "oracle-negative-cap",
+         "oracle-negative-cap", "oracle-noisy-with-a-decoder",
          "simulate-target-nan", "simulate-target-negative", "simulate-target-above-one",
          "oracle-target-nan", "oracle-target-negative", "oracle-target-before-the-design"],
 )

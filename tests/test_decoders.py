@@ -157,7 +157,8 @@ class TestComa:
             tracemalloc.start()
             try:
                 tracemalloc.reset_peak()
-                est_trial, est_item, _, _ = plan.decode_trials(trial, items, trials, None)
+                est_trial, est_item, _, _ = plan.decode_pairs(
+                    *core._or_gather(plan.evaluated, trial, items), trials, None)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -242,8 +243,9 @@ class TestDenseStageRule:
     ], ids=["desk-random-gamma-d5", "desk-permuted-rho-d10", "large-n-d10"])
     def test_benchmark_batches(self, design, d, dense):
         """The first batch the harness draws at seed 42 on each of the
-        benchmark's COMA designs, decoded through ``decode_trials``, which
-        asks the rule once with the share its gathered incidences give."""
+        benchmark's COMA designs, gathered by ``core._or_gather`` and decoded
+        by ``decode_pairs``, which asks the rule once with the share its
+        gathered incidences give."""
         build, *args = design
         matrix = build(*args, np.random.default_rng(42))
         plan = make_plan(matrix, "coma")
@@ -259,7 +261,7 @@ class TestDenseStageRule:
             return choices[-1]
 
         with mock.patch.object(decoders, "_dense_pays", recorded):
-            plan.decode_trials(trial, items, num_trials, None)
+            plan.decode_pairs(*core._or_gather(plan.evaluated, trial, items), num_trials, None)
         assert choices == [dense]
 
     def test_majority_votes_at_share_one(self):

@@ -865,9 +865,9 @@ class TestComaBatchAgreesWithTheCountingLoop:
     def test_both_fills_agree(self, columns, num_trials, d, seed):
         """A batch drawn under the iid prior (``d`` defectives expected, so
         some trials hold none and, at d = 0, all) decodes through
-        ``decode_trials`` to the same pairs by the scatter fill and the
-        dense stage as by the sorted keys and the sparse stage, and to the
-        counting loop's estimate row by row."""
+        ``decode_pairs`` from its gathered pairs to the same pairs by the
+        scatter fill and the dense stage as by the sorted distinct pairs and
+        the sparse stage, and to the counting loop's estimate row by row."""
         num_tests, tests = columns
         rows = [[i for i, col in enumerate(tests) if t in col] for t in range(num_tests)]
         matrix = TestMatrix(rows=rows, num_items=len(tests))
@@ -878,10 +878,11 @@ class TestComaBatchAgreesWithTheCountingLoop:
         trial = np.repeat(np.arange(num_trials), [p.size for p in picks]).astype(np.int64)
         items = np.concatenate([np.empty(0, dtype=np.int64), *picks])
         plan = make_plan(matrix, "coma")
+        pairs = core._or_gather(plan.evaluated, trial, items)
         decoded = {}
         for dense in (True, False):
             with mock.patch.object(decoders, "_dense_pays", return_value=dense):
-                decoded[dense] = plan.decode_trials(trial, items, num_trials, None)
+                decoded[dense] = plan.decode_pairs(*pairs, num_trials, None)
         for got, want in zip(decoded[True], decoded[False]):
             assert np.array_equal(got, want)
         est_trial, est_item = decoded[True][:2]
@@ -930,9 +931,10 @@ class TestWideTestNumbersDecodeAsTheLoop:
         picks = [np.sort(rng.choice(n, 3, replace=False)) for _ in range(num_trials)]
         plan = make_plan(matrix, "coma")
         assert plan.tests.dtype == (np.uint16 if num_tests <= 2**16 else np.uint32)
+        pairs = core._or_gather(plan.evaluated, np.repeat(np.arange(num_trials), 3),
+                                np.concatenate(picks))
         with mock.patch.object(decoders, "_dense_pays", return_value=dense):
-            est_trial, est_item, _, _ = plan.decode_trials(
-                np.repeat(np.arange(num_trials), 3), np.concatenate(picks), num_trials, None)
+            est_trial, est_item, _, _ = plan.decode_pairs(*pairs, num_trials, None)
         reference = ref.ComaPlan(matrix)
         for row, pick in enumerate(picks):
             want = reference.decode_bits(_row_outcome(matrix, pick))[0]
@@ -952,9 +954,10 @@ class TestWideTestNumbersDecodeAsTheLoop:
         for row in flips:
             np.less(rng.random(matrix.num_tests), 0.3, out=row)
         plan = make_plan(matrix, "majority")
+        pairs = core._or_gather(plan.evaluated, np.repeat(np.arange(num_trials), 3),
+                                np.concatenate(picks))
         with mock.patch.object(decoders, "_dense_pays", return_value=dense):
-            est_trial, est_item, _, _ = plan.decode_trials(
-                np.repeat(np.arange(num_trials), 3), np.concatenate(picks), num_trials, flips)
+            est_trial, est_item, _, _ = plan.decode_pairs(*pairs, num_trials, flips)
         reference = ref.MajorityPlan(matrix)
         for row, pick in enumerate(picks):
             observed = np.repeat(_row_outcome(base, pick), 3) ^ flips[row]
@@ -998,7 +1001,7 @@ class TestDecodePairsTakesRawGatheredPairs:
                  for _ in range(num_trials)]
         trial = np.repeat(np.arange(num_trials), [p.size for p in picks])
         trial, test = core._or_gather(plan.evaluated, trial, np.concatenate(picks))
-        distinct = core._key_pairs(core._or_keys(trial, test, num_trials, num_tests), num_tests)
+        distinct = core._or_pairs(trial, test, num_trials, num_tests)
         order = rng.permutation(2 * trial.size)
         doubled = (np.tile(trial, 2)[order], np.tile(test, 2)[order])
         with mock.patch.object(decoders, "_dense_pays", return_value=dense):
@@ -1190,19 +1193,25 @@ class TestBatchHarnessAgreesWithTheTrialLoop:
 
     @given(harness_cases(), st.integers(1, 6), st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
-    def test_or_batch_keys_are_the_positives_of_a_dense_scatter(self, case, num_trials, seed):
-        """Distinct defectives per trial, in any order within it."""
+    def test_or_pairs_are_the_positives_of_or_bits(self, case, num_trials, seed):
+        """Distinct defectives per trial, in any order within it: both
+        reductions of the same gathered pairs give the loop's outcomes."""
         matrix = case[0]
         n, num_tests = matrix.num_items, matrix.num_tests
         rng = np.random.default_rng(seed)
         picks = [rng.choice(n, int(rng.integers(0, min(n, 5) + 1)), replace=False)
                  for _ in range(num_trials)]
         trial = np.repeat(np.arange(num_trials), [p.size for p in picks])
-        keys = core._or_batch(matrix, trial, np.concatenate(picks).astype(np.int64), num_trials)
+        gathered = core._or_gather(matrix, trial, np.concatenate(picks).astype(np.int64))
+        pair_trial, pair_test = core._or_pairs(*gathered, num_trials, num_tests)
+        bits = core._or_bits(*gathered, num_trials, num_tests)
         dense = np.stack([ref.evaluate(matrix, DefectiveSet(p, n)) for p in picks])
-        assert keys.dtype == _key_dtype(num_trials * num_tests)
+        assert pair_trial.dtype == pair_test.dtype == _key_dtype(num_trials * num_tests)
+        keys = pair_trial.astype(np.int64) * num_tests + pair_test
         assert np.all(np.diff(keys) > 0)
-        assert np.array_equal(keys, dense.reshape(-1).nonzero()[0])
+        for got, want in zip((pair_trial, pair_test), np.nonzero(bits)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(bits, dense)
         assert dense.shape == (num_trials, num_tests)
 
     @given(harness_cases(), master_seeds, st.integers(0, 60), st.integers(0, 45))
@@ -1278,6 +1287,41 @@ class TestBatchHarnessAgreesWithTheTrialLoop:
         assert got == Fraction(errors, math.comb(matrix.num_items, d))
 
 
+@st.composite
+def bit_pairs(draw):
+    """(rows, columns, (row, column) pairs): in any order, each pair possibly
+    repeated, and none where there are no rows or no columns."""
+    num_rows, num_cols = draw(st.integers(0, 5)), draw(st.integers(0, 70))
+    if not num_rows * num_cols:
+        return num_rows, num_cols, []
+    pair = st.tuples(st.integers(0, num_rows - 1), st.integers(0, num_cols - 1))
+    return num_rows, num_cols, draw(st.lists(pair, max_size=3 * num_rows * num_cols))
+
+
+_PAIR_DTYPES = st.sampled_from([np.int32, np.int64, np.uint8, np.uint16, np.uint32])
+
+
+class TestOrBitsAgreesWithTheLoop:
+    @given(bit_pairs(), _PAIR_DTYPES, _PAIR_DTYPES)
+    @example((3, 4, [(2, 3), (0, 1), (2, 3), (0, 0), (2, 3)]), np.int32, np.uint16)  # repeats
+    @example((2, 3, []), np.int32, np.uint16)  # no pairs
+    @example((3, 0, []), np.uint16, np.int32)  # no columns
+    @example((0, 5, []), np.int32, np.uint8)  # no rows
+    @settings(max_examples=200, deadline=None)
+    def test_sets_the_bit_of_every_pair(self, case, row_dtype, col_dtype):
+        """Each (row, column) pair's bit is set and no other, whatever the
+        order, repeats and narrow dtypes of the pairs."""
+        num_rows, num_cols, pairs = case
+        row = np.array([r for r, _ in pairs], dtype=row_dtype)
+        col = np.array([c for _, c in pairs], dtype=col_dtype)
+        bits = core._or_bits(row, col, num_rows, num_cols)
+        positive = set(pairs)
+        want = [[(r, c) in positive for c in range(num_cols)] for r in range(num_rows)]
+        assert bits.dtype == bool
+        assert bits.shape == (num_rows, num_cols)
+        assert bits.tolist() == want
+
+
 # the most trials a harness batch holds (4096), and the count of tests,
 # blocks or items at which its keys reach 2**31
 _MAX_BATCH = sim._BATCH_BYTES // sim._TRIAL_BYTES
@@ -1307,7 +1351,7 @@ class TestBatchesAtThe31BitEdge:
 
     @pytest.mark.parametrize("num_tests", [_EDGE - 1, _EDGE, 2 * _EDGE + 1],
                              ids=["below", "at", "across"])
-    def test_or_keys(self, num_tests):
+    def test_or_pairs(self, num_tests):
         """64 items, item i in tests i and T - 1 - i, so that the last
         trials' keys reach num_trials x T; every other test is empty."""
         n = 64
@@ -1320,12 +1364,13 @@ class TestBatchesAtThe31BitEdge:
         picks = [rng.choice(n, int(rng.integers(0, 4)), replace=False)
                  for _ in range(_MAX_BATCH)]
         trial = np.repeat(np.arange(_MAX_BATCH, dtype=np.int32), [p.size for p in picks])
-        keys = core._or_batch(matrix, trial, np.concatenate(picks), _MAX_BATCH)
+        pair_trial, pair_test = core._or_pairs(
+            *core._or_gather(matrix, trial, np.concatenate(picks)), _MAX_BATCH, num_tests)
         offsets, tests = ref.column_index(matrix)
         want = sorted({t * num_tests + int(x) for t, p in enumerate(picks) for i in p
                        for x in tests[offsets[i] : offsets[i + 1]]})
-        assert keys.dtype == _key_dtype(_MAX_BATCH * num_tests)
-        assert keys.tolist() == want
+        assert pair_trial.dtype == pair_test.dtype == _key_dtype(_MAX_BATCH * num_tests)
+        assert (pair_trial.astype(np.int64) * num_tests + pair_test).tolist() == want
         assert (want[-1] >= 2**31) == (num_tests > _EDGE)
 
     @pytest.mark.parametrize("width", [_EDGE - 1, _EDGE, _EDGE + 1])

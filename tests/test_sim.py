@@ -177,14 +177,22 @@ class TestRunMonteCarlo:
     def test_prior_larger_than_n_is_refused(self):
         m = hypergrid_design(9, 2)
         for kind in (PRIOR_IID_BERNOULLI, PRIOR_UNIFORM_EXACT):
-            cfg = SimConfig(
-                params=DesignParams(n=9, d=1),
-                prior=Prior(kind, 10),
-                trials=5,
-                master_seed=1,
-            )
             with pytest.raises(InvalidParameterError):
+                cfg = SimConfig(
+                    params=DesignParams(n=9, d=1),
+                    prior=Prior(kind, 10),
+                    trials=5,
+                    master_seed=1,
+                )
                 run_monte_carlo(m, "coma", cfg)
+
+    @pytest.mark.parametrize("kind", [PRIOR_IID_BERNOULLI, PRIOR_UNIFORM_EXACT])
+    def test_prior_of_another_d_is_refused(self, kind):
+        """The parameters and the prior must name one d; a run never picks
+        one of two silently."""
+        with pytest.raises(InvalidParameterError, match="params.d=1 but the prior's d is 7"):
+            SimConfig(params=DesignParams(n=100, d=1), prior=Prior(kind, 7), trials=50,
+                      master_seed=0)
 
     def test_csv_row_shape(self):
         report = run_monte_carlo(
