@@ -256,39 +256,6 @@ def rho_lower_bound(params: DesignParams) -> BoundReport:
 # achievable upper bounds, one per constructor family
 # ---------------------------------------------------------------------------
 
-UPPER_BOUND_FAMILIES = (
-    TAG_RANDOM_GAMMA,
-    TAG_BLOCK_HYPERGRID,
-    TAG_PERMUTED_RHO,
-    TAG_BLOCK_BINARY_RHO,
-    TAG_REPEATED,
-)
-
-
-@_in_float_range
-def upper_bound_tests(params: DesignParams, family: str) -> BoundReport:
-    """Achievable test count of the named constructor family.
-
-    For random-gamma, permuted-rho and repeated the integer value equals the
-    constructed matrix's T exactly. For the two block families the integer
-    value is an upper bound: the constructions drop empty tests and use
-    balanced blocks, so their T never exceeds it.
-    """
-    if family == TAG_RANDOM_GAMMA:
-        return _upper_random_gamma(params)
-    if family == TAG_BLOCK_HYPERGRID:
-        return _upper_block_hypergrid(params)
-    if family == TAG_PERMUTED_RHO:
-        return _upper_permuted_rho(params)
-    if family == TAG_BLOCK_BINARY_RHO:
-        return _upper_block_binary(params)
-    if family == TAG_REPEATED:
-        return _upper_repeated_rho(params)
-    raise InvalidParameterError(
-        f"unknown family {family!r}; expected one of {sorted(UPPER_BOUND_FAMILIES)}"
-    )
-
-
 def _upper_random_gamma(params: DesignParams) -> BoundReport:
     if params.gamma is None or params.epsilon is None:
         raise InvalidParameterError("random-gamma bound requires gamma and epsilon")
@@ -399,6 +366,32 @@ def _upper_repeated_rho(params: DesignParams) -> BoundReport:
             "equals the constructed test count exactly",
         ),
     )
+
+
+_UPPER_BOUNDS = {
+    TAG_RANDOM_GAMMA: _upper_random_gamma,
+    TAG_BLOCK_HYPERGRID: _upper_block_hypergrid,
+    TAG_PERMUTED_RHO: _upper_permuted_rho,
+    TAG_BLOCK_BINARY_RHO: _upper_block_binary,
+    TAG_REPEATED: _upper_repeated_rho,
+}
+UPPER_BOUND_FAMILIES = tuple(_UPPER_BOUNDS)
+
+
+@_in_float_range
+def upper_bound_tests(params: DesignParams, family: str) -> BoundReport:
+    """Achievable test count of the named constructor family.
+
+    For random-gamma, permuted-rho and repeated the integer value equals the
+    constructed matrix's T exactly. For the two block families the integer
+    value is an upper bound: the constructions drop empty tests and use
+    balanced blocks, so their T never exceeds it.
+    """
+    if family not in _UPPER_BOUNDS:
+        raise InvalidParameterError(
+            f"unknown family {family!r}; expected one of {sorted(UPPER_BOUND_FAMILIES)}"
+        )
+    return _UPPER_BOUNDS[family](params)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ cap refused the computation.
 from __future__ import annotations
 
 import argparse
+import functools
+import inspect
 import math
 import shlex
 import sys
@@ -66,16 +68,30 @@ from .sim import (
 
 __all__ = ["main"]
 
-_FAMILIES = (
-    TAG_RANDOM_GAMMA,
-    TAG_HYPERGRID,
-    TAG_BLOCK_HYPERGRID,
-    TAG_PERMUTED_RHO,
-    TAG_BLOCK_BINARY_RHO,
-)
+# a family reads the flags named by its constructor's parameters, with its rng
+# seeded from --seed; a theorem reads --n and --d into DesignParams, with any
+# other parameter flags given, and its calculator refuses what it lacks
+_FAMILIES = {
+    TAG_RANDOM_GAMMA: random_gamma_design,
+    TAG_HYPERGRID: hypergrid_design,
+    TAG_BLOCK_HYPERGRID: block_hypergrid_design,
+    TAG_PERMUTED_RHO: permuted_block_rho_design,
+    TAG_BLOCK_BINARY_RHO: block_binary_rho_design,
+}
+_THEOREMS = {
+    "1": bounds_mod.gamma_lower_bound,
+    "2": functools.partial(bounds_mod.upper_bound_tests, family=TAG_RANDOM_GAMMA),
+    "3": functools.partial(bounds_mod.upper_bound_tests, family=TAG_BLOCK_HYPERGRID),
+    "4": bounds_mod.rho_lower_bound,
+    "5": functools.partial(bounds_mod.upper_bound_tests, family=TAG_PERMUTED_RHO),
+    "6": functools.partial(bounds_mod.upper_bound_tests, family=TAG_BLOCK_BINARY_RHO),
+    "7": functools.partial(bounds_mod.upper_bound_tests, family=TAG_REPEATED),
+}
 
 
-# the most defective sets `oracle` enumerates again to list confusable groups
+# the most defective sets `oracle` enumerates without --cap, and again to
+# list confusable groups
+_ENUMERATION_CAP = 10_000_000
 _LIST_CAP = 1_000_000
 
 
@@ -116,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="evaluate a bound or error floor")
     p_bounds.add_argument(
-        "--theorem", required=True, choices=["1", "2", "3", "4", "5", "6", "7", "noisy"]
+        "--theorem", required=True, choices=[*_THEOREMS, "noisy"]
     )
     p_bounds.add_argument("--n", type=int)
     p_bounds.add_argument("--d", type=int)
@@ -139,7 +155,8 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["auto", "coma", "hypergrid", "binary", "majority"],
     )
     p_oracle.add_argument("--target-epsilon", type=float)
-    p_oracle.add_argument("--cap", type=int, default=10_000_000)
+    p_oracle.add_argument("--cap", type=int, help="most defective sets to enumerate "
+                          f"(default {_ENUMERATION_CAP})")
     return parser
 
 
@@ -155,38 +172,25 @@ def _add_family_flags(p: argparse.ArgumentParser, optional: bool = False) -> Non
     p.add_argument("--seed", type=int, default=0)
 
 
-def _require(args: argparse.Namespace, names: list[str], context: str):
-    values = []
-    for name in names:
-        value = getattr(args, name)
-        if value is None:
+def _call(function, args: argparse.Namespace, context: str, **given):
+    """Call ``function`` with ``given`` for the parameters named there and the
+    flag of the same name for each other parameter; ``context`` requires the
+    flag of a parameter without a default."""
+    kwargs = {}
+    for name, parameter in inspect.signature(function).parameters.items():
+        value = given[name] if name in given else getattr(args, name)
+        if value is not None:
+            kwargs[name] = value
+        elif parameter.default is inspect.Parameter.empty:
             raise _UsageError(f"{context} requires --{name}")
-        values.append(value)
-    return values
+    return function(**kwargs)
 
 
 def _construct(args: argparse.Namespace) -> TestMatrix:
-    family = args.family
     if args.seed < 0:
         raise _UsageError("--seed must be >= 0")
-    if family == TAG_RANDOM_GAMMA:
-        n, d, gamma, eps = _require(args, ["n", "d", "gamma", "epsilon"], family)
-        rng = np.random.default_rng(args.seed)
-        return random_gamma_design(n, d, gamma, eps, rng)
-    if family == TAG_HYPERGRID:
-        n, gamma = _require(args, ["n", "gamma"], family)
-        return hypergrid_design(n, gamma)
-    if family == TAG_BLOCK_HYPERGRID:
-        n, d, gamma, eps = _require(args, ["n", "d", "gamma", "epsilon"], family)
-        return block_hypergrid_design(n, d, gamma, eps)
-    if family == TAG_PERMUTED_RHO:
-        n, d, rho, zeta = _require(args, ["n", "d", "rho", "zeta"], family)
-        rng = np.random.default_rng(args.seed)
-        return permuted_block_rho_design(n, d, rho, zeta, rng)
-    if family == TAG_BLOCK_BINARY_RHO:
-        n, d, rho, eps = _require(args, ["n", "d", "rho", "epsilon"], family)
-        return block_binary_rho_design(n, d, rho, eps)
-    raise _UsageError(f"unknown family {family!r}")
+    return _call(_FAMILIES[args.family], args, args.family,
+                 rng=np.random.default_rng(args.seed))
 
 
 def _summary_line(family: str, matrix: TestMatrix) -> str:
@@ -234,6 +238,9 @@ def _check_target(args: argparse.Namespace) -> None:
 
 def _cmd_simulate(args: argparse.Namespace, echo: str) -> int:
     _check_target(args)
+    d = args.d
+    if d is None:
+        raise _UsageError("simulate requires --d")
     if args.design:
         matrix = _load_design(args.design)
     elif args.family:
@@ -257,7 +264,6 @@ def _cmd_simulate(args: argparse.Namespace, echo: str) -> int:
             "or load a design with a repetition header"
         )
 
-    (d,) = _require(args, ["d"], "simulate")
     prior_kind = PRIOR_UNIFORM_EXACT if args.prior == "exact" else PRIOR_IID_BERNOULLI
     # the constructors check their own flags; the harness reads only n and sigma
     config = SimConfig(
@@ -284,44 +290,11 @@ def _cmd_simulate(args: argparse.Namespace, echo: str) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace, echo: str) -> int:
-    theorem = args.theorem
-    if theorem == "noisy":
-        d, gamma, sigma = _require(args, ["d", "gamma", "sigma"], "noisy floor")
-        report = bounds_mod.noisy_gamma_error_floor(d, gamma, sigma)
+    if args.theorem == "noisy":
+        report = _call(bounds_mod.noisy_gamma_error_floor, args, "noisy floor")
     else:
-        number = int(theorem)
-        required = {
-            1: ["n", "d", "gamma", "epsilon"],
-            2: ["n", "d", "gamma", "epsilon"],
-            3: ["n", "d", "gamma", "epsilon"],
-            4: ["n", "d", "rho", "epsilon"],
-            5: ["n", "d", "rho", "zeta"],
-            6: ["n", "d", "rho", "epsilon"],
-            7: ["n", "d", "rho", "zeta", "sigma"],
-        }[number]
-        _require(args, required, f"--theorem {number}")
-        params = DesignParams(
-            n=args.n,
-            d=args.d,
-            epsilon=args.epsilon,
-            gamma=args.gamma,
-            rho=args.rho,
-            sigma=args.sigma,
-            zeta=args.zeta,
-        )
-        if number == 1:
-            report = bounds_mod.gamma_lower_bound(params)
-        elif number == 4:
-            report = bounds_mod.rho_lower_bound(params)
-        else:
-            family = {
-                2: TAG_RANDOM_GAMMA,
-                3: TAG_BLOCK_HYPERGRID,
-                5: TAG_PERMUTED_RHO,
-                6: TAG_BLOCK_BINARY_RHO,
-                7: TAG_REPEATED,
-            }[number]
-            report = bounds_mod.upper_bound_tests(params, family)
+        params = _call(DesignParams, args, f"--theorem {args.theorem}")
+        report = _THEOREMS[args.theorem](params)
     print(echo)
     if args.csv:
         print("name,value,integer_value,floor,assumptions")
@@ -367,11 +340,11 @@ def _cmd_oracle(args: argparse.Namespace, echo: str) -> int:
     matrix = _load_design(args.design)
     if args.sigma is not None and not 0.0 <= args.sigma < 0.5:
         raise _UsageError("--sigma must lie in [0, 1/2)")
-    if args.sigma and args.decoder != "auto":
-        raise _UsageError(
-            "--decoder needs a noiseless oracle: the MAP oracle of --sigma > 0 uses no decoder"
-        )
-    if args.cap < 0:
+    if args.sigma and (args.decoder != "auto" or args.cap is not None):
+        raise _UsageError("--decoder and --cap need a noiseless oracle: the MAP oracle "
+                          "of --sigma > 0 uses no decoder and caps its own work")
+    cap = _ENUMERATION_CAP if args.cap is None else args.cap
+    if cap < 0:
         raise _UsageError("--cap must be >= 0")
     print(echo)
     if args.sigma:
@@ -395,17 +368,17 @@ def _cmd_oracle(args: argparse.Namespace, echo: str) -> int:
         decoder = decoder_for(matrix) if args.decoder == "auto" else args.decoder
         n, d = matrix.num_items, args.d
         total = math.comb(n, d) if 0 <= d <= n else 0
-        probability = _block_error(matrix, decoder, d) if total > args.cap else None
+        probability = _block_error(matrix, decoder, d) if total > cap else None
         enumerated = probability is None
         if enumerated:
-            probability = exhaustive_error_probability(matrix, decoder, d, cap=args.cap)
+            probability = exhaustive_error_probability(matrix, decoder, d, cap=cap)
         print(
             f"exact_error={probability.numerator}/{probability.denominator}"
             f"={float(probability):.6g}"
         )
         if not enumerated:
             print(f"# confusable groups not listed: C({n},{d}) = {total} exceeds the cap of "
-                  f"{args.cap}; exact_error is the chance that two defectives share a block")
+                  f"{cap}; exact_error is the chance that two defectives share a block")
         elif total > _LIST_CAP:
             print(f"# confusable groups not listed: C({n},{d}) = {total} exceeds {_LIST_CAP}")
         else:

@@ -1,8 +1,10 @@
 """Command-line interface: outputs, file round trips, exit codes."""
 
 import contextlib
+import inspect
 import io
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sparsegt
-from sparsegt import cli
+from sparsegt import bounds, cli
 from sparsegt.cli import main
 from sparsegt.core import parse, serialize
 from sparsegt.designs import hypergrid_design, permuted_block_rho_design, repeat_design
@@ -308,6 +310,11 @@ class TestSimulateCommand:
         assert code == 1
         assert "--design or --family" in err
 
+    def test_d_is_checked_before_the_design_is_built(self, capsys):
+        code, out, err = run(capsys, "simulate", "--family", "hypergrid",
+                             "--n", "1000000000", "--gamma", "2")
+        assert (code, out, err) == (1, [], "error: simulate requires --d\n")
+
 
 class TestBoundsCommand:
     def test_gamma_lower_bound_text(self, capsys):
@@ -498,6 +505,10 @@ class TestOracleCommand:
         code, out, _ = run(capsys, "oracle", "--design", "fig1", "--d", "1", "--sigma", "0")
         assert code == 0
         assert "exact_error=0/1=0" in out
+        code, _, err = run(capsys, "oracle", "--design", "fig1", "--d", "2", "--sigma", "0",
+                           "--cap", "0")
+        assert code == 3
+        assert "resource cap" in err
 
     def test_resource_cap_exit_code(self, capsys):
         code, _, err = run(
@@ -540,6 +551,7 @@ class TestOracleCommand:
         ["oracle", "--design", "fig1", "--d", "1", "--sigma", "nan"],
         ["oracle", "--design", "fig1", "--d", "1", "--cap", "-5"],
         ["oracle", "--design", "fig1", "--d", "2", "--sigma", "0.1", "--decoder", "binary"],
+        ["oracle", "--design", "fig1", "--d", "2", "--sigma", "0.1", "--cap", "0"],
         ["simulate", "--family", "hypergrid", "--n", "9", "--gamma", "2", "--d", "1",
          "--trials", "5", "--target-epsilon", "nan"],
         ["simulate", "--family", "hypergrid", "--n", "9", "--gamma", "2", "--d", "1",
@@ -555,7 +567,7 @@ class TestOracleCommand:
          "design-permuted-negative-seed", "design-random-gamma-negative-seed",
          "simulate-permuted-negative-seed", "simulate-random-gamma-negative-seed",
          "simulate-k-0", "simulate-k-negative", "oracle-sigma-negative", "oracle-sigma-nan",
-         "oracle-negative-cap", "oracle-noisy-with-a-decoder",
+         "oracle-negative-cap", "oracle-noisy-with-a-decoder", "oracle-noisy-with-a-cap",
          "simulate-target-nan", "simulate-target-negative", "simulate-target-above-one",
          "oracle-target-nan", "oracle-target-negative", "oracle-target-before-the-design"],
 )
@@ -633,6 +645,45 @@ def test_block_bounds_with_blocks_beyond_float_range(capsys, argv, value, intege
     assert any(line.startswith(f"integer_value={integer}") for line in out)
 
 
+# a valid value of each flag that a family or the noisy floor reads
+_VALID = {"n": "100", "d": "2", "gamma": "2", "rho": "10", "epsilon": "0.2", "zeta": "0.5",
+          "sigma": "0.1"}
+
+
+def _flags_read(function, *also):
+    """The flags named by the parameters of ``function`` but a constructor's
+    rng, which --seed sets, and ``also``."""
+    names = [name for name in inspect.signature(function).parameters if name != "rng"]
+    return [f"--{name}" for name in dict.fromkeys([*names, *also])]
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        *((["design", "--family", tag], _flags_read(construct))
+          for tag, construct in cli._FAMILIES.items()),
+        *((["simulate", "--family", tag, "--trials", "5"], _flags_read(construct, "d"))
+          for tag, construct in cli._FAMILIES.items()),
+        (["bounds", "--theorem", "noisy"], _flags_read(bounds.noisy_gamma_error_floor)),
+    ],
+    ids=[*(f"design-{tag}" for tag in cli._FAMILIES),
+         *(f"simulate-{tag}" for tag in cli._FAMILIES), "noisy-floor"],
+)
+def test_each_flag_read_from_a_signature_is_required(capsys, command, flags):
+    """Each flag named by a parameter of the function a line runs is a flag
+    of that command, and the line without it is one error line naming it: a
+    renamed parameter is a renamed flag."""
+    values = {flag: _VALID[flag[2:]] for flag in flags}
+    code, _, err = run(capsys, *command, *[token for item in values.items() for token in item])
+    assert (code, err) == (0, "")
+    for dropped in flags:
+        rest = [token for item in values.items() if item[0] != dropped for token in item]
+        code, out, err = run(capsys, *command, *rest)
+        assert (code, out) == (1, [])
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert re.search(rf"{dropped}\b", err), err
+
+
 # flag values for generated command lines: mostly small in-range values that
 # keep every call well under a second, else one of the out-of-range,
 # non-finite or non-numeric tokens
@@ -641,8 +692,7 @@ _SMALL = ["1", "2", "3", "5"]
 _REALS = ["0.05", "0.2", "0.45", "0.9", "2"]
 _DECODERS = ["auto", "auto", "coma", "hypergrid", "binary", "majority"]
 _FAMILY_FLAGS = {
-    "--family": ["random-gamma", "hypergrid", "block-hypergrid", "permuted-rho",
-                 "block-binary-rho"],
+    "--family": list(cli._FAMILIES),
     "--n": ["2", "9", "40"], "--d": _SMALL, "--gamma": _SMALL, "--rho": _SMALL,
     "--epsilon": _REALS, "--sigma": ["0.05", "0.2"], "--zeta": _REALS, "--seed": _SMALL,
 }
@@ -657,7 +707,7 @@ _FUZZ_FLAGS = {
         "--target-epsilon": _REALS,
     },
     "bounds": {
-        "--theorem": ["1", "2", "3", "4", "5", "6", "7", "noisy"],
+        "--theorem": [*cli._THEOREMS, "noisy"],
         "--n": ["2", "9", "40", "10000"], "--d": _SMALL, "--gamma": _SMALL,
         "--rho": _SMALL, "--epsilon": _REALS, "--sigma": _REALS, "--zeta": _REALS,
         "--csv": None,

@@ -1,8 +1,10 @@
 """The source keeps one OR gather and one incidence representation: the
 column index is built only where the OR gather reads it (and where a COMA
 plan and the harness ask for it ahead of the trials), and no module reads
-the ``rows`` tuples that a ``TestMatrix`` still offers callers. The check
-reads the source with ``ast`` and the standard library alone."""
+the ``rows`` tuples that a ``TestMatrix`` still offers callers. The CLI
+picks a family or theorem by one table lookup, with no chain of
+comparisons. The check reads the source with ``ast`` and the standard
+library alone."""
 
 import ast
 import pathlib
@@ -38,6 +40,31 @@ def _attributes(source: str, module: str):
     return found
 
 
+# the CLI functions that look a family or theorem up in its table
+_DISPATCHERS = ("_construct", "_cmd_bounds")
+
+
+def _dispatch_compares(source: str) -> list[str]:
+    """"function: operand" for each comparison operand in the top-level
+    functions named in ``_DISPATCHERS`` (each function's name first) that
+    holds a ``TAG_*`` name or a constant other than None, 0 (the --seed
+    check) and "noisy"."""
+    found = []
+    for function in ast.parse(source).body:
+        if isinstance(function, ast.FunctionDef) and function.name in _DISPATCHERS:
+            found.append(function.name)
+            for compare in ast.walk(function):
+                if not isinstance(compare, ast.Compare):
+                    continue
+                for operand in [compare.left, *compare.comparators]:
+                    if any((isinstance(leaf, ast.Name) and leaf.id.startswith("TAG_"))
+                           or (isinstance(leaf, ast.Constant)
+                               and leaf.value not in (None, 0, "noisy"))
+                           for leaf in ast.walk(operand)):
+                        found.append(f"{function.name}: {ast.unparse(operand)}")
+    return found
+
+
 def _column_index_callers(source: str, module: str) -> set[str]:
     return {where for where, node, call in _attributes(source, module)
             if call and node.attr == "column_index"}
@@ -59,6 +86,11 @@ def test_no_module_reads_rows():
     assert not found, "reads TestMatrix.rows: " + "; ".join(found)
 
 
+def test_the_cli_dispatches_families_and_theorems_by_table():
+    source = (ROOT / "src" / "sparsegt" / "cli.py").read_text()
+    assert _dispatch_compares(source) == list(_DISPATCHERS)
+
+
 def test_the_checks_see_what_they_exist_for():
     """A call in a function and a read of ``rows`` in a method are found;
     an attribute named but not called is no call, and a keyword ``rows=``
@@ -76,3 +108,14 @@ def test_the_checks_see_what_they_exist_for():
     reads = [(where, node.attr) for where, node, _ in _attributes(source, "core")]
     assert ("core.Plan.build", "rows") in reads
     assert ("core.make", "rows") not in reads
+    if_chains = (
+        "def _construct(args):\n"
+        "    if args.seed < 0 or args.family == TAG_HYPERGRID:\n"
+        "        return None\n"
+        "def _cmd_bounds(args, echo):\n"
+        "    if args.theorem == 'noisy' or int(args.theorem) == 4 or args.theorem in ('2', '3'):\n"
+        "        return 1\n"
+    )
+    assert _dispatch_compares(if_chains) == [
+        "_construct", "_construct: TAG_HYPERGRID", "_cmd_bounds", "_cmd_bounds: 4",
+        "_cmd_bounds: ('2', '3')"]
