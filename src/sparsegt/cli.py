@@ -44,7 +44,7 @@ from .core import (
     _serialized_parts,
     parse,
 )
-from .decoders import decoder_for, make_plan
+from .decoders import _PLAN_TYPES, decoder_for, make_plan
 from .designs import (
     _binary_rows,
     _grid_rows,
@@ -94,6 +94,12 @@ _THEOREMS = {
 _ENUMERATION_CAP = 10_000_000
 _LIST_CAP = 1_000_000
 
+# a block decoder's rows for a block of ``size`` items of a block design
+_BLOCK_ROWS = {
+    "hypergrid": lambda matrix, size: _grid_rows(size, matrix.col_limit),
+    "binary": lambda matrix, size: _binary_rows(size),
+}
+
 
 class _UsageError(GroupTestingError):
     pass
@@ -121,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--decoder",
         default="auto",
-        choices=["auto", "coma", "hypergrid", "binary", "majority"],
+        choices=["auto", *_PLAN_TYPES],
     )
     p_sim.add_argument(
         "--prior", default="exact", choices=["exact", "bernoulli"],
@@ -152,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument(
         "--decoder",
         default="auto",
-        choices=["auto", "coma", "hypergrid", "binary", "majority"],
+        choices=["auto", *_PLAN_TYPES],
     )
     p_oracle.add_argument("--target-epsilon", type=float)
     p_oracle.add_argument("--cap", type=int, help="most defective sets to enumerate "
@@ -313,22 +319,19 @@ def _format_items(items: tuple[int, ...]) -> str:
 def _block_error(matrix: TestMatrix, decoder: str, d: int) -> Fraction | None:
     """The exact error of a block design's own decoder under a uniform
     size-d defective set, :func:`~sparsegt.sim.block_collision_error`, or
-    None unless the design has blocks, the decoder is its own and it reads
-    the design, and its rows are those its constructor lays out for those
-    blocks. The decoder then errs exactly when two defectives share a
-    block."""
-    if matrix.block_starts is None or decoder != decoder_for(matrix):
+    None unless the design has blocks, the decoder is its own block decoder
+    and it reads the design, and its rows are those its constructor lays
+    out for those blocks. The decoder then errs exactly when two
+    defectives share a block."""
+    rows = _BLOCK_ROWS.get(decoder)
+    if rows is None or matrix.block_starts is None or decoder != decoder_for(matrix):
         return None
     try:
         make_plan(matrix, decoder)
     except IncompatibleDecoderError:
         return None
-    if decoder == "hypergrid":
-        gamma = matrix.col_limit
-        built = _tiled_design(matrix.num_items, matrix.block_starts,
-                              lambda size: _grid_rows(size, gamma))
-    else:
-        built = _tiled_design(matrix.num_items, matrix.block_starts, _binary_rows)
+    built = _tiled_design(matrix.num_items, matrix.block_starts,
+                          functools.partial(rows, matrix))
     if not (np.array_equal(built.indptr, matrix.indptr)
             and np.array_equal(built.indices, matrix.indices)):
         return None

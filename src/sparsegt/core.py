@@ -17,7 +17,7 @@ import itertools
 import math
 import warnings
 from dataclasses import FrozenInstanceError, dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -132,7 +132,7 @@ class Prior:
     def __post_init__(self) -> None:
         if self.kind not in (PRIOR_UNIFORM_EXACT, PRIOR_IID_BERNOULLI):
             raise InvalidParameterError(f"unknown prior kind: {self.kind!r}")
-        if self.d < 0:
+        if _integer(self.d, "prior defective count d") < 0:
             raise InvalidParameterError("prior defective count d must be >= 0")
 
 
@@ -153,8 +153,8 @@ class DefectiveSet:
     universe: int
 
     def __init__(self, items: Iterable[int], universe: int):
-        normalized = tuple(sorted({int(i) for i in items}))
-        if universe < 0:
+        normalized = tuple(sorted({_integer(i, "item index") for i in items}))
+        if _integer(universe, "universe size") < 0:
             raise InvalidParameterError("universe size must be >= 0")
         if normalized and (normalized[0] < 0 or normalized[-1] >= universe):
             raise InvalidParameterError(
@@ -244,18 +244,72 @@ def _index_dtype(limit: int) -> type:
     return np.int32 if limit < 2**31 else np.int64
 
 
+# the design-file header's fields in written order: (key, field, default)
+_HEADER_FIELDS = (
+    ("gamma", "col_limit", None),
+    ("rho", "row_limit", None),
+    ("tag", "design_tag", TAG_CUSTOM),
+    ("k", "repeat_k", 1),
+    ("base", "base_tag", None),
+    ("blocks", "block_starts", None),
+)
+
+
+def _field_value(key: str, text: str, num_items: int | None, error) -> object:
+    """The value of header field ``key`` (or "n") written as ``text``, else
+    ``error(message)`` raised; with ``num_items`` None, any block offsets."""
+    if key in ("tag", "base"):
+        if text not in DESIGN_TAGS:
+            raise error(f"unknown {'design' if key == 'tag' else 'base'} tag {text!r}")
+        return text
+    if key == "blocks":
+        try:
+            starts = tuple(map(int, text.split(","))) if text or num_items else ()
+        except ValueError:
+            raise error(f"blocks must be comma-separated integers, got {text!r}") from None
+        if num_items and not _well_formed_blocks(starts, num_items):
+            raise error("block offsets must start at 0, increase strictly, and stay below n")
+        return starts
+    what = {"n": "item count n", "k": "repetition count k"}.get(key, key)
+    try:
+        value = int(text)
+    except ValueError:
+        raise error(f"{what} must be an integer, got {text!r}") from None
+    if value < 1:
+        raise error(f"{what} must be >= 1, got {value}")
+    if key == "n" and value > _MAX_ITEMS:
+        raise error(f"{what} must be <= {_MAX_ITEMS}, got {value}")
+    return value
+
+
+def _field_text(value) -> str:
+    """A header value as written: a tuple (block offsets) comma-separated."""
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def _read_back(key: str, value) -> object:
+    """``value`` (a sequence as a tuple) as parse reads its written text;
+    :class:`InvalidParameterError` if it reads back as anything else."""
+    if np.iterable(value) and not isinstance(value, str):
+        value = tuple(value)
+    read = _field_value(key, text := _field_text(value), None, InvalidParameterError)
+    if read != value:
+        raise InvalidParameterError(f"{key}={text} reads back as {read!r}, not {value!r}")
+    return read
+
+
 class TestMatrix:
     """A pooling design: test ``t`` pools the items
     ``indices[indptr[t]:indptr[t + 1]]``.
 
     Incidences are stored as compressed sparse rows (CSR): ``indptr`` is an
     int64 array of T + 1 offsets and ``indices`` an int32 array of item
-    indices, both write-locked. An index outside int32 (and a ``num_items``
-    above 2**31) raises :class:`InvalidParameterError`; nothing wraps.
-    ``rows`` returns the same incidences as a tuple of tuples; it is derived
-    on every call and not stored. The column index (CSC, see
-    :meth:`column_index`) and the column weights are computed on first use
-    and cached on the instance; they are not pickled.
+    indices, both write-locked. An index outside int32 raises
+    :class:`InvalidParameterError`; nothing wraps. ``rows`` returns the
+    same incidences as a tuple of tuples; it is derived on every call and
+    not stored. The column index (CSC, see :meth:`column_index`) and the
+    column weights are computed on first use and cached on the instance;
+    they are not pickled.
 
     ``col_limit`` caps how many tests any single item may appear in (item
     divisibility); ``row_limit`` caps how many items any single test may pool
@@ -264,10 +318,10 @@ class TestMatrix:
     beginning with 0). Repeated designs carry ``repeat_k`` > 1 and the
     ``base_tag`` of the design whose rows were duplicated.
 
-    Construction performs only structural normalization; use :func:`validate`
-    to obtain a report of invariant violations, which are representable on
-    purpose so they can be reported rather than half-rejected. Instances are
-    immutable and compare by content.
+    Construction refuses a value of n or of a header field that
+    :func:`parse` would refuse, but keeps malformed block offsets and rows
+    on purpose, so that :func:`validate` reports them rather than
+    half-rejecting them. Instances are immutable and compare by content.
     """
 
     __test__ = False  # keep pytest from collecting this as a test class
@@ -293,14 +347,15 @@ class TestMatrix:
         base_tag: str | None = None,
         repeat_k: int = 1,
     ):
-        rows = [[int(i) for i in row] for row in rows]
+        rows = [[_integer(i, "item index") for i in row] for row in rows]
         indptr = _offsets([len(row) for row in rows])
         try:
             indices = np.array([i for row in rows for i in row], dtype=np.int64)
         except OverflowError:
             raise InvalidParameterError("item indices must fit in int32") from None
-        self._init(indptr, indices, num_items, col_limit, row_limit, design_tag,
-                   block_starts, base_tag, repeat_k)
+        self._init(indptr, indices, num_items, col_limit=col_limit, row_limit=row_limit,
+                   design_tag=design_tag, block_starts=block_starts, base_tag=base_tag,
+                   repeat_k=repeat_k)
 
     @classmethod
     def from_csr(
@@ -318,19 +373,15 @@ class TestMatrix:
         """Build from CSR arrays (copied); the other arguments are as for
         the constructor."""
         matrix = cls.__new__(cls)
-        matrix._init(indptr, indices, num_items, col_limit, row_limit, design_tag,
-                     block_starts, base_tag, repeat_k)
+        matrix._init(indptr, indices, num_items, col_limit=col_limit, row_limit=row_limit,
+                     design_tag=design_tag, block_starts=block_starts, base_tag=base_tag,
+                     repeat_k=repeat_k)
         return matrix
 
-    def _init(self, indptr, indices, num_items, col_limit=None, row_limit=None,
-              design_tag=TAG_CUSTOM, block_starts=None, base_tag=None, repeat_k=1,
-              copy: bool = True) -> None:
-        if not 1 <= num_items <= _MAX_ITEMS:
-            raise InvalidParameterError(f"num_items must lie in [1, {_MAX_ITEMS}]")
-        if design_tag not in DESIGN_TAGS:
-            raise InvalidParameterError(f"unknown design tag: {design_tag!r}")
-        if repeat_k < 1:
-            raise InvalidParameterError("repeat_k must be >= 1")
+    def _init(self, indptr, indices, num_items, copy: bool = True, **fields) -> None:
+        num_items = _read_back("n", num_items)
+        header = {field: value if (value := fields.get(field, default)) is default
+                  else _read_back(key, value) for key, field, default in _HEADER_FIELDS}
         indptr = (np.array if copy else np.asarray)(indptr, dtype=np.int64)
         indices = np.asarray(indices)
         if indices.size and not np.issubdtype(indices.dtype, np.integer):
@@ -346,19 +397,7 @@ class TestMatrix:
         indices = indices.astype(np.int32, copy=copy)
         indptr.setflags(write=False)
         indices.setflags(write=False)
-        if block_starts is not None:
-            block_starts = tuple(int(s) for s in block_starts)
-        self.__dict__.update(
-            indptr=indptr,
-            indices=indices,
-            num_items=num_items,
-            col_limit=col_limit,
-            row_limit=row_limit,
-            design_tag=design_tag,
-            block_starts=block_starts,
-            base_tag=base_tag,
-            repeat_k=repeat_k,
-        )
+        self.__dict__.update(header, indptr=indptr, indices=indices, num_items=num_items)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -590,15 +629,15 @@ class DesignParams:
     zeta: float | None = None
 
     def __post_init__(self) -> None:
-        if self.n < 2:
+        if _integer(self.n, "n") < 2:
             raise InvalidParameterError("n must be >= 2")
-        if not 1 <= self.d < self.n:
+        if not 1 <= _integer(self.d, "d") < self.n:
             raise InvalidParameterError("d must satisfy 1 <= d < n")
         if self.epsilon is not None and not 0.0 < self.epsilon < 0.5:
             raise InvalidParameterError("epsilon must lie in (0, 1/2)")
-        if self.gamma is not None and self.gamma < 1:
+        if self.gamma is not None and _integer(self.gamma, "gamma") < 1:
             raise InvalidParameterError("gamma must be >= 1")
-        if self.rho is not None and self.rho < 1:
+        if self.rho is not None and _integer(self.rho, "rho") < 1:
             raise InvalidParameterError("rho must be >= 1")
         if self.sigma is not None and not 0.0 <= self.sigma < 0.5:
             raise InvalidParameterError("sigma must lie in [0, 1/2)")
@@ -632,6 +671,13 @@ class DesignParams:
 # ---------------------------------------------------------------------------
 # numeric helpers
 # ---------------------------------------------------------------------------
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int, refusing all but ints and NumPy integers."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidParameterError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def iceil(x: float) -> int:
@@ -809,11 +855,11 @@ def validate(matrix: TestMatrix) -> list[Violation]:
     out-of-range index.
 
     Only the entries that fail the range or order check are mapped to their
-    rows (by a search of ``indptr``). When every row passes both, the
-    column weights are the matrix's cached
-    :meth:`~TestMatrix.column_weights`, which the decode plans reuse; the
-    row of every entry is built only to count the columns when some row
-    fails.
+    rows (by a search of ``indptr``). When every row passes both and the
+    entries are at least n, the column weights are the matrix's cached
+    :meth:`~TestMatrix.column_weights`, which the decode plans reuse.
+    Otherwise only the columns the entries hold are counted, from the
+    distinct (row, item) pairs, so no array of n counts is made.
     """
     report: list[Violation] = []
     n = matrix.num_items
@@ -846,23 +892,23 @@ def validate(matrix: TestMatrix) -> list[Violation]:
                 )
             )
     if matrix.col_limit is not None:
-        if not (has_out.any() or unordered.any()):
+        if not (has_out.any() or unordered.any()) and n <= indices.size:
             col_weight = matrix.column_weights()
+            cols = np.flatnonzero(col_weight > matrix.col_limit)
+            weights = col_weight[cols]
         else:
+            # only the columns the entries hold: a count of all n columns
+            # may outweigh the entries by far (n up to 2**31)
             row_of = np.repeat(np.arange(matrix.num_tests), lengths)
-            # strictly increasing rows hold no duplicates; dedupe only the others
-            col_weight = np.bincount(indices[(~has_out & ~unordered)[row_of]], minlength=n)
-            messy = (~has_out & unordered)[row_of]
-            if messy.any():
-                pairs = np.unique(row_of[messy] * n + indices[messy])
-                col_weight += np.bincount(pairs % n, minlength=n)
-        for i in np.flatnonzero(col_weight > matrix.col_limit).tolist():
+            kept = ~has_out[row_of]
+            # an unordered row may hold an item twice; it counts once
+            pairs = np.unique(row_of[kept] * n + indices[kept])
+            cols, weights = np.unique(pairs % n, return_counts=True)
+            over = weights > matrix.col_limit
+            cols, weights = cols[over], weights[over]
+        for i, w in zip(cols.tolist(), weights.tolist()):
             report.append(
-                Violation(
-                    "col-weight",
-                    f"column {i}",
-                    f"weight {int(col_weight[i])} exceeds limit {matrix.col_limit}",
-                )
+                Violation("col-weight", f"column {i}", f"weight {w} exceeds limit {matrix.col_limit}")
             )
     if matrix.block_starts is not None and not _well_formed_blocks(matrix.block_starts, n):
         report.append(Violation("block-structure", "block_starts",
@@ -978,19 +1024,9 @@ def _serialized_parts(matrix: TestMatrix) -> Iterator[str]:
     written from fixed tables of 4-digit groups: no Python object per token
     and no table sized by n. The indices are checked as :func:`serialize`
     documents before the header is given."""
-    header = [str(matrix.num_tests), str(matrix.num_items)]
-    if matrix.col_limit is not None:
-        header.append(f"gamma={matrix.col_limit}")
-    if matrix.row_limit is not None:
-        header.append(f"rho={matrix.row_limit}")
-    if matrix.design_tag != TAG_CUSTOM:
-        header.append(f"tag={matrix.design_tag}")
-    if matrix.repeat_k > 1:
-        header.append(f"k={matrix.repeat_k}")
-    if matrix.base_tag is not None:
-        header.append(f"base={matrix.base_tag}")
-    if matrix.block_starts is not None:
-        header.append("blocks=" + ",".join(str(s) for s in matrix.block_starts))
+    header = [str(matrix.num_tests), str(matrix.num_items),
+              *(f"{key}={_field_text(value)}" for key, field, default in _HEADER_FIELDS
+                if (value := getattr(matrix, field)) != default)]
     indptr, indices, lengths = matrix.indptr, matrix.indices, matrix.row_weights()
     top = max(_checked_max_index(indices, matrix.num_items), int(lengths.max(initial=0)))
     groups = 1 + (top >= _GROUP) + (top >= _GROUP**2)  # tokens <= 2**31 < 10**12
@@ -1006,16 +1042,6 @@ def _serialized_parts(matrix: TestMatrix) -> Iterator[str]:
         tokens[is_item] = indices[indptr[lo] : indptr[hi]]
         tokens[weight] = lengths[lo:hi]
         yield _write_tokens(tokens, starts[lo + 1 : hi + 1] - starts[lo] - 1, groups)
-
-
-def _parse_positive_int(token: str, line_no: int, what: str) -> int:
-    try:
-        value = int(token)
-    except ValueError:
-        raise ParseError(line_no, f"{what} must be an integer, got {token!r}") from None
-    if value < 1:
-        raise ParseError(line_no, f"{what} must be >= 1, got {value}")
-    return value
 
 
 def _content_lines(text: str, first_line: int = 1) -> list[tuple[int, str]]:
@@ -1066,61 +1092,27 @@ def parse(text: str) -> TestMatrix:
     rest = "".join(line + "\n" for _, line in content[1:])
     del content
     tokens = header.split()
+    error = partial(ParseError, header_no)
     if len(tokens) < 2:
-        raise ParseError(header_no, "header needs at least 'T n'")
+        raise error("header needs at least 'T n'")
     try:
         num_tests = int(tokens[0])
     except ValueError:
-        raise ParseError(header_no, f"test count T must be an integer, got {tokens[0]!r}") from None
+        raise error(f"test count T must be an integer, got {tokens[0]!r}") from None
     if num_tests < 0:
-        raise ParseError(header_no, f"test count T must be >= 0, got {num_tests}")
-    num_items = _parse_positive_int(tokens[1], header_no, "item count n")
-    if num_items > _MAX_ITEMS:
-        raise ParseError(header_no, f"item count n must be <= {_MAX_ITEMS}, got {num_items}")
-
-    col_limit: int | None = None
-    row_limit: int | None = None
-    tag = TAG_CUSTOM
-    base_tag: str | None = None
-    repeat_k = 1
-    block_starts: tuple[int, ...] | None = None
-    seen: set[str] = set()
+        raise error(f"test count T must be >= 0, got {num_tests}")
+    num_items = _field_value("n", tokens[1], None, error)
+    field_of = {key: field for key, field, _ in _HEADER_FIELDS}
+    fields = {}
     for token in tokens[2:]:
         key, sep, value = token.partition("=")
         if not sep:
-            raise ParseError(header_no, f"expected key=value, got {token!r}")
-        if key in seen:
-            raise ParseError(header_no, f"repeated header key {key!r}")
-        seen.add(key)
-        if key == "gamma":
-            col_limit = _parse_positive_int(value, header_no, "gamma")
-        elif key == "rho":
-            row_limit = _parse_positive_int(value, header_no, "rho")
-        elif key == "tag":
-            if value not in DESIGN_TAGS:
-                raise ParseError(header_no, f"unknown design tag {value!r}")
-            tag = value
-        elif key == "base":
-            if value not in DESIGN_TAGS:
-                raise ParseError(header_no, f"unknown base tag {value!r}")
-            base_tag = value
-        elif key == "k":
-            repeat_k = _parse_positive_int(value, header_no, "repetition count k")
-        elif key == "blocks":
-            try:
-                starts = tuple(int(s) for s in value.split(","))
-            except ValueError:
-                raise ParseError(
-                    header_no, f"blocks must be comma-separated integers, got {value!r}"
-                ) from None
-            if not _well_formed_blocks(starts, num_items):
-                raise ParseError(
-                    header_no,
-                    "block offsets must start at 0, increase strictly, and stay below n",
-                )
-            block_starts = starts
-        else:
-            raise ParseError(header_no, f"unknown header key {key!r}")
+            raise error(f"expected key=value, got {token!r}")
+        if key not in field_of:
+            raise error(f"unknown header key {key!r}")
+        if field_of[key] in fields:
+            raise error(f"repeated header key {key!r}")
+        fields[field_of[key]] = _field_value(key, value, num_items, error)
 
     # a row line holds one space per index
     indices = np.empty(sum(_spaces(text[a:b].encode("ascii", "replace")) for a, b in spans),
@@ -1152,16 +1144,7 @@ def parse(text: str) -> TestMatrix:
         if len(body) > num_tests:
             raise ParseError(body[num_tests][0], "trailing content after last row")
         rows = _read_rows(body, num_items)
-    return _adopt_csr(
-        *rows,
-        num_items=num_items,
-        col_limit=col_limit,
-        row_limit=row_limit,
-        design_tag=tag,
-        block_starts=block_starts,
-        base_tag=base_tag,
-        repeat_k=repeat_k,
-    )
+    return _adopt_csr(*rows, num_items=num_items, **fields)
 
 
 # characters of text read at a time; a chunk ends at a newline

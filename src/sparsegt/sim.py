@@ -49,6 +49,7 @@ from .core import (
     ResourceCapError,
     TestMatrix,
     _index_dtype,
+    _integer,
     _noise_flips,
     _or_bits,
     _or_gather,
@@ -126,6 +127,9 @@ class SimConfig:
     parallelism: int = 1
 
     def __post_init__(self) -> None:
+        # as Python ints, which the 64-bit seed arithmetic needs
+        for name in ("trials", "master_seed", "parallelism"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.trials < 0:
             raise InvalidParameterError("trials must be >= 0")
         if self.parallelism < 1:
@@ -627,9 +631,9 @@ def run_monte_carlo(matrix: TestMatrix, decoder: str, config: SimConfig) -> SimR
 def _count_sets(n: int, d: int, cap: int) -> int:
     """C(n, d), refusing a d outside [0, n], a negative ``cap`` or a count
     above ``cap``."""
-    if not 0 <= d <= n:
+    if not 0 <= _integer(d, "d") <= n:
         raise InvalidParameterError(f"d must lie in [0, {n}]")
-    if cap < 0:
+    if _integer(cap, "cap") < 0:
         raise InvalidParameterError(f"cap must be >= 0, not {cap}")
     total = math.comb(n, d)
     if total > cap:
@@ -662,7 +666,7 @@ def block_collision_error(matrix: TestMatrix, d: int) -> Fraction:
     symmetric polynomial, in Python integers. A strict block decoder errs on
     exactly these sets. A matrix without blocks is one block."""
     n = matrix.num_items
-    if not 0 <= d <= n:
+    if not 0 <= _integer(d, "d") <= n:
         raise InvalidParameterError(f"d must lie in [0, {n}]")
     sizes = collections.Counter(end - start for start, end in matrix.block_bounds())
     spread = [1] + [0] * d  # e_0 .. e_d of the sizes so far

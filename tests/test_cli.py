@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sparsegt
-from sparsegt import bounds, cli
+from sparsegt import bounds, cli, decoders
 from sparsegt.cli import main
 from sparsegt.core import parse, serialize
 from sparsegt.designs import hypergrid_design, permuted_block_rho_design, repeat_design
@@ -690,7 +690,7 @@ def test_each_flag_read_from_a_signature_is_required(capsys, command, flags):
 _BAD = ["-1", "0", "nan", "inf", "1e308", "x"]
 _SMALL = ["1", "2", "3", "5"]
 _REALS = ["0.05", "0.2", "0.45", "0.9", "2"]
-_DECODERS = ["auto", "auto", "coma", "hypergrid", "binary", "majority"]
+_DECODERS = ["auto", "auto", *decoders._PLAN_TYPES]
 _FAMILY_FLAGS = {
     "--family": list(cli._FAMILIES),
     "--n": ["2", "9", "40"], "--d": _SMALL, "--gamma": _SMALL, "--rho": _SMALL,

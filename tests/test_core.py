@@ -443,6 +443,27 @@ class TestMatrixStorage:
         assert not again.indices.flags.writeable
 
 
+@pytest.mark.parametrize(
+    "build, bad, good",
+    [
+        (lambda i: TestMatrix(rows=[[i]], num_items=3), 1.7, np.int64(1)),
+        (lambda s: TestMatrix(rows=[], num_items=3, block_starts=[0, s]), 1.5, np.int32(1)),
+        (lambda i: DefectiveSet({i}, 3), 1.5, np.int64(1)),
+        (lambda n: DefectiveSet({0}, n), 3.5, np.int64(3)),
+        (lambda n: TestMatrix([[0]], n).column_weights().tolist(), 3.5, np.uint8(3)),
+        (lambda i: DefectiveSet({i}, 3), True, np.int8(2)),
+    ],
+    ids=["row-index", "block-offset", "defective", "universe", "num-items", "bool-defective"],
+)
+def test_value_types_refuse_non_integers(build, bad, good):
+    """A float or a bool is refused with InvalidParameterError, where it
+    was truncated or raised a raw TypeError; NumPy integers read as the
+    ints they hold."""
+    with pytest.raises(InvalidParameterError, match="integer"):
+        build(bad)
+    assert build(good) == build(int(good))
+
+
 class TestDesignParams:
     def test_alpha_beta(self):
         p = DesignParams(n=10_000, d=10, rho=100)

@@ -351,6 +351,72 @@ class TestDesignFileWriterAgreesWithTheFormatLoop:
             parse(ref.serialize(bad_matrix))
 
 
+# each header field's key, in the order a design file's header writes them
+_HEADER_KEYS = {"col_limit": "gamma", "row_limit": "rho", "design_tag": "tag", "repeat_k": "k",
+                "base_tag": "base", "block_starts": "blocks"}
+# values on both sides of each rule: counts from 1 and below it, floats
+# (integral ones too) and bools; design tags and unknown ones
+_COUNTS = st.sampled_from([1, 2, 10**9, 0, -1, -(2**40), 1.5, 2.0, True, False]) | st.integers(-3, 5)
+_TAGS = st.sampled_from(sorted(core.DESIGN_TAGS)) | st.sampled_from(["bogus", "Hypergrid", ""])
+_OFFSETS = st.lists(st.integers(-2, 9) | st.sampled_from([1.5, 2.0, True]), max_size=3)
+
+
+@st.composite
+def header_cases(draw):
+    """(n, rows, header fields) for the constructor: n up to past 2**31 and
+    each field left out or drawn on either side of its rule; block offsets
+    well formed or not."""
+    n = draw(st.sampled_from([7, 2**31, 2**31 + 1, 10**12]) | _COUNTS)
+    values = {"col_limit": _COUNTS, "row_limit": _COUNTS, "design_tag": _TAGS,
+              "repeat_k": _COUNTS, "base_tag": _TAGS,
+              "block_starts": _OFFSETS.map(lambda s: [0, *s]) | _OFFSETS}
+    fields = {field: draw(values[field]) for field in _HEADER_KEYS if draw(st.booleans())}
+    return n, [[0]] * draw(st.integers(0, 2)), fields
+
+
+def _header_text(num_tests, n, fields):
+    """The header line of a design of these values, every field given written."""
+    def text(value):
+        return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+    return " ".join([str(num_tests), text(n), *(f"{key}={text(fields[field])}"
+                                                for field, key in _HEADER_KEYS.items()
+                                                if field in fields)]) + "\n"
+
+
+class TestTheConstructorRefusesWhatParseRefuses:
+    @given(header_cases())
+    @example((4, [], {"base_tag": "bogus"}))
+    @example((4, [[0]], {"col_limit": 0}))
+    @example((4, [], {"row_limit": -2}))
+    @example((4, [], {"col_limit": 1.5}))
+    @example((3.5, [[0]], {}))
+    @example((4, [], {"repeat_k": True, "block_starts": [0, 1.5]}))
+    @example((4, [], {"block_starts": []}))
+    @example((2**31, [[0], [0]], {"col_limit": 1, "block_starts": []}))
+    @settings(max_examples=400, deadline=None)
+    def test_refused_with_the_message_of_parse_or_read_back(self, case):
+        """The constructor refuses a header value with the message parse
+        gives for the header that writes it, or builds a matrix that parse
+        reads back from that header and from its own file, unless its
+        block offsets are malformed, which it keeps for validate."""
+        n, rows, fields = case
+        text = _header_text(len(rows), n, fields) + "1 0\n" * len(rows)
+        try:
+            matrix = TestMatrix(rows=rows, num_items=n, **fields)
+        except InvalidParameterError as refused:
+            with pytest.raises(ParseError) as parsed:
+                parse(text)
+            assert str(parsed.value) == f"line 1: {refused}"
+            return
+        starts = fields.get("block_starts", [0])
+        if starts and starts[0] == 0 and starts == sorted(set(starts)) and starts[-1] < n:
+            assert parse(text) == matrix
+            assert parse(serialize(matrix)) == matrix
+        else:
+            assert any(v.kind == "block-structure" for v in validate(matrix))
+
+
 def _parse_reading_lines(text):
     """``parse(text)`` (or its error) and whether the per-line reader ran."""
     with mock.patch.object(core, "_read_rows", wraps=core._read_rows) as reader:

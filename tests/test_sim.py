@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from sparsegt import sim
+from sparsegt.bounds import gamma_lower_bound
 from sparsegt.core import (
     DesignParams,
     IncompatibleDecoderError,
@@ -23,6 +24,7 @@ from sparsegt.designs import (
     block_hypergrid_design,
     hypergrid_design,
     permuted_block_rho_design,
+    random_gamma_design,
     repeat_design,
 )
 from sparsegt.sim import (
@@ -294,6 +296,36 @@ class TestCollisionGroups:
         m = hypergrid_design(50, 2)
         with pytest.raises(ResourceCapError):
             outcome_collision_groups(m, 4, cap=100)
+
+
+@pytest.mark.parametrize(
+    "call, bad, good",
+    [
+        (lambda n: DesignParams(n, 2), 9.0, np.int64(9)),
+        (lambda d: DesignParams(9, d), 2.5, np.int64(2)),
+        (lambda d: Prior(PRIOR_UNIFORM_EXACT, d), 2.5, np.int64(2)),
+        (lambda t: run_monte_carlo(GRID9, "auto", config(9, 1, t, 0)).errors, 2.5, np.int64(20)),
+        (lambda s: run_monte_carlo(GRID9, "auto", config(9, 1, 20, s)).errors, 1.0, np.int64(1)),
+        (lambda j: run_monte_carlo(GRID9, "auto", config(9, 1, 20, 0, j)).errors, 1.0,
+         np.int64(1)),
+        (lambda d: exhaustive_error_probability(GRID9, "coma", d), 1.5, np.int64(2)),
+        (lambda d: block_collision_error(GRID9, d), 1.5, np.int64(2)),
+        (lambda cap: exhaustive_error_probability(GRID9, "coma", 1, cap), 1e7, np.int64(9)),
+        (lambda n: random_gamma_design(n, 2, 2, 0.1, np.random.default_rng(0)), 100.0,
+         np.int64(100)),
+        (lambda g: gamma_lower_bound(DesignParams(100, 2, epsilon=0.1, gamma=g)).value, 2.5,
+         np.int64(2)),
+    ],
+    ids=["n", "d", "prior-d", "trials", "master-seed", "parallelism", "oracle-d", "collision-d", "oracle-cap",
+         "random-gamma-n", "bound-gamma"],
+)
+def test_parameter_bundles_refuse_non_integers(call, bad, good):
+    """DesignParams, Prior, SimConfig and the exact oracles' d and cap
+    refuse a float where they accepted it, or raised a raw TypeError later;
+    NumPy integers give what the ints they hold give."""
+    with pytest.raises(InvalidParameterError, match="must be an integer"):
+        call(bad)
+    assert call(good) == call(int(good))
 
 
 @pytest.mark.parametrize("oracle", [

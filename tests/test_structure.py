@@ -3,8 +3,10 @@ column index is built only where the OR gather reads it (and where a COMA
 plan and the harness ask for it ahead of the trials), and no module reads
 the ``rows`` tuples that a ``TestMatrix`` still offers callers. The CLI
 picks a family or theorem by one table lookup, with no chain of
-comparisons. The check reads the source with ``ast`` and the standard
-library alone."""
+comparisons. Only the header table ``core._HEADER_FIELDS`` spells the
+design-file header keys; the parser, the writer and the ``TestMatrix``
+constructor read them from it. The check reads the source with ``ast`` and
+the standard library alone."""
 
 import ast
 import pathlib
@@ -65,6 +67,34 @@ def _dispatch_compares(source: str) -> list[str]:
     return found
 
 
+# the functions that read the header keys from core._HEADER_FIELDS
+_HEADER_READERS = ("parse", "_serialized_parts", "TestMatrix._init")
+_HEADER_KEYS = ("gamma", "rho", "tag", "k", "base", "blocks")
+
+
+def _header_key_constants(source: str) -> list[str]:
+    """"function: constant" for each string constant in the functions
+    named in ``_HEADER_READERS`` (each function's name first, in source
+    order) that is a header key, alone or with its "=" (as in an
+    f-string)."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+            if isinstance(node, ast.FunctionDef) and ".".join(scope) in _HEADER_READERS:
+                found.append(".".join(scope))
+                found.extend(f"{'.'.join(scope)}: {leaf.value!r}" for leaf in ast.walk(node)
+                             if isinstance(leaf, ast.Constant)
+                             and leaf.value in _HEADER_KEYS + tuple(k + "=" for k in _HEADER_KEYS))
+                return
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
 def _column_index_callers(source: str, module: str) -> set[str]:
     return {where for where, node, call in _attributes(source, module)
             if call and node.attr == "column_index"}
@@ -89,6 +119,11 @@ def test_no_module_reads_rows():
 def test_the_cli_dispatches_families_and_theorems_by_table():
     source = (ROOT / "src" / "sparsegt" / "cli.py").read_text()
     assert _dispatch_compares(source) == list(_DISPATCHERS)
+
+
+def test_only_the_header_table_spells_the_header_keys():
+    source = (ROOT / "src" / "sparsegt" / "core.py").read_text()
+    assert sorted(_header_key_constants(source)) == sorted(_HEADER_READERS)
 
 
 def test_the_checks_see_what_they_exist_for():
@@ -119,3 +154,20 @@ def test_the_checks_see_what_they_exist_for():
     assert _dispatch_compares(if_chains) == [
         "_construct", "_construct: TAG_HYPERGRID", "_cmd_bounds", "_cmd_bounds: 4",
         "_cmd_bounds: ('2', '3')"]
+    key_chains = (
+        "def parse(text):\n"
+        "    if key == 'gamma':\n"
+        "        return {'n': 1}\n"
+        "def _serialized_parts(matrix):\n"
+        "    yield f'rho={matrix.row_limit}'\n"
+        "class TestMatrix:\n"
+        "    def _init(self, repeat_k):\n"
+        "        if repeat_k < 1:\n"
+        "            raise ValueError('k')\n"
+        "    def parse(self):\n"
+        "        return 'tag'\n"
+        "_HEADER_FIELDS = (('gamma', 'col_limit', None),)\n"
+    )
+    assert _header_key_constants(key_chains) == [
+        "parse", "parse: 'gamma'", "_serialized_parts", "_serialized_parts: 'rho='",
+        "TestMatrix._init", "TestMatrix._init: 'k'"]
