@@ -218,6 +218,8 @@ _MAX_ITEMS = 2**31
 # incidences per item range and per block of rows of the column index build
 _INDEX_RANGE = 1 << 18
 _INDEX_BLOCK = 1 << 16
+# gathered entries per piece of a ragged row gather (256 KiB of int32)
+_ROW_CHUNK = 1 << 16
 
 
 def _key_dtype(num_items: int, shift: int) -> type:
@@ -601,12 +603,32 @@ def _ragged(starts: np.ndarray, lengths: np.ndarray, size: int) -> np.ndarray:
     return positions
 
 
-def _select_rows(matrix: TestMatrix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CSR arrays of the given rows of ``matrix``, in the given order (a
-    ragged gather)."""
+def _row_chunks(matrix: TestMatrix,
+                rows: np.ndarray) -> tuple[np.ndarray, Iterator[tuple[int, np.ndarray]]]:
+    """The CSR offsets of the given rows of ``matrix`` in the given order,
+    and their indices as pieces of about ``_ROW_CHUNK`` entries: an
+    iterator of ``(offset, piece)``, gathered one piece at a time (a ragged
+    gather in bounded scratch). A row longer than ``_ROW_CHUNK`` is one
+    piece."""
     starts = matrix.indptr[rows]
     lengths = matrix.indptr[rows + 1] - starts
-    return _offsets(lengths), np.take(matrix.indices, _ragged(starts, lengths, matrix.indices.size))
+    indptr = _offsets(lengths)
+    cuts = _cuts(indptr, _ROW_CHUNK)
+    pieces = ((int(indptr[a]), np.take(matrix.indices,
+                                       _ragged(starts[a:b], lengths[a:b], matrix.indices.size)))
+              for a, b in zip(cuts, cuts[1:]))
+    return indptr, pieces
+
+
+def _select_rows(matrix: TestMatrix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR arrays of the given rows of ``matrix``, in the given order: int64
+    offsets and int32 indices, written piece by piece into the one array
+    (:func:`_row_chunks`), ready for :func:`_adopt_csr`."""
+    indptr, pieces = _row_chunks(matrix, rows)
+    indices = np.empty(int(indptr[-1]), dtype=np.int32)
+    for at, piece in pieces:
+        indices[at : at + piece.size] = piece
+    return indptr, indices
 
 
 @dataclass(frozen=True)
@@ -943,17 +965,24 @@ def _broken_repeat_group(matrix: TestMatrix) -> int | None:
     """The first group of ``repeat_k`` consecutive rows that are not all
     copies of the group's first row, or None when every group is: the
     repetition check of validate and the majority plan. The row count must
-    be a multiple of ``repeat_k``."""
+    be a multiple of ``repeat_k``.
+
+    The rows are compared with their groups' first rows one gathered piece
+    of :func:`_row_chunks` at a time, and the check stops at the first piece
+    that differs: it holds a few per-row arrays and one piece, never a
+    second copy of the indices."""
     firsts = np.repeat(np.arange(0, matrix.num_tests, matrix.repeat_k), matrix.repeat_k)
     lengths = matrix.row_weights()
     uneven = np.flatnonzero(lengths != lengths[firsts])
     # the rows before the first one whose length differs from its group's
     # first row line up entry for entry with the copies of the first rows
     rows = int(uneven[0]) if uneven.size else matrix.num_tests
-    _, copies = _select_rows(matrix, firsts[:rows])
-    differ = np.flatnonzero(copies != matrix.indices[: copies.size])
-    if differ.size:
-        rows = int(_row_of(matrix.indptr, differ[0]))
+    _, pieces = _row_chunks(matrix, firsts[:rows])
+    for at, copies in pieces:
+        differ = np.flatnonzero(copies != matrix.indices[at : at + copies.size])
+        if differ.size:
+            rows = int(_row_of(matrix.indptr, at + differ[0]))
+            break
     return rows // matrix.repeat_k if rows < matrix.num_tests else None
 
 

@@ -61,6 +61,7 @@ from .core import (
     TAG_HYPERGRID,
     TAG_REPEATED,
     TestMatrix,
+    _adopt_csr,
     _broken_repeat_group,
     _index_dtype,
     _key_pairs,
@@ -476,7 +477,8 @@ class MajorityPlan(ComaPlan):
     ``decode_bits`` reads observed outcomes as the flips of all-negative
     base outcomes, which gives the same votes. The plan refuses a repeated
     design whose groups are not copies, which
-    :func:`~sparsegt.core.validate` reports as ``repetition``.
+    :func:`~sparsegt.core.validate` reports as ``repetition``, and keeps
+    the base rows it gathers without a copy.
     """
 
     kind = "majority"
@@ -499,7 +501,7 @@ class MajorityPlan(ComaPlan):
             )
         self.k = k
         indptr, indices = _select_rows(matrix, np.arange(0, matrix.num_tests, k))
-        super().__init__(TestMatrix.from_csr(indptr, indices, matrix.num_items))
+        super().__init__(_adopt_csr(indptr, indices, matrix.num_items))
 
     def decode_bits(self, bits: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray]:
         _, estimate, _, _ = self.decode_pairs(_NO_ITEMS, _NO_ITEMS, 1, bits[None])

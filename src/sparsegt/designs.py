@@ -353,6 +353,11 @@ def repeat_design(matrix: TestMatrix, k: int) -> TestMatrix:
 
     k = 1 returns the matrix unchanged. The per-item budget scales to
     k * col_limit; the per-test budget is unchanged.
+
+    The int32 indices of the k copies are allocated once and written in
+    place, a gathered piece of about 2**16 entries at a time, and the
+    matrix keeps that array: besides it, the build holds a few per-row
+    arrays and one piece.
     """
     if k < 1:
         raise InvalidParameterError("repetition count k must be >= 1")
@@ -362,7 +367,7 @@ def repeat_design(matrix: TestMatrix, k: int) -> TestMatrix:
         raise InvalidParameterError("matrix is already a repeated design")
     _check_size(matrix.num_tests * k, matrix.ones_count() * k)
     indptr, indices = _select_rows(matrix, np.repeat(np.arange(matrix.num_tests), k))
-    return TestMatrix.from_csr(
+    return _adopt_csr(
         indptr,
         indices,
         num_items=matrix.num_items,

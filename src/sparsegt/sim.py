@@ -84,7 +84,12 @@ SIM_CSV_HEADER = (
 def derive_trial_seed(master_seed: int, trial: int) -> int:
     """Fixed 64-bit mix of (master seed, trial index): splitmix64 output of
     master + (trial+1) * golden-ratio increment. Part of the public
-    reproducibility contract; do not change."""
+    reproducibility contract; do not change. Both arguments must be
+    integers (Python or NumPy, which give the same seed) and not negative,
+    else :class:`InvalidParameterError`."""
+    master_seed, trial = _integer(master_seed, "master_seed"), _integer(trial, "trial")
+    if master_seed < 0 or trial < 0:
+        raise InvalidParameterError("master_seed and trial must be >= 0")
     z = (master_seed + (trial + 1) * _GOLDEN64) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64

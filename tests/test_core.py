@@ -29,7 +29,8 @@ from sparsegt.core import (
     serialize_outcomes,
     validate,
 )
-from sparsegt.designs import permuted_block_rho_design
+from sparsegt.decoders import make_plan
+from sparsegt.designs import permuted_block_rho_design, repeat_design
 
 # the 3x3 grid over 9 items: axis-0 tests are columns, axis-1 tests are rows
 GRID9 = TestMatrix(
@@ -49,10 +50,20 @@ def large_design():
     return matrix
 
 
+@pytest.fixture(scope="module")
+def repeated_design():
+    """perfbench's noisy-repeated design: a permuted-rho design over
+    n = 1000 items (T = 300 tests of 50 items) repeated 65 times, 975 000
+    incidences."""
+    base = permuted_block_rho_design(1000, 10, 50, 0.5, np.random.default_rng(1))
+    matrix = repeat_design(base, 65)
+    assert matrix.ones_count() == 975_000
+    return matrix
+
+
 def _uncached(matrix):
     """An equal matrix with nothing computed on it yet."""
-    return TestMatrix.from_csr(matrix.indptr, matrix.indices, matrix.num_items,
-                               matrix.col_limit, matrix.row_limit, matrix.design_tag)
+    return TestMatrix.from_csr(matrix.indptr, matrix.indices, *matrix._metadata())
 
 
 def _peak_bytes(call) -> int:
@@ -378,6 +389,30 @@ class TestSetUpMemory:
         peak = _peak_bytes(matrix.column_index)
         assert peak <= 12 * large_design.ones_count()
         assert np.array_equal(matrix.column_index()[1], large_design.column_index()[1])
+
+    def test_repeat_design(self, repeated_design):
+        """The int32 indices of the 65 copies, written in place one gathered
+        piece of 2**16 entries at a time, a few per-row arrays and one
+        piece: about 6. One gather of all the copies, through an int32
+        position array, and a copy of it into the matrix peak near 16.6."""
+        base = permuted_block_rho_design(1000, 10, 50, 0.5, np.random.default_rng(1))
+        peak = _peak_bytes(lambda: repeat_design(base, 65))
+        assert peak <= 8 * repeated_design.ones_count()
+
+    def test_majority_plan(self, repeated_design):
+        """The copy check, one gathered piece at a time, and the base rows
+        (1/65 of the design), kept without a copy: about 2.2. A whole
+        second copy of the indices to compare against peaks near 16.8."""
+        matrix = _uncached(repeated_design)
+        peak = _peak_bytes(lambda: make_plan(matrix, "majority"))
+        assert peak <= 4 * repeated_design.ones_count()
+
+    def test_validate_repeated(self, repeated_design):
+        """A bool per entry for each check, and the copy check in bounded
+        pieces: about 2.7, where a whole second copy peaks near 17.4."""
+        matrix = _uncached(repeated_design)
+        peak = _peak_bytes(lambda: validate(matrix))
+        assert peak <= 4 * repeated_design.ones_count()
 
     def test_kept_column_index_is_narrow(self, large_design):
         """Below 65 536 tests the index keeps its tests in 2 bytes: with its

@@ -4,9 +4,12 @@ These run standalone (pytest tests/test_properties.py) and back the spot
 checks in the other files with randomized coverage.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from sparsegt import core
 from sparsegt.core import (
     DefectiveSet,
     TestMatrix,
@@ -23,6 +26,7 @@ from sparsegt.designs import (
     hypergrid_design,
     permuted_block_rho_design,
     random_gamma_design,
+    repeat_design,
 )
 from sparsegt.sim import (
     SimConfig,
@@ -66,6 +70,61 @@ class TestSerializationProperties:
     @settings(max_examples=50, deadline=None)
     def test_generated_matrices_are_valid(self, matrix):
         assert validate(matrix) == []
+
+
+@st.composite
+def repeated_cases(draw):
+    """(base, k, chunk, corrupted rows): a base design over at most 8 items
+    of 0 to 8 rows of uneven lengths (empty rows included), a repeat count
+    k of 2 to 5, a gather piece of 1 to 4 entries so that groups straddle
+    the cuts, and the rows of the repeated design with one copy in the
+    first, a middle or the last group changed, dropped short or extended."""
+    n = draw(st.integers(1, 8))
+    base_rows = draw(st.lists(st.sets(st.integers(0, n - 1), max_size=n).map(sorted),
+                              max_size=8))
+    base = TestMatrix(rows=base_rows, num_items=n)
+    k = draw(st.integers(2, 5))
+    rows = [list(row) for row in base_rows for _ in range(k)]
+    if base_rows:
+        group = {"first": 0, "middle": len(base_rows) // 2,
+                 "last": len(base_rows) - 1}[draw(st.sampled_from(["first", "middle", "last"]))]
+        row = rows[group * k + draw(st.integers(0, k - 1))]
+        action = draw(st.sampled_from(["change", "drop", "add"])) if row else "add"
+        if action == "add":
+            row.insert(draw(st.integers(0, len(row))), draw(st.integers(0, n - 1)))
+        else:
+            at = draw(st.integers(0, len(row) - 1))
+            if action == "change":
+                row[at] = draw(st.integers(0, n - 1))
+            else:
+                del row[at]
+    return base, k, draw(st.integers(1, 4)), rows
+
+
+class TestRepeatedDesignChunks:
+    """Building and checking repeated designs one gathered piece at a time
+    gives what one gather of every row gives, wherever the pieces cut."""
+
+    @given(repeated_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_pieces_match_one_gather(self, case):
+        base, k, chunk, rows = case
+        repeated_rows = np.repeat(np.arange(base.num_tests), k)
+        starts = base.indptr[repeated_rows]
+        lengths = base.indptr[repeated_rows + 1] - starts
+        want = np.take(base.indices, core._ragged(starts, lengths, base.indices.size))
+        with mock.patch.object(core, "_ROW_CHUNK", chunk):
+            built = repeat_design(base, k)
+            corrupted = TestMatrix(rows=rows, num_items=base.num_items, design_tag="repeated",
+                                   base_tag="custom", repeat_k=k)
+            assert core._broken_repeat_group(built) is None
+            broken = core._broken_repeat_group(corrupted)
+        assert np.array_equal(built.indices, want)
+        assert built.indices.dtype == np.int32
+        assert built.rows == tuple(row for row in base.rows for _ in range(k))
+        groups = [rows[g : g + k] for g in range(0, len(rows), k)]
+        assert broken == next(
+            (g for g, group in enumerate(groups) if any(row != group[0] for row in group)), None)
 
 
 class TestChannelProperties:

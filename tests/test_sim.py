@@ -94,6 +94,23 @@ class TestTrialSeeds:
         assert derive_trial_seed(42, 1) == 2949826092126892291
         assert derive_trial_seed(43, 0) == 13432527470776545160
 
+    def test_numpy_integers_give_the_python_seed(self):
+        for seed, trial in ((5, 3), (42, 0), (2**63 - 1, 7)):
+            want = derive_trial_seed(seed, trial)
+            assert derive_trial_seed(np.int64(seed), np.int64(trial)) == want
+            assert derive_trial_seed(np.uint64(seed), np.int32(trial)) == want
+            assert type(derive_trial_seed(np.int64(seed), trial)) is int
+
+    @pytest.mark.parametrize("args", [(5.0, 3), (5, 3.0), (True, 3), (5, None), ("5", 3)])
+    def test_refuses_a_non_integer(self, args):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            derive_trial_seed(*args)
+
+    @pytest.mark.parametrize("args", [(-1, 3), (5, -1), (np.int64(-1), 0)])
+    def test_refuses_a_negative_seed_or_trial(self, args):
+        with pytest.raises(InvalidParameterError, match="must be >= 0"):
+            derive_trial_seed(*args)
+
 
 class TestRunMonteCarlo:
     def test_zero_error_design(self):
