@@ -603,6 +603,14 @@ def _ragged(starts: np.ndarray, lengths: np.ndarray, size: int) -> np.ndarray:
     return positions
 
 
+def _rows_with(cells: np.ndarray) -> np.ndarray:
+    """Which rows of a 2-D bool array hold a set cell: one ``flatnonzero``,
+    much faster than ``any(axis=1)`` when few cells are set."""
+    rows = np.zeros(len(cells), dtype=bool)
+    rows[np.flatnonzero(cells) // max(1, cells.shape[1])] = True
+    return rows
+
+
 def _row_chunks(matrix: TestMatrix,
                 rows: np.ndarray) -> tuple[np.ndarray, Iterator[tuple[int, np.ndarray]]]:
     """The CSR offsets of the given rows of ``matrix`` in the given order,
@@ -700,6 +708,13 @@ def _integer(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InvalidParameterError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def _check_generator(rng) -> None:
+    """Refuse an ``rng`` that is not a ``numpy.random.Generator``."""
+    if not isinstance(rng, np.random.Generator):
+        raise InvalidParameterError(
+            f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
 
 
 def iceil(x: float) -> int:
@@ -832,6 +847,7 @@ def apply_noise(outcomes: Outcomes, sigma: float, rng: np.random.Generator) -> O
     """
     if not 0.0 <= sigma < 0.5:
         raise InvalidParameterError("sigma must lie in [0, 1/2)")
+    _check_generator(rng)
     if sigma == 0.0:
         return outcomes
     flips = np.empty(outcomes.num_tests, dtype=bool)

@@ -16,9 +16,9 @@ take, n times its fewest tests per item, before any float formula, so n or
 gamma beyond float range is refused there too. The grids count their tests
 exactly, from the (at most two) block sizes.
 
-Randomized constructors take an explicit ``numpy.random.Generator``; equal
-generators yield identical matrices and leave the generator in the same
-state, also when they refuse.
+Randomized constructors take an explicit ``numpy.random.Generator``, and
+refuse any other ``rng``; equal generators yield identical matrices and
+leave the generator in the same state, also when they refuse.
 """
 
 from __future__ import annotations
@@ -47,8 +47,12 @@ from .core import (
     TestMatrix,
     int_root_ceil,
     _adopt_csr,
+    _check_generator,
     _index_dtype,
+    _integer,
+    _key_dtype,
     _offsets,
+    _rows_with,
     _select_rows,
 )
 
@@ -68,6 +72,8 @@ __all__ = [
 # the most tests and (item, test) incidences any constructor builds
 _MAX_TESTS = 10_000_000
 _MAX_INCIDENCES = 100_000_000
+# groups drawn per piece of a random-gamma design
+_GROUP_PIECE = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -226,39 +232,39 @@ def random_gamma_design(
     from ``rng.integers(0, T)``. A group that repeats a test is rejected,
     and item i takes the i-th accepted group, in stream order: the matrix
     and the generator's end state are those of drawing each item's group
-    with its own call and redrawing until it has gamma distinct tests. The
-    groups are drawn in rounds, each of the groups still needed.
+    with its own call and redrawing until it has gamma distinct tests.
+
+    The groups are drawn in pieces of at most ``_GROUP_PIECE``, never more
+    than are still needed. Item i's tests t become its keys ``t << b | i``
+    (b the bits of n - 1), in 32 bits where they fit. Sorted in place, the
+    keys hold the rows in order, each row's items increasing, in their low
+    bits. Besides the matrix the build holds the keys and one piece.
     """
     DesignParams(n, d, epsilon=epsilon, gamma=gamma)
+    _check_generator(rng)
     _check_size(0, n * gamma)
     num_tests = random_gamma_test_count(n, d, gamma, epsilon)
     _check_size(num_tests, n * gamma)
-    # For T <= _MAX_TESTS < 2**32, one call of size (m, gamma) makes the
-    # same 32-bit draws (Lemire's bounded method) as m calls of size gamma.
-    # A round draws only the groups still needed, so no draw follows the
-    # last accepted group.
-    accepted, need = [], n
-    while need:
-        groups = rng.integers(0, num_tests, size=(need, gamma))
+    bits = int(n - 1).bit_length()
+    keys = np.empty((n, gamma), dtype=_key_dtype(num_tests, bits))
+    done = 0
+    while done < n:
+        # For T <= _MAX_TESTS < 2**32, one call of m groups makes the same
+        # 32-bit draws (Lemire's method), int32 or int64, as m calls.
+        groups = rng.integers(0, num_tests, (min(n - done, _GROUP_PIECE), gamma), np.int32)
         ordered = np.sort(groups, axis=1)
-        groups = groups[~(ordered[:, 1:] == ordered[:, :-1]).any(axis=1)]
-        accepted.append(groups)
-        need -= len(groups)
-    # a stable sort by test keeps each row's items in increasing order
-    tests = np.concatenate(accepted).ravel()
-    indptr = _offsets(np.bincount(tests, minlength=num_tests))
-    order = np.argsort(tests, kind="stable")
-    del tests
-    items = np.empty(order.size, dtype=np.int32)  # n <= 2**31
-    np.floor_divide(order, gamma, out=items, casting="unsafe")
-    return _adopt_csr(
-        indptr,
-        items,
-        num_items=n,
-        col_limit=gamma,
-        row_limit=None,
-        design_tag=TAG_RANDOM_GAMMA,
-    )
+        groups = groups[~_rows_with(ordered[:, 1:] == ordered[:, :-1])].astype(keys.dtype)
+        item = np.arange(done, done + len(groups), dtype=keys.dtype)[:, None]
+        keys[done : done + len(groups)] = groups << bits | item
+        done += len(groups)
+    keys = keys.reshape(-1)
+    keys.sort()
+    indptr = np.append(np.searchsorted(keys, np.arange(num_tests, dtype=keys.dtype) << bits),
+                       keys.size)
+    items = np.empty(keys.size, dtype=np.int32)  # n <= 2**31
+    np.bitwise_and(keys, (1 << bits) - 1, out=items, casting="unsafe")
+    return _adopt_csr(indptr, items, num_items=n, col_limit=gamma, row_limit=None,
+                      design_tag=TAG_RANDOM_GAMMA)
 
 
 def hypergrid_design(n: int, gamma: int) -> TestMatrix:
@@ -303,6 +309,7 @@ def permuted_block_rho_design(
     decoder err with probability at most n^(-zeta) for d defectives.
     """
     DesignParams(n, d, rho=rho, zeta=zeta)
+    _check_generator(rng)
     _check_size(ceil_div(n, rho), n)  # one pass at least
     c = permuted_constant(n, d, rho, zeta)
     _check_size(c * ceil_div(n, rho), c * n)
@@ -359,6 +366,7 @@ def repeat_design(matrix: TestMatrix, k: int) -> TestMatrix:
     matrix keeps that array: besides it, the build holds a few per-row
     arrays and one piece.
     """
+    k = _integer(k, "repetition count k")
     if k < 1:
         raise InvalidParameterError("repetition count k must be >= 1")
     if k == 1:

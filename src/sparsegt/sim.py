@@ -54,6 +54,7 @@ from .core import (
     _or_bits,
     _or_gather,
     _pair_keys,
+    _rows_with,
 )
 from .decoders import make_plan
 
@@ -102,7 +103,9 @@ def _trial_rng(master_seed: int, trial: int) -> np.random.Generator:
 
 
 def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
-    """95% Wilson score interval for a binomial proportion."""
+    """95% Wilson score interval for a binomial proportion; both counts
+    are ints or NumPy integers."""
+    errors, trials = _integer(errors, "errors"), _integer(trials, "trials")
     if trials < 0 or errors < 0 or errors > trials:
         raise InvalidParameterError("need 0 <= errors <= trials")
     if trials == 0:
@@ -322,14 +325,6 @@ def _floyd_draws(states: tuple[np.ndarray, ...], n: int,
     rows = np.flatnonzero(_rows_with(picks[:, 1:] == picks[:, :-1]))
     picks[rows] = _floyd_replay(draws[rows], n, d)
     return picks, flagged
-
-
-def _rows_with(cells: np.ndarray) -> np.ndarray:
-    """Which rows of a 2-D bool array hold a set cell: one ``flatnonzero``,
-    much faster than ``any(axis=1)`` when few cells are set."""
-    rows = np.zeros(len(cells), dtype=bool)
-    rows[np.flatnonzero(cells) // max(1, cells.shape[1])] = True
-    return rows
 
 
 def _floyd_replay(draws: np.ndarray, n: int, d: int) -> np.ndarray:

@@ -30,7 +30,7 @@ from sparsegt.core import (
     validate,
 )
 from sparsegt.decoders import make_plan
-from sparsegt.designs import permuted_block_rho_design, repeat_design
+from sparsegt.designs import permuted_block_rho_design, random_gamma_design, repeat_design
 
 # the 3x3 grid over 9 items: axis-0 tests are columns, axis-1 tests are rows
 GRID9 = TestMatrix(
@@ -163,6 +163,12 @@ class TestApplyNoise:
         y = Outcomes(np.array([True]))
         with pytest.raises(InvalidParameterError):
             apply_noise(y, 0.5, np.random.default_rng(0))
+
+    def test_refuses_what_is_not_a_generator(self):
+        y = Outcomes(np.array([True]))
+        for rng in (None, 7, np.random.RandomState(0)):
+            with pytest.raises(InvalidParameterError, match="must be a numpy.random.Generator"):
+                apply_noise(y, 0.1, rng)
 
 
 class TestValidate:
@@ -368,6 +374,17 @@ class TestSetUpMemory:
         peak = _peak_bytes(
             lambda: permuted_block_rho_design(250_000, 10, 100, 0.5, np.random.default_rng(1)))
         assert peak <= 8 * large_design.ones_count()
+
+    def test_random_gamma_construction(self):
+        """n = 4 * 10**5 items in 3 tests each, 1.2 * 10**6 incidences:
+        the sorted 64-bit keys (T * n is past 2**32) with the int32
+        indices written from them, and one piece of drawn groups: about
+        13.1. Whole-round int64 draws, their concatenation and a stable
+        int64 argsort of it peak near 27.0."""
+        n, gamma = 400_000, 3
+        peak = _peak_bytes(
+            lambda: random_gamma_design(n, 10, gamma, 0.1, np.random.default_rng(42)))
+        assert peak <= 16 * n * gamma
 
     def test_validate(self, large_design):
         """On a valid matrix: a bool per entry for each check, then the

@@ -30,6 +30,7 @@ from sparsegt.designs import (
     random_gamma_design,
     repeat_design,
 )
+from sparsegt.sim import wilson_interval
 
 
 class TestHypergrid:
@@ -407,3 +408,59 @@ class TestPreAllocationGate:
         with pytest.raises(InvalidParameterError) as info:
             call()
         assert str(info.value) == message
+
+
+# a value of each kind that is not an integer, then NumPy integers
+_NOT_INTEGERS = [True, False, 2.5, math.nan, "2", None]
+_NUMPY_INTEGERS = [np.int64(2), np.int32(3), np.uint8(1)]
+
+
+class TestArgumentKinds:
+    @pytest.mark.parametrize("value", _NOT_INTEGERS + _NUMPY_INTEGERS + [7])
+    def test_only_named_errors(self, value):
+        """A generator, a repetition count or a binomial count given as a
+        bool, float, string or None is refused with a ``GroupTestingError``
+        subclass, as an integer is where a generator belongs; integers,
+        NumPy's included, are read as counts."""
+        calls = {
+            "random-gamma rng": lambda: random_gamma_design(100, 2, 2, 0.1, value),
+            "permuted-rho rng": lambda: permuted_block_rho_design(100, 2, 10, 0.5, value),
+            "repeat k": lambda: repeat_design(hypergrid_design(9, 2), value),
+            "wilson errors": lambda: wilson_interval(value, 10),
+            "wilson trials": lambda: wilson_interval(1, value),
+        }
+        integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        for name, call in calls.items():
+            try:
+                call()
+            except GroupTestingError:
+                continue
+            assert integer and not name.endswith("rng"), name
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: random_gamma_design(100, 2, 2, 0.1, None),
+             "rng must be a numpy.random.Generator, got NoneType"),
+            (lambda: permuted_block_rho_design(100, 2, 10, 0.5, 42),
+             "rng must be a numpy.random.Generator, got int"),
+            (lambda: repeat_design(hypergrid_design(9, 2), 2.5),
+             "repetition count k must be an integer, got 2.5"),
+            (lambda: repeat_design(hypergrid_design(9, 2), True),
+             "repetition count k must be an integer, got True"),
+            (lambda: wilson_interval(1, 10.5), "trials must be an integer, got 10.5"),
+            (lambda: wilson_interval("1", 10), "errors must be an integer, got '1'"),
+        ],
+    )
+    def test_the_argument_is_named(self, call, message):
+        with pytest.raises(InvalidParameterError) as info:
+            call()
+        assert str(info.value) == message
+
+    def test_numpy_integers(self):
+        want = random_gamma_design(300, 2, 3, 0.1, np.random.default_rng(4))
+        assert random_gamma_design(np.int64(300), np.int32(2), np.uint8(3), 0.1,
+                                   np.random.default_rng(4)) == want
+        base = hypergrid_design(9, 2)
+        assert repeat_design(base, np.int64(2)) == repeat_design(base, 2)
+        assert wilson_interval(np.int64(3), np.uint16(10)) == wilson_interval(3, 10)

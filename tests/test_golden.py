@@ -11,6 +11,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from sparsegt import designs
 from sparsegt.core import DesignParams, Prior, PRIOR_UNIFORM_EXACT, serialize
 from sparsegt.designs import (
     block_binary_rho_design,
@@ -27,6 +28,10 @@ SEED = 42
 
 def _rng():
     return np.random.default_rng(SEED)
+
+
+def _digest(matrix) -> str:
+    return hashlib.sha256(serialize(matrix).encode()).hexdigest()
 
 
 DESIGNS = {
@@ -70,7 +75,31 @@ DESIGNS = {
 @pytest.mark.parametrize("name", sorted(DESIGNS))
 def test_serialized_design_bytes(name):
     build, digest = DESIGNS[name]
-    assert hashlib.sha256(serialize(build()).encode()).hexdigest() == digest
+    assert _digest(build()) == digest
+
+
+def test_large_random_gamma_bytes_and_generator_state():
+    """n = 4 * 10**5 and T = 12 946 tests: T * n is past 2**32, so the
+    design's keys take 64 bits."""
+    rng = _rng()
+    matrix = random_gamma_design(400_000, 10, 3, 0.1, rng)
+    assert matrix.num_tests * matrix.num_items > 2**32
+    assert _digest(matrix) == (
+        "f930d12001b3b534830addf90981055a3eb5eeee85163d88dbce683658b16789")
+    state = rng.bit_generator.state
+    assert (state["state"]["state"], state["has_uint32"]) == (
+        0x4FB4868B4F172954E90872FCCD05CF18, 0)
+
+
+def test_heavy_redraw_in_pieces_of_three_groups(monkeypatch):
+    """Pieces of 3 groups: the redraws of rejected groups straddle pieces,
+    and the bytes and the generator's end state stay those of one piece."""
+    digest = DESIGNS["random-gamma-heavy-redraw"][1]
+    whole, pieces = _rng(), _rng()
+    random_gamma_design(2000, 1, 8, 0.4, whole)
+    monkeypatch.setattr(designs, "_GROUP_PIECE", 3)
+    assert _digest(random_gamma_design(2000, 1, 8, 0.4, pieces)) == digest
+    assert pieces.bit_generator.state == whole.bit_generator.state
 
 
 def test_noisy_majority_csv_row():

@@ -1125,6 +1125,22 @@ class TestRandomGammaAgreesWithTheItemLoop:
         assert serialize(got) == serialize(want)
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
+    @given(random_gamma_calls(), st.integers(0, 2**70), st.integers(1, 5), st.booleans())
+    @example((2000, 1, 8, 0.4), 2**33 + 1, 1, False)  # 37 % redrawn, one group a piece
+    @settings(max_examples=80, deadline=None)
+    def test_any_piece_size_and_key_width(self, call, seed, piece, wide):
+        """Pieces of a few groups, so that redraws straddle them, and 64-bit
+        keys where 32 bits would hold them, change neither the bytes nor
+        the generator's end state."""
+        key_dtype = (lambda *_: np.uint64) if wide else designs._key_dtype
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        with mock.patch.object(designs, "_GROUP_PIECE", piece), \
+                mock.patch.object(designs, "_key_dtype", key_dtype):
+            got = random_gamma_design(*call, got_rng)
+        want = ref.random_gamma_design(*call, want_rng)
+        assert serialize(got) == serialize(want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
 
 # ---------------------------------------------------------------------------
 # batch trial harness, every-test-positive decoders and the exact oracle
