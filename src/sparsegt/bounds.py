@@ -32,6 +32,7 @@ from .core import (
     TAG_PERMUTED_RHO,
     TAG_RANDOM_GAMMA,
     TAG_REPEATED,
+    _parameter,
     iceil,
     log_ratio,
 )
@@ -143,8 +144,8 @@ def permuted_constant(n: int, d: int, rho: int, zeta: float) -> int:
 @_in_float_range
 def repetition_count(n: int, sigma: float, zeta: float) -> int:
     """Repetitions per test k = ceil((1+zeta) * ln(n) / (1/2 - sigma)^2)."""
-    if not 0.0 <= sigma < 0.5:
-        raise InvalidParameterError("sigma must lie in [0, 1/2)")
+    n, sigma = _parameter("item count n", n), _parameter("sigma", sigma)
+    zeta = _parameter("count zeta", zeta)
     value = (1.0 + zeta) * math.log(n) / (0.5 - sigma) ** 2
     return iceil(value)
 
@@ -186,6 +187,16 @@ def binary_block_count(n: int, d: int, rho: int, epsilon: float) -> int:
     return iceil(d * d / epsilon)
 
 
+def _required(params: DesignParams, calculator: str, *names: str) -> tuple:
+    """``params``' n, d and fields ``names`` (two or more); if any is None,
+    ``InvalidParameterError`` naming ``calculator`` and all of ``names``."""
+    values = [getattr(params, name) for name in names]
+    if None in values:
+        raise InvalidParameterError(
+            f"{calculator} requires {', '.join(names[:-1])} and {names[-1]}")
+    return (params.n, params.d, *values)
+
+
 # ---------------------------------------------------------------------------
 # lower bounds
 # ---------------------------------------------------------------------------
@@ -197,11 +208,7 @@ def gamma_lower_bound(params: DesignParams) -> BoundReport:
 
     value = gamma * d * (n/d)^((1-5*epsilon)/gamma).
     """
-    if params.gamma is None:
-        raise InvalidParameterError("gamma_lower_bound requires gamma")
-    if params.epsilon is None:
-        raise InvalidParameterError("gamma_lower_bound requires epsilon")
-    n, d, gamma, eps = params.n, params.d, params.gamma, params.epsilon
+    n, d, gamma, eps = _required(params, "gamma_lower_bound", "gamma", "epsilon")
     exponent = (1.0 - 5.0 * eps) / gamma
     value = gamma * d * math.exp(exponent * log_ratio(n, d))
     notes = [
@@ -226,11 +233,7 @@ def rho_lower_bound(params: DesignParams) -> BoundReport:
     value = ((1 - 6*epsilon) / (1 - beta)) * (n / rho), beta = ln(rho)/ln(n/d),
     and 0 for epsilon >= 1/6, where no test count is forced.
     """
-    if params.rho is None:
-        raise InvalidParameterError("rho_lower_bound requires rho")
-    if params.epsilon is None:
-        raise InvalidParameterError("rho_lower_bound requires epsilon")
-    n, d, rho, eps = params.n, params.d, params.rho, params.epsilon
+    n, d, rho, eps = _required(params, "rho_lower_bound", "rho", "epsilon")
     beta = params.beta
     if beta >= 1.0:
         raise RegimeError(
@@ -257,9 +260,7 @@ def rho_lower_bound(params: DesignParams) -> BoundReport:
 # ---------------------------------------------------------------------------
 
 def _upper_random_gamma(params: DesignParams) -> BoundReport:
-    if params.gamma is None or params.epsilon is None:
-        raise InvalidParameterError("random-gamma bound requires gamma and epsilon")
-    value = _random_gamma_value(params.n, params.d, params.gamma, params.epsilon)
+    value = _random_gamma_value(*_required(params, "random-gamma bound", "gamma", "epsilon"))
     return BoundReport(
         name="random-gamma-tests",
         value=value,
@@ -273,9 +274,7 @@ def _upper_random_gamma(params: DesignParams) -> BoundReport:
 
 
 def _upper_block_hypergrid(params: DesignParams) -> BoundReport:
-    if params.gamma is None or params.epsilon is None:
-        raise InvalidParameterError("block-hypergrid bound requires gamma and epsilon")
-    n, d, gamma, eps = params.n, params.d, params.gamma, params.epsilon
+    n, d, gamma, eps = _required(params, "block-hypergrid bound", "gamma", "epsilon")
     log_block = _log_block_size(n, d, eps)
     value = math.exp(math.log(d * d * gamma / eps) + log_block / gamma)
     # gamma multiplies the ceiled block count: with the ceiling taken after
@@ -296,9 +295,7 @@ def _upper_block_hypergrid(params: DesignParams) -> BoundReport:
 
 
 def _upper_permuted_rho(params: DesignParams) -> BoundReport:
-    if params.rho is None or params.zeta is None:
-        raise InvalidParameterError("permuted-rho bound requires rho and zeta")
-    n, d, rho, zeta = params.n, params.d, params.rho, params.zeta
+    n, d, rho, zeta = _required(params, "permuted-rho bound", "rho", "zeta")
     c = permuted_constant(n, d, rho, zeta)
     value = (1.0 + zeta) / ((1.0 - params.alpha) * (1.0 - params.beta)) * (n / rho)
     return BoundReport(
@@ -315,9 +312,7 @@ def _upper_permuted_rho(params: DesignParams) -> BoundReport:
 
 
 def _upper_block_binary(params: DesignParams) -> BoundReport:
-    if params.rho is None or params.epsilon is None:
-        raise InvalidParameterError("block-binary bound requires rho and epsilon")
-    n, d, rho, eps = params.n, params.d, params.rho, params.epsilon
+    n, d, rho, eps = _required(params, "block-binary bound", "rho", "epsilon")
     if binary_regime(n, d, rho, eps) == 1:
         blocks = ceil_div(n, rho)
         per_block = rho.bit_length()  # ceil(log2(rho+1)), integer exact
@@ -344,9 +339,7 @@ def _upper_block_binary(params: DesignParams) -> BoundReport:
 
 
 def _upper_repeated_rho(params: DesignParams) -> BoundReport:
-    if params.rho is None or params.zeta is None or params.sigma is None:
-        raise InvalidParameterError("repeated bound requires rho, zeta and sigma")
-    n, d, rho, zeta, sigma = params.n, params.d, params.rho, params.zeta, params.sigma
+    n, d, rho, zeta, sigma = _required(params, "repeated bound", "rho", "zeta", "sigma")
     c = permuted_constant(n, d, rho, zeta)
     k = repetition_count(n, sigma, zeta)
     value = (
@@ -407,10 +400,8 @@ def noisy_gamma_error_floor(d: int, gamma: int, sigma: float) -> BoundReport:
     probability at least r/(1+r) when each item is defective independently
     with probability d/n and d < n/2.
     """
-    if d < 1 or gamma < 1:
-        raise InvalidParameterError("noisy floor requires d >= 1 and gamma >= 1")
-    if not 0.0 < sigma < 0.5:
-        raise InvalidParameterError("noisy floor requires 0 < sigma < 1/2")
+    d, gamma = _parameter("floor d", d), _parameter("gamma", gamma)
+    sigma = _parameter("floor sigma", sigma)
     r = d * (sigma / (1.0 - sigma)) ** gamma
     return BoundReport(
         name="noisy-gamma-error-floor",

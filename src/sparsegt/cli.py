@@ -41,6 +41,8 @@ from .core import (
     TAG_RANDOM_GAMMA,
     TAG_REPEATED,
     TestMatrix,
+    _PARAMETERS,
+    _parameter,
     _serialized_parts,
     parse,
 )
@@ -105,25 +107,54 @@ class _UsageError(GroupTestingError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that refuses as a usage error: one line, exit 1."""
+
+    def error(self, message: str):
+        raise _UsageError(message)
+
+
+# flag --x-y reads parameter "x y", typed by its kind; the options flags add
+_FLAGS = {
+    "seed": {"default": 0},
+    "trials": {"default": 10_000},
+    "jobs": {"default": 1, "help": "worker processes, at most one per processor (default 1)"},
+    "k": {"help": "repeat count of the design that runs (repeats a design that is not)"},
+    "cap": {"help": f"most defective sets to enumerate (default {_ENUMERATION_CAP})"},
+}
+_DESIGN_FLAGS = ("n", "d", "gamma", "rho", "epsilon", "sigma", "zeta")
+
+
+def _add_flags(p: argparse.ArgumentParser, *names: str, **options) -> None:
+    """Add the flag of each parameter of ``names``, with ``options``."""
+    for name in names:
+        p.add_argument("--" + name.replace(" ", "-"), type=_PARAMETERS[name][1],
+                       **_FLAGS.get(name, {}), **options)
+
+
+def _flag(args: argparse.Namespace, name: str):
+    """The flag of parameter ``name`` as its rule reads it, naming the flag,
+    or None when it is not given."""
+    value = getattr(args, name.replace(" ", "_"))
+    return None if value is None else _parameter(name, value, label="--" + name.replace(" ", "-"))
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sparsegt",
         description="Constrained group testing: designs, simulation, bounds, oracles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_design = sub.add_parser("design", help="construct a design and write it out")
-    _add_family_flags(p_design)
+    p_design.add_argument("--family", choices=list(_FAMILIES), required=True)
+    _add_flags(p_design, *_DESIGN_FLAGS, "seed")
     p_design.add_argument("--out", help="file to write the design to")
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo error estimate")
-    _add_family_flags(p_sim, optional=True)
+    p_sim.add_argument("--family", choices=list(_FAMILIES))
+    _add_flags(p_sim, *_DESIGN_FLAGS, "seed", "trials", "jobs", "k", "target epsilon")
     p_sim.add_argument("--design", help="design file (alternative to --family)")
-    p_sim.add_argument("--trials", type=int, default=10_000)
-    p_sim.add_argument("--jobs", type=int, default=1,
-                       help="worker processes, at most one per processor (default 1)")
-    p_sim.add_argument("--k", type=int,
-                       help="repeat count of the design that runs (repeats a design that is not)")
     p_sim.add_argument(
         "--decoder",
         default="auto",
@@ -133,49 +164,27 @@ def _build_parser() -> argparse.ArgumentParser:
         "--prior", default="exact", choices=["exact", "bernoulli"],
         help="defective-set prior: uniform size-d (exact) or iid d/n",
     )
-    p_sim.add_argument("--target-epsilon", type=float)
     p_sim.add_argument("--out", help="also append the CSV row to this file")
 
     p_bounds = sub.add_parser("bounds", help="evaluate a bound or error floor")
     p_bounds.add_argument(
         "--theorem", required=True, choices=[*_THEOREMS, "noisy"]
     )
-    p_bounds.add_argument("--n", type=int)
-    p_bounds.add_argument("--d", type=int)
-    p_bounds.add_argument("--gamma", type=int)
-    p_bounds.add_argument("--rho", type=int)
-    p_bounds.add_argument("--epsilon", type=float)
-    p_bounds.add_argument("--sigma", type=float)
-    p_bounds.add_argument("--zeta", type=float)
+    _add_flags(p_bounds, *_DESIGN_FLAGS)
     p_bounds.add_argument("--csv", action="store_true", help="emit a CSV row")
 
     p_oracle = sub.add_parser("oracle", help="exact error by enumeration")
     p_oracle.add_argument(
         "--design", required=True, help="design file, or 'fig1' for the 3x3 grid"
     )
-    p_oracle.add_argument("--d", type=int, required=True)
-    p_oracle.add_argument("--sigma", type=float)
+    _add_flags(p_oracle, "d", required=True)
+    _add_flags(p_oracle, "sigma", "target epsilon", "cap")
     p_oracle.add_argument(
         "--decoder",
         default="auto",
         choices=["auto", *_PLAN_TYPES],
     )
-    p_oracle.add_argument("--target-epsilon", type=float)
-    p_oracle.add_argument("--cap", type=int, help="most defective sets to enumerate "
-                          f"(default {_ENUMERATION_CAP})")
     return parser
-
-
-def _add_family_flags(p: argparse.ArgumentParser, optional: bool = False) -> None:
-    p.add_argument("--family", choices=list(_FAMILIES), required=not optional)
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--gamma", type=int)
-    p.add_argument("--rho", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--zeta", type=float)
-    p.add_argument("--seed", type=int, default=0)
 
 
 def _call(function, args: argparse.Namespace, context: str, **given):
@@ -193,10 +202,8 @@ def _call(function, args: argparse.Namespace, context: str, **given):
 
 
 def _construct(args: argparse.Namespace) -> TestMatrix:
-    if args.seed < 0:
-        raise _UsageError("--seed must be >= 0")
     return _call(_FAMILIES[args.family], args, args.family,
-                 rng=np.random.default_rng(args.seed))
+                 rng=np.random.default_rng(_flag(args, "seed")))
 
 
 def _summary_line(family: str, matrix: TestMatrix) -> str:
@@ -237,13 +244,8 @@ def _cmd_design(args: argparse.Namespace, echo: str) -> int:
     return 0
 
 
-def _check_target(args: argparse.Namespace) -> None:
-    if args.target_epsilon is not None and not 0.0 <= args.target_epsilon <= 1.0:
-        raise _UsageError("--target-epsilon must lie in [0, 1]")
-
-
 def _cmd_simulate(args: argparse.Namespace, echo: str) -> int:
-    _check_target(args)
+    target, k = _flag(args, "target epsilon"), _flag(args, "k")
     d = args.d
     if d is None:
         raise _UsageError("simulate requires --d")
@@ -255,14 +257,12 @@ def _cmd_simulate(args: argparse.Namespace, echo: str) -> int:
         raise _UsageError("simulate needs --design or --family")
     sigma = args.sigma
     # --k is the repeat count of the design that runs
-    if args.k is not None:
-        if args.k < 1:
-            raise _UsageError("--k must be >= 1")
+    if k is not None:
         if matrix.repeat_k == 1:
-            matrix = repeat_design(matrix, args.k)
-        elif args.k != matrix.repeat_k:
+            matrix = repeat_design(matrix, k)
+        elif k != matrix.repeat_k:
             raise _UsageError(
-                f"--k {args.k} differs from the design's repeat count k={matrix.repeat_k}"
+                f"--k {k} differs from the design's repeat count k={matrix.repeat_k}"
             )
     elif sigma is not None and sigma > 0.0 and matrix.design_tag != TAG_REPEATED:
         raise _UsageError(
@@ -286,11 +286,8 @@ def _cmd_simulate(args: argparse.Namespace, echo: str) -> int:
     if args.out:
         with open(args.out, "a", encoding="utf-8") as fh:
             fh.write(echo + "\n" + SIM_CSV_HEADER + "\n" + report.csv_row() + "\n")
-    if args.target_epsilon is not None and report.error_rate > args.target_epsilon:
-        print(
-            f"# target exceeded: error_rate {report.error_rate:.6g} > "
-            f"{args.target_epsilon:.6g}"
-        )
+    if target is not None and report.error_rate > target:
+        print(f"# target exceeded: error_rate {report.error_rate:.6g} > {target:.6g}")
         return 2
     return 0
 
@@ -339,27 +336,24 @@ def _block_error(matrix: TestMatrix, decoder: str, d: int) -> Fraction | None:
 
 
 def _cmd_oracle(args: argparse.Namespace, echo: str) -> int:
-    _check_target(args)
+    target = _flag(args, "target epsilon")
     matrix = _load_design(args.design)
-    if args.sigma is not None and not 0.0 <= args.sigma < 0.5:
-        raise _UsageError("--sigma must lie in [0, 1/2)")
-    if args.sigma and (args.decoder != "auto" or args.cap is not None):
+    sigma = _flag(args, "sigma")
+    if sigma and (args.decoder != "auto" or args.cap is not None):
         raise _UsageError("--decoder and --cap need a noiseless oracle: the MAP oracle "
                           "of --sigma > 0 uses no decoder and caps its own work")
-    cap = _ENUMERATION_CAP if args.cap is None else args.cap
-    if cap < 0:
-        raise _UsageError("--cap must be >= 0")
+    cap = _ENUMERATION_CAP if args.cap is None else _flag(args, "cap")
     print(echo)
-    if args.sigma:
+    if sigma:
         prior = Prior(PRIOR_IID_BERNOULLI, args.d)
-        error = bayes_optimal_error(matrix, args.sigma, prior)
+        error = bayes_optimal_error(matrix, sigma, prior)
         print(f"map_error={error:.6g}")
         col_weights = matrix.column_weights()
         gamma = int(col_weights.max()) if matrix.num_items else 0
         # the floor needs a defective and a tested item; without either, the
         # MAP error alone is the answer
         if gamma >= 1 and args.d >= 1:
-            floor_report = bounds_mod.noisy_gamma_error_floor(args.d, gamma, args.sigma)
+            floor_report = bounds_mod.noisy_gamma_error_floor(args.d, gamma, sigma)
             floor = floor_report.floor or 0.0
             if 2 * args.d >= matrix.num_items:
                 verdict = "n/a"  # the floor assumes d < n/2
@@ -392,21 +386,14 @@ def _cmd_oracle(args: argparse.Namespace, echo: str) -> int:
             if len(groups) > 10:
                 print(f"# ... and {len(groups) - 10} more confusable groups")
         exact_error = float(probability)
-    if args.target_epsilon is not None and exact_error > args.target_epsilon:
-        print(
-            f"# target exceeded: error {exact_error:.6g} > {args.target_epsilon:.6g}"
-        )
+    if target is not None and exact_error > target:
+        print(f"# target exceeded: error {exact_error:.6g} > {target:.6g}")
         return 2
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
     echo = "# cmd: sparsegt " + " ".join(shlex.quote(a) for a in argv)
     commands = {
         "design": _cmd_design,
@@ -415,7 +402,10 @@ def main(argv: list[str] | None = None) -> int:
         "oracle": _cmd_oracle,
     }
     try:
+        args = _build_parser().parse_args(argv)
         return commands[args.command](args, echo)
+    except SystemExit as exc:  # --help
+        return 0 if exc.code in (0, None) else 1
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import warnings
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from functools import cache, cached_property, partial
 from typing import Iterable, Iterator
 
@@ -132,8 +133,7 @@ class Prior:
     def __post_init__(self) -> None:
         if self.kind not in (PRIOR_UNIFORM_EXACT, PRIOR_IID_BERNOULLI):
             raise InvalidParameterError(f"unknown prior kind: {self.kind!r}")
-        if _integer(self.d, "prior defective count d") < 0:
-            raise InvalidParameterError("prior defective count d must be >= 0")
+        object.__setattr__(self, "d", _parameter("prior d", self.d))
 
 
 # ---------------------------------------------------------------------------
@@ -153,13 +153,8 @@ class DefectiveSet:
     universe: int
 
     def __init__(self, items: Iterable[int], universe: int):
-        normalized = tuple(sorted({_integer(i, "item index") for i in items}))
-        if _integer(universe, "universe size") < 0:
-            raise InvalidParameterError("universe size must be >= 0")
-        if normalized and (normalized[0] < 0 or normalized[-1] >= universe):
-            raise InvalidParameterError(
-                f"item indices must lie in [0, {universe}), got {normalized}"
-            )
+        universe = _parameter("universe", universe)
+        normalized = tuple(sorted({_parameter("item", i, n=universe) for i in items}))
         object.__setattr__(self, "items", normalized)
         object.__setattr__(self, "universe", universe)
 
@@ -258,7 +253,7 @@ _HEADER_FIELDS = (
 
 
 def _field_value(key: str, text: str, num_items: int | None, error) -> object:
-    """The value of header field ``key`` (or "n") written as ``text``, else
+    """The value of header field ``key`` (or "T" or "n") written as ``text``, else
     ``error(message)`` raised; with ``num_items`` None, any block offsets."""
     if key in ("tag", "base"):
         if text not in DESIGN_TAGS:
@@ -272,15 +267,14 @@ def _field_value(key: str, text: str, num_items: int | None, error) -> object:
         if num_items and not _well_formed_blocks(starts, num_items):
             raise error("block offsets must start at 0, increase strictly, and stay below n")
         return starts
-    what = {"n": "item count n", "k": "repetition count k"}.get(key, key)
+    name = {"n": "item count n", "T": "test count T"}.get(key, key)
     try:
         value = int(text)
     except ValueError:
-        raise error(f"{what} must be an integer, got {text!r}") from None
-    if value < 1:
-        raise error(f"{what} must be >= 1, got {value}")
+        raise error(f"{_PARAMETERS[name][0]} must be an integer, got {text!r}") from None
+    value = _parameter(name, value, error=lambda message: error(f"{message}, got {value}"))
     if key == "n" and value > _MAX_ITEMS:
-        raise error(f"{what} must be <= {_MAX_ITEMS}, got {value}")
+        raise error(f"item count n must be <= {_MAX_ITEMS}, got {value}")
     return value
 
 
@@ -349,7 +343,7 @@ class TestMatrix:
         base_tag: str | None = None,
         repeat_k: int = 1,
     ):
-        rows = [[_integer(i, "item index") for i in row] for row in rows]
+        rows = [[_parameter("row item", i) for i in row] for row in rows]
         indptr = _offsets([len(row) for row in rows])
         try:
             indices = np.array([i for row in rows for i in row], dtype=np.int64)
@@ -639,6 +633,72 @@ def _select_rows(matrix: TestMatrix, rows: np.ndarray) -> tuple[np.ndarray, np.n
     return indptr, indices
 
 
+# ---------------------------------------------------------------------------
+# named parameters
+# ---------------------------------------------------------------------------
+
+# Each named parameter's words, kind and range (the paper's, for epsilon,
+# sigma and zeta), the one place a range is written; an upper end n is the
+# item count its reader passes. One entry per range, named for its readers.
+_PARAMETERS = {
+    "n": ("n", int, "[2, inf)"),  # with a d below it
+    "item count n": ("item count n", int, "[1, inf)"),  # without a d
+    "test count T": ("test count T", int, "[0, inf)"),  # design-file header
+    "row weight": ("row weight", int, "[0, inf)"),  # design-file rows
+    "d": ("d", int, "[1, n)"),
+    "oracle d": ("d", int, "[0, n]"),  # exact oracles
+    "floor d": ("d", int, "[1, inf)"),  # noisy error floor
+    "prior d": ("prior defective count d", int, "[0, inf)"),
+    "gamma": ("gamma", int, "[1, inf)"),
+    "rho": ("rho", int, "[1, inf)"),
+    "k": ("repetition count k", int, "[1, inf)"),
+    "trials": ("trials", int, "[0, inf)"),
+    "errors": ("errors", int, "[0, n]"),  # of n trials
+    "seed": ("master_seed", int, "[0, inf)"),
+    "trial": ("trial", int, "[0, inf)"),
+    "jobs": ("parallelism", int, "[1, inf)"),
+    "cap": ("cap", int, "[0, inf)"),
+    "universe": ("universe size", int, "[0, inf)"),
+    "item": ("item index", int, "[0, n)"),  # DefectiveSet
+    "row item": ("item index", int, "(-inf, inf)"),  # TestMatrix rows, which validate checks
+    "epsilon": ("epsilon", float, "(0, 1/2)"),  # DesignParams, random_gamma_design
+    "block epsilon": ("epsilon", float, "(0, 1)"),  # the two block families
+    "sigma": ("sigma", float, "[0, 1/2)"),
+    "floor sigma": ("sigma", float, "(0, 1/2)"),  # noisy error floor
+    "zeta": ("zeta", float, "(0, inf)"),
+    "count zeta": ("zeta", float, "(-inf, inf)"),  # repetition_count
+    "target epsilon": ("target epsilon", float, "[0, 1]"),  # the CLI's error target
+}
+# each kind's types (bools aside) and its name in a refusal
+_KINDS = {int: ((int, np.integer), "an integer"), float: (numbers.Real, "a real number")}
+
+
+def _parameter(name: str, value, n: int | None = None, label: str | None = None,
+               error=InvalidParameterError):
+    """``value`` as the Python int or float that parameter ``name`` takes by
+    its rule in ``_PARAMETERS``. A bool, another value not of its kind, nan
+    and a value outside its range (whose end n is ``n``) raise
+    ``error(message)``, naming it ``label`` or else the entry's words; the
+    range [a, inf) is worded "must be >= a", any other "must lie in" it."""
+    words, kind, interval = _PARAMETERS[name]
+    label = label or words
+    kinds, noun = _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise error(f"{label} must be {noun}, got {value!r}")
+    try:
+        value = kind(value)
+    except OverflowError:  # an integer beyond float range
+        value = math.inf if value > 0 else -math.inf
+    low, high = (n if end == "n" else 0.5 if end == "1/2" else float(end)
+                 for end in interval[1:-1].split(", "))
+    if ((low < value) if interval[0] == "(" else (low <= value)) and (
+            (value < high) if interval[-1] == ")" else (value <= high)):
+        return value
+    if interval[0] == "[" and high == math.inf:
+        raise error(f"{label} must be >= {low:g}")
+    raise error(f"{label} must lie in {interval.replace(', n', f', {n}')}")
+
+
 @dataclass(frozen=True)
 class DesignParams:
     """Problem parameters shared by constructions and bound calculators.
@@ -647,7 +707,8 @@ class DesignParams:
     ``epsilon``, per-item test budget ``gamma``, per-test item budget ``rho``,
     channel flip probability ``sigma``, and rate exponent ``zeta`` (used where
     the target error is expressed as a power of n). ``alpha`` and ``beta`` are
-    the derived sparsity exponents d = n^alpha and rho = (n/d)^beta.
+    the derived sparsity exponents d = n^alpha and rho = (n/d)^beta. Each
+    field is read by its rule in ``_PARAMETERS``, as a Python int or float.
     """
 
     n: int
@@ -659,22 +720,11 @@ class DesignParams:
     zeta: float | None = None
 
     def __post_init__(self) -> None:
-        if _integer(self.n, "n") < 2:
-            raise InvalidParameterError("n must be >= 2")
-        if not 1 <= _integer(self.d, "d") < self.n:
-            raise InvalidParameterError("d must satisfy 1 <= d < n")
-        if self.epsilon is not None and not 0.0 < self.epsilon < 0.5:
-            raise InvalidParameterError("epsilon must lie in (0, 1/2)")
-        if self.gamma is not None and _integer(self.gamma, "gamma") < 1:
-            raise InvalidParameterError("gamma must be >= 1")
-        if self.rho is not None and _integer(self.rho, "rho") < 1:
-            raise InvalidParameterError("rho must be >= 1")
-        if self.sigma is not None and not 0.0 <= self.sigma < 0.5:
-            raise InvalidParameterError("sigma must lie in [0, 1/2)")
-        if self.zeta is not None and not self.zeta > 0.0:
-            raise InvalidParameterError("zeta must be > 0")
-        if self.zeta is not None and math.isinf(self.zeta):
-            raise InvalidParameterError("zeta must be finite")
+        # n first, as d's range reads it; an optional field may stay None
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if value is not None or field.default is MISSING:
+                object.__setattr__(self, field.name, _parameter(field.name, value, n=self.n))
 
     @property
     def alpha(self) -> float:
@@ -701,13 +751,6 @@ class DesignParams:
 # ---------------------------------------------------------------------------
 # numeric helpers
 # ---------------------------------------------------------------------------
-
-
-def _integer(value, what: str) -> int:
-    """``value`` as an int, refusing all but ints and NumPy integers."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidParameterError(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _check_generator(rng) -> None:
@@ -743,9 +786,7 @@ def log_ratio(num: int, den: int | float) -> float:
 
 
 def int_root_ceil(value: int, k: int) -> int:
-    """Smallest integer b with b**k >= value, for value >= 1 (exact)."""
-    if value < 1 or k < 1:
-        raise InvalidParameterError("int_root_ceil requires value >= 1 and k >= 1")
+    """Smallest integer b with b**k >= value, for value and k >= 1 (exact)."""
     b = max(1, round(value ** (1.0 / k)))
     while b > 1 and (b - 1) ** k >= value:
         b -= 1
@@ -845,8 +886,7 @@ def apply_noise(outcomes: Outcomes, sigma: float, rng: np.random.Generator) -> O
 
     sigma = 0 returns the input unchanged and consumes no randomness.
     """
-    if not 0.0 <= sigma < 0.5:
-        raise InvalidParameterError("sigma must lie in [0, 1/2)")
+    sigma = _parameter("sigma", sigma)
     _check_generator(rng)
     if sigma == 0.0:
         return outcomes
@@ -1140,12 +1180,7 @@ def parse(text: str) -> TestMatrix:
     error = partial(ParseError, header_no)
     if len(tokens) < 2:
         raise error("header needs at least 'T n'")
-    try:
-        num_tests = int(tokens[0])
-    except ValueError:
-        raise error(f"test count T must be an integer, got {tokens[0]!r}") from None
-    if num_tests < 0:
-        raise error(f"test count T must be >= 0, got {num_tests}")
+    num_tests = _field_value("T", tokens[0], None, error)
     num_items = _field_value("n", tokens[1], None, error)
     field_of = {key: field for key, field, _ in _HEADER_FIELDS}
     fields = {}
@@ -1268,8 +1303,8 @@ def _read_rows(body: list[tuple[int, str]], num_items: int) -> tuple[np.ndarray,
             raise ParseError(line_no, f"row entries must be integers: {line!r}") from None
         weight = numbers[0]
         indices = numbers[1:]
-        if weight < 0:
-            raise ParseError(line_no, f"row weight must be >= 0, got {weight}")
+        _parameter("row weight", weight,
+                   error=lambda message: ParseError(line_no, f"{message}, got {weight}"))
         if len(indices) != weight:
             raise ParseError(
                 line_no, f"row declares weight {weight} but lists {len(indices)} indices"

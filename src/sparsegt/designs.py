@@ -7,9 +7,9 @@ that passes :func:`~sparsegt.core.validate` and, where the underlying count
 formula is emitted exactly, agrees with the matching
 :func:`~sparsegt.bounds.upper_bound_tests` report.
 
-The constructors that take ``d`` check their arguments by the rules of
-:class:`~sparsegt.core.DesignParams`; the two block families take
-``epsilon`` in (0, 1) instead. Every constructor refuses with
+Each constructor reads its arguments by their rules in the one parameter
+table, ``sparsegt.core._PARAMETERS``, where each range is written: the two
+block families take ``epsilon`` in (0, 1). Every constructor refuses with
 ``ResourceCapError``, before it allocates, a design of more than 10**7
 tests or 10**8 incidences. It checks the fewest incidences its items can
 take, n times its fewest tests per item, before any float formula, so n or
@@ -35,7 +35,6 @@ from .bounds import (
     random_gamma_test_count,
 )
 from .core import (
-    DesignParams,
     InvalidParameterError,
     ResourceCapError,
     TAG_BLOCK_BINARY_RHO,
@@ -49,9 +48,9 @@ from .core import (
     _adopt_csr,
     _check_generator,
     _index_dtype,
-    _integer,
     _key_dtype,
     _offsets,
+    _parameter,
     _rows_with,
     _select_rows,
 )
@@ -107,8 +106,7 @@ class HypergridShape:
 
 def _grid_powers(size: int, gamma: int) -> tuple[int, list[int]]:
     """The base of a grid and the powers base**a that lie below ``size``."""
-    if size < 1 or gamma < 1:
-        raise InvalidParameterError("hypergrid needs size >= 1 and gamma >= 1")
+    size, gamma = _parameter("item count n", size), _parameter("gamma", gamma)
     _check_size(gamma, 0)  # one test per axis at least
     base = int_root_ceil(size, gamma)
     # base >= 2 when size >= 2, so at most log2(size) + 1 powers lie below size
@@ -240,7 +238,8 @@ def random_gamma_design(
     keys hold the rows in order, each row's items increasing, in their low
     bits. Besides the matrix the build holds the keys and one piece.
     """
-    DesignParams(n, d, epsilon=epsilon, gamma=gamma)
+    n, gamma = _parameter("n", n), _parameter("gamma", gamma)
+    d, epsilon = _parameter("d", d, n=n), _parameter("epsilon", epsilon)
     _check_generator(rng)
     _check_size(0, n * gamma)
     num_tests = random_gamma_test_count(n, d, gamma, epsilon)
@@ -273,6 +272,7 @@ def hypergrid_design(n: int, gamma: int) -> TestMatrix:
     Every item joins exactly gamma tests (one per axis). Decodes exactly when
     at most one item is defective.
     """
+    n, gamma = _parameter("item count n", n), _parameter("gamma", gamma)
     _check_size(0, n * gamma)
     _check_size(_grid_tests(n, 1, gamma), n * gamma)
     return _tiled_design(n, (0,), lambda size: _grid_rows(size, gamma),
@@ -286,9 +286,8 @@ def block_hypergrid_design(n: int, d: int, gamma: int, epsilon: float) -> TestMa
     sharing a block an epsilon-rare event; each block then only has to handle
     a single defective, which its grid does exactly.
     """
-    DesignParams(n, d, gamma=gamma)
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidParameterError("epsilon must lie in (0, 1)")
+    n, gamma = _parameter("n", n), _parameter("gamma", gamma)
+    d, epsilon = _parameter("d", d, n=n), _parameter("block epsilon", epsilon)
     _check_size(0, n * gamma)
     num_blocks = min(hypergrid_block_count(d, epsilon), n)
     _check_size(_grid_tests(n, num_blocks, gamma), n * gamma)
@@ -308,7 +307,8 @@ def permuted_block_rho_design(
     c = ceil((1+zeta)/((1-alpha)(1-beta))) makes the every-test-positive
     decoder err with probability at most n^(-zeta) for d defectives.
     """
-    DesignParams(n, d, rho=rho, zeta=zeta)
+    n, rho = _parameter("n", n), _parameter("rho", rho)
+    d, zeta = _parameter("d", d, n=n), _parameter("zeta", zeta)
     _check_generator(rng)
     _check_size(ceil_div(n, rho), n)  # one pass at least
     c = permuted_constant(n, d, rho, zeta)
@@ -343,9 +343,8 @@ def block_binary_rho_design(n: int, d: int, rho: int, epsilon: float) -> TestMat
     labels whose bit r is set, so a lone defective reads off its own label.
     The all-zero pattern is reserved for "no defective in this block".
     """
-    DesignParams(n, d, rho=rho)
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidParameterError("epsilon must lie in (0, 1)")
+    n, rho = _parameter("n", n), _parameter("rho", rho)
+    d, epsilon = _parameter("d", d, n=n), _parameter("block epsilon", epsilon)
     _check_size(0, n)  # every label has a bit set
     num_blocks = min(binary_block_count(n, d, rho, epsilon), n)
     bits = ceil_div(n, num_blocks).bit_length()  # tests of the largest block
@@ -366,9 +365,7 @@ def repeat_design(matrix: TestMatrix, k: int) -> TestMatrix:
     matrix keeps that array: besides it, the build holds a few per-row
     arrays and one piece.
     """
-    k = _integer(k, "repetition count k")
-    if k < 1:
-        raise InvalidParameterError("repetition count k must be >= 1")
+    k = _parameter("k", k)
     if k == 1:
         return matrix
     if matrix.repeat_k > 1:

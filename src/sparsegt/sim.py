@@ -49,11 +49,11 @@ from .core import (
     ResourceCapError,
     TestMatrix,
     _index_dtype,
-    _integer,
     _noise_flips,
     _or_bits,
     _or_gather,
     _pair_keys,
+    _parameter,
     _rows_with,
 )
 from .decoders import make_plan
@@ -88,9 +88,7 @@ def derive_trial_seed(master_seed: int, trial: int) -> int:
     reproducibility contract; do not change. Both arguments must be
     integers (Python or NumPy, which give the same seed) and not negative,
     else :class:`InvalidParameterError`."""
-    master_seed, trial = _integer(master_seed, "master_seed"), _integer(trial, "trial")
-    if master_seed < 0 or trial < 0:
-        raise InvalidParameterError("master_seed and trial must be >= 0")
+    master_seed, trial = _parameter("seed", master_seed), _parameter("trial", trial)
     z = (master_seed + (trial + 1) * _GOLDEN64) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -105,9 +103,8 @@ def _trial_rng(master_seed: int, trial: int) -> np.random.Generator:
 def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion; both counts
     are ints or NumPy integers."""
-    errors, trials = _integer(errors, "errors"), _integer(trials, "trials")
-    if trials < 0 or errors < 0 or errors > trials:
-        raise InvalidParameterError("need 0 <= errors <= trials")
+    trials = _parameter("trials", trials)
+    errors = _parameter("errors", errors, n=trials)
     if trials == 0:
         return (0.0, 1.0)
     p = errors / trials
@@ -136,14 +133,8 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         # as Python ints, which the 64-bit seed arithmetic needs
-        for name in ("trials", "master_seed", "parallelism"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if self.trials < 0:
-            raise InvalidParameterError("trials must be >= 0")
-        if self.parallelism < 1:
-            raise InvalidParameterError("parallelism must be >= 1")
-        if self.master_seed < 0:
-            raise InvalidParameterError("master_seed must be >= 0")
+        for name, rule in (("trials", "trials"), ("master_seed", "seed"), ("parallelism", "jobs")):
+            object.__setattr__(self, name, _parameter(rule, getattr(self, name)))
         if self.params.d != self.prior.d:
             raise InvalidParameterError(
                 f"params.d={self.params.d} but the prior's d is {self.prior.d}"
@@ -631,10 +622,7 @@ def run_monte_carlo(matrix: TestMatrix, decoder: str, config: SimConfig) -> SimR
 def _count_sets(n: int, d: int, cap: int) -> int:
     """C(n, d), refusing a d outside [0, n], a negative ``cap`` or a count
     above ``cap``."""
-    if not 0 <= _integer(d, "d") <= n:
-        raise InvalidParameterError(f"d must lie in [0, {n}]")
-    if _integer(cap, "cap") < 0:
-        raise InvalidParameterError(f"cap must be >= 0, not {cap}")
+    d, cap = _parameter("oracle d", d, n=n), _parameter("cap", cap)
     total = math.comb(n, d)
     if total > cap:
         raise ResourceCapError(
@@ -666,8 +654,7 @@ def block_collision_error(matrix: TestMatrix, d: int) -> Fraction:
     symmetric polynomial, in Python integers. A strict block decoder errs on
     exactly these sets. A matrix without blocks is one block."""
     n = matrix.num_items
-    if not 0 <= _integer(d, "d") <= n:
-        raise InvalidParameterError(f"d must lie in [0, {n}]")
+    d = _parameter("oracle d", d, n=n)
     sizes = collections.Counter(end - start for start, end in matrix.block_bounds())
     spread = [1] + [0] * d  # e_0 .. e_d of the sizes so far
     for size, count in sizes.items():
@@ -725,10 +712,8 @@ def bayes_optimal_error(matrix: TestMatrix, sigma: float, prior: Prior) -> float
             f"exact enumeration capped at n <= {_BAYES_MAX_ITEMS} and "
             f"T <= {_BAYES_MAX_TESTS}; got n={n}, T={num_tests}"
         )
-    if not 0.0 <= sigma < 0.5:
-        raise InvalidParameterError("sigma must lie in [0, 1/2)")
-    if prior.d > n:
-        raise InvalidParameterError(f"prior d={prior.d} exceeds n={n}")
+    sigma = _parameter("sigma", sigma)
+    _parameter("oracle d", prior.d, n=n)
 
     # input x holds item i when bit i of x is set; its signature has bit t
     # set when test t is positive

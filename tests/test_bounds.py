@@ -62,10 +62,10 @@ class TestGammaLowerBound:
         assert values == sorted(values)
 
     def test_requires_gamma_and_epsilon(self):
-        with pytest.raises(InvalidParameterError):
-            gamma_lower_bound(DesignParams(n=100, d=2, epsilon=0.1))
-        with pytest.raises(InvalidParameterError):
-            gamma_lower_bound(DesignParams(n=100, d=2, gamma=2))
+        for params in (DesignParams(n=100, d=2, epsilon=0.1), DesignParams(n=100, d=2, gamma=2)):
+            with pytest.raises(InvalidParameterError) as info:
+                gamma_lower_bound(params)
+            assert str(info.value) == "gamma_lower_bound requires gamma and epsilon"
 
 
 class TestRhoLowerBound:
@@ -120,6 +120,13 @@ class TestScalarHelpers:
     def test_repetition_count_grows_with_sigma(self):
         counts = [repetition_count(1000, s, 0.5) for s in (0.05, 0.1, 0.2, 0.3)]
         assert counts == sorted(counts)
+
+    def test_repetition_count_refuses_bools(self):
+        """False and True read as 0 and 1 here once, giving k = 37."""
+        with pytest.raises(InvalidParameterError, match="sigma must be a real number, got False"):
+            repetition_count(100, False, True)
+        with pytest.raises(InvalidParameterError, match="zeta must be a real number, got True"):
+            repetition_count(100, 0.0, True)
 
     def test_binary_regime_split(self):
         assert binary_regime(10_000, 5, 20, 0.1) == 1
@@ -257,6 +264,12 @@ class TestNoisyFloor:
     def test_floor_approaches_half_as_sigma_approaches_half(self):
         rep = noisy_gamma_error_floor(1, 3, 0.4999999)
         assert rep.floor == pytest.approx(0.5, abs=1e-5)
+
+    def test_a_numpy_sigma_gives_the_python_float_floor(self):
+        """A float32 sigma computed the floor in single precision once."""
+        rep = noisy_gamma_error_floor(2, 2, np.float32(0.1))
+        assert type(rep.value) is float and type(rep.floor) is float
+        assert rep == noisy_gamma_error_floor(2, 2, float(np.float32(0.1)))
 
     def test_floor_decreases_with_gamma(self):
         floors = [noisy_gamma_error_floor(3, g, 0.2).floor for g in (1, 2, 3, 4)]

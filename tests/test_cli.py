@@ -444,8 +444,7 @@ class TestOracleCommand:
         assert out[1:] == ["map_error=0"]
         code, _, err = run(capsys, "bounds", "--theorem", "noisy", "--d", "0", "--gamma", "2",
                            "--sigma", "0.1")
-        assert code == 1
-        assert "requires d >= 1" in err
+        assert (code, err) == (1, "error: d must be >= 1\n")
 
     def test_confusable_groups_above_the_listing_cap_not_listed(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_LIST_CAP", 10)

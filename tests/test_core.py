@@ -164,6 +164,11 @@ class TestApplyNoise:
         with pytest.raises(InvalidParameterError):
             apply_noise(y, 0.5, np.random.default_rng(0))
 
+    def test_refuses_a_bool_sigma(self):
+        y = Outcomes(np.array([True]))
+        with pytest.raises(InvalidParameterError, match="sigma must be a real number, got False"):
+            apply_noise(y, False, np.random.default_rng(0))
+
     def test_refuses_what_is_not_a_generator(self):
         y = Outcomes(np.array([True]))
         for rng in (None, 7, np.random.RandomState(0)):
@@ -539,6 +544,16 @@ class TestDesignParams:
             DesignParams(n=10, d=1, sigma=0.5)
         with pytest.raises(InvalidParameterError):
             DesignParams(n=10, d=1, zeta=0.0)
+
+    def test_fields_are_python_numbers_and_bools_are_refused(self):
+        p = DesignParams(n=np.int64(10), d=np.int32(2), epsilon=np.float32(0.1), sigma=0,
+                         zeta=np.int64(1))
+        assert p == DesignParams(n=10, d=2, epsilon=float(np.float32(0.1)), sigma=0.0, zeta=1.0)
+        assert [type(v) for v in (p.n, p.d, p.epsilon, p.sigma, p.zeta)] == [
+            int, int, float, float, float]
+        with pytest.raises(InvalidParameterError) as info:
+            DesignParams(10, 2, sigma=False)
+        assert str(info.value) == "sigma must be a real number, got False"
 
     def test_beta_requires_rho(self):
         with pytest.raises(InvalidParameterError):

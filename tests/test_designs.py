@@ -386,20 +386,22 @@ class TestPreAllocationGate:
         "call, message",
         [
             (lambda: random_gamma_design(1, 1, 2, 0.1, None), "n must be >= 2"),
-            (lambda: random_gamma_design(10, 0, 2, 0.1, None), "d must satisfy 1 <= d < n"),
+            (lambda: random_gamma_design(10, 0, 2, 0.1, None), "d must lie in [1, 10)"),
             (lambda: random_gamma_design(10, 2, 0, 0.1, None), "gamma must be >= 1"),
             (lambda: random_gamma_design(10, 2, 2, 0.5, None), "epsilon must lie in (0, 1/2)"),
-            (lambda: hypergrid_design(0, 2), "hypergrid needs size >= 1 and gamma >= 1"),
-            (lambda: hypergrid_design(9, 0), "hypergrid needs size >= 1 and gamma >= 1"),
-            (lambda: block_hypergrid_design(10, 10, 2, 0.5), "d must satisfy 1 <= d < n"),
+            (lambda: hypergrid_design(0, 2), "item count n must be >= 1"),
+            (lambda: hypergrid_design(9, 0), "gamma must be >= 1"),
+            (lambda: block_hypergrid_design(10, 10, 2, 0.5), "d must lie in [1, 10)"),
             (lambda: block_hypergrid_design(10, 2, 0, 0.5), "gamma must be >= 1"),
             (lambda: block_hypergrid_design(10, 2, 2, 1.0), "epsilon must lie in (0, 1)"),
             (lambda: permuted_block_rho_design(1, 1, 2, 0.5, None), "n must be >= 2"),
             (lambda: permuted_block_rho_design(10, 2, 0, 0.5, None), "rho must be >= 1"),
-            (lambda: permuted_block_rho_design(10, 2, 2, 0.0, None), "zeta must be > 0"),
-            (lambda: permuted_block_rho_design(10, 2, 2, math.nan, None), "zeta must be > 0"),
-            (lambda: permuted_block_rho_design(10, 2, 2, math.inf, None), "zeta must be finite"),
-            (lambda: block_binary_rho_design(10, -1, 2, 0.5), "d must satisfy 1 <= d < n"),
+            (lambda: permuted_block_rho_design(10, 2, 2, 0.0, None), "zeta must lie in (0, inf)"),
+            (lambda: permuted_block_rho_design(10, 2, 2, math.nan, None),
+             "zeta must lie in (0, inf)"),
+            (lambda: permuted_block_rho_design(10, 2, 2, math.inf, None),
+             "zeta must lie in (0, inf)"),
+            (lambda: block_binary_rho_design(10, -1, 2, 0.5), "d must lie in [1, 10)"),
             (lambda: block_binary_rho_design(10, 2, 0, 0.5), "rho must be >= 1"),
             (lambda: block_binary_rho_design(10, 2, 2, math.nan), "epsilon must lie in (0, 1)"),
         ],
@@ -450,6 +452,8 @@ class TestArgumentKinds:
              "repetition count k must be an integer, got True"),
             (lambda: wilson_interval(1, 10.5), "trials must be an integer, got 10.5"),
             (lambda: wilson_interval("1", 10), "errors must be an integer, got '1'"),
+            (lambda: hypergrid_design("10", 2), "item count n must be an integer, got '10'"),
+            (lambda: hypergrid_design(10, 2.0), "gamma must be an integer, got 2.0"),
         ],
     )
     def test_the_argument_is_named(self, call, message):

@@ -5,8 +5,9 @@ the ``rows`` tuples that a ``TestMatrix`` still offers callers. The CLI
 picks a family or theorem by one table lookup, with no chain of
 comparisons. Only the header table ``core._HEADER_FIELDS`` spells the
 design-file header keys; the parser, the writer and the ``TestMatrix``
-constructor read them from it. The check reads the source with ``ast`` and
-the standard library alone."""
+constructor read them from it. Only the parameter table
+``core._PARAMETERS`` and its reader write a parameter's range. The check
+reads the source with ``ast`` and the standard library alone."""
 
 import ast
 import pathlib
@@ -49,8 +50,7 @@ _DISPATCHERS = ("_construct", "_cmd_bounds")
 def _dispatch_compares(source: str) -> list[str]:
     """"function: operand" for each comparison operand in the top-level
     functions named in ``_DISPATCHERS`` (each function's name first) that
-    holds a ``TAG_*`` name or a constant other than None, 0 (the --seed
-    check) and "noisy"."""
+    holds a ``TAG_*`` name or a constant other than None and "noisy"."""
     found = []
     for function in ast.parse(source).body:
         if isinstance(function, ast.FunctionDef) and function.name in _DISPATCHERS:
@@ -61,7 +61,7 @@ def _dispatch_compares(source: str) -> list[str]:
                 for operand in [compare.left, *compare.comparators]:
                     if any((isinstance(leaf, ast.Name) and leaf.id.startswith("TAG_"))
                            or (isinstance(leaf, ast.Constant)
-                               and leaf.value not in (None, 0, "noisy"))
+                               and leaf.value not in (None, "noisy"))
                            for leaf in ast.walk(operand)):
                         found.append(f"{function.name}: {ast.unparse(operand)}")
     return found
@@ -88,6 +88,38 @@ def _header_key_constants(source: str) -> list[str]:
                              if isinstance(leaf, ast.Constant)
                              and leaf.value in _HEADER_KEYS + tuple(k + "=" for k in _HEADER_KEYS))
                 return
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+# the reader of the parameter table, which words every range refusal
+_RANGE_READERS = ("core._parameter",)
+_RANGE_WORDS = ("must lie in", "must be >", "must be finite")
+
+
+def _range_checks(source: str, module: str) -> list[str]:
+    """"scope: text" for each string constant (an f-string's parts
+    included) that words a range refusal, and each comparison with the
+    constant 0.5, outside ``_RANGE_READERS``; the scope is the module and
+    the qualified name of the enclosing function or class."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+        where = ".".join([module] + scope)
+        if where in _RANGE_READERS:
+            return
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and any(words in node.value for words in _RANGE_WORDS)):
+            found.append(f"{where}: {node.value!r}")
+        if isinstance(node, ast.Compare) and any(
+                isinstance(operand, ast.Constant) and operand.value == 0.5
+                for operand in [node.left, *node.comparators]):
+            found.append(f"{where}: {ast.unparse(node)}")
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
@@ -126,6 +158,11 @@ def test_only_the_header_table_spells_the_header_keys():
     assert sorted(_header_key_constants(source)) == sorted(_HEADER_READERS)
 
 
+def test_only_the_parameter_table_writes_a_range():
+    found = [check for path in SOURCES for check in _range_checks(path.read_text(), path.stem)]
+    assert not found, "a range written outside core._PARAMETERS: " + "; ".join(found)
+
+
 def test_the_checks_see_what_they_exist_for():
     """A call in a function and a read of ``rows`` in a method are found;
     an attribute named but not called is no call, and a keyword ``rows=``
@@ -152,8 +189,8 @@ def test_the_checks_see_what_they_exist_for():
         "        return 1\n"
     )
     assert _dispatch_compares(if_chains) == [
-        "_construct", "_construct: TAG_HYPERGRID", "_cmd_bounds", "_cmd_bounds: 4",
-        "_cmd_bounds: ('2', '3')"]
+        "_construct", "_construct: 0", "_construct: TAG_HYPERGRID", "_cmd_bounds",
+        "_cmd_bounds: 4", "_cmd_bounds: ('2', '3')"]
     key_chains = (
         "def parse(text):\n"
         "    if key == 'gamma':\n"
@@ -171,3 +208,22 @@ def test_the_checks_see_what_they_exist_for():
     assert _header_key_constants(key_chains) == [
         "parse", "parse: 'gamma'", "_serialized_parts", "_serialized_parts: 'rho='",
         "TestMatrix._init", "TestMatrix._init: 'k'"]
+    ranges = (
+        "def apply_noise(outcomes, sigma, rng):\n"
+        "    if not 0.0 <= sigma < 0.5 or 1 < 0.25:\n"
+        "        raise InvalidParameterError('sigma must lie in [0, 1/2)')\n"
+        "class DesignParams:\n"
+        "    def __post_init__(self):\n"
+        "        if self.zeta <= 0:\n"
+        "            raise InvalidParameterError(f'{self.zeta} must be > 0')\n"
+        "_LIMIT = 'cap must be finite'\n"
+        "def _parameter(name, value):\n"
+        "    if value >= 0.5:\n"
+        "        raise InvalidParameterError(f'{name} must lie in (0, 1/2)')\n"
+        "    return 'n must be an integer'\n"
+    )
+    assert _range_checks(ranges, "core") == [
+        "core.apply_noise: 0.0 <= sigma < 0.5",
+        "core.apply_noise: 'sigma must lie in [0, 1/2)'",
+        "core.DesignParams.__post_init__: ' must be > 0'",
+        "core: 'cap must be finite'"]
