@@ -115,8 +115,9 @@ def ceil_div(a: int, b: int) -> int:
 @_in_float_range
 def random_gamma_test_count(n: int, d: int, gamma: int, epsilon: float) -> int:
     """ceil(e * gamma * d * (n/epsilon)^(1/gamma))."""
-    value = _random_gamma_value(n, d, gamma, epsilon)
-    return iceil(value)
+    n, gamma = _parameter("n", n), _parameter("gamma", gamma)
+    d, epsilon = _parameter("d", d, n=n), _parameter("epsilon", epsilon)
+    return iceil(_random_gamma_value(n, d, gamma, epsilon))
 
 
 def _random_gamma_value(n: int, d: int, gamma: int, epsilon: float) -> float:
@@ -133,6 +134,8 @@ def permuted_constant(n: int, d: int, rho: int, zeta: float) -> int:
     which is numerically stable where the factored form accumulates rounding
     that can push an exact integer just above itself.
     """
+    n, rho = _parameter("n", n), _parameter("rho", rho)
+    d, zeta = _parameter("d", d, n=n), _parameter("zeta", zeta)
     if d * rho >= n:
         raise RegimeError(
             f"permuted design needs d*rho < n, got d*rho={d * rho} >= n={n}"
@@ -169,6 +172,8 @@ def binary_regime(n: int, d: int, rho: int, epsilon: float) -> int:
     (ties included): the error budget binds and there are ceil(d^2/epsilon)
     blocks. Compared in logs, so n may exceed float range.
     """
+    n, rho = _parameter("n", n), _parameter("rho", rho)
+    d, epsilon = _parameter("d", d, n=n), _parameter("block epsilon", epsilon)
     if math.log(rho) < _log_block_size(n, d, epsilon) + math.log1p(-1e-9):
         return 1
     return 2
@@ -177,11 +182,14 @@ def binary_regime(n: int, d: int, rho: int, epsilon: float) -> int:
 @_in_float_range
 def hypergrid_block_count(d: int, epsilon: float) -> int:
     """ceil(d^2/epsilon) blocks keep the collision probability below epsilon."""
+    d, epsilon = _parameter("floor d", d), _parameter("block epsilon", epsilon)
     return iceil(d * d / epsilon)
 
 
 @_in_float_range
 def binary_block_count(n: int, d: int, rho: int, epsilon: float) -> int:
+    n, rho = _parameter("n", n), _parameter("rho", rho)
+    d, epsilon = _parameter("d", d, n=n), _parameter("block epsilon", epsilon)
     if binary_regime(n, d, rho, epsilon) == 1:
         return ceil_div(n, rho)
     return iceil(d * d / epsilon)

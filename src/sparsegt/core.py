@@ -647,11 +647,12 @@ _PARAMETERS = {
     "row weight": ("row weight", int, "[0, inf)"),  # design-file rows
     "d": ("d", int, "[1, n)"),
     "oracle d": ("d", int, "[0, n]"),  # exact oracles
-    "floor d": ("d", int, "[1, inf)"),  # noisy error floor
+    "floor d": ("d", int, "[1, inf)"),  # noisy error floor, hypergrid block count
     "prior d": ("prior defective count d", int, "[0, inf)"),
     "gamma": ("gamma", int, "[1, inf)"),
     "rho": ("rho", int, "[1, inf)"),
     "k": ("repetition count k", int, "[1, inf)"),
+    "blocks": ("num_blocks", int, "[1, inf)"),  # balanced_block_starts
     "trials": ("trials", int, "[0, inf)"),
     "errors": ("errors", int, "[0, n]"),  # of n trials
     "seed": ("master_seed", int, "[0, inf)"),
@@ -673,6 +674,18 @@ _PARAMETERS = {
 _KINDS = {int: ((int, np.integer), "an integer"), float: (numbers.Real, "a real number")}
 
 
+def _rule(words: str, kind: type, interval: str) -> tuple:
+    """An entry of ``_PARAMETERS`` as ``_parameter`` reads it: its words and
+    kind, its interval's ends (None for n), whether each is open, and the
+    interval."""
+    low, high = (None if end == "n" else 0.5 if end == "1/2" else float(end)
+                 for end in interval[1:-1].split(", "))
+    return words, kind, low, high, interval[0] == "(", interval[-1] == ")", interval
+
+
+_RULES = {name: _rule(*entry) for name, entry in _PARAMETERS.items()}  # read once
+
+
 def _parameter(name: str, value, n: int | None = None, label: str | None = None,
                error=InvalidParameterError):
     """``value`` as the Python int or float that parameter ``name`` takes by
@@ -680,21 +693,21 @@ def _parameter(name: str, value, n: int | None = None, label: str | None = None,
     and a value outside its range (whose end n is ``n``) raise
     ``error(message)``, naming it ``label`` or else the entry's words; the
     range [a, inf) is worded "must be >= a", any other "must lie in" it."""
-    words, kind, interval = _PARAMETERS[name]
+    words, kind, low, high, open_low, open_high, interval = _RULES[name]
     label = label or words
-    kinds, noun = _KINDS[kind]
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise error(f"{label} must be {noun}, got {value!r}")
-    try:
-        value = kind(value)
-    except OverflowError:  # an integer beyond float range
-        value = math.inf if value > 0 else -math.inf
-    low, high = (n if end == "n" else 0.5 if end == "1/2" else float(end)
-                 for end in interval[1:-1].split(", "))
-    if ((low < value) if interval[0] == "(" else (low <= value)) and (
-            (value < high) if interval[-1] == ")" else (value <= high)):
+    if type(value) is not kind:
+        kinds, noun = _KINDS[kind]
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise error(f"{label} must be {noun}, got {value!r}")
+        try:
+            value = kind(value)
+        except OverflowError:  # an integer beyond float range
+            value = math.inf if value > 0 else -math.inf
+    high = n if high is None else high
+    if (low < value if open_low else low <= value) and (
+            value < high if open_high else value <= high):
         return value
-    if interval[0] == "[" and high == math.inf:
+    if not open_low and high == math.inf:
         raise error(f"{label} must be >= {low:g}")
     raise error(f"{label} must lie in {interval.replace(', n', f', {n}')}")
 

@@ -168,8 +168,7 @@ def balanced_block_starts(n: int, num_blocks: int) -> tuple[int, ...]:
     at most one; more blocks than items would force empty blocks, and a
     partition into singletons is already collision-free.
     """
-    if n < 1 or num_blocks < 1:
-        raise InvalidParameterError("partition needs n >= 1 and num_blocks >= 1")
+    n, num_blocks = _parameter("item count n", n), _parameter("blocks", num_blocks)
     nb = min(num_blocks, n)
     return tuple(i * n // nb for i in range(nb))
 

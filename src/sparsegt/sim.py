@@ -8,13 +8,15 @@ trial range across workers reproduces the sequential result bit for bit.
 
 The harness draws those trials in one pipeline. For each chunk of
 thousands of trials it computes in numpy the trial seeds and the ``PCG64``
-states that NumPy's ``SeedSequence`` seeding gives them. For noiseless
-trials under the uniform prior with at most ``_replica_cap(n)`` defectives
-(85 to 165, growing with n), it replays on the whole chunk from those
-states the Floyd sampler behind ``Generator.choice(n, d, replace=False)``,
-and only a trial whose draws may have hit a rejection is drawn by a
-generator. Every other trial (noisy runs, the iid prior, d past the cap)
-is drawn in trial order by one reused ``PCG64`` set to its state. The
+states that NumPy's ``SeedSequence`` seeding gives them. For trials
+under the uniform prior with at most ``_replica_cap(n)`` defectives (85 to
+165, growing with n), it replays on the whole chunk from those states the
+Floyd sampler behind ``Generator.choice(n, d, replace=False)``, and only a
+trial whose draws may have hit a rejection is drawn by a generator. On a
+noisy run the replica also computes each trial's generator state after
+``choice``, and one reused ``PCG64`` set to that state draws only the
+trial's noise. Every other trial (the iid prior, d past the cap) is drawn
+in trial order by the reused ``PCG64`` set to its seeded state. The
 replica is checked against ``default_rng`` once per process; on a
 mismatch every trial gets its own ``default_rng``. The results are
 identical either way. The harness then
@@ -277,13 +279,13 @@ def _pcg64_states(seeds: np.ndarray) -> tuple[np.ndarray, ...]:
     return (*_pcg64_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo)
 
 
-def _floyd_draws(states: tuple[np.ndarray, ...], n: int,
-                 d: int) -> tuple[np.ndarray, np.ndarray]:
+def _floyd_draws(states: tuple[np.ndarray, ...], n: int, d: int,
+                 jump: bool = False) -> tuple[np.ndarray, np.ndarray, tuple]:
     """The sorted ``choice(n, d, replace=False)`` of a generator set to each
     of ``states`` (``_pcg64_states`` of a chunk of trials) as a (trials, d)
-    int64 array, where ``choice`` takes its Floyd branch and n < 2**32; and
-    a mask of the trials where a draw may have been rejected, whose rows
-    are not the contract's.
+    int64 array, where ``choice`` takes its Floyd branch and n < 2**32; a
+    mask of the trials where a draw may have been rejected, whose rows are
+    not the contract's; and the state each trial's generator resumes from.
 
     Floyd's sampler draws v_k uniform on [0, j_k], j_k = n - d + k, for
     k = 0 .. d - 1, and keeps v_k unless it is already taken, else j_k. Each
@@ -292,7 +294,13 @@ def _floyd_draws(states: tuple[np.ndarray, ...], n: int,
     low 32 bits fall below (2**32 - j - 1) mod (j + 1), which needs them
     below j + 1. NumPy draws nothing for j = 0, which occurs only at d = n,
     where every set holds all n items. The shuffle that follows does not
-    change the sorted set, and a noiseless trial draws nothing after it.
+    change the sorted set; it draws one half on [0, i] for i = d - 1 .. 1.
+
+    A trial resumes from its state in ``states`` and calls ``choice`` if
+    flagged. With ``jump``, for trials that draw noise next, the shuffle's
+    halves are flagged too, every trial is flagged at d = 0 or d = n, and
+    an unflagged trial resumes after ``choice``: its state advanced d
+    outputs, with the high half of the last one buffered.
 
     A step keeps its j only when its draw is already taken. In a row of
     distinct draws no step does, as every earlier pick is an earlier draw,
@@ -302,20 +310,28 @@ def _floyd_draws(states: tuple[np.ndarray, ...], n: int,
     hi, lo, inc_hi, inc_lo = states
     count = hi.size
     bound = np.arange(n - d, n, dtype=np.uint64) + 1  # j + 1
-    halves = np.empty((count, d + d % 2), dtype=np.uint64)
-    for k in range(0, d, 2):
+    if jump:
+        bound = np.concatenate([bound, np.arange(d, 1, -1, dtype=np.uint64)])
+    halves = np.empty((count, bound.size + bound.size % 2), dtype=np.uint64)
+    for k in range(0, bound.size, 2):
         hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
         # XSL-RR output: the xor of the state's halves, rotated right by its top 6 bits
         folded, rot = hi ^ lo, hi >> 58
         out = (folded >> rot) | (folded << ((64 - rot) & 63))
         halves[:, k], halves[:, k + 1] = out & _LOW32, out >> 32
-    scaled = halves[:, :d] * bound
+    scaled = halves[:, : bound.size] * bound
     flagged = _rows_with((scaled & _LOW32) < bound)
-    draws = (scaled >> 32).astype(np.int64)
+    draws = (scaled[:, :d] >> 32).astype(np.int64)
     picks = np.sort(draws, axis=1)
     rows = np.flatnonzero(_rows_with(picks[:, 1:] == picks[:, :-1]))
     picks[rows] = _floyd_replay(draws[rows], n, d)
-    return picks, flagged
+    if not jump:
+        return picks, flagged, states
+    if d in (0, n):  # no half for j = 0, and none at all at d = 0
+        return picks, np.ones(count, dtype=bool), states
+    resume = [np.where(flagged, seeded, after) for seeded, after in zip(states, (hi, lo))]
+    return picks, flagged, (*resume, inc_hi, inc_lo, (~flagged).astype(np.uint64),
+                            np.where(flagged, 0, halves[:, -1]))
 
 
 def _floyd_replay(draws: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -337,14 +353,13 @@ _REPLICA_CAP_LOG_N = (3.0, 4.0, 5.0)
 _REPLICA_CAP_D = (85, 115, 165)
 
 
-def _replica_covers(prior: Prior, n: int, sigma: float) -> bool:
-    """Whether ``_floyd_draws`` covers a run's draws: noiseless, under the
-    uniform prior, with every bound j + 1 within 32 bits and at most
+def _replica_covers(prior: Prior, n: int) -> bool:
+    """Whether ``_floyd_draws`` covers a run's draws: under the uniform
+    prior, with every bound j + 1 within 32 bits and at most
     :func:`_replica_cap` draws per trial. The replica's cost grows faster
     with d than a generator's: at d = 2000 it draws 20 times slower. Under
     the cap ``choice`` always takes Floyd's branch."""
-    return (sigma == 0.0 and prior.kind == PRIOR_UNIFORM_EXACT and n <= _LOW32
-            and prior.d <= _replica_cap(n))
+    return prior.kind == PRIOR_UNIFORM_EXACT and n <= _LOW32 and prior.d <= _replica_cap(n)
 
 
 def _replica_cap(n: int) -> int:
@@ -353,32 +368,38 @@ def _replica_cap(n: int) -> int:
     return int(np.interp(math.log10(n), _REPLICA_CAP_LOG_N, _REPLICA_CAP_D))
 
 
-# (master seed, n, d) cases on which the replica must reproduce default_rng:
-# a master seed above 2**64, collisions at d = n, a seed below 2**32, n near
-# 2**31, where most draws are flagged, and d = n / 2, where 15 of 16 rows
-# repeat a draw and replay to a set other than their sorted draws
-_REPLICA_CASES = ((2**64 + 42, 10_000, 10), (7, 12, 12), (2**32 - 1, 50, 3),
-                  (42, 2**31 - 1, 2), (0, 20, 10))
+# (master seed, n, d, jump) cases on which the replica must reproduce
+# default_rng: a master seed above 2**64, collisions at d = n, a seed below
+# 2**32, n near 2**31, where most draws are flagged, and d = n / 2, where 15
+# of 16 rows repeat a draw and replay to a set other than their sorted
+# draws; jumps at the noisy benchmark's (10**3, 10), at d = 1 and near 2**31
+_REPLICA_CASES = ((2**64 + 42, 10_000, 10, False), (7, 12, 12, False),
+                  (2**32 - 1, 50, 3, False), (42, 2**31 - 1, 2, False), (0, 20, 10, False),
+                  (42, 1000, 10, True), (5, 50, 1, True), (42, 2**31 - 1, 2, True))
 _REPLICA_CASE_TRIALS = 16
 
 
 @functools.cache
 def _replica_matches() -> bool:
     """Whether this NumPy's ``default_rng`` draws what the replica computes
-    on the trials of ``_REPLICA_CASES``: on every trial, the ``choice`` and
-    then a few doubles of ``_trial_generators``, and on every unflagged
-    trial, the sorted set of ``_floyd_draws``. NumPy does not promise that
-    ``Generator`` streams stay the same across versions; on a mismatch
-    every run seeds and draws each trial through ``default_rng``."""
+    on the trials of ``_REPLICA_CASES``: on every unflagged trial, the
+    sorted set of ``_floyd_draws``; on every trial, the ``choice`` of a
+    generator of ``_trial_generators`` set to its resume state (where it
+    does not resume after ``choice``), then the full generator state and a
+    few doubles. NumPy does not promise that ``Generator`` streams stay the
+    same across versions; on a mismatch every run seeds and draws each
+    trial through ``default_rng``."""
     rows = range(_REPLICA_CASE_TRIALS)
-    for seed, n, d in _REPLICA_CASES:
+    for seed, n, d, jump in _REPLICA_CASES:
         states = _pcg64_states(_trial_seeds(seed, 0, _REPLICA_CASE_TRIALS))
-        picks, flagged = _floyd_draws(states, n, d)
-        for t, rng in zip(rows, _trial_generators(seed, 0, states, rows)):
+        picks, flagged, resume = _floyd_draws(states, n, d, jump)
+        for t, rng in zip(rows, _trial_generators(seed, 0, resume, rows)):
             want = _trial_rng(seed, t)
             chosen = want.choice(n, d, replace=False)
-            if not (np.array_equal(rng.choice(n, d, replace=False), chosen)
+            drawn = rng.choice(n, d, replace=False) if flagged[t] or not jump else chosen
+            if not (np.array_equal(drawn, chosen)
                     and (flagged[t] or np.array_equal(picks[t], np.sort(chosen)))
+                    and rng.bit_generator.state == want.bit_generator.state
                     and np.array_equal(rng.random(4), want.random(4))):
                 return False
     return True
@@ -386,8 +407,9 @@ def _replica_matches() -> bool:
 
 def _trial_generators(master_seed: int, first: int, states, rows):
     """The seeding contract's generators of trials ``first + row`` for each
-    of ``rows``, in order. With ``states``, the ``_pcg64_states`` of the
-    chunk of trials from ``first``, one reused ``PCG64`` is set to each
+    of ``rows``, in order. With ``states``, a chunk's ``_pcg64_states`` or
+    the resume states of ``_floyd_draws`` (which add each trial's
+    ``has_uint32`` and ``uinteger``), one reused ``PCG64`` is set to each
     row's state, which skips NumPy's seeding, and each generator is valid
     until the next is taken; with None, each trial seeds a ``default_rng``."""
     if states is None:
@@ -395,12 +417,13 @@ def _trial_generators(master_seed: int, first: int, states, rows):
         return
     bit_generator = np.random.PCG64()
     rng = np.random.Generator(bit_generator)
-    for hi, lo, inc_hi, inc_lo in zip(*(v[rows].tolist() for v in states)):
+    for hi, lo, inc_hi, inc_lo, *buffered in zip(*(v[rows].tolist() for v in states)):
+        has_uint32, uinteger = buffered or (0, 0)
         bit_generator.state = {
             "bit_generator": "PCG64",
             "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
-            "has_uint32": 0,
-            "uinteger": 0,
+            "has_uint32": has_uint32,
+            "uinteger": uinteger,
         }
         yield rng
 
@@ -494,10 +517,12 @@ def _trial_batches(n: int, num_tests: int, prior: Prior, sigma: float, master_se
     each trial, int64; number of trials; flips of the ``num_tests`` tests or
     None when noiseless). Each chunk of trials gets its PCG64 states at
     once. Where the replica covers the run, ``_floyd_draws`` computes the
-    chunk's sets from them and only its flagged trials are drawn by a
-    generator; elsewhere every trial is, in trial order, with its noise."""
-    floyd = _replica_covers(prior, n, sigma)
-    chunk = _draw_chunk(prior.d if floyd else 0)
+    chunk's sets from them; a generator draws only the flagged trials'
+    sets, and on a noisy run every trial's noise, from the state
+    ``_floyd_draws`` resumes it at. Elsewhere a generator draws every trial,
+    in trial order, with its noise."""
+    replica = _replica_covers(prior, n)
+    chunk = _draw_chunk(prior.d if replica else 0)
     noisy_tests = num_tests if sigma > 0.0 else 0
     draws = np.empty(noisy_tests)  # one trial's noise draws
     flips = np.empty((min(batch, count), noisy_tests), dtype=bool)
@@ -506,16 +531,24 @@ def _trial_batches(n: int, num_tests: int, prior: Prior, sigma: float, master_se
         # the first chunk runs the check, so a zero-trial run never does
         states = (_pcg64_states(_trial_seeds(master_seed, first, size))
                   if _replica_matches() else None)
-        if floyd and states is not None:
-            picks, flagged = _floyd_draws(states, n, prior.d)
-            rows = np.flatnonzero(flagged).tolist()
-            redraws = _trial_generators(master_seed, first, states, rows)
-            for row, rng in zip(rows, redraws):
-                picks[row] = np.sort(rng.choice(n, prior.d, replace=False))
+        if replica and states is not None:
+            picks, flagged, states = _floyd_draws(states, n, prior.d, jump=noisy_tests > 0)
+            flagged_rows = np.flatnonzero(flagged).tolist()
+            redraw = set(flagged_rows)
+            # a noisy run visits every trial, for its noise; a noiseless one the flagged
+            rows = range(size) if noisy_tests else flagged_rows
+            visits = zip(rows, _trial_generators(master_seed, first, states, rows))
             for lo in range(0, size, batch):
                 part = picks[lo : lo + batch]
+                for row, rng in itertools.islice(visits, len(part) if noisy_tests else
+                                                 np.count_nonzero(flagged[lo : lo + batch])):
+                    if row in redraw:
+                        picks[row] = np.sort(rng.choice(n, prior.d, replace=False))
+                    if noisy_tests:
+                        _noise_flips(sigma, rng, draws, flips[row - lo])
                 trial = np.repeat(np.arange(len(part), dtype=_index_dtype(batch)), prior.d)
-                yield trial, part.reshape(-1), len(part), None
+                yield (trial, part.reshape(-1), len(part),
+                       flips[: len(part)] if noisy_tests else None)
             continue
         for lo in range(0, size, batch):
             num_trials = min(batch, size - lo)

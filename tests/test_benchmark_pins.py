@@ -55,7 +55,7 @@ BATCHES = {
     "permuted-rho": (1280, 5461),
     "block-hypergrid": (3120, 9362),
     "block-binary": (3084, 9362),
-    "repeated-permuted-rho": (64, 32768),
+    "repeated-permuted-rho": (64, 5461),
     "permuted-rho-large": (384, 5461),
 }
 
@@ -67,5 +67,5 @@ def test_pinned_batch_sizes(workload, part):
     prior, sigma = Prior(PRIOR_UNIFORM_EXACT, part.d), part.params.sigma or 0.0
     flipped = matrix.num_tests if sigma > 0.0 else 0
     batch = sim._batch_trials(plan.evaluated, part.d, plan.trial_bytes + flipped, plan.batch_step)
-    floyd = sim._replica_covers(prior, matrix.num_items, sigma)
+    floyd = sim._replica_covers(prior, matrix.num_items)
     assert (batch, sim._draw_chunk(part.d if floyd else 0)) == BATCHES[part.name]

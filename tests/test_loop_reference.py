@@ -1211,6 +1211,9 @@ def _key_dtype(limit):
     return np.int32 if limit < 2**31 else np.int64
 
 
+# a repeated design whose noisy runs the replica covers
+_NOISY_MAJORITY = designs.repeat_design(hypergrid_design(36, 2), 5)
+
 # master seeds: small ones, and ones near and above 2**64, which the trial
 # seeds reduce mod 2**64
 master_seeds = st.integers(0, 10**6) | st.integers(2**64 - 10**3, 2**64 + 10**6)
@@ -1297,10 +1300,11 @@ class TestBatchHarnessAgreesWithTheTrialLoop:
         assert dense.shape == (num_trials, num_tests)
 
     @given(harness_cases(), master_seeds, st.integers(0, 60), st.integers(0, 45))
+    @example((_NOISY_MAJORITY, "majority", Prior(PRIOR_UNIFORM_EXACT, 3), 0.2), 2**64 + 9, 7, 45)
     @settings(max_examples=100, deadline=None)
     def test_same_counts_when_the_replica_check_fails(self, case, seed, start, count):
         """A NumPy whose streams differ from the replica gets every trial from
-        its own ``default_rng``."""
+        its own ``default_rng``, noisy ones too."""
         matrix, decoder, prior, sigma = case
         want = ref.run_trial_range(matrix, ref.PLANS[decoder](matrix), prior, sigma, seed,
                                    start, count)
@@ -1545,7 +1549,7 @@ def floyd_cases(draw):
     n = draw(st.integers(1, 60) | st.integers(1, 2**32 - 1) | st.integers(2**31 - 4, 2**31)
              | st.builds(lambda k, e: 2**32 // k + e, st.integers(2, 5), st.integers(1, 8)))
     d = draw(st.integers(0, min(n, 12)))
-    assume(sim._replica_covers(Prior(PRIOR_UNIFORM_EXACT, d), n, 0.0))
+    assume(sim._replica_covers(Prior(PRIOR_UNIFORM_EXACT, d), n))
     return n, d
 
 
@@ -1576,7 +1580,7 @@ class TestReplicaAgreesWithDefaultRng:
         n, d = case
         want = np.array([_contract_draw(seed, t, n, d) for t in range(first, first + count)],
                         dtype=np.int64).reshape(count, d)
-        picks, flagged = sim._floyd_draws(_states(seed, first, count), n, d)
+        picks, flagged, _ = sim._floyd_draws(_states(seed, first, count), n, d)
         assert picks.dtype == np.int64 and flagged.shape == (count,)
         assert np.array_equal(picks[~flagged], want[~flagged])
         batches = list(sim._trial_batches(n, 0, Prior(PRIOR_UNIFORM_EXACT, d), 0.0, seed,
@@ -1617,7 +1621,7 @@ class TestReplicaAgreesWithDefaultRng:
 
         real = sim._floyd_replay
         with mock.patch.object(sim, "_floyd_replay", replay):
-            picks, _ = sim._floyd_draws(_states(seed, 0, count), n, d)
+            picks = sim._floyd_draws(_states(seed, 0, count), n, d)[0]
         draws = _first_draws(seed, 0, count, n, d)
         ranked = np.sort(draws, axis=1)
         repeats = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
@@ -1658,6 +1662,69 @@ class TestReplicaAgreesWithDefaultRng:
         got = np.concatenate([items.reshape(num, d) for _, items, num, _ in batches])
         assert np.array_equal(got, want)
 
+    @given(st.integers(0, 2**70), st.integers(0, 2**40), st.integers(1, 40), floyd_cases(),
+           st.sampled_from([1, 3, 40]), st.sampled_from([1, 7, 64]))
+    @example(2**64 + 1, 0, 30, (2**31 - 1, 2), 7, 5)
+    @example(2**64 + 1, 0, 30, (2**31, 12), 3, 7)
+    @example(7, 3, 30, (1000, 1), 7, 5)
+    @example(0, 0, 20, (12, 12), 3, 5)
+    @example(5, 0, 10, (7, 0), 3, 4)
+    @settings(max_examples=150, deadline=None)
+    def test_noisy_trials_draw_the_contracts_flips(self, seed, first, count, case, batch,
+                                                    num_tests):
+        """A covered noisy trial draws its noise from the state after
+        ``choice`` that the replica computes, or, where flagged, after its own
+        ``choice``: the sets and flips of a ``default_rng`` per trial, at
+        d = 1 (no shuffle halves), d = 0 and d = n, and near n = 2**31, where
+        most trials are flagged."""
+        n, d = case
+        draws, flips = np.empty(num_tests), np.empty(num_tests, dtype=bool)
+        want_sets, want_flips = [], []
+        for t in range(first, first + count):
+            rng = sim._trial_rng(seed, t)
+            want_sets.append(np.sort(rng.choice(n, d, replace=False)))
+            core._noise_flips(0.3, rng, draws, flips)
+            want_flips.append(flips.copy())
+        got = [(items.reshape(num, d), noise.copy()) for _, items, num, noise in
+               sim._trial_batches(n, num_tests, Prior(PRIOR_UNIFORM_EXACT, d), 0.3, seed,
+                                  first, count, batch)]
+        assert [len(sets) for sets, _ in got] == [min(batch, count - lo)
+                                                  for lo in range(0, count, batch)]
+        assert np.array_equal(np.concatenate([sets for sets, _ in got]),
+                              np.reshape(want_sets, (count, d)))
+        assert np.array_equal(np.concatenate([noise for _, noise in got]), want_flips)
+
+    @pytest.mark.parametrize("n, d", [(2**31 - 1, 2), (1000, 10), (50, 1)])
+    def test_unflagged_noisy_trials_never_call_choice(self, n, d):
+        """A ``choice`` that raises unless its generator holds a flagged
+        trial's seeded state: every other trial of a covered noisy run
+        resumes after ``choice`` and draws only its noise."""
+        count, num_tests = 40, 9
+        flagged = sim._floyd_draws(_states(42, 0, count), n, d, jump=True)[1]
+        hi, lo, *_ = (v[flagged].tolist() for v in _states(42, 0, count))
+        seeded = {h << 64 | l for h, l in zip(hi, lo)}
+        calls = []
+
+        class FlaggedChoice(np.random.Generator):
+            def choice(self, *args, **kwargs):
+                assert self.bit_generator.state["state"]["state"] in seeded
+                calls.append(args)
+                return super().choice(*args, **kwargs)
+
+        draws, flips = np.empty(num_tests), np.empty(num_tests, dtype=bool)
+        want = []
+        for t in range(count):
+            rng = sim._trial_rng(42, t)
+            rng.choice(n, d, replace=False)
+            core._noise_flips(0.2, rng, draws, flips)
+            want.append(flips.copy())
+        assert sim._replica_matches()  # its cached check calls choice on every trial
+        with mock.patch.object(np.random, "Generator", FlaggedChoice):
+            got = [noise.copy() for *_, noise in sim._trial_batches(
+                n, num_tests, Prior(PRIOR_UNIFORM_EXACT, d), 0.2, 42, 0, count, 16)]
+        assert len(calls) == flagged.sum()
+        assert np.array_equal(np.concatenate(got), want)
+
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
     def test_seed_layer(self, seed):
         """SeedSequence words and the PCG64 state and increment."""
@@ -1677,10 +1744,10 @@ class TestReplicaAgreesWithDefaultRng:
     def test_covers_draws_up_to_its_cap(self, n, cap):
         """The replica reproduces ``cap`` draws; a run of one more is drawn
         by generators and never reaches it."""
-        covered = [sim._replica_covers(Prior(PRIOR_UNIFORM_EXACT, d), n, 0.0)
+        covered = [sim._replica_covers(Prior(PRIOR_UNIFORM_EXACT, d), n)
                    for d in (cap, cap + 1)]
         assert covered == [True, False]
-        picks, flagged = sim._floyd_draws(_states(3, 0, 4), n, cap)
+        picks, flagged, _ = sim._floyd_draws(_states(3, 0, 4), n, cap)
         assert not flagged.all()
         for t in np.flatnonzero(~flagged).tolist():
             assert np.array_equal(picks[t], _contract_draw(3, t, n, cap))

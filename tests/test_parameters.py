@@ -28,14 +28,20 @@ from sparsegt import (
 )
 from sparsegt.bounds import (
     UPPER_BOUND_FAMILIES,
+    binary_block_count,
+    binary_regime,
     gamma_lower_bound,
+    hypergrid_block_count,
     noisy_gamma_error_floor,
+    permuted_constant,
+    random_gamma_test_count,
     repetition_count,
     rho_lower_bound,
     upper_bound_tests,
 )
 from sparsegt.cli import main
 from sparsegt.designs import (
+    balanced_block_starts,
     block_binary_rho_design,
     block_hypergrid_design,
     hypergrid_design,
@@ -87,6 +93,12 @@ CALLS = {
        for family in UPPER_BOUND_FAMILIES},
     "noisy-floor": (noisy_gamma_error_floor, dict(d=2, gamma=2, sigma=0.2)),
     "repetition-count": (repetition_count, dict(n=100, sigma=0.1, zeta=0.5)),
+    "random-gamma-count": (random_gamma_test_count, dict(n=40, d=2, gamma=2, epsilon=0.2)),
+    "permuted-constant": (permuted_constant, dict(n=40, d=2, rho=4, zeta=0.5)),
+    "hypergrid-block-count": (hypergrid_block_count, dict(d=2, epsilon=0.5)),
+    "binary-regime": (binary_regime, dict(n=40, d=2, rho=4, epsilon=0.2)),
+    "binary-block-count": (binary_block_count, dict(n=40, d=2, rho=4, epsilon=0.2)),
+    "balanced-blocks": (balanced_block_starts, dict(n=36, num_blocks=8)),
     "apply-noise": (lambda **a: apply_noise(Outcomes(np.ones(8, dtype=bool)), **a, rng=_rng()),
                     dict(sigma=0.2)),
     "design-params": (DesignParams, dict(n=100, d=2, epsilon=0.1, gamma=2, rho=10, sigma=0.1,
@@ -148,12 +160,25 @@ def test_every_site_reads_its_parameters_by_their_rules(name, data):
     lambda: apply_noise(Outcomes(np.ones(3, dtype=bool)), "0.1", _rng()),
     lambda: repetition_count(100, 0.1, "0.5"),
     lambda: noisy_gamma_error_floor("2", 2, 0.1),
+    lambda: random_gamma_test_count(100, 2, 2, None),
+    lambda: permuted_constant(100, 2, 10, "0.5"),
+    lambda: hypergrid_block_count(2, "0.1"),
+    lambda: binary_block_count(100, 2, 10, None),
+    lambda: balanced_block_starts("10", 2),
 ], ids=["params-epsilon", "random-gamma-epsilon", "block-hypergrid-epsilon", "apply-noise-sigma",
-        "repetition-zeta", "noisy-floor-d"])
+        "repetition-zeta", "noisy-floor-d", "random-gamma-count-epsilon",
+        "permuted-constant-zeta", "hypergrid-block-count-epsilon", "binary-block-count-epsilon",
+        "balanced-blocks-n"])
 def test_a_str_or_none_is_refused_by_name(call):
     """Each of these raised a raw TypeError."""
     with pytest.raises(GroupTestingError, match="must be a real number|must be an integer"):
         call()
+
+
+def test_a_zero_block_epsilon_is_refused_by_name():
+    """This raised a raw ZeroDivisionError."""
+    with pytest.raises(GroupTestingError, match=r"^epsilon must lie in \(0, 1\)$"):
+        hypergrid_block_count(2, 0.0)
 
 
 # command lines that exit 0, 2 or 3, with the flags the test varies
