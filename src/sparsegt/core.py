@@ -213,7 +213,7 @@ _MAX_ITEMS = 2**31
 # incidences per item range and per block of rows of the column index build
 _INDEX_RANGE = 1 << 18
 _INDEX_BLOCK = 1 << 16
-# gathered entries per piece of a ragged row gather (256 KiB of int32)
+# entries per piece of rows' copies (256 KiB of int32)
 _ROW_CHUNK = 1 << 16
 
 
@@ -605,32 +605,43 @@ def _rows_with(cells: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _row_chunks(matrix: TestMatrix,
-                rows: np.ndarray) -> tuple[np.ndarray, Iterator[tuple[int, np.ndarray]]]:
-    """The CSR offsets of the given rows of ``matrix`` in the given order,
-    and their indices as pieces of about ``_ROW_CHUNK`` entries: an
-    iterator of ``(offset, piece)``, gathered one piece at a time (a ragged
-    gather in bounded scratch). A row longer than ``_ROW_CHUNK`` is one
-    piece."""
-    starts = matrix.indptr[rows]
-    lengths = matrix.indptr[rows + 1] - starts
-    indptr = _offsets(lengths)
-    cuts = _cuts(indptr, _ROW_CHUNK)
-    pieces = ((int(indptr[a]), np.take(matrix.indices,
-                                       _ragged(starts[a:b], lengths[a:b], matrix.indices.size)))
-              for a, b in zip(cuts, cuts[1:]))
-    return indptr, pieces
+def _length_classes(lengths: np.ndarray, k: int) -> Iterator[tuple[int, list[np.ndarray]]]:
+    """``(length, pieces)`` for each nonzero length in ``lengths``, shortest
+    first: the rows of that length in order, in pieces of as many rows as
+    ``k`` copies of fit in ``_ROW_CHUNK`` entries (one at least)."""
+    counts = np.bincount(lengths)  # not np.unique, which holds RSS (see _cuts)
+    # a stable sort of 16-bit keys is a radix sort, 3 times as fast as int64's
+    order = np.argsort(lengths.astype(np.min_scalar_type(counts.size - 1)), kind="stable")
+    ends = np.cumsum(counts).tolist()
+    for length in np.flatnonzero(counts[1:]).tolist():
+        step = max(1, _ROW_CHUNK // (k * (length + 1)))
+        yield length + 1, [order[at : min(at + step, ends[length + 1])]
+                           for at in range(ends[length], ends[length + 1], step)]
 
 
-def _select_rows(matrix: TestMatrix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CSR arrays of the given rows of ``matrix``, in the given order: int64
-    offsets and int32 indices, written piece by piece into the one array
-    (:func:`_row_chunks`), ready for :func:`_adopt_csr`."""
-    indptr, pieces = _row_chunks(matrix, rows)
-    indices = np.empty(int(indptr[-1]), dtype=np.int32)
-    for at, piece in pieces:
-        indices[at : at + piece.size] = piece
-    return indptr, indices
+def _blocks(array: np.ndarray, k: int, length: int) -> np.ndarray:
+    """The ``k * length`` entries of a contiguous 1-D ``array`` from each
+    position as ``k`` rows: a ``(positions, k, length)`` view, writeable
+    where ``array`` is, and the one aliasing view of the package. Nearby
+    blocks overlap, so a write through it targets blocks that do not."""
+    step = array.itemsize
+    return np.ndarray((array.size - k * length + 1, k, length), array.dtype, array,
+                      strides=(step, length * step, step))
+
+
+def _copy_rows(indices: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+               k: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR arrays (int64, int32) of ``k`` consecutive copies of each row
+    ``r``, the ``lengths[r]`` entries of ``indices`` from ``starts[r]``.
+    The copies of a row of length L are one block of k * L entries, written
+    for a piece of rows of one length at once (:func:`_length_classes`)."""
+    indptr = _offsets(np.repeat(lengths, k))
+    out = np.empty(int(indptr[-1]), dtype=np.int32)
+    for length, pieces in _length_classes(lengths, k):
+        rows, copies = _blocks(indices, 1, length), _blocks(out, k, length)
+        for piece in pieces:
+            copies[indptr[piece * k]] = rows[starts[piece]]
+    return indptr, out
 
 
 # ---------------------------------------------------------------------------
@@ -1036,23 +1047,22 @@ def _broken_repeat_group(matrix: TestMatrix) -> int | None:
     repetition check of validate and the majority plan. The row count must
     be a multiple of ``repeat_k``.
 
-    The rows are compared with their groups' first rows one gathered piece
-    of :func:`_row_chunks` at a time, and the check stops at the first piece
-    that differs: it holds a few per-row arrays and one piece, never a
-    second copy of the indices."""
-    firsts = np.repeat(np.arange(0, matrix.num_tests, matrix.repeat_k), matrix.repeat_k)
-    lengths = matrix.row_weights()
-    uneven = np.flatnonzero(lengths != lengths[firsts])
-    # the rows before the first one whose length differs from its group's
-    # first row line up entry for entry with the copies of the first rows
-    rows = int(uneven[0]) if uneven.size else matrix.num_tests
-    _, pieces = _row_chunks(matrix, firsts[:rows])
-    for at, copies in pieces:
-        differ = np.flatnonzero(copies != matrix.indices[at : at + copies.size])
-        if differ.size:
-            rows = int(_row_of(matrix.indptr, at + differ[0]))
-            break
-    return rows // matrix.repeat_k if rows < matrix.num_tests else None
+    A group whose rows differ in length is broken. The groups before the
+    first such one are read as blocks of k rows of one length (as
+    :func:`_copy_rows` writes them), in bounded pieces, and each copy is
+    compared with the one before it."""
+    k = matrix.repeat_k
+    lengths = matrix.row_weights().reshape(-1, k)
+    uneven = np.flatnonzero(lengths != lengths[:, :1])
+    broken = int(uneven[0]) // k if uneven.size else len(lengths)
+    for length, pieces in _length_classes(lengths[:broken, 0], k):
+        blocks = _blocks(matrix.indices, k, length)
+        for groups in pieces:
+            copies = blocks[matrix.indptr[groups * k]].reshape(len(groups), -1)
+            differ = np.flatnonzero(copies[:, length:] != copies[:, :-length])
+            if differ.size:
+                broken = min(broken, int(groups[differ[0] // ((k - 1) * length)]))
+    return broken if broken < len(lengths) else None
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,7 @@ from .core import (
     TestMatrix,
     _adopt_csr,
     _broken_repeat_group,
+    _copy_rows,
     _index_dtype,
     _key_pairs,
     _offsets,
@@ -70,7 +71,6 @@ from .core import (
     _or_pairs,
     _pair_keys,
     _ragged,
-    _select_rows,
     _test_dtype,
     _well_formed_blocks,
 )
@@ -478,7 +478,7 @@ class MajorityPlan(ComaPlan):
     base outcomes, which gives the same votes. The plan refuses a repeated
     design whose groups are not copies, which
     :func:`~sparsegt.core.validate` reports as ``repetition``, and keeps
-    the base rows it gathers without a copy.
+    each group's first row, copied out once, as its base rows.
     """
 
     kind = "majority"
@@ -500,7 +500,8 @@ class MajorityPlan(ComaPlan):
                 "are not copies of one row"
             )
         self.k = k
-        indptr, indices = _select_rows(matrix, np.arange(0, matrix.num_tests, k))
+        indptr, indices = _copy_rows(matrix.indices, matrix.indptr[:-1:k],
+                                     matrix.row_weights()[::k], 1)
         super().__init__(_adopt_csr(indptr, indices, matrix.num_items))
 
     def decode_bits(self, bits: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray]:

@@ -47,12 +47,12 @@ from .core import (
     int_root_ceil,
     _adopt_csr,
     _check_generator,
+    _copy_rows,
     _index_dtype,
     _key_dtype,
     _offsets,
     _parameter,
     _rows_with,
-    _select_rows,
 )
 
 __all__ = [
@@ -359,10 +359,11 @@ def repeat_design(matrix: TestMatrix, k: int) -> TestMatrix:
     k = 1 returns the matrix unchanged. The per-item budget scales to
     k * col_limit; the per-test budget is unchanged.
 
-    The int32 indices of the k copies are allocated once and written in
-    place, a gathered piece of about 2**16 entries at a time, and the
-    matrix keeps that array: besides it, the build holds a few per-row
-    arrays and one piece.
+    The int32 indices of the copies are allocated once, and the matrix
+    keeps them. All k copies of a row of length L are one block of k * L
+    entries, so they are written one row length at a time, as 2-D blocks
+    with no position per entry (``core._copy_rows``): besides the indices
+    the build holds two int64 per-row arrays and one piece's base rows.
     """
     k = _parameter("k", k)
     if k == 1:
@@ -370,7 +371,7 @@ def repeat_design(matrix: TestMatrix, k: int) -> TestMatrix:
     if matrix.repeat_k > 1:
         raise InvalidParameterError("matrix is already a repeated design")
     _check_size(matrix.num_tests * k, matrix.ones_count() * k)
-    indptr, indices = _select_rows(matrix, np.repeat(np.arange(matrix.num_tests), k))
+    indptr, indices = _copy_rows(matrix.indices, matrix.indptr[:-1], matrix.row_weights(), k)
     return _adopt_csr(
         indptr,
         indices,

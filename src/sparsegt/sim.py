@@ -415,7 +415,7 @@ def _trial_generators(master_seed: int, first: int, states, rows):
     if states is None:
         yield from (_trial_rng(master_seed, first + row) for row in rows)
         return
-    bit_generator = np.random.PCG64()
+    bit_generator = np.random.PCG64(0)  # set before each use: no OS entropy read
     rng = np.random.Generator(bit_generator)
     for hi, lo, inc_hi, inc_lo, *buffered in zip(*(v[rows].tolist() for v in states)):
         has_uint32, uinteger = buffered or (0, 0)

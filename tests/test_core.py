@@ -413,28 +413,33 @@ class TestSetUpMemory:
         assert np.array_equal(matrix.column_index()[1], large_design.column_index()[1])
 
     def test_repeat_design(self, repeated_design):
-        """The int32 indices of the 65 copies, written in place one gathered
-        piece of 2**16 entries at a time, a few per-row arrays and one
-        piece: about 6. One gather of all the copies, through an int32
-        position array, and a copy of it into the matrix peak near 16.6."""
+        """The int32 indices of the 65 copies, written in place one row
+        length at a time through strided views, with no position array,
+        and two int64 per-row arrays: about 4.35. Gathering pieces of 2**16
+        entries through int32 positions peaked near 6.0, one gather of all
+        the copies and a copy of it into the matrix near 16.6."""
         base = permuted_block_rho_design(1000, 10, 50, 0.5, np.random.default_rng(1))
         peak = _peak_bytes(lambda: repeat_design(base, 65))
-        assert peak <= 8 * repeated_design.ones_count()
+        assert peak <= 5 * repeated_design.ones_count()
 
     def test_majority_plan(self, repeated_design):
-        """The copy check, one gathered piece at a time, and the base rows
-        (1/65 of the design), kept without a copy: about 2.2. A whole
-        second copy of the indices to compare against peaks near 16.8."""
+        """The copy check, which reads one piece of at most 2**16 entries
+        of whole groups at a time, and the base rows (1/65 of the design),
+        kept without a second copy: about 0.70. Checking through gathered
+        pieces and int32 positions peaked near 2.2, a whole second copy of
+        the indices to compare against near 16.8."""
         matrix = _uncached(repeated_design)
         peak = _peak_bytes(lambda: make_plan(matrix, "majority"))
-        assert peak <= 4 * repeated_design.ones_count()
+        assert peak <= 1 * repeated_design.ones_count()
 
     def test_validate_repeated(self, repeated_design):
         """A bool per entry for each check, and the copy check in bounded
-        pieces: about 2.7, where a whole second copy peaks near 17.4."""
+        pieces of whole groups: about 1.34. The check through gathered
+        pieces and int32 positions peaked near 2.7, a whole second copy
+        near 17.4."""
         matrix = _uncached(repeated_design)
         peak = _peak_bytes(lambda: validate(matrix))
-        assert peak <= 4 * repeated_design.ones_count()
+        assert peak <= 2 * repeated_design.ones_count()
 
     def test_kept_column_index_is_narrow(self, large_design):
         """Below 65 536 tests the index keeps its tests in 2 bytes: with its

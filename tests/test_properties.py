@@ -7,6 +7,7 @@ checks in the other files with randomized coverage.
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparsegt import core
@@ -19,7 +20,7 @@ from sparsegt.core import (
     serialize,
     validate,
 )
-from sparsegt.decoders import coma_decode
+from sparsegt.decoders import coma_decode, make_plan
 from sparsegt.designs import (
     block_binary_rho_design,
     block_hypergrid_design,
@@ -76,9 +77,10 @@ class TestSerializationProperties:
 def repeated_cases(draw):
     """(base, k, chunk, corrupted rows): a base design over at most 8 items
     of 0 to 8 rows of uneven lengths (empty rows included), a repeat count
-    k of 2 to 5, a gather piece of 1 to 4 entries so that groups straddle
-    the cuts, and the rows of the repeated design with one copy in the
-    first, a middle or the last group changed, dropped short or extended."""
+    k of 2 to 5, a piece of 1 to 24 entries, so that a group can be longer
+    than a piece and a piece can end inside a length class, and the rows of
+    the repeated design with one copy in the first, a middle or the last
+    group changed, dropped short or extended."""
     n = draw(st.integers(1, 8))
     base_rows = draw(st.lists(st.sets(st.integers(0, n - 1), max_size=n).map(sorted),
                               max_size=8))
@@ -98,12 +100,20 @@ def repeated_cases(draw):
                 row[at] = draw(st.integers(0, n - 1))
             else:
                 del row[at]
-    return base, k, draw(st.integers(1, 4)), rows
+    return base, k, draw(st.integers(1, 24)), rows
+
+
+def _first_broken_group(rows, k):
+    """The first group of k rows that are not all equal, row by row."""
+    groups = [rows[g : g + k] for g in range(0, len(rows), k)]
+    return next((g for g, group in enumerate(groups) if any(row != group[0] for row in group)),
+                None)
 
 
 class TestRepeatedDesignChunks:
-    """Building and checking repeated designs one gathered piece at a time
-    gives what one gather of every row gives, wherever the pieces cut."""
+    """Building and checking repeated designs one row length at a time, in
+    pieces, gives what per-row copies and compares give, wherever the
+    pieces cut."""
 
     @given(repeated_cases())
     @settings(max_examples=300, deadline=None)
@@ -119,12 +129,67 @@ class TestRepeatedDesignChunks:
                                    base_tag="custom", repeat_k=k)
             assert core._broken_repeat_group(built) is None
             broken = core._broken_repeat_group(corrupted)
+            plan = make_plan(built, "majority")
         assert np.array_equal(built.indices, want)
+        tiles = [np.tile(base.indices[a:b], k) for a, b in zip(base.indptr, base.indptr[1:])]
+        assert np.array_equal(built.indices, np.concatenate([np.zeros(0, np.int32), *tiles]))
         assert built.indices.dtype == np.int32
         assert built.rows == tuple(row for row in base.rows for _ in range(k))
-        groups = [rows[g : g + k] for g in range(0, len(rows), k)]
-        assert broken == next(
-            (g for g, group in enumerate(groups) if any(row != group[0] for row in group)), None)
+        assert broken == _first_broken_group(rows, k)
+        # the majority plan's base rows, copied out of the groups, are the base
+        for kept, got in zip((plan.col_indptr, plan.tests), base.column_index()):
+            assert np.array_equal(kept, got)
+
+    # lengths 3, 0, 5, 3, 5, 1, 3: three length classes interleaved, an
+    # empty row, and three rows of length 3
+    LENGTHS = (3, 0, 5, 3, 5, 1, 3)
+
+    def _corrupted(self, k, edits):
+        """The repeated rows of ``LENGTHS`` (row r holds items r .. r + L - 1)
+        with ``edits`` applied: (group, copy, action) where action changes
+        the copy's last entry, drops it or appends an item."""
+        base = [list(range(r, r + length)) for r, length in enumerate(self.LENGTHS)]
+        rows = [list(row) for row in base for _ in range(k)]
+        for group, copy, action in edits:
+            row = rows[group * k + copy]
+            if action == "change":
+                row[-1] += 1
+            elif action == "drop":
+                row.pop()
+            else:
+                row.append(20)
+        return TestMatrix(rows=rows, num_items=21, design_tag="repeated", base_tag="custom",
+                          repeat_k=k), rows
+
+    # 1: every group is longer than a piece; 18: the three rows of length 3
+    # (9 entries each at k = 3) are cut 2 + 1; 2**16: one piece a class
+    @pytest.mark.parametrize("chunk", [1, 18, 1 << 16])
+    def test_a_corrupted_copy_in_each_length_class(self, chunk):
+        k = 3
+        with mock.patch.object(core, "_ROW_CHUNK", chunk):
+            assert core._broken_repeat_group(self._corrupted(k, [])[0]) is None
+            for group, length in enumerate(self.LENGTHS):
+                for copy in range(1, k) if length else ():
+                    for action in ("change", "drop", "add"):
+                        matrix, rows = self._corrupted(k, [(group, copy, action)])
+                        assert core._broken_repeat_group(matrix) == group
+                        assert _first_broken_group(rows, k) == group
+            # one broken group in each class: the lowest is reported
+            for edits in ([(6, 1, "change"), (4, 2, "change"), (5, 1, "change")],
+                          [(4, 1, "change"), (3, 2, "change")],
+                          [(6, 2, "change"), (2, 1, "drop")]):
+                matrix, rows = self._corrupted(k, edits)
+                assert core._broken_repeat_group(matrix) == min(g for g, _, _ in edits)
+
+    def test_a_copy_that_differs_only_in_length(self):
+        """A copy one entry longer than its group's first row, its other
+        entries equal, breaks its group, in every length class and for an
+        empty row."""
+        for chunk in (1, 1 << 16):
+            with mock.patch.object(core, "_ROW_CHUNK", chunk):
+                for group in range(len(self.LENGTHS)):
+                    matrix, _ = self._corrupted(2, [(group, 1, "add")])
+                    assert core._broken_repeat_group(matrix) == group
 
 
 class TestChannelProperties:

@@ -6,8 +6,9 @@ picks a family or theorem by one table lookup, with no chain of
 comparisons. Only the header table ``core._HEADER_FIELDS`` spells the
 design-file header keys; the parser, the writer and the ``TestMatrix``
 constructor read them from it. Only the parameter table
-``core._PARAMETERS`` and its reader write a parameter's range. The check
-reads the source with ``ast`` and the standard library alone."""
+``core._PARAMETERS`` and its reader write a parameter's range. Only the
+copy helper ``core._blocks`` builds a view whose entries alias one another.
+The check reads the source with ``ast`` and the standard library alone."""
 
 import ast
 import pathlib
@@ -127,6 +128,36 @@ def _range_checks(source: str, module: str) -> list[str]:
     return found
 
 
+# the one function that may build a view whose entries alias one another
+_ALIASING_VIEWS = ("core._blocks",)
+
+
+def _aliasing_views(source: str, module: str) -> list[str]:
+    """The scope (module and qualified name) of each name ``as_strided``,
+    each call of the ``ndarray`` constructor and each call of
+    ``sliding_window_view`` with ``writeable=`` other than False, in source
+    order: the ways to build a writeable view whose entries overlap."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and "as_strided" in (
+                getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)):
+            found.append(".".join([module] + scope))
+        if isinstance(node, ast.Call):
+            callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            writeable = [kw.value for kw in node.keywords if kw.arg == "writeable"]
+            if callee == "ndarray" or (callee == "sliding_window_view" and writeable and not (
+                    isinstance(writeable[0], ast.Constant) and writeable[0].value is False)):
+                found.append(".".join([module] + scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
 def _column_index_callers(source: str, module: str) -> set[str]:
     return {where for where, node, call in _attributes(source, module)
             if call and node.attr == "column_index"}
@@ -161,6 +192,11 @@ def test_only_the_header_table_spells_the_header_keys():
 def test_only_the_parameter_table_writes_a_range():
     found = [check for path in SOURCES for check in _range_checks(path.read_text(), path.stem)]
     assert not found, "a range written outside core._PARAMETERS: " + "; ".join(found)
+
+
+def test_only_the_copy_helper_builds_an_aliasing_view():
+    found = [view for path in SOURCES for view in _aliasing_views(path.read_text(), path.stem)]
+    assert found == list(_ALIASING_VIEWS)
 
 
 def test_the_checks_see_what_they_exist_for():
@@ -227,3 +263,17 @@ def test_the_checks_see_what_they_exist_for():
         "core.apply_noise: 'sigma must lie in [0, 1/2)'",
         "core.DesignParams.__post_init__: ' must be > 0'",
         "core: 'cap must be finite'"]
+    aliasing = (
+        "from numpy.lib.stride_tricks import as_strided, sliding_window_view\n"
+        "def copy(out, k):\n"
+        "    return np.lib.stride_tricks.sliding_window_view(out, k, writeable=True)\n"
+        "def read(x, flag):\n"
+        "    return (sliding_window_view(x, 3), sliding_window_view(x, 3, writeable=False),\n"
+        "            isinstance(x, np.ndarray))\n"
+        "class Plan:\n"
+        "    def view(self, x, flag):\n"
+        "        return (as_strided(x, (2,), (4,)), np.ndarray((2,), np.int32, x),\n"
+        "                sliding_window_view(x, 2, writeable=flag))\n"
+    )
+    assert _aliasing_views(aliasing, "core") == [
+        "core", "core.copy", "core.Plan.view", "core.Plan.view", "core.Plan.view"]
