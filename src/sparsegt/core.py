@@ -305,7 +305,10 @@ class TestMatrix:
     same incidences as a tuple of tuples; it is derived on every call and
     not stored. The column index (CSC, see :meth:`column_index`) and the
     column weights are computed on first use and cached on the instance;
-    they are not pickled.
+    they are not pickled. A constructor whose every item lies in the same
+    number of tests hands over its column tests (see :func:`_adopt_csr`),
+    and they are read from that instead of sorted out of the rows; a
+    matrix from :meth:`from_csr`, :func:`parse` or pickling sorts them.
 
     ``col_limit`` caps how many tests any single item may appear in (item
     divisibility); ``row_limit`` caps how many items any single test may pool
@@ -321,6 +324,7 @@ class TestMatrix:
     """
 
     __test__ = False  # keep pytest from collecting this as a test class
+    _columns = None  # a column provider, set only by _adopt_csr
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -464,21 +468,35 @@ class TestMatrix:
         their low bits are its tests. Besides the index it holds the staged
         keys (4 bytes an incidence where they fit in 32 bits) and one
         block's keys. A design whose incidences fit one range sorts its
-        keys at once."""
+        keys at once.
+
+        A matrix with a column provider (:func:`_adopt_csr`) has each item
+        in the same number c of tests: its offsets are ``c * i``, and its
+        tests come from the provider, with no sort."""
         return self._column_index
 
     @cached_property
     def _column_weights(self) -> np.ndarray:
-        _checked_max_index(self.indices, self.num_items)
-        # bincount would cast the int32 indices to an intp copy; add.at
-        # reads them as they are, nearly as fast
-        weights = np.zeros(self.num_items, dtype=np.int64)
-        np.add.at(weights, self.indices, 1)
+        if self._columns is not None:
+            weights = np.full(self.num_items, self._columns[0], dtype=np.int64)
+        else:
+            _checked_max_index(self.indices, self.num_items)
+            # bincount would cast the int32 indices to an intp copy; add.at
+            # reads them as they are, nearly as fast
+            weights = np.zeros(self.num_items, dtype=np.int64)
+            np.add.at(weights, self.indices, 1)
         weights.setflags(write=False)
         return weights
 
     @cached_property
     def _column_index(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._columns is not None:
+            weight, provide = self._columns
+            col_indptr = np.arange(self.num_items + 1, dtype=np.int64) * weight
+            tests = provide(self.indices)
+            col_indptr.setflags(write=False)
+            tests.setflags(write=False)
+            return col_indptr, tests
         col_indptr = _offsets(self.column_weights())
         bits = max(self.num_tests - 1, 0).bit_length()
         tests = np.empty(self.indices.size, dtype=_test_dtype(self.num_tests))
@@ -539,12 +557,23 @@ class TestMatrix:
         return tuple(zip(starts, starts[1:] + (self.num_items,)))
 
 
-def _adopt_csr(indptr: np.ndarray, indices: np.ndarray, num_items: int, **fields) -> TestMatrix:
+def _adopt_csr(indptr: np.ndarray, indices: np.ndarray, num_items: int,
+               columns: tuple | None = None, **fields) -> TestMatrix:
     """:meth:`TestMatrix.from_csr` without its copy, for int64 offsets and
     int32 indices that the caller built and holds no other reference to:
-    they are write-locked and kept as they are."""
+    they are write-locked and kept as they are.
+
+    ``columns``, the one way to hand a matrix its column tests, is a
+    provider ``(c, provide)`` for a design that puts every item in exactly
+    c tests. ``provide(indices)``, called once on first use with the
+    matrix's indices, returns the tests of its column index
+    (:meth:`TestMatrix.column_index`): c per item, item by item, each
+    item's increasing, in ``_test_dtype(T)``. It must hold no reference to
+    the matrix."""
     matrix = TestMatrix.__new__(TestMatrix)
     matrix._init(indptr, indices, num_items, **fields, copy=False)
+    if columns is not None:
+        matrix.__dict__["_columns"] = columns
     return matrix
 
 

@@ -199,12 +199,16 @@ class ComaPlan(_Plan):
 
     The plan keeps the column index and its ``candidates``, ``table`` and
     ``group_ptr``; the table takes the dtype of the index's tests (uint16
-    below 65 536 tests). Building them takes int32 positions of each tested
-    item's first and last test and one int64 position buffer, reused for
-    every table row, and frees both: on a design of items in 4 tests each
-    the build peaks at about 9 bytes per incidence above the column index,
-    which itself keeps 4 (int64 offsets and uint16 tests). The narrow tests
-    enter products only through ``core._pair_keys``, in int32 below 2**31:
+    below 65 536 tests). Where every tested item has the same weight, as
+    in the random-gamma and permuted-rho designs, the table is the index's
+    tests taken in filing order, one row at a time (:func:`_filed_table`):
+    on a design of items in 4 tests each the build peaks at about 6 bytes
+    per incidence above the column index, which itself keeps 4 (int64
+    offsets and uint16 tests), and the int64 column weights, 2. Otherwise
+    it takes int32 positions of each tested item's first and last test and
+    one int64 position buffer, reused for every table row, and frees both.
+    The narrow tests enter products only through ``core._pair_keys``, in
+    int32 below 2**31:
     the dense fill's scatter index in ``core._or_bits`` (then cast to intp,
     which fancy assignment runs fastest on) and the mask index of
     :meth:`_and_rest`.
@@ -219,7 +223,7 @@ class ComaPlan(_Plan):
         self.col_indptr, self.tests = matrix.column_index()
         weight = matrix.column_weights()
         self.untested = np.flatnonzero(weight == 0)
-        self.candidates, self.table = _filed_table(self.col_indptr, self.tests, weight != 0)
+        self.candidates, self.table = _filed_table(self.col_indptr, self.tests, weight)
         self.group_ptr = _offsets(np.bincount(self.table[0], minlength=matrix.num_tests))
         self.trial_bytes = matrix.num_tests / 8  # the test masks
 
@@ -324,25 +328,39 @@ class ComaPlan(_Plan):
 
 
 def _filed_table(col_indptr: np.ndarray, tests: np.ndarray,
-                 tested: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                 weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A COMA plan's ``candidates`` and ``table``, in the dtype of the
-    column index's tests, from the CSC index of its matrix and the mask of
-    its tested items. Its scratch, freed on return, is the positions of
-    each candidate's first and last test, in int32 where they fit, and one
-    int64 position buffer reused for every row."""
+    column index's tests, from the CSC index of its matrix and its column
+    weights. The table is taken a row at a time, as one (K, items) index
+    would peak higher, and ``take`` casts indices of another dtype than
+    int64.
+
+    Where every tested item has the same weight, K, the tests are a
+    (items, K) array: the table is one stable argsort of its first column
+    and K takes of its columns, with no scratch but the order. Otherwise
+    its scratch, freed on return, is the positions of each candidate's
+    first and last test, in int32 where they fit, and one int64 position
+    buffer reused for every row, each row's test taken at its candidate's
+    first test plus k or its last, whichever comes first."""
+    tested = weight != 0
+    count = int(np.count_nonzero(tested))
+    rows = max(1, -(-tests.size // max(1, count)))  # K
+    table = np.empty((rows, count), dtype=tests.dtype)
+    # a stable sort on a dtype of at most 16 bits is a radix sort
+    if rows * count == tests.size and weight.max(initial=0) == rows:
+        columns = tests.reshape(-1, rows)
+        order = np.argsort(columns[:, 0], kind="stable")
+        for k, row in enumerate(table):
+            np.take(columns[:, k], order, out=row)
+        return order if count == weight.size else np.flatnonzero(tested)[order], table
     scratch = _index_dtype(tests.size)
     starts = col_indptr[:-1][tested].astype(scratch)
     last = col_indptr[1:][tested].astype(scratch)
     last -= 1
-    # a stable sort on a dtype of at most 16 bits is a radix sort
     order = np.argsort(tests[starts], kind="stable")
     candidates = np.flatnonzero(tested)[order]
     starts, last = starts[order], last[order]
     del order
-    # the table is taken a row at a time (one (K, items) index would peak
-    # higher, and take casts indices of another dtype than int64)
-    rows = max(1, -(-tests.size // max(1, starts.size)))  # K
-    table = np.empty((rows, starts.size), dtype=tests.dtype)
     at = np.empty(starts.size, dtype=np.int64)
     for k, row in enumerate(table):
         np.add(starts, k, out=at, dtype=np.int64)

@@ -3,7 +3,7 @@
 These are the straightforward row-by-row versions of ``evaluate``,
 ``TestMatrix.column_weights``, ``TestMatrix.column_index``, ``validate``, ``parse``, the %-format
 design file writer, the outcome file reader and writer, the per-item draw loop of the random-gamma
-constructor, the per-block
+constructor, the per-pass int32 shuffle of the permuted-rho constructor, the per-block
 loops of the hypergrid, block hypergrid and binary block constructors, and
 the per-block loops of the hypergrid and binary block decoders, the
 every-test-positive decoder that counts the positive tests of all n items,
@@ -26,6 +26,7 @@ from sparsegt.bounds import (
     binary_block_count,
     ceil_div,
     hypergrid_block_count,
+    permuted_constant,
     random_gamma_test_count,
 )
 from sparsegt.core import (
@@ -34,6 +35,7 @@ from sparsegt.core import (
     TAG_BLOCK_HYPERGRID,
     TAG_CUSTOM,
     TAG_HYPERGRID,
+    TAG_PERMUTED_RHO,
     TAG_RANDOM_GAMMA,
     PRIOR_IID_BERNOULLI,
     PRIOR_UNIFORM_EXACT,
@@ -611,3 +613,19 @@ def random_gamma_design(n: int, d: int, gamma: int, epsilon: float,
         row_limit=None,
         design_tag=TAG_RANDOM_GAMMA,
     )
+
+
+def permuted_block_rho_design(n: int, d: int, rho: int, zeta: float,
+                              rng: np.random.Generator) -> TestMatrix:
+    """Each pass shuffles an int32 copy of the items in place with
+    ``rng.shuffle`` and cuts it into tests of rho, each sorted on its own."""
+    c = permuted_constant(n, d, rho, zeta)
+    lengths, items = [], []
+    for _ in range(c):
+        perm = np.arange(n, dtype=np.int32)
+        rng.shuffle(perm)
+        for start in range(0, n, rho):
+            lengths.append(min(rho, n - start))
+            items.append(np.sort(perm[start : start + rho]))
+    return TestMatrix.from_csr(_offsets(lengths), np.concatenate(items), num_items=n,
+                               col_limit=c, row_limit=rho, design_tag=TAG_PERMUTED_RHO)

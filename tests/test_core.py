@@ -1,7 +1,9 @@
 """Core types, OR-channel evaluation, noise, validation, serialization."""
 
+import gc
 import math
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -64,6 +66,17 @@ def repeated_design():
 def _uncached(matrix):
     """An equal matrix with nothing computed on it yet."""
     return TestMatrix.from_csr(matrix.indptr, matrix.indices, *matrix._metadata())
+
+
+def _held_bytes(call) -> tuple[int, object]:
+    """The bytes ``call()`` still holds once it returns, as tracemalloc
+    counts them, and what it returned."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return tracemalloc.get_traced_memory()[0], result
+    finally:
+        tracemalloc.stop()
 
 
 def _peak_bytes(call) -> int:
@@ -373,23 +386,57 @@ class TestSetUpMemory:
     bytes per incidence of the design (its indices take 4)."""
 
     def test_construction(self, large_design):
-        """The int32 indices, shuffled and sorted pass by pass in place,
-        and one pass's item range: about 5.3. Per-pass int64 permutations,
-        their concatenation and the int32 cast of it peak near 22."""
+        """The int32 indices, sorted pass by pass in place, and one pass's
+        int64 permutation: about 6.0. Shuffling an int32 item range in
+        place peaked at about 5.3, but swaps 4-byte items half as fast;
+        per-pass int64 permutations, their concatenation and the int32
+        cast of it peak near 22."""
         peak = _peak_bytes(
             lambda: permuted_block_rho_design(250_000, 10, 100, 0.5, np.random.default_rng(1)))
         assert peak <= 8 * large_design.ones_count()
 
+    def test_permuted_rho_construction_keeps_only_its_csr(self, large_design):
+        """The column provider holds two ints and a function, about 1 KB
+        with the matrix object, where an index built at construction would
+        keep 6 bytes an incidence. (The first call in a process also
+        imports; the fixture has made it.)"""
+        held, matrix = _held_bytes(
+            lambda: permuted_block_rho_design(250_000, 10, 100, 0.5, np.random.default_rng(1)))
+        assert held - matrix.indptr.nbytes - matrix.indices.nbytes <= 4096
+
+    @pytest.mark.parametrize("build", [
+        lambda: permuted_block_rho_design(5000, 10, 20, 0.5, np.random.default_rng(1)),
+        lambda: random_gamma_design(5000, 10, 3, 0.1, np.random.default_rng(1)),
+    ], ids=["permuted-rho", "random-gamma"])
+    def test_a_matrix_with_a_provider_is_freed_without_a_collection(self, build):
+        """The provider holds no reference back to the matrix, so the
+        matrix and its column index are in no reference cycle."""
+        matrix = build()
+        matrix.column_index()
+        gone = weakref.ref(matrix)
+        gc.disable()
+        try:
+            del matrix
+            assert gone() is None
+        finally:
+            gc.enable()
+
     def test_random_gamma_construction(self):
-        """n = 4 * 10**5 items in 3 tests each, 1.2 * 10**6 incidences:
-        the sorted 64-bit keys (T * n is past 2**32) with the int32
-        indices written from them, and one piece of drawn groups: about
-        13.1. Whole-round int64 draws, their concatenation and a stable
-        int64 argsort of it peak near 27.0."""
+        """n = 4 * 10**5 items in 3 tests each, 1.2 * 10**6 incidences
+        in T = 12 946 tests: the sorted 64-bit keys (T * n is past 2**32)
+        with the int32 indices written from them, the uint16 column tests
+        the keys are made from, and one piece of drawn groups: about 14.4.
+        Without the column tests it peaked at 13.1; whole-round int64
+        draws, their concatenation and a stable int64 argsort of it peak
+        near 27.0. Beyond its CSR the matrix keeps the column tests, 2."""
         n, gamma = 400_000, 3
         peak = _peak_bytes(
             lambda: random_gamma_design(n, 10, gamma, 0.1, np.random.default_rng(42)))
         assert peak <= 16 * n * gamma
+        held, matrix = _held_bytes(
+            lambda: random_gamma_design(n, 10, gamma, 0.1, np.random.default_rng(42)))
+        assert matrix.num_tests < 1 << 16
+        assert held - matrix.indptr.nbytes - matrix.indices.nbytes <= 2 * n * gamma + 4096
 
     def test_validate(self, large_design):
         """On a valid matrix: a bool per entry for each check, then the
@@ -411,6 +458,28 @@ class TestSetUpMemory:
         peak = _peak_bytes(matrix.column_index)
         assert peak <= 12 * large_design.ones_count()
         assert np.array_equal(matrix.column_index()[1], large_design.column_index()[1])
+
+    def test_pass_scatter_column_index(self):
+        """A permuted-rho design's own column index, scattered pass by pass
+        through its indices: the index (int64 offsets and uint16 tests), 4
+        on items of weight 4, and one pass's test numbers and intp entries,
+        about 6.5. Sorted out of the rows, as a copy's is, it peaks at
+        about 10.7."""
+        matrix = permuted_block_rho_design(250_000, 10, 100, 0.5, np.random.default_rng(1))
+        peak = _peak_bytes(matrix.column_index)
+        assert peak <= 7 * matrix.ones_count()
+        assert np.array_equal(matrix.column_index()[1], _uncached(matrix).column_index()[1])
+
+    def test_column_regular_coma_table(self, large_design):
+        """With the index and weights built, a COMA plan on a design of
+        items in 4 tests each: the (4, n) uint16 table, taken in the order
+        of one stable argsort of the first tests, and the candidates,
+        which are that order: about 6.1. Taking each row at its
+        candidates' clamped positions peaked at about 8.8."""
+        large_design.column_index()
+        large_design.column_weights()
+        peak = _peak_bytes(lambda: make_plan(large_design, "coma"))
+        assert peak <= 7 * large_design.ones_count()
 
     def test_repeat_design(self, repeated_design):
         """The int32 indices of the 65 copies, written in place one row

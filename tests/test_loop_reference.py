@@ -41,6 +41,7 @@ from sparsegt.designs import (
     block_binary_rho_design,
     hypergrid_design,
     hypergrid_shape,
+    permuted_block_rho_design,
     random_gamma_design,
 )
 
@@ -1139,6 +1140,37 @@ class TestRandomGammaAgreesWithTheItemLoop:
             got = random_gamma_design(*call, got_rng)
         want = ref.random_gamma_design(*call, want_rng)
         assert serialize(got) == serialize(want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@st.composite
+def permuted_rho_calls(draw):
+    """(n, d, rho, zeta) of a permuted-rho design, d * rho < n: rho often
+    not dividing n, so each pass ends in a shorter test."""
+    n = draw(st.integers(2, 400))
+    rho = draw(st.integers(1, n - 1))
+    d = draw(st.integers(1, max(1, (n - 1) // rho)))
+    return n, d, rho, draw(st.floats(0.05, 3.0))
+
+
+class TestPermutedRhoAgreesWithThePassLoop:
+    @given(permuted_rho_calls(), st.integers(0, 2**70), st.integers(0, 3))
+    @example((10, 1, 3, 0.5), 42, 0)  # passes of 3 + 3 + 3 + 1
+    @example((1000, 10, 50, 0.5), 7, 1)
+    @example((70_001, 1, 2, 0.5), 3, 0)  # T = 70 002: uint32 column tests
+    @settings(max_examples=150, deadline=None)
+    def test_same_bytes_and_generator_state(self, call, seed, skip):
+        """``rng.permutation(n)`` per pass draws what an in-place shuffle of
+        an int32 copy of the items draws. ``skip`` odd 32-bit draws first,
+        so the call may start on the upper half of a buffered output."""
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (got_rng, want_rng):
+            rng.integers(0, 5, size=skip)
+        got = permuted_block_rho_design(*call, got_rng)
+        want = ref.permuted_block_rho_design(*call, want_rng)
+        # compared as one bool: a diff of two large files would take minutes
+        same_bytes = serialize(got) == serialize(want)
+        assert same_bytes
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 

@@ -4,13 +4,14 @@ These run standalone (pytest tests/test_properties.py) and back the spot
 checks in the other files with randomized coverage.
 """
 
+import pickle
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from sparsegt import core
+from sparsegt import core, decoders, designs
 from sparsegt.core import (
     DefectiveSet,
     TestMatrix,
@@ -290,6 +291,136 @@ class TestConstructionProperties:
         assert (m.column_weights() == 3).all()
         for row in m.rows:
             assert list(row) == sorted(set(row))
+
+
+# ---------------------------------------------------------------------------
+# column providers and the column-regular COMA table
+# ---------------------------------------------------------------------------
+
+
+def _sorted_copy(matrix):
+    """An equal matrix with no column provider, which sorts its column
+    index out of its rows."""
+    return TestMatrix.from_csr(matrix.indptr, matrix.indices, *matrix._metadata())
+
+
+def _assert_same_arrays(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a, b)
+        assert a.dtype == b.dtype
+        assert a.flags.writeable == b.flags.writeable
+
+
+def _assert_provided_as_sorted(matrix, weights_first):
+    """The provider's column index and weights equal the sorted ones in
+    value, dtype and write lock, whichever of the two is asked for first."""
+    assert matrix._columns is not None
+    want = _sorted_copy(matrix)
+    assert want._columns is None
+    if weights_first:
+        matrix.column_weights()
+    _assert_same_arrays(matrix.column_index(), want.column_index())
+    _assert_same_arrays([matrix.column_weights()], [want.column_weights()])
+
+
+class _UnevenWeights(np.ndarray):
+    """Column weights that report a maximum above their own, which sends
+    ``decoders._filed_table`` to its general build on a column-regular
+    design."""
+
+    def max(self, *args, **kwargs):
+        return super().max(*args, **kwargs) + 1
+
+
+def _assert_table_as_general(matrix):
+    """The plan's candidates, table and group offsets equal those of the
+    general build, in value and dtype."""
+    plan = make_plan(matrix, "coma")
+    col_indptr, tests = matrix.column_index()
+    weight = matrix.column_weights()
+    candidates, table = decoders._filed_table(col_indptr, tests, weight.view(_UnevenWeights))
+    group_ptr = core._offsets(np.bincount(table[0], minlength=matrix.num_tests))
+    _assert_same_arrays([plan.candidates, plan.table, plan.group_ptr],
+                        [np.asarray(candidates), np.asarray(table), group_ptr])
+
+
+@st.composite
+def random_gamma_cases(draw):
+    """(n, d, gamma, epsilon, seed, piece): up to 8 columns, past the
+    comparator network's width; with few tests, many groups repeat one."""
+    n = draw(st.integers(2, 200))
+    d = draw(st.integers(1, min(n - 1, 5)))
+    return (n, d, draw(st.integers(1, 8)), draw(st.floats(0.05, 0.45)),
+            draw(st.integers(0, 2**32)), draw(st.sampled_from([1, 3, 64, 1 << 16])))
+
+
+@st.composite
+def permuted_rho_cases(draw):
+    """(n, d, rho, zeta, seed): rho often not dividing n."""
+    n = draw(st.integers(2, 300))
+    rho = draw(st.integers(1, n - 1))
+    d = draw(st.integers(1, max(1, (n - 1) // rho)))
+    return n, d, rho, draw(st.floats(0.05, 2.0)), draw(st.integers(0, 2**32))
+
+
+class TestColumnProviders:
+    """A constructor's column provider gives the column index that sorting
+    the rows gives, and the column-regular COMA table the general one."""
+
+    @given(random_gamma_cases(), st.booleans())
+    @example((50, 2, 8, 0.4, 42, 1 << 16), False)  # T = 80: 30 % of the groups repeat
+    @example((50, 2, 3, 0.4, 42, 3), True)  # pieces of 3 groups, redraws straddling them
+    @example((2000, 1, 1, 0.3, 7, 1 << 16), False)  # gamma = 1
+    @example((300, 10, 1, 0.1, 5, 64), True)  # T = 81 548: uint32 tests
+    @settings(max_examples=80, deadline=None)
+    def test_random_gamma(self, case, weights_first):
+        *call, seed, piece = case
+        with mock.patch.object(designs, "_GROUP_PIECE", piece):
+            matrix = random_gamma_design(*call, np.random.default_rng(seed))
+        _assert_provided_as_sorted(matrix, weights_first)
+        _assert_table_as_general(matrix)
+
+    @given(permuted_rho_cases(), st.booleans())
+    @example((10, 1, 3, 0.5, 42), False)  # n % rho = 1
+    @example((70_001, 1, 2, 0.5, 3), True)  # T = 70 002: uint32 tests, n % rho = 1
+    @settings(max_examples=80, deadline=None)
+    def test_permuted_rho(self, case, weights_first):
+        *call, seed = case
+        matrix = permuted_block_rho_design(*call, np.random.default_rng(seed))
+        _assert_provided_as_sorted(matrix, weights_first)
+        _assert_table_as_general(matrix)
+
+    def test_permuted_rho_of_one_pass(self):
+        """c = 1, which the paper's pass count never gives (it exceeds
+        1 + zeta), with n % rho = 2."""
+        with mock.patch.object(designs, "permuted_constant", return_value=1):
+            matrix = permuted_block_rho_design(47, 2, 5, 0.5, np.random.default_rng(1))
+        assert matrix.col_limit == 1 and matrix.num_tests == 10
+        _assert_provided_as_sorted(matrix, False)
+        _assert_table_as_general(matrix)
+
+    def test_untested_items_are_left_out_of_the_filing(self):
+        """Items of weight 0 beside items of one weight: the column-regular
+        build files the tested items alone."""
+        matrix = TestMatrix(rows=((1, 4), (4, 6), (1, 6)), num_items=8)
+        plan = make_plan(matrix, "coma")
+        assert plan.candidates.tolist() == [1, 4, 6]
+        assert plan.untested.tolist() == [0, 2, 3, 5, 7]
+        _assert_table_as_general(matrix)
+
+    @pytest.mark.parametrize("copy", [
+        _sorted_copy,
+        lambda m: pickle.loads(pickle.dumps(m)),
+        lambda m: parse(serialize(m)),
+    ], ids=["from_csr", "pickle", "parse"])
+    def test_copies_sort_their_index(self, copy):
+        for matrix in (random_gamma_design(500, 3, 3, 0.1, np.random.default_rng(2)),
+                       permuted_block_rho_design(500, 3, 7, 0.5, np.random.default_rng(2))):
+            again = copy(matrix)
+            assert again == matrix
+            assert again._columns is None
+            _assert_same_arrays(again.column_index(), matrix.column_index())
+            _assert_same_arrays([again.column_weights()], [matrix.column_weights()])
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ design-file header keys; the parser, the writer and the ``TestMatrix``
 constructor read them from it. Only the parameter table
 ``core._PARAMETERS`` and its reader write a parameter's range. Only the
 copy helper ``core._blocks`` builds a view whose entries alias one another.
-The check reads the source with ``ast`` and the standard library alone."""
+Only ``core._adopt_csr`` takes a column provider and stores it on a
+matrix, only the two cached properties that build the column index and the
+column weights read it, and no source writes those caches itself. The
+check reads the source with ``ast`` and the standard library alone."""
 
 import ast
 import pathlib
@@ -158,6 +161,57 @@ def _aliasing_views(source: str, module: str) -> list[str]:
     return found
 
 
+# the one function that takes a column provider, and stores it on a matrix,
+# and the two that read it
+_PROVIDER_TAKERS = ("core._adopt_csr",)
+_PROVIDER_USES = {("core.TestMatrix._column_index", "read"),
+                  ("core.TestMatrix._column_weights", "read"),
+                  ("core._adopt_csr", "write")}
+_PROVIDER = "_columns"
+_CACHES = ("_column_index", "_column_weights")
+
+
+def _scoped_nodes(source: str, module: str):
+    """(module.qualified name of the enclosing function or class, node,
+    parent node) of every node in ``source``."""
+    found = []
+
+    def visit(node, scope, parent):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+        found.append((".".join([module] + scope), node, parent))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, node)
+
+    visit(ast.parse(source), [], None)
+    return found
+
+
+def _provider_takers(source: str, module: str) -> list[str]:
+    """The functions with a parameter named ``columns``, the provider's."""
+    return [where for where, node, _ in _scoped_nodes(source, module)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and "columns" in [a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)]]
+
+
+def _named_uses(source: str, module: str, names) -> list[tuple[str, str]]:
+    """(scope, "read" or "write") of each use of an instance attribute in
+    ``names``: the attribute itself, a string constant naming it (a write
+    where it is the key of an item assignment) or a keyword of that name
+    (a write, as to ``__dict__.update``)."""
+    found = []
+    for where, node, parent in _scoped_nodes(source, module):
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            found.append((where, "read" if isinstance(node.ctx, ast.Load) else "write"))
+        elif isinstance(node, ast.Constant) and node.value in names:
+            stored = (isinstance(parent, ast.Subscript) and parent.slice is node
+                      and isinstance(parent.ctx, ast.Store))
+            found.append((where, "write" if stored else "read"))
+        elif isinstance(node, ast.keyword) and node.arg in names:
+            found.append((where, "write"))
+    return found
+
+
 def _column_index_callers(source: str, module: str) -> set[str]:
     return {where for where, node, call in _attributes(source, module)
             if call and node.attr == "column_index"}
@@ -197,6 +251,22 @@ def test_only_the_parameter_table_writes_a_range():
 def test_only_the_copy_helper_builds_an_aliasing_view():
     found = [view for path in SOURCES for view in _aliasing_views(path.read_text(), path.stem)]
     assert found == list(_ALIASING_VIEWS)
+
+
+def test_only_adopt_csr_takes_a_column_provider():
+    takers = [where for path in SOURCES for where in _provider_takers(path.read_text(), path.stem)]
+    assert takers == list(_PROVIDER_TAKERS)
+
+
+def test_only_the_two_caches_read_the_provider():
+    uses = [use for path in SOURCES
+            for use in _named_uses(path.read_text(), path.stem, (_PROVIDER,))]
+    assert set(uses) == _PROVIDER_USES
+
+
+def test_no_source_writes_the_column_caches():
+    uses = [use for path in SOURCES for use in _named_uses(path.read_text(), path.stem, _CACHES)]
+    assert not [use for use in uses if use[1] == "write"], uses
 
 
 def test_the_checks_see_what_they_exist_for():
@@ -277,3 +347,23 @@ def test_the_checks_see_what_they_exist_for():
     )
     assert _aliasing_views(aliasing, "core") == [
         "core", "core.copy", "core.Plan.view", "core.Plan.view", "core.Plan.view"]
+    providers = (
+        "def _adopt_csr(indptr, indices, num_items, columns=None, **fields):\n"
+        "    matrix.__dict__['_columns'] = columns\n"
+        "def build(n, *, columns):\n"
+        "    columns = _ordered_columns(n)\n"
+        "    return matrix._columns\n"
+        "def hint(matrix, tests, weights):\n"
+        "    matrix.__dict__['_column_index'] = tests\n"
+        "    vars(matrix).update(_column_weights=weights)\n"
+        "class TestMatrix:\n"
+        "    _columns = None\n"
+        "    def column_index(self):\n"
+        "        return self._column_index, getattr(self, '_columns')\n"
+    )
+    assert _provider_takers(providers, "core") == ["core._adopt_csr", "core.build"]
+    assert _named_uses(providers, "core", (_PROVIDER,)) == [
+        ("core._adopt_csr", "write"), ("core.build", "read"),
+        ("core.TestMatrix.column_index", "read")]
+    assert _named_uses(providers, "core", _CACHES) == [
+        ("core.hint", "write"), ("core.hint", "write"), ("core.TestMatrix.column_index", "read")]
