@@ -236,9 +236,11 @@ def random_gamma_design(
     than are still needed. Each group is put in increasing order once
     (:func:`_ordered_columns`); that order finds the groups that repeat a
     test, and the accepted groups are item i's tests, kept in the narrow
-    ``_test_dtype(T)`` (2 bytes an incidence below 65 536 tests) as the
-    column index's tests, which the matrix takes from them unsorted
-    (``core._adopt_csr``). Item i's tests t then become its keys
+    ``_test_dtype(T)`` (2 bytes an incidence below 65 536 tests, 4 from
+    there on) as the column index's tests, which the matrix takes from
+    them unsorted (``core._adopt_csr``). The matrix keeps them for its
+    whole life, also where it never builds its column index, as when it is
+    only written out, repeated or pickled (a copy sorts its own index). Item i's tests t then become its keys
     ``t << b | i`` (b the bits of n - 1), in 32 bits where they fit.
     Sorted in place, the keys hold the rows in order, each row's items
     increasing, in their low bits. Besides the matrix and its column
@@ -280,20 +282,16 @@ def random_gamma_design(
                       col_limit=gamma, row_limit=None, design_tag=TAG_RANDOM_GAMMA)
 
 
-# the widest group that _ordered_columns orders by a comparator network
-_NETWORK_WIDTH = 4
-
-
 def _ordered_columns(groups: np.ndarray) -> list[np.ndarray]:
     """The columns of the (m, gamma) array ``groups`` with each row put in
-    increasing order. Up to ``_NETWORK_WIDTH`` columns this is an insertion
-    network of gamma (gamma - 1) / 2 comparators, a ``minimum`` and a
-    ``maximum`` of two columns each: at gamma = 3 and m = 10**4, 30 us
-    against 230 us (2 vCPU) for ``np.sort(groups, axis=1)``, which sorts
-    row by row. Wider groups take that sort, as the network's calls grow
-    with gamma squared: at gamma = 12 the network took 370 us."""
-    if groups.shape[1] > _NETWORK_WIDTH:
-        return list(np.sort(groups, axis=1).T)
+    increasing order, by an insertion network of gamma (gamma - 1) / 2
+    comparators, a ``minimum`` and a ``maximum`` of two columns each. At
+    m = 10**4 (2 vCPU) it takes 26 us at gamma = 3 against 225 us for
+    ``np.sort(groups, axis=1)``, which sorts row by row, and 140 us for
+    one flat sort of 32-bit keys ``row << b | test``. Its calls grow with
+    gamma squared: it passes the row sort near gamma = 10 (330 against
+    230 us at gamma = 12, 920 against 330 us at gamma = 20), and the flat
+    sort near gamma = 18."""
     columns = list(groups.T)
     for top in range(1, len(columns)):
         for k in range(top, 0, -1):

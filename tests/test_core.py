@@ -438,6 +438,17 @@ class TestSetUpMemory:
         assert matrix.num_tests < 1 << 16
         assert held - matrix.indptr.nbytes - matrix.indices.nbytes <= 2 * n * gamma + 4096
 
+    def test_random_gamma_keeps_4_bytes_from_65_536_tests(self):
+        """From 65 536 tests the kept column tests take 4 bytes an
+        incidence: here 2 * 10**5 incidences in T = 108 732 tests. (The
+        first call in a process also imports; a small one makes it.)"""
+        random_gamma_design(10, 1, 2, 0.1, np.random.default_rng(1))
+        n, gamma = 100_000, 2
+        held, matrix = _held_bytes(
+            lambda: random_gamma_design(n, 20, gamma, 0.1, np.random.default_rng(42)))
+        assert matrix.num_tests >= 1 << 16
+        assert held - matrix.indptr.nbytes - matrix.indices.nbytes <= 4 * n * gamma + 4096
+
     def test_validate(self, large_design):
         """On a valid matrix: a bool per entry for each check, then the
         cached column weights, counted by ``np.add.at`` straight from the

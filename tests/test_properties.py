@@ -346,8 +346,8 @@ def _assert_table_as_general(matrix):
 
 @st.composite
 def random_gamma_cases(draw):
-    """(n, d, gamma, epsilon, seed, piece): up to 8 columns, past the
-    comparator network's width; with few tests, many groups repeat one."""
+    """(n, d, gamma, epsilon, seed, piece): gamma 1-8; with few tests,
+    many groups repeat one."""
     n = draw(st.integers(2, 200))
     d = draw(st.integers(1, min(n - 1, 5)))
     return (n, d, draw(st.integers(1, 8)), draw(st.floats(0.05, 0.45)),
@@ -361,6 +361,17 @@ def permuted_rho_cases(draw):
     rho = draw(st.integers(1, n - 1))
     d = draw(st.integers(1, max(1, (n - 1) // rho)))
     return n, d, rho, draw(st.floats(0.05, 2.0)), draw(st.integers(0, 2**32))
+
+
+@given(st.integers(1, 24), st.integers(0, 40), st.integers(1, 1 << 20), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_ordered_columns_sort_each_group(gamma, m, num_tests, seed):
+    """Random-gamma's comparator network orders every row as a row sort
+    does, at every width."""
+    groups = np.random.default_rng(seed).integers(0, num_tests, (m, gamma), np.int32)
+    columns = designs._ordered_columns(groups)
+    assert len(columns) == gamma
+    _assert_same_arrays(columns, list(np.sort(groups, axis=1).T))
 
 
 class TestColumnProviders:
