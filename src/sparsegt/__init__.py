@@ -20,6 +20,7 @@ from .core import (
     ResourceCapError,
     TestMatrix,
     Violation,
+    WorkerLostError,
     apply_noise,
     evaluate,
     parse,

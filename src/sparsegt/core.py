@@ -29,6 +29,7 @@ __all__ = [
     "RegimeError",
     "ParseError",
     "ResourceCapError",
+    "WorkerLostError",
     "IncompatibleDecoderError",
     "TAG_RANDOM_GAMMA",
     "TAG_HYPERGRID",
@@ -84,6 +85,11 @@ class ParseError(GroupTestingError, ValueError):
 
 class ResourceCapError(GroupTestingError, RuntimeError):
     """A requested computation exceeds a configured size cap."""
+
+
+class WorkerLostError(ResourceCapError):
+    """A worker process of a parallel run ended before it returned its
+    trials, as when the operating system ends it for lack of memory."""
 
 
 class IncompatibleDecoderError(GroupTestingError, ValueError):
@@ -310,6 +316,14 @@ class TestMatrix:
     and they are read from that instead of sorted out of the rows; a
     matrix from :meth:`from_csr`, :func:`parse` or pickling sorts them.
 
+    A repeated design from :func:`~sparsegt.designs.repeat_design` holds
+    its base matrix and k instead of the copies (:func:`_adopt_base`). Its
+    ``num_tests``, :meth:`ones_count` and hash are the base's counts times
+    k, and it pickles as its base and k. Its ``indptr`` and ``indices`` are
+    derived once, on their first read, which ``rows``,
+    :meth:`row_weights`, the column index and weights, :func:`serialize`,
+    :func:`validate` and ``==`` make.
+
     ``col_limit`` caps how many tests any single item may appear in (item
     divisibility); ``row_limit`` caps how many items any single test may pool
     (test size). Either may be None when unconstrained. Block designs carry
@@ -325,9 +339,8 @@ class TestMatrix:
 
     __test__ = False  # keep pytest from collecting this as a test class
     _columns = None  # a column provider, set only by _adopt_csr
+    _base = None  # the base matrix of a repeated design, set only by _adopt_base
 
-    indptr: np.ndarray
-    indices: np.ndarray
     num_items: int
     col_limit: int | None
     row_limit: int | None
@@ -379,9 +392,7 @@ class TestMatrix:
         return matrix
 
     def _init(self, indptr, indices, num_items, copy: bool = True, **fields) -> None:
-        num_items = _read_back("n", num_items)
-        header = {field: value if (value := fields.get(field, default)) is default
-                  else _read_back(key, value) for key, field, default in _HEADER_FIELDS}
+        header = _header(num_items, fields)
         indptr = (np.array if copy else np.asarray)(indptr, dtype=np.int64)
         indices = np.asarray(indices)
         if indices.size and not np.issubdtype(indices.dtype, np.integer):
@@ -397,7 +408,30 @@ class TestMatrix:
         indices = indices.astype(np.int32, copy=copy)
         indptr.setflags(write=False)
         indices.setflags(write=False)
-        self.__dict__.update(header, indptr=indptr, indices=indices, num_items=num_items)
+        self.__dict__.update(header, indptr=indptr, indices=indices)
+
+    @cached_property
+    def indptr(self) -> np.ndarray:
+        """The int64 CSR offsets; a matrix holding its base derives them."""
+        return self._copies()[0]
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        """The int32 item indices; a matrix holding its base derives them."""
+        return self._copies()[1]
+
+    def _copies(self) -> tuple[np.ndarray, np.ndarray]:
+        """The CSR arrays of a matrix that holds its base: k consecutive
+        copies of each base row (:func:`_copy_rows`), write-locked and kept
+        as ``indptr`` and ``indices``. Called once, by whichever of the two
+        is read first."""
+        base = self._base
+        indptr, indices = _copy_rows(base.indices, base.indptr[:-1], base.row_weights(),
+                                     self.repeat_k)
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        self.__dict__.update(indptr=indptr, indices=indices)
+        return indptr, indices
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -419,9 +453,11 @@ class TestMatrix:
         )
 
     def __hash__(self) -> int:
-        return hash((self._metadata(), self.indices.size))
+        return hash((self._metadata(), self.ones_count()))
 
     def __reduce__(self):
+        if self._base is not None:  # the base and k, not the copies
+            return (_adopt_base, (self._base, *self._metadata()))
         return (type(self).from_csr, (self.indptr, self.indices, *self._metadata()))
 
     def __repr__(self) -> str:
@@ -439,6 +475,8 @@ class TestMatrix:
 
     @property
     def num_tests(self) -> int:
+        if self._base is not None:
+            return self._base.num_tests * self.repeat_k
         return self.indptr.size - 1
 
     def row_weights(self) -> np.ndarray:
@@ -548,6 +586,8 @@ class TestMatrix:
         return keys
 
     def ones_count(self) -> int:
+        if self._base is not None:
+            return self._base.ones_count() * self.repeat_k
         return int(self.indices.size)
 
     def block_bounds(self) -> tuple[tuple[int, int], ...]:
@@ -575,6 +615,34 @@ def _adopt_csr(indptr: np.ndarray, indices: np.ndarray, num_items: int,
     if columns is not None:
         matrix.__dict__["_columns"] = columns
     return matrix
+
+
+def _adopt_base(base: TestMatrix, num_items: int, col_limit: int | None = None,
+                row_limit: int | None = None, design_tag: str = TAG_CUSTOM,
+                block_starts: Iterable[int] | None = None, base_tag: str | None = None,
+                repeat_k: int = 1) -> TestMatrix:
+    """The design of ``repeat_k`` consecutive copies of each row of
+    ``base``, a matrix over the same ``num_items`` items; the other
+    arguments are as for :meth:`TestMatrix.from_csr`. The one way a matrix
+    holds its base: it keeps ``base`` and k, and derives the CSR arrays of
+    the copies on their first read (:meth:`TestMatrix._copies`). The
+    majority plan evaluates ``base`` itself, with no copy check, as its
+    groups are copies by construction."""
+    matrix = TestMatrix.__new__(TestMatrix)
+    matrix.__dict__.update(_header(num_items, dict(
+        col_limit=col_limit, row_limit=row_limit, design_tag=design_tag,
+        block_starts=block_starts, base_tag=base_tag, repeat_k=repeat_k)), _base=base)
+    return matrix
+
+
+def _header(num_items, fields: dict) -> dict:
+    """``num_items`` and the header ``fields`` (each field's default where
+    it is absent or is the default) as :func:`parse` reads their written
+    text (:func:`_read_back`), keyed by field."""
+    num_items = _read_back("n", num_items)
+    return {"num_items": num_items, **{
+        field: value if (value := fields.get(field, default)) is default
+        else _read_back(key, value) for key, field, default in _HEADER_FIELDS}}
 
 
 def _checked_max_index(indices: np.ndarray, num_items: int) -> int:

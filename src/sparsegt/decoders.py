@@ -493,10 +493,15 @@ class MajorityPlan(ComaPlan):
     every-test-positive rule as they are; with flips the votes are formed
     as (trials, T/k) rows, and the pairs of the positive ones go to it.
     ``decode_bits`` reads observed outcomes as the flips of all-negative
-    base outcomes, which gives the same votes. The plan refuses a repeated
-    design whose groups are not copies, which
-    :func:`~sparsegt.core.validate` reports as ``repetition``, and keeps
-    each group's first row, copied out once, as its base rows.
+    base outcomes, which gives the same votes.
+
+    A design from :func:`~sparsegt.designs.repeat_design` holds its base
+    matrix, whose groups are copies by construction: the plan evaluates it
+    as it is, and shares its column index. Any other repeated design (one
+    parsed or built with ``from_csr``) is checked: the plan refuses one
+    whose groups are not copies, which :func:`~sparsegt.core.validate`
+    reports as ``repetition``, and keeps each group's first row, copied out
+    once, as its base rows.
     """
 
     kind = "majority"
@@ -511,16 +516,18 @@ class MajorityPlan(ComaPlan):
             raise IncompatibleDecoderError(
                 f"{matrix.num_tests} tests not divisible by repeat_k={k}"
             )
-        group = _broken_repeat_group(matrix)
-        if group is not None:
-            raise IncompatibleDecoderError(
-                f"rows {group * k}..{(group + 1) * k - 1} of the repeated design "
-                "are not copies of one row"
-            )
+        base = matrix._base
+        if base is None:
+            group = _broken_repeat_group(matrix)
+            if group is not None:
+                raise IncompatibleDecoderError(
+                    f"rows {group * k}..{(group + 1) * k - 1} of the repeated design "
+                    "are not copies of one row"
+                )
+            base = _adopt_csr(*_copy_rows(matrix.indices, matrix.indptr[:-1:k],
+                                          matrix.row_weights()[::k], 1), matrix.num_items)
         self.k = k
-        indptr, indices = _copy_rows(matrix.indices, matrix.indptr[:-1:k],
-                                     matrix.row_weights()[::k], 1)
-        super().__init__(_adopt_csr(indptr, indices, matrix.num_items))
+        super().__init__(base)
 
     def decode_bits(self, bits: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray]:
         _, estimate, _, _ = self.decode_pairs(_NO_ITEMS, _NO_ITEMS, 1, bits[None])

@@ -46,9 +46,9 @@ from .core import (
     TAG_REPEATED,
     TestMatrix,
     int_root_ceil,
+    _adopt_base,
     _adopt_csr,
     _check_generator,
-    _copy_rows,
     _index_dtype,
     _key_dtype,
     _offsets,
@@ -422,11 +422,14 @@ def repeat_design(matrix: TestMatrix, k: int) -> TestMatrix:
     k = 1 returns the matrix unchanged. The per-item budget scales to
     k * col_limit; the per-test budget is unchanged.
 
-    The int32 indices of the copies are allocated once, and the matrix
-    keeps them. All k copies of a row of length L are one block of k * L
-    entries, so they are written one row length at a time, as 2-D blocks
-    with no position per entry (``core._copy_rows``): besides the indices
-    the build holds two int64 per-row arrays and one piece's base rows.
+    The result holds ``matrix`` and k, not the copies (``core._adopt_base``):
+    its T and incidence count are the base's times k, a majority plan
+    evaluates ``matrix`` itself, and it pickles as ``matrix`` and k. Its
+    CSR arrays are derived on their first read, which ``serialize``,
+    ``validate``, ``rows`` and the column index make. All k copies of a row
+    of length L are one block of k * L entries, so they are written one row
+    length at a time, as 2-D blocks with no position per entry
+    (``core._copy_rows``), into int32 indices allocated once.
     """
     k = _parameter("k", k)
     if k == 1:
@@ -434,10 +437,8 @@ def repeat_design(matrix: TestMatrix, k: int) -> TestMatrix:
     if matrix.repeat_k > 1:
         raise InvalidParameterError("matrix is already a repeated design")
     _check_size(matrix.num_tests * k, matrix.ones_count() * k)
-    indptr, indices = _copy_rows(matrix.indices, matrix.indptr[:-1], matrix.row_weights(), k)
-    return _adopt_csr(
-        indptr,
-        indices,
+    return _adopt_base(
+        matrix,
         num_items=matrix.num_items,
         col_limit=None if matrix.col_limit is None else matrix.col_limit * k,
         row_limit=matrix.row_limit,

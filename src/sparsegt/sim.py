@@ -36,6 +36,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,6 +51,7 @@ from .core import (
     Prior,
     ResourceCapError,
     TestMatrix,
+    WorkerLostError,
     _index_dtype,
     _noise_flips,
     _or_bits,
@@ -595,6 +597,8 @@ def run_monte_carlo(matrix: TestMatrix, decoder: str, config: SimConfig) -> SimR
     design tag). A trial errs when the decoder reports any ambiguity or its
     estimate differs from the drawn defective set. Noise (``params.sigma`` > 0)
     is only ever paired with majority decoding; any other pairing is refused.
+    A worker of a ``parallelism`` > 1 run that ends before it returns its
+    trials raises :class:`~sparsegt.core.WorkerLostError`.
     """
     sigma = config.params.sigma or 0.0
     plan = make_plan(matrix, decoder)  # validates the pairing early
@@ -616,8 +620,13 @@ def run_monte_carlo(matrix: TestMatrix, decoder: str, config: SimConfig) -> SimR
         bounds = [config.trials * j // jobs for j in range(jobs + 1)]
         worker = functools.partial(_run_worker, matrix, plan.kind, config.prior, sigma,
                                    config.master_seed)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(worker, bounds[:-1], np.diff(bounds).tolist()))
+        try:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                parts = list(pool.map(worker, bounds[:-1], np.diff(bounds).tolist()))
+        except BrokenProcessPool as exc:
+            raise WorkerLostError(
+                f"a worker process of the {jobs}-job run ended before returning its trials "
+                "(out of memory?); try fewer jobs") from exc
     else:
         parts = [_run_trial_range(matrix, plan, config.prior, sigma, config.master_seed, 0,
                                   config.trials)]

@@ -19,6 +19,7 @@ from sparsegt import bounds, cli, decoders
 from sparsegt.cli import main
 from sparsegt.core import parse, serialize
 from sparsegt.designs import hypergrid_design, permuted_block_rho_design, repeat_design
+from test_sim import forks, lost_workers
 
 
 def run(capsys, *argv):
@@ -250,6 +251,16 @@ class TestSimulateCommand:
         assert (code, out) == (3, [])
         assert err.startswith("resource cap: design needs")
         assert err.endswith("tests, above the cap of 10000000\n")
+        assert err.count("\n") == 1
+
+    @forks
+    def test_a_lost_worker_exits_3(self, capsys):
+        with lost_workers():
+            code, out, err = run(capsys, "simulate", "--design", "fig1", "--d", "2",
+                                 "--trials", "100", "--jobs", "2")
+        assert code == 3
+        assert all(line.startswith("#") for line in out)
+        assert err.startswith("resource cap: a worker process of the 2-job run ended")
         assert err.count("\n") == 1
 
     def test_noisy_run_with_k(self, capsys):

@@ -33,6 +33,7 @@ from sparsegt.core import (
 )
 from sparsegt.decoders import make_plan
 from sparsegt.designs import permuted_block_rho_design, random_gamma_design, repeat_design
+from sparsegt.sim import SimConfig, run_monte_carlo
 
 # the 3x3 grid over 9 items: axis-0 tests are columns, axis-1 tests are rows
 GRID9 = TestMatrix(
@@ -493,13 +494,14 @@ class TestSetUpMemory:
         assert peak <= 7 * large_design.ones_count()
 
     def test_repeat_design(self, repeated_design):
-        """The int32 indices of the 65 copies, written in place one row
-        length at a time through strided views, with no position array,
-        and two int64 per-row arrays: about 4.35. Gathering pieces of 2**16
-        entries through int32 positions peaked near 6.0, one gather of all
-        the copies and a copy of it into the matrix near 16.6."""
+        """The copies' arrays, derived on first read: the int32 indices of
+        the 65 copies, written in place one row length at a time through
+        strided views, with no position array, and two int64 per-row
+        arrays: about 4.35. Gathering pieces of 2**16 entries through int32
+        positions peaked near 6.0, one gather of all the copies and a copy
+        of it into the matrix near 16.6."""
         base = permuted_block_rho_design(1000, 10, 50, 0.5, np.random.default_rng(1))
-        peak = _peak_bytes(lambda: repeat_design(base, 65))
+        peak = _peak_bytes(lambda: repeat_design(base, 65).indices)
         assert peak <= 5 * repeated_design.ones_count()
 
     def test_majority_plan(self, repeated_design):
@@ -511,6 +513,26 @@ class TestSetUpMemory:
         matrix = _uncached(repeated_design)
         peak = _peak_bytes(lambda: make_plan(matrix, "majority"))
         assert peak <= 1 * repeated_design.ones_count()
+
+    def test_repeated_harness_set_up(self):
+        """``repeat_design`` keeps the base and k, the majority plan
+        evaluates the base and shares its column index, and a zero-trial
+        run builds its plan the same way: the three peak near 0.30 bytes
+        per repeated incidence and keep about 0.10. With the copies written
+        out, checked and copied back by the plan they peaked near 5.0 and
+        kept 4.3."""
+        base = permuted_block_rho_design(1000, 10, 50, 0.5, np.random.default_rng(1))
+        cfg = SimConfig(params=DesignParams(n=1000, d=10, rho=50, sigma=0.1, zeta=0.5),
+                        prior=Prior(PRIOR_UNIFORM_EXACT, 10), trials=0, master_seed=1)
+
+        def set_up():
+            matrix = repeat_design(base, 65)
+            plan = make_plan(matrix, "majority")
+            run_monte_carlo(matrix, "majority", cfg)
+            return matrix, plan
+
+        peak = _peak_bytes(set_up)
+        assert peak <= 1 * 975_000
 
     def test_validate_repeated(self, repeated_design):
         """A bool per entry for each check, and the copy check in bounded
@@ -574,6 +596,24 @@ class TestMatrixStorage:
         assert tests.tolist() == [0, 1, 0, 1, 2]
         assert m.column_index()[1] is tests
         assert m.column_weights().tolist() == [1, 1, 3, 0]
+
+    def test_a_repeated_design_pickles_as_its_base_and_k(self):
+        """C7's design pickles as its base and k, under a tenth of its
+        pickle with the copies' arrays; unpickled, it still holds its base,
+        and its plan skips the copy check."""
+        import pickle
+
+        base = permuted_block_rho_design(1000, 10, 50, 0.5, np.random.default_rng(3))
+        lazy = repeat_design(base, 65)
+        data = pickle.dumps(lazy)
+        again = pickle.loads(data)
+        assert make_plan(again, "majority").evaluated is again._base
+        assert "indices" not in vars(again)
+        assert again == lazy and hash(again) == hash(lazy)
+        assert again._base == base
+        eager = TestMatrix.from_csr(lazy.indptr, lazy.indices, *lazy._metadata())
+        assert len(data) < len(pickle.dumps(eager)) / 10
+        assert pickle.loads(pickle.dumps(eager)) == again
 
     def test_pickle_round_trip_drops_the_cache(self):
         import pickle

@@ -8,8 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparsegt.core import (
+    DesignParams,
     GroupTestingError,
     InvalidParameterError,
+    PRIOR_UNIFORM_EXACT,
+    Prior,
     ResourceCapError,
     TAG_BLOCK_BINARY_RHO,
     TAG_BLOCK_HYPERGRID,
@@ -17,9 +20,14 @@ from sparsegt.core import (
     TAG_PERMUTED_RHO,
     TAG_RANDOM_GAMMA,
     TAG_REPEATED,
+    TestMatrix,
+    _copy_rows,
+    parse,
+    serialize,
     validate,
 )
 from sparsegt import designs
+from sparsegt.decoders import make_plan
 from sparsegt.designs import (
     balanced_block_starts,
     block_binary_rho_design,
@@ -30,7 +38,7 @@ from sparsegt.designs import (
     random_gamma_design,
     repeat_design,
 )
-from sparsegt.sim import wilson_interval
+from sparsegt.sim import SimConfig, run_monte_carlo, wilson_interval
 
 
 class TestHypergrid:
@@ -294,6 +302,73 @@ class TestRepeat:
     def test_rejects_nonpositive_k(self):
         with pytest.raises(InvalidParameterError):
             repeat_design(hypergrid_design(4, 2), 0)
+
+
+# a base of each family, and custom ones with ragged and empty rows
+_BASES = {
+    "random-gamma": lambda: random_gamma_design(40, 2, 3, 0.3, np.random.default_rng(5)),
+    "hypergrid": lambda: hypergrid_design(5, 2),  # rows of 2, 2, 1, 3 and 2
+    "block-hypergrid": lambda: block_hypergrid_design(50, 2, 2, 0.5),
+    "permuted-rho": lambda: permuted_block_rho_design(23, 1, 5, 0.5, np.random.default_rng(5)),
+    "block-binary-rho": lambda: block_binary_rho_design(30, 2, 4, 0.5),
+    "ragged-and-empty": lambda: TestMatrix(rows=[(0, 2), (), (1,), (0, 1, 2, 3), ()],
+                                           num_items=5),
+    "all-empty": lambda: TestMatrix(rows=[(), ()], num_items=3),
+    "no-rows": lambda: TestMatrix(rows=[], num_items=3),
+}
+
+
+class TestRepeatHoldsItsBase:
+    """A repeated design keeps its base and k; the arrays of its copies
+    are derived on their first read, as an eager copy writes them."""
+
+    @pytest.mark.parametrize("k", [2, 3, 65])
+    @pytest.mark.parametrize("family", sorted(_BASES))
+    def test_derived_copies_equal_the_eager_copy(self, family, k):
+        base = _BASES[family]()
+        m = repeat_design(base, k)
+        assert "indices" not in vars(m)
+        want_indptr, want_indices = _copy_rows(base.indices, base.indptr[:-1],
+                                               base.row_weights(), k)
+        assert m.indptr.dtype == np.int64 and m.indices.dtype == np.int32
+        assert np.array_equal(m.indptr, want_indptr)
+        assert np.array_equal(m.indices, want_indices)
+        assert not (m.indptr.flags.writeable or m.indices.flags.writeable)
+        assert m.rows == tuple(row for row in base.rows for _ in range(k))
+        assert m == TestMatrix.from_csr(want_indptr, want_indices, *m._metadata())
+
+    @pytest.mark.parametrize("family", sorted(_BASES))
+    def test_round_trip(self, family):
+        m = repeat_design(_BASES[family](), 3)
+        again = parse(serialize(m))
+        assert again == m and hash(again) == hash(m)
+        assert validate(again) == validate(m)
+
+    def test_counts_derive_nothing(self):
+        base = _BASES["ragged-and-empty"]()
+        m = repeat_design(base, 4)
+        assert repr(m) == "TestMatrix(num_tests=20, num_items=5, ones=28, design_tag='repeated')"
+        assert hash(m) == hash(TestMatrix.from_csr(*_copy_rows(
+            base.indices, base.indptr[:-1], base.row_weights(), 4), *m._metadata()))
+        make_plan(m, "majority")
+        assert not {"indptr", "indices"} & set(vars(m))
+        assert m.row_weights().tolist() == np.repeat(base.row_weights(), 4).tolist()
+        assert {"indptr", "indices"} <= set(vars(m))
+
+    def test_majority_counts_equal_on_the_checked_parse(self):
+        """C7's design and its parsed copy, whose plan checks and copies
+        out the groups, give the same counts."""
+        base = permuted_block_rho_design(1000, 10, 50, 0.5, np.random.default_rng(3))
+        lazy = repeat_design(base, 65)
+        parsed = parse(serialize(lazy))
+        assert make_plan(lazy, "majority").evaluated is base
+        assert make_plan(parsed, "majority").evaluated is not base
+        cfg = SimConfig(params=DesignParams(n=1000, d=10, rho=50, sigma=0.3, zeta=0.5),
+                        prior=Prior(PRIOR_UNIFORM_EXACT, 10), trials=1000, master_seed=42)
+        counts = [(r.errors, r.breakdown) for r in (run_monte_carlo(m, "majority", cfg)
+                                                    for m in (lazy, parsed))]
+        assert counts[0] == counts[1]
+        assert counts[0][0] > 0
 
 
 def _rng_state(rng):

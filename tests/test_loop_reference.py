@@ -1084,6 +1084,30 @@ class TestDecodePairsTakesRawGatheredPairs:
             assert amb_block[amb_trial == row].tolist() == want_ambiguous
 
 
+def _assert_same_design(got: TestMatrix, want: TestMatrix) -> None:
+    """Equal designs write the same file, so they are compared as one
+    bool, ``got == want``: a diff of two large design files would take
+    minutes. A failure names T, n and the first row that differs."""
+    if got == want:
+        return
+    where = f"T={got.num_tests}, n={got.num_items}"
+    if (got._metadata(), got.num_tests) != (want._metadata(), want.num_tests):
+        pytest.fail(f"{where}: headers differ, {got._metadata()} against {want._metadata()} "
+                    f"with T={want.num_tests}")
+    row = next(t for t, (a, b) in enumerate(zip(got.rows, want.rows)) if a != b)
+    pytest.fail(f"{where}: row {row} differs")
+
+
+def test_a_design_difference_names_t_n_and_its_first_row():
+    want = TestMatrix(rows=[(0, 1), (1,), (2,)], num_items=3)
+    got = TestMatrix(rows=[(0, 1), (2,), (1,)], num_items=3)
+    with pytest.raises(pytest.fail.Exception, match=r"^T=3, n=3: row 1 differs$"):
+        _assert_same_design(got, want)
+    with pytest.raises(pytest.fail.Exception, match=r"^T=3, n=3: headers differ"):
+        _assert_same_design(want, TestMatrix(rows=want.rows, num_items=4))
+    _assert_same_design(want, TestMatrix(rows=want.rows, num_items=3))
+
+
 class TestBlockConstructorsAgreeWithLoops:
     @given(block_constructor_calls())
     @example(("block_hypergrid_design", (7, 3, 2, 0.5)))  # seven blocks of size 1
@@ -1093,8 +1117,7 @@ class TestBlockConstructorsAgreeWithLoops:
     def test_same_matrix_and_bytes(self, call):
         name, args = call
         got, want = getattr(designs, name)(*args), getattr(ref, name)(*args)
-        assert got == want
-        assert serialize(got) == serialize(want)
+        _assert_same_design(got, want)
 
 
 @st.composite
@@ -1123,7 +1146,7 @@ class TestRandomGammaAgreesWithTheItemLoop:
             rng.integers(0, 5, size=skip)
         got = random_gamma_design(*call, got_rng)
         want = ref.random_gamma_design(*call, want_rng)
-        assert serialize(got) == serialize(want)
+        _assert_same_design(got, want)
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     @given(random_gamma_calls(), st.integers(0, 2**70), st.integers(1, 5), st.booleans())
@@ -1139,7 +1162,7 @@ class TestRandomGammaAgreesWithTheItemLoop:
                 mock.patch.object(designs, "_key_dtype", key_dtype):
             got = random_gamma_design(*call, got_rng)
         want = ref.random_gamma_design(*call, want_rng)
-        assert serialize(got) == serialize(want)
+        _assert_same_design(got, want)
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
@@ -1168,9 +1191,7 @@ class TestPermutedRhoAgreesWithThePassLoop:
             rng.integers(0, 5, size=skip)
         got = permuted_block_rho_design(*call, got_rng)
         want = ref.permuted_block_rho_design(*call, want_rng)
-        # compared as one bool: a diff of two large files would take minutes
-        same_bytes = serialize(got) == serialize(want)
-        assert same_bytes
+        _assert_same_design(got, want)
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 

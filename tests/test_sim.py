@@ -1,5 +1,10 @@
 """Monte Carlo harness, trial seeding, Wilson intervals, exact oracles."""
 
+import contextlib
+import functools
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from unittest import mock
 
@@ -18,6 +23,7 @@ from sparsegt.core import (
     PRIOR_UNIFORM_EXACT,
     ResourceCapError,
     TestMatrix,
+    WorkerLostError,
 )
 from sparsegt.designs import (
     block_binary_rho_design,
@@ -40,6 +46,25 @@ from sparsegt.sim import (
 )
 
 GRID9 = hypergrid_design(9, 2)
+
+forks = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                           reason="needs the fork start method")
+
+
+def _exit_at_once(*args):
+    """A worker that ends its process at once, as the kernel's
+    out-of-memory killer would."""
+    os._exit(1)
+
+
+@contextlib.contextmanager
+def lost_workers():
+    """Runs of two fork-started workers that each end at once."""
+    fork = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork"))
+    with mock.patch.object(sim, "_run_worker", _exit_at_once), \
+            mock.patch.object(sim, "ProcessPoolExecutor", fork), \
+            mock.patch("os.cpu_count", return_value=2):
+        yield
 
 
 def config(n, d, trials, seed, jobs=1, **params):
@@ -161,6 +186,29 @@ class TestRunMonteCarlo:
         one = run_monte_carlo(GRID9, "coma", config(9, 2, 1000, seed=5, epsilon=0.4, gamma=2))
         assert pools == ([workers] if workers else [])
         assert (many.errors, many.breakdown) == (one.errors, one.breakdown)
+
+    def test_a_repeated_design_reaches_the_workers_as_its_base(self):
+        """C7's design, pickled to two workers as its base and k, gives the
+        counts of one job, and the parent never derives its copies."""
+        base = permuted_block_rho_design(1000, 10, 50, 0.5, np.random.default_rng(3))
+        matrix = repeat_design(base, 65)
+        reports = []
+        for jobs in (1, 2):
+            with mock.patch("os.cpu_count", return_value=2):
+                reports.append(run_monte_carlo(matrix, "majority", config(
+                    1000, 10, 1000, seed=42, jobs=jobs, rho=50, sigma=0.3, zeta=0.5)))
+        one, two = reports
+        assert (two.errors, two.breakdown) == (one.errors, one.breakdown)
+        assert one.errors > 0
+        assert "indices" not in vars(matrix)
+
+    @forks
+    def test_a_lost_worker_raises_worker_lost(self):
+        """A worker that ends abruptly surfaces as the documented
+        ``ResourceCapError`` subclass, not as the pool's own error."""
+        with lost_workers(), pytest.raises(WorkerLostError, match="2-job run"):
+            run_monte_carlo(GRID9, "coma", config(9, 2, 100, seed=5, jobs=2, epsilon=0.4,
+                                                  gamma=2))
 
     def test_rate_matches_exhaustive_on_small_instance(self):
         exact = float(exhaustive_error_probability(GRID9, "coma", 2))

@@ -10,8 +10,10 @@ constructor read them from it. Only the parameter table
 copy helper ``core._blocks`` builds a view whose entries alias one another.
 Only ``core._adopt_csr`` takes a column provider and stores it on a
 matrix, only the two cached properties that build the column index and the
-column weights read it, and no source writes those caches itself. The
-check reads the source with ``ast`` and the standard library alone."""
+column weights read it, and no source writes those caches itself. Only
+``core._adopt_base`` stores a repeated design's base matrix on it, and only
+the readers named in ``_BASE_USES`` read it. The check reads the source
+with ``ast`` and the standard library alone."""
 
 import ast
 import pathlib
@@ -187,6 +189,18 @@ def _scoped_nodes(source: str, module: str):
     return found
 
 
+# the one function that stores a repeated design's base on it, and the
+# ones that read it: the two counts, the derived copies, pickling and the
+# majority plan, which evaluates the base
+_BASE = "_base"
+_BASE_USES = {("core._adopt_base", "write"),
+              ("core.TestMatrix.num_tests", "read"),
+              ("core.TestMatrix.ones_count", "read"),
+              ("core.TestMatrix._copies", "read"),
+              ("core.TestMatrix.__reduce__", "read"),
+              ("decoders.MajorityPlan.__init__", "read")}
+
+
 def _provider_takers(source: str, module: str) -> list[str]:
     """The functions with a parameter named ``columns``, the provider's."""
     return [where for where, node, _ in _scoped_nodes(source, module)
@@ -262,6 +276,12 @@ def test_only_the_two_caches_read_the_provider():
     uses = [use for path in SOURCES
             for use in _named_uses(path.read_text(), path.stem, (_PROVIDER,))]
     assert set(uses) == _PROVIDER_USES
+
+
+def test_only_adopt_base_stores_the_base_and_named_readers_read_it():
+    uses = [use for path in SOURCES
+            for use in _named_uses(path.read_text(), path.stem, (_BASE,))]
+    assert set(uses) == _BASE_USES
 
 
 def test_no_source_writes_the_column_caches():
