@@ -391,9 +391,9 @@ class TestMatrix:
                      repeat_k=repeat_k)
         return matrix
 
-    def _init(self, indptr, indices, num_items, copy: bool = True, **fields) -> None:
+    def _init(self, indptr, indices, num_items, **fields) -> None:
         header = _header(num_items, fields)
-        indptr = (np.array if copy else np.asarray)(indptr, dtype=np.int64)
+        indptr = np.array(indptr, dtype=np.int64)
         indices = np.asarray(indices)
         if indices.size and not np.issubdtype(indices.dtype, np.integer):
             raise InvalidParameterError("item indices must be integers")
@@ -405,7 +405,7 @@ class TestMatrix:
             )
         if indices.size and (indices.min() < -_MAX_ITEMS or indices.max() >= _MAX_ITEMS):
             raise InvalidParameterError("item indices must fit in int32")
-        indices = indices.astype(np.int32, copy=copy)
+        indices = indices.astype(np.int32)
         indptr.setflags(write=False)
         indices.setflags(write=False)
         self.__dict__.update(header, indptr=indptr, indices=indices)
@@ -599,9 +599,14 @@ class TestMatrix:
 
 def _adopt_csr(indptr: np.ndarray, indices: np.ndarray, num_items: int,
                columns: tuple | None = None, **fields) -> TestMatrix:
-    """:meth:`TestMatrix.from_csr` without its copy, for int64 offsets and
-    int32 indices that the caller built and holds no other reference to:
-    they are write-locked and kept as they are.
+    """:meth:`TestMatrix.from_csr` without its copy and its scans, for int64
+    offsets and int32 indices (or int64 ones, then cast) that the caller
+    built, checked and holds no other reference to: they are write-locked
+    and kept as they are. The caller vouches for what the scans would
+    check: offsets from 0 that never decrease and end at the count of the
+    indices, and indices in [0, num_items), as a constructor builds them and
+    ``parse`` reads them. The header is read back as ``from_csr`` reads it
+    (:func:`_header`). The one matrix maker that skips the scans.
 
     ``columns``, the one way to hand a matrix its column tests, is a
     provider ``(c, provide)`` for a design that puts every item in exactly
@@ -611,7 +616,10 @@ def _adopt_csr(indptr: np.ndarray, indices: np.ndarray, num_items: int,
     item's increasing, in ``_test_dtype(T)``. It must hold no reference to
     the matrix."""
     matrix = TestMatrix.__new__(TestMatrix)
-    matrix._init(indptr, indices, num_items, **fields, copy=False)
+    indices = indices.astype(np.int32, copy=False)
+    indptr.setflags(write=False)
+    indices.setflags(write=False)
+    matrix.__dict__.update(_header(num_items, fields), indptr=indptr, indices=indices)
     if columns is not None:
         matrix.__dict__["_columns"] = columns
     return matrix

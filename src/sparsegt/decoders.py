@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -112,9 +113,14 @@ _NO_ITEMS = np.empty(0, dtype=np.int64)
 _WORD_SHIFT = 6
 _WORD = 1 << _WORD_SHIFT
 _BITS = np.uint64(1) << np.arange(_WORD, dtype=np.uint64)
+_BYTE_BITS = np.uint8(1) << np.arange(8, dtype=np.uint8)
 # the bytes of each (items, words) array of COMA's dense candidate stage:
 # a slice that stays in a core's cache runs faster than a larger one
 _DENSE_BYTES = 1 << 18
+# keys per piece of the positions a COMA plan packs into its filing keys
+_FILE_PIECE = 1 << 16
+# the bool cells a COMA plan sets its pair filter's bits in before packing
+_FILTER_CELLS = 1 << 19
 
 
 class _Plan:
@@ -166,19 +172,16 @@ class ComaPlan(_Plan):
     word has bit b set when the test is positive in trial 64 * word + b, so
     the AND of an item's test masks holds the trials in which it passes.
 
-    The plan files each tested item under its first test (``candidates``,
-    in filing order, with ``group_ptr`` the offsets of each test's run) and
+    The plan files each tested item by its first and then its second test
+    (``candidates``, in ``core._index_dtype(n)``, with ``group_ptr`` the
+    int32 offsets of each first test's run, ``runs`` their lengths) and
     keeps one (K, items) ``table`` of the candidates' first K tests, K the
     mean column weight rounded up (at least 1): row k holds each
-    candidate's test k, or its last test where it has no more. A batch
-    takes one of two candidate stages; both read the table, AND the
-    remaining tests of their survivors with one ``bitwise_and.reduceat``,
-    and give the same survivors.
-
-    Sparse: a word's candidates are the items filed under its positive
-    tests. Each table row after the first clears most of those left, and
-    the cleared ones are dropped before the next. A word's work grows with
-    its positive tests, not n. It reads (words, T) masks.
+    candidate's test k, or its last test where it has no more. So row 0 is
+    sorted, and row 1 within each run of row 0. A batch takes one of three
+    candidate stages; each reads the table, ANDs the remaining tests of its
+    survivors with one ``bitwise_and.reduceat``, and they give the same
+    survivors.
 
     Dense: as with tests of rho items, where a trial makes up to a
     d * rho / n share of the tests positive, nearly every item has a
@@ -187,45 +190,71 @@ class ComaPlan(_Plan):
     (T, words) masks. Each slice's arrays stay within about
     ``_DENSE_BYTES`` whatever n is.
 
-    ``decode_pairs`` picks the stage by :func:`_dense_pays` before it fills
-    any mask, with the nonzero share the pairs would leave if they fell on
-    the masks at random. For the dense stage it scatters them into a
-    (T, 64 * words) bool array (``core._or_bits``) and packs that into the
-    (T, words) masks, so repeated pairs need no sort; for the sparse stage
-    it sorts them into distinct pairs (``core._or_pairs``) and adds their
-    bits into (words, T) masks. ``trial_bytes`` counts the masks, T / 8
+    Item: a word's candidates are the items filed under its positive
+    tests. Each table row after the first clears most of those left, and
+    the cleared ones are dropped before the next. It reads (words, T)
+    masks.
+
+    Pair: an item passes only where its first and its second test are both
+    positive, so a trial's candidates are the items filed under one of its
+    (positive first test, positive second test) pairs: about d * d pairs
+    where the item stage visits d * rho items on designs of tests of rho
+    items. The ``pairs`` index (:class:`_PairIndex`) drops most pairs that
+    file no item; the others are matched in their run by a binary search
+    of table row 1, and the items found have their other rows checked trial
+    by trial against (T, words) masks. The index is built by the first
+    batch that takes the pair stage, so a plan whose batches never do (as
+    desk-coma's, noisy-repeated's, random-gamma's at large n) builds none.
+
+    ``decode_pairs`` picks dense or not by :func:`_dense_pays` before it
+    fills any mask, with the nonzero share the pairs would leave if they
+    fell on the masks at random. For the dense stage it scatters them into
+    a (T, 64 * words) bool array (``core._or_bits``) and packs that into
+    the (T, words) masks, so repeated pairs need no sort. Otherwise it
+    sorts them into distinct pairs (``core._or_pairs``), picks the item or
+    the pair stage by :func:`_pairs_pay` from the pairs the one would form
+    and the items the other would visit, and adds the pairs' bits into the
+    masks of the stage it takes. ``trial_bytes`` counts the masks, T / 8
     bytes a trial; the dense fill's bool array takes T bytes a trial while
     the batch packs it.
 
-    The plan keeps the column index and its ``candidates``, ``table`` and
-    ``group_ptr``; the table takes the dtype of the index's tests (uint16
-    below 65 536 tests). Where every tested item has the same weight, as
-    in the random-gamma and permuted-rho designs, the table is the index's
-    tests taken in filing order, one row at a time (:func:`_filed_table`):
-    on a design of items in 4 tests each the build peaks at about 6 bytes
-    per incidence above the column index, which itself keeps 4 (int64
-    offsets and uint16 tests), and the int64 column weights, 2. Otherwise
-    it takes int32 positions of each tested item's first and last test and
-    one int64 position buffer, reused for every table row, and frees both.
-    The narrow tests enter products only through ``core._pair_keys``, in
-    int32 below 2**31:
-    the dense fill's scatter index in ``core._or_bits`` (then cast to intp,
-    which fancy assignment runs fastest on) and the mask index of
+    The plan keeps the column index and its ``candidates``, ``table``,
+    ``group_ptr`` and ``runs``; the table takes the dtype of the index's
+    tests (uint16 below 65 536 tests). On a design of items in 4 tests each
+    the plan keeps 3 bytes per incidence, and its build
+    (:func:`_filed_table`) peaks at about 5 above the column index, which
+    itself keeps 4 (int64 offsets and uint16 tests), and the int64 column
+    weights, 2; the pair index keeps about 0.6 more. The narrow
+    tests enter products only through ``core._pair_keys``, in int32 below
+    2**31: the dense fill's scatter index in ``core._or_bits`` (then cast
+    to intp, which fancy assignment runs fastest on) and the mask index of
     :meth:`_and_rest`.
     """
 
     kind = "coma"
     batch_step = _WORD
+    seconds = None  # the span of the table's second tests, where K >= 2
 
     def __init__(self, matrix: TestMatrix):
         super().__init__(matrix)
         self.num_items = matrix.num_items
+        num_tests = matrix.num_tests
         self.col_indptr, self.tests = matrix.column_index()
         weight = matrix.column_weights()
         self.untested = np.flatnonzero(weight == 0)
         self.candidates, self.table = _filed_table(self.col_indptr, self.tests, weight)
-        self.group_ptr = _offsets(np.bincount(self.table[0], minlength=matrix.num_tests))
-        self.trial_bytes = matrix.num_tests / 8  # the test masks
+        self.group_ptr = np.zeros(num_tests + 1, dtype=_index_dtype(self.candidates.size + 1))
+        np.cumsum(np.bincount(self.table[0], minlength=num_tests), out=self.group_ptr[1:])
+        self.runs = np.diff(self.group_ptr)
+        if len(self.table) > 1:
+            self.seconds = int(self.table[1].min()), int(self.table[1].max())
+        self.trial_bytes = num_tests / 8  # the test masks
+
+    @cached_property
+    def pairs(self) -> _PairIndex:
+        """The pair index, built by the first batch that takes the pair
+        stage: a plan whose batches never do builds none."""
+        return _PairIndex.of(self.table[0], self.table[1], self.runs, *self.seconds)
 
     def decode_pairs(self, trial: np.ndarray, test: np.ndarray, num_trials: int,
                      flips: np.ndarray | None):
@@ -235,37 +264,54 @@ class ComaPlan(_Plan):
         # the share of the (word, test) masks that the pairs would leave
         # nonzero if each fell on one of them at random
         share = -math.expm1(-_WORD * test.size / max(1, width * num_tests))
-        if not _dense_pays(self.table, share):
-            trial, test = _or_pairs(trial, test, num_trials, num_tests)
-            masks = np.zeros((words, num_tests), dtype=np.uint64)
-            # the pairs are now distinct, so adding their bits ORs them
-            np.add.at(masks.reshape(-1), _pair_keys(trial >> _WORD_SHIFT, test, words, num_tests),
-                      np.take(_BITS, trial & (_WORD - 1)))
-            return self._estimate(self._sparse_candidates(masks), num_trials)
-        # the bool array is freed once packed, so the batch peaks at little
-        # more than the pairs and the bool array
-        by_test = np.packbits(_or_bits(test, trial, num_tests, width), axis=1,
-                              bitorder="little").view("<u8")
-        return self._estimate(self._dense_candidates(by_test), num_trials)
+        if _dense_pays(self.table, share):
+            # the bool array is freed once packed, so the batch peaks at
+            # little more than the pairs and the bool array
+            by_test = np.packbits(_or_bits(test, trial, num_tests, width), axis=1,
+                                  bitorder="little").view("<u8")
+            return self._estimate(*_passed(*self._dense_candidates(by_test)), num_trials)
+        trial, test = _or_pairs(trial, test, num_trials, num_tests)
+        pairs = self._pairs(trial, test, num_trials)
+        if pairs is None:
+            masks = _word_masks(trial >> _WORD_SHIFT, test, trial, words, num_tests)
+            found = self._sparse_candidates(masks.reshape(words, num_tests))
+            return self._estimate(*_passed(*found), num_trials)
+        masks = _word_masks(test, trial >> _WORD_SHIFT, trial, num_tests, words)
+        return self._estimate(*self._pair_candidates(masks, words, *pairs), num_trials)
 
-    def _estimate(self, found, num_trials: int):
-        """The (trial, item) estimate pairs of a stage's candidates, with
-        the untested items in every trial."""
-        first, item, hit = found
-        # take the lowest set bit of each mask off until none is left; a
-        # power of two converts to float exactly, and frexp reads its exponent
-        trials, items = [_NO_ITEMS], [_NO_ITEMS]
-        while (keep := np.flatnonzero(hit != 0)).size:
-            first, item, hit = first[keep], item[keep], hit[keep]
-            low = hit & (~hit + 1)
-            trials.append(first + np.frexp(low.astype(np.float64))[1] - 1)
-            items.append(item)
-            hit ^= low
+    def _estimate(self, trial: np.ndarray, item: np.ndarray, num_trials: int):
+        """The (trial, item) estimate pairs of the (trial, item) pairs that
+        passed, with the untested items in every trial, in int64."""
+        trials, items = [_NO_ITEMS, trial], [_NO_ITEMS, item]
         if self.untested.size:
             trials.append(np.repeat(np.arange(num_trials), self.untested.size))
             items.append(np.tile(self.untested, num_trials))
         key = np.sort(np.concatenate(trials) * self.num_items + np.concatenate(items))
         return *_key_pairs(key, self.num_items), _NO_ITEMS, _NO_ITEMS
+
+    def _pairs(self, trial: np.ndarray, test: np.ndarray, num_trials: int):
+        """The pairs the pair stage reads, from a batch's sorted distinct
+        positive pairs, or None where the item stage pays
+        (:func:`_pairs_pay`). A trial pairs each of its positive tests that
+        files items (a first entry: its trial and test) with each of its
+        positive second tests (a second entry: its test). Returns the first
+        entries, the second entries, how many pairs each first entry makes
+        and, pair by pair, the second entry of each."""
+        if self.seconds is None:
+            return None
+        run = np.take(self.runs, test)
+        second = (test >= self.seconds[0]) & (test <= self.seconds[1])
+        # as if each trial held its share of the first and second entries
+        pairs = np.count_nonzero(run) * np.count_nonzero(second) / max(1, num_trials)
+        if not _pairs_pay(pairs, int(run.sum())):
+            return None
+        first, second = np.flatnonzero(run), np.flatnonzero(second)
+        per_trial = np.bincount(trial[second], minlength=num_trials)
+        first_trial = trial[first]
+        lengths = np.take(per_trial, first_trial)
+        # a trial's second entries are one run of them, as the pairs are sorted
+        at = _ragged(np.take(_offsets(per_trial), first_trial), lengths, second.size)
+        return first_trial, test[first], test[second], lengths, at
 
     def _sparse_candidates(self, masks: np.ndarray):
         """(first trial of the word, item, mask of the trials it passes) of
@@ -287,6 +333,47 @@ class ComaPlan(_Plan):
             self._and_rest(mask, 0, 1, item, hit)
             found.append((np.full(hit.size, word * _WORD), item, hit))
         return tuple(map(np.concatenate, zip(*found)))
+
+    def _pair_candidates(self, masks: np.ndarray, words: int, first_trial: np.ndarray,
+                         first_test: np.ndarray, second_test: np.ndarray, lengths: np.ndarray,
+                         at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (trial, item) pairs that pass, from the items filed under
+        each pair of ``_pairs``, with the flat (T, words) masks."""
+        num_tests, pairs = self.evaluated.num_tests, self.pairs
+        # each pair's filter byte: its first test's row, and the byte of its
+        # second test's bucket in it
+        bucket = pairs.buckets(second_test)
+        byte = np.repeat(pairs.row_bytes(first_test), lengths)
+        byte += np.take(bucket >> 3, at)
+        keep = np.flatnonzero(np.take(pairs.filter, byte)
+                              & np.take(np.take(_BYTE_BITS, bucket & 7), at))
+        owner = np.searchsorted(np.cumsum(lengths), keep, side="right")
+        trial, first = np.take(first_trial, owner), np.take(first_test, owner)
+        second = np.take(second_test, np.take(at, keep))
+        row = self.table[1]
+        start, end = np.take(self.group_ptr, first), np.take(self.group_ptr, first + 1)
+        slot = _lower_bound(row, start, end - start, second, pairs.depth)
+        keep = np.flatnonzero((slot < end) & (np.take(row, slot, mode="clip") == second))
+        trial, second, slot, end = trial[keep], second[keep], slot[keep], end[keep]
+        # the few pairs that file more than one item take them all
+        more = np.flatnonzero((slot + 1 < end)
+                              & (np.take(row, slot + 1, mode="clip") == second))
+        if more.size:
+            count = np.ones(slot.size, dtype=slot.dtype)
+            start = slot[more]
+            count[more] = _lower_bound(row, start, end[more] - start, second[more] + 1,
+                                       pairs.depth) - start
+            trial = np.repeat(trial, count)
+            slot = _ragged(slot, count, self.candidates.size)
+        word = trial >> _WORD_SHIFT
+        hit = np.take(_BITS, trial & (_WORD - 1))
+        # most of the items found pass, so they are dropped once, at the end
+        for row in self.table[2:]:
+            hit &= np.take(masks, _pair_keys(np.take(row, slot), word, num_tests, words))
+        item = np.take(self.candidates, slot)
+        self._and_rest(masks, word, words, item, hit)
+        keep = np.flatnonzero(hit != 0)
+        return trial[keep], item[keep]
 
     def _dense_candidates(self, by_test: np.ndarray):
         """What ``_sparse_candidates`` gives, from whole rows of the
@@ -317,7 +404,8 @@ class ComaPlan(_Plan):
         (the table's rows), one run per item that has them, where an item's
         mask of test t is ``masks[offset + stride * t]`` (``offset`` one
         value, or one per item)."""
-        starts, ends = self.col_indptr[item] + len(self.table), self.col_indptr[item + 1]
+        starts = np.take(self.col_indptr, item) + len(self.table)
+        ends = np.take(self.col_indptr, item + 1)
         more = np.flatnonzero(ends > starts)
         if more.size:
             lengths = ends[more] - starts[more]
@@ -327,57 +415,209 @@ class ComaPlan(_Plan):
             hit[more] &= np.bitwise_and.reduceat(np.take(masks, at), _offsets(lengths)[:-1])
 
 
+def _word_masks(major: np.ndarray, minor: np.ndarray, trial: np.ndarray, num_major: int,
+                num_minor: int) -> np.ndarray:
+    """The flat (num_major, num_minor) uint64 masks of a batch's distinct
+    (trial, test) pairs, each pair's bit (its trial's bit in its word) at
+    (major, minor): a (word, test) or a (test, word) layout. The pairs are
+    distinct, so adding their bits ORs them."""
+    masks = np.zeros(num_major * num_minor, dtype=np.uint64)
+    np.add.at(masks, _pair_keys(major, minor, num_major, num_minor),
+              np.take(_BITS, trial & (_WORD - 1)))
+    return masks
+
+
+def _passed(first: np.ndarray, item: np.ndarray, hit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (trial, item) pairs of a candidate stage's (first trial of the
+    word, item, mask of the trials it passes), taking the lowest set bit of
+    each mask off until none is left: a power of two converts to float
+    exactly, and frexp reads its exponent."""
+    trials, items = [_NO_ITEMS], [_NO_ITEMS]
+    while (keep := np.flatnonzero(hit != 0)).size:
+        first, item, hit = first[keep], item[keep], hit[keep]
+        low = hit & (~hit + 1)
+        trials.append(first + np.frexp(low.astype(np.float64))[1] - 1)
+        items.append(item)
+        hit ^= low
+    return np.concatenate(trials), np.concatenate(items)
+
+
+def _lower_bound(row: np.ndarray, start: np.ndarray, size: np.ndarray, value: np.ndarray,
+                 depth: int) -> np.ndarray:
+    """Where each ``value`` would go in ``row[start:start + size]``, a sorted
+    run of at least one entry: the first position whose entry is not below
+    it, or the run's end. ``depth`` halvings bring every run down to one
+    entry, which is then compared; no read leaves the run."""
+    start, size = start.copy(), size.copy()
+    for _ in range(depth):
+        half = size >> 1
+        size -= half
+        start += half * (np.take(row, start + half) < value)
+    start += np.take(row, start) < value
+    return start
+
+
 def _filed_table(col_indptr: np.ndarray, tests: np.ndarray,
                  weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A COMA plan's ``candidates`` and ``table``, in the dtype of the
-    column index's tests, from the CSC index of its matrix and its column
-    weights. The table is taken a row at a time, as one (K, items) index
-    would peak higher, and ``take`` casts indices of another dtype than
-    int64.
+    """A COMA plan's ``candidates``, in ``core._index_dtype(n)``, and
+    ``table``, in the dtype of the column index's tests, from the CSC index
+    of its matrix and its column weights: the tested items filed by their
+    first test, then their second (their first where they have no other),
+    then item, with one sort (:func:`_file_pairs`) that writes table rows 0
+    and 1. The other rows are taken a row at a time, as one (K, items)
+    index would peak higher.
 
     Where every tested item has the same weight, K, the tests are a
-    (items, K) array: the table is one stable argsort of its first column
-    and K takes of its columns, with no scratch but the order. Otherwise
-    its scratch, freed on return, is the positions of each candidate's
+    (items, K) array: the other rows are K - 2 takes of its columns at the
+    sorted positions, with no scratch but the sort's keys. Otherwise its
+    scratch, freed on return, is also the positions of each candidate's
     first and last test, in int32 where they fit, and one int64 position
-    buffer reused for every row, each row's test taken at its candidate's
-    first test plus k or its last, whichever comes first."""
+    buffer reused for every further row, each row's test taken at its
+    candidate's first test plus k or its last, whichever comes first."""
     tested = weight != 0
     count = int(np.count_nonzero(tested))
     rows = max(1, -(-tests.size // max(1, count)))  # K
     table = np.empty((rows, count), dtype=tests.dtype)
-    # a stable sort on a dtype of at most 16 bits is a radix sort
     if rows * count == tests.size and weight.max(initial=0) == rows:
         columns = tests.reshape(-1, rows)
-        order = np.argsort(columns[:, 0], kind="stable")
-        for k, row in enumerate(table):
-            np.take(columns[:, k], order, out=row)
-        return order if count == weight.size else np.flatnonzero(tested)[order], table
-    scratch = _index_dtype(tests.size)
-    starts = col_indptr[:-1][tested].astype(scratch)
-    last = col_indptr[1:][tested].astype(scratch)
-    last -= 1
-    order = np.argsort(tests[starts], kind="stable")
-    candidates = np.flatnonzero(tested)[order]
-    starts, last = starts[order], last[order]
-    del order
-    at = np.empty(starts.size, dtype=np.int64)
-    for k, row in enumerate(table):
-        np.add(starts, k, out=at, dtype=np.int64)
-        np.minimum(at, last, out=at)
-        np.take(tests, at, out=row)
-    return candidates, table
+        position = _file_pairs(columns[:, 0], columns[:, min(1, rows - 1)], table)
+        for k in range(2, rows):
+            np.take(columns[:, k], position, out=table[k])
+    else:
+        scratch = _index_dtype(tests.size)
+        starts = col_indptr[:-1][tested].astype(scratch)
+        last = col_indptr[1:][tested].astype(scratch)
+        last -= 1
+        position = _file_pairs(tests[starts], tests[np.minimum(starts + 1, last)], table)
+        starts, last = starts[position], last[position]
+        at = np.empty(count, dtype=np.int64)
+        for k in range(2, rows):
+            np.add(starts, k, out=at, dtype=np.int64)
+            np.minimum(at, last, out=at)
+            np.take(tests, at, out=table[k])
+    dtype = _index_dtype(weight.size)
+    if count == weight.size:
+        return position.astype(dtype), table
+    return np.take(np.flatnonzero(tested).astype(dtype), position), table
+
+
+def _file_pairs(first: np.ndarray, second: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The positions of the items whose first and second tests are
+    ``first`` and ``second`` (second >= first), sorted by first test, then
+    second, then position, as int64, with the sorted tests written into
+    table rows 0 and (where there is one) 1.
+
+    It sorts packed uint64 keys ``(first, second, position)`` in place, one
+    ``np.sort`` of 8 bytes an item that is several times faster than a
+    stable argsort of a combined int32 key, and reads the rows and
+    positions back out of them; a design whose keys would not fit 64 bits
+    takes one ``lexsort``."""
+    count = first.size
+    test_bits = int(second.max(initial=0)).bit_length()
+    bits = max(count - 1, 0).bit_length()
+    if 2 * test_bits + bits > 64:
+        position = np.lexsort((second, first))
+        np.take(first, position, out=table[0])
+        if len(table) > 1:
+            np.take(second, position, out=table[1])
+        return position
+    keys = first.astype(np.uint64)
+    keys <<= test_bits
+    keys |= second
+    keys <<= bits
+    # the positions a piece at a time, so no second key-sized array is held
+    for lo in range(0, count, _FILE_PIECE):
+        keys[lo : lo + _FILE_PIECE] |= np.arange(lo, min(count, lo + _FILE_PIECE),
+                                                dtype=np.uint64)
+    keys.sort()
+    np.right_shift(keys, test_bits + bits, out=table[0], casting="unsafe")
+    if len(table) > 1:
+        np.right_shift(keys, bits, out=table[1], casting="unsafe")
+        table[1] &= (1 << test_bits) - 1
+    keys &= (1 << bits) - 1
+    return keys.view(np.int64)
+
+
+@dataclass(frozen=True)
+class _PairIndex:
+    """A COMA plan's pair index, from its table's rows 0 and 1 (the first
+    and second tests of its candidates, filed by them), its first tests'
+    run lengths and the span of its second tests.
+
+    The first tests lie from ``first`` on and the second ones from ``low``
+    to ``high``. Each first test f has a row of W = 2**``bits``
+    bits of ``filter``, from bit (f - first) * W. A second test s falls in
+    bucket (s - low) >> ``shift``, below W, and a row's bit is set where a
+    candidate filed under its first test has a second test in that bucket.
+    W is a power of two of about 16 bits a candidate over the rows, but no
+    more than the span of the second tests needs; so about 1 in 20 of the
+    pairs that file no candidate pass on a design of equal runs of evenly
+    spread second tests, and the filter takes 2 to 4 bytes a candidate. A
+    row's buckets rise with s, and the filing sorts each run by second
+    test, so the filter's bits come in rising order: they are set a piece
+    of the filing at a time as bool cells, which are packed. A run is
+    searched in at most ``depth`` halvings."""
+
+    filter: np.ndarray
+    first: int
+    low: int
+    bits: int
+    shift: int
+    depth: int
+
+    @classmethod
+    def of(cls, first: np.ndarray, second: np.ndarray, runs: np.ndarray, low: int,
+           high: int) -> _PairIndex:
+        lo, hi = int(first[0]), int(first[-1])
+        target = max(1, 16 * second.size // (hi - lo + 1))
+        bits = max(_WORD_SHIFT, min((target - 1).bit_length(), (high - low).bit_length()))
+        index = cls(np.zeros((hi - lo + 1) << (bits - 3), dtype=np.uint8), lo, low, bits,
+                    max(0, (high - low).bit_length() - bits),
+                    max(0, int(runs.max()) - 1).bit_length())
+        # pieces of the filing whose bits span about _FILTER_CELLS cells
+        piece = max(1, _FILTER_CELLS * second.size // (index.filter.size << 3))
+        for start in range(0, second.size, piece):
+            # the piece's filter bits, rising
+            at = np.subtract(first[start : start + piece], lo, dtype=np.intp)
+            at <<= bits
+            at += index.buckets(second[start : start + piece])
+            base = int(at[0]) >> 3
+            at -= base << 3
+            cells = np.zeros(-(-(int(at[-1]) + 1) // 8) * 8, dtype=bool)
+            cells[at] = True
+            index.filter[base : base + cells.size // 8] |= np.packbits(cells, bitorder="little")
+        return index
+
+    def row_bytes(self, first: np.ndarray) -> np.ndarray:
+        """The first byte of each first test's filter row, in int32."""
+        return np.left_shift(np.subtract(first, self.first, dtype=np.int32), self.bits - 3)
+
+    def buckets(self, second: np.ndarray) -> np.ndarray:
+        """The bucket of each second test, in int32."""
+        return np.right_shift(np.subtract(second, self.low, dtype=np.int32), self.shift)
 
 
 def _dense_pays(table: np.ndarray, share: float) -> bool:
     """Whether a COMA batch takes the dense candidate stage, given a plan's
     (K, items) ``table`` and the share of the batch's (word, test) masks
     that are nonzero. Per word, the dense stage ANDs K masks for every
-    item; the sparse stage takes the share of the items filed under a
+    item; the sparse stages take the share of the items filed under a
     positive first test, at about 8 times that cost each, plus about 20 000
     times it in numpy calls."""
     rows, items = table.shape
     return rows * items <= 8 * share * items + 20_000
+
+
+def _pairs_pay(pairs: float, visits: int) -> bool:
+    """Whether a sparse COMA batch takes the pair stage rather than the item
+    stage, given the (trial, first test, second test) pairs the pair stage
+    would form and the (trial, item) candidates filed under the batch's
+    positive first tests, which the item stage visits about once each.
+    Timed on the large-n benchmark design, a pair costs about 5 visits (its
+    filter read, and a binary search for the few that pass), and the pair
+    stage's further numpy calls about 10 000: so a batch of 64 trials or
+    more takes it there, and a single trial does not."""
+    return 5 * pairs + 10_000 < visits
 
 
 class BlockPlan(_Plan):

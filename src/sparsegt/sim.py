@@ -30,6 +30,7 @@ evaluates only its base rows and votes from each group's flip count.
 from __future__ import annotations
 
 import collections
+import contextlib
 import functools
 import itertools
 import math
@@ -590,6 +591,17 @@ def _run_worker(matrix: TestMatrix, decoder: str, prior: Prior, sigma: float, ma
                             start, count)
 
 
+@contextlib.contextmanager
+def _out_of_memory(layer: str):
+    """A ``MemoryError`` raised in ``layer`` of a run, in this process or a
+    worker's, as a :class:`~sparsegt.core.ResourceCapError` naming it."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise ResourceCapError(
+            f"out of memory in {layer}; try a smaller design or fewer jobs") from exc
+
+
 def run_monte_carlo(matrix: TestMatrix, decoder: str, config: SimConfig) -> SimReport:
     """Estimate the decoding error rate over ``config.trials`` random trials.
 
@@ -598,10 +610,13 @@ def run_monte_carlo(matrix: TestMatrix, decoder: str, config: SimConfig) -> SimR
     estimate differs from the drawn defective set. Noise (``params.sigma`` > 0)
     is only ever paired with majority decoding; any other pairing is refused.
     A worker of a ``parallelism`` > 1 run that ends before it returns its
-    trials raises :class:`~sparsegt.core.WorkerLostError`.
+    trials raises :class:`~sparsegt.core.WorkerLostError`, and running out
+    of memory in the set-up or the trials a
+    :class:`~sparsegt.core.ResourceCapError` that names which.
     """
     sigma = config.params.sigma or 0.0
-    plan = make_plan(matrix, decoder)  # validates the pairing early
+    with _out_of_memory("the set-up (column index and decode plan)"):
+        plan = make_plan(matrix, decoder)  # validates the pairing early
     if sigma > 0.0 and plan.kind != "majority":
         raise IncompatibleDecoderError(
             f"sigma={sigma:g} requires a repeated design with majority decoding; "
@@ -616,20 +631,21 @@ def run_monte_carlo(matrix: TestMatrix, decoder: str, config: SimConfig) -> SimR
     # it gets no more than the machine's processors; by the seeding
     # contract, any split of the trials gives the same counts
     jobs = min(config.parallelism, max(1, config.trials), os.cpu_count() or 1)
-    if jobs > 1:
-        bounds = [config.trials * j // jobs for j in range(jobs + 1)]
-        worker = functools.partial(_run_worker, matrix, plan.kind, config.prior, sigma,
-                                   config.master_seed)
-        try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                parts = list(pool.map(worker, bounds[:-1], np.diff(bounds).tolist()))
-        except BrokenProcessPool as exc:
-            raise WorkerLostError(
-                f"a worker process of the {jobs}-job run ended before returning its trials "
-                "(out of memory?); try fewer jobs") from exc
-    else:
-        parts = [_run_trial_range(matrix, plan, config.prior, sigma, config.master_seed, 0,
-                                  config.trials)]
+    with _out_of_memory("the trials"):
+        if jobs > 1:
+            bounds = [config.trials * j // jobs for j in range(jobs + 1)]
+            worker = functools.partial(_run_worker, matrix, plan.kind, config.prior, sigma,
+                                       config.master_seed)
+            try:
+                with ProcessPoolExecutor(max_workers=jobs) as pool:
+                    parts = list(pool.map(worker, bounds[:-1], np.diff(bounds).tolist()))
+            except BrokenProcessPool as exc:
+                raise WorkerLostError(
+                    f"a worker process of the {jobs}-job run ended before returning its "
+                    "trials (out of memory?); try fewer jobs") from exc
+        else:
+            parts = [_run_trial_range(matrix, plan, config.prior, sigma, config.master_seed, 0,
+                                      config.trials)]
     errors = sum(p[0] for p in parts)
     breakdown = Breakdown(
         false_positive_items=sum(p[1] for p in parts),

@@ -769,7 +769,7 @@ class TestLargeDesignMemory:
     reports its own peak. Holding the whole file text before
     writing it took the design command to about 79 MB, and int64 column
     indices took a 64-trial run of the file to about 81 MB; with this NumPy
-    they read about 49 and 68."""
+    they read about 49 and 63."""
 
     @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads /proc/self/status")
     def test_design_then_simulate(self, tmp_path):
@@ -780,3 +780,62 @@ class TestLargeDesignMemory:
                                "--seed", "42")
         assert design <= 64
         assert simulate <= 76
+
+
+# runs the CLI on its arguments (after the first) with ``run_monte_carlo``
+# wrapped: given 0, it prints to stderr how many KB of address space the
+# run's set-up (``sim.make_plan``) left mapped; given a number of KB, it caps
+# the address space that far above where the run starts
+_SET_UP_SPACE_SCRIPT = """
+import resource, sys
+from sparsegt import cli, sim
+
+def mapped_kb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
+
+slack, start = int(sys.argv[1]), []
+run_monte_carlo, make_plan = sim.run_monte_carlo, sim.make_plan
+
+def capped_run(*args, **kwargs):
+    start.append(mapped_kb())
+    if slack:
+        cap = (start[0] + slack) * 1024
+        resource.setrlimit(resource.RLIMIT_AS, (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))
+    return run_monte_carlo(*args, **kwargs)
+
+def measured_plan(*args, **kwargs):
+    plan = make_plan(*args, **kwargs)
+    if not slack:
+        print(mapped_kb() - start[0], file=sys.stderr)
+    return plan
+
+cli.run_monte_carlo, sim.make_plan = capped_run, measured_plan
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+class TestOutOfMemory:
+    @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads /proc/self/status")
+    def test_a_set_up_out_of_memory_exits_3(self):
+        """A child measures the address space a run's set-up leaves mapped
+        (the column index and plan of 8 * 10**5 incidences, a few MB); a
+        second child caps the run at half of that above where it starts,
+        so the set-up runs out of memory. The CLI reports it as one
+        ``resource cap:`` line and exit 3, with no traceback."""
+        argv = ["simulate", "--family", "permuted-rho", "--n", "200000", "--d", "10",
+                "--rho", "100", "--zeta", "0.5", "--trials", "64", "--seed", "1"]
+
+        def child(slack):
+            return subprocess.run([sys.executable, "-c", _SET_UP_SPACE_SCRIPT, str(slack), *argv],
+                                  capture_output=True, text=True, env=_child_env())
+
+        measured = child(0)
+        assert measured.returncode == 0, measured.stderr
+        mapped = int(measured.stderr.splitlines()[-1])
+        assert mapped > 1024
+        proc = child(mapped // 2)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("resource cap: out of memory in the set-up")
+        assert proc.stderr.count("\n") == 1
+        assert all(line.startswith("#") for line in proc.stdout.splitlines())

@@ -484,10 +484,12 @@ class TestSetUpMemory:
 
     def test_column_regular_coma_table(self, large_design):
         """With the index and weights built, a COMA plan on a design of
-        items in 4 tests each: the (4, n) uint16 table, taken in the order
-        of one stable argsort of the first tests, and the candidates,
-        which are that order: about 6.1. Taking each row at its
-        candidates' clamped positions peaked at about 8.8."""
+        items in 4 tests each: the (4, n) uint16 table, filed by one sort
+        of packed (first test, second test, position) keys, and the int32
+        candidates read out of them: about 5.3. With the int64 order of one
+        stable argsort of the first tests as candidates it peaked at about
+        6.1, and taking each row at its candidates' clamped positions at
+        about 8.8."""
         large_design.column_index()
         large_design.column_weights()
         peak = _peak_bytes(lambda: make_plan(large_design, "coma"))

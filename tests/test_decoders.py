@@ -169,11 +169,12 @@ class TestComa:
         """A COMA plan on a permuted-rho design of 1.6 M incidences (n = 4 *
         10**5 items of weight 4, T = 16000) counts the column weights (2
         bytes per incidence) and takes its (K, items) test table a row at
-        a time straight from the column index's uint16 tests, in the order
-        of one stable argsort of the first tests: the build peaks at about
-        8.1 bytes per incidence. Taking each row at its candidates' clamped
-        positions peaked at about 8.8, and from a narrow copy of int64
-        tests near 10.8."""
+        a time straight from the column index's uint16 tests, filed by one
+        sort of packed keys, with int32 candidates: the build peaks at
+        about 7.3 bytes per incidence. In the order of one stable argsort
+        of the first tests with int64 candidates it peaked at about 8.1,
+        taking each row at its candidates' clamped positions at about 8.8,
+        and from a narrow copy of int64 tests near 10.8."""
         matrix = large_design
         matrix.column_index()
         tracemalloc.start()
@@ -187,11 +188,21 @@ class TestComa:
         assert plan.table.dtype == np.uint16
         assert peak < 9 * matrix.ones_count()
 
+    def test_plan_keeps_int32_candidates_and_offsets(self, large_design):
+        """The candidates are items, so they take ``core._index_dtype(n)``
+        (int32 below 2**31), as do the offsets of the first tests' runs:
+        int64 candidates kept 1 byte more per incidence at 4 tests an
+        item."""
+        plan = make_plan(large_design, "coma")
+        assert plan.candidates.dtype == plan.group_ptr.dtype == np.int32
+        assert core._index_dtype(large_design.num_items) is np.int32
+
     def test_plan_and_column_index_allocate_little_per_incidence(self, large_design):
         """Above the matrix, the column index (uint16 tests) and the plan
-        hold 10.1 bytes per incidence, and building both peaks at about
-        12.1: the index stages 32-bit keys, and the plan's scratch is the
-        order of its first tests. With int32 positions and one reused int64
+        hold 9.1 bytes per incidence, and building both peaks at about
+        11.3: the index stages 32-bit keys, and the plan's scratch is its
+        sorted filing keys (12.1 with int64 candidates and the order of
+        its first tests). With int32 positions and one reused int64
         position buffer for the plan it peaked at about 14.8, and an index
         of int64 tests built from one int64 key array near 22.8."""
         matrix = TestMatrix.from_csr(large_design.indptr, large_design.indices,
@@ -273,6 +284,53 @@ class TestDenseStageRule:
         base = permuted_block_rho_design(1000, 10, 50, 0.5, np.random.default_rng(42))
         plan = make_plan(repeat_design(base, 65), "majority")
         assert decoders._dense_pays(plan.table, 1.0)
+
+
+def _stages_taken(matrix, decoder, config):
+    """The candidate stage each COMA batch of a run took, in order."""
+    taken = []
+
+    def recorded(stage, method):
+        def stage_of(self, *args):
+            taken.append(stage)
+            return method(self, *args)
+        return stage_of
+
+    plan = decoders.ComaPlan
+    with mock.patch.multiple(
+            plan, _dense_candidates=recorded("dense", plan._dense_candidates),
+            _sparse_candidates=recorded("item", plan._sparse_candidates),
+            _pair_candidates=recorded("pair", plan._pair_candidates)):
+        run_monte_carlo(matrix, decoder, config)
+    return taken
+
+
+class TestStageSelection:
+    """Which candidate stage every batch of a benchmark run takes at seed
+    42, with no timing: ``_dense_pays`` first, then ``_pairs_pay`` for a
+    batch that is not dense."""
+
+    @pytest.mark.parametrize("build, decoder, params, trials, stage", [
+        (lambda rng: random_gamma_design(10_000, 5, 3, 0.1, rng), "coma",
+         DesignParams(n=10_000, d=5, epsilon=0.1, gamma=3), 3000, "dense"),
+        (lambda rng: permuted_block_rho_design(10_000, 10, 100, 0.5, rng), "coma",
+         DesignParams(n=10_000, d=10, rho=100, zeta=0.5), 3000, "dense"),
+        (lambda rng: repeat_design(permuted_block_rho_design(1000, 10, 50, 0.5, rng), 65),
+         "majority", DesignParams(n=1000, d=10, rho=50, sigma=0.1, zeta=0.5), 1500, "dense"),
+        (lambda rng: permuted_block_rho_design(400_000, 10, 100, 0.5, rng), "coma",
+         DesignParams(n=400_000, d=10, rho=100, zeta=0.5), 8000, "pair"),
+        (lambda rng: random_gamma_design(400_000, 10, 3, 0.1, rng), "coma",
+         DesignParams(n=400_000, d=10, epsilon=0.1, gamma=3), 8000, "item"),
+    ], ids=["desk-coma-random-gamma", "desk-coma-permuted-rho", "noisy-repeated",
+            "large-n-roundtrip", "random-gamma-large-n"])
+    def test_benchmark_batches(self, build, decoder, params, trials, stage):
+        """desk-coma's and noisy-repeated's batches take the dense stage,
+        large-n-roundtrip's the pair stage, and random-gamma's at the same
+        n (no workload) the item stage."""
+        config = SimConfig(params, Prior(PRIOR_UNIFORM_EXACT, params.d), trials, 42)
+        taken = _stages_taken(build(np.random.default_rng(42)), decoder, config)
+        assert len(taken) > 1
+        assert set(taken) == {stage}
 
 
 class TestHypergridDecode:

@@ -1084,6 +1084,99 @@ class TestDecodePairsTakesRawGatheredPairs:
             assert amb_block[amb_trial == row].tolist() == want_ambiguous
 
 
+# each COMA candidate stage, as (what _dense_pays, what _pairs_pay answers)
+_COMA_STAGES = {"dense": (True, False), "item": (False, False), "pair": (False, True)}
+
+
+@contextlib.contextmanager
+def _coma_stage(stage):
+    """Batches decoded, by the harness or a one-shot decoder, on one COMA
+    candidate stage (a plan of K = 1 has no pair stage, and takes the item
+    stage for it)."""
+    dense, pairs = _COMA_STAGES[stage]
+    with mock.patch.object(decoders, "_dense_pays", return_value=dense), \
+            mock.patch.object(decoders, "_pairs_pay", return_value=pairs):
+        yield
+
+
+def _csr_design(num_tests, tests):
+    """A ``from_csr`` design of items in the given tests (``coma_columns``)."""
+    rows = [[i for i, col in enumerate(tests) if t in col] for t in range(num_tests)]
+    return TestMatrix.from_csr(core._offsets([len(row) for row in rows]),
+                               np.array([i for row in rows for i in row], dtype=np.int64),
+                               len(tests))
+
+
+@st.composite
+def coma_designs(draw):
+    """A small design of each family: random-gamma, permuted-rho, a
+    hypergrid, a block hypergrid or binary block design (which the
+    every-test-positive rule also reads), or a ``from_csr`` design with
+    untested items, items of weight 1 and items heavier than K."""
+    kind = draw(st.sampled_from(["random-gamma", "permuted-rho", "block", "csr"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random-gamma":
+        n = draw(st.integers(2, 150))
+        return random_gamma_design(n, draw(st.integers(1, min(n - 1, 4))),
+                                   draw(st.integers(1, 5)), draw(st.floats(0.05, 0.45)), rng)
+    if kind == "permuted-rho":
+        n = draw(st.integers(2, 200))
+        d = draw(st.integers(1, min(n - 1, 4)))
+        return permuted_block_rho_design(n, d, draw(st.integers(1, min(30, (n - 1) // d))),
+                                         0.5, rng)
+    if kind == "block":
+        return draw(block_designs())[0]
+    return _csr_design(*draw(coma_columns()))
+
+
+class TestComaStagesAgreeWithTheCountingLoop:
+    @given(coma_designs(), st.sampled_from([1, 2, 63, 64, 65, 130]), st.integers(0, 2**32 - 1))
+    # untested items, items of weight 1 beside K = 2, an item (weight 5)
+    # heavier than K, and items 0 and 1 filed under one (first, second) pair
+    @example(_csr_design(6, [{0, 1}, {0, 1}, set(), {2}, {0, 2, 3, 4, 5}, {3, 4}, set()]),
+             65, 1)
+    # every item of weight 1, so K = 1 and no plan has a pair index
+    @example(_csr_design(3, [{0}, {2}, {1}, {2}]), 64, 2)
+    @settings(max_examples=150, deadline=None)
+    def test_each_stage_decodes_as_the_loop(self, matrix, num_trials, seed):
+        """A batch of up to three defectives a trial decodes to the same
+        pairs on the dense, item and pair stages, each row as the counting
+        loop reads it; so do one outcome through ``coma_decode`` and, on
+        the design repeated three times, one noisy outcome through
+        ``majority_coma_decode``."""
+        n = matrix.num_items
+        rng = np.random.default_rng(seed)
+        picks = [np.sort(rng.choice(n, min(n, int(rng.integers(0, 4))), replace=False))
+                 for _ in range(num_trials)]
+        trial = np.repeat(np.arange(num_trials), [p.size for p in picks])
+        reference = ref.ComaPlan(matrix)
+        repeated = designs.repeat_design(matrix, 3)
+        noisy = Outcomes(np.repeat(ref.evaluate(matrix, DefectiveSet(picks[0], n)), 3)
+                         ^ (rng.random(repeated.num_tests) < 0.2), noisy=True)
+        want_majority = ref.MajorityPlan(repeated).decode_bits(noisy.bits)[0]
+        decoded = {}
+        for stage in _COMA_STAGES:
+            with _coma_stage(stage):
+                plan = make_plan(matrix, "coma")
+                decoded[stage] = plan.decode_pairs(
+                    *core._or_gather(plan.evaluated, trial, np.concatenate([np.empty(0, dtype=np.int64), *picks])),
+                    num_trials, None)
+                bits = ref.evaluate(matrix, DefectiveSet(picks[0], n))
+                one = decoders.coma_decode(matrix, Outcomes(bits))
+                majority = decoders.majority_coma_decode(repeated, noisy)
+            assert list(one.estimate) == reference.decode_bits(bits)[0].tolist()
+            assert list(majority.estimate) == want_majority.tolist()
+            # the first pair batch built the index
+            assert ("pairs" in vars(plan)) == (stage == "pair" and len(plan.table) > 1)
+        for got in decoded.values():
+            for got_pairs, want_pairs in zip(got, decoded["dense"]):
+                assert np.array_equal(got_pairs, want_pairs)
+        est_trial, est_item = decoded["dense"][:2]
+        for row, pick in enumerate(picks):
+            bits = ref.evaluate(matrix, DefectiveSet(pick, n))
+            assert np.array_equal(est_item[est_trial == row], reference.decode_bits(bits)[0])
+
+
 def _assert_same_design(got: TestMatrix, want: TestMatrix) -> None:
     """Equal designs write the same file, so they are compared as one
     bool, ``got == want``: a diff of two large design files would take

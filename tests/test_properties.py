@@ -334,12 +334,14 @@ class _UnevenWeights(np.ndarray):
 
 def _assert_table_as_general(matrix):
     """The plan's candidates, table and group offsets equal those of the
-    general build, in value and dtype."""
+    general build, in value and dtype (the offsets int32 below 2**31
+    candidates)."""
     plan = make_plan(matrix, "coma")
     col_indptr, tests = matrix.column_index()
     weight = matrix.column_weights()
     candidates, table = decoders._filed_table(col_indptr, tests, weight.view(_UnevenWeights))
-    group_ptr = core._offsets(np.bincount(table[0], minlength=matrix.num_tests))
+    group_ptr = core._offsets(np.bincount(table[0], minlength=matrix.num_tests)).astype(
+        core._index_dtype(table.shape[1] + 1))
     _assert_same_arrays([plan.candidates, plan.table, plan.group_ptr],
                         [np.asarray(candidates), np.asarray(table), group_ptr])
 
@@ -412,10 +414,11 @@ class TestColumnProviders:
 
     def test_untested_items_are_left_out_of_the_filing(self):
         """Items of weight 0 beside items of one weight: the column-regular
-        build files the tested items alone."""
+        build files the tested items alone, by first and then second test:
+        item 4 in tests (0, 1), item 1 in (0, 2), item 6 in (1, 2)."""
         matrix = TestMatrix(rows=((1, 4), (4, 6), (1, 6)), num_items=8)
         plan = make_plan(matrix, "coma")
-        assert plan.candidates.tolist() == [1, 4, 6]
+        assert plan.candidates.tolist() == [4, 1, 6]
         assert plan.untested.tolist() == [0, 2, 3, 5, 7]
         _assert_table_as_general(matrix)
 

@@ -57,6 +57,11 @@ def _exit_at_once(*args):
     os._exit(1)
 
 
+def _out_of_memory_at_once(*args):
+    """A worker that runs out of memory at once."""
+    raise MemoryError
+
+
 @contextlib.contextmanager
 def lost_workers():
     """Runs of two fork-started workers that each end at once."""
@@ -207,6 +212,36 @@ class TestRunMonteCarlo:
         """A worker that ends abruptly surfaces as the documented
         ``ResourceCapError`` subclass, not as the pool's own error."""
         with lost_workers(), pytest.raises(WorkerLostError, match="2-job run"):
+            run_monte_carlo(GRID9, "coma", config(9, 2, 100, seed=5, jobs=2, epsilon=0.4,
+                                                  gamma=2))
+
+    @pytest.mark.parametrize("target, layer", [
+        ("make_plan", "the set-up"),
+        ("_run_trial_range", "the trials"),
+    ])
+    def test_running_out_of_memory_names_the_layer(self, target, layer):
+        """A ``MemoryError`` in the set-up or the trials surfaces as the
+        documented ``ResourceCapError``; any other error passes as it is."""
+        run = functools.partial(run_monte_carlo, GRID9, "coma",
+                                config(9, 2, 100, seed=5, epsilon=0.4, gamma=2))
+        with mock.patch.object(sim, target, side_effect=MemoryError), \
+                pytest.raises(ResourceCapError, match=f"^out of memory in {layer}") as caught:
+            run()
+        assert type(caught.value) is ResourceCapError
+        assert isinstance(caught.value.__cause__, MemoryError)
+        with mock.patch.object(sim, target, side_effect=KeyError("not memory")), \
+                pytest.raises(KeyError):
+            run()
+
+    @forks
+    def test_a_worker_out_of_memory_names_the_trials(self):
+        """A worker's ``MemoryError`` reaches the parent through the pool,
+        and is named like one in this process."""
+        with mock.patch.object(sim, "_run_worker", _out_of_memory_at_once), \
+                mock.patch.object(sim, "ProcessPoolExecutor", functools.partial(
+                    ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork"))), \
+                mock.patch("os.cpu_count", return_value=2), \
+                pytest.raises(ResourceCapError, match="^out of memory in the trials"):
             run_monte_carlo(GRID9, "coma", config(9, 2, 100, seed=5, jobs=2, epsilon=0.4,
                                                   gamma=2))
 

@@ -11,6 +11,8 @@ copy helper ``core._blocks`` builds a view whose entries alias one another.
 Only ``core._adopt_csr`` takes a column provider and stores it on a
 matrix, only the two cached properties that build the column index and the
 column weights read it, and no source writes those caches itself. Only
+``core._adopt_csr`` stores CSR arrays without the scans of
+``TestMatrix._init``, for arrays its caller built and checked. Only
 ``core._adopt_base`` stores a repeated design's base matrix on it, and only
 the readers named in ``_BASE_USES`` read it. The check reads the source
 with ``ast`` and the standard library alone."""
@@ -201,6 +203,16 @@ _BASE_USES = {("core._adopt_base", "write"),
               ("decoders.MajorityPlan.__init__", "read")}
 
 
+# the functions that store a matrix's CSR arrays: the constructors' checks
+# (``TestMatrix._init``, which scans the offsets and the indices), the
+# copies a repeated design derives from its base, and ``_adopt_csr``, the
+# one that stores arrays its caller built and checked without the scans
+_CSR = ("indptr", "indices")
+_CSR_WRITERS = {("core.TestMatrix._init", "write"),
+                ("core.TestMatrix._copies", "write"),
+                ("core._adopt_csr", "write")}
+
+
 def _provider_takers(source: str, module: str) -> list[str]:
     """The functions with a parameter named ``columns``, the provider's."""
     return [where for where, node, _ in _scoped_nodes(source, module)
@@ -282,6 +294,15 @@ def test_only_adopt_base_stores_the_base_and_named_readers_read_it():
     uses = [use for path in SOURCES
             for use in _named_uses(path.read_text(), path.stem, (_BASE,))]
     assert set(uses) == _BASE_USES
+
+
+def test_only_adopt_csr_stores_csr_arrays_without_the_scans():
+    uses = [use for path in SOURCES for use in _named_uses(path.read_text(), path.stem, _CSR)]
+    assert {use for use in uses if use[1] == "write"} == _CSR_WRITERS
+    source = (ROOT / "src" / "sparsegt" / "core.py").read_text()
+    init = next(ast.get_source_segment(source, node) for where, node, _ in _scoped_nodes(source, "core")
+                if where == "core.TestMatrix._init" and isinstance(node, ast.FunctionDef))
+    assert "np.diff(indptr) < 0" in init and "indices.min()" in init
 
 
 def test_no_source_writes_the_column_caches():
