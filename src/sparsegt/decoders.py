@@ -199,7 +199,7 @@ class ComaPlan(_Plan):
     positive, so a trial's candidates are the items filed under one of its
     (positive first test, positive second test) pairs: about d * d pairs
     where the item stage visits d * rho items on designs of tests of rho
-    items. The ``pairs`` index (:class:`_PairIndex`) drops most pairs that
+    items. The ``pair_index`` (:class:`_PairIndex`) drops most pairs that
     file no item; the others are matched in their run by a binary search
     of table row 1, and the items found have their other rows checked trial
     by trial against (T, words) masks. The index is built by the first
@@ -251,7 +251,7 @@ class ComaPlan(_Plan):
         self.trial_bytes = num_tests / 8  # the test masks
 
     @cached_property
-    def pairs(self) -> _PairIndex:
+    def pair_index(self) -> _PairIndex:
         """The pair index, built by the first batch that takes the pair
         stage: a plan whose batches never do builds none."""
         return _PairIndex.of(self.table[0], self.table[1], self.runs, *self.seconds)
@@ -321,8 +321,7 @@ class ComaPlan(_Plan):
         found = [(_NO_ITEMS, _NO_ITEMS, _BITS[:0])]
         for word, mask in enumerate(masks):
             positive = np.flatnonzero(mask != 0)
-            starts = self.group_ptr[positive]
-            lengths = self.group_ptr[positive + 1] - starts
+            starts, lengths = self.group_ptr[positive], self.runs[positive]
             slot = _ragged(starts, lengths, self.candidates.size)
             hit = np.repeat(mask[positive], lengths)
             for row in self.table[1:]:
@@ -339,7 +338,7 @@ class ComaPlan(_Plan):
                          at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The (trial, item) pairs that pass, from the items filed under
         each pair of ``_pairs``, with the flat (T, words) masks."""
-        num_tests, pairs = self.evaluated.num_tests, self.pairs
+        num_tests, pairs = self.evaluated.num_tests, self.pair_index
         # each pair's filter byte: its first test's row, and the byte of its
         # second test's bucket in it
         bucket = pairs.buckets(second_test)

@@ -1167,7 +1167,7 @@ class TestComaStagesAgreeWithTheCountingLoop:
             assert list(one.estimate) == reference.decode_bits(bits)[0].tolist()
             assert list(majority.estimate) == want_majority.tolist()
             # the first pair batch built the index
-            assert ("pairs" in vars(plan)) == (stage == "pair" and len(plan.table) > 1)
+            assert ("pair_index" in vars(plan)) == (stage == "pair" and len(plan.table) > 1)
         for got in decoded.values():
             for got_pairs, want_pairs in zip(got, decoded["dense"]):
                 assert np.array_equal(got_pairs, want_pairs)
