@@ -42,6 +42,7 @@ from .core import (
     TAG_REPEATED,
     TestMatrix,
     _PARAMETERS,
+    _out_of_memory,
     _parameter,
     _serialized_parts,
     parse,
@@ -202,8 +203,9 @@ def _call(function, args: argparse.Namespace, context: str, **given):
 
 
 def _construct(args: argparse.Namespace) -> TestMatrix:
-    return _call(_FAMILIES[args.family], args, args.family,
-                 rng=np.random.default_rng(_flag(args, "seed")))
+    with _out_of_memory("building the design"):
+        return _call(_FAMILIES[args.family], args, args.family,
+                     rng=np.random.default_rng(_flag(args, "seed")))
 
 
 def _summary_line(family: str, matrix: TestMatrix) -> str:
@@ -219,16 +221,17 @@ def _summary_line(family: str, matrix: TestMatrix) -> str:
 def _load_design(path: str) -> TestMatrix:
     if path == "fig1":
         return hypergrid_design(9, 2)
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # the line of the first bad byte, where str.splitlines ends lines as parse does
-        line_no = len((data[: exc.start].decode("utf-8") + "?").splitlines())
-        raise ParseError(line_no, "not UTF-8 text") from None
-    del data  # parse holds the text alone
-    return parse(text)
+    with _out_of_memory("reading the design"):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # the line of the first bad byte, where str.splitlines ends lines as parse does
+            line_no = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+            raise ParseError(line_no, "not UTF-8 text") from None
+        del data  # parse holds the text alone
+        return parse(text)
 
 
 def _cmd_design(args: argparse.Namespace, echo: str) -> int:

@@ -13,6 +13,7 @@ prints 1-based test labels where it echoes per-test detail.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import numbers
@@ -94,6 +95,18 @@ class WorkerLostError(ResourceCapError):
 
 class IncompatibleDecoderError(GroupTestingError, ValueError):
     """The requested decoder cannot be applied to the given matrix/noise pairing."""
+
+
+@contextlib.contextmanager
+def _out_of_memory(layer: str):
+    """A ``MemoryError`` raised in ``layer`` (in this process, or passed on
+    from a worker) as a :class:`ResourceCapError` naming it: the one place
+    a ``MemoryError`` is caught, and nothing broader."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise ResourceCapError(
+            f"out of memory in {layer}; try a smaller design or fewer jobs") from exc
 
 
 # ---------------------------------------------------------------------------

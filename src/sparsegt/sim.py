@@ -30,7 +30,6 @@ evaluates only its base rows and votes from each group's flip count.
 from __future__ import annotations
 
 import collections
-import contextlib
 import functools
 import itertools
 import math
@@ -55,6 +54,7 @@ from .core import (
     WorkerLostError,
     _index_dtype,
     _noise_flips,
+    _out_of_memory,
     _or_bits,
     _or_gather,
     _pair_keys,
@@ -589,17 +589,6 @@ def _run_worker(matrix: TestMatrix, decoder: str, prior: Prior, sigma: float, ma
     """A worker process's trial range, with the worker's own plan."""
     return _run_trial_range(matrix, make_plan(matrix, decoder), prior, sigma, master_seed,
                             start, count)
-
-
-@contextlib.contextmanager
-def _out_of_memory(layer: str):
-    """A ``MemoryError`` raised in ``layer`` of a run, in this process or a
-    worker's, as a :class:`~sparsegt.core.ResourceCapError` naming it."""
-    try:
-        yield
-    except MemoryError as exc:
-        raise ResourceCapError(
-            f"out of memory in {layer}; try a smaller design or fewer jobs") from exc
 
 
 def run_monte_carlo(matrix: TestMatrix, decoder: str, config: SimConfig) -> SimReport:

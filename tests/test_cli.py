@@ -782,53 +782,58 @@ class TestLargeDesignMemory:
         assert simulate <= 76
 
 
-# runs the CLI on its arguments (after the first) with ``run_monte_carlo``
-# wrapped: given 0, it prints to stderr how many KB of address space the
-# run's set-up (``sim.make_plan``) left mapped; given a number of KB, it caps
-# the address space that far above where the run starts
-_SET_UP_SPACE_SCRIPT = """
-import resource, sys
-from sparsegt import cli, sim
+# runs the CLI on its arguments (after the first two) with one layer, the
+# function named by the first as module.name, wrapped: given 0 as the
+# second, it prints to stderr how many KB of address space the layer left
+# mapped; given a number of KB, it caps the address space that far above
+# where the layer starts
+_CAPPED_LAYER_SCRIPT = """
+import importlib, resource, sys
+import numpy.random  # NumPy loads it on first use, which a cap would refuse
+from sparsegt import cli
 
 def mapped_kb():
     with open("/proc/self/status") as status:
         return next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
 
-slack, start = int(sys.argv[1]), []
-run_monte_carlo, make_plan = sim.run_monte_carlo, sim.make_plan
+module, name = sys.argv[1].rsplit(".", 1)
+module, slack = importlib.import_module(module), int(sys.argv[2])
+layer = getattr(module, name)
 
-def capped_run(*args, **kwargs):
-    start.append(mapped_kb())
+def capped(*args, **kwargs):
+    start = mapped_kb()
     if slack:
-        cap = (start[0] + slack) * 1024
+        cap = (start + slack) * 1024
         resource.setrlimit(resource.RLIMIT_AS, (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))
-    return run_monte_carlo(*args, **kwargs)
-
-def measured_plan(*args, **kwargs):
-    plan = make_plan(*args, **kwargs)
+    result = layer(*args, **kwargs)
     if not slack:
-        print(mapped_kb() - start[0], file=sys.stderr)
-    return plan
+        print(mapped_kb() - start, file=sys.stderr)
+    return result
 
-cli.run_monte_carlo, sim.make_plan = capped_run, measured_plan
-sys.exit(cli.main(sys.argv[2:]))
+setattr(module, name, capped)
+sys.exit(cli.main(sys.argv[3:]))
 """
 
 
 class TestOutOfMemory:
     @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads /proc/self/status")
-    def test_a_set_up_out_of_memory_exits_3(self):
-        """A child measures the address space a run's set-up leaves mapped
-        (the column index and plan of 8 * 10**5 incidences, a few MB); a
-        second child caps the run at half of that above where it starts,
-        so the set-up runs out of memory. The CLI reports it as one
-        ``resource cap:`` line and exit 3, with no traceback."""
+    @pytest.mark.parametrize("layer, named", [
+        ("sparsegt.cli._construct", "building the design"),
+        ("sparsegt.sim.make_plan", "the set-up"),
+    ])
+    def test_a_layer_out_of_memory_exits_3(self, layer, named):
+        """A child measures the address space a layer leaves mapped (the
+        design of 8 * 10**5 incidences, or the column index and plan of the
+        set-up: a few MB each); a second child caps the address space at
+        half of that above where the layer starts, so the layer runs out
+        of memory. The CLI reports it as one ``resource cap:`` line naming
+        the layer and exit 3, with no traceback."""
         argv = ["simulate", "--family", "permuted-rho", "--n", "200000", "--d", "10",
                 "--rho", "100", "--zeta", "0.5", "--trials", "64", "--seed", "1"]
 
         def child(slack):
-            return subprocess.run([sys.executable, "-c", _SET_UP_SPACE_SCRIPT, str(slack), *argv],
-                                  capture_output=True, text=True, env=_child_env())
+            return subprocess.run([sys.executable, "-c", _CAPPED_LAYER_SCRIPT, layer, str(slack),
+                                   *argv], capture_output=True, text=True, env=_child_env())
 
         measured = child(0)
         assert measured.returncode == 0, measured.stderr
@@ -836,6 +841,6 @@ class TestOutOfMemory:
         assert mapped > 1024
         proc = child(mapped // 2)
         assert proc.returncode == 3, proc.stderr
-        assert proc.stderr.startswith("resource cap: out of memory in the set-up")
+        assert proc.stderr.startswith(f"resource cap: out of memory in {named}")
         assert proc.stderr.count("\n") == 1
-        assert all(line.startswith("#") for line in proc.stdout.splitlines())
+        assert proc.stdout == ""

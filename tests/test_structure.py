@@ -13,6 +13,8 @@ matrix, only the two cached properties that build the column index and the
 column weights read it, and no source writes those caches itself. Only
 ``core._adopt_csr`` stores CSR arrays without the scans of
 ``TestMatrix._init``, for arrays its caller built and checked. Only
+``core._out_of_memory`` catches a ``MemoryError``, and no handler catches
+``Exception`` or everything. Only
 ``core._adopt_base`` stores a repeated design's base matrix on it, and only
 the readers named in ``_BASE_USES`` read it. The check reads the source
 with ``ast`` and the standard library alone."""
@@ -303,6 +305,18 @@ def test_only_adopt_csr_stores_csr_arrays_without_the_scans():
     init = next(ast.get_source_segment(source, node) for where, node, _ in _scoped_nodes(source, "core")
                 if where == "core.TestMatrix._init" and isinstance(node, ast.FunctionDef))
     assert "np.diff(indptr) < 0" in init and "indices.min()" in init
+
+
+def test_only_the_out_of_memory_helper_catches_memory_errors():
+    """``core._out_of_memory`` turns a ``MemoryError`` into a named
+    ``ResourceCapError``; no other handler catches one, and none catches
+    ``Exception``, ``BaseException`` or everything."""
+    found = [where for path in SOURCES
+             for where, node, _ in _scoped_nodes(path.read_text(), path.stem)
+             if isinstance(node, ast.ExceptHandler) and (
+                 node.type is None or any(isinstance(name, ast.Name) and name.id in (
+                     "MemoryError", "Exception", "BaseException") for name in ast.walk(node.type)))]
+    assert found == ["core._out_of_memory"]
 
 
 def test_no_source_writes_the_column_caches():
