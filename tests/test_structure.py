@@ -311,12 +311,12 @@ def test_only_the_out_of_memory_helper_catches_memory_errors():
     """``core._out_of_memory`` turns a ``MemoryError`` into a named
     ``ResourceCapError``; no other handler catches one, and none catches
     ``Exception``, ``BaseException`` or everything."""
-    found = [where for path in SOURCES
+    found = [(where, ast.dump(node.type) if node.type else None) for path in SOURCES
              for where, node, _ in _scoped_nodes(path.read_text(), path.stem)
              if isinstance(node, ast.ExceptHandler) and (
                  node.type is None or any(isinstance(name, ast.Name) and name.id in (
                      "MemoryError", "Exception", "BaseException") for name in ast.walk(node.type)))]
-    assert found == ["core._out_of_memory"]
+    assert found == [("core._out_of_memory", ast.dump(ast.Name("MemoryError", ast.Load())))]
 
 
 def test_no_source_writes_the_column_caches():
