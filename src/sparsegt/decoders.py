@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -178,9 +177,9 @@ class ComaPlan(_Plan):
     keeps one (K, items) ``table`` of the candidates' first K tests, K the
     mean column weight rounded up (at least 1): row k holds each
     candidate's test k, or its last test where it has no more. So row 0 is
-    sorted, and row 1 within each run of row 0. A batch takes one of three
-    candidate stages; each reads the table, ANDs the remaining tests of its
-    survivors with one ``bitwise_and.reduceat``, and they give the same
+    sorted, and row 1 within each run of row 0. A batch takes one of two
+    candidate stages; both read the table, AND the remaining tests of their
+    survivors with one ``bitwise_and.reduceat``, and give the same
     survivors.
 
     Dense: as with tests of rho items, where a trial makes up to a
@@ -190,41 +189,37 @@ class ComaPlan(_Plan):
     (T, words) masks. Each slice's arrays stay within about
     ``_DENSE_BYTES`` whatever n is.
 
-    Item: a word's candidates are the items filed under its positive
-    tests. Each table row after the first clears most of those left, and
-    the cleared ones are dropped before the next. It reads (words, T)
-    masks.
-
     Pair: an item passes only where its first and its second test are both
     positive, so a trial's candidates are the items filed under one of its
-    (positive first test, positive second test) pairs: about d * d pairs
-    where the item stage visits d * rho items on designs of tests of rho
-    items. The ``pair_index`` (:class:`_PairIndex`) drops most pairs that
-    file no item; the others are matched in their run by a binary search
-    of table row 1, and the items found have their other rows checked trial
-    by trial against (T, words) masks. The index is built by the first
-    batch that takes the pair stage, so a plan whose batches never do (as
-    desk-coma's, noisy-repeated's, random-gamma's at large n) builds none.
+    (positive first test, positive second test) pairs: about d * d pairs on
+    designs of tests of rho items, where the items filed under its positive
+    tests number about d * rho. A candidate's second test is never below
+    its first (it is its first where it has no other), so a trial pairs
+    each positive test with its positive tests from that one on. The
+    ``pair_index`` (:class:`_PairIndex`) drops most pairs that file no
+    item; the others are matched in their run by a binary search of the
+    table's second row (row 0 where K is 1), and the items found have
+    their other rows checked trial by trial. The plan builds the index with
+    its table, so a trial's work and memory grow with its positives, not n.
 
-    ``decode_pairs`` picks dense or not by :func:`_dense_pays` before it
-    fills any mask, with the nonzero share the pairs would leave if they
-    fell on the masks at random. For the dense stage it scatters them into
-    a (T, 64 * words) bool array (``core._or_bits``) and packs that into
-    the (T, words) masks, so repeated pairs need no sort. Otherwise it
-    sorts them into distinct pairs (``core._or_pairs``), picks the item or
-    the pair stage by :func:`_pairs_pay` from the pairs the one would form
-    and the items the other would visit, and adds the pairs' bits into the
-    masks of the stage it takes. ``trial_bytes`` counts the masks, T / 8
-    bytes a trial; the dense fill's bool array takes T bytes a trial while
-    the batch packs it.
+    ``decode_pairs`` picks the stage by :func:`_dense_pays` before it fills
+    any mask, with the nonzero share the pairs would leave if they fell on
+    the masks at random. For the dense stage it scatters them into a
+    (T, 64 * words) bool array (``core._or_bits``) and packs that into the
+    (T, words) masks, so repeated pairs need no sort; for the pair stage it
+    sorts them into distinct pairs (``core._or_pairs``) and adds their bits
+    into (T, words) masks. ``trial_bytes`` counts the masks, T / 8 bytes a
+    trial; the dense fill's bool array takes T bytes a trial while the
+    batch packs it.
 
     The plan keeps the column index and its ``candidates``, ``table``,
     ``group_ptr`` and ``runs``; the table takes the dtype of the index's
     tests (uint16 below 65 536 tests). On a design of items in 4 tests each
-    the plan keeps 3 bytes per incidence, and its build
-    (:func:`_filed_table`) peaks at about 5 above the column index, which
+    the plan keeps 3 bytes per incidence and its pair index about 0.6
+    more, and its build peaks at about 5 above the column index, which
     itself keeps 4 (int64 offsets and uint16 tests), and the int64 column
-    weights, 2; the pair index keeps about 0.6 more. The narrow
+    weights, 2: in :func:`_filed_table`, as the index is built a piece at a
+    time once the filing's scratch is freed. The narrow
     tests enter products only through ``core._pair_keys``, in int32 below
     2**31: the dense fill's scatter index in ``core._or_bits`` (then cast
     to intp, which fancy assignment runs fastest on) and the mask index of
@@ -233,7 +228,6 @@ class ComaPlan(_Plan):
 
     kind = "coma"
     batch_step = _WORD
-    seconds = None  # the span of the table's second tests, where K >= 2
 
     def __init__(self, matrix: TestMatrix):
         super().__init__(matrix)
@@ -246,15 +240,10 @@ class ComaPlan(_Plan):
         self.group_ptr = np.zeros(num_tests + 1, dtype=_index_dtype(self.candidates.size + 1))
         np.cumsum(np.bincount(self.table[0], minlength=num_tests), out=self.group_ptr[1:])
         self.runs = np.diff(self.group_ptr)
-        if len(self.table) > 1:
-            self.seconds = int(self.table[1].min()), int(self.table[1].max())
+        # each candidate's second test, or its first where K is 1
+        self.second = self.table[min(1, len(self.table) - 1)]
+        self.pair_index = _PairIndex.of(self.table[0], self.second, self.runs)
         self.trial_bytes = num_tests / 8  # the test masks
-
-    @cached_property
-    def pair_index(self) -> _PairIndex:
-        """The pair index, built by the first batch that takes the pair
-        stage: a plan whose batches never do builds none."""
-        return _PairIndex.of(self.table[0], self.table[1], self.runs, *self.seconds)
 
     def decode_pairs(self, trial: np.ndarray, test: np.ndarray, num_trials: int,
                      flips: np.ndarray | None):
@@ -271,12 +260,11 @@ class ComaPlan(_Plan):
                                   bitorder="little").view("<u8")
             return self._estimate(*_passed(*self._dense_candidates(by_test)), num_trials)
         trial, test = _or_pairs(trial, test, num_trials, num_tests)
+        masks = np.zeros(num_tests * words, dtype=np.uint64)
+        # the pairs are now distinct, so adding their bits ORs them
+        np.add.at(masks, _pair_keys(test, trial >> _WORD_SHIFT, num_tests, words),
+                  np.take(_BITS, trial & (_WORD - 1)))
         pairs = self._pairs(trial, test, num_trials)
-        if pairs is None:
-            masks = _word_masks(trial >> _WORD_SHIFT, test, trial, words, num_tests)
-            found = self._sparse_candidates(masks.reshape(words, num_tests))
-            return self._estimate(*_passed(*found), num_trials)
-        masks = _word_masks(test, trial >> _WORD_SHIFT, trial, num_tests, words)
         return self._estimate(*self._pair_candidates(masks, words, *pairs), num_trials)
 
     def _estimate(self, trial: np.ndarray, item: np.ndarray, num_trials: int):
@@ -291,50 +279,29 @@ class ComaPlan(_Plan):
 
     def _pairs(self, trial: np.ndarray, test: np.ndarray, num_trials: int):
         """The pairs the pair stage reads, from a batch's sorted distinct
-        positive pairs, or None where the item stage pays
-        (:func:`_pairs_pay`). A trial pairs each of its positive tests that
-        files items (a first entry: its trial and test) with each of its
-        positive second tests (a second entry: its test). Returns the first
-        entries, the second entries, how many pairs each first entry makes
-        and, pair by pair, the second entry of each."""
-        if self.seconds is None:
-            return None
-        run = np.take(self.runs, test)
-        second = (test >= self.seconds[0]) & (test <= self.seconds[1])
-        # as if each trial held its share of the first and second entries
-        pairs = np.count_nonzero(run) * np.count_nonzero(second) / max(1, num_trials)
-        if not _pairs_pay(pairs, int(run.sum())):
-            return None
-        first, second = np.flatnonzero(run), np.flatnonzero(second)
-        per_trial = np.bincount(trial[second], minlength=num_trials)
+        positive pairs. A trial pairs each of its positive tests that files
+        items (a first entry: its trial and test) with each of its positive
+        tests from that one on that lies in the span of the second tests (a
+        second entry: its test). Returns the first entries, the second
+        entries and, pair by pair, the first and the second entry of each."""
+        pairs = self.pair_index
+        first = np.flatnonzero(np.take(self.runs, test))
+        is_second = (test >= pairs.low) & (test <= pairs.high)
+        second = np.flatnonzero(is_second)
         first_trial = trial[first]
-        lengths = np.take(per_trial, first_trial)
-        # a trial's second entries are one run of them, as the pairs are sorted
-        at = _ragged(np.take(_offsets(per_trial), first_trial), lengths, second.size)
-        return first_trial, test[first], test[second], lengths, at
-
-    def _sparse_candidates(self, masks: np.ndarray):
-        """(first trial of the word, item, mask of the trials it passes) of
-        the tested items, word by word of the (words, T) masks from the
-        items filed under each positive test; items that pass no trial of a
-        word may be left out."""
-        found = [(_NO_ITEMS, _NO_ITEMS, _BITS[:0])]
-        for word, mask in enumerate(masks):
-            positive = np.flatnonzero(mask != 0)
-            starts, lengths = self.group_ptr[positive], self.runs[positive]
-            slot = _ragged(starts, lengths, self.candidates.size)
-            hit = np.repeat(mask[positive], lengths)
-            for row in self.table[1:]:
-                hit &= np.take(mask, np.take(row, slot))
-                keep = np.flatnonzero(hit != 0)
-                slot, hit = slot[keep], hit[keep]
-            item = np.take(self.candidates, slot)
-            self._and_rest(mask, 0, 1, item, hit)
-            found.append((np.full(hit.size, word * _WORD), item, hit))
-        return tuple(map(np.concatenate, zip(*found)))
+        # a trial's tests are one sorted run, so its second entries from a
+        # first entry's own position on are one run of them: from the second
+        # entries before that position to those up to its trial's end
+        start = np.cumsum(is_second, dtype=_index_dtype(test.size))
+        start = np.take(start, first) - np.take(is_second, first)
+        lengths = np.take(np.cumsum(np.bincount(trial[second], minlength=num_trials)),
+                          first_trial) - start
+        return (first_trial, test[first], test[second],
+                np.repeat(np.arange(first.size, dtype=start.dtype), lengths),
+                _ragged(start, lengths, second.size))
 
     def _pair_candidates(self, masks: np.ndarray, words: int, first_trial: np.ndarray,
-                         first_test: np.ndarray, second_test: np.ndarray, lengths: np.ndarray,
+                         first_test: np.ndarray, second_test: np.ndarray, owner: np.ndarray,
                          at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The (trial, item) pairs that pass, from the items filed under
         each pair of ``_pairs``, with the flat (T, words) masks."""
@@ -342,14 +309,14 @@ class ComaPlan(_Plan):
         # each pair's filter byte: its first test's row, and the byte of its
         # second test's bucket in it
         bucket = pairs.buckets(second_test)
-        byte = np.repeat(pairs.row_bytes(first_test), lengths)
+        byte = np.take(pairs.row_bytes(first_test), owner)
         byte += np.take(bucket >> 3, at)
         keep = np.flatnonzero(np.take(pairs.filter, byte)
                               & np.take(np.take(_BYTE_BITS, bucket & 7), at))
-        owner = np.searchsorted(np.cumsum(lengths), keep, side="right")
+        owner = np.take(owner, keep)
         trial, first = np.take(first_trial, owner), np.take(first_test, owner)
         second = np.take(second_test, np.take(at, keep))
-        row = self.table[1]
+        row = self.second
         start, end = np.take(self.group_ptr, first), np.take(self.group_ptr, first + 1)
         slot = _lower_bound(row, start, end - start, second, pairs.depth)
         keep = np.flatnonzero((slot < end) & (np.take(row, slot, mode="clip") == second))
@@ -375,9 +342,10 @@ class ComaPlan(_Plan):
         return trial[keep], item[keep]
 
     def _dense_candidates(self, by_test: np.ndarray):
-        """What ``_sparse_candidates`` gives, from whole rows of the
-        (T, words) masks at the table's tests, for a slice of the candidates
-        at a time."""
+        """(first trial of the word, item, mask of the trials it passes) of
+        the tested items, from whole rows of the (T, words) masks at the
+        table's tests, for a slice of the candidates at a time; items that
+        pass no trial of a word are left out."""
         words = by_test.shape[1]
         step = max(1, _DENSE_BYTES // (8 * max(1, words)))
         found = [(_NO_ITEMS, _NO_ITEMS, _BITS[:0])]
@@ -402,32 +370,20 @@ class ComaPlan(_Plan):
         """AND into ``hit`` the masks of each item's tests past its first K
         (the table's rows), one run per item that has them, where an item's
         mask of test t is ``masks[offset + stride * t]`` (``offset`` one
-        value, or one per item)."""
+        per item)."""
         starts = np.take(self.col_indptr, item) + len(self.table)
         ends = np.take(self.col_indptr, item + 1)
         more = np.flatnonzero(ends > starts)
         if more.size:
             lengths = ends[more] - starts[more]
             test = np.take(self.tests, _ragged(starts[more], lengths, self.tests.size))
-            at = _pair_keys(test, np.repeat(np.broadcast_to(offset, item.shape)[more], lengths),
+            at = _pair_keys(test, np.repeat(offset[more], lengths),
                             self.evaluated.num_tests, stride)
             hit[more] &= np.bitwise_and.reduceat(np.take(masks, at), _offsets(lengths)[:-1])
 
 
-def _word_masks(major: np.ndarray, minor: np.ndarray, trial: np.ndarray, num_major: int,
-                num_minor: int) -> np.ndarray:
-    """The flat (num_major, num_minor) uint64 masks of a batch's distinct
-    (trial, test) pairs, each pair's bit (its trial's bit in its word) at
-    (major, minor): a (word, test) or a (test, word) layout. The pairs are
-    distinct, so adding their bits ORs them."""
-    masks = np.zeros(num_major * num_minor, dtype=np.uint64)
-    np.add.at(masks, _pair_keys(major, minor, num_major, num_minor),
-              np.take(_BITS, trial & (_WORD - 1)))
-    return masks
-
-
 def _passed(first: np.ndarray, item: np.ndarray, hit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (trial, item) pairs of a candidate stage's (first trial of the
+    """The (trial, item) pairs of the dense stage's (first trial of the
     word, item, mask of the trials it passes), taking the lowest set bit of
     each mask off until none is left: a power of two converts to float
     exactly, and frexp reads its exponent."""
@@ -539,9 +495,9 @@ def _file_pairs(first: np.ndarray, second: np.ndarray, table: np.ndarray) -> np.
 
 @dataclass(frozen=True)
 class _PairIndex:
-    """A COMA plan's pair index, from its table's rows 0 and 1 (the first
-    and second tests of its candidates, filed by them), its first tests'
-    run lengths and the span of its second tests.
+    """A COMA plan's pair index, from the first and second tests of its
+    candidates, filed by them (its table's row 0 and its ``second``), and
+    its first tests' run lengths.
 
     The first tests lie from ``first`` on and the second ones from ``low``
     to ``high``. Each first test f has a row of W = 2**``bits``
@@ -560,19 +516,20 @@ class _PairIndex:
     filter: np.ndarray
     first: int
     low: int
+    high: int
     bits: int
     shift: int
     depth: int
 
     @classmethod
-    def of(cls, first: np.ndarray, second: np.ndarray, runs: np.ndarray, low: int,
-           high: int) -> _PairIndex:
-        lo, hi = int(first[0]), int(first[-1])
+    def of(cls, first: np.ndarray, second: np.ndarray, runs: np.ndarray) -> _PairIndex:
+        lo, hi = int(first.min(initial=0)), int(first.max(initial=0))
+        low, high = int(second.min(initial=0)), int(second.max(initial=0))
         target = max(1, 16 * second.size // (hi - lo + 1))
         bits = max(_WORD_SHIFT, min((target - 1).bit_length(), (high - low).bit_length()))
-        index = cls(np.zeros((hi - lo + 1) << (bits - 3), dtype=np.uint8), lo, low, bits,
+        index = cls(np.zeros((hi - lo + 1) << (bits - 3), dtype=np.uint8), lo, low, high, bits,
                     max(0, (high - low).bit_length() - bits),
-                    max(0, int(runs.max()) - 1).bit_length())
+                    max(0, int(runs.max(initial=0)) - 1).bit_length())
         # pieces of the filing whose bits span about _FILTER_CELLS cells
         piece = max(1, _FILTER_CELLS * second.size // (index.filter.size << 3))
         for start in range(0, second.size, piece):
@@ -600,23 +557,11 @@ def _dense_pays(table: np.ndarray, share: float) -> bool:
     """Whether a COMA batch takes the dense candidate stage, given a plan's
     (K, items) ``table`` and the share of the batch's (word, test) masks
     that are nonzero. Per word, the dense stage ANDs K masks for every
-    item; the sparse stages take the share of the items filed under a
-    positive first test, at about 8 times that cost each, plus about 20 000
-    times it in numpy calls."""
+    item; the pair stage is taken to cost about 8 times that for each item
+    filed under a positive first test, plus about 20 000 times it in numpy
+    calls."""
     rows, items = table.shape
     return rows * items <= 8 * share * items + 20_000
-
-
-def _pairs_pay(pairs: float, visits: int) -> bool:
-    """Whether a sparse COMA batch takes the pair stage rather than the item
-    stage, given the (trial, first test, second test) pairs the pair stage
-    would form and the (trial, item) candidates filed under the batch's
-    positive first tests, which the item stage visits about once each.
-    Timed on the large-n benchmark design, a pair costs about 5 visits (its
-    filter read, and a binary search for the few that pass), and the pair
-    stage's further numpy calls about 10 000: so a batch of 64 trials or
-    more takes it there, and a single trial does not."""
-    return 5 * pairs + 10_000 < visits
 
 
 class BlockPlan(_Plan):

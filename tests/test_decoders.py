@@ -299,7 +299,6 @@ def _stages_taken(matrix, decoder, config):
     plan = decoders.ComaPlan
     with mock.patch.multiple(
             plan, _dense_candidates=recorded("dense", plan._dense_candidates),
-            _sparse_candidates=recorded("item", plan._sparse_candidates),
             _pair_candidates=recorded("pair", plan._pair_candidates)):
         run_monte_carlo(matrix, decoder, config)
     return taken
@@ -307,8 +306,7 @@ def _stages_taken(matrix, decoder, config):
 
 class TestStageSelection:
     """Which candidate stage every batch of a benchmark run takes at seed
-    42, with no timing: ``_dense_pays`` first, then ``_pairs_pay`` for a
-    batch that is not dense."""
+    42, with no timing, by ``_dense_pays``."""
 
     @pytest.mark.parametrize("build, decoder, params, trials, stage", [
         (lambda rng: random_gamma_design(10_000, 5, 3, 0.1, rng), "coma",
@@ -320,13 +318,13 @@ class TestStageSelection:
         (lambda rng: permuted_block_rho_design(400_000, 10, 100, 0.5, rng), "coma",
          DesignParams(n=400_000, d=10, rho=100, zeta=0.5), 8000, "pair"),
         (lambda rng: random_gamma_design(400_000, 10, 3, 0.1, rng), "coma",
-         DesignParams(n=400_000, d=10, epsilon=0.1, gamma=3), 8000, "item"),
+         DesignParams(n=400_000, d=10, epsilon=0.1, gamma=3), 8000, "pair"),
     ], ids=["desk-coma-random-gamma", "desk-coma-permuted-rho", "noisy-repeated",
             "large-n-roundtrip", "random-gamma-large-n"])
     def test_benchmark_batches(self, build, decoder, params, trials, stage):
         """desk-coma's and noisy-repeated's batches take the dense stage,
-        large-n-roundtrip's the pair stage, and random-gamma's at the same
-        n (no workload) the item stage."""
+        and large-n-roundtrip's and random-gamma's at the same n (no
+        workload) the pair stage."""
         config = SimConfig(params, Prior(PRIOR_UNIFORM_EXACT, params.d), trials, 42)
         taken = _stages_taken(build(np.random.default_rng(42)), decoder, config)
         assert len(taken) > 1

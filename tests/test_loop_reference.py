@@ -1084,18 +1084,15 @@ class TestDecodePairsTakesRawGatheredPairs:
             assert amb_block[amb_trial == row].tolist() == want_ambiguous
 
 
-# each COMA candidate stage, as (what _dense_pays, what _pairs_pay answers)
-_COMA_STAGES = {"dense": (True, False), "item": (False, False), "pair": (False, True)}
+# each COMA candidate stage, as what _dense_pays answers
+_COMA_STAGES = {"dense": True, "pair": False}
 
 
 @contextlib.contextmanager
 def _coma_stage(stage):
     """Batches decoded, by the harness or a one-shot decoder, on one COMA
-    candidate stage (a plan of K = 1 has no pair stage, and takes the item
-    stage for it)."""
-    dense, pairs = _COMA_STAGES[stage]
-    with mock.patch.object(decoders, "_dense_pays", return_value=dense), \
-            mock.patch.object(decoders, "_pairs_pay", return_value=pairs):
+    candidate stage."""
+    with mock.patch.object(decoders, "_dense_pays", return_value=_COMA_STAGES[stage]):
         yield
 
 
@@ -1135,12 +1132,12 @@ class TestComaStagesAgreeWithTheCountingLoop:
     # heavier than K, and items 0 and 1 filed under one (first, second) pair
     @example(_csr_design(6, [{0, 1}, {0, 1}, set(), {2}, {0, 2, 3, 4, 5}, {3, 4}, set()]),
              65, 1)
-    # every item of weight 1, so K = 1 and no plan has a pair index
+    # every item of weight 1, so K = 1 and each pair is of one test
     @example(_csr_design(3, [{0}, {2}, {1}, {2}]), 64, 2)
     @settings(max_examples=150, deadline=None)
     def test_each_stage_decodes_as_the_loop(self, matrix, num_trials, seed):
         """A batch of up to three defectives a trial decodes to the same
-        pairs on the dense, item and pair stages, each row as the counting
+        pairs on the dense and the pair stage, each row as the counting
         loop reads it; so do one outcome through ``coma_decode`` and, on
         the design repeated three times, one noisy outcome through
         ``majority_coma_decode``."""
@@ -1149,6 +1146,7 @@ class TestComaStagesAgreeWithTheCountingLoop:
         picks = [np.sort(rng.choice(n, min(n, int(rng.integers(0, 4))), replace=False))
                  for _ in range(num_trials)]
         trial = np.repeat(np.arange(num_trials), [p.size for p in picks])
+        items = np.concatenate([np.empty(0, dtype=np.int64), *picks])
         reference = ref.ComaPlan(matrix)
         repeated = designs.repeat_design(matrix, 3)
         noisy = Outcomes(np.repeat(ref.evaluate(matrix, DefectiveSet(picks[0], n)), 3)
@@ -1158,16 +1156,13 @@ class TestComaStagesAgreeWithTheCountingLoop:
         for stage in _COMA_STAGES:
             with _coma_stage(stage):
                 plan = make_plan(matrix, "coma")
-                decoded[stage] = plan.decode_pairs(
-                    *core._or_gather(plan.evaluated, trial, np.concatenate([np.empty(0, dtype=np.int64), *picks])),
-                    num_trials, None)
+                decoded[stage] = plan.decode_pairs(*core._or_gather(plan.evaluated, trial, items),
+                                                   num_trials, None)
                 bits = ref.evaluate(matrix, DefectiveSet(picks[0], n))
                 one = decoders.coma_decode(matrix, Outcomes(bits))
                 majority = decoders.majority_coma_decode(repeated, noisy)
             assert list(one.estimate) == reference.decode_bits(bits)[0].tolist()
             assert list(majority.estimate) == want_majority.tolist()
-            # the first pair batch built the index
-            assert ("pair_index" in vars(plan)) == (stage == "pair" and len(plan.table) > 1)
         for got in decoded.values():
             for got_pairs, want_pairs in zip(got, decoded["dense"]):
                 assert np.array_equal(got_pairs, want_pairs)
