@@ -179,7 +179,8 @@ class ComaPlan(_Plan):
     candidate's test k, or its last test where it has no more. So row 0 is
     sorted, and row 1 within each run of row 0. A batch takes one of two
     candidate stages; both read the table, AND the remaining tests of their
-    survivors with one ``bitwise_and.reduceat``, and give the same
+    survivors with one ``bitwise_and.reduceat`` where some tested item is
+    heavier than K (``heavy``, decided once by the plan), and give the same
     survivors.
 
     Dense: as with tests of rho items, where a trial makes up to a
@@ -195,7 +196,9 @@ class ComaPlan(_Plan):
     designs of tests of rho items, where the items filed under its positive
     tests number about d * rho. A candidate's second test is never below
     its first (it is its first where it has no other), so a trial pairs
-    each positive test with its positive tests from that one on. The
+    each positive test with its positive tests from that one on that lie
+    between the lowest and the highest second test (on permuted-rho, the
+    design's second pass). The
     ``pair_index`` (:class:`_PairIndex`) drops most pairs that file no
     item; the others are matched in their run by a binary search of the
     table's second row (row 0 where K is 1), and the items found have
@@ -237,6 +240,8 @@ class ComaPlan(_Plan):
         weight = matrix.column_weights()
         self.untested = np.flatnonzero(weight == 0)
         self.candidates, self.table = _filed_table(self.col_indptr, self.tests, weight)
+        # whether some tested item has tests past the table's K rows
+        self.heavy = bool(weight.max(initial=0) > len(self.table))
         self.group_ptr = np.zeros(num_tests + 1, dtype=_index_dtype(self.candidates.size + 1))
         np.cumsum(np.bincount(self.table[0], minlength=num_tests), out=self.group_ptr[1:])
         self.runs = np.diff(self.group_ptr)
@@ -337,7 +342,8 @@ class ComaPlan(_Plan):
         for row in self.table[2:]:
             hit &= np.take(masks, _pair_keys(np.take(row, slot), word, num_tests, words))
         item = np.take(self.candidates, slot)
-        self._and_rest(masks, word, words, item, hit)
+        if self.heavy:
+            self._and_rest(masks, word, words, item, hit)
         keep = np.flatnonzero(hit != 0)
         return trial[keep], item[keep]
 
@@ -361,7 +367,8 @@ class ComaPlan(_Plan):
             hit = flat[at]
             at, word = lo + at // words, at % words
             item = self.candidates[at]
-            self._and_rest(by_test.reshape(-1), word, words, item, hit)
+            if self.heavy:
+                self._and_rest(by_test.reshape(-1), word, words, item, hit)
             found.append((word * _WORD, item, hit))
         return tuple(map(np.concatenate, zip(*found)))
 
@@ -523,8 +530,10 @@ class _PairIndex:
 
     @classmethod
     def of(cls, first: np.ndarray, second: np.ndarray, runs: np.ndarray) -> _PairIndex:
-        lo, hi = int(first.min(initial=0)), int(first.max(initial=0))
-        low, high = int(second.min(initial=0)), int(second.max(initial=0))
+        hi, high = int(first.max(initial=0)), int(second.max(initial=0))
+        # the true lowest tests (min(initial=0) reads 0 for any array); an
+        # empty filing spans test 0 alone
+        lo, low = int(first.min(initial=hi)), int(second.min(initial=high))
         target = max(1, 16 * second.size // (hi - lo + 1))
         bits = max(_WORD_SHIFT, min((target - 1).bit_length(), (high - low).bit_length()))
         index = cls(np.zeros((hi - lo + 1) << (bits - 3), dtype=np.uint8), lo, low, high, bits,

@@ -35,8 +35,6 @@ import itertools
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -438,15 +436,18 @@ def _trial_generators(master_seed: int, first: int, states, rows):
 
 # a batch of trials is sized by this many bytes: 8 an incidence of its
 # defectives, its plan's ``trial_bytes``, and this many per trial for its
-# Python objects. As 256 divides 1 MiB, a batch holds at most 4096 trials.
+# Python objects. As 256 divides 4 MiB, a batch holds at most 16 384 trials.
 # Its index arrays (trial numbers, gathered positions, keys) are int32
 # below 2**31 (``core._index_dtype``), so a desk-block batch peaks at about
 # 45 bytes a gathered pair. A COMA batch that
 # takes the dense stage holds more: it fills a (T, 64 * words) bool array,
 # T bytes a trial, before packing it into the T / 8 bytes a trial of masks
-# it is counted at (6.9 MB at T = 16 000 and 384 trials). Batches sized by
-# the bool array read no faster.
-_BATCH_BYTES = 1 << 20
+# it is counted at (5.7 MB for a 3000-trial call, one batch, on desk
+# random-gamma's T = 1893). Batches sized by the bool array read no faster.
+# A pair-stage batch pays about 0.3 ms in numpy calls whatever its size,
+# about a fifth of a large-n trial's time at 1 MiB (384 trials); at 8 MiB
+# a large-n trial read slower than at 4 (6.1 against 4.6 us in one process).
+_BATCH_BYTES = 1 << 22
 _TRIAL_BYTES = 256
 
 
@@ -591,6 +592,15 @@ def _run_worker(matrix: TestMatrix, decoder: str, prior: Prior, sigma: float, ma
                             start, count)
 
 
+def _process_pool(jobs: int):
+    """A pool of ``jobs`` worker processes. ``concurrent.futures`` is
+    imported here, as only a run of more than one job needs it and its
+    modules take about 0.9 MB in every process that loads them."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=jobs)
+
+
 def run_monte_carlo(matrix: TestMatrix, decoder: str, config: SimConfig) -> SimReport:
     """Estimate the decoding error rate over ``config.trials`` random trials.
 
@@ -625,8 +635,10 @@ def run_monte_carlo(matrix: TestMatrix, decoder: str, config: SimConfig) -> SimR
             bounds = [config.trials * j // jobs for j in range(jobs + 1)]
             worker = functools.partial(_run_worker, matrix, plan.kind, config.prior, sigma,
                                        config.master_seed)
+            from concurrent.futures.process import BrokenProcessPool
+
             try:
-                with ProcessPoolExecutor(max_workers=jobs) as pool:
+                with _process_pool(jobs) as pool:
                     parts = list(pool.map(worker, bounds[:-1], np.diff(bounds).tolist()))
             except BrokenProcessPool as exc:
                 raise WorkerLostError(

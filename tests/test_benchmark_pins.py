@@ -51,12 +51,12 @@ def test_pinned_design_and_counts(workload, part):
 # trials per batch (``sim._batch_trials``, flips counted where the channel
 # is noisy) and per chunk of PCG64 states (``sim._draw_chunk``) on each part
 BATCHES = {
-    "random-gamma": (1664, 9362),
-    "permuted-rho": (1280, 5461),
-    "block-hypergrid": (3120, 9362),
-    "block-binary": (3084, 9362),
-    "repeated-permuted-rho": (64, 5461),
-    "permuted-rho-large": (384, 5461),
+    "random-gamma": (6784, 37449),
+    "permuted-rho": (5120, 21845),
+    "block-hypergrid": (12483, 37449),
+    "block-binary": (12336, 37449),
+    "repeated-permuted-rho": (192, 21845),
+    "permuted-rho-large": (1600, 21845),
 }
 
 

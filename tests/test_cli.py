@@ -74,6 +74,21 @@ def peak_rss_mb(*argv) -> float:
     return float(proc.stdout.splitlines()[-1])
 
 
+def test_a_one_job_run_loads_no_process_pool():
+    """``concurrent.futures`` and the ``multiprocessing`` modules it brings
+    (about 0.9 MB) are loaded only for a run of more than one job."""
+    script = ("import sys\n"
+              "from sparsegt.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "print('concurrent.futures' in sys.modules)\n"
+              "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", script, "simulate", "--design", "fig1",
+                           "--d", "2", "--trials", "100"],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 class TestDesignCommand:
     def test_summary_line(self, capsys):
         code, out, _ = run(capsys, "design", "--family", "hypergrid", "--n", "9", "--gamma", "2")

@@ -188,6 +188,21 @@ class TestComa:
         assert plan.table.dtype == np.uint16
         assert peak < 9 * matrix.ones_count()
 
+    def test_only_items_heavier_than_k_take_the_rest(self):
+        """The benchmark's COMA designs are column-regular, so no item has
+        tests past the table's K rows and no batch ANDs any; a design with
+        an item in more tests than K still reads them. Item 0 is in tests
+        0, 1 and 2, item 1 in test 0 alone (K = 2): with test 2 negative,
+        item 0 is ruled out by its third test."""
+        for design in (random_gamma_design(10_000, 5, 3, 0.1, np.random.default_rng(42)),
+                       permuted_block_rho_design(10_000, 10, 100, 0.5,
+                                                 np.random.default_rng(42))):
+            assert not make_plan(design, "coma").heavy
+        uneven = TestMatrix(rows=((0, 1), (0,), (0,)), num_items=2)
+        assert make_plan(uneven, "coma").heavy
+        outcomes = Outcomes(np.array([True, True, False]))
+        assert coma_decode(uneven, outcomes).estimate.items == (1,)
+
     def test_plan_keeps_int32_candidates_and_offsets(self, large_design):
         """The candidates are items, so they take ``core._index_dtype(n)``
         (int32 below 2**31), as do the offsets of the first tests' runs:
@@ -215,6 +230,59 @@ class TestComa:
             tracemalloc.stop()
         assert np.array_equal(plan.table, make_plan(large_design, "coma").table)
         assert peak < 13 * matrix.ones_count()
+
+
+class TestPairIndex:
+    """The pair index spans its filing's first and second tests from their
+    true lowest to their highest."""
+
+    def test_span_is_the_true_extremes(self):
+        first = np.array([3, 3, 5, 9], dtype=np.uint16)
+        second = np.array([7, 12, 8, 20], dtype=np.uint16)
+        index = decoders._PairIndex.of(first, second, np.bincount(first, minlength=21))
+        assert (index.first, index.low, index.high) == (3, 7, 20)
+        # a row of W bits for each first test from 3 to 9
+        assert index.filter.size == 7 << (index.bits - 3)
+
+    def test_an_empty_filing_spans_test_0(self):
+        empty = np.empty(0, dtype=np.uint16)
+        index = decoders._PairIndex.of(empty, empty, np.zeros(4, dtype=np.int32))
+        assert (index.first, index.low, index.high) == (0, 0, 0)
+
+    def test_large_n_second_tests_are_its_second_pass(self, large_design):
+        """The design's first two passes of 4000 tests each file its items."""
+        index = make_plan(large_design, "coma").pair_index
+        assert (index.first, index.low, index.high) == (0, 4000, 7999)
+
+    def test_large_n_trial_pairs_only_its_second_pass(self, large_design):
+        """An 8000-trial benchmark call at seed 42: a trial's 10 or so
+        positive first tests pair with its 10 or so positive second tests,
+        99.8 pairs, of which 14.3 pass the filter, for 14.6 binary searches
+        with the second search of a pair that files more than one item.
+        With the second tests spanned from test 0, each first test also
+        paired with the positives of its own pass from it on: 154.6 pairs
+        and 18.8 searches a trial."""
+        trials = 8000
+        formed, searched = [], []
+        pairs, search = decoders.ComaPlan._pairs, decoders._lower_bound
+
+        def counted_pairs(self, *args):
+            found = pairs(self, *args)
+            formed.append(found[3].size)
+            return found
+
+        def counted_search(row, start, size, value, depth):
+            searched.append(value.size)
+            return search(row, start, size, value, depth)
+
+        config = SimConfig(DesignParams(n=400_000, d=10, rho=100, zeta=0.5),
+                           Prior(PRIOR_UNIFORM_EXACT, 10), trials, 42)
+        with mock.patch.object(decoders.ComaPlan, "_pairs", counted_pairs), \
+                mock.patch.object(decoders, "_lower_bound", counted_search):
+            report = run_monte_carlo(large_design, "coma", config)
+        assert report.errors == 0
+        assert 90 * trials < sum(formed) <= 110 * trials
+        assert 12 * trials < sum(searched) <= 16 * trials
 
 
 class TestBlockBatchPeak:
@@ -310,9 +378,9 @@ class TestStageSelection:
 
     @pytest.mark.parametrize("build, decoder, params, trials, stage", [
         (lambda rng: random_gamma_design(10_000, 5, 3, 0.1, rng), "coma",
-         DesignParams(n=10_000, d=5, epsilon=0.1, gamma=3), 3000, "dense"),
+         DesignParams(n=10_000, d=5, epsilon=0.1, gamma=3), 8000, "dense"),
         (lambda rng: permuted_block_rho_design(10_000, 10, 100, 0.5, rng), "coma",
-         DesignParams(n=10_000, d=10, rho=100, zeta=0.5), 3000, "dense"),
+         DesignParams(n=10_000, d=10, rho=100, zeta=0.5), 8000, "dense"),
         (lambda rng: repeat_design(permuted_block_rho_design(1000, 10, 50, 0.5, rng), 65),
          "majority", DesignParams(n=1000, d=10, rho=50, sigma=0.1, zeta=0.5), 1500, "dense"),
         (lambda rng: permuted_block_rho_design(400_000, 10, 100, 0.5, rng), "coma",
@@ -324,7 +392,8 @@ class TestStageSelection:
     def test_benchmark_batches(self, build, decoder, params, trials, stage):
         """desk-coma's and noisy-repeated's batches take the dense stage,
         and large-n-roundtrip's and random-gamma's at the same n (no
-        workload) the pair stage."""
+        workload) the pair stage. The desk designs run 8000 trials, more
+        than their batches of 6784 and 5120, so that each takes two."""
         config = SimConfig(params, Prior(PRIOR_UNIFORM_EXACT, params.d), trials, 42)
         taken = _stages_taken(build(np.random.default_rng(42)), decoder, config)
         assert len(taken) > 1

@@ -1549,7 +1549,7 @@ class TestOrBitsAgreesWithTheLoop:
         assert bits.tolist() == want
 
 
-# the most trials a harness batch holds (4096), and the count of tests,
+# the most trials a harness batch holds (16 384), and the count of tests,
 # blocks or items at which its keys reach 2**31
 _MAX_BATCH = sim._BATCH_BYTES // sim._TRIAL_BYTES
 _EDGE = 2**31 // _MAX_BATCH

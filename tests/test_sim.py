@@ -62,12 +62,17 @@ def _out_of_memory_at_once(*args):
     raise MemoryError
 
 
+def _fork_pool(jobs):
+    """A pool of ``jobs`` fork-started workers, in place of
+    ``sim._process_pool``."""
+    return ProcessPoolExecutor(max_workers=jobs, mp_context=multiprocessing.get_context("fork"))
+
+
 @contextlib.contextmanager
 def lost_workers():
     """Runs of two fork-started workers that each end at once."""
-    fork = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork"))
     with mock.patch.object(sim, "_run_worker", _exit_at_once), \
-            mock.patch.object(sim, "ProcessPoolExecutor", fork), \
+            mock.patch.object(sim, "_process_pool", _fork_pool), \
             mock.patch("os.cpu_count", return_value=2):
         yield
 
@@ -172,8 +177,8 @@ class TestRunMonteCarlo:
         pools = []
 
         class InProcessPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
+            def __init__(self, jobs):
+                pools.append(jobs)
 
             def __enter__(self):
                 return self
@@ -184,7 +189,7 @@ class TestRunMonteCarlo:
             def map(self, fn, *args):
                 return map(fn, *args)
 
-        with mock.patch.object(sim, "ProcessPoolExecutor", InProcessPool), \
+        with mock.patch.object(sim, "_process_pool", InProcessPool), \
                 mock.patch("os.cpu_count", return_value=processors):
             many = run_monte_carlo(GRID9, "coma",
                                    config(9, 2, 1000, seed=5, jobs=100_000, epsilon=0.4, gamma=2))
@@ -238,8 +243,7 @@ class TestRunMonteCarlo:
         """A worker's ``MemoryError`` reaches the parent through the pool,
         and is named like one in this process."""
         with mock.patch.object(sim, "_run_worker", _out_of_memory_at_once), \
-                mock.patch.object(sim, "ProcessPoolExecutor", functools.partial(
-                    ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork"))), \
+                mock.patch.object(sim, "_process_pool", _fork_pool), \
                 mock.patch("os.cpu_count", return_value=2), \
                 pytest.raises(ResourceCapError, match="^out of memory in the trials"):
             run_monte_carlo(GRID9, "coma", config(9, 2, 100, seed=5, jobs=2, epsilon=0.4,

@@ -16,7 +16,8 @@ column weights read it, and no source writes those caches itself. Only
 ``core._out_of_memory`` catches a ``MemoryError``, and no handler catches
 ``Exception`` or everything. Only
 ``core._adopt_base`` stores a repeated design's base matrix on it, and only
-the readers named in ``_BASE_USES`` read it. The check reads the source
+the readers named in ``_BASE_USES`` read it. No call to ``min`` passes
+``initial=0``. The check reads the source
 with ``ast`` and the standard library alone."""
 
 import ast
@@ -319,6 +320,25 @@ def test_only_the_out_of_memory_helper_catches_memory_errors():
     assert found == [("core._out_of_memory", ast.dump(ast.Name("MemoryError", ast.Load())))]
 
 
+def _mins_from_zero(source: str, module: str) -> list[str]:
+    """module.qualified name of each call to ``min`` (a method or a
+    function) that passes ``initial=0``: on the nonnegative test and item
+    numbers the source reads, it returns 0 and not their minimum."""
+    return [where for where, node, _ in _scoped_nodes(source, module)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == "min"
+            and any(keyword.arg == "initial" and isinstance(keyword.value, ast.Constant)
+                    and keyword.value.value == 0 for keyword in node.keywords)]
+
+
+def test_no_min_starts_from_zero():
+    """A COMA plan's pair index once spanned its second tests from
+    ``second.min(initial=0)``, 0 for any filing, and paired a large-n
+    trial's positives with half again as many tests as it needed."""
+    found = [where for path in SOURCES for where in _mins_from_zero(path.read_text(), path.stem)]
+    assert not found, "min(initial=0) in " + "; ".join(found)
+
+
 def test_no_source_writes_the_column_caches():
     uses = [use for path in SOURCES for use in _named_uses(path.read_text(), path.stem, _CACHES)]
     assert not [use for use in uses if use[1] == "write"], uses
@@ -422,3 +442,9 @@ def test_the_checks_see_what_they_exist_for():
         ("core.TestMatrix.column_index", "read")]
     assert _named_uses(providers, "core", _CACHES) == [
         ("core.hint", "write"), ("core.hint", "write"), ("core.TestMatrix.column_index", "read")]
+    mins = (
+        "def span(first, second, runs):\n"
+        "    lo, hi = int(first.min(initial=0)), int(first.max(initial=0))\n"
+        "    return np.min(second, initial=0), min(runs), second.min(initial=hi)\n"
+    )
+    assert _mins_from_zero(mins, "decoders") == ["decoders.span", "decoders.span"]
