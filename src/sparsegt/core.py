@@ -283,7 +283,7 @@ def _field_value(key: str, text: str, num_items: int | None, error) -> object:
             starts = tuple(map(int, text.split(","))) if text or num_items else ()
         except ValueError:
             raise error(f"blocks must be comma-separated integers, got {text!r}") from None
-        if num_items and not _well_formed_blocks(starts, num_items):
+        if num_items and _block_bounds(starts, num_items) is None:
             raise error("block offsets must start at 0, increase strictly, and stay below n")
         return starts
     name = {"n": "item count n", "T": "test count T"}.get(key, key)
@@ -304,9 +304,13 @@ def _field_text(value) -> str:
 
 def _read_back(key: str, value) -> object:
     """``value`` (a sequence as a tuple) as parse reads its written text;
-    :class:`InvalidParameterError` if it reads back as anything else."""
+    :class:`InvalidParameterError` if it reads back as anything else. Block
+    offsets that are all Python ints are returned as they are, unwritten:
+    an int's decimal text reads back as the same int."""
     if np.iterable(value) and not isinstance(value, str):
         value = tuple(value)
+        if key == "blocks" and set(map(type, value)) <= {int}:
+            return value
     read = _field_value(key, text := _field_text(value), None, InvalidParameterError)
     if read != value:
         raise InvalidParameterError(f"{key}={text} reads back as {read!r}, not {value!r}")
@@ -604,10 +608,10 @@ class TestMatrix:
         return int(self.indices.size)
 
     def block_bounds(self) -> tuple[tuple[int, int], ...]:
-        """(start, end) item ranges of the blocks; the whole item range
-        counts as a single block when no block structure is recorded."""
-        starts = (0,) if self.block_starts is None else self.block_starts
-        return tuple(zip(starts, starts[1:] + (self.num_items,)))
+        """(start, end) item ranges of the blocks, as Python ints; the whole
+        item range counts as a single block when no block structure is
+        recorded. Malformed offsets raise :class:`InvalidParameterError`."""
+        return tuple(map(tuple, _checked_block_bounds(self).tolist()))
 
 
 def _adopt_csr(indptr: np.ndarray, indices: np.ndarray, num_items: int,
@@ -677,15 +681,36 @@ def _checked_max_index(indices: np.ndarray, num_items: int) -> int:
     return high
 
 
-def _well_formed_blocks(starts, num_items: int) -> bool:
-    """Whether block offsets start at 0, increase strictly and stay below
-    ``num_items``: the block check of parse, validate and the block plans."""
+def _block_bounds(starts, num_items: int) -> np.ndarray | None:
+    """The (start, end) item range of each block as a (blocks, 2) array in
+    ``_index_dtype(num_items + 1)``, or None unless the offsets are well
+    formed: they start at 0, increase strictly and stay below
+    ``num_items``. ``starts`` is a sequence or an array of offsets, or
+    None for one block of all items. The one place block bounds are
+    formed, and the block check of parse, validate and the block plans."""
     try:
-        starts = np.asarray(starts, dtype=np.int64)
+        starts = np.asarray((0,) if starts is None else starts, dtype=np.int64)
     except OverflowError:  # no valid offset lies outside int64
-        return False
-    return bool(starts.size and starts[0] == 0 and starts[-1] < num_items
-                and (np.diff(starts) > 0).all())
+        return None
+    if not (starts.size and starts[0] == 0 and starts[-1] < num_items
+            and (np.diff(starts) > 0).all()):
+        return None
+    bounds = np.full((starts.size, 2), num_items, dtype=_index_dtype(num_items + 1))
+    bounds[:, 0] = starts
+    bounds[:-1, 1] = starts[1:]
+    return bounds
+
+
+def _checked_block_bounds(matrix: TestMatrix) -> np.ndarray:
+    """:func:`_block_bounds` of ``matrix``'s offsets; malformed ones raise
+    :class:`InvalidParameterError`."""
+    bounds = _block_bounds(matrix.block_starts, matrix.num_items)
+    if bounds is None:
+        raise InvalidParameterError(
+            "block offsets must start at 0, increase strictly, and stay below n; "
+            "validate() lists them"
+        )
+    return bounds
 
 
 def _offsets(lengths) -> np.ndarray:
@@ -1130,7 +1155,7 @@ def validate(matrix: TestMatrix) -> list[Violation]:
             report.append(
                 Violation("col-weight", f"column {i}", f"weight {w} exceeds limit {matrix.col_limit}")
             )
-    if matrix.block_starts is not None and not _well_formed_blocks(matrix.block_starts, n):
+    if matrix.block_starts is not None and _block_bounds(matrix.block_starts, n) is None:
         report.append(Violation("block-structure", "block_starts",
                                 "offsets must start at 0, increase strictly, and stay below n"))
     if matrix.repeat_k > 1:

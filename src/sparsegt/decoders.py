@@ -62,6 +62,7 @@ from .core import (
     TAG_REPEATED,
     TestMatrix,
     _adopt_csr,
+    _block_bounds,
     _broken_repeat_group,
     _copy_rows,
     _index_dtype,
@@ -72,7 +73,6 @@ from .core import (
     _pair_keys,
     _ragged,
     _test_dtype,
-    _well_formed_blocks,
 )
 from .designs import _grid_test_count, hypergrid_shape, tile_blocks
 
@@ -594,12 +594,11 @@ class BlockPlan(_Plan):
                  first: int, axes: int, design: str):
         super().__init__(matrix)
         self.kind, self.axes = kind, axes
-        starts = (0,) if matrix.block_starts is None else matrix.block_starts
-        if not _well_formed_blocks(starts, matrix.num_items):
+        bounds = _block_bounds(matrix.block_starts, matrix.num_items)
+        if bounds is None:
             raise IncompatibleDecoderError(
                 f"block offsets must start at 0, increase strictly, and stay below n; not {design}"
             )
-        bounds = np.array(matrix.block_bounds(), dtype=_index_dtype(matrix.num_items + 1))
         self.num_blocks = len(bounds)
         # count the tests before tiling, so a wrong header costs no tables
         sizes, blocks = np.unique(bounds[:, 1] - bounds[:, 0], return_counts=True)

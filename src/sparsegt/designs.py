@@ -48,6 +48,7 @@ from .core import (
     int_root_ceil,
     _adopt_base,
     _adopt_csr,
+    _block_bounds,
     _check_generator,
     _index_dtype,
     _key_dtype,
@@ -171,19 +172,21 @@ def balanced_block_starts(n: int, num_blocks: int) -> tuple[int, ...]:
     """
     n, num_blocks = _parameter("item count n", n), _parameter("blocks", num_blocks)
     nb = min(num_blocks, n)
+    if n * nb < 2**63:  # every i * n fits in int64
+        return tuple((np.arange(nb, dtype=np.int64) * n // nb).tolist())
     return tuple(i * n // nb for i in range(nb))
 
 
 def tile_blocks(bounds, layout) -> list[tuple[np.ndarray, np.ndarray]]:
     """Place one layout per block, in block order.
 
-    ``bounds`` holds each block's (start, end) item range; ``layout(size)``
-    returns a pair of 1-D arrays and is called once per distinct block size.
-    For each array of the pair, returns the blocks' copies in block order,
-    in the layout's dtype, and the block of each element, int32 below 2**31
-    blocks. There is at least one block.
+    ``bounds`` holds each block's (start, end) item range, one row a
+    block (``core._block_bounds``); ``layout(size)`` returns a pair of 1-D
+    arrays and is called once per distinct block size. For each array of
+    the pair, returns the blocks' copies in block order, in the layout's
+    dtype, and the block of each element, int32 below 2**31 blocks. There
+    is at least one block.
     """
-    bounds = np.asarray(bounds, dtype=np.int64)
     sizes, kind = np.unique(bounds[:, 1] - bounds[:, 0], return_inverse=True)
     layouts = [layout(int(size)) for size in sizes]
     tiled = []
@@ -199,12 +202,13 @@ def tile_blocks(bounds, layout) -> list[tuple[np.ndarray, np.ndarray]]:
     return tiled
 
 
-def _tiled_design(n: int, starts: tuple[int, ...], layout, **fields) -> TestMatrix:
-    """Blocks from ``starts`` to n, each holding the rows ``layout`` gives
-    for its size, shifted to its start."""
-    (lengths, _), (items, block) = tile_blocks(list(zip(starts, starts[1:] + (n,))), layout)
-    return TestMatrix.from_csr(_offsets(lengths), items + np.array(starts)[block],
-                               num_items=n, **fields)
+def _tiled_design(n: int, starts, layout, **fields) -> TestMatrix:
+    """Blocks from the well-formed ``starts`` (None: one block) to n, each
+    holding the rows ``layout`` gives for its size, shifted to its start."""
+    bounds = _block_bounds(starts, n)
+    (lengths, _), (items, block) = tile_blocks(bounds, layout)
+    return _adopt_csr(_offsets(lengths), items + np.take(bounds[:, 0], block),
+                      num_items=n, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +313,7 @@ def hypergrid_design(n: int, gamma: int) -> TestMatrix:
     n, gamma = _parameter("item count n", n), _parameter("gamma", gamma)
     _check_size(0, n * gamma)
     _check_size(_grid_tests(n, 1, gamma), n * gamma)
-    return _tiled_design(n, (0,), lambda size: _grid_rows(size, gamma),
+    return _tiled_design(n, None, lambda size: _grid_rows(size, gamma),
                          col_limit=gamma, row_limit=None, design_tag=TAG_HYPERGRID)
 
 

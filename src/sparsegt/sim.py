@@ -29,7 +29,6 @@ evaluates only its base rows and votes from each group's flip count.
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import math
@@ -50,6 +49,7 @@ from .core import (
     ResourceCapError,
     TestMatrix,
     WorkerLostError,
+    _checked_block_bounds,
     _index_dtype,
     _noise_flips,
     _out_of_memory,
@@ -711,12 +711,14 @@ def block_collision_error(matrix: TestMatrix, d: int) -> Fraction:
     """Exact chance that a uniform size-d defective set puts two defectives
     in one block: 1 - e_d(block sizes) / C(n, d), with e_d the elementary
     symmetric polynomial, in Python integers. A strict block decoder errs on
-    exactly these sets. A matrix without blocks is one block."""
+    exactly these sets. A matrix without blocks is one block; malformed
+    offsets raise :class:`~sparsegt.core.InvalidParameterError`."""
     n = matrix.num_items
     d = _parameter("oracle d", d, n=n)
-    sizes = collections.Counter(end - start for start, end in matrix.block_bounds())
+    bounds = _checked_block_bounds(matrix)
+    sizes, counts = np.unique(bounds[:, 1] - bounds[:, 0], return_counts=True)
     spread = [1] + [0] * d  # e_0 .. e_d of the sizes so far
-    for size, count in sizes.items():
+    for size, count in zip(sizes.tolist(), counts.tolist()):
         # multiply by (1 + size x)^count, truncated at degree d
         factor = [math.comb(count, i) * size**i for i in range(d + 1)]
         spread = [sum(spread[k - i] * factor[i] for i in range(k + 1)) for k in range(d + 1)]

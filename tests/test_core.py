@@ -8,6 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparsegt import core
 from sparsegt.core import (
@@ -625,6 +626,84 @@ class TestMatrixStorage:
         assert again == GRID9
         assert "_column_index" not in vars(again)
         assert not again.indices.flags.writeable
+
+
+class TestBlockOffsetsReadBack:
+    def test_python_ints_are_kept_unwritten(self, monkeypatch):
+        """A tuple of Python ints is its own read-back: no offset is written
+        out and parsed again."""
+        calls = []
+        field_value = core._field_value
+        monkeypatch.setattr(core, "_field_value",
+                            lambda *args: calls.append(args) or field_value(*args))
+        starts = (0, 4, 9, 2**40)
+        assert core._read_back("blocks", starts) is starts
+        assert core._read_back("blocks", [0, 4]) == (0, 4)
+        assert calls == []
+        assert TestMatrix(rows=[], num_items=10, block_starts=(0, 4)).block_starts == (0, 4)
+        assert [call[0] for call in calls] == ["n"]
+
+    def test_numpy_ints_read_back_as_python_ints(self):
+        for starts in ((0, np.int64(4)), np.array([0, 4], dtype=np.int64), (np.int32(0), 4)):
+            read = core._read_back("blocks", starts)
+            assert read == (0, 4)
+            assert [type(start) for start in read] == [int, int]
+            matrix = TestMatrix(rows=[], num_items=10, block_starts=starts)
+            assert [type(start) for start in matrix.block_starts] == [int, int]
+
+    @pytest.mark.parametrize("value", [True, 1.0, np.float64(1), "1"],
+                             ids=["bool", "float", "numpy-float", "str"])
+    def test_other_values_are_still_refused(self, value):
+        with pytest.raises(InvalidParameterError):
+            core._read_back("blocks", (0, value))
+        with pytest.raises(InvalidParameterError):
+            TestMatrix(rows=[], num_items=10, block_starts=[0, value])
+
+    def test_only_block_offsets_skip_the_text(self):
+        with pytest.raises(InvalidParameterError, match="reads back as 5"):
+            core._read_back("n", (5,))
+
+
+@st.composite
+def _well_formed_offsets(draw):
+    """(n, offsets): n up to 2**31 and up to 20 strictly increasing offsets
+    from 0, below n."""
+    n = draw(st.sampled_from([1, 2, 2**31 - 2, 2**31 - 1, 2**31]) | st.integers(1, 2**31))
+    rest = draw(st.sets(st.integers(1, n - 1), max_size=19)) if n > 1 else set()
+    return n, (0, *sorted(rest))
+
+
+class TestBlockBounds:
+    @given(_well_formed_offsets())
+    @settings(max_examples=200, deadline=None)
+    def test_equal_to_the_matrix_bounds(self, case):
+        n, starts = case
+        matrix = TestMatrix(rows=[], num_items=n, block_starts=starts)
+        bounds = core._block_bounds(starts, n)
+        assert bounds.dtype == core._index_dtype(n + 1)
+        assert bounds.shape == (len(starts), 2)
+        assert np.array_equal(bounds, np.array(matrix.block_bounds()))
+        assert np.array_equal(core._block_bounds(np.array(starts, dtype=np.int64), n), bounds)
+        assert all(type(value) is int for pair in matrix.block_bounds() for value in pair)
+
+    def test_no_offsets_are_one_block(self):
+        assert core._block_bounds(None, 7).tolist() == [[0, 7]]
+        assert TestMatrix(rows=[], num_items=7).block_bounds() == ((0, 7),)
+
+    @pytest.mark.parametrize("n, dtype", [(2**31 - 2, np.int32), (2**31 - 1, np.int64)])
+    def test_int32_below_2_31(self, n, dtype):
+        """The last block ends at n, so n + 1 bounds the values: int32 up to
+        n = 2**31 - 2."""
+        bounds = core._block_bounds((0, n - 1), n)
+        assert bounds.dtype == dtype
+        assert bounds.tolist() == [[0, n - 1], [n - 1, n]]
+
+    @pytest.mark.parametrize("starts", [(), (1,), (0, 0), (0, 2, 1), (0, 3), (0, 2**70)])
+    def test_malformed_offsets_have_none(self, starts):
+        assert core._block_bounds(starts, 3) is None
+        matrix = TestMatrix(rows=[], num_items=3, block_starts=starts)
+        with pytest.raises(InvalidParameterError, match="block offsets must start at 0"):
+            matrix.block_bounds()
 
 
 @pytest.mark.parametrize(

@@ -44,7 +44,12 @@ from sparsegt.designs import (
     random_gamma_design,
     repeat_design,
 )
-from sparsegt.sim import SimConfig, exhaustive_error_probability, run_monte_carlo
+from sparsegt.sim import (
+    SimConfig,
+    block_collision_error,
+    exhaustive_error_probability,
+    run_monte_carlo,
+)
 
 GRID9 = hypergrid_design(9, 2)
 
@@ -519,6 +524,22 @@ class TestMalformedBlockOffsets:
         config = SimConfig(DesignParams(n=3, d=1), Prior(PRIOR_UNIFORM_EXACT, 1), 10, 0)
         with pytest.raises(IncompatibleDecoderError, match="block offsets must start at 0"):
             run_monte_carlo(self.MATRIX, "binary", config)
+
+    def test_the_collision_oracle_refuses(self):
+        with pytest.raises(InvalidParameterError, match="block offsets must start at 0"):
+            block_collision_error(self.MATRIX, 1)
+
+
+class TestBlockPlanBounds:
+    @pytest.mark.parametrize("n, dtype", [(2**31 - 2, np.int32), (2**31 - 1, np.int64)])
+    def test_first_and_end_take_the_index_dtype_of_n_plus_1(self, n, dtype):
+        """Two binary blocks of n - 1 items and of 1: 32 tests, and no array
+        of n entries."""
+        matrix = TestMatrix(rows=[()] * 32, num_items=n, design_tag="block-binary-rho",
+                            block_starts=(0, n - 1))
+        plan = make_plan(matrix, "binary")
+        assert plan.first.dtype == plan.end.dtype == dtype
+        assert (plan.first.tolist(), plan.end.tolist()) == ([-1, n - 2], [n - 1, n])
 
 
 class TestBrokenRepeatedDesign:

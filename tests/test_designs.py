@@ -108,6 +108,20 @@ class TestBalancedBlocks:
     def test_caps_at_singletons(self):
         assert balanced_block_starts(4, 9) == (0, 1, 2, 3)
 
+    @given(st.integers(1, 2**31) | st.integers(1, 40), st.integers(1, 2000))
+    @settings(max_examples=200, deadline=None)
+    def test_the_offsets_of_the_formula_as_python_ints(self, n, b):
+        """i * n // min(b, n) for each block i, also with more blocks than
+        items, each an int and not a NumPy integer."""
+        nb = min(b, n)
+        starts = balanced_block_starts(n, b)
+        assert starts == tuple(i * n // nb for i in range(nb))
+        assert all(type(start) is int for start in starts)
+
+    def test_past_int64_products(self):
+        n = 10**20
+        assert balanced_block_starts(n, 3) == (0, n // 3, 2 * n // 3)
+
     @pytest.mark.parametrize("n,b", [(10, 3), (36, 8), (100, 7), (5, 5), (7, 1)])
     def test_partition_properties(self, n, b):
         starts = balanced_block_starts(n, b)

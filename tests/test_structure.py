@@ -17,8 +17,8 @@ column weights read it, and no source writes those caches itself. Only
 ``Exception`` or everything. Only
 ``core._adopt_base`` stores a repeated design's base matrix on it, and only
 the readers named in ``_BASE_USES`` read it. No call to ``min`` passes
-``initial=0``. The check reads the source
-with ``ast`` and the standard library alone."""
+``initial=0``, and no source calls ``TestMatrix.block_bounds``. The check
+reads the source with ``ast`` and the standard library alone."""
 
 import ast
 import pathlib
@@ -339,6 +339,20 @@ def test_no_min_starts_from_zero():
     assert not found, "min(initial=0) in " + "; ".join(found)
 
 
+def _block_bounds_callers(source: str, module: str) -> list[str]:
+    return [where for where, node, call in _attributes(source, module)
+            if call and node.attr == "block_bounds"]
+
+
+def test_no_source_calls_block_bounds():
+    """``TestMatrix.block_bounds`` returns tuples of Python ints for
+    callers; the constructors, the block plans and the collision oracle
+    read the array of ``core._block_bounds``."""
+    found = [where for path in SOURCES for where in _block_bounds_callers(path.read_text(),
+                                                                          path.stem)]
+    assert not found, "calls .block_bounds(): " + "; ".join(found)
+
+
 def test_no_source_writes_the_column_caches():
     uses = [use for path in SOURCES for use in _named_uses(path.read_text(), path.stem, _CACHES)]
     assert not [use for use in uses if use[1] == "write"], uses
@@ -448,3 +462,11 @@ def test_the_checks_see_what_they_exist_for():
         "    return np.min(second, initial=0), min(runs), second.min(initial=hi)\n"
     )
     assert _mins_from_zero(mins, "decoders") == ["decoders.span", "decoders.span"]
+    bounds = (
+        "def oracle(matrix):\n"
+        "    return matrix.block_bounds(), matrix.block_bounds\n"
+        "class Plan:\n"
+        "    def __init__(self, matrix):\n"
+        "        self.bounds = np.array(matrix.block_bounds())\n"
+    )
+    assert _block_bounds_callers(bounds, "sim") == ["sim.oracle", "sim.Plan.__init__"]
